@@ -29,10 +29,7 @@ BENCH_GRID = {
     ("multi_solve", "spido"): [
         SolverConfig(dense_backend="spido", n_c=n_c) for n_c in (64, 256)
     ],
-    ("multi_solve", "hmat"): [
-        SolverConfig(dense_backend="hmat", n_c=128, n_s_block=n_s)
-        for n_s in (256, 512)
-    ],
+    ("multi_solve", "hmat"): [SolverConfig(dense_backend="hmat", n_c=128)],
     ("multi_factorization", "spido"): [
         SolverConfig(dense_backend="spido", n_b=n_b) for n_b in (1, 2)
     ],

@@ -29,7 +29,6 @@ import numpy as np
 from repro.core import SolverConfig, solve_coupled
 from repro.memory.tracker import fmt_bytes
 from repro.runner.reporting import render_table, render_worker_breakdown
-from repro.runtime import AUTO_PROCESS_MIN_TASK_BYTES, choose_auto_backend
 
 from bench_utils import bench_scale, write_bench_json, write_result
 
@@ -141,78 +140,6 @@ def test_runtime_scaling(benchmark, pipe_8k):
         args=(pipe_8k, "multi_solve", config.with_(n_workers=WORKER_COUNTS[-1])),
         rounds=1, iterations=1,
     )
-
-
-def test_auto_backend_crossover(pipe_8k):
-    """Measure the ``runtime_backend="auto"`` crossover on real cases.
-
-    ``auto`` resolves per run from the largest task's result-slab size:
-    process workers once a task reaches ``AUTO_PROCESS_MIN_TASK_BYTES``
-    (their serialization overhead amortizes against the GIL-free
-    kernels), threads below it.  Sweeping ``n_b`` moves the block size
-    across that threshold on one problem; each lane asserts the
-    end-to-end resolution matches the rule applied to the predicted
-    largest block, and that the auto run stays bit-identical to both
-    explicit backends.  Timings for auto/thread/process land in the JSON
-    so the crossover constant can be sanity-checked against measurement.
-    """
-    base = SolverConfig(n_c=64, n_workers=4)
-    itemsize = np.dtype(pipe_8k.dtype).itemsize
-    rows, records = [], []
-    for n_b in (2, 8):  # large blocks vs small blocks around the threshold
-        config = base.with_(n_b=n_b)
-        k_max = -(-pipe_8k.n_bem // n_b)
-        expected = choose_auto_backend(k_max * k_max * itemsize,
-                                       config.n_workers)
-        sol_auto, wall_auto = _timed_solve(
-            pipe_8k, "multi_factorization",
-            config.with_(runtime_backend="auto"),
-        )
-        resolved = sol_auto.stats.params["runtime_backend"]
-        assert resolved == expected
-        walls = {"auto": wall_auto}
-        for backend in BACKENDS:
-            sol, wall = _timed_solve(
-                pipe_8k, "multi_factorization",
-                config.with_(runtime_backend=backend),
-            )
-            assert np.array_equal(sol_auto.x, sol.x)
-            walls[backend] = wall
-        rows.append((
-            n_b, k_max, fmt_bytes(k_max * k_max * itemsize), resolved,
-            f"{walls['auto']:.2f}s", f"{walls['thread']:.2f}s",
-            f"{walls['process']:.2f}s",
-        ))
-        records.append({
-            "n_b": n_b,
-            "k_max": k_max,
-            "task_nbytes": k_max * k_max * itemsize,
-            "resolved_backend": resolved,
-            "wall_seconds": walls,
-        })
-    write_result(
-        "auto_backend_crossover",
-        render_table(
-            ["n_b", "k_max", "task size", "auto ->", "auto wall",
-             "thread wall", "process wall"],
-            rows,
-            title=f"runtime_backend=auto crossover "
-                  f"(pipe N={pipe_8k.n_total:,}, threshold "
-                  f"{fmt_bytes(AUTO_PROCESS_MIN_TASK_BYTES)}, "
-                  f"{base.n_workers} workers)",
-        ),
-    )
-    write_bench_json("auto_backend_crossover", {
-        "case": {
-            "n_total": pipe_8k.n_total,
-            "n_bem": pipe_8k.n_bem,
-            "n_workers": base.n_workers,
-            "bench_scale": bench_scale(),
-            "cpu_count": os.cpu_count(),
-        },
-        "auto_process_min_task_bytes": AUTO_PROCESS_MIN_TASK_BYTES,
-        "lanes": records,
-    })
 
 
 def test_runtime_breakdown_under_tight_limit(pipe_4k):

@@ -37,7 +37,9 @@ from repro.memory.tracker import MemoryTracker
 from repro.sparse.blr import BLRConfig
 from repro.utils.errors import ConfigurationError
 
-_DENSE_BACKENDS = ("spido", "hmat", "spido_ooc")
+#: Every value ``SolverConfig.dense_backend`` accepts (the CLI takes its
+#: choices from here).
+DENSE_BACKENDS = ("spido", "hmat", "spido_ooc")
 _COMPRESSORS = ("svd", "aca")
 _ORDERINGS = ("geometric", "graph")
 
@@ -68,6 +70,11 @@ class SolverConfig:
     #: compressed form by randomized sampling — the paper's §VII
     #: future-work direction (see :mod:`repro.core.randomized`).
     schur_assembly: str = "blocked"
+    #: The one sampling knob family, shared by ``schur_assembly=
+    #: "randomized"`` and the sampled borders of ``front_compress``: first
+    #: rank estimate of the adaptive range finder, extra sampling columns
+    #: beyond the current estimate, and the seed of the per-block
+    #: generators ``default_rng([seed, i, j])``.
     randomized_start_rank: int = 16
     randomized_oversample: int = 8
     seed: int = 0
@@ -83,11 +90,6 @@ class SolverConfig:
     #: sampling is attempted; smaller blocks take the exact path bit for
     #: bit.  ``None`` = ``$REPRO_FRONT_COMPRESS_MIN`` if set, else 192.
     front_compress_min: Optional[int] = None
-    #: Extra sampling columns beyond the current rank estimate when
-    #: probing a Schur border block (the randomized range-finder
-    #: oversampling for the front pipeline).  ``None`` =
-    #: ``$REPRO_FRONT_SAMPLE_OVERSAMPLING`` if set, else 8.
-    front_sample_oversampling: Optional[int] = None
     #: Steps of iterative refinement after the direct solve: the (possibly
     #: compressed) factorizations precondition a residual correction
     #: evaluated against the *exact* operator, recovering accuracy below
@@ -166,9 +168,9 @@ class SolverConfig:
     serve_executor_threads: int = 2
 
     def __post_init__(self):
-        if self.dense_backend not in _DENSE_BACKENDS:
+        if self.dense_backend not in DENSE_BACKENDS:
             raise ConfigurationError(
-                f"dense_backend must be one of {_DENSE_BACKENDS}"
+                f"dense_backend must be one of {DENSE_BACKENDS}"
             )
         if self.compressor not in _COMPRESSORS:
             raise ConfigurationError(f"compressor must be one of {_COMPRESSORS}")
@@ -198,20 +200,15 @@ class SolverConfig:
             raise ConfigurationError(
                 "front_compress_min must be >= 1 or None"
             )
-        if (self.front_sample_oversampling is not None
-                and self.front_sample_oversampling < 1):
-            raise ConfigurationError(
-                "front_sample_oversampling must be >= 1 or None"
-            )
         if self.refinement_steps < 0:
             raise ConfigurationError("refinement_steps must be >= 0")
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1 or None")
         if self.runtime_backend is not None and self.runtime_backend not in (
-            "thread", "process", "auto"
+            "thread", "process"
         ):
             raise ConfigurationError(
-                "runtime_backend must be 'thread', 'process', 'auto' or None"
+                "runtime_backend must be 'thread', 'process' or None"
             )
         if self.axpy_max_accumulated_rank < 1:
             raise ConfigurationError(
@@ -298,16 +295,6 @@ class SolverConfig:
         from repro.sparse.blr import resolve_front_compress_min
 
         return resolve_front_compress_min(self.front_compress_min)
-
-    @property
-    def effective_front_sample_oversampling(self) -> int:
-        """Resolved border oversampling: ``front_sample_oversampling``,
-        ``$REPRO_FRONT_SAMPLE_OVERSAMPLING``, or 8."""
-        from repro.sparse.blr import resolve_front_sample_oversampling
-
-        return resolve_front_sample_oversampling(
-            self.front_sample_oversampling
-        )
 
     @property
     def hierarchical_tol(self) -> float:

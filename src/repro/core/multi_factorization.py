@@ -54,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import SolverConfig
-from repro.core.randomized import CorrectionSampler, sample_schur_block_rk
+from repro.core.randomized import sample_border_plan
 from repro.core.result import CoupledSolution
 from repro.core.schur_tools import (
     RunContext,
@@ -64,7 +64,7 @@ from repro.core.schur_tools import (
 from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.hmatrix import HMatrix
 from repro.memory.tracker import MemoryTracker
-from repro.runtime import PanelTask, choose_auto_backend, make_runtime
+from repro.runtime import PanelTask, make_runtime
 from repro.sparse.multifrontal import FrontArena
 from repro.sparse.solver import SparseSolver
 from repro.sparse.symbolic_cache import SymbolicCache
@@ -176,36 +176,6 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     return factor_bytes, d_an, d_re, body
 
 
-def _sampling_callbacks(sampler, rng, epsilon, dtype, start_rank, oversample):
-    """The two callbacks :meth:`precompress_axpy_sampled` walks with.
-
-    Shared by the thread closure and the process kernel so both backends
-    consume the per-block seeded ``rng`` in the identical deterministic
-    tree order — sampled plans are bit-identical across backends.
-    """
-
-    def sample_rk(grows, gcols):
-        return sample_schur_block_rk(
-            sampler, grows, gcols, epsilon, rng, dtype,
-            start_rank=start_rank, oversample=oversample,
-        )
-
-    def dense_piece(grows, gcols):
-        return sampler.dense_block_exact(grows, gcols, dtype)
-
-    return sample_rk, dense_piece
-
-
-def _sample_min_dim(start_rank: int, oversample: int) -> int:
-    """Quadrant size below which sampling cannot beat one dense solve.
-
-    A sampled quadrant pays the probe + range + transpose solves
-    (``≳ 2·(rank + oversample)`` columns); the dense piece pays exactly
-    ``n`` columns in one solve — sampling only wins with room to spare.
-    """
-    return max(64, 2 * (start_rank + oversample))
-
-
 def _facto_sampled_kernel(w, timer, i: int, j: int):
     """Sampled-border block on a worker process (``config.front_compress``).
 
@@ -226,22 +196,12 @@ def _facto_sampled_kernel(w, timer, i: int, j: int):
     d_re = sparse.n_symbolic_reuses - w["sym_counts"][1]
     w["sym_counts"] = [sparse.n_symbolic_analyses, sparse.n_symbolic_reuses]
     skel = w["skeleton"]
-    sampler = CorrectionSampler(mf_ij, w["a_sv"])
-    rng = np.random.default_rng([w["seed"], i, j])
-    sample_rk, dense_piece = _sampling_callbacks(
-        sampler, rng, w["epsilon"], w["dtype"],
-        w["start_rank"], w["front_oversample"],
-    )
     try:
         before = skel.n_panel_compressions
         with timer.phase("schur_sampling"):
-            # axpy-ok: skeleton stages nothing; plan commits on the tree
-            plan, n_sampled, n_fallbacks = skel.precompress_axpy_sampled(
-                -1.0, rows_i, cols_j, sample_rk, dense_piece,
-                min_sample_dim=_sample_min_dim(
-                    w["start_rank"], w["front_oversample"]
-                ),
-                compressor=w["compressor"],
+            plan, n_sampled, n_fallbacks = sample_border_plan(
+                skel, mf_ij, w["a_sv"], rows_i, cols_j, w["config"],
+                w["dtype"], block=(i, j),
             )
         body = HMatrix.export_plan(plan, skel.n_panel_compressions - before)
     finally:
@@ -298,7 +258,6 @@ def assemble_multi_factorization(ctx: RunContext):
     # sampling solves — smaller ones keep the W-based Schur feature
     sampled = compressed and config.effective_front_compress
     sample_min = config.effective_front_compress_min
-    sample_oversample = config.effective_front_sample_oversampling
 
     def is_sampled(i: int, j: int) -> bool:
         return sampled and min(
@@ -306,11 +265,6 @@ def assemble_multi_factorization(ctx: RunContext):
         ) >= sample_min
 
     backend = ctx.runtime_backend
-    if backend == "auto":
-        k_max = max(len(b) for b in blocks)
-        backend = choose_auto_backend(k_max * k_max * itemsize,
-                                      ctx.n_workers)
-        ctx.runtime_backend = backend
     worker_payload = None
     if backend == "process":
         worker_payload = {
@@ -332,10 +286,7 @@ def assemble_multi_factorization(ctx: RunContext):
             worker_payload["skeleton"] = container.structure_skeleton()
             worker_payload["compressor"] = config.compressor
         if sampled:
-            worker_payload["seed"] = config.seed
-            worker_payload["epsilon"] = config.epsilon
-            worker_payload["start_rank"] = config.randomized_start_rank
-            worker_payload["front_oversample"] = sample_oversample
+            worker_payload["config"] = config
     runtime = make_runtime(
         ctx.tracker, ctx.n_workers, "multi-facto", backend=backend,
         worker_payload=worker_payload, worker_builder=_facto_worker_ctx,
@@ -433,22 +384,12 @@ def assemble_multi_factorization(ctx: RunContext):
                     symmetric_values=problem.symmetric,
                     timer=timer, arena=arena,
                 )
-            sampler = CorrectionSampler(mf_ij, problem.a_sv)
             # per-block seeding: the samples depend on (seed, i, j) only,
             # never on which worker or backend runs the block
-            rng = np.random.default_rng([config.seed, i, j])
-            sample_rk, dense_piece = _sampling_callbacks(
-                sampler, rng, config.epsilon, problem.dtype,
-                config.randomized_start_rank, sample_oversample,
-            )
             with timer.phase("schur_sampling"):
-                plan, n_sampled, n_fallbacks = (
-                    container.precompress_subtract_sampled(
-                        rows_i, cols_j, sample_rk, dense_piece,
-                        min_sample_dim=_sample_min_dim(
-                            config.randomized_start_rank, sample_oversample
-                        ),
-                    )
+                plan, n_sampled, n_fallbacks = sample_border_plan(
+                    container.s, mf_ij, problem.a_sv, rows_i, cols_j,
+                    config, problem.dtype, block=(i, j),
                 )
             alloc.resize(plan.nbytes)
             return mf_ij, plan, n_sampled, n_fallbacks

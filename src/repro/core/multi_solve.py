@@ -45,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SolverConfig
+from repro.core.randomized import sample_border_plan
 from repro.core.result import CoupledSolution
 from repro.core.schur_tools import (
     RunContext,
@@ -53,7 +54,7 @@ from repro.core.schur_tools import (
 )
 from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.hmatrix import HMatrix
-from repro.runtime import PanelTask, choose_auto_backend, make_runtime
+from repro.runtime import PanelTask, make_runtime
 from repro.sparse.solver import SparseSolver
 from repro.sparse.symbolic_cache import SymbolicCache
 
@@ -186,12 +187,6 @@ def assemble_multi_solve(ctx: RunContext):
         )
 
     backend = ctx.runtime_backend
-    if backend == "auto":
-        # one task = one n_s × n_c result panel
-        backend = choose_auto_backend(
-            n_s * config.n_c * itemsize, ctx.n_workers
-        )
-        ctx.runtime_backend = backend
     worker_payload = None
     if backend == "process":
         # shipped once per worker: the factorization (tracker stripped by
@@ -236,27 +231,25 @@ def assemble_multi_solve(ctx: RunContext):
             # correction operator — no dense Z panel ever exists.  The
             # sampling loop is adaptive (each rank doubling depends on the
             # previous residual), so it stays on the caller thread.
-            from repro.core.randomized import (
-                CorrectionSampler,
-                subtract_randomized_correction,
-            )
-
             def count_solve():
                 ctx.n_sparse_solves += 1
 
-            sampler = CorrectionSampler(
-                mf, problem.a_sv, exploit_sparsity=config.exploit_sparse_rhs,
-                on_solve=count_solve,
-            )
-            rng = np.random.default_rng(config.seed)
-            with ctx.timer.phase("schur_compression"):
-                subtract_randomized_correction(
-                    container.s, sampler, config.hierarchical_tol, rng,
-                    problem.dtype,
-                    start_rank=config.randomized_start_rank,
-                    oversample=config.randomized_oversample,
+            with ctx.timer.phase("schur_sampling"):
+                plan, n_sampled, n_fallbacks = sample_border_plan(
+                    container.s, mf, problem.a_sv, all_rows, all_rows,
+                    config, problem.dtype, on_solve=count_solve,
                 )
-                container.resync()
+            ctx.n_sampled_borders += n_sampled
+            ctx.n_border_fallbacks += n_fallbacks
+            # the plan is alive while it commits: charge it like the
+            # runtime charges a task's pre-compressed result
+            with ctx.timer.phase("schur_compression"):
+                with ctx.tracker.borrow(
+                    plan.nbytes, category="schur_block",
+                    label="sampled update plan of S",
+                ):
+                    container.commit(plan)
+                container.flush()
         elif config.effective_axpy_accumulate:
             # Algorithm 2 with deferred recompression: each n_c panel is
             # *pre-compressed on the worker that solved it* (the SVD of

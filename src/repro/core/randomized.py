@@ -1,34 +1,38 @@
-"""Randomized compressed Schur assembly (the paper's §VII future work).
+"""Randomized sampling of Schur blocks (the paper's §VII future work).
 
 The paper concludes: *"We will also investigate the possibility to produce
 Schur complement blocks directly in a compressed form (using randomized
-methods as in [27] ...)"*.  This module implements that direction for the
-multi-solve family: instead of materialising dense column panels
-``Z_i = A_sv A_vv⁻¹ (A_svᵀ)_i`` and compressing them after the fact, each
-low-rank block of the hierarchical Schur complement is built *directly* in
-compressed form by randomized range sampling of the correction operator
+methods as in [27] ...)"*.  This module is that direction, once, for both
+algorithm families: instead of materialising a dense block of the
+correction operator
 
 .. math::
 
-    K = A_{sv} A_{vv}^{-1} A_{sv}^T ,
+    K = A_{sv} A_{vv}^{-1} A_{sv}^T
 
-whose action (and transpose action) costs one blocked sparse solve — so
-only ``rank + oversampling`` solve columns per block are ever needed, and
-no dense ``n_s × n_S`` panel exists at any point.
+and compressing it after the fact, each low-rank block of the hierarchical
+Schur complement is built *directly* in compressed form by randomized
+range sampling of ``K``, whose action (and transpose action) costs one
+blocked sparse solve — so only ``rank + oversampling`` solve columns per
+block are ever needed.  Compressed multi-solve with
+``schur_assembly="randomized"`` samples the whole of ``K`` as one block;
+multi-factorization with ``front_compress`` samples one border
+``K[rows_i, cols_j]`` per sparse block.  Both go through
+:func:`sample_border_plan`.
 
-The adaptive rank loop follows the standard randomized range finder: probe
-columns estimate the residual ``‖(I − QQᵀ)Kω‖`` and the rank doubles until
-the relative residual drops below the tolerance.
+The adaptive rank loop (:func:`sample_schur_block_rk`) follows the standard
+randomized range finder: probe columns estimate the residual
+``‖(I − QQᵀ)Kω‖`` and the rank doubles until the relative residual drops
+below the tolerance, or the rank cap says the block is not low-rank and
+the caller takes the exact dense piece instead.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional
 
 import numpy as np
 
-from repro.hmatrix.hmatrix import HNode
 from repro.hmatrix.rk import RkMatrix
 
 
@@ -42,33 +46,24 @@ def _gaussian(rng: np.random.Generator, shape, dtype) -> np.ndarray:
 class CorrectionSampler:
     """Applies ``K = A_sv A_vv⁻¹ A_svᵀ`` (and ``Kᵀ``) restricted to blocks.
 
-    With a ``tracker``, the transient solve workspace of each application
-    is borrowed under the ``schur_sampling`` category, so sampled-border
-    admission stays under the MemoryTracker limit like every other phase.
+    The transient workspace of each application is borrowed by
+    ``mf.solve`` itself, so sampling stays under the MemoryTracker limit
+    like every other phase that solves.
     """
 
     def __init__(self, mf, a_sv, exploit_sparsity: bool = True,
-                 on_solve=None, tracker=None):
+                 on_solve=None):
         self.mf = mf
         self.a_sv = a_sv.tocsr()
         self.a_sv_t = a_sv.T.tocsc()
         self.exploit_sparsity = exploit_sparsity
         self.on_solve = on_solve or (lambda: None)
-        self.tracker = tracker
-
-    def _borrow(self, n_rhs: int):
-        if self.tracker is None:
-            return nullcontext()
-        return self.tracker.borrow(
-            self.mf.solve_workspace_bytes(n_rhs), "schur_sampling"
-        )
 
     def apply(self, rows: np.ndarray, cols: np.ndarray,
               x: np.ndarray) -> np.ndarray:
         """``K[rows, cols] @ x`` via one blocked sparse solve."""
         rhs = self.a_sv_t[:, cols] @ x
-        with self._borrow(x.shape[1]):
-            y = self.mf.solve(rhs, exploit_sparsity=False)
+        y = self.mf.solve(rhs, exploit_sparsity=False)
         self.on_solve()
         return self.a_sv[rows] @ y
 
@@ -76,75 +71,25 @@ class CorrectionSampler:
                         x: np.ndarray) -> np.ndarray:
         """``K[rows, cols]ᵀ @ x`` via one blocked transpose solve."""
         rhs = self.a_sv[rows].T @ x
-        with self._borrow(x.shape[1]):
-            y = self.mf.solve_transpose(rhs)
+        y = self.mf.solve_transpose(rhs)
         self.on_solve()
         return self.a_sv_t[:, cols].T @ y
-
-    def dense_block(self, rows: np.ndarray, cols: np.ndarray,
-                    dtype) -> np.ndarray:
-        """Exact ``K[rows, cols]`` (used on the small diagonal leaves)."""
-        eye = np.eye(len(cols), dtype=dtype)
-        return self.apply(rows, cols, eye)
 
     def dense_block_exact(self, rows: np.ndarray, cols: np.ndarray,
                           dtype) -> np.ndarray:
         """Exact ``K[rows, cols]`` through the sparse-RHS solve path.
 
-        The dense fallback of the sampled-border pipeline: identical to
-        the blocked multi-factorization W product ``A_sv A_vv⁻¹ A_svᵀ``
-        restricted to the block, including the sparse-RHS forward sweep
-        when the factorization supports it (bitwise parity with the
-        unsampled path depends only on the surrounding assembly order).
+        The dense fallback of the sampled pipeline (diagonal leaves, small
+        quadrants, refused rank tests): identical to the blocked
+        multi-factorization W product ``A_sv A_vv⁻¹ A_svᵀ`` restricted to
+        the block, including the sparse-RHS forward sweep when the
+        factorization supports it (bitwise parity with the unsampled path
+        depends only on the surrounding assembly order).
         """
         rhs = np.asarray(self.a_sv_t[:, cols].todense(), dtype=dtype)
-        with self._borrow(len(cols)):
-            y = self.mf.solve(rhs, exploit_sparsity=self.exploit_sparsity)
+        y = self.mf.solve(rhs, exploit_sparsity=self.exploit_sparsity)
         self.on_solve()
         return self.a_sv[rows] @ y
-
-
-def randomized_block_rk(
-    sampler: CorrectionSampler,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    tol: float,
-    rng: np.random.Generator,
-    dtype,
-    start_rank: int = 16,
-    oversample: int = 8,
-    n_probe: int = 4,
-    max_rank: Optional[int] = None,
-) -> RkMatrix:
-    """Adaptive randomized low-rank approximation of ``K[rows, cols]``.
-
-    Returns ``RkMatrix`` with ``U Vᵀ ≈ K[rows, cols]`` to relative
-    Frobenius accuracy ``tol`` (estimated on Gaussian probe columns).
-    """
-    m, n = len(rows), len(cols)
-    cap = min(m, n) if max_rank is None else min(max_rank, m, n)
-    rank = max(1, min(start_rank, cap))
-    probes = _gaussian(rng, (n, n_probe), dtype)
-    k_probes = sampler.apply(rows, cols, probes)
-    probe_norm = float(np.linalg.norm(k_probes))
-    if probe_norm == 0.0:
-        return RkMatrix.zeros(m, n, dtype=dtype)
-
-    while True:
-        r = min(rank + oversample, min(m, n))
-        omega = _gaussian(rng, (n, r), dtype)
-        y = sampler.apply(rows, cols, omega)
-        q, _ = np.linalg.qr(y)
-        residual = k_probes - q @ (q.conj().T @ k_probes)
-        rel = float(np.linalg.norm(residual)) / probe_norm
-        if rel <= tol or r >= min(m, n) or rank >= cap:
-            break
-        rank = min(2 * rank, cap)
-
-    # V = (Qᵀ K)ᵀ = Kᵀ conj(Q); stored with a plain transpose so that the
-    # block is exactly Q @ Vᵀ
-    v = sampler.apply_transpose(rows, cols, np.conj(q))
-    return RkMatrix(q, v)
 
 
 def sample_schur_block_rk(
@@ -158,14 +103,16 @@ def sample_schur_block_rk(
     oversample: int = 8,
     n_probe: int = 4,
 ) -> Optional[RkMatrix]:
-    """Sampled Schur-border block, or ``None`` when the rank test fails.
+    """Adaptive randomized low-rank approximation of ``K[rows, cols]``.
 
-    The front pipeline's rank test: the adaptive range finder runs with a
-    rank cap of half the block dimension (beyond that a low-rank product
-    stores more than the dense block and the sampling solves outnumber the
-    blocked ones).  When the cap is reached without meeting ``tol`` the
-    block is *not* numerically low-rank and the caller must take the dense
-    fallback — returning ``None`` keeps that decision explicit.
+    Returns ``U Vᵀ ≈ K[rows, cols]`` to relative Frobenius accuracy
+    ``tol`` (estimated on Gaussian probe columns), or ``None`` when the
+    rank test fails: the range finder runs with a rank cap of half the
+    block dimension (beyond that a low-rank product stores more than the
+    dense block and the sampling solves outnumber the blocked ones).  When
+    the cap is reached without meeting ``tol`` the block is *not*
+    numerically low-rank and the caller must take the dense fallback —
+    returning ``None`` keeps that decision explicit.
     """
     m, n = len(rows), len(cols)
     cap = max(min(start_rank, m, n), min(m, n) // 2)
@@ -189,46 +136,60 @@ def sample_schur_block_rk(
             return None
         rank = min(2 * rank, cap)
 
+    # V = (Qᵀ K)ᵀ = Kᵀ conj(Q); stored with a plain transpose so that the
+    # block is exactly Q @ Vᵀ
     v = sampler.apply_transpose(rows, cols, np.conj(q))
     return RkMatrix(q, v)
 
 
-def subtract_randomized_correction(
-    hmatrix,
-    sampler: CorrectionSampler,
-    tol: float,
-    rng: np.random.Generator,
-    dtype,
-    start_rank: int = 16,
-    oversample: int = 8,
-) -> None:
-    """``S ← S − K`` with every HODLR block built directly compressed.
+def _sample_min_dim(start_rank: int, oversample: int) -> int:
+    """Quadrant size below which sampling cannot beat one dense solve.
 
-    ``hmatrix`` must already hold :math:`A_{ss}`; its off-diagonal Rk
-    blocks receive randomized low-rank corrections, its dense diagonal
-    leaves the exact (small) correction blocks.
+    A sampled quadrant pays the probe + range + transpose solves
+    (``≳ 2·(rank + oversample)`` columns); the dense piece pays exactly
+    ``n`` columns in one solve — sampling only wins with room to spare.
     """
-    perm = hmatrix.tree.perm
+    return max(64, 2 * (start_rank + oversample))
 
-    def visit(node: HNode) -> None:
-        if node.is_leaf:
-            idx = perm[node.start : node.stop]
-            block = sampler.dense_block(idx, idx, dtype)
-            node.dense -= block.astype(node.dense.dtype, copy=False)
-            return
-        visit(node.h11)
-        visit(node.h22)
-        rows1 = perm[node.start : node.mid]
-        rows2 = perm[node.mid : node.stop]
-        rk = randomized_block_rk(
-            sampler, rows1, rows2, tol, rng, dtype,
+
+def sample_border_plan(hmatrix, mf, a_sv, rows: np.ndarray, cols: np.ndarray,
+                       config, dtype, block=(0, 0), on_solve=None):
+    """Pre-compress ``S[rows, cols] -= K[rows, cols]`` by sampling ``K``.
+
+    The one border-sampling body, shared by compressed multi-solve
+    (``schur_assembly="randomized"``, the whole of ``S`` as block
+    ``(0, 0)``), the multi-factorization thread task and its process
+    kernel.  ``hmatrix`` is the Schur :class:`~repro.hmatrix.hmatrix
+    .HMatrix` or its structure skeleton, ``mf`` a factorization of
+    ``A_vv``.  Off-diagonal quadrants are sampled to ``config.epsilon``
+    and truncated at the container tolerance; diagonal leaves, quadrants
+    below the sampling floor and refused rank tests take the exact dense
+    piece.  The generator is seeded per block — ``(config.seed, *block)``
+    and nothing else — and consumed in the walk's fixed order, so the plan
+    does not depend on worker count, backend or scheduling.
+
+    Returns ``(plan, n_sampled, n_fallbacks)``; commit the plan on the
+    real tree and flush.
+    """
+    sampler = CorrectionSampler(
+        mf, a_sv, exploit_sparsity=config.exploit_sparse_rhs,
+        on_solve=on_solve,
+    )
+    rng = np.random.default_rng([config.seed, *block])
+    start_rank = config.randomized_start_rank
+    oversample = config.randomized_oversample
+
+    def sample_rk(grows, gcols):
+        return sample_schur_block_rk(
+            sampler, grows, gcols, config.epsilon, rng, dtype,
             start_rank=start_rank, oversample=oversample,
         )
-        node.rk12 = node.rk12.add(rk.scaled(-1.0), tol)
-        rk = randomized_block_rk(
-            sampler, rows2, rows1, tol, rng, dtype,
-            start_rank=start_rank, oversample=oversample,
-        )
-        node.rk21 = node.rk21.add(rk.scaled(-1.0), tol)
 
-    visit(hmatrix.root)
+    def dense_piece(grows, gcols):
+        return sampler.dense_block_exact(grows, gcols, dtype)
+
+    return hmatrix.precompress_axpy_sampled(
+        -1.0, rows, cols, sample_rk, dense_piece,
+        min_sample_dim=_sample_min_dim(start_rank, oversample),
+        compressor=config.compressor,
+    )

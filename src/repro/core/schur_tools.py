@@ -180,9 +180,8 @@ class HodlrSchurContainer:
     :meth:`factorize`.
 
     Tracked sizes are maintained *incrementally* from the byte deltas the
-    commit/flush path returns — the per-panel full-tree walk that
-    ``resync()`` used to do is gone from the hot path (it remains for the
-    randomized assembly, which mutates the structure directly).
+    commit/flush path returns — every update, sampled ones included,
+    reaches ``S`` through :meth:`commit`, so the tree is never re-walked.
     Accumulator bytes are charged to their own ``axpy_accumulator``
     category so budget-aware admission sees them.
     """
@@ -224,18 +223,6 @@ class HodlrSchurContainer:
         if pending_delta:
             self._acc_alloc.resize(self._acc_alloc.nbytes + pending_delta)
 
-    def resync(self) -> None:
-        """Re-walk the tree into the tracked allocations (slow path).
-
-        Callers that mutate ``self.s`` directly (e.g. the randomized
-        assembly writing low-rank blocks in place) call this afterwards so
-        the memory accounting follows the recompressed structure.  The
-        blockwise update path never needs it — commits return deltas.
-        """
-        pending = self.s.pending_accumulator_nbytes()
-        self._acc_alloc.resize(pending)
-        self._alloc.resize(self.s.nbytes() - pending)
-
     def subtract_block(self, z: np.ndarray, rows: np.ndarray,
                        cols: np.ndarray) -> None:
         """Compressed AXPY ``S[rows, cols] -= z`` (pre-compress + commit)."""
@@ -265,33 +252,6 @@ class HodlrSchurContainer:
         return self.s.precompress_axpy(
             1.0, x, rows, cols, compressor=self.config.compressor,
             tracker=self.tracker if charge_gather else None,
-        )
-
-    def precompress_subtract_rk(self, rk, rows: np.ndarray,
-                                cols: np.ndarray):
-        """Pre-compress ``S[rows, cols] -= U Vᵀ`` from low-rank factors.
-
-        The dense ``len(rows) × len(cols)`` block never exists — quadrant
-        pieces are factor slices recompressed at the container tolerance
-        (thread-safe like :meth:`precompress_subtract`)."""
-        return self.s.precompress_axpy_rk(-1.0, rk, rows, cols)
-
-    def precompress_subtract_sampled(self, rows: np.ndarray,
-                                     cols: np.ndarray, sample_rk,
-                                     dense_piece,
-                                     min_sample_dim: int = 64):
-        """Pre-compress ``S[rows, cols] -= K[rows, cols]`` by *sampling*.
-
-        The sampled-border pipeline (``config.front_compress``): each
-        off-diagonal quadrant of the update is built directly in low-rank
-        form by the ``sample_rk`` callback, diagonal leaves and refused
-        quadrants by ``dense_piece`` — see
-        :meth:`repro.hmatrix.hmatrix.HMatrix.precompress_axpy_sampled`.
-        Returns ``(plan, n_sampled, n_fallbacks)``."""
-        return self.s.precompress_axpy_sampled(
-            -1.0, rows, cols, sample_rk, dense_piece,
-            min_sample_dim=min_sample_dim,
-            compressor=self.config.compressor,
         )
 
     def structure_skeleton(self):

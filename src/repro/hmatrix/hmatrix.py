@@ -29,6 +29,7 @@ everything lives in the cluster-permuted ordering.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -435,162 +436,21 @@ class HMatrix:
                 f"block shape {block.shape} does not match index sets "
                 f"({len(rows)}, {len(cols)})"
             )
-        rp = self.tree.inv_perm[rows]
-        cp = self.tree.inv_perm[cols]
-        ro = np.argsort(rp, kind="stable")
-        co = np.argsort(cp, kind="stable")
+        rp, cp, ro, co = self._sorted_positions(rows, cols)
         plan = AxpyPlan(alpha)
-        if tracker is not None:
-            with tracker.borrow(block.nbytes, category="axpy_gather",
-                                label="permuted AXPY panel"):
-                sub = block[np.ix_(ro, co)]
-                self._plan_node(plan, self.root, rp[ro], cp[co], sub,
-                                compressor)
-        else:
+        gather = nullcontext() if tracker is None else tracker.borrow(
+            block.nbytes, category="axpy_gather", label="permuted AXPY panel"
+        )
+        with gather:
             sub = block[np.ix_(ro, co)]
-            self._plan_node(plan, self.root, rp[ro], cp[co], sub, compressor)
+            self._plan_walk(
+                plan, self.root, rp, cp, 0, len(rp), 0, len(cp),
+                lambda r0, r1, c0, c1: np.array(sub[r0:r1, c0:c1]),
+                lambda r0, r1, c0, c1: _compress_dense(
+                    sub[r0:r1, c0:c1], self.tol, compressor
+                ),
+            )
         return plan
-
-    def _plan_node(
-        self,
-        plan: AxpyPlan,
-        node: HNode,
-        rp: np.ndarray,
-        cp: np.ndarray,
-        block: np.ndarray,
-        compressor: str,
-    ) -> None:
-        if len(rp) == 0 or len(cp) == 0:
-            return
-        if node.is_leaf:
-            plan.leaves.append(_LeafUpdate(
-                node, rp - node.start, cp - node.start, np.array(block)
-            ))
-            return
-        rcut = int(np.searchsorted(rp, node.mid))
-        ccut = int(np.searchsorted(cp, node.mid))
-        # diagonal quadrants recurse
-        self._plan_node(plan, node.h11, rp[:rcut], cp[:ccut],
-                        block[:rcut, :ccut], compressor)
-        self._plan_node(plan, node.h22, rp[rcut:], cp[ccut:],
-                        block[rcut:, ccut:], compressor)
-        # off-diagonal quadrants: compress (the expensive part)
-        if rcut > 0 and ccut < len(cp):
-            self._plan_fold(
-                plan, node, "12", block[:rcut, ccut:],
-                rp[:rcut] - node.start, cp[ccut:] - node.mid, compressor,
-            )
-        if rcut < len(rp) and ccut > 0:
-            self._plan_fold(
-                plan, node, "21", block[rcut:, :ccut],
-                rp[rcut:] - node.mid, cp[:ccut] - node.start, compressor,
-            )
-
-    def _plan_fold(
-        self,
-        plan: AxpyPlan,
-        node: HNode,
-        side: str,
-        piece: np.ndarray,
-        local_rows: np.ndarray,
-        local_cols: np.ndarray,
-        compressor: str,
-    ) -> None:
-        small = _compress_dense(piece, self.tol, compressor)
-        self._count(panel=1)
-        if small.rank == 0:
-            return
-        if plan.alpha != 1:
-            # scale the owned factor in place — never the full panel
-            small.u *= plan.alpha
-        plan.folds.append(_FoldUpdate(node, side, small,
-                                      local_rows, local_cols))
-
-    def precompress_axpy_rk(
-        self,
-        alpha,
-        rk: RkMatrix,
-        rows: np.ndarray,
-        cols: np.ndarray,
-    ) -> AxpyPlan:
-        """:meth:`precompress_axpy` taking the panel already in low-rank form.
-
-        The sampled-border pipeline hands the Schur contribution over as an
-        :class:`RkMatrix` whose ``U Vᵀ`` never exists densely; the plan is
-        built from permuted *factor* slices — each quadrant piece is the
-        row/column restriction of the factors, recompressed at the matrix
-        tolerance (``O((m+n)r²)`` per piece, no dense gather at all) and
-        dense diagonal leaves densify only their own small restriction.
-        Thread-safe like the dense variant; commit via :meth:`commit_axpy`.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        if rk.shape != (len(rows), len(cols)):
-            raise ConfigurationError(
-                f"rk shape {rk.shape} does not match index sets "
-                f"({len(rows)}, {len(cols)})"
-            )
-        rp = self.tree.inv_perm[rows]
-        cp = self.tree.inv_perm[cols]
-        ro = np.argsort(rp, kind="stable")
-        co = np.argsort(cp, kind="stable")
-        plan = AxpyPlan(alpha)
-        self._plan_node_rk(plan, self.root, rp[ro], cp[co],
-                           rk.u[ro], rk.v[co])
-        return plan
-
-    def _plan_node_rk(
-        self,
-        plan: AxpyPlan,
-        node: HNode,
-        rp: np.ndarray,
-        cp: np.ndarray,
-        u: np.ndarray,
-        v: np.ndarray,
-    ) -> None:
-        if len(rp) == 0 or len(cp) == 0:
-            return
-        if node.is_leaf:
-            plan.leaves.append(_LeafUpdate(
-                node, rp - node.start, cp - node.start, u @ v.T
-            ))
-            return
-        rcut = int(np.searchsorted(rp, node.mid))
-        ccut = int(np.searchsorted(cp, node.mid))
-        self._plan_node_rk(plan, node.h11, rp[:rcut], cp[:ccut],
-                           u[:rcut], v[:ccut])
-        self._plan_node_rk(plan, node.h22, rp[rcut:], cp[ccut:],
-                           u[rcut:], v[ccut:])
-        if rcut > 0 and ccut < len(cp):
-            self._plan_fold_rk(
-                plan, node, "12", u[:rcut], v[ccut:],
-                rp[:rcut] - node.start, cp[ccut:] - node.mid,
-            )
-        if rcut < len(rp) and ccut > 0:
-            self._plan_fold_rk(
-                plan, node, "21", u[rcut:], v[:ccut],
-                rp[rcut:] - node.mid, cp[:ccut] - node.start,
-            )
-
-    def _plan_fold_rk(
-        self,
-        plan: AxpyPlan,
-        node: HNode,
-        side: str,
-        u: np.ndarray,
-        v: np.ndarray,
-        local_rows: np.ndarray,
-        local_cols: np.ndarray,
-    ) -> None:
-        small = RkMatrix(u, v).truncate(self.tol)
-        self._count(panel=1)
-        if small.rank == 0:
-            return
-        if plan.alpha != 1:
-            # scaled() copies — the factor slices stay shared with siblings
-            small = small.scaled(plan.alpha)
-        plan.folds.append(_FoldUpdate(node, side, small,
-                                      local_rows, local_cols))
 
     def precompress_axpy_sampled(
         self,
@@ -625,78 +485,85 @@ class HMatrix:
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
+        rp, cp, ro, co = self._sorted_positions(rows, cols)
+        grows, gcols = rows[ro], cols[co]
+        plan = AxpyPlan(alpha)
+        n_sampled = n_fallbacks = 0
+
+        def leaf_piece(r0, r1, c0, c1):
+            return np.asarray(dense_piece(grows[r0:r1], gcols[c0:c1]))
+
+        def fold_piece(r0, r1, c0, c1):
+            nonlocal n_sampled, n_fallbacks
+            if min(r1 - r0, c1 - c0) >= min_sample_dim:
+                rk = sample_rk(grows[r0:r1], gcols[c0:c1])
+                if rk is not None:
+                    n_sampled += 1
+                    return rk.truncate(self.tol)
+                n_fallbacks += 1
+            return _compress_dense(
+                leaf_piece(r0, r1, c0, c1), self.tol, compressor
+            )
+
+        self._plan_walk(plan, self.root, rp, cp, 0, len(rp), 0, len(cp),
+                        leaf_piece, fold_piece)
+        return plan, n_sampled, n_fallbacks
+
+    def _sorted_positions(self, rows: np.ndarray, cols: np.ndarray):
+        """Cluster-permuted positions of ``rows``/``cols``, sorted, with the
+        stable sort orders that gather a panel into that ordering."""
         rp = self.tree.inv_perm[rows]
         cp = self.tree.inv_perm[cols]
         ro = np.argsort(rp, kind="stable")
         co = np.argsort(cp, kind="stable")
-        plan = AxpyPlan(alpha)
-        counts = [0, 0]
-        self._plan_node_sampled(
-            plan, self.root, rp[ro], cp[co], rows[ro], cols[co],
-            sample_rk, dense_piece, min_sample_dim, compressor, counts,
-        )
-        return plan, counts[0], counts[1]
+        return rp[ro], cp[co], ro, co
 
-    def _plan_node_sampled(
-        self, plan, node, rp, cp, grows, gcols,
-        sample_rk, dense_piece, min_dim, compressor, counts,
-    ) -> None:
-        if len(rp) == 0 or len(cp) == 0:
+    def _plan_walk(self, plan: AxpyPlan, node: HNode, rp: np.ndarray,
+                   cp: np.ndarray, r0: int, r1: int, c0: int, c1: int,
+                   leaf_piece, fold_piece) -> None:
+        """The one plan-building recursion of the compressed AXPY.
+
+        ``rp[r0:r1]`` / ``cp[c0:c1]`` are the sorted permuted positions
+        that fall inside ``node``.  The piece sources are addressed by such
+        windows ``(r0, r1, c0, c1)``: ``leaf_piece`` returns the exact
+        dense piece (owned by the plan) of a diagonal leaf, ``fold_piece``
+        the compressed :class:`RkMatrix` of an off-diagonal quadrant with
+        freshly allocated factors — ``alpha`` is folded into them in place.
+        Sources are called in a fixed order (``h11``, ``h22``, then the
+        ``12`` and ``21`` quadrants), which seeded samplers rely on.
+        """
+        if r0 == r1 or c0 == c1:
             return
         if node.is_leaf:
             plan.leaves.append(_LeafUpdate(
-                node, rp - node.start, cp - node.start,
-                np.asarray(dense_piece(grows, gcols)),
+                node, rp[r0:r1] - node.start, cp[c0:c1] - node.start,
+                leaf_piece(r0, r1, c0, c1),
             ))
             return
-        rcut = int(np.searchsorted(rp, node.mid))
-        ccut = int(np.searchsorted(cp, node.mid))
-        self._plan_node_sampled(
-            plan, node.h11, rp[:rcut], cp[:ccut], grows[:rcut], gcols[:ccut],
-            sample_rk, dense_piece, min_dim, compressor, counts,
-        )
-        self._plan_node_sampled(
-            plan, node.h22, rp[rcut:], cp[ccut:], grows[rcut:], gcols[ccut:],
-            sample_rk, dense_piece, min_dim, compressor, counts,
-        )
-        if rcut > 0 and ccut < len(cp):
-            self._plan_fold_sampled(
-                plan, node, "12", grows[:rcut], gcols[ccut:],
-                rp[:rcut] - node.start, cp[ccut:] - node.mid,
-                sample_rk, dense_piece, min_dim, compressor, counts,
-            )
-        if rcut < len(rp) and ccut > 0:
-            self._plan_fold_sampled(
-                plan, node, "21", grows[rcut:], gcols[:ccut],
-                rp[rcut:] - node.mid, cp[:ccut] - node.start,
-                sample_rk, dense_piece, min_dim, compressor, counts,
-            )
-
-    def _plan_fold_sampled(
-        self, plan, node, side, grows, gcols, local_rows, local_cols,
-        sample_rk, dense_piece, min_dim, compressor, counts,
-    ) -> None:
-        rk = None
-        attempted = min(len(grows), len(gcols)) >= min_dim
-        if attempted:
-            rk = sample_rk(grows, gcols)
-        if rk is None:
-            if attempted:
-                counts[1] += 1
-            self._plan_fold(
-                plan, node, side, np.asarray(dense_piece(grows, gcols)),
-                local_rows, local_cols, compressor,
-            )
-            return
-        counts[0] += 1
-        small = rk.truncate(self.tol)
-        self._count(panel=1)
-        if small.rank == 0:
-            return
-        if plan.alpha != 1:
-            small = small.scaled(plan.alpha)
-        plan.folds.append(_FoldUpdate(node, side, small,
-                                      local_rows, local_cols))
+        rm = r0 + int(np.searchsorted(rp[r0:r1], node.mid))
+        cm = c0 + int(np.searchsorted(cp[c0:c1], node.mid))
+        # diagonal quadrants recurse
+        self._plan_walk(plan, node.h11, rp, cp, r0, rm, c0, cm,
+                        leaf_piece, fold_piece)
+        self._plan_walk(plan, node.h22, rp, cp, rm, r1, cm, c1,
+                        leaf_piece, fold_piece)
+        # off-diagonal quadrants: compress (the expensive part)
+        for side, ra, rb, ca, cb, row_off, col_off in (
+            ("12", r0, rm, cm, c1, node.start, node.mid),
+            ("21", rm, r1, c0, cm, node.mid, node.start),
+        ):
+            if ra == rb or ca == cb:
+                continue
+            small = fold_piece(ra, rb, ca, cb)
+            self._count(panel=1)
+            if small.rank == 0:
+                continue
+            if plan.alpha != 1:
+                # scale the owned factor in place — never the full panel
+                small.u *= plan.alpha
+            plan.folds.append(_FoldUpdate(
+                node, side, small, rp[ra:rb] - row_off, cp[ca:cb] - col_off,
+            ))
 
     def commit_axpy(
         self,

@@ -26,8 +26,10 @@ import argparse
 import os
 import sys
 
+from repro.core.config import DENSE_BACKENDS
 from repro.runner import experiments, reporting
 from repro.runner.workloads import PIPE_STUDY_SIZES
+from repro.runtime import RUNTIME_BACKEND_ENV, RUNTIME_BACKENDS
 
 
 def _cmd_table1(args) -> str:
@@ -97,13 +99,12 @@ def main(argv=None) -> int:
              "(default: $REPRO_N_WORKERS or 1; results are bit-identical)",
     )
     parser.add_argument(
-        "--runtime-backend", choices=("thread", "process", "auto"),
+        "--runtime-backend", choices=RUNTIME_BACKENDS,
         default=None,
         help="execution backend of the parallel panel runtime "
              "(default: $REPRO_RUNTIME_BACKEND or 'thread'; 'process' runs "
              "panel kernels in worker processes with shared-memory results "
-             "— bit-identical solutions, true multi-core scaling; 'auto' "
-             "picks per run from task size and worker count)",
+             "— bit-identical solutions, true multi-core scaling)",
     )
     parser.add_argument(
         "--front-compress", dest="front_compress",
@@ -116,11 +117,6 @@ def main(argv=None) -> int:
         "--front-compress-min", type=int, default=None, metavar="K",
         help="minimum panel/border dimension before front compression or "
              "border sampling is attempted (default: 192)",
-    )
-    parser.add_argument(
-        "--front-sample-oversampling", type=int, default=None, metavar="P",
-        help="extra sampling columns of the border range finder "
-             "(default: 8)",
     )
     parser.add_argument(
         "--reuse-analysis", dest="reuse_analysis",
@@ -163,7 +159,7 @@ def main(argv=None) -> int:
     ps.add_argument("--socket", default=None,
                     help="unix socket path (default: per-PID under $TMPDIR)")
     ps.add_argument("--dense-backend", default="hmat",
-                    choices=("dense", "hmat"),
+                    choices=DENSE_BACKENDS,
                     help="Schur backend of served factorizations")
     ps.add_argument("--cache", action=argparse.BooleanOptionalAction,
                     default=True,
@@ -193,8 +189,6 @@ def main(argv=None) -> int:
 
         os.environ[N_WORKERS_ENV] = str(args.n_workers)
     if args.runtime_backend is not None:
-        from repro.runtime import RUNTIME_BACKEND_ENV
-
         os.environ[RUNTIME_BACKEND_ENV] = args.runtime_backend
     if args.reuse_analysis is not None:
         from repro.sparse.symbolic_cache import REUSE_ANALYSIS_ENV
@@ -204,13 +198,8 @@ def main(argv=None) -> int:
         from repro.hmatrix.rk import AXPY_ACCUMULATE_ENV
 
         os.environ[AXPY_ACCUMULATE_ENV] = "1" if args.axpy_accumulate else "0"
-    if (args.front_compress is not None or args.front_compress_min is not None
-            or args.front_sample_oversampling is not None):
-        from repro.sparse.blr import (
-            FRONT_COMPRESS_ENV,
-            FRONT_COMPRESS_MIN_ENV,
-            FRONT_SAMPLE_OVERSAMPLING_ENV,
-        )
+    if args.front_compress is not None or args.front_compress_min is not None:
+        from repro.sparse.blr import FRONT_COMPRESS_ENV, FRONT_COMPRESS_MIN_ENV
 
         if args.front_compress is not None:
             os.environ[FRONT_COMPRESS_ENV] = (
@@ -220,12 +209,6 @@ def main(argv=None) -> int:
             if args.front_compress_min < 1:
                 parser.error("--front-compress-min must be >= 1")
             os.environ[FRONT_COMPRESS_MIN_ENV] = str(args.front_compress_min)
-        if args.front_sample_oversampling is not None:
-            if args.front_sample_oversampling < 1:
-                parser.error("--front-sample-oversampling must be >= 1")
-            os.environ[FRONT_SAMPLE_OVERSAMPLING_ENV] = str(
-                args.front_sample_oversampling
-            )
     commands = {
         "table1": _cmd_table1,
         "fig10": _cmd_fig10,

@@ -135,6 +135,12 @@ def run_fig12(
     Three families, as in the paper: baseline multi-solve (MUMPS/SPIDO)
     sweeping ``n_c``; compressed multi-solve (MUMPS/HMAT) first with
     ``n_c = n_S`` sweeping both, then with ``n_c`` pinned sweeping ``n_S``.
+
+    The ``n_S`` lanes run the paper's Algorithm 2 as written — one
+    compressed AXPY with immediate recompression per ``n_S`` block
+    (``axpy_accumulate=False``).  Deferred recompression, the solver's
+    default, never gathers an ``n_S`` block: it ignores ``n_s_block`` and
+    would give every row of the sweep the same time and peak.
     """
     n_total = n_total or workloads.scaled_n(2_000_000)
     nc_values = list(nc_values) if nc_values is not None else fig12_nc_sweep()
@@ -156,7 +162,8 @@ def run_fig12(
         )
         record(
             "compressed multi_solve, n_c = n_S", "multi_solve",
-            SolverConfig(dense_backend="hmat", n_c=n_c, n_s_block=n_c),
+            SolverConfig(dense_backend="hmat", n_c=n_c, n_s_block=n_c,
+                         axpy_accumulate=False),
             n_c=n_c, n_s_block=n_c,
         )
     for n_s in ns_values:
@@ -165,7 +172,8 @@ def run_fig12(
         record(
             f"compressed multi_solve, n_c = {pinned_nc}", "multi_solve",
             SolverConfig(
-                dense_backend="hmat", n_c=pinned_nc, n_s_block=n_s
+                dense_backend="hmat", n_c=pinned_nc, n_s_block=n_s,
+                axpy_accumulate=False,
             ),
             n_c=pinned_nc, n_s_block=n_s,
         )

@@ -97,10 +97,11 @@ def fig10_config_grid() -> Dict[Tuple[str, str], List[SolverConfig]]:
             SolverConfig(dense_backend="spido", n_c=n_c)
             for n_c in (32, 64, 128, 256)
         ],
-        ("multi_solve", "hmat"): [
-            SolverConfig(dense_backend="hmat", n_c=128, n_s_block=n_s)
-            for n_s in (256, 512, 1024)
-        ],
+        # one configuration: with deferred recompression (the default)
+        # the assembly never gathers an n_S block, so an n_S sweep here
+        # would time the same run three times (Fig. 12 sweeps n_S in the
+        # immediate-fold mode, where it matters)
+        ("multi_solve", "hmat"): [SolverConfig(dense_backend="hmat", n_c=128)],
         ("multi_factorization", "spido"): [
             SolverConfig(dense_backend="spido", n_b=n_b)
             for n_b in (1, 2, 4, 8)

@@ -14,17 +14,13 @@ task sequences on a process pool with shared-memory result panels and
 coordinator-side accounting — same admission semantics, same ordered
 consume, genuinely concurrent kernels.  Select it with
 ``SolverConfig.runtime_backend="process"``, ``$REPRO_RUNTIME_BACKEND`` or
-``--runtime-backend`` (see ``docs/scaling.md`` §11).  ``"auto"`` lets each
-algorithm pick per run from its task size and worker count
-(:func:`~repro.runtime.process_backend.choose_auto_backend`).
+``--runtime-backend`` (see ``docs/scaling.md`` §11).
 """
 
 from repro.runtime.process_backend import (
-    AUTO_PROCESS_MIN_TASK_BYTES,
     RUNTIME_BACKEND_ENV,
     RUNTIME_BACKENDS,
     ProcessRuntime,
-    choose_auto_backend,
     make_runtime,
     resolve_runtime_backend,
     worker_cache,
@@ -36,9 +32,7 @@ from repro.runtime.scheduler import (
 )
 
 __all__ = [
-    "AUTO_PROCESS_MIN_TASK_BYTES",
     "PanelTask",
-    "choose_auto_backend",
     "ParallelRuntime",
     "ProcessRuntime",
     "RUNTIME_BACKENDS",

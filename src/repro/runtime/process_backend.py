@@ -71,13 +71,7 @@ RUNTIME_BACKEND_ENV = "REPRO_RUNTIME_BACKEND"
 #: Multiprocessing start method override (default: ``fork`` where available).
 START_METHOD_ENV = "REPRO_PROCESS_START_METHOD"
 
-RUNTIME_BACKENDS = ("thread", "process", "auto")
-
-#: ``"auto"`` crossover: below this per-task result size the fork + pickle
-#: overhead of the process pool outweighs its GIL relief (measured by
-#: ``benchmarks/bench_runtime_scaling.py`` — thread wins for small panels,
-#: process for multi-MiB Schur blocks; see ``docs/scaling.md`` §11).
-AUTO_PROCESS_MIN_TASK_BYTES = 2 << 20
+RUNTIME_BACKENDS = ("thread", "process")
 
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -99,20 +93,6 @@ def resolve_runtime_backend(backend: Optional[str] = None) -> str:
             f"runtime backend must be one of {RUNTIME_BACKENDS}, got {backend!r}"
         )
     return backend
-
-
-def choose_auto_backend(task_nbytes: int, n_workers: int) -> str:
-    """Concrete backend for ``"auto"``: thread vs process from task size.
-
-    Serial runs and small tasks stay on the thread pool (every task would
-    pay the pool spin-up and result pickling for nothing); multi-worker
-    runs with tasks past the measured crossover take the process pool.
-    Callers resolve ``"auto"`` *before* building worker payloads so the
-    choice is visible in their stats.
-    """
-    if n_workers >= 2 and task_nbytes >= AUTO_PROCESS_MIN_TASK_BYTES:
-        return "process"
-    return "thread"
 
 
 # -- worker-process side --------------------------------------------------------
@@ -607,17 +587,7 @@ def make_runtime(
     worker_payload: Any = None,
     worker_builder: Optional[Callable[[Any], Any]] = None,
 ):
-    """Construct the configured runtime backend over a common signature.
-
-    ``"auto"`` must be resolved by the caller (via
-    :func:`choose_auto_backend`, which needs the task size) before
-    reaching here.
-    """
-    if backend == "auto":
-        raise ValueError(
-            "make_runtime needs a concrete backend; resolve 'auto' with "
-            "choose_auto_backend first"
-        )
+    """Construct the configured runtime backend over a common signature."""
     if backend == "process":
         return ProcessRuntime(
             tracker, n_workers=n_workers, name=name,
@@ -629,12 +599,10 @@ def make_runtime(
 
 
 __all__ = [
-    "AUTO_PROCESS_MIN_TASK_BYTES",
     "ProcessRuntime",
     "RUNTIME_BACKEND_ENV",
     "RUNTIME_BACKENDS",
     "START_METHOD_ENV",
-    "choose_auto_backend",
     "make_runtime",
     "resolve_runtime_backend",
     "worker_cache",

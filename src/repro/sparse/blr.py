@@ -34,11 +34,9 @@ from repro.utils.errors import ConfigurationError
 #: config leaves them at ``None``.
 FRONT_COMPRESS_ENV = "REPRO_FRONT_COMPRESS"
 FRONT_COMPRESS_MIN_ENV = "REPRO_FRONT_COMPRESS_MIN"
-FRONT_SAMPLE_OVERSAMPLING_ENV = "REPRO_FRONT_SAMPLE_OVERSAMPLING"
 
-#: Defaults behind the env overrides.
+#: Default behind the env override.
 DEFAULT_FRONT_COMPRESS_MIN = 192
-DEFAULT_FRONT_SAMPLE_OVERSAMPLING = 8
 
 _TRUTHY = {"1", "true", "yes", "on"}
 _FALSY = {"0", "false", "no", "off"}
@@ -58,29 +56,18 @@ def resolve_front_compress(flag: Optional[bool]) -> bool:
     )
 
 
-def _resolve_positive_int(value: Optional[int], env_var: str,
-                          default: int) -> int:
-    if value is None:
-        env = os.environ.get(env_var, "").strip()
-        value = int(env) if env else default
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"{env_var.lower()} resolved to {value}, must be >= 1")
-    return value
-
-
 def resolve_front_compress_min(value: Optional[int]) -> int:
     """Resolve the FCSU/sampling size threshold: explicit, env, else 192."""
-    return _resolve_positive_int(
-        value, FRONT_COMPRESS_MIN_ENV, DEFAULT_FRONT_COMPRESS_MIN
-    )
-
-
-def resolve_front_sample_oversampling(value: Optional[int]) -> int:
-    """Resolve the border range-finder oversampling: explicit, env, else 8."""
-    return _resolve_positive_int(
-        value, FRONT_SAMPLE_OVERSAMPLING_ENV, DEFAULT_FRONT_SAMPLE_OVERSAMPLING
-    )
+    if value is None:
+        env = os.environ.get(FRONT_COMPRESS_MIN_ENV, "").strip()
+        value = int(env) if env else DEFAULT_FRONT_COMPRESS_MIN
+    value = int(value)
+    if value < 1:
+        raise ValueError(
+            f"{FRONT_COMPRESS_MIN_ENV.lower()} resolved to {value}, "
+            "must be >= 1"
+        )
+    return value
 
 
 @dataclass(frozen=True)

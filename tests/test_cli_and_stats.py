@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import DENSE_BACKENDS
 from repro.runner.__main__ import main as runner_main
 from repro.sparse import BLRConfig, SparseSolver
 
@@ -76,3 +77,23 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             runner_main([])
+
+    @pytest.mark.parametrize("backend", DENSE_BACKENDS)
+    def test_serve_starts_with_every_advertised_dense_backend(
+            self, backend, monkeypatch):
+        """``serve --dense-backend`` offers exactly what ``SolverConfig``
+        validates: every choice must reach the server start-up."""
+        started = {}
+
+        async def fake_run_server(config, socket_path=None,
+                                  cache_enabled=True):
+            started["config"] = config
+
+        monkeypatch.setattr("repro.serving.run_server", fake_run_server)
+        assert runner_main(["serve", "--dense-backend", backend,
+                            "--socket", "unused.sock"]) == 0
+        assert started["config"].dense_backend == backend
+
+    def test_serve_rejects_unknown_dense_backend(self):
+        with pytest.raises(SystemExit):
+            runner_main(["serve", "--dense-backend", "dense"])

@@ -27,11 +27,9 @@ from repro.core.multi_solve import (
 from repro.core.schur_tools import finalize_solution
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import (
-    AUTO_PROCESS_MIN_TASK_BYTES,
     PanelTask,
     ProcessRuntime,
     RUNTIME_BACKEND_ENV,
-    choose_auto_backend,
     make_runtime,
     resolve_runtime_backend,
 )
@@ -59,50 +57,22 @@ class TestResolveBackend:
         assert resolve_runtime_backend(None) == "thread"
 
     def test_invalid_values_raise(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_runtime_backend("greenlet")
+        # "auto" was a value once; it now fails like any other unknown name
+        for name in ("greenlet", "auto"):
+            with pytest.raises(ValueError):
+                resolve_runtime_backend(name)
         monkeypatch.setenv(RUNTIME_BACKEND_ENV, "fiber")
         with pytest.raises(ValueError):
             resolve_runtime_backend(None)
 
     def test_config_validation(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            SolverConfig(runtime_backend="greenlet")
+        for name in ("greenlet", "auto"):
+            with pytest.raises(ConfigurationError):
+                SolverConfig(runtime_backend=name)
         monkeypatch.delenv(RUNTIME_BACKEND_ENV, raising=False)
         assert SolverConfig().effective_runtime_backend == "thread"
         cfg = SolverConfig(runtime_backend="process")
         assert cfg.effective_runtime_backend == "process"
-
-    def test_auto_crossover_rule(self):
-        big = AUTO_PROCESS_MIN_TASK_BYTES
-        assert choose_auto_backend(big, 4) == "process"
-        assert choose_auto_backend(big, 2) == "process"
-        # small tasks: fork/IPC overhead dominates, stay on threads
-        assert choose_auto_backend(big - 1, 4) == "thread"
-        # no parallelism to win: never pay for a process pool
-        assert choose_auto_backend(big, 1) == "thread"
-
-    def test_config_accepts_auto(self):
-        assert SolverConfig(runtime_backend="auto").runtime_backend == "auto"
-
-    def test_make_runtime_rejects_unresolved_auto(self):
-        with pytest.raises(ValueError, match="auto"):
-            make_runtime(MemoryTracker(), 2, "a", backend="auto")
-
-    def test_auto_resolves_end_to_end(self, pipe_small):
-        _, sol, ctx = _assemble_and_solve(
-            pipe_small, "multi_solve",
-            UNCOMPRESSED.with_(n_workers=2, runtime_backend="auto"),
-        )
-        assert ctx.runtime_backend in ("thread", "process")
-        assert sol.stats.params["runtime_backend"] in ("thread", "process")
-        # and the run matches the explicitly-chosen backend bit for bit
-        _, ref, _ = _assemble_and_solve(
-            pipe_small, "multi_solve",
-            UNCOMPRESSED.with_(n_workers=2,
-                               runtime_backend=ctx.runtime_backend),
-        )
-        assert np.array_equal(sol.x, ref.x)
 
     def test_make_runtime_dispatches(self):
         from repro.runtime import ParallelRuntime

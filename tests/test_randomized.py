@@ -1,14 +1,45 @@
-"""Tests for the randomized compressed-Schur assembly (§VII future work)."""
+"""The sampled path into ``S``, in one file.
+
+One range finder (:func:`repro.core.randomized.sample_schur_block_rk`),
+one plan helper (:func:`repro.core.randomized.sample_border_plan`) and one
+tree walk (``HMatrix._plan_walk``) serve both compressed multi-solve with
+``schur_assembly="randomized"`` and the sampled Schur borders of
+multi-factorization with ``front_compress``; everything that pins them
+lives here:
+
+* the correction sampler and the adaptive range finder, including the
+  rank test that returns ``None`` on a block that is not low-rank;
+* the dense fallback that rank test triggers, forced with a full-rank
+  operator (it never fires on the pipe, even at ε = 1e-11);
+* equivalence of the sampled and the dense piece sources of the walk;
+* both algorithms end to end: accuracy, counters, determinism per seed,
+  tracked peak, byte-identity across worker counts and backends.
+
+The FCSU panel tests of the front pipeline stay in
+``test_compressed_fronts.py``.
+"""
+
+from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.core import SolverConfig, solve_coupled
+from repro.core.multi_factorization import (
+    assemble_multi_factorization,
+    make_multi_factorization_context,
+)
 from repro.core.randomized import (
     CorrectionSampler,
-    randomized_block_rk,
+    sample_border_plan,
+    sample_schur_block_rk,
 )
+from repro.core.schur_tools import finalize_solution
+from repro.hmatrix.cluster import build_cluster_tree
+from repro.hmatrix.hmatrix import hodlr_from_dense, hodlr_zeros
+from repro.hmatrix.rk import RkMatrix
 from repro.sparse import SparseSolver
 from repro.utils.errors import ConfigurationError
 
@@ -23,6 +54,14 @@ def sampler_setup(pipe_small):
     y = spla.spsolve(pipe_small.a_vv.tocsc(), pipe_small.a_sv.T.toarray())
     k_exact = pipe_small.a_sv @ y
     return sampler, k_exact
+
+
+@pytest.fixture(scope="module")
+def separated_halves(pipe_small):
+    """Two geometrically separated surface clusters (a HODLR quadrant)."""
+    tree = build_cluster_tree(pipe_small.coords_s, leaf_size=64)
+    c1, c2 = tree.root.children
+    return tree.perm[c1.start:c1.stop], tree.perm[c2.start:c2.stop]
 
 
 class TestSampler:
@@ -49,7 +88,7 @@ class TestSampler:
         sampler, k_exact = sampler_setup
         rows = np.arange(5, 25)
         cols = np.arange(50, 70)
-        got = sampler.dense_block(rows, cols, np.float64)
+        got = sampler.dense_block_exact(rows, cols, np.float64)
         np.testing.assert_allclose(got, k_exact[np.ix_(rows, cols)],
                                    atol=1e-10)
 
@@ -68,45 +107,169 @@ class TestSampler:
 
 
 class TestRandomizedBlockRk:
-    def test_approximates_offdiagonal_block(self, sampler_setup, rng):
+    def test_approximates_offdiagonal_block(self, sampler_setup,
+                                            separated_halves, rng):
         sampler, k_exact = sampler_setup
-        n = k_exact.shape[0]
-        rows = np.arange(0, n // 2)
-        cols = np.arange(n // 2, n)
-        rk = randomized_block_rk(sampler, rows, cols, tol=1e-8,
-                                 rng=rng, dtype=np.float64)
+        rows, cols = separated_halves
+        rk = sample_schur_block_rk(sampler, rows, cols, tol=1e-8,
+                                   rng=rng, dtype=np.float64)
         ref = k_exact[np.ix_(rows, cols)]
         err = np.linalg.norm(rk.to_dense() - ref) / np.linalg.norm(ref)
         assert err < 1e-6
 
-    def test_rank_adapts_to_tolerance(self, sampler_setup, rng):
-        sampler, k_exact = sampler_setup
-        n = k_exact.shape[0]
-        rows = np.arange(0, n // 2)
-        cols = np.arange(n // 2, n)
-        loose = randomized_block_rk(sampler, rows, cols, tol=1e-2,
-                                    rng=rng, dtype=np.float64,
-                                    start_rank=4)
-        tight = randomized_block_rk(sampler, rows, cols, tol=1e-9,
-                                    rng=rng, dtype=np.float64,
-                                    start_rank=4)
+    def test_rank_adapts_to_tolerance(self, sampler_setup, separated_halves,
+                                      rng):
+        sampler, _ = sampler_setup
+        rows, cols = separated_halves
+        loose = sample_schur_block_rk(sampler, rows, cols, tol=1e-2,
+                                      rng=rng, dtype=np.float64,
+                                      start_rank=4)
+        tight = sample_schur_block_rk(sampler, rows, cols, tol=1e-9,
+                                      rng=rng, dtype=np.float64,
+                                      start_rank=4)
         assert loose.rank <= tight.rank
 
     def test_zero_coupling_gives_rank_zero(self, pipe_small, rng):
-        import scipy.sparse as sp
         mf = SparseSolver().factorize(
             pipe_small.a_vv, coords=pipe_small.coords_v,
             symmetric_values=True,
         )
         zero_coupling = sp.csr_matrix((pipe_small.n_bem, pipe_small.n_fem))
         sampler = CorrectionSampler(mf, zero_coupling)
-        rk = randomized_block_rk(
+        rk = sample_schur_block_rk(
             sampler, np.arange(20), np.arange(20, 50), tol=1e-6,
             rng=rng, dtype=np.float64,
         )
         assert rk.rank == 0
         mf.free()
 
+    def test_rank_test_refuses_unseparated_block(self, sampler_setup, rng):
+        """Index halves in *original* order interleave geometrically: the
+        block has a flat spectrum and the rank cap is hit above tolerance —
+        the finder says so instead of returning a full-rank product."""
+        sampler, k_exact = sampler_setup
+        n = k_exact.shape[0]
+        rk = sample_schur_block_rk(
+            sampler, np.arange(n // 2), np.arange(n // 2, n), tol=1e-3,
+            rng=rng, dtype=np.float64,
+        )
+        assert rk is None
+
+
+# ---------------------------------------------------------------------------
+# the walk and its two piece sources
+# ---------------------------------------------------------------------------
+
+def _smooth_matrix(rng, n):
+    """Kernel matrix on a line (low-rank off-diagonal) and its cluster tree."""
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    coords = np.column_stack([x, np.zeros(n), np.zeros(n)])
+    full = 1.0 / (1.0 + 40.0 * np.abs(x[:, None] - x[None, :]))
+    return full, build_cluster_tree(coords, leaf_size=32)
+
+
+class TestWalkEquivalence:
+    def test_refusing_sampler_is_the_dense_walk_bitwise(self, rng):
+        """With every rank test refused, the sampled source hands the walk
+        the very pieces the dense source slices — same plan, same ``S``."""
+        full, tree = _smooth_matrix(rng, 256)
+        rows = rng.permutation(256)[:200]
+        cols = rng.permutation(256)[:150]
+        update = rng.standard_normal((256, 256))
+        dense = hodlr_from_dense(full, tree, tol=1e-8)
+        sampled = hodlr_from_dense(full, tree, tol=1e-8)
+        before = sampled.n_panel_compressions
+
+        dense.commit_axpy(dense.precompress_axpy(
+            -1.0, update[np.ix_(rows, cols)], rows, cols))
+        plan, n_sampled, n_fallbacks = sampled.precompress_axpy_sampled(
+            -1.0, rows, cols,
+            sample_rk=lambda r, c: None,
+            dense_piece=lambda r, c: update[np.ix_(r, c)],
+            min_sample_dim=48,
+        )
+        sampled.commit_axpy(plan)
+
+        assert n_sampled == 0 and n_fallbacks > 0
+        assert (sampled.n_panel_compressions - before
+                == dense.n_panel_compressions)
+        assert np.array_equal(dense.to_dense(), sampled.to_dense())
+
+    def test_exact_lowrank_callbacks_commit_to_the_same_s(self, rng):
+        full, tree = _smooth_matrix(rng, 256)
+        everything = np.arange(256)
+        tol = 1e-8
+        dense = hodlr_zeros(tree, tol, np.float64)
+        sampled = hodlr_zeros(tree, tol, np.float64)
+
+        dense.commit_axpy(dense.precompress_axpy(
+            2.0, full, everything, everything))
+        plan, n_sampled, n_fallbacks = sampled.precompress_axpy_sampled(
+            2.0, everything, everything,
+            sample_rk=lambda r, c: RkMatrix.from_dense(
+                full[np.ix_(r, c)], 1e-12),
+            dense_piece=lambda r, c: full[np.ix_(r, c)],
+            min_sample_dim=64,
+        )
+        sampled.commit_axpy(plan)
+
+        assert n_sampled > 0 and n_fallbacks == 0
+        ref = np.linalg.norm(full)
+        assert np.linalg.norm(sampled.to_dense() - dense.to_dense()) < 10 * tol * ref
+        assert np.linalg.norm(sampled.to_dense() - 2.0 * full) < 10 * tol * ref
+
+
+class _IdentityFactors:
+    """Stands in for a factorization of ``A_vv = I``: ``K = A_sv A_svᵀ``."""
+
+    def solve(self, rhs, exploit_sparsity=True):
+        return np.asarray(rhs)
+
+    def solve_transpose(self, rhs):
+        return np.asarray(rhs)
+
+
+class TestRankTestFallback:
+    def test_full_rank_operator_takes_the_dense_fallback(self, rng):
+        """A Gaussian coupling makes every off-diagonal block of ``K``
+        full-rank with a flat spectrum: each attempted quadrant must be
+        refused, counted, and replaced by the exact dense piece — so ``S``
+        equals the dense compressed AXPY of the explicit ``K``."""
+        n_s = 256
+        _, tree = _smooth_matrix(rng, n_s)
+        g = rng.standard_normal((n_s, 2 * n_s))
+        k_exact = g @ g.T
+        config = SolverConfig(dense_backend="hmat")
+        rows = np.arange(n_s)
+
+        sampler = CorrectionSampler(_IdentityFactors(), sp.csr_matrix(g))
+        half = np.arange(n_s // 2)
+        assert sample_schur_block_rk(
+            sampler, half, half + n_s // 2, config.epsilon, rng, np.float64
+        ) is None
+
+        s = hodlr_zeros(tree, config.hierarchical_tol, np.float64)
+        plan, n_sampled, n_fallbacks = sample_border_plan(
+            s, _IdentityFactors(), sp.csr_matrix(g), rows, rows, config,
+            np.float64,
+        )
+        s.commit_axpy(plan)
+        # 256 → 128 → 64 are attempted (2 + 4 quadrants), 32 is below the floor
+        assert n_sampled == 0
+        assert n_fallbacks == 6
+
+        ref = hodlr_zeros(tree, config.hierarchical_tol, np.float64)
+        ref.commit_axpy(ref.precompress_axpy(-1.0, k_exact, rows, rows))
+        scale = np.linalg.norm(k_exact)
+        assert (np.linalg.norm(s.to_dense() - ref.to_dense())
+                <= config.hierarchical_tol * scale)
+        assert (np.linalg.norm(s.to_dense() + k_exact)
+                <= 10 * config.hierarchical_tol * scale)
+
+
+# ---------------------------------------------------------------------------
+# compressed multi-solve, schur_assembly="randomized"
+# ---------------------------------------------------------------------------
 
 class TestEndToEnd:
     def test_randomized_matches_blocked(self, pipe_medium):
@@ -119,6 +282,9 @@ class TestEndToEnd:
         assert randomized.relative_error < base.epsilon
         np.testing.assert_allclose(blocked.x, randomized.x,
                                    atol=10 * base.epsilon)
+        # the shared path reports what it sampled, like the borders do
+        assert randomized.stats.params["n_sampled_borders"] > 0
+        assert blocked.stats.params["n_sampled_borders"] == 0
 
     def test_no_dense_panel_category(self, pipe_medium):
         """The defining property: no spmm panel is ever allocated."""
@@ -144,6 +310,8 @@ class TestEndToEnd:
         a = solve_coupled(pipe_small, "multi_solve", cfg)
         b = solve_coupled(pipe_small, "multi_solve", cfg)
         np.testing.assert_array_equal(a.x, b.x)
+        other = solve_coupled(pipe_small, "multi_solve", cfg.with_(seed=43))
+        assert not np.array_equal(a.x, other.x)
 
     def test_invalid_assembly_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -156,3 +324,75 @@ class TestEndToEnd:
                          schur_assembly="randomized"),
         )
         assert sol.relative_error < 1e-4
+        assert sol.stats.params["n_sampled_borders"] > 0
+
+
+# ---------------------------------------------------------------------------
+# multi-factorization, sampled Schur borders (front_compress)
+# ---------------------------------------------------------------------------
+
+# front_compress_min=64 puts both halves of the pipe surface (256 each
+# at n_b=2) above the sampling threshold and lets FCSU fire on the
+# medium fronts of the interior.
+FRONT = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=192, n_b=2,
+                     front_compress=True, front_compress_min=64)
+DENSE = FRONT.with_(front_compress=False)
+
+
+def _run(problem, config):
+    """One multi_factorization run; densified S for bitwise comparison."""
+    ctx = make_multi_factorization_context(problem, config)
+    pieces = assemble_multi_factorization(ctx)
+    s_dense = pieces[1].s.to_dense()
+    solution = finalize_solution(ctx, *pieces)
+    ctx.tracker.assert_all_freed()
+    return s_dense, solution, ctx
+
+
+class TestSampledBorders:
+    def test_accuracy_and_counters_match_dense_path(self, pipe_small):
+        s_dense, sol_dense, _ = _run(pipe_small, DENSE)
+        s_samp, sol_samp, ctx = _run(pipe_small, FRONT)
+        assert ctx.n_sampled_borders > 0
+        params = sol_samp.stats.params
+        assert params["front_compress"] is True
+        assert params["n_sampled_borders"] == ctx.n_sampled_borders
+        n_fem = pipe_small.n_fem
+        for sol in (sol_dense, sol_samp):
+            err = pipe_small.relative_error(sol.x[:n_fem], sol.x[n_fem:])
+            assert err < 1e-3
+        # both compress the same operator to the same tolerance
+        rel = (np.linalg.norm(s_samp - s_dense)
+               / np.linalg.norm(s_dense))
+        assert rel < 1e-3
+
+    def test_out_of_reach_threshold_falls_back_bitwise(self, pipe_small):
+        """Blocks below ``front_compress_min`` must take the *identical*
+        dense-border path — flipping the flag on changes nothing."""
+        s_dense, sol_dense, _ = _run(pipe_small, DENSE)
+        s_gated, sol_gated, ctx = _run(
+            pipe_small, FRONT.with_(front_compress_min=10 ** 6))
+        assert ctx.n_sampled_borders == 0
+        assert np.array_equal(s_dense, s_gated)
+        assert np.array_equal(sol_dense.x, sol_gated.x)
+
+    _baseline: dict = {}
+
+    @pytest.mark.parametrize("backend,n_workers", [
+        ("thread", 4), ("process", 1), ("process", 4),
+    ])
+    def test_byte_identity_across_backends_and_workers(
+            self, pipe_small, backend, n_workers):
+        """The sampled pipeline must preserve the ordered-commit
+        guarantee: byte-identical S and solution for every worker count
+        on either backend."""
+        if not self._baseline:
+            s, sol, _ = _run(pipe_small, FRONT.with_(
+                n_workers=1, runtime_backend="thread"))
+            self._baseline["s"] = s
+            self._baseline["x"] = sol.x
+        s, sol, ctx = _run(pipe_small, FRONT.with_(
+            n_workers=n_workers, runtime_backend=backend))
+        assert ctx.n_sampled_borders > 0
+        assert np.array_equal(self._baseline["s"], s)
+        assert np.array_equal(self._baseline["x"], sol.x)

@@ -215,7 +215,6 @@ DET_WALLCLOCK_FUNCS = frozenset({"time", "time_ns", "ctime", "localtime"})
 DET_SEEDED_RNG_PATH_FRAGMENTS = (
     "repro/sparse/",
     "repro/core/randomized",
-    "repro/core/multi_factorization",
 )
 
 #: RNG classes that must not be constructed directly in those modules.
