@@ -16,8 +16,9 @@ import numpy as np
 from scipy.linalg import lu_factor as _lapack_lu_factor
 from scipy.linalg import solve_triangular
 
+from repro.dense.triangular import blocked_triangular_solve
 from repro.utils.errors import SingularMatrixError
-from repro.utils.validation import as_2d_array, check_square
+from repro.utils.validation import check_square
 
 DEFAULT_BLOCK = 128
 
@@ -109,14 +110,18 @@ def _perm_to_lapack_piv(perm: np.ndarray) -> np.ndarray:
     return piv
 
 
-def _apply_piv(x: np.ndarray, piv: np.ndarray, inverse: bool = False) -> None:
-    """Apply LAPACK sequential row swaps to ``x`` in place."""
-    n = len(piv)
-    indices = range(n - 1, -1, -1) if inverse else range(n)
-    for i in indices:
-        j = int(piv[i])
-        if j != i:
-            x[[i, j]] = x[[j, i]]
+def piv_to_perm(piv: np.ndarray) -> np.ndarray:
+    """LAPACK sequential row swaps as one permutation, same dtype as ``piv``.
+
+    Swapping the rows of ``x`` as ``piv`` prescribes is the gather
+    ``x[perm]``; undoing the swaps is the scatter ``out[perm] = x``.
+    Converted once, when a factorization is stored, so no solve replays
+    the swaps row by row.
+    """
+    perm = list(range(len(piv)))
+    for i, j in enumerate(piv.tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=piv.dtype)
 
 
 def lu_solve(
@@ -127,32 +132,26 @@ def lu_solve(
     block_size: int = DEFAULT_BLOCK,
 ) -> np.ndarray:
     """Solve ``A x = b`` (or ``Aᵀ x = b`` for ``trans=1``) from ``blocked_lu`` output."""
-    from repro.dense.triangular import (
-        solve_lower_triangular,
-        solve_unit_lower_triangular,
-        solve_upper_triangular,
-    )
+    return lu_solve_perm(lu, piv_to_perm(piv), b, trans, block_size)
 
-    was_1d = np.asarray(b).ndim == 1
-    x = as_2d_array(b, dtype=np.result_type(lu.dtype, np.asarray(b).dtype))
-    x = np.array(x, copy=True)
+
+def lu_solve_perm(lu, perm, b, trans=0, block_size=DEFAULT_BLOCK) -> np.ndarray:
+    """:func:`lu_solve` with the pivots already a :func:`piv_to_perm` gather."""
     if trans == 0:
-        _apply_piv(x, piv)
-        x = solve_unit_lower_triangular(lu, x, block_size)
-        x = solve_upper_triangular(lu, x, block_size)
-    else:
-        # Aᵀ = Uᵀ Lᵀ Pᵀ: solve Uᵀ y = b, then Lᵀ z = y, then undo swaps
-        x = solve_lower_triangular(lu.T, x, block_size)
-        upper_unit = lu.T  # Lᵀ is unit upper triangular
-        n = lu.shape[0]
-        starts = list(range(0, n, block_size))
-        for start in reversed(starts):
-            stop = min(n, start + block_size)
-            x[start:stop] = solve_triangular(
-                upper_unit[start:stop, start:stop], x[start:stop],
-                lower=False, unit_diagonal=True, check_finite=False,
-            )
-            if start > 0:
-                x[:start] -= upper_unit[:start, start:stop] @ x[start:stop]
-        _apply_piv(x, piv, inverse=True)
-    return x[:, 0] if was_1d else x
+        b = np.asarray(b)
+        if b.shape[:1] != (len(perm),):  # before the gather hides it
+            raise ValueError(
+                f"rhs has {b.shape[0] if b.ndim else 1} rows, "
+                f"expected {len(perm)}")
+        x = blocked_triangular_solve(lu, b[perm], True, unit=True,
+                                     block_size=block_size, overwrite_b=True)
+        return blocked_triangular_solve(lu, x, False, block_size=block_size,
+                                        overwrite_b=True)
+    # Aᵀ = Uᵀ Lᵀ Pᵀ: solve Uᵀ y = b, then Lᵀ z = y, then undo the swaps
+    y = blocked_triangular_solve(lu, b, False, trans=True,
+                                 block_size=block_size)
+    z = blocked_triangular_solve(lu, y, True, trans=True, unit=True,
+                                 block_size=block_size, overwrite_b=True)
+    x = np.empty_like(z)
+    x[perm] = z
+    return x

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.linalg import cholesky as _lapack_cholesky
 from scipy.linalg import solve_triangular
 
+from repro.dense.triangular import blocked_triangular_solve
 from repro.utils.errors import SingularMatrixError
 from repro.utils.validation import check_square
 
@@ -58,25 +59,7 @@ def blocked_cholesky(a: np.ndarray, block_size: int = DEFAULT_BLOCK) -> np.ndarr
 def cholesky_solve(l: np.ndarray, b: np.ndarray,
                    block_size: int = DEFAULT_BLOCK) -> np.ndarray:
     """Solve ``L Lᴴ x = b`` from :func:`blocked_cholesky` output."""
-    from repro.dense.triangular import (
-        solve_lower_triangular,
-    )
-
-    was_1d = np.asarray(b).ndim == 1
-    x = np.array(b, dtype=np.result_type(l.dtype, np.asarray(b).dtype), copy=True)
-    if x.ndim == 1:
-        x = x[:, None]
-    x = solve_lower_triangular(l, x, block_size)
-    # Lᴴ x = y, blocked backward sweep
-    n = l.shape[0]
-    lh = l.conj().T
-    starts = list(range(0, n, block_size))
-    for start in reversed(starts):
-        stop = min(n, start + block_size)
-        x[start:stop] = solve_triangular(
-            lh[start:stop, start:stop], x[start:stop],
-            lower=False, check_finite=False,
-        )
-        if start > 0:
-            x[:start] -= lh[:start, start:stop] @ x[start:stop]
-    return x[:, 0] if was_1d else x
+    x = blocked_triangular_solve(l, b, True, block_size=block_size)
+    # Lᴴ = conj(L)ᵀ (``conj`` of a real L is L itself, no copy)
+    return blocked_triangular_solve(l.conj(), x, True, trans=True,
+                                    block_size=block_size, overwrite_b=True)

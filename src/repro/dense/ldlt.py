@@ -19,6 +19,7 @@ from typing import Tuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from repro.dense.triangular import blocked_triangular_solve
 from repro.utils.errors import SingularMatrixError
 from repro.utils.validation import check_square
 
@@ -96,24 +97,7 @@ def blocked_ldlt(
 def ldlt_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray,
                block_size: int = DEFAULT_BLOCK) -> np.ndarray:
     """Solve ``L D Lᵀ x = b`` from :func:`blocked_ldlt` output."""
-    from repro.dense.triangular import solve_unit_lower_triangular
-
-    was_1d = np.asarray(b).ndim == 1
-    x = np.array(b, dtype=np.result_type(l.dtype, np.asarray(b).dtype), copy=True)
-    if x.ndim == 1:
-        x = x[:, None]
-    x = solve_unit_lower_triangular(l, x, block_size)
-    x /= d[:, None]
-    # Lᵀ x = y, blocked backward sweep on the (unit upper) transpose
-    n = l.shape[0]
-    lt = l.T
-    starts = list(range(0, n, block_size))
-    for start in reversed(starts):
-        stop = min(n, start + block_size)
-        x[start:stop] = solve_triangular(
-            lt[start:stop, start:stop], x[start:stop],
-            lower=False, unit_diagonal=True, check_finite=False,
-        )
-        if start > 0:
-            x[:start] -= lt[:start, start:stop] @ x[start:stop]
-    return x[:, 0] if was_1d else x
+    x = blocked_triangular_solve(l, b, True, unit=True, block_size=block_size)
+    x /= d if x.ndim == 1 else d[:, None]
+    return blocked_triangular_solve(l, x, True, trans=True, unit=True,
+                                    block_size=block_size, overwrite_b=True)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dense.blocked_lu import blocked_lu, lu_solve
+from repro.dense.blocked_lu import blocked_lu, lu_solve_perm, piv_to_perm
 from repro.dense.cholesky import blocked_cholesky, cholesky_solve
 from repro.dense.ldlt import blocked_ldlt, ldlt_solve
 from repro.memory.tracker import MemoryTracker
@@ -50,8 +50,8 @@ class DenseFactorization:
         if self._freed:
             raise RuntimeError("factorization has been freed")
         if self.method == "lu":
-            lu, piv = self._data
-            return lu_solve(lu, piv, b, trans=trans, block_size=self.block_size)
+            lu, perm = self._data
+            return lu_solve_perm(lu, perm, b, trans, self.block_size)
         if trans:
             raise ConfigurationError(
                 f"transpose solve is only supported for LU, not {self.method}"
@@ -125,7 +125,8 @@ class DenseSolver:
             method = "ldlt" if symmetric else "lu"
 
         if method == "lu":
-            data = blocked_lu(a, block_size=self.block_size)
+            lu, piv = blocked_lu(a, block_size=self.block_size)
+            data = (lu, piv_to_perm(piv))  # one gather per solve, no swaps
         elif method == "ldlt":
             data = blocked_ldlt(a, block_size=self.block_size)
         else:

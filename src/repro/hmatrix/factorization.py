@@ -30,8 +30,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, solve_triangular
+from scipy.linalg import lu_factor
 
+from repro.dense.blocked_lu import piv_to_perm
+from repro.dense.triangular import RowBlockKernel, sweep_dtype
 from repro.hmatrix.hmatrix import HMatrix, HNode, _node_add_rk
 from repro.hmatrix.rk import RkMatrix
 from repro.utils.errors import SingularMatrixError
@@ -40,14 +42,14 @@ from repro.utils.errors import SingularMatrixError
 class _FNode:
     """Factored counterpart of :class:`HNode`."""
 
-    __slots__ = ("start", "stop", "mid", "lu", "piv", "f11", "f22", "rk12", "rk21")
+    __slots__ = ("start", "stop", "mid", "lu", "perm", "f11", "f22", "rk12", "rk21")
 
     def __init__(self, start: int, stop: int):
         self.start = start
         self.stop = stop
         self.mid: Optional[int] = None
         self.lu: Optional[np.ndarray] = None
-        self.piv: Optional[np.ndarray] = None
+        self.perm: Optional[np.ndarray] = None  # leaf pivots as x[perm]
         self.f11: Optional["_FNode"] = None
         self.f22: Optional["_FNode"] = None
         self.rk12: Optional[RkMatrix] = None
@@ -59,7 +61,7 @@ class _FNode:
 
     def nbytes(self) -> int:
         if self.is_leaf:
-            return self.lu.nbytes + self.piv.nbytes
+            return self.lu.nbytes + self.perm.nbytes
         return (
             self.f11.nbytes() + self.f22.nbytes()
             + self.rk12.nbytes + self.rk21.nbytes
@@ -85,14 +87,14 @@ class HLUFactorization:
         self.tree = hm.tree
         self.tol = hm.tol
         self.dtype = hm.dtype
-        self.root = self._factor(hm.root.copy())
+        self.root = self._factor(hm.root.copy(), RowBlockKernel(hm.dtype))
 
     # -- factorization --------------------------------------------------------
-    def _factor(self, node: HNode) -> _FNode:
+    def _factor(self, node: HNode, kern: RowBlockKernel) -> _FNode:
         out = _FNode(node.start, node.stop)
         if node.is_leaf:
             try:
-                out.lu, out.piv = lu_factor(node.dense, check_finite=False)
+                out.lu, piv = lu_factor(node.dense, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(
                     f"H-LU leaf [{node.start}, {node.stop}) singular: {exc}"
@@ -101,80 +103,78 @@ class HLUFactorization:
                 raise SingularMatrixError(
                     f"zero pivot in H-LU leaf [{node.start}, {node.stop})"
                 )
+            out.perm = piv_to_perm(piv)
             return out
         out.mid = node.mid
-        out.f11 = self._factor(node.h11)
-        u12t = (
-            self._solve_lower(out.f11, node.rk12.u)
-            if node.rk12.rank else node.rk12.u
-        )
-        v21t = (
-            self._solve_upper_transpose(out.f11, node.rk21.v)
-            if node.rk21.rank else node.rk21.v
-        )
+        out.f11 = self._factor(node.h11, kern)
+        # the transformed coupling factors Ũ12 = L11⁻¹ U12, Ṽ21 = U11⁻ᵀ V21
+        # are solved in place on the copies that are stored
+        u12t = np.array(node.rk12.u, dtype=self.dtype, order="C")
+        v21t = np.array(node.rk21.v, dtype=self.dtype, order="C")
+        self._solve_lower(kern, out.f11, u12t, node.start)
+        self._solve_upper_transpose(kern, out.f11, v21t, node.start)
         out.rk12 = RkMatrix(u12t, node.rk12.v)
         out.rk21 = RkMatrix(node.rk21.u, v21t)
         if out.rk12.rank and out.rk21.rank:
             core = v21t.T @ u12t
             update = RkMatrix(-(node.rk21.u @ core), node.rk12.v)
             _node_add_rk(node.h22, update.truncate(self.tol), self.tol)
-        out.f22 = self._factor(node.h22)
+        out.f22 = self._factor(node.h22, kern)
         return out
 
-    # -- triangular solves ------------------------------------------------------
-    def _solve_lower(self, node: _FNode, b: np.ndarray) -> np.ndarray:
-        """Solve ``L x = b`` (unit lower part of the factorization)."""
+    # -- triangular solves, in place on the rows of one buffer ---------------
+    # ``z[0]`` is row ``offset`` of the matrix; each solve overwrites the
+    # node's rows ``z[start - offset : stop - offset]``.
+    def _solve_lower(self, kern, node: _FNode, z, offset: int = 0) -> None:
+        """``z ← L⁻¹ Pᵀ z`` (unit lower part, leaf pivots applied)."""
+        rows = z[node.start - offset : node.stop - offset]
         if node.is_leaf:
-            x = np.array(b, dtype=np.result_type(node.lu.dtype, b.dtype))
-            for i, j in enumerate(node.piv):
-                j = int(j)
-                if j != i:
-                    x[[i, j]] = x[[j, i]]
-            return solve_triangular(
-                node.lu, x, lower=True, unit_diagonal=True, check_finite=False
-            )
+            rows[:] = rows[node.perm]
+            kern.solve(node.lu, rows, lower=True, unit=True)
+            return
         cut = node.mid - node.start
-        b1 = self._solve_lower(node.f11, b[:cut])
-        rhs2 = b[cut:] - node.rk21.matvec(b1) if node.rk21.rank else b[cut:]
-        b2 = self._solve_lower(node.f22, rhs2)
-        return np.concatenate([b1, b2], axis=0)
+        self._solve_lower(kern, node.f11, z, offset)
+        kern.update_rk(rows[cut:], node.rk21.u, node.rk21.v, rows[:cut])
+        self._solve_lower(kern, node.f22, z, offset)
 
-    def _solve_upper(self, node: _FNode, b: np.ndarray) -> np.ndarray:
-        """Solve ``U x = b`` (upper part of the factorization)."""
+    def _solve_upper(self, kern, node: _FNode, z) -> None:
+        """``z ← U⁻¹ z`` (upper part of the factorization)."""
+        rows = z[node.start : node.stop]
         if node.is_leaf:
-            return solve_triangular(node.lu, b, lower=False, check_finite=False)
+            kern.solve(node.lu, rows, lower=False)
+            return
         cut = node.mid - node.start
-        b2 = self._solve_upper(node.f22, b[cut:])
-        rhs1 = b[:cut] - node.rk12.matvec(b2) if node.rk12.rank else b[:cut]
-        b1 = self._solve_upper(node.f11, rhs1)
-        return np.concatenate([b1, b2], axis=0)
+        self._solve_upper(kern, node.f22, z)
+        kern.update_rk(rows[:cut], node.rk12.u, node.rk12.v, rows[cut:])
+        self._solve_upper(kern, node.f11, z)
 
-    def _solve_upper_transpose(self, node: _FNode, b: np.ndarray) -> np.ndarray:
-        """Solve ``Uᵀ x = b`` (used to transform the lower coupling factors)."""
+    def _solve_upper_transpose(self, kern, node: _FNode, z, offset: int) -> None:
+        """``z ← U⁻ᵀ z`` (transforms the lower coupling factors)."""
+        rows = z[node.start - offset : node.stop - offset]
         if node.is_leaf:
-            return solve_triangular(
-                node.lu.T, b, lower=True, check_finite=False
-            )
+            kern.solve(node.lu, rows, lower=False, trans=True)
+            return
         cut = node.mid - node.start
-        b1 = self._solve_upper_transpose(node.f11, b[:cut])
-        rhs2 = b[cut:] - node.rk12.rmatvec(b1) if node.rk12.rank else b[cut:]
-        b2 = self._solve_upper_transpose(node.f22, rhs2)
-        return np.concatenate([b1, b2], axis=0)
+        self._solve_upper_transpose(kern, node.f11, z, offset)
+        kern.update_rk(rows[cut:], node.rk12.u, node.rk12.v, rows[:cut],
+                       trans=True)
+        self._solve_upper_transpose(kern, node.f22, z, offset)
 
     # -- public API -----------------------------------------------------------
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` (vector or block of columns, original ordering)."""
         b = np.asarray(b)
-        was_1d = b.ndim == 1
-        bb = b[:, None] if was_1d else b
-        bp = bb[self.tree.perm].astype(
-            np.result_type(self.dtype, bb.dtype), copy=True
-        )
-        y = self._solve_lower(self.root, bp)
-        xp = self._solve_upper(self.root, y)
-        x = np.empty_like(xp)
-        x[self.tree.perm] = xp
-        return x[:, 0] if was_1d else x
+        bb = b[:, None] if b.ndim == 1 else b
+        # one permuted C-ordered buffer, swept in place (real factors sweep
+        # the real view of a complex right-hand side)
+        z = bb[self.tree.perm].astype(sweep_dtype(self.dtype, bb.dtype),
+                                      order="C", copy=False)
+        kern = RowBlockKernel(self.dtype)
+        self._solve_lower(kern, self.root, z.view(self.dtype))
+        self._solve_upper(kern, self.root, z.view(self.dtype))
+        x = np.empty_like(z)
+        x[self.tree.perm] = z
+        return x[:, 0] if b.ndim == 1 else x
 
     def nbytes(self) -> int:
         """Logical bytes of the stored factors."""

@@ -37,10 +37,10 @@ from typing import Optional
 import numpy as np
 
 from repro.dense.ldlt import blocked_ldlt
+from repro.dense.triangular import RowBlockKernel, sweep_dtype
 from repro.hmatrix.hmatrix import HMatrix, HNode, _node_add_rk
 from repro.hmatrix.rk import RkMatrix
 from repro.utils.errors import SingularMatrixError
-from scipy.linalg import solve_triangular
 
 
 class _LNode:
@@ -87,10 +87,10 @@ class HLDLTFactorization:
         self.tol = hm.tol
         self.dtype = hm.dtype
         self.d = np.empty(hm.tree.n, dtype=hm.dtype)
-        self.root = self._factor(hm.root.copy())
+        self.root = self._factor(hm.root.copy(), RowBlockKernel(hm.dtype))
 
     # -- factorization --------------------------------------------------------
-    def _factor(self, node: HNode) -> _LNode:
+    def _factor(self, node: HNode, kern: RowBlockKernel) -> _LNode:
         out = _LNode(node.start, node.stop)
         if node.is_leaf:
             try:
@@ -103,68 +103,64 @@ class HLDLTFactorization:
             self.d[node.start : node.stop] = dvec
             return out
         out.mid = node.mid
-        out.f11 = self._factor(node.h11)
+        out.f11 = self._factor(node.h11, kern)
         u21 = node.rk21.u
         v21 = node.rk21.v
         if node.rk21.rank:
-            w = self._forward(out.f11, v21, node.start)
-            v_tilde = w / self.d[node.start : node.mid][:, None]
+            v_tilde = np.array(v21, dtype=self.dtype, order="C")
+            self._forward(kern, out.f11, v_tilde, node.start)
+            v_tilde /= self.d[node.start : node.mid][:, None]
             core = (v_tilde.T * self.d[node.start : node.mid][None, :]) @ v_tilde
             update = RkMatrix(-(u21 @ core), u21.copy())
             _node_add_rk(node.h22, update.truncate(self.tol), self.tol)
-            out.u21 = u21.copy()
-            out.v21t = v_tilde.T.copy()
+            out.v21t = v_tilde.T
         else:
-            out.u21 = u21.copy()
-            out.v21t = v21.T.copy()
-        out.f22 = self._factor(node.h22)
+            out.v21t = np.array(v21.T, dtype=self.dtype, order="C")
+        out.u21 = np.array(u21, dtype=self.dtype, order="C")
+        out.f22 = self._factor(node.h22, kern)
         return out
 
-    # -- triangular sweeps -------------------------------------------------------
-    def _forward(self, node: _LNode, b: np.ndarray, offset: int) -> np.ndarray:
-        """Solve ``L z = b`` on the node's range (``offset`` = node.start)."""
+    # -- triangular sweeps, in place on the rows of one buffer ----------------
+    def _forward(self, kern, node: _LNode, z: np.ndarray, offset: int) -> None:
+        """``z ← L⁻¹ z`` on the node's rows; ``z[0]`` is row ``offset``."""
+        rows = z[node.start - offset : node.stop - offset]
         if node.is_leaf:
-            return solve_triangular(
-                node.l, b, lower=True, unit_diagonal=True, check_finite=False
-            )
+            kern.solve(node.l, rows, lower=True, unit=True)
+            return
         cut = node.mid - node.start
-        z1 = self._forward(node.f11, b[:cut], offset)
-        rhs2 = b[cut:]
-        if node.u21.shape[1]:
-            rhs2 = rhs2 - node.u21 @ (node.v21t @ z1)
-        z2 = self._forward(node.f22, rhs2, offset + cut)
-        return np.concatenate([z1, z2], axis=0)
+        self._forward(kern, node.f11, z, offset)
+        kern.update_rk(rows[cut:], node.u21, node.v21t.T, rows[:cut])
+        self._forward(kern, node.f22, z, offset)
 
-    def _backward(self, node: _LNode, z: np.ndarray, offset: int) -> np.ndarray:
-        """Solve ``Lᵀ x = z`` on the node's range."""
+    def _backward(self, kern, node: _LNode, z: np.ndarray) -> None:
+        """``z ← L⁻ᵀ z`` on the node's rows."""
+        rows = z[node.start : node.stop]
         if node.is_leaf:
-            return solve_triangular(
-                node.l.T, z, lower=False, unit_diagonal=True,
-                check_finite=False,
-            )
+            kern.solve(node.l, rows, lower=True, trans=True, unit=True)
+            return
         cut = node.mid - node.start
-        x2 = self._backward(node.f22, z[cut:], offset + cut)
-        rhs1 = z[:cut]
-        if node.u21.shape[1]:
-            rhs1 = rhs1 - node.v21t.T @ (node.u21.T @ x2)
-        x1 = self._backward(node.f11, rhs1, offset)
-        return np.concatenate([x1, x2], axis=0)
+        self._backward(kern, node.f22, z)
+        kern.update_rk(rows[:cut], node.u21, node.v21t.T, rows[cut:],
+                       trans=True)
+        self._backward(kern, node.f11, z)
 
     # -- public API -----------------------------------------------------------
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` (vector or columns, original ordering)."""
         b = np.asarray(b)
-        was_1d = b.ndim == 1
-        bb = b[:, None] if was_1d else b
-        bp = bb[self.tree.perm].astype(
-            np.result_type(self.dtype, bb.dtype), copy=True
-        )
-        z = self._forward(self.root, bp, 0)
-        z /= self.d[:, None]
-        xp = self._backward(self.root, z, 0)
-        x = np.empty_like(xp)
-        x[self.tree.perm] = xp
-        return x[:, 0] if was_1d else x
+        bb = b[:, None] if b.ndim == 1 else b
+        # one permuted C-ordered buffer, swept in place (real factors sweep
+        # the real view of a complex right-hand side)
+        z = bb[self.tree.perm].astype(sweep_dtype(self.dtype, bb.dtype),
+                                      order="C", copy=False)
+        kern = RowBlockKernel(self.dtype)
+        zr = z.view(self.dtype)
+        self._forward(kern, self.root, zr, 0)
+        zr /= self.d[:, None]
+        self._backward(kern, self.root, zr)
+        x = np.empty_like(z)
+        x[self.tree.perm] = z
+        return x[:, 0] if b.ndim == 1 else x
 
     def nbytes(self) -> int:
         """Logical bytes of the stored factors (packed triangles + d)."""

@@ -27,6 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.dense.triangular import RowBlockKernel
 from repro.hmatrix.rk import RkMatrix
 from repro.utils.errors import ConfigurationError
 
@@ -149,18 +150,13 @@ def panel_nbytes(panel: Panel) -> int:
     return panel.nbytes
 
 
-def panel_matmat(panel: Panel, x: np.ndarray) -> np.ndarray:
-    """``panel @ x`` for dense or Rk panels."""
+def panel_update(kern: RowBlockKernel, c: np.ndarray, panel: Panel,
+                 b: np.ndarray, trans: bool = False) -> None:
+    """``c ← c − op(panel) b`` in place on row blocks, dense or Rk panel."""
     if isinstance(panel, RkMatrix):
-        return panel.matvec(x)
-    return panel @ x
-
-
-def panel_rmatmat(panel: Panel, x: np.ndarray) -> np.ndarray:
-    """``panelᵀ @ x`` for dense or Rk panels."""
-    if isinstance(panel, RkMatrix):
-        return panel.rmatvec(x)
-    return panel.T @ x
+        kern.update_rk(c, panel.u, panel.v, b, trans)
+    else:
+        kern.update(c, panel, b, trans)
 
 
 def panel_product(left: Panel, right: Panel) -> np.ndarray:

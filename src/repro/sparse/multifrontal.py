@@ -28,22 +28,23 @@ complement is **always returned as a non-compressed dense matrix**.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, solve_triangular
+from scipy.linalg import lu_factor
 
+from repro.dense.blocked_lu import piv_to_perm
 from repro.dense.ldlt import blocked_ldlt
+from repro.dense.triangular import RowBlockKernel, sweep_dtype
 from repro.hmatrix.rk import RkMatrix
 from repro.memory.tracker import MemoryTracker
 from repro.sparse.blr import (
     BLRConfig,
     compress_panel,
-    panel_matmat,
     panel_nbytes,
     panel_product,
-    panel_rmatmat,
+    panel_update,
 )
 from repro.sparse.symbolic import SymbolicFactorization
 from repro.utils.errors import ConfigurationError, SingularMatrixError
@@ -123,17 +124,16 @@ class FrontArena:
 
 
 class _FrontFactor:
-    """Stored factors of one front."""
+    """Stored factors of one front, each once, in the layout the solve
+    kernel consumes (C- or F-contiguous, of the factorization dtype)."""
 
-    __slots__ = ("own", "bnd", "mode", "l11", "d", "piv", "l21", "u12", "alloc")
+    __slots__ = ("mode", "l11", "d", "perm", "l21", "u12", "alloc")
 
-    def __init__(self, own: np.ndarray, bnd: np.ndarray, mode: str):
-        self.own = own
-        self.bnd = bnd
+    def __init__(self, mode: str):
         self.mode = mode
         self.l11 = None   # unit-lower (ldlt) or compact LU (lu)
         self.d = None     # ldlt diagonal
-        self.piv = None   # lu pivots (local)
+        self.perm = None  # lu pivots (local) as the gather x[perm]
         self.l21 = None   # (n_bnd, n_own) panel, possibly Rk
         self.u12 = None   # (n_own, n_bnd) panel (lu mode only), possibly Rk
         self.alloc = None
@@ -161,8 +161,8 @@ class _FrontFactor:
                 total += self.l11.nbytes
         if self.d is not None:
             total += self.d.nbytes
-        if self.piv is not None:
-            total += self.piv.nbytes
+        if self.perm is not None:
+            total += self.perm.nbytes
         if self.l21 is not None:
             total += panel_nbytes(self.l21)
         if self.u12 is not None:
@@ -212,15 +212,10 @@ class MultifrontalFactorization:
             )
         dtype = a.dtype if np.issubdtype(a.dtype, np.inexact) else np.float64
         self.dtype = np.dtype(dtype)
-        self._fronts: List[Optional[_FrontFactor]] = []
+        self._fronts: List[_FrontFactor] = []
         self.schur: Optional[np.ndarray] = None
         self._schur_alloc = None
         self._freed = False
-        #: interior variable ids in ascending full-matrix order
-        interior_mask = np.ones(symbolic.n_full, dtype=bool)
-        interior_mask[symbolic.schur_vars] = False
-        self.interior_ids = np.flatnonzero(interior_mask)
-        self._owner = self._owner_of_interior()
         if arena is not None:
             # caller-owned arena (e.g. one per runtime worker): reused
             # across factorizations, reset between them, freed by the owner
@@ -252,14 +247,6 @@ class MultifrontalFactorization:
         self.__dict__.update(state)
         self.tracker = MemoryTracker()
 
-    # -- setup helpers ----------------------------------------------------------
-    def _owner_of_interior(self) -> np.ndarray:
-        """Owning front (postorder index) of each full-matrix variable."""
-        owner = np.full(self.symbolic.n_full, -1, dtype=np.intp)
-        for f in self.symbolic.fronts:
-            owner[f.own] = f.node_index
-        return owner
-
     # -- numeric factorization ----------------------------------------------------
     def _factorize(self, a: sp.csr_matrix, arena: FrontArena) -> None:
         sym = self.symbolic
@@ -284,6 +271,7 @@ class MultifrontalFactorization:
         # size the arena once from the symbolic peak-front estimate; every
         # front below borrows a zeroed view of the same buffer
         arena.ensure(sym.peak_front_size(), self.dtype)
+        kern = RowBlockKernel(self.dtype)
 
         for f in sym.fronts:
             front_vars = np.concatenate([f.own, f.bnd])
@@ -303,12 +291,12 @@ class MultifrontalFactorization:
                 ualloc.free()
 
             # partial factorization of the pivot block
-            factor = _FrontFactor(f.own, f.bnd, self.mode)
+            factor = _FrontFactor(self.mode)
             if p:
                 if self.mode == "ldlt":
-                    update = self._eliminate_ldlt(fmat, p, factor)
+                    update = self._eliminate_ldlt(fmat, p, factor, kern)
                 else:
-                    update = self._eliminate_lu(fmat, p, factor)
+                    update = self._eliminate_lu(fmat, p, factor, kern)
                 factor.alloc = self.tracker.allocate(
                     factor.nbytes(), category="sparse_factor",
                     label=f"front {f.node_index} factors",
@@ -377,7 +365,7 @@ class MultifrontalFactorization:
             self.n_fcsu_panels += 1
         return out
 
-    def _eliminate_ldlt(self, fmat, p, factor) -> np.ndarray:
+    def _eliminate_ldlt(self, fmat, p, factor, kern) -> np.ndarray:
         f11 = fmat[:p, :p]
         try:
             l11, d = blocked_ldlt(f11)
@@ -388,12 +376,11 @@ class MultifrontalFactorization:
         factor.l11 = l11
         factor.d = d
         if fmat.shape[0] > p:
-            f21 = fmat[p:, :p]
-            # L21 = F21 L11^{-T} D^{-1}
-            x = solve_triangular(
-                l11, f21.T, lower=True, unit_diagonal=True, check_finite=False
-            ).T
-            l21 = x / d[None, :]
+            # L21ᵀ = D⁻¹ L11⁻¹ F21ᵀ, in place on the rows of the stored panel
+            l21t = np.array(fmat[p:, :p].T, order="C")
+            kern.solve(l11, l21t, lower=True, unit=True)
+            l21t /= d[:, None]
+            l21 = l21t.T
             panel = self._fcsu_compress(l21)
             if isinstance(panel, RkMatrix):
                 # FCSU: the update L21 D L21ᵀ from the low-rank factors
@@ -407,7 +394,7 @@ class MultifrontalFactorization:
         factor.l21 = np.zeros((0, p), dtype=fmat.dtype)
         return fmat[p:, p:]
 
-    def _eliminate_lu(self, fmat, p, factor) -> np.ndarray:
+    def _eliminate_lu(self, fmat, p, factor, kern) -> np.ndarray:
         f11 = fmat[:p, :p]
         try:
             lu11, piv = lu_factor(f11, check_finite=False)
@@ -418,18 +405,15 @@ class MultifrontalFactorization:
         if np.any(np.diag(lu11) == 0):
             raise SingularMatrixError("zero pivot in frontal LU")
         factor.l11 = lu11
-        factor.piv = piv
+        factor.perm = piv_to_perm(piv)
         if fmat.shape[0] > p:
-            f12 = np.array(fmat[:p, p:], copy=True)
-            _apply_lu_piv(f12, piv)
-            u12 = solve_triangular(
-                lu11, f12, lower=True, unit_diagonal=True, check_finite=False
-            )
-            # L21 = F21 U11^{-1}  (U11ᵀ is the lower triangle of lu11ᵀ)
-            l21 = solve_triangular(
-                lu11.T, fmat[p:, :p].T, lower=True, unit_diagonal=False,
-                check_finite=False,
-            ).T
+            # U12 = L11⁻¹ Pᵀ F12 and L21ᵀ = U11⁻ᵀ F21ᵀ, each solved in place
+            # on the rows of the panel that is stored
+            u12 = fmat[:p, p:][factor.perm]
+            kern.solve(lu11, u12, lower=True, unit=True)
+            l21t = np.array(fmat[p:, :p].T, order="C")
+            kern.solve(lu11, l21t, lower=False, trans=True)
+            l21 = l21t.T
             c21 = self._fcsu_compress(l21)
             c12 = self._fcsu_compress(u12)
             if isinstance(c21, RkMatrix) or isinstance(c12, RkMatrix):
@@ -453,7 +437,7 @@ class MultifrontalFactorization:
     @property
     def factor_bytes(self) -> int:
         """Stored factor bytes across all fronts."""
-        return sum(f.nbytes() for f in self._fronts if f is not None)
+        return sum(f.nbytes() for f in self._fronts)
 
     def statistics(self) -> dict:
         """Factorization statistics (MUMPS-INFOG-style summary).
@@ -469,11 +453,9 @@ class MultifrontalFactorization:
         flops = 0.0
         compressed_panels = 0
         total_panels = 0
-        for f in self._fronts:
-            if f is None:
-                continue
+        for sf, f in zip(self.symbolic.fronts, self._fronts):
             n_fronts += 1
-            p, q = len(f.own), len(f.bnd)
+            p, q = sf.n_own, sf.n_bnd
             peak_front = max(peak_front, p + q)
             factor_entries += p * p + 2 * p * q
             flops += (2.0 / 3.0) * p**3 + 2.0 * p * p * q + 2.0 * p * q * q
@@ -526,7 +508,7 @@ class MultifrontalFactorization:
             return
         self._freed = True
         for f in self._fronts:
-            if f is not None and f.alloc is not None:
+            if f.alloc is not None:
                 f.alloc.free()
         self._fronts = []
         if self._schur_alloc is not None:
@@ -535,39 +517,15 @@ class MultifrontalFactorization:
         self.schur = None
 
     # -- solves ---------------------------------------------------------------
-    def _active_mask(self, support_vars: np.ndarray) -> np.ndarray:
+    def _active_mask(self, support_pos: np.ndarray) -> np.ndarray:
         """Fronts whose subtree holds a right-hand-side nonzero (plus ancestors)."""
-        n_nodes = len(self.symbolic.fronts)
-        active = np.zeros(n_nodes, dtype=bool)
-        owners = self._owner[support_vars]
-        active[owners[owners >= 0]] = True
-        parent_of = np.full(n_nodes, -1, dtype=np.intp)
-        for node in self.symbolic.tree.postorder:
-            if node.parent is not None:
-                parent_of[node.index] = node.parent.index
-        for i in range(n_nodes):
-            if active[i] and parent_of[i] >= 0:
-                active[parent_of[i]] = True
+        sym = self.symbolic
+        active = np.zeros(len(sym.fronts), dtype=bool)
+        active[np.searchsorted(sym.front_hi, support_pos, side="right")] = True
+        for i, parent in enumerate(sym.parent.tolist()):
+            if active[i] and parent >= 0:
+                active[parent] = True
         return active
-
-    def _blocked_columns(
-        self,
-        b: Union[np.ndarray, sp.spmatrix],
-        panel: int,
-        solve_one: Callable[[Union[np.ndarray, sp.spmatrix]], np.ndarray],
-    ) -> np.ndarray:
-        """Run ``solve_one`` over column panels of ``b``, reassembled."""
-        bcols = b.tocsc() if sp.issparse(b) else np.asarray(b)
-        n_rhs = bcols.shape[1]
-        out: Optional[np.ndarray] = None
-        for lo in range(0, n_rhs, panel):
-            hi = min(n_rhs, lo + panel)
-            xp = solve_one(bcols[:, lo:hi])
-            if out is None:
-                out = np.empty((xp.shape[0], n_rhs), dtype=xp.dtype)
-            out[:, lo:hi] = xp
-        assert out is not None
-        return out
 
     def solve(
         self,
@@ -582,7 +540,7 @@ class MultifrontalFactorization:
         b:
             Right-hand side(s) of length ``n_interior`` (vector, matrix or
             scipy sparse matrix), indexed by interior variables in
-            ascending full-matrix order.
+            ascending full-matrix order.  Never modified.
         exploit_sparsity:
             Skip fronts whose subtree holds no RHS nonzero in the forward
             sweep (the MUMPS ICNTL(20) analog).  Defaults to on for sparse
@@ -597,98 +555,10 @@ class MultifrontalFactorization:
 
         Returns
         -------
-        Dense solution array with the same leading shape as ``b``.
+        Dense solution array with the same leading shape as ``b``, in the
+        factors' precision (complex when either side is).
         """
-        if self._freed:
-            raise RuntimeError("factorization has been freed")
-        panel = (DEFAULT_RHS_PANEL if rhs_panel is None
-                 else max(1, int(rhs_panel)))
-        if b.ndim == 2 and b.shape[1] > panel:
-            return self._blocked_columns(
-                b, panel,
-                lambda bp: self.solve(
-                    bp, exploit_sparsity=exploit_sparsity, rhs_panel=panel
-                ),
-            )
-        sym = self.symbolic
-        sparse_input = sp.issparse(b)
-        if exploit_sparsity is None:
-            exploit_sparsity = sparse_input
-        if sparse_input:
-            support = np.unique(b.tocoo().row)
-            b = np.asarray(b.todense())
-        else:
-            b = np.asarray(b)
-            support = None
-        was_1d = b.ndim == 1
-        bb = b[:, None] if was_1d else b
-        if bb.shape[0] != self.n_interior:
-            raise ConfigurationError(
-                f"rhs has {bb.shape[0]} rows, expected {self.n_interior}"
-            )
-        if exploit_sparsity and support is None:
-            support = np.flatnonzero(np.any(bb != 0, axis=1))
-        dtype = np.result_type(self.dtype, bb.dtype)
-        z = np.zeros((sym.n_full, bb.shape[1]), dtype=dtype)
-        z[self.interior_ids] = bb
-
-        if exploit_sparsity:
-            active = self._active_mask(self.interior_ids[support])
-        else:
-            active = None
-
-        with self.tracker.borrow(
-            z.nbytes, category="solve_workspace", label="solve work vector"
-        ):
-            # forward sweep
-            for f, front in zip(sym.fronts, self._fronts, strict=True):
-                if front.own.size == 0:
-                    continue
-                if active is not None and not active[f.node_index]:
-                    continue
-                zo = z[front.own]
-                if self.mode == "ldlt":
-                    zo = solve_triangular(
-                        front.l11, zo, lower=True, unit_diagonal=True,
-                        check_finite=False,
-                    )
-                else:
-                    _apply_lu_piv(zo, front.piv)
-                    zo = solve_triangular(
-                        front.l11, zo, lower=True, unit_diagonal=True,
-                        check_finite=False,
-                    )
-                z[front.own] = zo
-                if front.bnd.size:
-                    z[front.bnd] -= panel_matmat(front.l21, zo)
-            # the forward sweep scribbles on the Schur positions (they are
-            # reduced-RHS scratch); a pure interior solve treats x_schur = 0
-            if len(sym.schur_vars):
-                z[sym.schur_vars] = 0
-            # backward sweep
-            for _f, front in zip(reversed(sym.fronts),
-                                  reversed(self._fronts), strict=True):
-                if front.own.size == 0:
-                    continue
-                zo = z[front.own]
-                if self.mode == "ldlt":
-                    zo = zo / front.d[:, None]
-                    if front.bnd.size:
-                        zo -= panel_rmatmat(front.l21, z[front.bnd])
-                    zo = solve_triangular(
-                        front.l11.T, zo, lower=False, unit_diagonal=True,
-                        check_finite=False,
-                    )
-                else:
-                    if front.bnd.size:
-                        zo = zo - panel_matmat(front.u12, z[front.bnd])
-                    zo = solve_triangular(
-                        front.l11, zo, lower=False, check_finite=False
-                    )
-                z[front.own] = zo
-
-        x = z[self.interior_ids]
-        return x[:, 0] if was_1d else x
+        return self._solve(b, False, exploit_sparsity, rhs_panel)
 
     def solve_transpose(
         self,
@@ -698,82 +568,117 @@ class MultifrontalFactorization:
         """Solve ``A₁₁ᵀ x = b`` over the interior variables.
 
         For symmetric factorizations this is :meth:`solve`; in LU mode the
-        sweeps run against the transposed factors (``Uᵀ`` forward in
+        same sweep runs against the transposed factors (``Uᵀ`` forward in
         postorder, ``Lᵀ`` backward), with the frontal pivots undone at the
         end of each pivot block.  Needed by the randomized compressed-Schur
         assembly (the paper's §VII future-work direction), which samples
-        the correction operator from both sides.  Wide right-hand sides
-        are blocked over column panels like :meth:`solve`.
+        the correction operator from both sides.
         """
-        if self.mode == "ldlt":
-            return self.solve(b, rhs_panel=rhs_panel)
+        return self._solve(b, self.mode == "lu", False, rhs_panel)
+
+    def _solve(self, b, transpose: bool, exploit_sparsity, rhs_panel):
+        """Column panels of ``b`` through :meth:`_sweep`, reassembled."""
         if self._freed:
             raise RuntimeError("factorization has been freed")
+        sym = self.symbolic
         panel = (DEFAULT_RHS_PANEL if rhs_panel is None
                  else max(1, int(rhs_panel)))
-        if b.ndim == 2 and b.shape[1] > panel:
-            return self._blocked_columns(
-                b, panel,
-                lambda bp: self.solve_transpose(bp, rhs_panel=panel),
-            )
-        sym = self.symbolic
-        if sp.issparse(b):
-            b = np.asarray(b.todense())
-        b = np.asarray(b)
+        sparse_input = sp.issparse(b)
+        if exploit_sparsity is None:
+            exploit_sparsity = sparse_input
+        if sparse_input:
+            b = b.tocsc()
+            if not b.has_canonical_format:
+                b = b.copy()
+                b.sum_duplicates()
+        else:
+            b = np.asarray(b)
         was_1d = b.ndim == 1
-        bb = b[:, None] if was_1d else b
-        if bb.shape[0] != self.n_interior:
+        if was_1d:
+            b = b[:, None]
+        if b.shape[0] != self.n_interior:
             raise ConfigurationError(
-                f"rhs has {bb.shape[0]} rows, expected {self.n_interior}"
+                f"rhs has {b.shape[0]} rows, expected {self.n_interior}"
             )
-        dtype = np.result_type(self.dtype, bb.dtype)
-        z = np.zeros((sym.n_full, bb.shape[1]), dtype=dtype)
-        z[self.interior_ids] = bb
-
-        with self.tracker.borrow(
-            z.nbytes, category="solve_workspace", label="transpose solve work"
-        ):
-            # forward sweep on Uᵀ (lower triangular in elimination order)
-            for front in self._fronts:
-                if front.own.size == 0:
-                    continue
-                zo = solve_triangular(
-                    front.l11.T, z[front.own], lower=True, check_finite=False
-                )
-                z[front.own] = zo
-                if front.bnd.size:
-                    z[front.bnd] -= panel_rmatmat(front.u12, zo)
-            if len(sym.schur_vars):
-                z[sym.schur_vars] = 0
-            # backward sweep on Lᵀ (unit upper in elimination order)
-            for front in reversed(self._fronts):
-                if front.own.size == 0:
-                    continue
-                zo = z[front.own]
-                if front.bnd.size:
-                    zo = zo - panel_rmatmat(front.l21, z[front.bnd])
-                zo = solve_triangular(
-                    front.l11.T, zo, lower=False, unit_diagonal=True,
-                    check_finite=False,
-                )
-                _apply_lu_piv_inverse(zo, front.piv)
-                z[front.own] = zo
-
-        x = z[self.interior_ids]
+        n_rhs = b.shape[1]
+        dtype = sweep_dtype(self.dtype, b.dtype)
+        x: Optional[np.ndarray] = None
+        for lo in range(0, max(n_rhs, 1), panel):
+            bp = b if n_rhs <= panel else b[:, lo:lo + panel]
+            width = bp.shape[1]
+            with self.tracker.borrow(
+                sym.n_full * width * dtype.itemsize,
+                category="solve_workspace", label="solve work vector",
+            ):
+                # the work vector lives in elimination order: interior
+                # variables by front, Schur variables (scratch) last
+                z = np.zeros((sym.n_full, width), dtype=dtype)
+                support = None
+                if sparse_input:
+                    support = sym.interior_pos[bp.indices]
+                    cols = np.repeat(np.arange(width), np.diff(bp.indptr))
+                    z[support, cols] = bp.data
+                else:
+                    z[sym.interior_pos] = bp
+                    if exploit_sparsity:
+                        support = sym.interior_pos[np.any(bp != 0, axis=1)]
+                active = (self._active_mask(support) if exploit_sparsity
+                          else None)
+                self._sweep(z.view(self.dtype), transpose, active)
+                xp = z[sym.interior_pos]
+            if width == n_rhs:
+                x = xp
+            else:
+                if x is None:
+                    x = np.empty((xp.shape[0], n_rhs), dtype=dtype)
+                x[:, lo:lo + width] = xp
+        assert x is not None
         return x[:, 0] if was_1d else x
 
+    def _sweep(self, z: np.ndarray, transpose: bool, active) -> None:
+        """Forward then backward substitution, in place on ``z``.
 
-def _apply_lu_piv_inverse(x: np.ndarray, piv: np.ndarray) -> None:
-    """Undo LAPACK sequential row swaps (apply them in reverse order)."""
-    for i in range(len(piv) - 1, -1, -1):
-        j = int(piv[i])
-        if j != i:
-            x[[i, j]] = x[[j, i]]
-
-
-def _apply_lu_piv(x: np.ndarray, piv: np.ndarray) -> None:
-    """Apply LAPACK sequential row swaps in place."""
-    for i, j in enumerate(piv):
-        j = int(j)
-        if j != i:
-            x[[i, j]] = x[[j, i]]
+        ``z`` is the C-ordered work vector in elimination order, viewed in
+        the factor dtype (real factors sweep the real ``(n, 2m)`` view of
+        a complex right-hand side).  A front's pivot rows are the slice
+        ``z[lo:hi]``, updated in place by the kernel; only its boundary
+        rows are gathered.  ``transpose`` (LU only) sweeps ``Uᵀ`` forward
+        and ``Lᵀ`` backward instead of ``L`` and ``U``.
+        """
+        sym = self.symbolic
+        kern = RowBlockKernel(self.dtype)
+        lu = self.mode == "lu"
+        todo = [(f, fr) for f, fr in zip(sym.fronts, self._fronts, strict=True)
+                if f.n_own]
+        for f, fr in todo:
+            if active is not None and not active[f.node_index]:
+                continue
+            zo = z[f.lo:f.hi]
+            if transpose:
+                kern.solve(fr.l11, zo, lower=False, trans=True)
+            else:
+                if lu:
+                    zo[:] = zo[fr.perm]
+                kern.solve(fr.l11, zo, lower=True, unit=True)
+            if len(f.bnd_pos):
+                zb = z[f.bnd_pos]
+                panel_update(kern, zb, fr.u12 if transpose else fr.l21, zo,
+                             trans=transpose)
+                z[f.bnd_pos] = zb
+        # the forward sweep scribbles on the Schur positions (they are
+        # reduced-RHS scratch); a pure interior solve treats x_schur = 0
+        z[sym.n_interior:] = 0
+        upper = lu and not transpose
+        for f, fr in reversed(todo):
+            zo = z[f.lo:f.hi]
+            if not lu:
+                zo /= fr.d[:, None]
+            if len(f.bnd_pos):
+                panel_update(kern, zo, fr.u12 if upper else fr.l21,
+                             z[f.bnd_pos], trans=not upper)
+            if upper:
+                kern.solve(fr.l11, zo, lower=False)
+            else:
+                kern.solve(fr.l11, zo, lower=True, trans=True, unit=True)
+                if lu:
+                    zo[fr.perm] = zo.copy()

@@ -41,6 +41,9 @@ class FrontSymbolic:
     node_index: int
     own: np.ndarray       # pivot variables, in elimination order
     bnd: np.ndarray       # boundary variables, in elimination order
+    lo: int               # own occupies elimination positions lo .. hi-1
+    hi: int
+    bnd_pos: np.ndarray   # elimination positions of bnd (ascending)
     child_indices: List[int] = field(default_factory=list)
 
     @property
@@ -69,6 +72,14 @@ class SymbolicFactorization:
         (interior variables first, Schur variables last).
     schur_vars:
         The Schur variable ids (empty when no Schur was requested).
+    interior_pos, parent, front_hi:
+        The index maps of the solve sweeps, which run on a work vector in
+        *elimination order* (a front's pivot rows are the slice
+        ``lo:hi``, only ``bnd_pos`` is gathered): the elimination position
+        of each interior variable in ascending id order, the postorder
+        index of each front's parent (−1 at the root), and each front's
+        ``hi``.  They depend on the interior analysis only, so a cached
+        analysis shares them with every border grafted onto it.
     """
 
     tree: PartitionTree
@@ -76,6 +87,9 @@ class SymbolicFactorization:
     elim_pos: np.ndarray
     schur_vars: np.ndarray
     n_full: int
+    interior_pos: np.ndarray
+    parent: np.ndarray
+    front_hi: np.ndarray
 
     @property
     def n_interior(self) -> int:
@@ -166,6 +180,9 @@ def symbolic_analysis(
                 node_index=node.index,
                 own=own_sorted,
                 bnd=bnd,
+                lo=hi - len(own_full),
+                hi=hi,
+                bnd_pos=elim_pos[bnd],
                 child_indices=[c.index for c in node.children],
             )
         )
@@ -187,6 +204,11 @@ def symbolic_analysis(
         elim_pos=elim_pos,
         schur_vars=schur_vars,
         n_full=n_full,
+        interior_pos=elim_pos[interior_ids],
+        parent=np.array(
+            [node.parent.index if node.parent is not None else -1
+             for node in tree.postorder], dtype=np.intp),
+        front_hi=np.array([f.hi for f in fronts], dtype=np.intp),
     )
 
 
@@ -280,13 +302,18 @@ def extend_symbolic_with_border(
         border_of.append(border)
         own_full = f.own if identity else interior_ids[f.own]
         bnd_full = f.bnd if identity else interior_ids[f.bnd]
+        bnd_pos = f.bnd_pos
         if len(border):
             bnd_full = np.concatenate([bnd_full, schur_vars[border]])
+            bnd_pos = np.concatenate([bnd_pos, n_int + border])
         fronts.append(
             FrontSymbolic(
                 node_index=f.node_index,
                 own=own_full,
                 bnd=bnd_full,
+                lo=f.lo,
+                hi=f.hi,
+                bnd_pos=bnd_pos,
                 child_indices=list(f.child_indices),
             )
         )
@@ -298,4 +325,7 @@ def extend_symbolic_with_border(
         elim_pos=elim_pos,
         schur_vars=schur_vars,
         n_full=n_full,
+        interior_pos=interior.interior_pos,
+        parent=interior.parent,
+        front_hi=interior.front_hi,
     )

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.dense import RowBlockKernel
 from repro.hmatrix.rk import RkMatrix
 from repro.sparse.blr import (
     BLRConfig,
     compress_panel,
-    panel_matmat,
     panel_nbytes,
-    panel_rmatmat,
+    panel_update,
 )
 from repro.utils.errors import ConfigurationError
 
@@ -78,11 +78,14 @@ class TestPanelOps:
         panel = _low_rank_panel(rng, 60, 40, 4)
         rk = RkMatrix.from_dense(panel, 1e-12)
         x = rng.standard_normal((40, 3))
-        y = rng.standard_normal((60, 2))
-        np.testing.assert_allclose(panel_matmat(panel, x),
-                                   panel_matmat(rk, x), atol=1e-8)
-        np.testing.assert_allclose(panel_rmatmat(panel, y),
-                                   panel_rmatmat(rk, y), atol=1e-8)
+        y = rng.standard_normal((60, 3))
+        kern = RowBlockKernel(np.float64)
+        for p in (panel, rk):
+            cy, cx = y.copy(), x.copy()
+            panel_update(kern, cy, p, x)
+            panel_update(kern, cx, p, y, trans=True)
+            np.testing.assert_allclose(cy, y - panel @ x, atol=1e-8)
+            np.testing.assert_allclose(cx, x - panel.T @ y, atol=1e-8)
 
     def test_nbytes(self, rng):
         panel = rng.standard_normal((8, 4))

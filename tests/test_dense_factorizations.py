@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor as scipy_lu_factor
 
-from repro.dense.blocked_lu import blocked_lu, lu_solve
+from repro.dense.blocked_lu import blocked_lu, lu_solve, piv_to_perm
 from repro.dense.cholesky import blocked_cholesky, cholesky_solve
 from repro.dense.ldlt import blocked_ldlt, ldlt_solve
 from repro.utils.errors import SingularMatrixError
@@ -89,6 +89,31 @@ class TestBlockedLU:
         lu, piv = blocked_lu(a, block_size=bs)
         x = lu_solve(lu, piv, np.eye(n), block_size=bs)
         np.testing.assert_allclose(a @ x, np.eye(n), atol=1e-6)
+
+
+class TestPivotsAsPermutation:
+    @pytest.mark.parametrize("n", [1, 9, 64])
+    def test_one_gather_replays_the_lapack_swaps(self, rng, n):
+        _, piv = scipy_lu_factor(rng.standard_normal((n, n)))
+        perm = piv_to_perm(piv)
+        assert perm.dtype == piv.dtype and perm.nbytes == piv.nbytes
+        x = rng.standard_normal((n, 2))
+        swapped = x.copy()
+        for i, j in enumerate(piv):
+            swapped[[i, j]] = swapped[[j, i]]
+        np.testing.assert_array_equal(x[perm], swapped)
+        undone = np.empty_like(x)
+        undone[perm] = swapped          # the inverse is one scatter
+        np.testing.assert_array_equal(undone, x)
+
+    def test_transposed_and_complex_solves(self, rng):
+        a = _well_conditioned(rng, 70, np.complex128)
+        b = rng.standard_normal(70) + 1j * rng.standard_normal(70)
+        lu, piv = blocked_lu(a, block_size=16)
+        np.testing.assert_allclose(a @ lu_solve(lu, piv, b, block_size=16),
+                                   b, atol=1e-9)
+        np.testing.assert_allclose(
+            a.T @ lu_solve(lu, piv, b, trans=1, block_size=16), b, atol=1e-9)
 
 
 class TestBlockedLDLT:

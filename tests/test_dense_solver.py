@@ -71,6 +71,16 @@ class TestSolveAndMemory:
             fact.solve(b, trans=1)
         fact.free()
 
+    @pytest.mark.parametrize("method,trans", [("lu", 0), ("lu", 1),
+                                              ("ldlt", 0), ("cholesky", 0)])
+    @pytest.mark.parametrize("shape", [(70, 2), (50, 2), (70,), (50,)])
+    def test_wrong_sized_rhs_rejected(self, spd, method, trans, shape):
+        # too many rows must not be silently dropped by the pivot gather
+        fact = DenseSolver(method=method).factorize(spd)
+        with pytest.raises(ValueError, match="expected 60"):
+            fact.solve(np.zeros(shape), trans=trans)
+        fact.free()
+
     def test_memory_tracked_and_freed(self, spd):
         t = MemoryTracker()
         fact = DenseSolver(tracker=t).factorize(spd, symmetric=True)

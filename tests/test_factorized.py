@@ -231,3 +231,44 @@ class TestConcurrency:
                 t.join()
             assert not errors
             tracker.assert_all_freed()
+
+
+class TestSolveIsReadOnlyOnTheFactors:
+    """The in-place sweeps write to per-call buffers only: load cases
+    solved from several threads, or twice, come back bit for bit."""
+
+    @pytest.mark.parametrize("backend", ["hmat", "spido"])
+    def test_four_threads_match_serial_bitwise(self, pipe_small, backend):
+        f = CoupledFactorization(pipe_small, "multi_solve",
+                                 SolverConfig(dense_backend=backend, n_c=64))
+        rng = np.random.default_rng(5)
+        cases = [(rng.standard_normal((pipe_small.n_fem, k)),
+                  rng.standard_normal((pipe_small.n_bem, k)))
+                 for k in (1, 1, 3, 7)]
+        cases[0] = (cases[0][0][:, 0], cases[0][1][:, 0])   # a 1-D case
+        serial = [f.solve(b_v, b_s) for b_v, b_s in cases]
+        again = f.solve(*cases[2])                # a repeated load case
+        np.testing.assert_array_equal(again[0], serial[2][0])
+        np.testing.assert_array_equal(again[1], serial[2][1])
+        results = [None] * len(cases)
+        errors = []
+
+        def worker(i):
+            try:
+                for _ in range(3):
+                    results[i] = f.solve(*cases[i])
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        for (x_v, x_s), (r_v, r_s) in zip(results, serial):
+            np.testing.assert_array_equal(x_v, r_v)
+            np.testing.assert_array_equal(x_s, r_s)
+        f.free()
+        f._ctx.tracker.assert_all_freed()

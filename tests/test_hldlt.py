@@ -60,6 +60,33 @@ class TestSolve:
         x_ld = HLDLTFactorization(hm).solve(b)
         np.testing.assert_allclose(x_lu, x_ld, rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize("factorization",
+                             [HLDLTFactorization, HLUFactorization])
+    def test_in_place_sweep_leaves_rhs_alone(self, setup, rng,
+                                             factorization):
+        """One permuted buffer swept in place: the caller's array — any
+        layout, any dtype — is only read; real factors take a complex
+        right-hand side as the real view of that buffer."""
+        pts, tree = setup
+        dense = make_surface_operator(pts).to_dense()
+        f = factorization(hodlr_from_dense(dense, tree, tol=1e-12))
+        n = len(pts)
+        base = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        frozen = base.real.copy()
+        frozen.setflags(write=False)
+        for b in (base, np.asfortranarray(base), base[:, ::2], base[:, 0],
+                  frozen, base.real.astype(np.float32), base[:, :0]):
+            before = b.copy()
+            x = f.solve(b)
+            assert np.array_equal(b, before)
+            assert x.shape == b.shape
+            assert x.dtype == (np.complex128 if np.iscomplexobj(b)
+                               else np.float64)
+            if not b.size:  # zero columns: nothing to compare
+                continue
+            ref = np.linalg.solve(dense, b)
+            assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-8
+
     def test_input_unchanged(self, setup):
         pts, tree = setup
         op = make_surface_operator(pts)

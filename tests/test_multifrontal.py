@@ -314,3 +314,225 @@ class TestSymmetryProbe:
         f = SparseSolver().factorize(a, coords=grid.points())
         assert f.mode == "lu"
         f.free()
+
+
+# -- the solve sweeps: one routine, every combination ------------------------
+
+def _sweep_matrix(kind):
+    """A small interior matrix of each (factorization, arithmetic) kind."""
+    grid = StructuredGrid(8, 6, 5)
+    a = assemble_fem_matrix(grid, mode="real_spd").tocsr()
+    n = a.shape[0]
+    shift = sp.diags(np.linspace(0.2, 0.7, n))
+    if kind == "ldlt-real":
+        return grid, a, True
+    if kind == "ldlt-complex":      # complex *symmetric*, not Hermitian
+        return grid, (a + 1j * shift).tocsr(), True
+    if kind == "lu-real":
+        return grid, (a + 0.3 * sp.triu(a, 1)).tocsr(), False
+    return grid, assemble_fem_matrix(grid, mode="complex_nonsym").tocsr(), False
+
+
+def _exact_rk_panels(f):
+    """Swap every dense coupling panel for an exact (full-rank) RkMatrix,
+    laid out the way ``compress_panel`` stores one."""
+    from repro.hmatrix.rk import RkMatrix
+
+    n_rk = 0
+    for fr in f._fronts:
+        for name in ("l21", "u12"):
+            panel = getattr(fr, name)
+            if isinstance(panel, np.ndarray) and min(panel.shape) > 0:
+                rk = RkMatrix.from_dense(panel, 1e-15)
+                rk.u, rk.v = map(np.ascontiguousarray, (rk.u, rk.v))
+                setattr(fr, name, rk)
+                n_rk += 1
+    assert n_rk > 0
+    return f
+
+
+_KINDS = ["ldlt-real", "ldlt-complex", "lu-real", "lu-complex"]
+
+
+@pytest.fixture(scope="module", params=[
+    (kind, panels) for kind in _KINDS for panels in ("dense", "rk")
+], ids=lambda p: f"{p[0]}-{p[1]}")
+def swept(request):
+    kind, panels = request.param
+    grid, a, symmetric = _sweep_matrix(kind)
+    f = SparseSolver(leaf_size=24, amalgamate=8).factorize(
+        a, coords=grid.points(), symmetric_values=symmetric)
+    assert len(f.symbolic.fronts) > 8
+    if panels == "rk":
+        _exact_rk_panels(f)
+    yield a, f, spla.splu(a.tocsc()), spla.splu(a.T.tocsc())
+    f.free()
+
+
+def _rel_err(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestSweepEquivalence:
+    """Every way into the one sweep routine agrees with ``spsolve``."""
+
+    @pytest.mark.parametrize("transpose", [False, True],
+                             ids=["solve", "solve_transpose"])
+    @pytest.mark.parametrize("shape,rhs", [
+        (shape, rhs) for rhs in ("dense", "sparse-exploit", "sparse-full")
+        for shape in ("1d", "col", 3, 300)
+        if not (shape == "1d" and rhs != "dense")  # sparse matrices are 2-D
+    ])
+    def test_matches_spsolve(self, swept, shape, rhs, transpose):
+        a, f, lu, lu_t = swept
+        n = a.shape[0]
+        rng = np.random.default_rng(3)
+        cols = 1 if shape in ("1d", "col") else shape  # 300 > rhs_panel
+        dense = rng.standard_normal((n, cols))
+        if np.iscomplexobj(a.data):
+            dense = dense + 1j * rng.standard_normal((n, cols))
+        if rhs != "dense":
+            dense[rng.random((n, cols)) < 0.97] = 0.0
+            dense[0, :] = 1.0     # no all-zero column
+        ref = (lu_t if transpose else lu).solve(dense)
+        b = dense[:, 0] if shape == "1d" else dense
+        if rhs != "dense":
+            b = sp.csc_matrix(dense)
+        if transpose:
+            x = f.solve_transpose(b)
+        else:
+            kw = {} if rhs == "dense" else {
+                "exploit_sparsity": rhs == "sparse-exploit"}
+            x = f.solve(b, **kw)
+        assert x.shape == (ref[:, 0] if shape == "1d" else ref).shape
+        assert _rel_err(x.reshape(ref.shape), ref) <= 1e-10
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zero_column_rhs(self, swept, dtype):
+        a, f, _, _ = swept
+        n = a.shape[0]
+        out = np.result_type(f.dtype, dtype)
+        for b in (np.zeros((n, 0), dtype), sp.csc_matrix((n, 0), dtype=dtype)):
+            for x in (f.solve(b), f.solve_transpose(b)):
+                assert x.shape == (n, 0) and x.dtype == out
+
+    def test_real_factors_complex_rhs(self, swept, rng):
+        a, f, lu, _ = swept
+        if np.iscomplexobj(a.data):
+            pytest.skip("real factors only")
+        n = a.shape[0]
+        for cols in (1, 5):
+            b = (rng.standard_normal((n, cols))
+                 + 1j * rng.standard_normal((n, cols)))
+            x = f.solve(b)
+            assert x.dtype == np.complex128
+            ref = lu.solve(b.real) + 1j * lu.solve(b.imag)
+            assert _rel_err(x, ref) <= 1e-10
+
+    def test_float32_rhs(self, swept, rng):
+        a, f, lu, _ = swept
+        b = rng.standard_normal((a.shape[0], 2)).astype(np.float32)
+        x = f.solve(b)
+        assert x.dtype == f.dtype     # the factors' precision, not float32
+        assert _rel_err(x, lu.solve(b.astype(a.dtype))) <= 1e-10
+
+    def test_rhs_panel_width_is_invisible(self, swept, rng):
+        a, f, _, _ = swept
+        b = rng.standard_normal((a.shape[0], 20))
+        np.testing.assert_allclose(f.solve(b, rhs_panel=7), f.solve(b),
+                                   rtol=0, atol=1e-12)
+        bs = sp.random(a.shape[0], 20, density=0.02, format="csc",
+                       random_state=4)
+        np.testing.assert_allclose(f.solve(bs, rhs_panel=7), f.solve(bs),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ldlt-real", "lu-complex"])
+    def test_schur_rows_do_not_leak_into_x(self, kind, rng):
+        """The forward sweep scribbles on the Schur rows of the work
+        vector; the interior solution must not see any of it."""
+        grid, a, symmetric = _sweep_matrix(kind)
+        n, k = a.shape[0], 14
+        c = sp.random(k, n, density=0.05, format="csr", random_state=2,
+                      dtype=np.float64)
+        w = sp.bmat([[a, c.T], [c, None]], format="csr")
+        f = SparseSolver(leaf_size=24, amalgamate=8).factorize_schur(
+            w, np.arange(n, n + k), coords_interior=grid.points(),
+            symmetric_values=symmetric)
+        b = rng.standard_normal((n, 3)).astype(a.dtype)
+        for solve, mat in ((f.solve, a), (f.solve_transpose, a.T)):
+            ref = spla.splu(mat.tocsc()).solve(b)
+            assert _rel_err(solve(b), ref) <= 1e-10
+        f.free()
+
+
+class TestNoHiddenCopies:
+    """The sweep works in place on its own buffer, and only there."""
+
+    def test_rhs_is_never_modified(self, swept, rng):
+        a, f, _, _ = swept
+        n = a.shape[0]
+        base = rng.standard_normal((2 * n, 6)).astype(a.dtype)
+        frozen = base[:n, :3].copy()
+        frozen.setflags(write=False)
+        inputs = {
+            "c-ordered": np.ascontiguousarray(base[:n, :3]),
+            "f-ordered": np.asfortranarray(base[:n, :3]),
+            "strided": base[::2, ::2],
+            "read-only": frozen,
+            "vector": base[:n, 0].copy(),
+        }
+        for name, b in inputs.items():
+            before = b.copy()
+            f.solve(b)
+            f.solve_transpose(b)
+            assert np.array_equal(b, before), name
+        bs = sp.random(n, 4, density=0.05, format="csc", random_state=1)
+        before = bs.copy()
+        f.solve(bs)
+        assert (bs != before).nnz == 0
+
+    def test_kernel_refuses_a_block_blas_would_copy(self):
+        from repro.dense import RowBlockKernel
+
+        kern = RowBlockKernel(np.float64)
+        l = np.tril(np.ones((6, 6))) + 5 * np.eye(6)
+        x = np.ones((6, 2))
+        kern.solve(l, x, lower=True)                 # contiguous: fine
+        np.testing.assert_allclose(l @ x, 1.0)
+        big = np.tril(np.ones((12, 12))) + 5 * np.eye(12)
+        with pytest.raises(AssertionError, match="BLAS would copy"):
+            kern.solve(big[:6, :6], x, lower=True)   # strided tile
+        with pytest.raises(AssertionError, match="BLAS would copy"):
+            kern.solve(l.astype(np.float32), x, lower=True)  # wrong dtype
+        with pytest.raises(AssertionError, match="BLAS would copy"):
+            kern.update(np.ones((6, 4))[:, :2], l[:, :3].copy(),
+                        np.ones((3, 2)))             # strided row block
+
+    def test_tracker_balanced_after_wrong_sized_rhs(self, spd_problem):
+        grid, a = spd_problem
+        t = MemoryTracker()
+        f = SparseSolver(tracker=t).factorize(
+            a, coords=grid.points(), symmetric_values=True)
+        held = t.in_use
+        for bad in (np.zeros(a.shape[0] + 1), np.zeros((3, 2)),
+                    sp.csc_matrix((a.shape[0] - 1, 2))):
+            with pytest.raises(ConfigurationError):
+                f.solve(bad)
+            with pytest.raises(ConfigurationError):
+                f.solve_transpose(bad)
+        assert t.in_use == held
+        assert t.categories.get("solve_workspace", 0) == 0
+        f.free()
+        t.assert_all_freed()
+
+    def test_sparse_rhs_is_charged_like_a_dense_one(self, spd_problem):
+        """A sparse panel is scattered straight into the borrowed work
+        vector: the workspace peak is that vector, nothing beside it."""
+        grid, a = spd_problem
+        n = a.shape[0]
+        t = MemoryTracker()
+        f = SparseSolver(tracker=t).factorize(
+            a, coords=grid.points(), symmetric_values=True)
+        f.solve(sp.random(n, 12, density=0.01, format="csr", random_state=0))
+        assert t.category_peak("solve_workspace") == f.solve_workspace_bytes(12)
+        f.free()

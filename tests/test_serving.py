@@ -130,6 +130,32 @@ class TestFactorizeAndSolve:
 
         run_with_server(config, body)
 
+    def test_batch_of_one_through_the_batcher_is_byte_identical(
+            self, pipe_small):
+        """The byte-exactness boundary sits at the batcher, not the sweep:
+        a panel of one hands the caller's arrays to ``fact.solve`` as they
+        are, so the in-place kernel sees the very same one-column block."""
+        from repro.core import CoupledFactorization
+        from repro.serving.batcher import RhsBatcher
+
+        fact = CoupledFactorization(pipe_small, "multi_solve",
+                                    SolverConfig(**CONFIG_KW))
+        direct = fact.solve(pipe_small.b_v, pipe_small.b_s)
+
+        async def main():
+            async def run_solve(f, b_v, b_s):
+                return f.solve(b_v, b_s)
+
+            batcher = RhsBatcher(asyncio.get_running_loop(), run_solve,
+                                 linger_seconds=0.001)
+            return await batcher.submit("k", fact, pipe_small.b_v,
+                                        pipe_small.b_s)
+
+        x_v, x_s = asyncio.run(main())
+        np.testing.assert_array_equal(x_v, direct[0])
+        np.testing.assert_array_equal(x_s, direct[1])
+        fact.free()
+
     def test_repeat_factorize_hits_the_cache(self, pipe_small):
         async def body(server, client):
             first = await client.factorize(pipe_small)

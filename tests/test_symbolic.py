@@ -112,3 +112,59 @@ class TestWithSchur:
         bigger = sp.block_diag([a, sp.eye(5)]).tocsr()
         with pytest.raises(ConfigurationError):
             symbolic_analysis(bigger, tree)
+
+
+class TestSweepIndexMaps:
+    """The elimination-order maps the solve sweeps read."""
+
+    def _bordered(self, problem, front=False):
+        _, a, tree = problem
+        n, k = a.shape[0], 9
+        c = sp.random(k, n, density=0.05, format="csr", random_state=6)
+        if front:   # Schur ids first: interior ids are not 0..n-1
+            w = sp.bmat([[sp.eye(k), c], [c.T, a]], format="csr")
+            return a, tree, w, np.arange(k), np.arange(k, n + k)
+        w = sp.bmat([[a, c.T], [c, None]], format="csr")
+        return a, tree, w, np.arange(n, n + k), np.arange(n)
+
+    def _check(self, sym):
+        hi = 0
+        for f in sym.fronts:
+            # pivot rows are one contiguous slice of the work vector
+            np.testing.assert_array_equal(sym.elim_pos[f.own],
+                                          np.arange(f.lo, f.hi))
+            assert f.lo == hi and f.hi == hi + f.n_own
+            hi = f.hi
+            np.testing.assert_array_equal(f.bnd_pos, sym.elim_pos[f.bnd])
+            assert (f.bnd_pos >= f.hi).all()
+        assert hi == sym.n_interior
+        np.testing.assert_array_equal(sym.front_hi,
+                                      [f.hi for f in sym.fronts])
+        interior = np.setdiff1d(np.arange(sym.n_full), sym.schur_vars)
+        np.testing.assert_array_equal(sym.interior_pos,
+                                      sym.elim_pos[interior])
+        for node in sym.tree.postorder:
+            want = node.parent.index if node.parent is not None else -1
+            assert sym.parent[node.index] == want
+
+    def test_interior_analysis(self, problem):
+        _, a, tree = problem
+        self._check(symbolic_analysis(a, tree))
+
+    @pytest.mark.parametrize("front", [False, True])
+    def test_border_graft_shares_and_matches(self, problem, front):
+        from repro.sparse.symbolic import extend_symbolic_with_border
+
+        a, tree, w, schur, interior_ids = self._bordered(problem, front)
+        cached = symbolic_analysis(a, tree)
+        grafted = extend_symbolic_with_border(cached, w, schur, interior_ids)
+        scratch = symbolic_analysis(w, tree, schur_vars=schur)
+        self._check(scratch)
+        self._check(grafted)
+        for g, s in zip(grafted.fronts, scratch.fronts, strict=True):
+            assert (g.lo, g.hi) == (s.lo, s.hi)
+            np.testing.assert_array_equal(g.bnd_pos, s.bnd_pos)
+        # built once per pattern, shared by every refactorization
+        assert grafted.interior_pos is cached.interior_pos
+        assert grafted.parent is cached.parent
+        assert grafted.front_hi is cached.front_hi
