@@ -5,8 +5,9 @@ kernels every coupling algorithm is built from (blocked dense
 factorizations, hierarchical matvec/factorization, ACA compression,
 multifrontal factorize/solve).
 
-Run as a script it measures the **solve sweeps**, the layer under
-``sparse.solve_s`` / ``hmatrix.solve_s`` of the harness::
+Run as a script it measures the **solve sweeps** and the **numeric
+phase**, the layers under ``sparse.solve_s`` / ``hmatrix.solve_s`` and
+``sparse.numeric_s`` of the harness::
 
     python benchmarks/bench_kernels.py [--json BENCH_kernels.json]
 
@@ -18,6 +19,18 @@ and the floor ``2 × factor_bytes / bandwidth`` against a bandwidth measured
 on the spot.  A sweep is bandwidth-bound only when the panel is narrow;
 wide panels are bounded by BLAS-3 flops, and their GB/s says how much
 reuse each streamed byte got.
+
+Numeric-phase rows: ``MultifrontalFactorization`` on a ready analysis for
+LDLᵀ-real (pipe), LU on one multi-factorization ``W`` block (pipe, half the
+surface as Schur variables) and LU-complex (aircraft), min-of-k with
+spread and the fastest run split into *plan* (``_entry_plan``), *eliminate*
+(pivot block, panel solves, contribution update), *compress*
+(``compress_panel``) — timed by wrapping those calls — and *assemble*
+(zero the frame, scatter the entries) / *extend-add*, which are inline in
+the front loop and therefore replayed on the same index maps and sizes;
+*other* is what is left of the loop (contribution-block copies, tracker).
+``compress_panel`` alone is timed on a wide and a tall panel, one that the
+rank test keeps and one that it rejects.
 """
 
 import argparse
@@ -25,6 +38,8 @@ import json
 import pathlib
 import sys
 import time
+from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +203,169 @@ def render_sweep_rows(result):
     return "\n".join(lines)
 
 
+# -- numeric-phase rows -------------------------------------------------------
+
+class _Clock:
+    """Wall time of wrapped callables by name, and their last result."""
+
+    def __init__(self):
+        self.seconds = defaultdict(float)
+        self.result = {}
+
+    def wrap(self, name, fn):
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                self.result[name] = fn(*args, **kwargs)
+                return self.result[name]
+            finally:
+                self.seconds[name] += time.perf_counter() - start
+        return timed
+
+
+def _replay_front_loop(sym, plan, dtype):
+    """Seconds of (assemble, extend-add) of one factorization, replayed:
+    the same frames, scatter segments and child → parent adds, on ones."""
+    pos, vals, start = plan
+    buf = np.empty(sym.peak_front_size() ** 2, dtype=dtype)
+    assemble = extend_add = 0.0
+    for i, f in enumerate(sym.fronts):
+        nf = f.front_size
+        t0 = time.perf_counter()
+        flat = buf[:nf * nf]
+        flat.fill(0)
+        flat[pos[start[i]:start[i + 1]]] = vals[start[i]:start[i + 1]]
+        assemble += time.perf_counter() - t0
+        for ci in f.child_indices:
+            at = sym.fronts[ci].in_parent
+            if at is None:
+                continue
+            upd = np.ones((len(at), len(at)), dtype=dtype)
+            t0 = time.perf_counter()
+            flat[(at * nf)[:, None] + at] += upd
+            extend_add += time.perf_counter() - t0
+    return assemble, extend_add
+
+
+def _numeric_row(name, a, sym, symmetric, blr, k):
+    import repro.sparse.multifrontal as mfmod
+
+    cls = mfmod.MultifrontalFactorization
+    runs = []
+    for _ in range(k + 1):          # the first run is the warm-up
+        clock = _Clock()
+        with mock.patch.multiple(
+                cls, _entry_plan=clock.wrap("plan", cls._entry_plan),
+                _front=clock.wrap("front", cls._front),
+                _eliminate_lu=clock.wrap("eliminate", cls._eliminate_lu),
+                _eliminate_ldlt=clock.wrap("eliminate", cls._eliminate_ldlt),
+        ), mock.patch.object(
+                mfmod, "compress_panel",
+                clock.wrap("compress", mfmod.compress_panel)):
+            start = time.perf_counter()
+            mf = cls(a, sym, symmetric, blr=blr)
+            total = time.perf_counter() - start
+        stats = mf.statistics()
+        mf.free()
+        runs.append((total, clock))
+    runs = runs[1:]
+    total, clock = min(runs, key=lambda r: r[0])
+    q1, q3 = np.percentile([r[0] for r in runs], [25, 75])
+    replays = [_replay_front_loop(sym, clock.result["plan"], mf.dtype)
+               for _ in range(3)]
+    assemble = min(r[0] for r in replays)
+    extend_add = min(r[1] for r in replays)
+    sec = clock.seconds
+    parts = {
+        "plan_ms": sec["plan"], "assemble_ms": assemble,
+        "extend_add_ms": extend_add,
+        "eliminate_ms": sec["eliminate"] - sec["compress"],
+        "compress_ms": sec["compress"],
+        "other_ms": sec["front"] - sec["eliminate"] - assemble - extend_add,
+    }
+    return {"row": name, "n": sym.n_full, "fronts": len(sym.fronts),
+            "peak_front": sym.peak_front_size(), "k": k,
+            "min_ms": total * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3,
+            **{key: val * 1e3 for key, val in parts.items()},
+            "tested_panels": stats["blr_tested_panels"],
+            "compressed_panels": stats["blr_compressed_panels"]}
+
+
+def _spectrum_panel(rng, m, n, decay):
+    """An ``m × n`` panel with singular values ``decay ** arange``."""
+    k = min(m, n)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (u * decay ** np.arange(k)) @ v.T
+
+
+def numeric_rows(n_pipe, n_aircraft, k=5, seed=0):
+    """The numeric-phase layer rows; see the module docstring."""
+    from repro import SolverConfig
+    from repro.core.multi_factorization import _build_w_block
+    from repro.fembem import generate_aircraft_case, generate_pipe_case
+    from repro.hmatrix.rk import RkMatrix
+    from repro.sparse import SymbolicCache
+    from repro.sparse.blr import compress_panel
+
+    blr = SolverConfig(epsilon=1e-3).blr_config()
+    solver = SparseSolver(blr=blr, symbolic_cache=SymbolicCache())
+    rows = []
+
+    def add(name, mf, a, symmetric):
+        sym = mf.symbolic
+        mf.free()
+        rows.append(_numeric_row(name, a.tocsr(), sym, symmetric, blr, k))
+
+    pipe = generate_pipe_case(n_pipe, seed=seed)
+    add("factorize ldlt-real",
+        solver.factorize(pipe.a_vv, coords=pipe.coords_v,
+                         symmetric_values=True), pipe.a_vv, True)
+    half = np.arange(pipe.n_bem // 2)
+    w, schur_vars = _build_w_block(pipe.a_vv.tocsr(), pipe.a_sv.tocsr(),
+                                   half, half, pipe.a_vv.dtype)
+    add(f"factorize_schur lu W k={len(half)}",
+        solver.factorize_schur(w, schur_vars, coords_interior=pipe.coords_v,
+                               symmetric_values=False), w, False)
+    air = generate_aircraft_case(n_aircraft, bem_fraction=0.25, seed=seed)
+    add("factorize lu-complex",
+        solver.factorize(air.a_vv, coords=air.coords_v,
+                         symmetric_values=False), air.a_vv, False)
+
+    rng = np.random.default_rng(seed)
+    panels = []
+    for m, n in ((144, 960), (960, 144)):
+        for verdict, decay in (("kept", 0.8), ("rejected", 0.94)):
+            panel = _spectrum_panel(rng, m, n, decay)
+            out = compress_panel(panel, blr)
+            assert isinstance(out, RkMatrix) == (verdict == "kept")
+            best, q1, q3 = _min_of_k(lambda: compress_panel(panel, blr), 3 * k)
+            panels.append({
+                "row": f"compress_panel {m}x{n} {verdict}", "k": 3 * k,
+                "min_ms": best, "q1_ms": q1, "q3_ms": q3,
+                "rank": out.rank if verdict == "kept" else None})
+    return {"numeric_rows": rows, "compress_rows": panels}
+
+
+def render_numeric_rows(result):
+    parts = ("plan", "assemble", "extend_add", "eliminate", "compress",
+             "other")
+    lines = [f"{'row':<32}{'n':>7}{'fronts':>7}{'min ms':>9}{'q1-q3 ms':>16}"
+             + "".join(f"{p:>11}" for p in parts) + f"{'kept/tested':>13}"]
+    for r in result["numeric_rows"]:
+        lines.append(
+            f"{r['row']:<32}{r['n']:>7}{r['fronts']:>7}{r['min_ms']:>9.1f}"
+            f"{r['q1_ms']:>8.1f}-{r['q3_ms']:<7.1f}"
+            + "".join(f"{r[p + '_ms']:>11.1f}" for p in parts)
+            + f"{r['compressed_panels']:>7}/{r['tested_panels']:<5}")
+    lines.append(f"{'row':<32}{'min ms':>9}{'q1-q3 ms':>16}{'rank':>6}")
+    for r in result["compress_rows"]:
+        lines.append(
+            f"{r['row']:<32}{r['min_ms']:>9.2f}{r['q1_ms']:>8.2f}-"
+            f"{r['q3_ms']:<7.2f}{r['rank'] if r['rank'] else '-':>6}")
+    return "\n".join(lines)
+
+
 def test_solve_sweep_rows():
     from bench_utils import scaled, write_result
 
@@ -195,6 +373,18 @@ def test_solve_sweep_rows():
     write_result("kernels_solve_sweeps", render_sweep_rows(result))
     assert len(result["rows"]) == 8
     assert all(r["min_ms"] > 0 for r in result["rows"])
+
+
+def test_numeric_phase_rows():
+    from bench_utils import scaled, write_result
+
+    result = numeric_rows(scaled(12_000), scaled(9_000), k=2)
+    write_result("kernels_numeric_phase", render_numeric_rows(result))
+    assert len(result["numeric_rows"]) == 3
+    assert len(result["compress_rows"]) == 4
+    for r in result["numeric_rows"]:
+        assert r["min_ms"] > 0
+        assert r["compressed_panels"] <= r["tested_panels"]
 
 
 def main(argv=None):
@@ -212,6 +402,10 @@ def main(argv=None):
     result = sweep_rows(scaled(12_000), scaled(9_000), k=args.repeat,
                         seed=args.seed)
     print(render_sweep_rows(result))
+    numeric = numeric_rows(scaled(12_000), scaled(9_000),
+                           k=max(2, args.repeat - 2), seed=args.seed)
+    print(render_numeric_rows(numeric))
+    result.update(numeric)
     if args.json:
         payload = {"provenance": header(args.seed), **result}
         pathlib.Path(args.json).write_text(

@@ -177,7 +177,7 @@ def assemble_multi_solve(ctx: RunContext):
             index=index,
             fn=fn,
             cost_bytes=(problem.n_fem + n_s) * width * itemsize,
-            headroom_bytes=mf.solve_workspace_bytes(width),
+            headroom_bytes=mf.solve_workspace_bytes(width, a_sv_t.dtype),
             category="solve_panel",
             label=f"Y/Z panel cols {col_lo}:{col_hi}",
             payload=(col_lo, col_hi),
@@ -288,7 +288,7 @@ def assemble_multi_solve(ctx: RunContext):
                     fn=fn,
                     cost_bytes=(problem.n_fem + n_s) * width * itemsize,
                     headroom_bytes=(
-                        mf.solve_workspace_bytes(width)
+                        mf.solve_workspace_bytes(width, a_sv_t.dtype)
                         + n_s * width * itemsize
                     ),
                     category="solve_panel",

@@ -121,32 +121,60 @@ class BLRConfig:
 Panel = Union[np.ndarray, RkMatrix]
 
 
+def rank_tested(shape, config: Optional[BLRConfig]) -> bool:
+    """Whether :func:`compress_panel` runs its rank test on such a panel."""
+    return (config is not None and config.enabled
+            and min(shape) >= config.min_panel)
+
+
 def compress_panel(panel: np.ndarray, config: Optional[BLRConfig]) -> Panel:
     """Compress a factor panel if the configuration allows and it pays off.
 
-    Returns either the original dense array or an :class:`RkMatrix`.
+    Returns the dense array itself (same object) or an :class:`RkMatrix`,
+    kept when the numerical rank ``r = #{σ > tol·σ₀}`` stores fewer bytes
+    (``(m + n)·r < m·n``, tighter than any fixed rank fraction for
+    nearly-square panels) and ``r ≤ max_rank_fraction·min(m, n)``.
+
+    Most panels fail that test, so it is decided from the singular
+    *values* and vectors are computed only for a kept panel.  The values
+    are the eigenvalues ``σ²`` of the short-side Gram matrix (``A Aᴴ`` for
+    ``m ≤ n``: one GEMM, one ``eigvalsh`` of order ``m``); a kept panel is
+    the projection ``U (Uᴴ A)`` onto its top-``r`` eigenvectors, whose
+    error is the discarded tail.  The Gram eigenvalues carry an absolute
+    error of a few ``max(m, n)·eps·σ₀²``, so they resolve the threshold
+    ``tol²·σ₀²`` only while ``tol² ≥ 100·max(m, n)·eps`` (``tol ≳ 5e-6``
+    for 960 float64 columns, never for float32 at ``tol = 1e-3``); outside
+    that bound the panel's own singular values decide and a kept panel is
+    decomposed by :meth:`RkMatrix.from_dense`.
     """
-    if config is None or not config.enabled:
+    if not rank_tested(panel.shape, config):
         return panel
     m, n = panel.shape
-    if min(m, n) < config.min_panel:
+    tol = config.tol
+    gram = None
+    if tol * tol >= 100 * max(m, n) * np.finfo(panel.dtype).eps:
+        gram = (panel @ panel.conj().T if m <= n
+                else panel.conj().T @ panel)
+        values, cut = np.linalg.eigvalsh(gram)[::-1], tol * tol
+    else:
+        values, cut = np.linalg.svd(panel, compute_uv=False), tol
+    rank = (int(np.count_nonzero(values > cut * values[0]))
+            if values[0] > 0 else 0)
+    if (m + n) * rank >= m * n or rank > config.max_rank_fraction * min(m, n):
         return panel
-    rk = RkMatrix.from_dense(panel, config.tol)
-    # keep the compressed form only when it actually stores fewer bytes
-    # (the byte break-even rank is m·n/(m+n), tighter than any fixed
-    # rank fraction for nearly-square panels) and the rank cap holds
-    if (
-        rk.nbytes < panel.nbytes
-        and rk.rank <= config.max_rank_fraction * min(m, n)
-    ):
-        return rk
-    return panel
+    if gram is None:
+        return RkMatrix.from_dense(panel, tol, max_rank=rank)
+    # eigh sorts ascending: the top-r eigenvectors, largest first
+    basis = np.linalg.eigh(gram)[1][:, :-rank - 1:-1]
+    if m <= n:
+        u, v = basis, panel.T @ basis.conj()
+    else:
+        u, v = panel @ basis, basis.conj()
+    return RkMatrix(np.ascontiguousarray(u), np.ascontiguousarray(v))
 
 
 def panel_nbytes(panel: Panel) -> int:
     """Stored bytes of a (possibly compressed) panel."""
-    if isinstance(panel, RkMatrix):
-        return panel.nbytes
     return panel.nbytes
 
 

@@ -45,6 +45,7 @@ from repro.sparse.blr import (
     panel_nbytes,
     panel_product,
     panel_update,
+    rank_tested,
 )
 from repro.sparse.symbolic import SymbolicFactorization
 from repro.utils.errors import ConfigurationError, SingularMatrixError
@@ -249,155 +250,189 @@ class MultifrontalFactorization:
 
     # -- numeric factorization ----------------------------------------------------
     def _factorize(self, a: sp.csr_matrix, arena: FrontArena) -> None:
+        """One dense partial factorization per front, in postorder.
+
+        Everything index-shaped is decided before the loop: the entries of
+        ``a`` arrive as one flat scatter per front (:meth:`_entry_plan`),
+        a child's contribution block through its positions in the parent
+        (``FrontSymbolic.in_parent``, from the symbolic analysis).
+        """
         sym = self.symbolic
-        elim = sym.elim_pos
-        n_full = sym.n_full
-        n_int = sym.n_interior
-        at = a if self.mode == "ldlt" else a.T.tocsr()
-        local = np.full(n_full, -1, dtype=np.intp)
-        updates: Dict[int, Tuple[np.ndarray, np.ndarray, object]] = {}
         n_schur = len(sym.schur_vars)
-        schur_pos = None
-        if n_schur:
-            # local index of each schur variable inside the Schur block
-            schur_pos = np.full(n_full, -1, dtype=np.intp)
-            schur_pos[sym.schur_vars] = np.arange(n_schur)
-            self.schur = np.zeros((n_schur, n_schur), dtype=self.dtype)
-            self._schur_alloc = self.tracker.track_array(
-                self.schur, category="schur_dense", label="dense Schur block"
-            )
-            self._assemble_schur_entries(a, elim, schur_pos, n_int)
-
-        # size the arena once from the symbolic peak-front estimate; every
-        # front below borrows a zeroed view of the same buffer
-        arena.ensure(sym.peak_front_size(), self.dtype)
-        kern = RowBlockKernel(self.dtype)
-
-        for f in sym.fronts:
-            front_vars = np.concatenate([f.own, f.bnd])
-            nf = len(front_vars)
-            p = f.n_own
-            fmat = arena.frame(nf, self.dtype)
-            local[front_vars] = np.arange(nf)
-
-            # assemble the matrix entries owned by this front
-            if p:
-                self._assemble_entries(a, at, f.own, elim, local, fmat)
-            # extend-add children's contribution blocks
-            for ci in f.child_indices:
-                upd, uvars, ualloc = updates.pop(ci)
-                idx = local[uvars]
-                fmat[np.ix_(idx, idx)] += upd
+        updates: Dict[int, Tuple[np.ndarray, object]] = {}
+        try:
+            if n_schur:
+                self.schur = np.zeros((n_schur, n_schur), dtype=self.dtype)
+                self._schur_alloc = self.tracker.track_array(
+                    self.schur, category="schur_dense",
+                    label="dense Schur block")
+            pos, vals, start = self._entry_plan(a)
+            # size the arena once from the symbolic peak-front estimate;
+            # every front borrows a zeroed view of the same buffer
+            arena.ensure(sym.peak_front_size(), self.dtype)
+            kern = RowBlockKernel(self.dtype)
+            for i, f in enumerate(sym.fronts):
+                self._front(i, f, arena, kern, updates,
+                            pos[start[i]:start[i + 1]],
+                            vals[start[i]:start[i + 1]])
+        except BaseException:
+            # a failed factorization is never handed out: release its charges
+            for _, ualloc in updates.values():
                 ualloc.free()
-
-            # partial factorization of the pivot block
-            factor = _FrontFactor(self.mode)
-            if p:
-                if self.mode == "ldlt":
-                    update = self._eliminate_ldlt(fmat, p, factor, kern)
-                else:
-                    update = self._eliminate_lu(fmat, p, factor, kern)
-                factor.alloc = self.tracker.allocate(
-                    factor.nbytes(), category="sparse_factor",
-                    label=f"front {f.node_index} factors",
-                )
-            else:
-                update = fmat
-
-            if f.node_index == sym.fronts[-1].node_index and n_schur:
-                # root: the remaining block is the Schur contribution
-                spos = schur_pos[f.bnd]
-                self.schur[np.ix_(spos, spos)] += update
-            elif len(f.bnd):
-                # the contribution block must survive the next frame; the
-                # elimination returns a fresh array when it eliminated
-                # pivots (p > 0) but a *view into the arena* otherwise
-                upd = (np.array(update, copy=True)
-                       if update.base is not None else update)
-                ualloc = self.tracker.track_array(
-                    upd, category="update_stack",
-                    label=f"update of front {f.node_index}",
-                )
-                updates[f.node_index] = (upd, f.bnd, ualloc)
-
-            local[front_vars] = -1
-            del fmat
-            self._fronts.append(factor)
-
+            self.free()
+            raise
         if updates:
             raise AssertionError("unconsumed contribution blocks remain")
 
-    def _assemble_entries(self, a, at, own, elim, local, fmat) -> None:
-        """Scatter original entries whose first-eliminated variable is owned."""
-        sub = a[own].tocoo()
-        keep = elim[sub.col] >= elim[own[sub.row]]
-        fmat[sub.row[keep], local[sub.col[keep]]] += sub.data[keep]
-        subt = at[own].tocoo()
-        keep = elim[subt.col] > elim[own[subt.row]]
-        fmat[local[subt.col[keep]], subt.row[keep]] += subt.data[keep]
+    def _front(self, i, f, arena, kern, updates, pos, vals) -> None:
+        """Assemble, partially factorize and pass on front ``i``."""
+        fronts = self.symbolic.fronts
+        nf, p = f.front_size, f.n_own
+        fmat = arena.frame(nf, self.dtype)
+        flat = fmat.reshape(-1)
+        flat[pos] = vals  # each position once, into a zeroed frame
+        for ci in f.child_indices:
+            at = fronts[ci].in_parent
+            if at is None:  # a disconnected subtree passes nothing up
+                continue
+            upd, ualloc = updates.pop(ci)
+            flat[(at * nf)[:, None] + at] += upd
+            ualloc.free()
 
-    def _assemble_schur_entries(self, a, elim, schur_pos, n_int) -> None:
-        """Entries between two Schur variables go straight into the block."""
-        sub = a[self.symbolic.schur_vars].tocoo()
-        keep = elim[sub.col] >= n_int
-        self.schur[sub.row[keep], schur_pos[sub.col[keep]]] += sub.data[keep]
+        # the contribution block leaves the arena once, then is updated in
+        # place; the root's is the Schur block itself when its boundary is
+        # every Schur variable (bnd_pos ascends, so they are in order)
+        is_root = self.schur is not None and i == len(fronts) - 1
+        if is_root and nf - p == len(self.schur):
+            upd = self.schur
+            upd += fmat[p:, p:]
+        else:
+            upd = np.array(fmat[p:, p:])
+        factor = _FrontFactor(self.mode)
+        self._fronts.append(factor)
+        if p:
+            (self._eliminate_ldlt if self.mode == "ldlt"
+             else self._eliminate_lu)(fmat, p, factor, kern, upd)
+            factor.alloc = self.tracker.allocate(
+                factor.nbytes(), category="sparse_factor",
+                label=f"front {f.node_index} factors",
+            )
+        if is_root:
+            if upd is not self.schur:  # some Schur variable is uncoupled
+                spos = f.bnd_pos - self.symbolic.n_interior
+                self.schur[np.ix_(spos, spos)] += upd
+        elif nf > p:
+            updates[i] = (upd, self.tracker.track_array(
+                upd, category="update_stack",
+                label=f"update of front {f.node_index}",
+            ))
 
-    def _fcsu_compress(self, panel: np.ndarray):
-        """FCSU: compress a coupling panel *before* the update, or None.
+    def _entry_plan(self, a: sp.csr_matrix):
+        """Where every entry of ``a`` goes, for the whole factorization.
 
-        Returns ``None`` when FCSU is off or the panel is below the FCSU
-        threshold (the caller takes the exact FSCU path); otherwise the
-        :func:`compress_panel` outcome — an :class:`RkMatrix` feeding the
-        low-rank update algebra, or the original dense panel when the
-        rank test declined (the caller's dense fallback, bit-identical to
-        FCSU off).
+        ``a[r, c]`` belongs to the front owning the earlier-eliminated of
+        ``r`` and ``c``, at ``(local(r), local(c))``: a pivot variable at
+        ``e − lo``, a boundary variable at ``n_own`` plus its rank in the
+        front's ``bnd_pos`` (one ``searchsorted`` over the keys
+        ``front·n_full + bnd_pos`` of all fronts).  Returns the flat
+        positions inside the fronts, the values, and the offsets of each
+        front's segment; entries between two Schur variables go straight
+        into the Schur block.  Duplicates are summed first and explicit
+        zeros dropped (the analysed pattern does not hold them), so every
+        position occurs once.
+        """
+        sym = self.symbolic
+        n_int, n_full = sym.n_interior, sym.n_full
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        coo = a.tocoo()
+        live = coo.data != 0
+        er, ec = sym.elim_pos[coo.row[live]], sym.elim_pos[coo.col[live]]
+        vals = coo.data[live]
+        first = np.minimum(er, ec)
+        if len(sym.schur_vars):
+            border = first >= n_int
+            self.schur[er[border] - n_int, ec[border] - n_int] = vals[border]
+            inner = ~border
+            er, ec, vals, first = er[inner], ec[inner], vals[inner], first[inner]
+        hi = sym.front_hi
+        lo = np.concatenate(([0], hi[:-1]))
+        n_own = hi - lo
+        n_bnd = np.array([f.n_bnd for f in sym.fronts], dtype=np.intp)
+        bnd_start = np.cumsum(n_bnd) - n_bnd
+        keys = np.concatenate([f.bnd_pos for f in sym.fronts] + [[-1]])
+        keys[:-1] += np.repeat(np.arange(len(hi)) * n_full, n_bnd)
+        owner = np.searchsorted(hi, first, side="right")
+
+        def local(e):
+            out = e - lo[owner]
+            later = np.flatnonzero(e >= hi[owner])
+            own = owner[later]
+            want = own * n_full + e[later]
+            at = np.searchsorted(keys[:-1], want)
+            if np.any(keys[at] != want):  # keys[-1] never matches
+                raise ConfigurationError(
+                    "the matrix has nonzeros outside the analysed pattern")
+            out[later] = n_own[own] + at - bnd_start[own]
+            return out
+
+        pos = local(er) * (n_own + n_bnd)[owner] + local(ec)
+        # a stable sort of 16-bit keys is a radix sort
+        by_front = np.argsort(owner.astype(np.min_scalar_type(len(hi))),
+                              kind="stable")
+        start = np.concatenate(
+            ([0], np.cumsum(np.bincount(owner, minlength=len(hi)))))
+        narrow = np.min_scalar_type(sym.peak_front_size() ** 2)
+        return pos[by_front].astype(narrow), vals[by_front], start
+
+    def _compress(self, panel: np.ndarray):
+        """The stored form of a coupling panel, and whether FCSU applies.
+
+        Every panel is stored as :func:`compress_panel` leaves it.  FCSU
+        (``compress_before_update`` and a panel at or above the FCSU
+        threshold) additionally feeds the contribution-block update from
+        the low-rank factors; when it is off, gated, or the rank test
+        declined, the caller's update is the exact one, bit for bit.
         """
         blr = self.blr
-        if (blr is None or not blr.enabled
-                or not blr.compress_before_update
-                or min(panel.shape) < blr.fcsu_min_panel):
-            return None
-        phase = (self._timer.phase("front_compress")
-                 if self._timer is not None else nullcontext())
-        with phase:
+        fcsu = (blr is not None and blr.compress_before_update
+                and min(panel.shape) >= blr.fcsu_min_panel)
+        with (self._timer.phase("front_compress")
+              if fcsu and self._timer is not None else nullcontext()):
             out = compress_panel(panel, blr)
-        if isinstance(out, RkMatrix):
-            self.n_fcsu_panels += 1
-        return out
+        fcsu = fcsu and isinstance(out, RkMatrix)
+        self.n_fcsu_panels += fcsu
+        return out, fcsu
 
-    def _eliminate_ldlt(self, fmat, p, factor, kern) -> np.ndarray:
-        f11 = fmat[:p, :p]
+    def _eliminate_ldlt(self, fmat, p, factor, kern, upd) -> None:
+        """Factor the pivot block; ``upd ← upd − L21 D L21ᵀ`` in place."""
         try:
-            l11, d = blocked_ldlt(f11)
+            l11, d = blocked_ldlt(fmat[:p, :p])
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"front pivot block failed: {exc}"
             ) from exc
         factor.l11 = l11
         factor.d = d
-        if fmat.shape[0] > p:
-            # L21ᵀ = D⁻¹ L11⁻¹ F21ᵀ, in place on the rows of the stored panel
-            l21t = np.array(fmat[p:, :p].T, order="C")
-            kern.solve(l11, l21t, lower=True, unit=True)
-            l21t /= d[:, None]
-            l21 = l21t.T
-            panel = self._fcsu_compress(l21)
-            if isinstance(panel, RkMatrix):
-                # FCSU: the update L21 D L21ᵀ from the low-rank factors
-                update = fmat[p:, p:] - panel.weighted_gram(d)
-                factor.l21 = panel
-                return update
-            update = fmat[p:, p:] - (l21 * d[None, :]) @ l21.T
-            factor.l21 = (panel if panel is not None
-                          else compress_panel(l21, self.blr))
-            return update
-        factor.l21 = np.zeros((0, p), dtype=fmat.dtype)
-        return fmat[p:, p:]
+        if fmat.shape[0] == p:
+            factor.l21 = np.zeros((0, p), dtype=fmat.dtype)
+            return
+        # L21ᵀ = D⁻¹ L11⁻¹ F21ᵀ, in place on the rows of the stored panel
+        l21t = np.array(fmat[p:, :p].T, order="C")
+        kern.solve(l11, l21t, lower=True, unit=True)
+        l21t /= d[:, None]
+        l21 = l21t.T
+        factor.l21, fcsu = self._compress(l21)
+        if fcsu:  # the update from the low-rank factors
+            upd -= factor.l21.weighted_gram(d)
+        else:
+            kern.update(upd, l21 * d, l21t)
 
-    def _eliminate_lu(self, fmat, p, factor, kern) -> np.ndarray:
-        f11 = fmat[:p, :p]
+    def _eliminate_lu(self, fmat, p, factor, kern, upd) -> None:
+        """Factor the pivot block; ``upd ← upd − L21 U12`` in place."""
         try:
-            lu11, piv = lu_factor(f11, check_finite=False)
+            lu11, piv = lu_factor(fmat[:p, :p], check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"front pivot block failed: {exc}"
@@ -406,32 +441,24 @@ class MultifrontalFactorization:
             raise SingularMatrixError("zero pivot in frontal LU")
         factor.l11 = lu11
         factor.perm = piv_to_perm(piv)
-        if fmat.shape[0] > p:
-            # U12 = L11⁻¹ Pᵀ F12 and L21ᵀ = U11⁻ᵀ F21ᵀ, each solved in place
-            # on the rows of the panel that is stored
-            u12 = fmat[:p, p:][factor.perm]
-            kern.solve(lu11, u12, lower=True, unit=True)
-            l21t = np.array(fmat[p:, :p].T, order="C")
-            kern.solve(lu11, l21t, lower=False, trans=True)
-            l21 = l21t.T
-            c21 = self._fcsu_compress(l21)
-            c12 = self._fcsu_compress(u12)
-            if isinstance(c21, RkMatrix) or isinstance(c12, RkMatrix):
-                # FCSU: the update L21 U12 through the low-rank factors
-                update = fmat[p:, p:] - panel_product(
-                    c21 if c21 is not None else l21,
-                    c12 if c12 is not None else u12,
-                )
-            else:
-                update = fmat[p:, p:] - l21 @ u12
-            factor.l21 = (c21 if c21 is not None
-                          else compress_panel(l21, self.blr))
-            factor.u12 = (c12 if c12 is not None
-                          else compress_panel(u12, self.blr))
-            return update
-        factor.l21 = np.zeros((0, p), dtype=fmat.dtype)
-        factor.u12 = np.zeros((p, 0), dtype=fmat.dtype)
-        return fmat[p:, p:]
+        if fmat.shape[0] == p:
+            factor.l21 = np.zeros((0, p), dtype=fmat.dtype)
+            factor.u12 = np.zeros((p, 0), dtype=fmat.dtype)
+            return
+        # U12 = L11⁻¹ Pᵀ F12 and L21ᵀ = U11⁻ᵀ F21ᵀ, each solved in place
+        # on the rows of the panel that is stored
+        u12 = fmat[:p, p:][factor.perm]
+        kern.solve(lu11, u12, lower=True, unit=True)
+        l21t = np.array(fmat[p:, :p].T, order="C")
+        kern.solve(lu11, l21t, lower=False, trans=True)
+        l21 = l21t.T
+        factor.l21, fcsu21 = self._compress(l21)
+        factor.u12, fcsu12 = self._compress(u12)
+        if fcsu21 or fcsu12:  # the update through the low-rank factors
+            upd -= panel_product(factor.l21 if fcsu21 else l21,
+                                 factor.u12 if fcsu12 else u12)
+        else:
+            kern.update(upd, l21, u12)
 
     # -- inspection ---------------------------------------------------------------
     @property
@@ -445,13 +472,15 @@ class MultifrontalFactorization:
         Returns front counts, the largest front, stored factor entries and
         a flop estimate (``Σ 2/3·p³ + 2·p²·q + 2·p·q²`` per front — the
         partial dense factorization cost), plus how many panels BLR
-        actually compressed.
+        rank-tested (``blr_tested_panels``) and how many of those it kept
+        compressed (``blr_compressed_panels``).
         """
         n_fronts = 0
         peak_front = 0
         factor_entries = 0
         flops = 0.0
         compressed_panels = 0
+        tested_panels = 0
         total_panels = 0
         for sf, f in zip(self.symbolic.fronts, self._fronts):
             n_fronts += 1
@@ -463,6 +492,7 @@ class MultifrontalFactorization:
                 if panel is None:
                     continue
                 total_panels += 1
+                tested_panels += rank_tested(panel.shape, self.blr)
                 if isinstance(panel, RkMatrix):
                     compressed_panels += 1
         return {
@@ -473,6 +503,7 @@ class MultifrontalFactorization:
             "factor_bytes": self.factor_bytes,
             "flops_estimate": flops,
             "blr_compressed_panels": compressed_panels,
+            "blr_tested_panels": tested_panels,
             "blr_total_panels": total_panels,
             "fcsu_compressed_updates": self.n_fcsu_panels,
         }
@@ -481,18 +512,22 @@ class MultifrontalFactorization:
     def n_interior(self) -> int:
         return self.symbolic.n_interior
 
-    def solve_workspace_bytes(self, n_rhs: int) -> int:
-        """Logical bytes :meth:`solve` borrows for ``n_rhs`` dense columns.
+    def solve_workspace_bytes(self, n_rhs: int, rhs_dtype=None) -> int:
+        """Logical bytes :meth:`solve` borrows for ``n_rhs`` dense columns
+        of ``rhs_dtype`` (default: the factor dtype).
 
         The parallel runtime reserves this as admission headroom so that
         concurrently admitted panel solves cannot push the tracker past
         its limit through their nested workspace charges.  The sweeps are
         blocked over :data:`DEFAULT_RHS_PANEL` columns, so the borrowed
-        work vector never exceeds ``n_full × min(n_rhs, panel)``.
+        work vector never exceeds ``n_full × min(n_rhs, panel)`` entries
+        of the sweep dtype — complex for a complex right-hand side, even
+        on real factors.
         """
-        itemsize = np.dtype(self.dtype).itemsize
+        dtype = sweep_dtype(self.dtype, self.dtype if rhs_dtype is None
+                            else rhs_dtype)
         width = min(int(n_rhs), DEFAULT_RHS_PANEL)
-        return int(self.symbolic.n_full) * width * itemsize
+        return int(self.symbolic.n_full) * width * dtype.itemsize
 
     def take_schur(self) -> Tuple[np.ndarray, object]:
         """Transfer ownership of the dense Schur block (and its allocation)."""

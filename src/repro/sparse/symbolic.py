@@ -45,6 +45,9 @@ class FrontSymbolic:
     hi: int
     bnd_pos: np.ndarray   # elimination positions of bnd (ascending)
     child_indices: List[int] = field(default_factory=list)
+    #: row/column of each boundary variable inside the *parent* front: the
+    #: extend-add map of the numeric phase (None without boundary or parent)
+    in_parent: Optional[np.ndarray] = None
 
     @property
     def n_own(self) -> int:
@@ -104,6 +107,17 @@ class SymbolicFactorization:
 
     def peak_front_size(self) -> int:
         return max((f.front_size for f in self.fronts), default=0)
+
+
+def _link_to_parents(fronts: List[FrontSymbolic], parent) -> None:
+    """Fill ``in_parent``: a boundary variable is a pivot of the parent
+    (``e − lo``) or sits in the parent's boundary, after its pivots."""
+    for f, pi in zip(fronts, parent.tolist(), strict=True):
+        if pi >= 0 and len(f.bnd_pos):
+            par, e = fronts[pi], f.bnd_pos
+            f.in_parent = np.where(
+                e < par.hi, e - par.lo,
+                par.n_own + np.searchsorted(par.bnd_pos, e))
 
 
 def symbolic_analysis(
@@ -198,6 +212,10 @@ def symbolic_analysis(
         raise ConfigurationError(
             "root boundary contains interior variables; invalid tree"
         )
+    parent = np.array(
+        [node.parent.index if node.parent is not None else -1
+         for node in tree.postorder], dtype=np.intp)
+    _link_to_parents(fronts, parent)
     return SymbolicFactorization(
         tree=tree,
         fronts=fronts,
@@ -205,9 +223,7 @@ def symbolic_analysis(
         schur_vars=schur_vars,
         n_full=n_full,
         interior_pos=elim_pos[interior_ids],
-        parent=np.array(
-            [node.parent.index if node.parent is not None else -1
-             for node in tree.postorder], dtype=np.intp),
+        parent=parent,
         front_hi=np.array([f.hi for f in fronts], dtype=np.intp),
     )
 
@@ -319,6 +335,7 @@ def extend_symbolic_with_border(
         )
     # the cached root boundary is empty (validated at interior analysis
     # time), so the root front's boundary is exactly its Schur border
+    _link_to_parents(fronts, interior.parent)
     return SymbolicFactorization(
         tree=interior.tree,
         fronts=fronts,

@@ -3,7 +3,7 @@
 Problem generation dominates test time, so the coupled test problems are
 session-scoped; tests must not mutate them.
 
-The concurrency tests (``test_runtime.py``) additionally run under the
+The concurrency tests (``_WATCHDOG_MODULES``) additionally run under the
 lock-order watchdog from :mod:`tools.analysis.watchdog`: every lock
 acquisition is recorded and the test fails if the observed acquisition
 graph contains a cycle (a potential ABBA deadlock), or if any
@@ -30,14 +30,17 @@ from repro.fembem import generate_aircraft_case, generate_pipe_case
 _WATCHDOG_MODULES = {"test_runtime", "test_symbolic_cache",
                      "test_compressed_axpy", "test_process_backend",
                      "test_factorized", "test_serving_cache",
-                     "test_serving", "test_compressed_fronts"}
+                     "test_serving", "test_compressed_fronts",
+                     "test_randomized", "test_multifrontal"}
 
 
 @pytest.fixture(autouse=True)
 def _concurrency_invariants(request):
     """Lock-order + tracker-balance verification around concurrency tests."""
     module = getattr(request, "module", None)
-    if module is None or module.__name__ not in _WATCHDOG_MODULES:
+    # ``tests`` is a package: the module is named ``tests.test_runtime``
+    if (module is None
+            or module.__name__.rpartition(".")[2] not in _WATCHDOG_MODULES):
         yield
         return
     from tools.analysis.watchdog import LockOrderWatchdog, TrackerBalanceRecorder

@@ -36,8 +36,16 @@ class TestStatistics:
         ).factorize(pipe_small.a_vv, coords=pipe_small.coords_v,
                     symmetric_values=True)
         stats = f.statistics()
-        assert 0 < stats["blr_compressed_panels"] <= stats["blr_total_panels"]
+        assert (0 < stats["blr_compressed_panels"]
+                <= stats["blr_tested_panels"] <= stats["blr_total_panels"])
         f.free()
+        # a front with fewer than min_panel pivots is stored, never tested
+        assert stats["blr_tested_panels"] < stats["blr_total_panels"]
+        off = SparseSolver().factorize(pipe_small.a_vv,
+                                       coords=pipe_small.coords_v,
+                                       symmetric_values=True)
+        assert off.statistics()["blr_tested_panels"] == 0
+        off.free()
 
     def test_flops_grow_with_problem_size(self):
         from repro.fembem import generate_pipe_case
