@@ -70,26 +70,12 @@ class SolverConfig:
     #: compressed form by randomized sampling — the paper's §VII
     #: future-work direction (see :mod:`repro.core.randomized`).
     schur_assembly: str = "blocked"
-    #: The one sampling knob family, shared by ``schur_assembly=
-    #: "randomized"`` and the sampled borders of ``front_compress``: first
-    #: rank estimate of the adaptive range finder, extra sampling columns
-    #: beyond the current estimate, and the seed of the per-block
-    #: generators ``default_rng([seed, i, j])``.
+    #: The sampling knobs of ``schur_assembly="randomized"``: first rank
+    #: estimate of the adaptive range finder, extra sampling columns beyond
+    #: the current estimate, and the seed of the generator.
     randomized_start_rank: int = 16
     randomized_oversample: int = 8
     seed: int = 0
-    #: FCSU front compression + sampled Schur borders in
-    #: multi-factorization: coupling panels of large fronts are compressed
-    #: *before* the contribution-block update, and the Schur border of each
-    #: sparse block is built by randomized sampling directly in low-rank
-    #: form (dense fallback when the rank test fails; see
-    #: ``docs/scaling.md`` §13).  ``None`` = ``$REPRO_FRONT_COMPRESS`` if
-    #: set, else False.
-    front_compress: Optional[bool] = None
-    #: Minimum panel/border dimension before FCSU compression or border
-    #: sampling is attempted; smaller blocks take the exact path bit for
-    #: bit.  ``None`` = ``$REPRO_FRONT_COMPRESS_MIN`` if set, else 192.
-    front_compress_min: Optional[int] = None
     #: Steps of iterative refinement after the direct solve: the (possibly
     #: compressed) factorizations precondition a residual correction
     #: evaluated against the *exact* operator, recovering accuracy below
@@ -183,7 +169,7 @@ class SolverConfig:
                 "compression_safety must be in (0, 1]"
             )
         for name in ("n_c", "n_s_block", "n_b", "nd_leaf_size",
-                     "hodlr_leaf_size", "dense_block_size"):
+                     "hodlr_leaf_size", "dense_block_size", "blr_min_panel"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.memory_limit is not None and self.memory_limit <= 0:
@@ -196,10 +182,8 @@ class SolverConfig:
             raise ConfigurationError(
                 "randomized rank parameters must be >= 1"
             )
-        if self.front_compress_min is not None and self.front_compress_min < 1:
-            raise ConfigurationError(
-                "front_compress_min must be >= 1 or None"
-            )
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.refinement_steps < 0:
             raise ConfigurationError("refinement_steps must be >= 0")
         if self.n_workers is not None and self.n_workers < 1:
@@ -281,22 +265,6 @@ class SolverConfig:
         return DEFAULT_RHS_PANEL
 
     @property
-    def effective_front_compress(self) -> bool:
-        """Resolved front-compression switch: ``front_compress``,
-        ``$REPRO_FRONT_COMPRESS``, or False."""
-        from repro.sparse.blr import resolve_front_compress
-
-        return resolve_front_compress(self.front_compress)
-
-    @property
-    def effective_front_compress_min(self) -> int:
-        """Resolved FCSU/sampling threshold: ``front_compress_min``,
-        ``$REPRO_FRONT_COMPRESS_MIN``, or 192."""
-        from repro.sparse.blr import resolve_front_compress_min
-
-        return resolve_front_compress_min(self.front_compress_min)
-
-    @property
     def hierarchical_tol(self) -> float:
         """Internal rounding tolerance of the hierarchical Schur container.
 
@@ -326,9 +294,7 @@ class SolverConfig:
         if not self.sparse_compression:
             return None
         return BLRConfig(
-            enabled=True, tol=self.epsilon, min_panel=self.blr_min_panel,
-            compress_before_update=self.effective_front_compress,
-            fcsu_min_panel=self.effective_front_compress_min,
+            enabled=True, tol=self.epsilon, min_panel=self.blr_min_panel
         )
 
     def make_tracker(self, name: str = "") -> MemoryTracker:

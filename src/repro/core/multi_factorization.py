@@ -34,18 +34,6 @@ default), each dense ``X_ij`` is *pre-compressed on its worker* — only a
 low-rank plan travels to the serialized commit, which appends to deferred
 recompression accumulators; a single ``flush()`` before the hierarchical
 factorization recompresses each off-diagonal block once.
-
-With ``config.front_compress`` (the sampled-border pipeline, §VII future
-work + the FCSU front compression of :mod:`repro.sparse.multifrontal`),
-large blocks skip the W-based Schur feature entirely: ``A_vv`` is
-factorized alone (still once per block — the superfluous refactorization
-stays) and the border ``A_sv_i A_vv⁻¹ A_sv_jᵀ`` is built by randomized
-sampling against the factorization directly in low-rank form, so the
-dense ``k × k`` block never exists when the rank test passes; blocks
-whose rank test fails (or that sit below ``front_compress_min``) fall
-back to the dense product.  Per-block seeded RNG
-(``default_rng([seed, i, j])``) keeps the result independent of worker
-count, backend and scheduling order.
 """
 
 from __future__ import annotations
@@ -54,7 +42,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import SolverConfig
-from repro.core.randomized import sample_border_plan
 from repro.core.result import CoupledSolution
 from repro.core.schur_tools import (
     RunContext,
@@ -176,39 +163,6 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     return factor_bytes, d_an, d_re, body
 
 
-def _facto_sampled_kernel(w, timer, i: int, j: int):
-    """Sampled-border block on a worker process (``config.front_compress``).
-
-    Returns ``(factor_bytes, d_analyses, d_reuses, portable_plan,
-    n_sampled, n_fallbacks)`` — the 6-tuple shape tells the consumer this
-    was a sampled task from a worker.
-    """
-    blocks = w["blocks"]
-    rows_i, cols_j = blocks[i], blocks[j]
-    sparse = w["sparse"]
-    with timer.phase("sparse_factorization_schur"):
-        mf_ij = sparse.factorize(
-            w["a_vv"], coords=w["coords_v"],
-            symmetric_values=w["symmetric"], timer=timer, arena=w["arena"],
-        )
-    factor_bytes = mf_ij.factor_bytes
-    d_an = sparse.n_symbolic_analyses - w["sym_counts"][0]
-    d_re = sparse.n_symbolic_reuses - w["sym_counts"][1]
-    w["sym_counts"] = [sparse.n_symbolic_analyses, sparse.n_symbolic_reuses]
-    skel = w["skeleton"]
-    try:
-        before = skel.n_panel_compressions
-        with timer.phase("schur_sampling"):
-            plan, n_sampled, n_fallbacks = sample_border_plan(
-                skel, mf_ij, w["a_sv"], rows_i, cols_j, w["config"],
-                w["dtype"], block=(i, j),
-            )
-        body = HMatrix.export_plan(plan, skel.n_panel_compressions - before)
-    finally:
-        mf_ij.free()
-    return factor_bytes, d_an, d_re, body, n_sampled, n_fallbacks
-
-
 def make_multi_factorization_context(
     problem: CoupledProblem, config: SolverConfig
 ) -> RunContext:
@@ -253,17 +207,6 @@ def assemble_multi_factorization(ctx: RunContext):
     itemsize = np.dtype(problem.dtype).itemsize
     state = {"mf": None, "factor_bytes": 0}
     accumulate = compressed and config.effective_axpy_accumulate
-    # sampled-border pipeline: only the compressed container can absorb a
-    # low-rank border, and only blocks past the threshold are worth the
-    # sampling solves — smaller ones keep the W-based Schur feature
-    sampled = compressed and config.effective_front_compress
-    sample_min = config.effective_front_compress_min
-
-    def is_sampled(i: int, j: int) -> bool:
-        return sampled and min(
-            len(blocks[i]), len(blocks[j])
-        ) >= sample_min
-
     backend = ctx.runtime_backend
     worker_payload = None
     if backend == "process":
@@ -282,11 +225,9 @@ def assemble_multi_factorization(ctx: RunContext):
             "exploit_diag_sym": config.mf_exploit_diagonal_symmetry,
             "accumulate": accumulate,
         }
-        if accumulate or sampled:
+        if accumulate:
             worker_payload["skeleton"] = container.structure_skeleton()
             worker_payload["compressor"] = config.compressor
-        if sampled:
-            worker_payload["config"] = config
     runtime = make_runtime(
         ctx.tracker, ctx.n_workers, "multi-facto", backend=backend,
         worker_payload=worker_payload, worker_builder=_facto_worker_ctx,
@@ -353,7 +294,7 @@ def assemble_multi_factorization(ctx: RunContext):
             headroom_bytes=2 * k * k * itemsize,
             category="schur_block",
             label=f"W block ({i},{j})",
-            payload=(i, j, is_last, "w"),
+            payload=(i, j, is_last),
             kernel=_facto_block_kernel,
             kernel_args=(i, j),
             result_nbytes=0 if accumulate else k * k * itemsize,
@@ -363,84 +304,12 @@ def assemble_multi_factorization(ctx: RunContext):
             inline=is_last,
         )
 
-    def sampled_task(seq: int, i: int, j: int, is_last: bool) -> PanelTask:
-        """Sampled-border block: factorize ``A_vv`` alone, sample the border.
-
-        Still one sparse factorization per block (the paper's superfluous
-        refactorization), but no W border is grafted on and the dense
-        ``k_i × k_j`` Schur block is never materialized when the rank test
-        passes — only ``rank + oversampling`` solve columns.
-        """
-        rows_i, cols_j = blocks[i], blocks[j]
-        k = max(len(rows_i), len(cols_j))
-
-        def fn(timer, alloc):
-            arena = runtime.worker_slot(
-                "front_arena", lambda: FrontArena(ctx.tracker)
-            )
-            with timer.phase("sparse_factorization_schur"):
-                mf_ij = sparse.factorize(
-                    problem.a_vv, coords=problem.coords_v,
-                    symmetric_values=problem.symmetric,
-                    timer=timer, arena=arena,
-                )
-            # per-block seeding: the samples depend on (seed, i, j) only,
-            # never on which worker or backend runs the block
-            with timer.phase("schur_sampling"):
-                plan, n_sampled, n_fallbacks = sample_border_plan(
-                    container.s, mf_ij, problem.a_sv, rows_i, cols_j,
-                    config, problem.dtype, block=(i, j),
-                )
-            alloc.resize(plan.nbytes)
-            return mf_ij, plan, n_sampled, n_fallbacks
-
-        return PanelTask(
-            index=seq,
-            fn=fn,
-            cost_bytes=0,
-            headroom_bytes=2 * k * k * itemsize,
-            category="schur_block",
-            label=f"sampled border ({i},{j})",
-            payload=(i, j, is_last, "sampled"),
-            kernel=_facto_sampled_kernel,
-            kernel_args=(i, j),
-            result_nbytes=0,
-            inline=is_last,
-        )
-
     def consume(task, result):
-        i, j, is_last, mode = task.payload
+        i, j, is_last = task.payload
         rows_i, cols_j = blocks[i], blocks[j]
         k_i, k_j = len(rows_i), len(cols_j)
         ctx.n_sparse_factorizations += 1
         phase = "schur_compression" if compressed else "schur_assembly"
-        if mode == "sampled":
-            if len(result) == 6:
-                # process-backend worker result: factors died in the
-                # worker, a portable plan (sampled + fallback folds)
-                # came back
-                factor_bytes, d_an, d_re, body, n_sampled, n_fb = result
-                ctx.n_symbolic_analyses += d_an
-                ctx.n_symbolic_reuses += d_re
-                state["factor_bytes"] = max(
-                    state["factor_bytes"], factor_bytes
-                )
-                with ctx.timer.phase(phase):
-                    container.commit(body)
-            else:
-                mf_ij, plan, n_sampled, n_fb = result
-                state["factor_bytes"] = max(
-                    state["factor_bytes"], mf_ij.factor_bytes
-                )
-                with ctx.timer.phase(phase):
-                    container.commit(plan)
-                if is_last:
-                    state["mf"] = mf_ij
-                else:
-                    mf_ij.free()
-            ctx.n_sampled_borders += n_sampled
-            ctx.n_border_fallbacks += n_fb
-            return
         if len(result) == 4:
             # process-backend worker result: the block's factors died in
             # the worker — only the Schur body (dense or portable plan)
@@ -487,10 +356,8 @@ def assemble_multi_factorization(ctx: RunContext):
     try:
         runtime.run(
             [
-                (sampled_task if is_sampled(i, j) else block_task)(
-                    i * n_blocks + j, i, j,
-                    i * n_blocks + j == n_tasks - 1,
-                )
+                block_task(i * n_blocks + j, i, j,
+                           i * n_blocks + j == n_tasks - 1)
                 for i in range(n_blocks)
                 for j in range(n_blocks)
             ],

@@ -96,15 +96,8 @@ def _panel_precompress_kernel(w, timer, col_lo: int, col_hi: int):
 def make_multi_solve_context(
     problem: CoupledProblem, config: SolverConfig
 ) -> RunContext:
-    """Validate the configuration and create the run context."""
+    """Create the run context for the chosen coupling flavour."""
     compressed = config.dense_backend == "hmat"
-    if config.schur_assembly == "randomized" and not compressed:
-        from repro.utils.errors import ConfigurationError
-
-        raise ConfigurationError(
-            "schur_assembly='randomized' builds the *compressed* Schur "
-            "blocks directly; it requires dense_backend='hmat'"
-        )
     name = "multi_solve_compressed" if compressed else "multi_solve"
     return RunContext(problem, config, name)
 

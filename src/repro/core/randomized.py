@@ -2,9 +2,8 @@
 
 The paper concludes: *"We will also investigate the possibility to produce
 Schur complement blocks directly in a compressed form (using randomized
-methods as in [27] ...)"*.  This module is that direction, once, for both
-algorithm families: instead of materialising a dense block of the
-correction operator
+methods as in [27] ...)"*.  This module is that direction: instead of
+materialising a dense block of the correction operator
 
 .. math::
 
@@ -15,9 +14,7 @@ Schur complement is built *directly* in compressed form by randomized
 range sampling of ``K``, whose action (and transpose action) costs one
 blocked sparse solve — so only ``rank + oversampling`` solve columns per
 block are ever needed.  Compressed multi-solve with
-``schur_assembly="randomized"`` samples the whole of ``K`` as one block;
-multi-factorization with ``front_compress`` samples one border
-``K[rows_i, cols_j]`` per sparse block.  Both go through
+``schur_assembly="randomized"`` samples the whole of ``K`` through
 :func:`sample_border_plan`.
 
 The adaptive rank loop (:func:`sample_schur_block_rk`) follows the standard
@@ -80,11 +77,9 @@ class CorrectionSampler:
         """Exact ``K[rows, cols]`` through the sparse-RHS solve path.
 
         The dense fallback of the sampled pipeline (diagonal leaves, small
-        quadrants, refused rank tests): identical to the blocked
-        multi-factorization W product ``A_sv A_vv⁻¹ A_svᵀ`` restricted to
-        the block, including the sparse-RHS forward sweep when the
-        factorization supports it (bitwise parity with the unsampled path
-        depends only on the surrounding assembly order).
+        quadrants, refused rank tests): the blocked multi-solve product
+        ``A_sv A_vv⁻¹ A_svᵀ`` restricted to the block, including the
+        sparse-RHS forward sweep when the factorization supports it.
         """
         rhs = np.asarray(self.a_sv_t[:, cols].todense(), dtype=dtype)
         y = self.mf.solve(rhs, exploit_sparsity=self.exploit_sparsity)
@@ -153,20 +148,18 @@ def _sample_min_dim(start_rank: int, oversample: int) -> int:
 
 
 def sample_border_plan(hmatrix, mf, a_sv, rows: np.ndarray, cols: np.ndarray,
-                       config, dtype, block=(0, 0), on_solve=None):
+                       config, dtype, on_solve=None):
     """Pre-compress ``S[rows, cols] -= K[rows, cols]`` by sampling ``K``.
 
-    The one border-sampling body, shared by compressed multi-solve
-    (``schur_assembly="randomized"``, the whole of ``S`` as block
-    ``(0, 0)``), the multi-factorization thread task and its process
-    kernel.  ``hmatrix`` is the Schur :class:`~repro.hmatrix.hmatrix
-    .HMatrix` or its structure skeleton, ``mf`` a factorization of
+    The sampling body of compressed multi-solve with
+    ``schur_assembly="randomized"``.  ``hmatrix`` is the Schur
+    :class:`~repro.hmatrix.hmatrix.HMatrix`, ``mf`` a factorization of
     ``A_vv``.  Off-diagonal quadrants are sampled to ``config.epsilon``
     and truncated at the container tolerance; diagonal leaves, quadrants
     below the sampling floor and refused rank tests take the exact dense
-    piece.  The generator is seeded per block — ``(config.seed, *block)``
-    and nothing else — and consumed in the walk's fixed order, so the plan
-    does not depend on worker count, backend or scheduling.
+    piece.  The generator is seeded from ``config.seed`` alone and
+    consumed in the walk's fixed order, so the plan does not depend on
+    worker count, backend or scheduling.
 
     Returns ``(plan, n_sampled, n_fallbacks)``; commit the plan on the
     real tree and flush.
@@ -175,7 +168,8 @@ def sample_border_plan(hmatrix, mf, a_sv, rows: np.ndarray, cols: np.ndarray,
         mf, a_sv, exploit_sparsity=config.exploit_sparse_rhs,
         on_solve=on_solve,
     )
-    rng = np.random.default_rng([config.seed, *block])
+    # the (seed, 0, 0) entropy is the stream recorded results were drawn from
+    rng = np.random.default_rng([config.seed, 0, 0])
     start_rank = config.randomized_start_rank
     oversample = config.randomized_oversample
 

@@ -29,6 +29,7 @@ from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.factorization import HLUFactorization
 from repro.hmatrix.hmatrix import PortableAxpyPlan, build_hodlr
 from repro.memory.tracker import MemoryTracker
+from repro.utils.errors import ConfigurationError
 from repro.utils.timer import PhaseTimer
 
 
@@ -37,6 +38,13 @@ class RunContext:
 
     def __init__(self, problem: CoupledProblem, config: SolverConfig,
                  algorithm: str):
+        if (config.schur_assembly == "randomized"
+                and algorithm != "multi_solve_compressed"):
+            raise ConfigurationError(
+                "schur_assembly='randomized' builds the *compressed* Schur "
+                "blocks directly; it requires algorithm 'multi_solve' with "
+                f"dense_backend='hmat' (got {algorithm!r})"
+            )
         self.problem = problem
         self.config = config
         self.algorithm = algorithm
@@ -50,9 +58,9 @@ class RunContext:
         self.n_symbolic_reuses = 0
         self.n_workers = config.effective_n_workers
         self.runtime_backend = config.effective_runtime_backend
-        #: Sampled-border pipeline counters (``config.front_compress``):
-        #: borders built directly in low-rank form vs. blocks whose rank
-        #: test failed and fell back to the dense product.
+        #: ``schur_assembly="randomized"`` counters: quadrants built
+        #: directly in low-rank form vs. quadrants whose rank test failed
+        #: and fell back to the dense product.
         self.n_sampled_borders = 0
         self.n_border_fallbacks = 0
         #: Filled by the assembly phase when it ran on the parallel
@@ -98,7 +106,6 @@ class RunContext:
                 "runtime_backend": self.runtime_backend,
                 "reuse_analysis": self.config.effective_reuse_analysis,
                 "axpy_accumulate": self.config.effective_axpy_accumulate,
-                "front_compress": self.config.effective_front_compress,
                 "n_sampled_borders": self.n_sampled_borders,
                 "n_border_fallbacks": self.n_border_fallbacks,
             },

@@ -145,17 +145,6 @@ class RkMatrix:
             return self
         return RkMatrix(alpha * self.u, self.v.copy())
 
-    def weighted_gram(self, d: np.ndarray) -> np.ndarray:
-        """Dense ``(U Vᵀ) diag(d) (U Vᵀ)ᵀ`` through the rank-r core.
-
-        The FCSU contribution block of a symmetric front: with the
-        coupling panel ``L21 = U Vᵀ`` the update ``L21 D L21ᵀ`` is
-        assembled as ``U (Vᵀ D V) Uᵀ`` — ``O(pr² + q²r)`` instead of the
-        ``O(pq²)`` dense product.
-        """
-        core = (self.v.T * d[None, :]) @ self.v
-        return (self.u @ core) @ self.u.T
-
     def transposed(self) -> "RkMatrix":
         return RkMatrix(self.v.copy(), self.u.copy())
 

@@ -107,18 +107,6 @@ def main(argv=None) -> int:
              "— bit-identical solutions, true multi-core scaling)",
     )
     parser.add_argument(
-        "--front-compress", dest="front_compress",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="FCSU front compression + randomized-sampled Schur borders "
-             "(default: $REPRO_FRONT_COMPRESS or off; see docs/scaling.md "
-             "§13)",
-    )
-    parser.add_argument(
-        "--front-compress-min", type=int, default=None, metavar="K",
-        help="minimum panel/border dimension before front compression or "
-             "border sampling is attempted (default: 192)",
-    )
-    parser.add_argument(
         "--reuse-analysis", dest="reuse_analysis",
         action=argparse.BooleanOptionalAction, default=None,
         help="reuse the sparse symbolic analysis across the n_b^2 "
@@ -180,35 +168,25 @@ def main(argv=None) -> int:
                     help="blocking-work executor threads")
 
     args = parser.parse_args(argv)
+    # the experiment grid builds many SolverConfigs internally; the
+    # environment defaults reach all of them without re-plumbing
+    overrides = {}
     if args.n_workers is not None:
         if args.n_workers < 1:
             parser.error("--n-workers must be >= 1")
-        # the experiment grid builds many SolverConfigs internally; the
-        # environment default reaches all of them without re-plumbing
         from repro.runtime.scheduler import N_WORKERS_ENV
 
-        os.environ[N_WORKERS_ENV] = str(args.n_workers)
+        overrides[N_WORKERS_ENV] = str(args.n_workers)
     if args.runtime_backend is not None:
-        os.environ[RUNTIME_BACKEND_ENV] = args.runtime_backend
+        overrides[RUNTIME_BACKEND_ENV] = args.runtime_backend
     if args.reuse_analysis is not None:
         from repro.sparse.symbolic_cache import REUSE_ANALYSIS_ENV
 
-        os.environ[REUSE_ANALYSIS_ENV] = "1" if args.reuse_analysis else "0"
+        overrides[REUSE_ANALYSIS_ENV] = "1" if args.reuse_analysis else "0"
     if args.axpy_accumulate is not None:
         from repro.hmatrix.rk import AXPY_ACCUMULATE_ENV
 
-        os.environ[AXPY_ACCUMULATE_ENV] = "1" if args.axpy_accumulate else "0"
-    if args.front_compress is not None or args.front_compress_min is not None:
-        from repro.sparse.blr import FRONT_COMPRESS_ENV, FRONT_COMPRESS_MIN_ENV
-
-        if args.front_compress is not None:
-            os.environ[FRONT_COMPRESS_ENV] = (
-                "1" if args.front_compress else "0"
-            )
-        if args.front_compress_min is not None:
-            if args.front_compress_min < 1:
-                parser.error("--front-compress-min must be >= 1")
-            os.environ[FRONT_COMPRESS_MIN_ENV] = str(args.front_compress_min)
+        overrides[AXPY_ACCUMULATE_ENV] = "1" if args.axpy_accumulate else "0"
     commands = {
         "table1": _cmd_table1,
         "fig10": _cmd_fig10,
@@ -217,13 +195,23 @@ def main(argv=None) -> int:
         "table2": _cmd_table2,
         "serve": _cmd_serve,
     }
-    if args.command == "all":
-        for name in ("table1", "fig10", "fig12", "fig13"):
-            ns = argparse.Namespace(sizes=None, full=False, n_total=None)
-            print(commands[name](ns))
-            print()
-    else:
-        print(commands[args.command](args))
+    saved = {name: os.environ.get(name) for name in overrides}
+    os.environ.update(overrides)
+    try:
+        if args.command == "all":
+            for name in ("table1", "fig10", "fig12", "fig13"):
+                ns = argparse.Namespace(sizes=None, full=False, n_total=None)
+                print(commands[name](ns))
+                print()
+        else:
+            print(commands[args.command](args))
+    finally:
+        # an in-process caller keeps the defaults it had before the call
+        for name, old in saved.items():
+            if old is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = old
     return 0
 
 

@@ -9,13 +9,9 @@ postorder (paper §II-C building blocks, reproduced from scratch):
 2. **partially factorize** the front's pivot block (LDLᵀ for symmetric
    values, LU with pivoting confined to the pivot block otherwise) and
    compute the coupling panels;
-3. optionally **compress** the panels (BLR, see :mod:`repro.sparse.blr`):
-   in the FSCU default compression only touches *storage*; with
-   ``BLRConfig.compress_before_update`` (FCSU) large panels are
-   compressed first and the contribution block is formed from the
-   low-rank factors (``RkMatrix`` algebra) instead of the full GEMM —
-   panels below the FCSU threshold, or whose rank test fails, take the
-   exact path bit for bit;
+3. optionally **compress** the stored panels (BLR, see
+   :mod:`repro.sparse.blr`); the contribution block is always formed from
+   the exact panels;
 4. pass the contribution block ``F22 − L21·(...)`` to the parent.
 
 Variables marked as *Schur* are never eliminated; they accumulate through
@@ -27,7 +23,6 @@ complement is **always returned as a non-compressed dense matrix**.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -43,7 +38,6 @@ from repro.sparse.blr import (
     BLRConfig,
     compress_panel,
     panel_nbytes,
-    panel_product,
     panel_update,
     rank_tested,
 )
@@ -194,17 +188,11 @@ class MultifrontalFactorization:
         blr: Optional[BLRConfig] = None,
         tracker: Optional[MemoryTracker] = None,
         arena: Optional[FrontArena] = None,
-        timer=None,
     ):
         self.symbolic = symbolic
         self.mode = "ldlt" if symmetric_values else "lu"
         self.blr = blr
         self.tracker = tracker if tracker is not None else MemoryTracker()
-        #: optional PhaseTimer splitting out the ``front_compress`` phase
-        #: (FCSU panel compressions); holds a lock, stripped on pickling
-        self._timer = timer
-        #: panels FCSU actually compressed ahead of the update
-        self.n_fcsu_panels = 0
         a = a.tocsr()
         if a.shape != (symbolic.n_full, symbolic.n_full):
             raise ConfigurationError(
@@ -241,7 +229,6 @@ class MultifrontalFactorization:
         state = self.__dict__.copy()
         state["tracker"] = None
         state["_schur_alloc"] = None
-        state["_timer"] = None  # PhaseTimer holds a lock
         return state
 
     def __setstate__(self, state):
@@ -386,25 +373,6 @@ class MultifrontalFactorization:
         narrow = np.min_scalar_type(sym.peak_front_size() ** 2)
         return pos[by_front].astype(narrow), vals[by_front], start
 
-    def _compress(self, panel: np.ndarray):
-        """The stored form of a coupling panel, and whether FCSU applies.
-
-        Every panel is stored as :func:`compress_panel` leaves it.  FCSU
-        (``compress_before_update`` and a panel at or above the FCSU
-        threshold) additionally feeds the contribution-block update from
-        the low-rank factors; when it is off, gated, or the rank test
-        declined, the caller's update is the exact one, bit for bit.
-        """
-        blr = self.blr
-        fcsu = (blr is not None and blr.compress_before_update
-                and min(panel.shape) >= blr.fcsu_min_panel)
-        with (self._timer.phase("front_compress")
-              if fcsu and self._timer is not None else nullcontext()):
-            out = compress_panel(panel, blr)
-        fcsu = fcsu and isinstance(out, RkMatrix)
-        self.n_fcsu_panels += fcsu
-        return out, fcsu
-
     def _eliminate_ldlt(self, fmat, p, factor, kern, upd) -> None:
         """Factor the pivot block; ``upd ← upd − L21 D L21ᵀ`` in place."""
         try:
@@ -423,11 +391,8 @@ class MultifrontalFactorization:
         kern.solve(l11, l21t, lower=True, unit=True)
         l21t /= d[:, None]
         l21 = l21t.T
-        factor.l21, fcsu = self._compress(l21)
-        if fcsu:  # the update from the low-rank factors
-            upd -= factor.l21.weighted_gram(d)
-        else:
-            kern.update(upd, l21 * d, l21t)
+        factor.l21 = compress_panel(l21, self.blr)
+        kern.update(upd, l21 * d, l21t)
 
     def _eliminate_lu(self, fmat, p, factor, kern, upd) -> None:
         """Factor the pivot block; ``upd ← upd − L21 U12`` in place."""
@@ -452,13 +417,9 @@ class MultifrontalFactorization:
         l21t = np.array(fmat[p:, :p].T, order="C")
         kern.solve(lu11, l21t, lower=False, trans=True)
         l21 = l21t.T
-        factor.l21, fcsu21 = self._compress(l21)
-        factor.u12, fcsu12 = self._compress(u12)
-        if fcsu21 or fcsu12:  # the update through the low-rank factors
-            upd -= panel_product(factor.l21 if fcsu21 else l21,
-                                 factor.u12 if fcsu12 else u12)
-        else:
-            kern.update(upd, l21, u12)
+        factor.l21 = compress_panel(l21, self.blr)
+        factor.u12 = compress_panel(u12, self.blr)
+        kern.update(upd, l21, u12)
 
     # -- inspection ---------------------------------------------------------------
     @property
@@ -505,7 +466,6 @@ class MultifrontalFactorization:
             "blr_compressed_panels": compressed_panels,
             "blr_tested_panels": tested_panels,
             "blr_total_panels": total_panels,
-            "fcsu_compressed_updates": self.n_fcsu_panels,
         }
 
     @property

@@ -211,7 +211,7 @@ class SparseSolver:
         with _phase(timer, "sparse_numeric"):
             return MultifrontalFactorization(
                 a, analysis.symbolic, symmetric_values, blr=self.blr,
-                tracker=self.tracker, arena=arena, timer=timer,
+                tracker=self.tracker, arena=arena,
             )
 
     # -- advanced usage --------------------------------------------------------------
@@ -275,7 +275,7 @@ class SparseSolver:
         with _phase(timer, "sparse_numeric"):
             return MultifrontalFactorization(
                 a_full, symbolic, symmetric_values, blr=self.blr,
-                tracker=self.tracker, arena=arena, timer=timer,
+                tracker=self.tracker, arena=arena,
             )
 
 

@@ -1,5 +1,7 @@
 """Tests for the CLI entry point and the factorization statistics."""
 
+import os
+
 import pytest
 
 from repro.core.config import DENSE_BACKENDS
@@ -67,6 +69,13 @@ class TestCli:
         assert runner_main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "n_BEM" in out and "paper" in out
+
+    def test_global_flags_leave_the_environment_alone(self, capsys):
+        """The flags reach the run through ``os.environ``; an in-process
+        caller must get its own defaults back."""
+        before = dict(os.environ)
+        assert runner_main(["--n-workers", "2", "table1"]) == 0
+        assert dict(os.environ) == before
 
     def test_fig12_small(self, capsys):
         assert runner_main(["fig12", "--n-total", "1200"]) == 0

@@ -30,6 +30,8 @@ class TestValidation:
         ("memory_limit", 0),
         ("compression_safety", 0.0),
         ("compression_safety", 1.5),
+        ("seed", -1),
+        ("blr_min_panel", 0),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):

@@ -545,8 +545,6 @@ _TOL = 1e-3       # inside the Gram-valid regime of compress_panel
 _BLR = {
     "dense": None,
     "blr": BLRConfig(tol=_TOL, min_panel=8, max_rank_fraction=1.0),
-    "fcsu": BLRConfig(tol=_TOL, min_panel=8, max_rank_fraction=1.0,
-                      compress_before_update=True, fcsu_min_panel=8),
 }
 
 
@@ -598,8 +596,8 @@ class TestNumericPhase:
         grid, symmetric, w, schur_vars, a, b, c, d = _bordered(
             kind, "schur" if border == "none" else border)
         lu = spla.splu(a.tocsc())
-        # FSCU compresses storage only: its Schur block is still exact
-        schur_tol = _TOL if panels == "fcsu" else 1e-10
+        # BLR compresses storage only: the Schur block is still exact
+        schur_tol = 1e-10
         solve_tol = 1e-10 if blr is None else _TOL
         solver = SparseSolver(
             leaf_size=24, amalgamate=8, blr=blr, tracker=MemoryTracker(),
@@ -621,7 +619,6 @@ class TestNumericPhase:
         assert (stats["blr_compressed_panels"] <= stats["blr_tested_panels"]
                 <= stats["blr_total_panels"])
         assert (stats["blr_compressed_panels"] > 0) == (blr is not None)
-        assert (stats["fcsu_compressed_updates"] > 0) == (panels == "fcsu")
         rhs = rng.standard_normal((a.shape[0], 3)).astype(a.dtype)
         assert _rel_err(f.solve(rhs), lu.solve(rhs)) <= solve_tol
         f.free()

@@ -2,21 +2,16 @@
 
 One range finder (:func:`repro.core.randomized.sample_schur_block_rk`),
 one plan helper (:func:`repro.core.randomized.sample_border_plan`) and one
-tree walk (``HMatrix._plan_walk``) serve both compressed multi-solve with
-``schur_assembly="randomized"`` and the sampled Schur borders of
-multi-factorization with ``front_compress``; everything that pins them
-lives here:
+tree walk (``HMatrix._plan_walk``) serve compressed multi-solve with
+``schur_assembly="randomized"``; everything that pins them lives here:
 
 * the correction sampler and the adaptive range finder, including the
   rank test that returns ``None`` on a block that is not low-rank;
 * the dense fallback that rank test triggers, forced with a full-rank
   operator (it never fires on the pipe, even at ε = 1e-11);
 * equivalence of the sampled and the dense piece sources of the walk;
-* both algorithms end to end: accuracy, counters, determinism per seed,
-  tracked peak, byte-identity across worker counts and backends.
-
-The FCSU panel tests of the front pipeline stay in
-``test_compressed_fronts.py``.
+* the algorithm end to end: accuracy, counters, determinism per seed,
+  tracked peak, and the configurations that must be refused.
 """
 
 from __future__ import annotations
@@ -26,17 +21,17 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.core import SolverConfig, solve_coupled
-from repro.core.multi_factorization import (
-    assemble_multi_factorization,
-    make_multi_factorization_context,
+from repro.core import (
+    ALGORITHMS,
+    CoupledFactorization,
+    SolverConfig,
+    solve_coupled,
 )
 from repro.core.randomized import (
     CorrectionSampler,
     sample_border_plan,
     sample_schur_block_rk,
 )
-from repro.core.schur_tools import finalize_solution
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.hmatrix import hodlr_from_dense, hodlr_zeros
 from repro.hmatrix.rk import RkMatrix
@@ -317,6 +312,22 @@ class TestEndToEnd:
         with pytest.raises(ConfigurationError):
             SolverConfig(schur_assembly="magic")
 
+    @pytest.mark.parametrize("backend", ["spido", "hmat"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_only_compressed_multi_solve_samples(self, pipe_small,
+                                                 algorithm, backend):
+        """Every other combination refuses the option instead of running
+        the blocked assembly under its name."""
+        cfg = SolverConfig(dense_backend=backend,
+                           schur_assembly="randomized")
+        if (algorithm, backend) == ("multi_solve", "hmat"):
+            with CoupledFactorization(pipe_small, algorithm, cfg) as fact:
+                assert fact.stats.params["n_sampled_borders"] > 0
+            return
+        for entry in (solve_coupled, CoupledFactorization):
+            with pytest.raises(ConfigurationError):
+                entry(pipe_small, algorithm, cfg)
+
     def test_complex_case(self, aircraft_small):
         sol = solve_coupled(
             aircraft_small, "multi_solve",
@@ -325,74 +336,3 @@ class TestEndToEnd:
         )
         assert sol.relative_error < 1e-4
         assert sol.stats.params["n_sampled_borders"] > 0
-
-
-# ---------------------------------------------------------------------------
-# multi-factorization, sampled Schur borders (front_compress)
-# ---------------------------------------------------------------------------
-
-# front_compress_min=64 puts both halves of the pipe surface (256 each
-# at n_b=2) above the sampling threshold and lets FCSU fire on the
-# medium fronts of the interior.
-FRONT = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=192, n_b=2,
-                     front_compress=True, front_compress_min=64)
-DENSE = FRONT.with_(front_compress=False)
-
-
-def _run(problem, config):
-    """One multi_factorization run; densified S for bitwise comparison."""
-    ctx = make_multi_factorization_context(problem, config)
-    pieces = assemble_multi_factorization(ctx)
-    s_dense = pieces[1].s.to_dense()
-    solution = finalize_solution(ctx, *pieces)
-    ctx.tracker.assert_all_freed()
-    return s_dense, solution, ctx
-
-
-class TestSampledBorders:
-    def test_accuracy_and_counters_match_dense_path(self, pipe_small):
-        s_dense, sol_dense, _ = _run(pipe_small, DENSE)
-        s_samp, sol_samp, ctx = _run(pipe_small, FRONT)
-        assert ctx.n_sampled_borders > 0
-        params = sol_samp.stats.params
-        assert params["front_compress"] is True
-        assert params["n_sampled_borders"] == ctx.n_sampled_borders
-        n_fem = pipe_small.n_fem
-        for sol in (sol_dense, sol_samp):
-            err = pipe_small.relative_error(sol.x[:n_fem], sol.x[n_fem:])
-            assert err < 1e-3
-        # both compress the same operator to the same tolerance
-        rel = (np.linalg.norm(s_samp - s_dense)
-               / np.linalg.norm(s_dense))
-        assert rel < 1e-3
-
-    def test_out_of_reach_threshold_falls_back_bitwise(self, pipe_small):
-        """Blocks below ``front_compress_min`` must take the *identical*
-        dense-border path — flipping the flag on changes nothing."""
-        s_dense, sol_dense, _ = _run(pipe_small, DENSE)
-        s_gated, sol_gated, ctx = _run(
-            pipe_small, FRONT.with_(front_compress_min=10 ** 6))
-        assert ctx.n_sampled_borders == 0
-        assert np.array_equal(s_dense, s_gated)
-        assert np.array_equal(sol_dense.x, sol_gated.x)
-
-    _baseline: dict = {}
-
-    @pytest.mark.parametrize("backend,n_workers", [
-        ("thread", 4), ("process", 1), ("process", 4),
-    ])
-    def test_byte_identity_across_backends_and_workers(
-            self, pipe_small, backend, n_workers):
-        """The sampled pipeline must preserve the ordered-commit
-        guarantee: byte-identical S and solution for every worker count
-        on either backend."""
-        if not self._baseline:
-            s, sol, _ = _run(pipe_small, FRONT.with_(
-                n_workers=1, runtime_backend="thread"))
-            self._baseline["s"] = s
-            self._baseline["x"] = sol.x
-        s, sol, ctx = _run(pipe_small, FRONT.with_(
-            n_workers=n_workers, runtime_backend=backend))
-        assert ctx.n_sampled_borders > 0
-        assert np.array_equal(self._baseline["s"], s)
-        assert np.array_equal(self._baseline["x"], sol.x)

@@ -21,11 +21,12 @@ sources of hidden nondeterminism would break it silently:
 * DET004 — constructing ``np.random.Generator`` or ``RandomState``
   directly in the randomized kernel modules
   (:data:`tools.analysis.config.DET_SEEDED_RNG_PATH_FRAGMENTS`).  The
-  sampled Schur borders are byte-identical across backends only because
-  every generator there is ``np.random.default_rng(seed)`` with an
-  explicit seed (per-block seed-sequence keys like
-  ``default_rng([seed, i, j])`` included) — hand-built generators pick
-  their own bit-generator stream and break that contract.
+  sampled Schur blocks of randomized multi-solve are byte-identical
+  across worker counts and backends only because every generator there
+  is ``np.random.default_rng(seed)`` with an explicit seed
+  (seed-sequence keys like ``default_rng([seed, i, j])`` included) —
+  hand-built generators pick their own bit-generator stream and break
+  that contract.
 
 Waive with ``# det-ok: <reason>`` (e.g. an order-insensitive reduction
 over a set, with a comment arguing the insensitivity).
@@ -109,8 +110,8 @@ class DeterminismChecker(Checker):
             emit("DET004", call.lineno,
                  f"'{func.id}(...)' builds a generator by hand — in the "
                  f"randomized kernels every rng must come from "
-                 f"np.random.default_rng(seed) so sampled borders stay "
-                 f"byte-identical across backends")
+                 f"np.random.default_rng(seed) so sampled Schur blocks "
+                 f"stay byte-identical across backends")
             return
         if not isinstance(func, ast.Attribute):
             return
@@ -118,9 +119,9 @@ class DeterminismChecker(Checker):
         if func.attr in DET_RNG_CONSTRUCTORS and _rng_disciplined(mod):
             emit("DET004", call.lineno,
                  f"'np.random.{func.attr}(...)' builds a generator by "
-                 f"hand — use np.random.default_rng(seed) (per-block keys "
-                 f"like default_rng([seed, i, j]) are fine) so sampled "
-                 f"borders stay byte-identical across backends")
+                 f"hand — use np.random.default_rng(seed) (seed-sequence "
+                 f"keys like default_rng([seed, i, j]) are fine) so sampled "
+                 f"Schur blocks stay byte-identical across backends")
             return
         root = receiver_root(func)
         chain = attribute_chain(func)  # e.g. np.random.rand -> [random, rand]
