@@ -31,6 +31,14 @@ the front loop and therefore replayed on the same index maps and sizes;
 *other* is what is left of the loop (contribution-block copies, tracker).
 ``compress_panel`` alone is timed on a wide and a tall panel, one that the
 rank test keeps and one that it rejects.
+
+ℋ-assembly rows, the layers under ``hmatrix.build_s`` / ``fembem.kernel_s``
+and ``hmatrix.precompress_s``: ``build_hodlr`` of ``A_ss`` on the pipe
+surface at the harness tolerance, both sides crossed and mirrored
+(``symmetric=True``) — min-of-k, the ``KernelMatrix.block`` calls and the
+entries they evaluated as a share of the off-diagonal blocks' entries —
+and ``RkMatrix.from_dense`` on a 960 × 217 piece of numerical rank 26,
+the rank-first Gram branch against the SVD it replaced.
 """
 
 import argparse
@@ -366,6 +374,68 @@ def render_numeric_rows(result):
     return "\n".join(lines)
 
 
+# -- ℋ-assembly rows ----------------------------------------------------------
+
+def hmatrix_rows(n_pipe, k=5, seed=0, tol=2e-5):
+    """The ℋ-assembly layer rows; see the module docstring."""
+    from repro.fembem import generate_pipe_case
+    from repro.fembem.bem import KernelMatrix
+    from repro.hmatrix.rk import RkMatrix, svd_truncate
+
+    pipe = generate_pipe_case(n_pipe, seed=seed)
+    tree = build_cluster_tree(pipe.coords_s, leaf_size=64)
+    leaves = sum(leaf.size ** 2 for leaf in tree.leaves())
+    offdiag = pipe.n_bem ** 2 - leaves
+    rows = []
+    for name, symmetric in (("both sides", False), ("mirrored", True)):
+        def build():
+            return build_hodlr(pipe.a_ss_op, tree, tol=tol,
+                               symmetric=symmetric)
+        best, q1, q3 = _min_of_k(build, k)
+        sizes = []
+        block = KernelMatrix.block
+
+        def counted(self, rows_, cols_):
+            out = block(self, rows_, cols_)
+            sizes.append(out.size)
+            return out
+
+        with mock.patch.object(KernelMatrix, "block", counted):
+            hm = build()
+        rows.append({
+            "row": f"build_hodlr {name}", "n": pipe.n_bem, "k": k,
+            "min_ms": best, "q1_ms": q1, "q3_ms": q3,
+            "block_calls": len(sizes), "max_rank": hm.max_rank(),
+            "store_mb": hm.nbytes() / 2**20,
+            "evaluated_over_offdiag": (sum(sizes) - leaves) / offdiag})
+    piece = _spectrum_panel(np.random.default_rng(seed), 960, 217, 0.65)
+    for name, compress in (
+            ("gram", lambda: RkMatrix.from_dense(piece, tol)),
+            ("svd", lambda: RkMatrix(*svd_truncate(piece, tol)))):
+        best, q1, q3 = _min_of_k(compress, 3 * k)
+        rows.append({
+            "row": f"from_dense 960x217 {name}", "k": 3 * k,
+            "min_ms": best, "q1_ms": q1, "q3_ms": q3,
+            "rank": compress().rank})
+    return {"hmatrix_rows": rows}
+
+
+def render_hmatrix_rows(result):
+    lines = [f"{'row':<28}{'min ms':>9}{'q1-q3 ms':>16}{'calls':>7}"
+             f"{'eval/offdiag':>14}{'rank':>6}{'MiB':>8}"]
+    for r in result["hmatrix_rows"]:
+        line = (f"{r['row']:<28}{r['min_ms']:>9.2f}{r['q1_ms']:>8.2f}-"
+                f"{r['q3_ms']:<7.2f}")
+        if "block_calls" in r:
+            line += (f"{r['block_calls']:>7}"
+                     f"{r['evaluated_over_offdiag']:>14.3f}"
+                     f"{r['max_rank']:>6}{r['store_mb']:>8.2f}")
+        else:
+            line += f"{'-':>7}{'-':>14}{r['rank']:>6}{'-':>8}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
 def test_solve_sweep_rows():
     from bench_utils import scaled, write_result
 
@@ -387,6 +457,17 @@ def test_numeric_phase_rows():
         assert r["compressed_panels"] <= r["tested_panels"]
 
 
+def test_hmatrix_assembly_rows():
+    from bench_utils import scaled, write_result
+
+    result = hmatrix_rows(scaled(12_000), k=2)
+    write_result("kernels_hmatrix_assembly", render_hmatrix_rows(result))
+    both, mirrored, gram, svd = result["hmatrix_rows"]
+    assert mirrored["block_calls"] < 0.6 * both["block_calls"]
+    assert mirrored["evaluated_over_offdiag"] < both["evaluated_over_offdiag"] < 1
+    assert gram["rank"] == svd["rank"] == 26
+
+
 def main(argv=None):
     here = pathlib.Path(__file__).resolve().parent
     sys.path[:0] = [str(here), str(here / "harness")]
@@ -406,6 +487,10 @@ def main(argv=None):
                            k=max(2, args.repeat - 2), seed=args.seed)
     print(render_numeric_rows(numeric))
     result.update(numeric)
+    hmatrix = hmatrix_rows(scaled(12_000), k=max(2, args.repeat - 2),
+                           seed=args.seed)
+    print(render_hmatrix_rows(hmatrix))
+    result.update(hmatrix)
     if args.json:
         payload = {"provenance": header(args.seed), **result}
         pathlib.Path(args.json).write_text(

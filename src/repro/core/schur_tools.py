@@ -126,8 +126,9 @@ class DenseSchurContainer:
             n * n * itemsize, category="schur_store", label="dense Schur S"
         )
         if start_from_a_ss:
+            # to_dense returns a fresh array: take it, do not copy it
             # schur-ok: this IS the sanctioned uncompressed container (SPIDO)
-            self.s = np.array(problem.a_ss_op.to_dense(), dtype=problem.dtype)
+            self.s = np.asarray(problem.a_ss_op.to_dense(), dtype=problem.dtype)
         else:
             # schur-ok: tracked above via tracker.allocate(schur_store)
             self.s = np.zeros((n, n), dtype=problem.dtype)
@@ -205,7 +206,8 @@ class HodlrSchurContainer:
         # internal rounding tolerance sits a safety factor below ε so that
         # accumulated recompression error stays within the advertised ε
         self.s = build_hodlr(
-            problem.a_ss_op, self.tree, tol=config.hierarchical_tol
+            problem.a_ss_op, self.tree, tol=config.hierarchical_tol,
+            symmetric=problem.symmetric,
         )
         self._accumulate = config.effective_axpy_accumulate
         self._max_acc_rank = config.axpy_max_accumulated_rank

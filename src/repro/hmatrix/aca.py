@@ -16,11 +16,16 @@ is fed back as the next cross and iteration continues.
 
 Two entry points:
 
-* :func:`aca` — lazy access through ``row_fn`` / ``col_fn`` callbacks (used
-  for kernel assembly);
+* :func:`aca` — lazy access through one accessor ``block(rows, cols)``
+  (used for kernel assembly);
 * :func:`aca_dense` — same algorithm on an explicit array (used as an
   alternative to SVD when compressing the dense Schur blocks returned by
   the sparse solver; see the compression-method ablation bench).
+
+The factors live in two preallocated panels ``U (cap, m)``, ``V (cap, n)``
+(doubled when full) so that each step is a handful of BLAS-2 calls on
+``U[:k]``, ``V[:k]`` whatever the rank; a straight per-rank loop of the
+same algorithm is kept in ``tests/test_aca.py`` as the oracle.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from repro.utils.errors import ConfigurationError
 
 
 def aca(
-    row_fn: Callable[[int], np.ndarray],
-    col_fn: Callable[[int], np.ndarray],
+    block: Callable[[object, object], np.ndarray],
     shape: Tuple[int, int],
     tol: float,
     max_rank: Optional[int] = None,
@@ -46,9 +50,12 @@ def aca(
 
     Parameters
     ----------
-    row_fn, col_fn:
-        ``row_fn(i)`` returns row ``i`` (length ``n``); ``col_fn(j)``
-        returns column ``j`` (length ``m``) of the block to compress.
+    block:
+        ``block(rows, cols)`` returns the dense sub-block of the block to
+        compress; each argument is a slice or an integer index array in
+        block-local numbering.  It is asked for one whole row or column
+        per cross and for all probe columns of a verification round at
+        once — nothing is ever evaluated twice.
     shape:
         Block shape ``(m, n)``.
     tol:
@@ -57,6 +64,8 @@ def aca(
         running norm estimates.
     max_rank:
         Hard rank cap (defaults to ``min(m, n)``, i.e. until exact).
+    dtype:
+        Factor dtype (promoted if the block's values need it).
     verify_columns:
         Number of random columns probed exactly before accepting
         convergence (0 disables verification — the textbook heuristic).
@@ -70,107 +79,98 @@ def aca(
     if m <= 0 or n <= 0:
         raise ConfigurationError("block must be non-empty")
     cap = min(m, n) if max_rank is None else min(max_rank, m, n)
-    us, vs = [], []
+    u = np.empty((0, m), dtype=dtype)
+    v = np.empty((0, n), dtype=dtype)
+    k = 0
     norm2_est = 0.0
-    used_rows: set = set()
-    used_cols: set = set()
+    used_rows = np.zeros(m, dtype=bool)
+    used_cols = np.zeros(n, dtype=bool)
+    all_rows, all_cols = slice(0, m), slice(0, n)
     rng = np.random.default_rng((m * 0x9E3779B1 + n) & 0x7FFFFFFF)
     i = 0  # first pivot row
-    forced_col: Optional[int] = None
+    forced = None  # (column, its residual) of a failed verification probe
 
-    def residual_col(j: int) -> np.ndarray:
-        c = np.array(col_fn(j), copy=True)
-        for uk, vk in zip(us, vs, strict=True):
-            c -= vk[j] * uk
-        return c
+    def residual_row(row: int) -> np.ndarray:
+        r = block(slice(row, row + 1), all_cols)[0]
+        return r - u[:k, row] @ v[:k] if k else np.array(r)
 
-    while len(us) < cap:
-        if forced_col is not None:
+    while k < cap:
+        if forced is not None:
             # a failed verification probe: cross directly on that column
-            j = forced_col
-            forced_col = None
-            c = residual_col(j)
-            row_choices = np.abs(c.copy())
-            if used_rows:
-                row_choices[list(used_rows)] = -1.0
+            j, c = forced
+            forced = None
+            row_choices = np.abs(c)
+            row_choices[used_rows] = -1.0
             i = int(np.argmax(row_choices))
-            r = np.array(row_fn(i), copy=True)
-            for uk, vk in zip(us, vs, strict=True):
-                r -= uk[i] * vk
+            r = residual_row(i)
             pivot = r[j]
             if pivot == 0:
                 break
         else:
-            used_rows.add(i)
-            # residual row i
-            r = np.array(row_fn(i), copy=True)
-            for uk, vk in zip(us, vs, strict=True):
-                r -= uk[i] * vk
+            used_rows[i] = True
+            r = residual_row(i)
             # pivot column: largest residual entry among unused columns
-            r_search = r.copy()
-            if used_cols:
-                r_search[list(used_cols)] = 0
-            j = int(np.argmax(np.abs(r_search)))
+            r_search = np.abs(r)
+            r_search[used_cols] = 0.0
+            j = int(np.argmax(r_search))
             pivot = r[j]
             if pivot == 0:
-                # row exhausted; try another unused row, else verify/stop
-                candidates = [k for k in range(m) if k not in used_rows]
-                if candidates:
-                    i = candidates[0]
-                    continue
-                break
-            c = residual_col(j)
-        used_rows.add(i)
-        used_cols.add(j)
-        u_new = c
-        v_new = r / pivot
-        nu = float(np.linalg.norm(u_new))
-        nv = float(np.linalg.norm(v_new))
-        cross2 = (nu * nv) ** 2
-        inner = 0.0
-        for uk, vk in zip(us, vs, strict=True):
-            inner += 2.0 * abs(np.vdot(uk, u_new)) * abs(np.vdot(vk, v_new))
-        norm2_est += cross2 + inner
-        us.append(u_new)
-        vs.append(v_new)
+                # row exhausted; try another unused row, else stop
+                if used_rows.all():
+                    break
+                i = int(np.argmin(used_rows))
+                continue
+            c = block(all_rows, slice(j, j + 1))[:, 0]
+            c = c - v[:k, j] @ u[:k] if k else np.array(c)
+        used_rows[i] = True
+        used_cols[j] = True
+        r = r / pivot
+        if k == len(u):
+            size = min(cap, max(16, 2 * k))
+            u, v = _grown(u, size, c), _grown(v, size, r)
+        nu = float(np.linalg.norm(c))
+        nv = float(np.linalg.norm(r))
+        # ‖Σ u vᵀ‖² estimate: the new cross plus its products with the old
+        norm2_est += (nu * nv) ** 2 + 2.0 * float(
+            np.abs(u[:k] @ c.conj()) @ np.abs(v[:k] @ r.conj()))
+        u[k], v[k] = c, r
+        k += 1
 
         converged = nu * nv <= tol * np.sqrt(max(norm2_est, 1e-300))
-        if converged and verify_columns > 0 and len(us) < cap:
-            # exact residual probe on random unseen columns
-            pool = np.setdiff1d(
-                np.arange(n), np.fromiter(used_cols, dtype=np.intp),
-                assume_unique=False,
-            )
+        if converged and verify_columns > 0 and k < cap:
+            # exact residual probe on random unseen columns, one fetch
+            pool = np.flatnonzero(~used_cols)
             if len(pool):
                 probes = rng.choice(
                     pool, size=min(verify_columns, len(pool)), replace=False
                 )
-                worst_j, worst_norm = -1, 0.0
-                ref2 = 0.0
-                for j_p in probes:
-                    rc = residual_col(int(j_p))
-                    rn = float(np.linalg.norm(rc))
-                    ac = np.asarray(col_fn(int(j_p)))
-                    ref2 += float(np.linalg.norm(ac)) ** 2
-                    if rn > worst_norm:
-                        worst_norm, worst_j = rn, int(j_p)
-                ref = np.sqrt(max(ref2, 1e-300))
-                if worst_norm > tol * ref:
-                    forced_col = worst_j
+                exact = block(all_rows, probes)
+                resid = exact - u[:k].T @ v[:k, probes]
+                norms = np.linalg.norm(resid, axis=0)
+                worst = int(np.argmax(norms))
+                ref = np.sqrt(max(float(np.linalg.norm(exact)) ** 2, 1e-300))
+                if norms[worst] > tol * ref:
+                    forced = (int(probes[worst]), resid[:, worst])
                     continue
         if converged:
             break
         # next pivot row: largest entry of the new column among unused rows
-        u_search = np.abs(u_new.copy())
-        if used_rows:
-            u_search[list(used_rows)] = -1.0
+        u_search = np.abs(c)
+        u_search[used_rows] = -1.0
         i = int(np.argmax(u_search))
 
-    if not us:
+    if k == 0:
         return RkMatrix.zeros(m, n, dtype=dtype)
-    u = np.stack(us, axis=1)
-    v = np.stack(vs, axis=1)
-    return RkMatrix(u, v)
+    return RkMatrix(np.ascontiguousarray(u[:k].T),
+                    np.ascontiguousarray(v[:k].T))
+
+
+def _grown(panel: np.ndarray, size: int, like: np.ndarray) -> np.ndarray:
+    """``panel`` with room for ``size`` rows, in a dtype that holds ``like``."""
+    out = np.empty((size, panel.shape[1]),
+                   dtype=np.result_type(panel, like))
+    out[:len(panel)] = panel
+    return out
 
 
 def aca_dense(
@@ -182,8 +182,7 @@ def aca_dense(
     if a.ndim != 2:
         raise ConfigurationError("aca_dense expects a 2-D block")
     return aca(
-        lambda i: a[i, :],
-        lambda j: a[:, j],
+        lambda rows, cols: a[rows][:, cols],
         a.shape,
         tol,
         max_rank=max_rank,

@@ -780,49 +780,51 @@ def build_hodlr(
     tree: ClusterTree,
     tol: float = 1e-3,
     max_rank: Optional[int] = None,
+    symmetric: bool = False,
 ) -> HMatrix:
     """Assemble an :class:`HMatrix` from a lazy kernel operator.
 
-    ``op`` must expose ``shape``, ``dtype`` and ``block(rows, cols)`` in
-    original indices (see :class:`repro.fembem.bem.KernelMatrix`).
+    ``op`` must expose ``shape``, ``dtype``, ``block(rows, cols)`` and
+    ``permuted(perm)`` (see :class:`repro.fembem.bem.KernelMatrix`).
     Off-diagonal blocks are compressed by ACA straight from the kernel —
-    the uncompressed block is never formed.
+    the uncompressed block is never formed — on the operator reordered
+    once into cluster order, so every cluster is a slice of its points.
+
+    ``symmetric=True`` states that ``op`` equals its plain transpose
+    (real or complex symmetric): only the ``21`` blocks, the ones the
+    H-LDLᵀ factorization reads, are then compressed and each ``12`` block
+    is its twin's transpose.
     """
     if op.shape != (tree.n, tree.n):
         raise ConfigurationError(
             f"operator shape {op.shape} does not match tree size {tree.n}"
         )
-    perm = tree.perm
+    op = op.permuted(tree.perm)
     dtype = np.dtype(op.dtype)
+
+    def at(idx, lo):  # block-local slice or index array → cluster order
+        return (slice(idx.start + lo, idx.stop + lo)
+                if isinstance(idx, slice) else idx + lo)
+
+    def compress(rows: ClusterNode, cols: ClusterNode) -> RkMatrix:
+        return aca(
+            lambda r, c: op.block(at(r, rows.start), at(c, cols.start)),
+            (rows.size, cols.size), tol, max_rank=max_rank, dtype=dtype,
+        )
 
     def build(cnode: ClusterNode) -> HNode:
         node = HNode(cnode.start, cnode.stop)
         if cnode.is_leaf:
-            idx = perm[cnode.start : cnode.stop]
-            node.dense = np.array(op.block(idx, idx), dtype=dtype)
+            own = slice(cnode.start, cnode.stop)
+            node.dense = np.array(op.block(own, own), dtype=dtype)
             return node
         c1, c2 = cnode.children
         node.mid = c1.stop
         node.h11 = build(c1)
         node.h22 = build(c2)
-        rows1 = perm[c1.start : c1.stop]
-        rows2 = perm[c2.start : c2.stop]
-        node.rk12 = aca(
-            lambda i: op.block(rows1[i : i + 1], rows2)[0],
-            lambda j: op.block(rows1, rows2[j : j + 1])[:, 0],
-            (len(rows1), len(rows2)),
-            tol,
-            max_rank=max_rank,
-            dtype=dtype,
-        )
-        node.rk21 = aca(
-            lambda i: op.block(rows2[i : i + 1], rows1)[0],
-            lambda j: op.block(rows2, rows1[j : j + 1])[:, 0],
-            (len(rows2), len(rows1)),
-            tol,
-            max_rank=max_rank,
-            dtype=dtype,
-        )
+        node.rk21 = compress(c2, c1)
+        node.rk12 = (node.rk21.transposed() if symmetric
+                     else compress(c1, c2))
         return node
 
     return HMatrix(tree, build(tree.root), tol, dtype)

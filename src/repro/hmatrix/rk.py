@@ -17,7 +17,7 @@ block into roughly one.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,16 +72,84 @@ def svd_truncate(
         from scipy.linalg import svd as scipy_svd
 
         u, s, vh = scipy_svd(a, full_matrices=False, lapack_driver="gesvd")
-    ref = float(s[0]) if norm_ref is None else float(norm_ref)
-    if ref == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * ref))
-    if max_rank is not None:
-        rank = min(rank, max_rank)
+    rank = _numerical_rank(s, tol, s[0] if norm_ref is None else norm_ref,
+                           max_rank)
     u = u[:, :rank] * s[:rank]
     v = vh[:rank].T.copy()
     return u, v
+
+
+def rank_first(
+    a: np.ndarray, tol: float, max_rank: Optional[int] = None,
+    norm_ref: Optional[float] = None,
+    keep: Optional[Callable[[int], bool]] = None,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Dense block → ``(u, v)`` with ``a ≈ u @ v.T``, rank first.
+
+    The rank ``r = #{σ > tol·ref}`` (``ref`` as in :func:`svd_truncate`,
+    capped by ``max_rank``) is decided from the singular *values* and
+    vectors are formed for those ``r`` only.  The values are the
+    eigenvalues ``σ²`` of the short-side Gram matrix (``A Aᴴ`` for
+    ``m ≤ n``: one GEMM, one ``eigh`` of order ``min(m, n)``); the
+    factors are the projection onto its top-``r`` eigenvectors ``B`` —
+    ``u = B, v = Aᵀ·conj(B)`` or ``u = A·B, v = conj(B)`` — whose error is
+    the discarded tail.  Gram eigenvalues carry an absolute error of a
+    few ``max(m, n)·eps·σ₀²``, so they resolve the threshold only while
+    ``(tol·ref)² ≥ 100·max(m, n)·eps·σ₀²`` — with ``ref = σ₀`` that is
+    ``tol ≳ 5e-6`` for 960 float64 columns and never float32 at ``tol =
+    1e-3``; otherwise the block's own singular values decide and the
+    vectors are :func:`svd_truncate`'s.
+
+    ``keep(r)``, when given, is asked once the rank is known and before
+    any vector is computed; ``None`` is returned if it declines — the
+    BLR panel test, which rejects most panels, pays for values only.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ConfigurationError("rank_first expects a 2-D block")
+    m, n = a.shape
+    if not np.issubdtype(a.dtype, np.inexact):
+        a = a.astype(np.float64)  # dtype-ok: integers or booleans only
+    if min(m, n) == 0:
+        return svd_truncate(a, tol)
+    bound = 100 * max(m, n) * np.finfo(a.dtype).eps
+    resolved = tol * tol >= bound
+    if resolved:
+        gram = a @ a.conj().T if m <= n else a.conj().T @ a
+        if keep is None:
+            values, vectors = np.linalg.eigh(gram)
+        else:
+            values, vectors = np.linalg.eigvalsh(gram), None
+        ref2 = values[-1] if norm_ref is None else float(norm_ref) ** 2
+        # a norm_ref below σ₀ can still pull the threshold under the bound
+        resolved = tol * tol * ref2 >= bound * values[-1]
+    if not resolved:
+        if keep is not None:
+            s = np.linalg.svd(a, compute_uv=False)
+            max_rank = _numerical_rank(s, tol, s[0] if norm_ref is None
+                                       else norm_ref, max_rank)
+            if not keep(max_rank):
+                return None
+        return svd_truncate(a, tol, max_rank, norm_ref)
+    rank = _numerical_rank(values, tol * tol, ref2, max_rank)
+    if keep is not None and not keep(rank):
+        return None
+    if vectors is None:
+        vectors = np.linalg.eigh(gram)[1]
+    # eigh sorts ascending: the top-r eigenvectors, largest first
+    basis = vectors[:, :-rank - 1:-1]
+    if m <= n:
+        u, v = basis, a.T @ basis.conj()
+    else:
+        u, v = a @ basis, basis.conj()
+    return np.ascontiguousarray(u), np.ascontiguousarray(v)
+
+
+def _numerical_rank(values: np.ndarray, cut: float, ref: float,
+                    max_rank: Optional[int]) -> int:
+    """``#{values > cut·ref}``, capped; 0 for a zero reference."""
+    rank = int(np.count_nonzero(values > cut * ref)) if ref > 0 else 0
+    return rank if max_rank is None else min(rank, max_rank)
 
 
 class RkMatrix:
@@ -109,7 +177,8 @@ class RkMatrix:
         cls, a: np.ndarray, tol: float, max_rank: Optional[int] = None,
         norm_ref: Optional[float] = None,
     ) -> "RkMatrix":
-        return cls(*svd_truncate(a, tol, max_rank, norm_ref))
+        """Compress a dense block (see :func:`rank_first`)."""
+        return cls(*rank_first(a, tol, max_rank, norm_ref))
 
     # -- properties -----------------------------------------------------------
     @property

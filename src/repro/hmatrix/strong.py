@@ -205,8 +205,7 @@ def build_strong_hmatrix(
         cols = perm[col.start : col.stop]
         if is_admissible(row, col, eta):
             node.rk = aca(
-                lambda i: op.block(rows[i : i + 1], cols)[0],
-                lambda j: op.block(rows, cols[j : j + 1])[:, 0],
+                lambda r, c: op.block(rows[r], cols[c]),
                 (len(rows), len(cols)),
                 tol,
                 max_rank=max_rank,

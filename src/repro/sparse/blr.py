@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.dense.triangular import RowBlockKernel
-from repro.hmatrix.rk import RkMatrix
+from repro.hmatrix.rk import RkMatrix, rank_first
 from repro.utils.errors import ConfigurationError
 
 
@@ -74,41 +74,19 @@ def compress_panel(panel: np.ndarray, config: Optional[BLRConfig]) -> Panel:
     nearly-square panels) and ``r ≤ max_rank_fraction·min(m, n)``.
 
     Most panels fail that test, so it is decided from the singular
-    *values* and vectors are computed only for a kept panel.  The values
-    are the eigenvalues ``σ²`` of the short-side Gram matrix (``A Aᴴ`` for
-    ``m ≤ n``: one GEMM, one ``eigvalsh`` of order ``m``); a kept panel is
-    the projection ``U (Uᴴ A)`` onto its top-``r`` eigenvectors, whose
-    error is the discarded tail.  The Gram eigenvalues carry an absolute
-    error of a few ``max(m, n)·eps·σ₀²``, so they resolve the threshold
-    ``tol²·σ₀²`` only while ``tol² ≥ 100·max(m, n)·eps`` (``tol ≳ 5e-6``
-    for 960 float64 columns, never for float32 at ``tol = 1e-3``); outside
-    that bound the panel's own singular values decide and a kept panel is
-    decomposed by :meth:`RkMatrix.from_dense`.
+    *values* and vectors are computed only for a kept panel — the
+    rank-first rule of :func:`repro.hmatrix.rk.rank_first`, which also
+    states when the Gram spectrum may stand in for the SVD's.
     """
     if not rank_tested(panel.shape, config):
         return panel
     m, n = panel.shape
-    tol = config.tol
-    gram = None
-    if tol * tol >= 100 * max(m, n) * np.finfo(panel.dtype).eps:
-        gram = (panel @ panel.conj().T if m <= n
-                else panel.conj().T @ panel)
-        values, cut = np.linalg.eigvalsh(gram)[::-1], tol * tol
-    else:
-        values, cut = np.linalg.svd(panel, compute_uv=False), tol
-    rank = (int(np.count_nonzero(values > cut * values[0]))
-            if values[0] > 0 else 0)
-    if (m + n) * rank >= m * n or rank > config.max_rank_fraction * min(m, n):
-        return panel
-    if gram is None:
-        return RkMatrix.from_dense(panel, tol, max_rank=rank)
-    # eigh sorts ascending: the top-r eigenvectors, largest first
-    basis = np.linalg.eigh(gram)[1][:, :-rank - 1:-1]
-    if m <= n:
-        u, v = basis, panel.T @ basis.conj()
-    else:
-        u, v = panel @ basis, basis.conj()
-    return RkMatrix(np.ascontiguousarray(u), np.ascontiguousarray(v))
+    factors = rank_first(
+        panel, config.tol,
+        keep=lambda rank: ((m + n) * rank < m * n
+                           and rank <= config.max_rank_fraction * min(m, n)),
+    )
+    return panel if factors is None else RkMatrix(*factors)
 
 
 def panel_nbytes(panel: Panel) -> int:

@@ -60,7 +60,57 @@ class TestKernels:
             helmholtz_kernel(1.0, 0.0)
 
 
+def _einsum_distance(x, y):
+    """The distance as first written: an ``(m, n, 3)`` difference tensor
+    contracted by einsum — the values the coordinate-wise one must keep."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+class TestDistanceRounding:
+    @pytest.mark.parametrize("kind", ["laplace", "helmholtz"])
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(0, 150),
+                                      slice(20, 97)],
+                             ids=["one-row", "square", "view"])
+    def test_kernel_values_unchanged_by_the_buffered_distance(
+            self, points, monkeypatch, kind, rows):
+        from repro.fembem import bem
+
+        kernel = (laplace_kernel(0.07) if kind == "laplace"
+                  else helmholtz_kernel(1.3, 0.07))
+        x, y = points[rows], points[::-1][5:140]
+        new = kernel(x, np.ascontiguousarray(y))
+        monkeypatch.setattr(bem, "_pairwise_distance", _einsum_distance)
+        old = kernel(x, np.ascontiguousarray(y))
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert np.array_equal(new, old)
+
+    def test_no_three_dimensional_temporary(self, points):
+        import tracemalloc
+
+        from repro.fembem.bem import _pairwise_distance
+
+        x = np.tile(points, (4, 1))  # 600 points: the result is 2.88 MB
+        tracemalloc.start()
+        r = _pairwise_distance(x, x)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # result + one coordinate buffer, not result + 3× tensor
+        assert peak < 2.5 * r.nbytes
+
+
 class TestKernelMatrix:
+    def test_block_accepts_slices_as_index_arrays(self, points):
+        op = make_surface_operator(points, kind="helmholtz", wavenumber=1.1)
+        idx = np.arange(150)
+        for rows, cols in [(slice(10, 60), slice(40, 90)),     # meets diagonal
+                           (slice(0, 30), slice(30, 150)),     # clear of it
+                           (slice(7, 8), slice(0, 150)),
+                           (slice(0, 150), np.array([3, 99, 7])),
+                           (slice(5, 5), slice(0, 150))]:      # empty
+            np.testing.assert_array_equal(op.block(rows, cols),
+                                          op.block(idx[rows], idx[cols]))
+
     def test_block_matches_to_dense(self, points):
         op = make_surface_operator(points, kind="laplace")
         dense = op.to_dense()
@@ -68,6 +118,13 @@ class TestKernelMatrix:
         cols = np.array([3, 5, 99, 100])
         np.testing.assert_allclose(op.block(rows, cols),
                                    dense[np.ix_(rows, cols)])
+
+    @pytest.mark.parametrize("kind", ["laplace", "helmholtz"])
+    def test_to_dense_values_do_not_depend_on_the_slab(self, points, kind):
+        op = make_surface_operator(points, kind=kind)
+        whole = op.block(np.arange(150), np.arange(150))
+        for block_size in (1, 37, 128, 1024):
+            np.testing.assert_array_equal(op.to_dense(block_size), whole)
 
     def test_diagonal_shift_only_on_diagonal(self, points):
         op = make_surface_operator(points, kind="laplace", diagonal_shift=2.5)

@@ -150,3 +150,66 @@ class TestContainerIntegration:
         assert isinstance(c._fact, HLUFactorization)
         c.free()
         t.assert_all_freed()
+
+
+class TestMirroredAssembly:
+    """The symmetric pipe assembles only the ``21`` blocks of ``A_ss``."""
+
+    @pytest.mark.parametrize("algorithm",
+                             ["multi_solve", "multi_factorization"])
+    def test_solution_is_that_of_the_two_sided_build(
+            self, pipe_small, algorithm, monkeypatch):
+        from repro.core import SolverConfig, schur_tools, solve_coupled
+        from tools.analysis.watchdog import TrackerBalanceRecorder
+
+        config = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=128,
+                              n_b=2)
+        seen = []
+        build = schur_tools.build_hodlr
+
+        def spy(op, tree, symmetric, **kwargs):
+            hm = build(op, tree, symmetric=symmetric, **kwargs)
+            seen.append((symmetric, hm.nbytes()))
+            return hm
+
+        recorder = TrackerBalanceRecorder().install()
+        try:
+            monkeypatch.setattr(schur_tools, "build_hodlr", spy)
+            mirrored = solve_coupled(pipe_small, algorithm, config)
+            monkeypatch.setattr(
+                schur_tools, "build_hodlr",
+                lambda op, tree, symmetric, **kw: spy(op, tree, False, **kw))
+            two_sided = solve_coupled(pipe_small, algorithm, config)
+        finally:
+            recorder.uninstall()
+        recorder.verify()
+        assert [flag for flag, _ in seen] == [True, False]
+        # H-LDLᵀ reads the 21 blocks only, which both builds cross alike
+        assert np.array_equal(mirrored.x, two_sided.x)
+        assert mirrored.relative_error < config.epsilon
+        # the mirrored 12 block takes its twin's rank: bytes move a little
+        assert abs(seen[0][1] - seen[1][1]) < 0.05 * seen[1][1]
+
+    def test_complex_nonsymmetric_builds_both_sides(self, aircraft_small,
+                                                    monkeypatch):
+        """No harness workload runs a complex ℋ assembly: this is the
+        guard that the non-symmetric path still crosses ``12`` and ``21``
+        separately and meets ε."""
+        from repro.core import SolverConfig, schur_tools, solve_coupled
+
+        built = []
+        build = schur_tools.build_hodlr
+
+        def spy(*args, **kwargs):
+            built.append((kwargs["symmetric"], build(*args, **kwargs)))
+            return built[-1][1]
+
+        monkeypatch.setattr(schur_tools, "build_hodlr", spy)
+        config = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=128,
+                              n_b=2, epsilon=1e-4)
+        sol = solve_coupled(aircraft_small, "multi_solve", config)
+        assert sol.relative_error < config.epsilon
+        (symmetric, hm), = built
+        assert symmetric is False and hm.dtype == np.complex128
+        root = hm.root
+        assert not np.array_equal(root.rk12.u, root.rk21.v)

@@ -37,6 +37,66 @@ class TestAssembly:
         assert hm.nbytes() < dense.nbytes
         assert hm.compression_ratio() < 1.0
 
+    def test_symmetric_build_mirrors_the_21_blocks(self, setup):
+        """``symmetric=True``: only the ``21`` blocks are crossed, each
+        ``12`` block is its twin's plain transpose in its own memory."""
+        _, tree, op, dense = setup
+        both = build_hodlr(op, tree, tol=1e-7)
+        calls = []
+        block = type(op).block
+
+        def counted(self, rows, cols):
+            calls.append(1)
+            return block(self, rows, cols)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(type(op), "block", counted)
+            build_hodlr(op, tree, tol=1e-7)
+            n_both, _ = len(calls), calls.clear()
+            hm = build_hodlr(op, tree, tol=1e-7, symmetric=True)
+        n_leaves = 0
+
+        def walk(node, twin):
+            nonlocal n_leaves
+            if node.is_leaf:
+                n_leaves += 1
+                assert np.array_equal(node.dense, twin.dense)
+                return
+            assert np.array_equal(node.rk12.u, node.rk21.v)
+            assert np.array_equal(node.rk12.v, node.rk21.u)
+            assert not np.shares_memory(node.rk12.u, node.rk21.v)
+            assert not np.shares_memory(node.rk12.v, node.rk21.u)
+            # the 21 side is the very block the two-sided build crosses
+            assert np.array_equal(node.rk21.u, twin.rk21.u)
+            assert np.array_equal(node.rk21.v, twin.rk21.v)
+            walk(node.h11, twin.h11)
+            walk(node.h22, twin.h22)
+
+        walk(hm.root, both.root)
+        # the requests of the 12 side are saved, the leaves' stay
+        assert n_leaves < len(calls) < 0.55 * n_both
+        np.testing.assert_allclose(hm.to_dense(), hm.to_dense().T,
+                                   rtol=0, atol=1e-14)
+        assert np.abs(hm.to_dense() - dense).max() < 1e-5 * np.abs(dense).max()
+
+    def test_every_evaluation_goes_through_the_operator_block(self, setup):
+        """The harness counts kernel work at ``KernelMatrix.block``: the
+        cluster-ordered copy ``build_hodlr`` works on must stay behind it,
+        and must ask for what the original would have been asked for."""
+        _, tree, op, _ = setup
+        ordered = op.permuted(tree.perm)
+        assert type(ordered) is type(op) and ordered.dtype == op.dtype
+        idx = np.array([3, 77, 200, 349])
+        assert np.array_equal(ordered.block(idx, slice(40, 90)),
+                              op.block(tree.perm[idx], tree.perm[40:90]))
+        # a slice meeting the diagonal carries the shift, one clear of it
+        # does not even build the mask
+        own = slice(10, 50)
+        assert np.array_equal(ordered.block(own, own),
+                              op.block(tree.perm[own], tree.perm[own]))
+        assert np.array_equal(ordered.block(own, own).diagonal(),
+                              op.to_dense().diagonal()[tree.perm[own]])
+
     def test_from_dense_accuracy(self, setup):
         _, tree, _, dense = setup
         hm = hodlr_from_dense(dense, tree, tol=1e-8)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hmatrix.rk import RkMatrix, rk_sum, svd_truncate
+from repro.hmatrix.rk import RkMatrix, rank_first, rk_sum, svd_truncate
+from tests.test_blr import _SHAPES, _SPECTRA, _Decompositions, _panel
 from repro.utils.errors import ConfigurationError
 
 
@@ -137,6 +138,104 @@ class TestRkMatrix:
         rk = RkMatrix.from_dense(a, 1e-12)
         assert rk.norm_estimate() >= np.linalg.norm(a, "fro") * 0.999
         assert RkMatrix.zeros(3, 3).norm_estimate() == 0.0
+
+
+class TestRankFirst:
+    """The one dense→Rk routine behind ``RkMatrix.from_dense`` (and, with
+    a ``keep`` test, behind ``compress_panel``: see ``test_blr.py``)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("spectrum", sorted(_SPECTRA))
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_gram_branch_truncates_as_the_svd_does(
+            self, rng, monkeypatch, shape, spectrum, dtype):
+        m, n = _SHAPES[shape]
+        a = _panel(rng, m, n, _SPECTRA[spectrum](min(m, n)), dtype)
+        before = a.copy()
+        s = np.linalg.svd(a, compute_uv=False)
+        rank = int(np.sum(s > 1e-3 * s[0]))
+        count = _Decompositions(monkeypatch)
+        rk = RkMatrix.from_dense(a, 1e-3)
+        # one eigh gives values and vectors; no SVD of the block at all
+        assert (count.eigh, count.svd_vectors, count.svd_values) == (1, 0, 0)
+        assert np.array_equal(a, before)
+        assert rk.rank == rank and rk.shape == (m, n)
+        assert rk.u.dtype == rk.v.dtype == a.dtype
+        assert rk.u.flags.c_contiguous and rk.v.flags.c_contiguous
+        # Rk is U Vᵀ, plain transpose, for complex data too
+        err = np.linalg.norm(a - rk.u @ rk.v.T, 2)
+        assert err <= 1e-3 * s[0] * (1 + 1e-6)
+        if np.iscomplexobj(a) and rank:
+            assert np.linalg.norm(a - rk.u @ rk.v.conj().T, 2) > 1e-2 * s[0]
+
+    @pytest.mark.parametrize("tol,dtype", [(1e-9, np.float64),
+                                           (1e-3, np.float32)],
+                             ids=["tight-tol", "float32"])
+    def test_outside_the_gram_bound_it_is_the_svd(self, rng, monkeypatch,
+                                                  tol, dtype):
+        a = _panel(rng, 64, 200, _SPECTRA["geometric"](64), dtype)
+        count = _Decompositions(monkeypatch)
+        rk = RkMatrix.from_dense(a, tol)
+        assert (count.eigh, count.svd_vectors, count.svd_values) == (0, 1, 0)
+        monkeypatch.undo()
+        u, v = svd_truncate(a, tol)
+        assert np.array_equal(rk.u, u) and np.array_equal(rk.v, v)
+        assert rk.dtype == dtype
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9], ids=["gram", "svd"])
+    def test_norm_ref_and_max_rank_honoured(self, rng, tol):
+        a = _panel(rng, 96, 64, 0.5 ** np.arange(64), np.float64)
+        own = RkMatrix.from_dense(a, tol).rank
+        assert RkMatrix.from_dense(a, tol, max_rank=3).rank == 3
+        # relative to a context 2⁴ larger, four more values drop
+        assert RkMatrix.from_dense(a, tol, norm_ref=16.0).rank == own - 4
+        assert RkMatrix.from_dense(a, tol, norm_ref=16.0,
+                                   max_rank=2).rank == 2
+        assert RkMatrix.from_dense(a, tol, norm_ref=1e12).rank == 0
+        capped = RkMatrix.from_dense(a, tol, max_rank=3)
+        assert np.linalg.norm(a - capped.to_dense(), 2) <= 0.5 ** 3 * 1.001
+
+    def test_small_norm_ref_pulls_the_threshold_under_the_gram_bound(
+            self, rng, monkeypatch):
+        """``(tol·ref)²`` is what the Gram spectrum must resolve: a
+        ``norm_ref`` far below ``σ₀`` sends the block to the SVD."""
+        a = _panel(rng, 96, 64, 0.5 ** np.arange(64), np.float64)
+        count = _Decompositions(monkeypatch)
+        rk = RkMatrix.from_dense(a, 1e-3, norm_ref=1e-6)
+        assert (count.svd_vectors, count.eigh) == (1, 1)  # tried, then SVD
+        assert rk.rank == int(np.sum(0.5 ** np.arange(64) > 1e-9))
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9], ids=["gram", "svd"])
+    def test_keep_sees_the_rank_before_any_vector(self, rng, monkeypatch,
+                                                  tol):
+        a = _panel(rng, 64, 200, np.linspace(1.0, 0.5, 7), np.float64)
+        asked = []
+        count = _Decompositions(monkeypatch)
+        assert rank_first(a, tol, keep=lambda r: asked.append(r)) is None
+        assert asked == [7]
+        assert count.eigh == count.svd_vectors == 0
+        u, v = rank_first(a, tol, keep=lambda r: True)
+        assert u.shape == (64, 7) and v.shape == (200, 7)
+
+    def test_degenerate_blocks(self):
+        with np.errstate(all="raise"):
+            rk = RkMatrix.from_dense(np.zeros((70, 90)), 1e-3)
+        assert rk.shape == (70, 90) and rk.rank == 0
+        assert RkMatrix.from_dense(np.zeros((0, 4)), 1e-3).shape == (0, 4)
+        ints = RkMatrix.from_dense(np.arange(12).reshape(3, 4), 1e-3)
+        assert ints.dtype == np.float64 and ints.rank == 2
+        with pytest.raises(ConfigurationError):
+            rank_first(np.zeros(5), 1e-3)
+
+    def test_thick_truncate_shares_the_routine(self, rng, monkeypatch):
+        u, v = rng.standard_normal((30, 5)), rng.standard_normal((24, 5))
+        thick = RkMatrix(np.hstack([u] * 6), np.hstack([v] * 6))  # rank 30
+        count = _Decompositions(monkeypatch)
+        out = thick.truncate(1e-4)
+        assert (count.eigh, count.svd_vectors) == (1, 0)
+        assert out.rank == 5
+        np.testing.assert_allclose(out.to_dense(), 6 * u @ v.T, atol=1e-9)
 
 
 class TestRkSum:
