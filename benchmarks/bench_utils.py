@@ -2,29 +2,21 @@
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
-#: CI's perf-smoke job exports ``REPRO_BENCH_SCALE=0.25`` (say) to run the
-#: benches on proportionally smaller cases; timing *assertions* that only
-#: hold at full size gate on :func:`bench_scale` returning 1.0.
+#: CI exports ``REPRO_BENCH_SCALE=0.25`` (say) to run ``bench_kernels.py``
+#: and the fixture cases on proportionally smaller problems.
 BENCH_SCALE_ENV = "REPRO_BENCH_SCALE"
-
-
-def bench_scale() -> float:
-    return float(os.environ.get(BENCH_SCALE_ENV, "1.0"))
 
 
 def scaled(n: int, floor: int = 1_000) -> int:
     """``n`` scaled by $REPRO_BENCH_SCALE, never below ``floor``."""
-    return max(floor, int(n * bench_scale()))
+    scale = float(os.environ.get(BENCH_SCALE_ENV, "1.0"))
+    return max(floor, int(n * scale))
+
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Machine-readable bench outputs land at the repo root (``BENCH_*.json``)
-#: where the CI perf-smoke job picks them up.
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
 def write_result(name: str, text: str) -> None:
@@ -33,18 +25,3 @@ def write_result(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
-
-
-def write_bench_json(name: str, payload: dict) -> pathlib.Path:
-    """Persist a machine-readable bench result as ``BENCH_<name>.json``.
-
-    The file lands at the repo root so CI (and scripts) can assert on the
-    numbers without scraping rendered tables.  Non-JSON scalars (numpy
-    floats/ints) are coerced through ``float``.
-    """
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
-    )
-    print(f"[bench json written to {path}]")
-    return path

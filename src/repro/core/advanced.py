@@ -28,7 +28,6 @@ from repro.core.schur_tools import (
     finalize_solution,
 )
 from repro.fembem.cases import CoupledProblem
-from repro.sparse.solver import SparseSolver
 from repro.utils.errors import ConfigurationError
 
 
@@ -52,13 +51,7 @@ def assemble_advanced(ctx: RunContext):
     factorizations alive for repeated right-hand sides.
     """
     problem, config = ctx.problem, ctx.config
-    sparse = SparseSolver(
-        ordering=config.ordering,
-        leaf_size=config.nd_leaf_size,
-        amalgamate=config.amalgamate,
-        blr=config.blr_config(),
-        tracker=ctx.tracker,
-    )
+    sparse = ctx.sparse_solver()
 
     n_v, n_s = problem.n_fem, problem.n_bem
     w = sp.bmat(

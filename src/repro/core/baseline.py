@@ -23,7 +23,6 @@ from repro.core.schur_tools import (
     finalize_solution,
 )
 from repro.fembem.cases import CoupledProblem
-from repro.sparse.solver import SparseSolver
 from repro.utils.errors import ConfigurationError
 
 
@@ -51,13 +50,7 @@ def assemble_baseline(ctx: RunContext):
     factorizations alive for repeated right-hand sides.
     """
     problem, config = ctx.problem, ctx.config
-    sparse = SparseSolver(
-        ordering=config.ordering,
-        leaf_size=config.nd_leaf_size,
-        amalgamate=config.amalgamate,
-        blr=config.blr_config(),
-        tracker=ctx.tracker,
-    )
+    sparse = ctx.sparse_solver()
 
     with ctx.timer.phase("sparse_factorization"):
         mf = sparse.factorize(

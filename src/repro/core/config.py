@@ -103,23 +103,15 @@ class SolverConfig:
     #: Solutions are bit-identical across backends under the same BLAS
     #: threading.
     runtime_backend: Optional[str] = None
-    #: Reuse the sparse *analysis* (ordering + symbolic factorization of
-    #: ``A_vv``) across the ``n_b²`` multi-factorization blocks through a
-    #: :class:`repro.sparse.SymbolicCache` — what real solvers' split
-    #: analyse/factorize APIs provide (MUMPS JOB=1/JOB=2).  The *numeric*
-    #: re-factorization per block stays, faithful to the paper (§IV-B1).
-    #: ``None`` = ``$REPRO_REUSE_ANALYSIS`` if set, else True; solutions
-    #: are bit-identical either way.
-    reuse_analysis: Optional[bool] = None
     #: Deferred recompression of the compressed-AXPY updates (LUAR-style):
     #: low-rank panel pieces are *appended* to per-block accumulators and
     #: recompressed once per budget window / final flush instead of once
     #: per panel, removing the heavy recompression overhead the paper
-    #: reports for small ``n_S``.  ``None`` = ``$REPRO_AXPY_ACCUMULATE``
-    #: if set, else True.  ``False`` restores the immediate-fold behaviour
-    #: (for A/B benchmarking); results differ only in rounding order,
-    #: both within ε.
-    axpy_accumulate: Optional[bool] = None
+    #: reports for small ``n_S``.  ``False`` is the paper's Algorithm 2
+    #: as written (one immediately recompressed AXPY per ``n_S`` block,
+    #: what Fig. 12 sweeps); results differ only in rounding order, both
+    #: within ε.
+    axpy_accumulate: bool = True
     #: Pending-rank budget per off-diagonal block before an accumulator is
     #: force-flushed mid-stream (bounds the factor storage and keeps the
     #: eventual QR+SVD from going superlinear).
@@ -134,12 +126,11 @@ class SolverConfig:
     serve_cache_budget: Optional[int] = None
     #: Coalesce concurrent solve requests with the same system
     #: fingerprint/dtype into blocked RHS panels (the serving tentpole).
-    #: ``None`` = ``$REPRO_SERVE_BATCHING`` if set, else True.  Off, each
-    #: request dispatches alone — bytes then match a direct
+    #: Off, each request dispatches alone — bytes then match a direct
     #: ``solve_coupled`` exactly (coalesced panels change the BLAS sweep
     #: shape, so batched results agree within the solver tolerance
     #: instead; see ``docs/serving.md``).
-    serve_batching: Optional[bool] = None
+    serve_batching: bool = True
     #: Linger window (milliseconds) a batch stays open for co-arriving
     #: requests before dispatch.  0 dispatches immediately (batches still
     #: form under backpressure while the executor is busy).
@@ -230,30 +221,6 @@ class SolverConfig:
         from repro.runtime import resolve_runtime_backend
 
         return resolve_runtime_backend(self.runtime_backend)
-
-    @property
-    def effective_reuse_analysis(self) -> bool:
-        """Resolved reuse switch: ``reuse_analysis``,
-        ``$REPRO_REUSE_ANALYSIS``, or True."""
-        from repro.sparse.symbolic_cache import resolve_reuse_analysis
-
-        return resolve_reuse_analysis(self.reuse_analysis)
-
-    @property
-    def effective_axpy_accumulate(self) -> bool:
-        """Resolved deferred-recompression switch: ``axpy_accumulate``,
-        ``$REPRO_AXPY_ACCUMULATE``, or True."""
-        from repro.hmatrix.rk import resolve_axpy_accumulate
-
-        return resolve_axpy_accumulate(self.axpy_accumulate)
-
-    @property
-    def effective_serve_batching(self) -> bool:
-        """Resolved RHS-batching switch: ``serve_batching``,
-        ``$REPRO_SERVE_BATCHING``, or True."""
-        from repro.serving.batcher import resolve_serve_batching
-
-        return resolve_serve_batching(self.serve_batching)
 
     @property
     def effective_serve_max_batch_cols(self) -> int:

@@ -40,7 +40,7 @@ from repro.core.multi_solve import (
     make_multi_solve_context,
 )
 from repro.core.result import SolveStats
-from repro.core.schur_tools import _coupled_solve
+from repro.core.schur_tools import reduce_rhs_and_solve
 from repro.fembem.cases import CoupledProblem
 from repro.utils.errors import ConfigurationError, FactorizationFreed
 
@@ -165,18 +165,9 @@ class CoupledFactorization:
             self.config.refinement_steps if refinement_steps is None
             else refinement_steps
         )
-        p = self.problem
-        x_v, x_s = _coupled_solve(self._ctx, self._mf, self._container,
-                                  b_v, b_s)
-        for _ in range(steps):
-            with self._ctx.timer.phase("iterative_refinement"):
-                r_v = b_v - (p.a_vv @ x_v + p.a_sv.T @ x_s)
-                r_s = b_s - (p.a_sv @ x_v + p.a_ss_op.matvec(x_s))
-            d_v, d_s = _coupled_solve(self._ctx, self._mf, self._container,
-                                      r_v, r_s)
-            x_v = x_v + d_v
-            x_s = x_s + d_s
-        return x_v, x_s
+        return reduce_rhs_and_solve(
+            self._ctx, self._mf, self._container, b_v, b_s, steps
+        )
 
     # -- inspection -----------------------------------------------------------
     @property

@@ -29,9 +29,9 @@ bit-identical for any worker count; with ``k`` workers up to ``k`` sparse
 factorizations are alive at once (the time/memory trade-off of
 parallelising this algorithm).
 
-With the compressed backend and ``config.effective_axpy_accumulate`` (the
-default), each dense ``X_ij`` is *pre-compressed on its worker* — only a
-low-rank plan travels to the serialized commit, which appends to deferred
+With the compressed backend and ``config.axpy_accumulate`` (the default),
+each dense ``X_ij`` is *pre-compressed on its worker* — only a low-rank
+plan travels to the serialized commit, which appends to deferred
 recompression accumulators; a single ``flush()`` before the hierarchical
 factorization recompresses each off-diagonal block once.
 """
@@ -47,13 +47,13 @@ from repro.core.schur_tools import (
     RunContext,
     finalize_solution,
     make_schur_container,
+    make_sparse_solver,
 )
 from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.hmatrix import HMatrix
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import PanelTask, make_runtime
 from repro.sparse.multifrontal import FrontArena
-from repro.sparse.solver import SparseSolver
 from repro.sparse.symbolic_cache import SymbolicCache
 
 
@@ -77,13 +77,8 @@ def _surface_blocks(n_s: int, n_b: int):
 def _facto_worker_ctx(payload):
     """Pool-initializer builder: per-process solver state from the payload."""
     tracker = MemoryTracker()
-    payload["sparse"] = SparseSolver(
-        ordering=payload["ordering"],
-        leaf_size=payload["nd_leaf_size"],
-        amalgamate=payload["amalgamate"],
-        blr=payload["blr"],
-        tracker=tracker,
-        symbolic_cache=SymbolicCache() if payload["reuse_analysis"] else None,
+    payload["sparse"] = make_sparse_solver(
+        payload["config"], tracker, SymbolicCache()
     )
     payload["arena"] = FrontArena(tracker)
     payload["sym_counts"] = [0, 0]  # (analyses, reuses) last reported
@@ -126,8 +121,10 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     w_mat, schur_vars = _build_w_block(
         w["a_vv"], w["a_sv"], rows_i, cols_j, w["dtype"]
     )
+    config = w["config"]
     symmetric_block = (
-        w["exploit_diag_sym"] and w["symmetric"] and i == j and k_i == k_j
+        config.mf_exploit_diagonal_symmetry and w["symmetric"]
+        and i == j and k_i == k_j
     )
     sparse = w["sparse"]
     with timer.phase("sparse_factorization_schur"):
@@ -142,14 +139,14 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     w["sym_counts"] = [sparse.n_symbolic_analyses, sparse.n_symbolic_reuses]
     x_block, x_alloc = mf_ij.take_schur()
     try:
-        skel = w.get("skeleton")
-        if skel is not None and w["accumulate"]:
+        skel = w.get("skeleton")  # shipped only when the commits accumulate
+        if skel is not None:
             before = skel.n_panel_compressions
             with timer.phase("schur_precompress"):
                 # axpy-ok: skeleton stages nothing; plan commits+flushes on tree
                 plan = skel.precompress_axpy(
                     1.0, x_block[:k_i, :k_j], rows_i, cols_j,
-                    compressor=w["compressor"],
+                    compressor=config.compressor,
                 )
             body = HMatrix.export_plan(
                 plan, skel.n_panel_compressions - before
@@ -184,20 +181,12 @@ def assemble_multi_factorization(ctx: RunContext):
     """
     problem, config = ctx.problem, ctx.config
     compressed = config.dense_backend == "hmat"
-    # the interior pattern of every W block is the pattern of A_vv: with
-    # reuse enabled the ordering + symbolic analysis runs once and each
-    # block only grafts its Schur border onto the cached elimination tree
-    # (the split analyse/factorize idiom of real solver APIs); the numeric
+    # the interior pattern of every W block is the pattern of A_vv: the
+    # ordering + symbolic analysis runs once and each block only grafts
+    # its Schur border onto the cached elimination tree (the split
+    # analyse/factorize idiom of real solver APIs); the numeric
     # re-factorization per block stays, faithful to the paper (§IV-B1)
-    cache = SymbolicCache() if config.effective_reuse_analysis else None
-    sparse = SparseSolver(
-        ordering=config.ordering,
-        leaf_size=config.nd_leaf_size,
-        amalgamate=config.amalgamate,
-        blr=config.blr_config(),
-        tracker=ctx.tracker,
-        symbolic_cache=cache,
-    )
+    sparse = ctx.sparse_solver(SymbolicCache())
 
     with ctx.timer.phase("schur_init"):
         container = make_schur_container(problem, config, ctx.tracker)
@@ -206,7 +195,7 @@ def assemble_multi_factorization(ctx: RunContext):
     n_blocks = len(blocks)
     itemsize = np.dtype(problem.dtype).itemsize
     state = {"mf": None, "factor_bytes": 0}
-    accumulate = compressed and config.effective_axpy_accumulate
+    accumulate = compressed and config.axpy_accumulate
     backend = ctx.runtime_backend
     worker_payload = None
     if backend == "process":
@@ -217,17 +206,10 @@ def assemble_multi_factorization(ctx: RunContext):
             "symmetric": problem.symmetric,
             "dtype": problem.dtype,
             "blocks": blocks,
-            "ordering": config.ordering,
-            "nd_leaf_size": config.nd_leaf_size,
-            "amalgamate": config.amalgamate,
-            "blr": config.blr_config(),
-            "reuse_analysis": config.effective_reuse_analysis,
-            "exploit_diag_sym": config.mf_exploit_diagonal_symmetry,
-            "accumulate": accumulate,
+            "config": config,
         }
         if accumulate:
             worker_payload["skeleton"] = container.structure_skeleton()
-            worker_payload["compressor"] = config.compressor
     runtime = make_runtime(
         ctx.tracker, ctx.n_workers, "multi-facto", backend=backend,
         worker_payload=worker_payload, worker_builder=_facto_worker_ctx,

@@ -31,11 +31,11 @@ Schur container are consumed on the caller thread in panel order, so the
 assembled ``S`` (and hence the solution) is bit-identical for any worker
 count.
 
-With ``config.effective_axpy_accumulate`` (the default) the compressed
-variant additionally *pre-compresses* each panel on the worker that
-solved it — the SVDs of the quadrant pieces, the expensive part of the
-compressed AXPY, leave the turnstile — while the cheap commits append to
-per-block deferred-recompression accumulators in panel order and a final
+With ``config.axpy_accumulate`` (the default) the compressed variant
+additionally *pre-compresses* each panel on the worker that solved it —
+the SVDs of the quadrant pieces, the expensive part of the compressed
+AXPY, leave the turnstile — while the cheap commits append to per-block
+deferred-recompression accumulators in panel order and a final
 ``flush()`` recompresses each off-diagonal block once (see
 :class:`repro.hmatrix.rk.RkAccumulator`).
 """
@@ -55,7 +55,6 @@ from repro.core.schur_tools import (
 from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.hmatrix import HMatrix
 from repro.runtime import PanelTask, make_runtime
-from repro.sparse.solver import SparseSolver
 from repro.sparse.symbolic_cache import SymbolicCache
 
 
@@ -115,15 +114,7 @@ def assemble_multi_solve(ctx: RunContext):
     # multi-solve factorizes A_vv once, so there is nothing to reuse
     # within a run — but attaching the cache keeps the analysis/numeric
     # phase split and the counters consistent across the algorithms
-    cache = SymbolicCache() if config.effective_reuse_analysis else None
-    sparse = SparseSolver(
-        ordering=config.ordering,
-        leaf_size=config.nd_leaf_size,
-        amalgamate=config.amalgamate,
-        blr=config.blr_config(),
-        tracker=ctx.tracker,
-        symbolic_cache=cache,
-    )
+    sparse = ctx.sparse_solver(SymbolicCache())
 
     with ctx.timer.phase("sparse_factorization"):
         mf = sparse.factorize(
@@ -243,7 +234,7 @@ def assemble_multi_solve(ctx: RunContext):
                 ):
                     container.commit(plan)
                 container.flush()
-        elif config.effective_axpy_accumulate:
+        elif config.axpy_accumulate:
             # Algorithm 2 with deferred recompression: each n_c panel is
             # *pre-compressed on the worker that solved it* (the SVD of
             # every quadrant piece — the expensive part — runs off the
@@ -309,7 +300,7 @@ def assemble_multi_solve(ctx: RunContext):
             # Algorithm 2, immediate folds: the inner n_c panels of each
             # outer n_S block solve concurrently into a dense Z_i, folded
             # in by one compressed AXPY per outer block (on the caller
-            # thread) — the historical behaviour kept for A/B runs
+            # thread) — the paper's n_c / n_S scheme, what Fig. 12 sweeps
             n_s_block = min(config.n_s_block, n_s)
             for lo in range(0, n_s, n_s_block):
                 hi = min(n_s, lo + n_s_block)

@@ -36,11 +36,12 @@ class SolveStats:
     n_sparse_factorizations: int = 0
     n_sparse_solves: int = 0
     #: Full symbolic analyses (ordering + symbolic factorization)
-    #: actually computed; with analysis reuse on, multi-factorization
-    #: performs exactly one for all ``n_b²`` blocks.
+    #: actually computed; multi-factorization performs exactly one for
+    #: all ``n_b²`` blocks (one per worker process on that backend).
     n_symbolic_analyses: int = 0
     #: Analyses served from the :class:`repro.sparse.SymbolicCache`
-    #: instead of recomputed (0 when ``reuse_analysis`` is off).
+    #: instead of recomputed (0 for baseline / advanced, which attach
+    #: no cache).
     n_symbolic_reuses: int = 0
     #: Width of the parallel panel runtime that ran the Schur assembly
     #: (1 = serial); phase totals are worker time, so they stay comparable

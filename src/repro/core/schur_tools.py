@@ -29,8 +29,23 @@ from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.factorization import HLUFactorization
 from repro.hmatrix.hmatrix import PortableAxpyPlan, build_hodlr
 from repro.memory.tracker import MemoryTracker
+from repro.sparse.solver import SparseSolver
+from repro.sparse.symbolic_cache import SymbolicCache
 from repro.utils.errors import ConfigurationError
 from repro.utils.timer import PhaseTimer
+
+
+def make_sparse_solver(config: SolverConfig, tracker: MemoryTracker,
+                       cache: Optional[SymbolicCache] = None) -> SparseSolver:
+    """The sparse solver ``config`` describes, charging ``tracker``."""
+    return SparseSolver(
+        ordering=config.ordering,
+        leaf_size=config.nd_leaf_size,
+        amalgamate=config.amalgamate,
+        blr=config.blr_config(),
+        tracker=tracker,
+        symbolic_cache=cache,
+    )
 
 
 class RunContext:
@@ -53,7 +68,7 @@ class RunContext:
         self.n_sparse_factorizations = 0
         self.n_sparse_solves = 0
         #: Full symbolic analyses computed / served from the symbolic
-        #: cache (see ``SolverConfig.reuse_analysis``).
+        #: cache (:class:`repro.sparse.SymbolicCache`).
         self.n_symbolic_analyses = 0
         self.n_symbolic_reuses = 0
         self.n_workers = config.effective_n_workers
@@ -66,6 +81,12 @@ class RunContext:
         #: Filled by the assembly phase when it ran on the parallel
         #: runtime (:mod:`repro.runtime`): per-worker phase breakdown.
         self.runtime_report = None
+
+    def sparse_solver(
+        self, cache: Optional[SymbolicCache] = None
+    ) -> SparseSolver:
+        """This run's sparse solver, charging the run's tracker."""
+        return make_sparse_solver(self.config, self.tracker, cache)
 
     def stats(self, schur_bytes: int, sparse_factor_bytes: int) -> SolveStats:
         p = self.problem
@@ -104,8 +125,7 @@ class RunContext:
                 "sparse_compression": self.config.sparse_compression,
                 "n_workers": self.n_workers,
                 "runtime_backend": self.runtime_backend,
-                "reuse_analysis": self.config.effective_reuse_analysis,
-                "axpy_accumulate": self.config.effective_axpy_accumulate,
+                "axpy_accumulate": self.config.axpy_accumulate,
                 "n_sampled_borders": self.n_sampled_borders,
                 "n_border_fallbacks": self.n_border_fallbacks,
             },
@@ -182,7 +202,7 @@ class HodlrSchurContainer:
     and commit in one step) or pre-compress panels concurrently on runtime
     workers via :meth:`precompress_subtract` / :meth:`precompress_add` and
     serialize only the cheap :meth:`commit`.  With
-    ``config.effective_axpy_accumulate`` on, commits append to per-block
+    ``config.axpy_accumulate`` on, commits append to per-block
     :class:`~repro.hmatrix.rk.RkAccumulator` batches; :meth:`flush` folds
     them in (one recompression per block) and must run before
     :meth:`factorize`.
@@ -209,7 +229,7 @@ class HodlrSchurContainer:
             problem.a_ss_op, self.tree, tol=config.hierarchical_tol,
             symmetric=problem.symmetric,
         )
-        self._accumulate = config.effective_axpy_accumulate
+        self._accumulate = config.axpy_accumulate
         self._max_acc_rank = config.axpy_max_accumulated_rank
         self._alloc = tracker.allocate(
             self.s.nbytes(), category="schur_store", label="compressed Schur S"
@@ -417,7 +437,10 @@ def finalize_solution(ctx: RunContext, mf, container,
     """Shared epilogue: coupled solve, stats snapshot, resource release."""
     from repro.core.result import CoupledSolution
 
-    x_v, x_s = reduce_rhs_and_solve(ctx, mf, container)
+    p = ctx.problem
+    x_v, x_s = reduce_rhs_and_solve(
+        ctx, mf, container, p.b_v, p.b_s, ctx.config.refinement_steps
+    )
     stats = ctx.stats(container.stored_bytes, sparse_factor_bytes)
     container.free()
     mf.free()
@@ -442,28 +465,29 @@ def _coupled_solve(ctx: RunContext, mf, container, b_v, b_s):
     return x_v, x_s
 
 
-def reduce_rhs_and_solve(ctx: RunContext, mf, container):
-    """RHS reduction, Schur solve, back-substitution and (optional)
-    iterative refinement.
+def reduce_rhs_and_solve(ctx: RunContext, mf, container, b_v, b_s,
+                         steps: int):
+    """RHS reduction, Schur solve, back-substitution and ``steps`` rounds
+    of iterative refinement for the load case ``(b_v, b_s)``.
 
     ``mf`` is a multifrontal factorization of (at least) the interior
     block ``A_vv``; ``container`` holds the factored Schur complement.
-    When ``config.refinement_steps > 0``, the compressed (or otherwise
-    inexact) factorizations are used as a preconditioner for iterative
-    refinement against the *exact* operator — the residual is evaluated
-    with the original sparse blocks and the lazy kernel, never the
-    compressed ``S`` — recovering accuracy well below the compression
-    tolerance at the cost of a couple of extra solves (the standard
-    production companion of low-rank direct solvers).
+    With ``steps > 0`` the compressed (or otherwise inexact)
+    factorizations are used as a preconditioner for iterative refinement
+    against the *exact* operator — the residual is evaluated with the
+    original sparse blocks and the lazy kernel, never the compressed
+    ``S`` — recovering accuracy well below the compression tolerance at
+    the cost of a couple of extra solves (the standard production
+    companion of low-rank direct solvers).
 
     Returns ``(x_v, x_s)``.
     """
     p = ctx.problem
-    x_v, x_s = _coupled_solve(ctx, mf, container, p.b_v, p.b_s)
-    for _ in range(ctx.config.refinement_steps):
+    x_v, x_s = _coupled_solve(ctx, mf, container, b_v, b_s)
+    for _ in range(steps):
         with ctx.timer.phase("iterative_refinement"):
-            r_v = p.b_v - (p.a_vv @ x_v + p.a_sv.T @ x_s)
-            r_s = p.b_s - (p.a_sv @ x_v + p.a_ss_op.matvec(x_s))
+            r_v = b_v - (p.a_vv @ x_v + p.a_sv.T @ x_s)
+            r_s = b_s - (p.a_sv @ x_v + p.a_ss_op.matvec(x_s))
         d_v, d_s = _coupled_solve(ctx, mf, container, r_v, r_s)
         x_v = x_v + d_v
         x_s = x_s + d_s

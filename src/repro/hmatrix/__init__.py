@@ -25,7 +25,6 @@ from repro.hmatrix.cluster import ClusterNode, ClusterTree, build_cluster_tree
 from repro.hmatrix.rk import (
     RkAccumulator,
     RkMatrix,
-    resolve_axpy_accumulate,
     svd_truncate,
 )
 from repro.hmatrix.aca import aca, aca_dense
@@ -40,7 +39,6 @@ __all__ = [
     "build_cluster_tree",
     "RkAccumulator",
     "RkMatrix",
-    "resolve_axpy_accumulate",
     "svd_truncate",
     "aca",
     "aca_dense",

@@ -56,7 +56,7 @@ class HNode:
         self.rk12: Optional[RkMatrix] = None
         self.rk21: Optional[RkMatrix] = None
         #: Deferred-recompression accumulators of the off-diagonal blocks
-        #: (created lazily by accumulating commits; ``acc.base is rk``).
+        #: (created lazily by commits; ``acc.base is rk``).
         self.acc12: Optional[RkAccumulator] = None
         self.acc21: Optional[RkAccumulator] = None
 
@@ -575,10 +575,10 @@ class HMatrix:
 
         Applies a plan produced by :meth:`precompress_axpy`: dense leaf
         pieces are added exactly; pre-compressed off-diagonal pieces are
-        either folded in immediately with a QR+SVD recompression
-        (``accumulate=False``, the historical behaviour) or appended to
-        the block's :class:`~repro.hmatrix.rk.RkAccumulator` and only
-        recompressed when the pending-rank budget trips or
+        appended to the block's :class:`~repro.hmatrix.rk.RkAccumulator`,
+        which is flushed (one QR+SVD recompression) straight away with
+        ``accumulate=False`` — the paper's immediate fold — and otherwise
+        only when the pending-rank budget trips or
         :meth:`flush_accumulators` runs.
 
         Returns ``(store_delta, pending_delta)`` — the byte growth of the
@@ -607,29 +607,19 @@ class HMatrix:
             v = np.zeros((n, upd.small.rank), dtype=upd.small.v.dtype)
             u[upd.rows] = upd.small.u
             v[upd.cols] = upd.small.v
-            update = RkMatrix(u, v)
-            if accumulate:
-                acc = node.acc12 if side == "12" else node.acc21
-                if acc is None:
-                    acc = RkAccumulator(rk, max_rank=max_accumulated_rank)
-                    if side == "12":
-                        node.acc12 = acc
-                    else:
-                        node.acc21 = acc
-                pending_delta += acc.append(update)
-                self._count(updates=1)
-                if acc.needs_flush:
-                    s_d, p_d = self._flush_side(node, side)
-                    store_delta += s_d
-                    pending_delta += p_d
-            else:
-                new = rk.add(update, self.tol)
+            acc = node.acc12 if side == "12" else node.acc21
+            if acc is None:
+                acc = RkAccumulator(rk, max_rank=max_accumulated_rank)
                 if side == "12":
-                    node.rk12 = new
+                    node.acc12 = acc
                 else:
-                    node.rk21 = new
-                store_delta += new.nbytes - rk.nbytes
-                self._count(updates=1, recomp=1)
+                    node.acc21 = acc
+            pending_delta += acc.append(RkMatrix(u, v))
+            self._count(updates=1)
+            if not accumulate or acc.needs_flush:
+                s_d, p_d = self._flush_side(node, side)
+                store_delta += s_d
+                pending_delta += p_d
         return store_delta, pending_delta
 
     def _flush_side(self, node: HNode, side: str) -> Tuple[int, int]:

@@ -16,34 +16,11 @@ block into roughly one.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.errors import ConfigurationError
-
-#: Environment override of :attr:`SolverConfig.axpy_accumulate` when the
-#: config leaves the switch at ``None``.
-AXPY_ACCUMULATE_ENV = "REPRO_AXPY_ACCUMULATE"
-
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
-
-
-def resolve_axpy_accumulate(flag: Optional[bool]) -> bool:
-    """Resolve the deferred-recompression switch: explicit, env, else True."""
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(AXPY_ACCUMULATE_ENV, "").strip().lower()
-    if env in _FALSY:
-        return False
-    if env in _TRUTHY or env == "":
-        return True
-    raise ValueError(
-        f"${AXPY_ACCUMULATE_ENV} must be a boolean-ish value, got {env!r}"
-    )
-
 
 def svd_truncate(
     a: np.ndarray, tol: float, max_rank: Optional[int] = None,

@@ -80,7 +80,7 @@ def _cmd_serve(args) -> str:
     socket_path = args.socket or default_socket_path()
     print(f"serving on {socket_path} "
           f"(cache: {'on' if args.cache else 'off'}, "
-          f"batching: {'on' if config.effective_serve_batching else 'off'})",
+          f"batching: {'on' if config.serve_batching else 'off'})",
           flush=True)
     asyncio.run(run_server(config, socket_path=socket_path,
                            cache_enabled=args.cache))
@@ -105,20 +105,6 @@ def main(argv=None) -> int:
              "(default: $REPRO_RUNTIME_BACKEND or 'thread'; 'process' runs "
              "panel kernels in worker processes with shared-memory results "
              "— bit-identical solutions, true multi-core scaling)",
-    )
-    parser.add_argument(
-        "--reuse-analysis", dest="reuse_analysis",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="reuse the sparse symbolic analysis across the n_b^2 "
-             "multi-factorization blocks (default: $REPRO_REUSE_ANALYSIS "
-             "or on; results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--axpy-accumulate", dest="axpy_accumulate",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="defer compressed-AXPY recompression through per-block "
-             "accumulators (default: $REPRO_AXPY_ACCUMULATE or on; off "
-             "restores the immediate-fold behaviour for A/B runs)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,9 +143,8 @@ def main(argv=None) -> int:
     ps.add_argument("--cache-budget", type=int, default=None, metavar="BYTES",
                     help="factor-cache byte budget (default: unlimited)")
     ps.add_argument("--batching", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="coalesce concurrent RHS into panels "
-                         "(default: $REPRO_SERVE_BATCHING or on)")
+                    default=True,
+                    help="coalesce concurrent RHS into panels")
     ps.add_argument("--linger-ms", type=float, default=2.0,
                     help="batching linger window in milliseconds")
     ps.add_argument("--max-batch-cols", type=int, default=None,
@@ -179,14 +164,6 @@ def main(argv=None) -> int:
         overrides[N_WORKERS_ENV] = str(args.n_workers)
     if args.runtime_backend is not None:
         overrides[RUNTIME_BACKEND_ENV] = args.runtime_backend
-    if args.reuse_analysis is not None:
-        from repro.sparse.symbolic_cache import REUSE_ANALYSIS_ENV
-
-        overrides[REUSE_ANALYSIS_ENV] = "1" if args.reuse_analysis else "0"
-    if args.axpy_accumulate is not None:
-        from repro.hmatrix.rk import AXPY_ACCUMULATE_ENV
-
-        overrides[AXPY_ACCUMULATE_ENV] = "1" if args.axpy_accumulate else "0"
     commands = {
         "table1": _cmd_table1,
         "fig10": _cmd_fig10,

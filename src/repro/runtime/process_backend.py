@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.memory.tracker import MemoryTracker
 from repro.runtime.scheduler import PanelTask, RuntimeReport
-from repro.utils.errors import MemoryLimitExceeded
+from repro.utils.errors import ConfigurationError, MemoryLimitExceeded
 from repro.utils.timer import PhaseTimer
 
 #: Environment variable consulted when ``SolverConfig.runtime_backend`` is None.
@@ -89,7 +89,7 @@ def resolve_runtime_backend(backend: Optional[str] = None) -> str:
         backend = os.environ.get(RUNTIME_BACKEND_ENV, "").strip() or "thread"
     backend = str(backend).strip().lower()
     if backend not in RUNTIME_BACKENDS:
-        raise ValueError(
+        raise ConfigurationError(
             f"runtime backend must be one of {RUNTIME_BACKENDS}, got {backend!r}"
         )
     return backend

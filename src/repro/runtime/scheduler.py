@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.memory.tracker import Allocation, MemoryTracker
+from repro.utils.errors import ConfigurationError
 from repro.utils.timer import PhaseTimer
 
 #: Environment variable consulted when ``SolverConfig.n_workers`` is None.
@@ -61,7 +62,7 @@ def resolve_n_workers(n_workers: Optional[int]) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(
+            raise ConfigurationError(
                 f"${N_WORKERS_ENV} must be an integer, got {env!r}"
             ) from None
     return 1

@@ -12,11 +12,7 @@ into a persistent single-node service (see ``docs/serving.md``):
   solve requests into blocked panels.
 """
 
-from repro.serving.batcher import (
-    SERVE_BATCHING_ENV,
-    RhsBatcher,
-    resolve_serve_batching,
-)
+from repro.serving.batcher import RhsBatcher
 from repro.serving.client import FactorizeResult, ServingClient
 from repro.serving.factor_cache import (
     FACTOR_CACHE_CATEGORY,
@@ -39,7 +35,6 @@ from repro.serving.stats import ServerStats
 
 __all__ = [
     "FACTOR_CACHE_CATEGORY",
-    "SERVE_BATCHING_ENV",
     "CacheResult",
     "ConnectionLostError",
     "FactorCache",
@@ -52,7 +47,6 @@ __all__ = [
     "SolverServer",
     "config_fingerprint_fields",
     "default_socket_path",
-    "resolve_serve_batching",
     "run_server",
     "system_fingerprint",
 ]

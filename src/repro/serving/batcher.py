@@ -24,42 +24,19 @@ Batching discipline:
   to a direct :meth:`CoupledFactorization.solve`.  Coalesced multi-
   request panels take the GEMM path, whose column results agree with
   the vector path only to solver tolerance (see ``docs/serving.md``);
-  batching is therefore a config/env switch, not always-on.
+  batching is therefore a config switch
+  (``SolverConfig.serve_batching``), not always-on.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.factorized import CoupledFactorization
-
-#: Environment variable consulted when ``SolverConfig.serve_batching`` is
-#: ``None`` — any of ``0/false/no/off`` (case-insensitive) disables RHS
-#: batching (every request solves as its own single-column "panel").
-SERVE_BATCHING_ENV = "REPRO_SERVE_BATCHING"
-
-_FALSY = frozenset({"0", "false", "no", "off"})
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def resolve_serve_batching(flag: Optional[bool]) -> bool:
-    """Resolve the batching switch: explicit value, else env, else True."""
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(SERVE_BATCHING_ENV, "").strip().lower()
-    if env in _FALSY:
-        return False
-    if env in _TRUTHY or env == "":
-        return True
-    raise ValueError(
-        f"${SERVE_BATCHING_ENV} must be a boolean-ish value, got {env!r}"
-    )
-
 
 def _as_panel(column: np.ndarray) -> np.ndarray:
     """View a 1-D load case as an (n, 1) panel; pass 2-D through."""

@@ -56,7 +56,6 @@ FACTOR_CACHE_CATEGORY = "factor_cache"
 _FINGERPRINT_EXCLUDED_FIELDS = frozenset({
     "n_workers",            # bit-identical by the runtime's ordered commit
     "runtime_backend",      # bit-identical across thread/process backends
-    "reuse_analysis",       # bit-identical by the border-grafting contract
     "memory_limit",         # affects admission, never values
     "serve_cache_entries",
     "serve_cache_budget",

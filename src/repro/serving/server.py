@@ -70,7 +70,7 @@ class SolverServer:
         system temp directory.
     cache_enabled:
         ``False`` disables numeric-factor reuse (every ``factorize``
-        request builds) — the A/B lane of ``bench_serving``.
+        request builds).
     """
 
     def __init__(self, config: SolverConfig = SolverConfig(),
@@ -105,7 +105,7 @@ class SolverServer:
             self._solve_in_executor,
             linger_seconds=self.config.serve_batch_linger_ms / 1000.0,
             max_cols=self.config.effective_serve_max_batch_cols,
-            enabled=self.config.effective_serve_batching,
+            enabled=self.config.serve_batching,
             on_batch=self.stats.record_batch,
         )
         if os.path.exists(self.socket_path):

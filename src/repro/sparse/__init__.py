@@ -35,10 +35,8 @@ from repro.sparse.symbolic import (
     symbolic_analysis,
 )
 from repro.sparse.symbolic_cache import (
-    REUSE_ANALYSIS_ENV,
     SymbolicCache,
     pattern_fingerprint,
-    resolve_reuse_analysis,
 )
 from repro.sparse.blr import BLRConfig
 from repro.sparse.multifrontal import FrontArena, MultifrontalFactorization
@@ -56,8 +54,6 @@ __all__ = [
     "extend_symbolic_with_border",
     "SymbolicCache",
     "pattern_fingerprint",
-    "resolve_reuse_analysis",
-    "REUSE_ANALYSIS_ENV",
     "BLRConfig",
     "FrontArena",
     "MultifrontalFactorization",

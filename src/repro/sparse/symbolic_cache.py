@@ -25,35 +25,12 @@ the analysis is available instead of duplicating it.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-
-#: Environment variable consulted when ``SolverConfig.reuse_analysis`` is
-#: ``None`` — any of ``0/false/no/off`` (case-insensitive) disables reuse.
-REUSE_ANALYSIS_ENV = "REPRO_REUSE_ANALYSIS"
-
-_FALSY = frozenset({"0", "false", "no", "off"})
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def resolve_reuse_analysis(flag: Optional[bool]) -> bool:
-    """Resolve the reuse switch: explicit value, else env, else True."""
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(REUSE_ANALYSIS_ENV, "").strip().lower()
-    if env in _FALSY:
-        return False
-    if env in _TRUTHY or env == "":
-        return True
-    raise ValueError(
-        f"${REUSE_ANALYSIS_ENV} must be a boolean-ish value, got {env!r}"
-    )
-
 
 def pattern_fingerprint(a: sp.spmatrix, extra: bytes = b"") -> str:
     """Digest of a sparse matrix *pattern* (shape + indptr/indices).

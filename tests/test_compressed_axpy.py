@@ -28,13 +28,7 @@ from repro.core.multi_solve import (
 from repro.core.schur_tools import finalize_solution
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.hmatrix import hodlr_from_dense, hodlr_zeros
-from repro.hmatrix.rk import (
-    AXPY_ACCUMULATE_ENV,
-    RkAccumulator,
-    RkMatrix,
-    resolve_axpy_accumulate,
-    svd_truncate,
-)
+from repro.hmatrix.rk import RkAccumulator, RkMatrix, svd_truncate
 from repro.memory.tracker import MemoryTracker
 from repro.utils.errors import ConfigurationError
 
@@ -226,6 +220,33 @@ class TestSplitAxpy:
         # tiny budget: mid-stream flushes happened before the final one
         assert hm.n_offdiag_recompressions > 0
 
+    def test_immediate_fold_is_the_eager_rk_add(self, rng):
+        """``accumulate=False`` commits through the accumulator too: the
+        factors, byte deltas and counters are those of ``rk.add`` per fold."""
+        n = 96
+        tree = build_cluster_tree(rng.random((n, 3)), leaf_size=24)
+        hm = hodlr_from_dense(rng.standard_normal((n, n)), tree, tol=1e-8)
+        plan = hm.precompress_axpy(-1.0, rng.standard_normal((n, 40)),
+                                   np.arange(n), np.arange(40))
+        expected = []
+        for upd in plan.folds:
+            rk = upd.node.rk12 if upd.side == "12" else upd.node.rk21
+            u = np.zeros((rk.shape[0], upd.small.rank))
+            v = np.zeros((rk.shape[1], upd.small.rank))
+            u[upd.rows] = upd.small.u
+            v[upd.cols] = upd.small.v
+            expected.append((rk.nbytes, rk.add(RkMatrix(u, v), hm.tol)))
+        assert len({(id(f.node), f.side) for f in plan.folds}) == len(plan.folds)
+        store_delta, pending_delta = hm.commit_axpy(plan, accumulate=False)
+        assert pending_delta == 0 == hm.pending_accumulator_nbytes()
+        assert store_delta == sum(new.nbytes - old for old, new in expected)
+        assert hm.n_offdiag_updates == len(plan.folds) > 0
+        assert hm.n_offdiag_recompressions == len(plan.folds)
+        for upd, (_, new) in zip(plan.folds, expected, strict=True):
+            rk = upd.node.rk12 if upd.side == "12" else upd.node.rk21
+            assert np.array_equal(rk.u, new.u)
+            assert np.array_equal(rk.v, new.v)
+
     def test_copy_with_pending_state_is_rejected(self, tree_and_target, rng):
         n, tree = tree_and_target
         hm = hodlr_zeros(tree, 1e-8, np.float64)
@@ -262,25 +283,8 @@ class TestSplitAxpy:
         assert np.linalg.norm(hm.to_dense() - before) > 0
 
 
-# -- config / env resolution ---------------------------------------------------
+# -- config validation ---------------------------------------------------------
 class TestAccumulateConfig:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(AXPY_ACCUMULATE_ENV, "0")
-        assert resolve_axpy_accumulate(True) is True
-        assert SolverConfig(axpy_accumulate=True).effective_axpy_accumulate
-
-    def test_env_fallback_and_default(self, monkeypatch):
-        monkeypatch.delenv(AXPY_ACCUMULATE_ENV, raising=False)
-        assert resolve_axpy_accumulate(None) is True
-        monkeypatch.setenv(AXPY_ACCUMULATE_ENV, "off")
-        assert resolve_axpy_accumulate(None) is False
-        assert not SolverConfig().effective_axpy_accumulate
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(AXPY_ACCUMULATE_ENV, "maybe")
-        with pytest.raises(ValueError, match="boolean"):
-            resolve_axpy_accumulate(None)
-
     def test_rank_budget_validated(self):
         with pytest.raises(ConfigurationError, match="axpy_max_accumulated"):
             SolverConfig(axpy_max_accumulated_rank=0)
@@ -300,13 +304,15 @@ def _assemble_compressed(problem, **cfg_kwargs):
 
 class TestEndToEnd:
     def test_schur_byte_identical_across_worker_counts(self, pipe_small):
-        s1, _, sol1 = _assemble_compressed(pipe_small, axpy_accumulate=True,
-                                           n_workers=1)
-        s4, _, sol4 = _assemble_compressed(pipe_small, axpy_accumulate=True,
-                                           n_workers=4)
-        assert np.array_equal(s1, s4)
-        assert np.array_equal(sol1.x_s, sol4.x_s)
-        assert np.array_equal(sol1.x_v, sol4.x_v)
+        # the commit stage is a deterministic turnstile in both modes
+        for accumulate in (True, False):
+            s1, _, sol1 = _assemble_compressed(
+                pipe_small, axpy_accumulate=accumulate, n_workers=1)
+            s4, _, sol4 = _assemble_compressed(
+                pipe_small, axpy_accumulate=accumulate, n_workers=4)
+            assert np.array_equal(s1, s4)
+            assert np.array_equal(sol1.x_s, sol4.x_s)
+            assert np.array_equal(sol1.x_v, sol4.x_v)
 
     def test_accumulation_reduces_recompressions(self, pipe_small):
         _, rec_on, sol_on = _assemble_compressed(pipe_small,

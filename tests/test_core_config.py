@@ -1,9 +1,12 @@
 """Tests for SolverConfig validation and helpers."""
 
 import dataclasses
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core import solve_coupled
 from repro.core.config import SolverConfig
 from repro.memory import MemoryTracker
 from repro.utils.errors import ConfigurationError
@@ -69,3 +72,31 @@ class TestHelpers:
         assert cfg.n_c == 64
         assert cfg2.n_c == 128
         assert cfg2.dense_backend == "hmat"
+
+
+class TestOptionValuesAreFields:
+    def test_switches_are_plain_fields_the_environment_cannot_move(
+        self, monkeypatch, pipe_small
+    ):
+        """``axpy_accumulate`` / ``serve_batching`` are ``bool`` fields and
+        the symbolic cache is always attached: the variables that used to
+        mirror them no longer reach the config or the solution."""
+        types = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
+        assert types["axpy_accumulate"] == types["serve_batching"] == "bool"
+        assert "reuse_analysis" not in types
+        config = SolverConfig(dense_backend="hmat", n_b=2)
+        before = solve_coupled(pipe_small, "multi_factorization", config)
+        for name in ("REPRO_AXPY_ACCUMULATE", "REPRO_REUSE_ANALYSIS",
+                     "REPRO_SERVE_BATCHING"):
+            monkeypatch.setenv(name, "0")
+        assert SolverConfig(dense_backend="hmat", n_b=2) == config
+        assert config.axpy_accumulate is True
+        assert config.serve_batching is True
+        after = solve_coupled(pipe_small, "multi_factorization", config)
+        assert np.array_equal(before.x_s, after.x_s)
+        assert after.stats.n_symbolic_reuses == before.stats.n_symbolic_reuses
+        assert after.stats.params["axpy_accumulate"] is True
+
+        api = (Path(__file__).parent.parent / "docs" / "api.md").read_text()
+        missing = [name for name in types if f"`{name}`" not in api]
+        assert not missing, f"SolverConfig fields absent from docs/api.md: {missing}"

@@ -59,10 +59,10 @@ class TestResolveBackend:
     def test_invalid_values_raise(self, monkeypatch):
         # "auto" was a value once; it now fails like any other unknown name
         for name in ("greenlet", "auto"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigurationError):
                 resolve_runtime_backend(name)
         monkeypatch.setenv(RUNTIME_BACKEND_ENV, "fiber")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             resolve_runtime_backend(None)
 
     def test_config_validation(self, monkeypatch):

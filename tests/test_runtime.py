@@ -264,8 +264,12 @@ class TestResolveNWorkers:
 
     def test_invalid_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_N_WORKERS", "many")
-        with pytest.raises(ValueError):
+        # a ReproError like the config's own n_workers check, so callers
+        # catching the library's errors see it
+        with pytest.raises(ConfigurationError):
             resolve_n_workers(None)
+        with pytest.raises(ConfigurationError):
+            SolverConfig().effective_n_workers
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

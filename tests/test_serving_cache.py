@@ -60,6 +60,27 @@ class TestSystemFingerprint:
         assert "serve_cache_budget" not in fields
         assert "epsilon" in fields
 
+    def test_key_moves_exactly_when_the_factor_bytes_do(self, pipe_small):
+        """An option's value is its field: spelling a default out is the
+        same key (no second build of identical factors), the immediate-fold
+        AXPY rounds in another order and gets its own."""
+        from repro.serving.factor_cache import _FINGERPRINT_EXCLUDED_FIELDS
+
+        base = system_fingerprint(pipe_small, "multi_solve", CONFIG)
+        assert base == system_fingerprint(
+            pipe_small, "multi_solve", CONFIG.with_(axpy_accumulate=True))
+        assert base != system_fingerprint(
+            pipe_small, "multi_solve", CONFIG.with_(axpy_accumulate=False))
+        execution_only = dict(
+            n_workers=2, runtime_backend="process", memory_limit=1 << 40,
+            serve_cache_entries=2, serve_cache_budget=1 << 30,
+            serve_batching=False, serve_batch_linger_ms=0.0,
+            serve_max_batch_cols=8, serve_executor_threads=1,
+        )
+        assert set(execution_only) == _FINGERPRINT_EXCLUDED_FIELDS
+        assert base == system_fingerprint(
+            pipe_small, "multi_solve", CONFIG.with_(**execution_only))
+
 
 class TestExactlyOnce:
     def test_concurrent_misses_build_once(self, pipe_small):

@@ -4,8 +4,8 @@ Covers the :class:`repro.sparse.SymbolicCache` machinery end to end: the
 pattern fingerprint (values must not participate), the thread-safe
 exactly-once build, the border extension grafting a Schur border onto a
 cached interior analysis (bit-identical to the full analysis), the arena
-lifecycle with tracker accounting, and the bit-identity of
-multi-factorization solutions with reuse on/off across worker counts.
+lifecycle with tracker accounting, and multi-factorization running all
+``n_b²`` blocks on one analysis, bit-identically across worker counts.
 
 This module runs under the lock-order watchdog + tracker-balance recorder
 (see ``conftest.py``), so every test doubles as a runtime check that the
@@ -24,12 +24,10 @@ from repro.core.api import solve_coupled
 from repro.core.config import SolverConfig
 from repro.memory.tracker import MemoryTracker
 from repro.sparse import (
-    REUSE_ANALYSIS_ENV,
     FrontArena,
     SparseSolver,
     SymbolicCache,
     pattern_fingerprint,
-    resolve_reuse_analysis,
 )
 
 
@@ -66,40 +64,6 @@ class TestPatternFingerprint:
     def test_extra_context_changes_key(self):
         a = sp.eye(8, format="csr")
         assert pattern_fingerprint(a) != pattern_fingerprint(a, extra=b"x")
-
-
-class TestResolveReuseAnalysis:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(REUSE_ANALYSIS_ENV, "0")
-        assert resolve_reuse_analysis(True) is True
-        monkeypatch.setenv(REUSE_ANALYSIS_ENV, "1")
-        assert resolve_reuse_analysis(False) is False
-
-    def test_env_fallback(self, monkeypatch):
-        for spelling in ("0", "false", "OFF", "no"):
-            monkeypatch.setenv(REUSE_ANALYSIS_ENV, spelling)
-            assert resolve_reuse_analysis(None) is False
-        for spelling in ("1", "true", "ON", "yes"):
-            monkeypatch.setenv(REUSE_ANALYSIS_ENV, spelling)
-            assert resolve_reuse_analysis(None) is True
-
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(REUSE_ANALYSIS_ENV, raising=False)
-        assert resolve_reuse_analysis(None) is True
-
-    def test_junk_env_raises(self, monkeypatch):
-        monkeypatch.setenv(REUSE_ANALYSIS_ENV, "maybe")
-        with pytest.raises(ValueError, match="boolean-ish"):
-            resolve_reuse_analysis(None)
-
-    def test_config_property(self, monkeypatch):
-        monkeypatch.delenv(REUSE_ANALYSIS_ENV, raising=False)
-        assert SolverConfig().effective_reuse_analysis is True
-        assert SolverConfig(
-            reuse_analysis=False
-        ).effective_reuse_analysis is False
-        monkeypatch.setenv(REUSE_ANALYSIS_ENV, "0")
-        assert SolverConfig().effective_reuse_analysis is False
 
 
 class TestSymbolicCache:
@@ -294,16 +258,18 @@ class TestMultiFactorizationReuse:
     def test_bit_identical_across_reuse_and_workers(
         self, pipe_small, n_workers
     ):
-        config = SolverConfig(n_b=2, n_c=64, n_workers=n_workers)
-        on = solve_coupled(
-            pipe_small, "multi_factorization",
-            config.with_(reuse_analysis=True),
+        # the cached-vs-fresh analysis bit identity is pinned at solver
+        # level by test_extension_matches_full_analysis_bitwise; here the
+        # one analysis serves every block on every runtime width
+        config = SolverConfig(n_b=2, n_c=64)
+        serial = solve_coupled(
+            pipe_small, "multi_factorization", config.with_(n_workers=1)
         )
-        off = solve_coupled(
+        sol = serial if n_workers == 1 else solve_coupled(
             pipe_small, "multi_factorization",
-            config.with_(reuse_analysis=False),
+            config.with_(n_workers=n_workers),
         )
-        assert np.array_equal(on.x, off.x)
+        assert np.array_equal(sol.x, serial.x)
         n_blocks = config.n_b ** 2
         from repro.runtime import resolve_runtime_backend
 
@@ -311,21 +277,17 @@ class TestMultiFactorizationReuse:
             # the symbolic cache is per-process on the process backend, so
             # the first block of *each worker* analyses; reuse still covers
             # every further block a worker factorizes
-            assert 1 <= on.stats.n_symbolic_analyses <= n_workers
-            assert (on.stats.n_symbolic_analyses + on.stats.n_symbolic_reuses
-                    == n_blocks)
+            assert 1 <= sol.stats.n_symbolic_analyses <= n_workers
+            assert (sol.stats.n_symbolic_analyses
+                    + sol.stats.n_symbolic_reuses == n_blocks)
         else:
-            assert on.stats.n_symbolic_analyses == 1
-            assert on.stats.n_symbolic_reuses == n_blocks - 1
-        assert off.stats.n_symbolic_analyses == n_blocks
-        assert off.stats.n_symbolic_reuses == 0
-        assert on.stats.params["reuse_analysis"] is True
-        assert off.stats.params["reuse_analysis"] is False
+            assert sol.stats.n_symbolic_analyses == 1
+            assert sol.stats.n_symbolic_reuses == n_blocks - 1
 
     def test_phase_split_is_reported(self, pipe_small):
         sol = solve_coupled(
             pipe_small, "multi_factorization",
-            SolverConfig(n_b=2, n_c=64, reuse_analysis=True),
+            SolverConfig(n_b=2, n_c=64),
         )
         assert sol.stats.phases.get("sparse_analysis", 0.0) > 0.0
         assert sol.stats.phases.get("sparse_numeric", 0.0) > 0.0
