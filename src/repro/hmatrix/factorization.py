@@ -36,7 +36,7 @@ from repro.dense.blocked_lu import piv_to_perm
 from repro.dense.triangular import RowBlockKernel, sweep_dtype
 from repro.hmatrix.hmatrix import HMatrix, HNode, _node_add_rk
 from repro.hmatrix.rk import RkMatrix
-from repro.utils.errors import SingularMatrixError
+from repro.utils.errors import ConfigurationError, SingularMatrixError
 
 
 class _FNode:
@@ -80,10 +80,17 @@ class HLUFactorization:
     """LU factorization of a HODLR matrix; supports repeated solves.
 
     The input :class:`HMatrix` is not modified (the factorization works on
-    a structural copy).
+    a structural copy).  A lower-stored (symmetric) matrix has no ``12``
+    blocks to transform: factor it with
+    :class:`~repro.hmatrix.ldlt_factorization.HLDLTFactorization`.
     """
 
     def __init__(self, hm: HMatrix):
+        if hm.symmetric:
+            raise ConfigurationError(
+                "H-LU reads both coupling blocks; a symmetric (lower-stored)"
+                " HMatrix is factored by HLDLTFactorization"
+            )
         self.tree = hm.tree
         self.tol = hm.tol
         self.dtype = hm.dtype

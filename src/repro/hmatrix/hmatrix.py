@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,11 +40,14 @@ from repro.hmatrix.rk import RkAccumulator, RkMatrix
 from repro.utils.errors import ConfigurationError
 
 
+#: off-diagonal sides a node stores, by symmetry of the matrix
+_SIDES = {False: ("12", "21"), True: ("21",)}
+
+
 class HNode:
     """One diagonal block of the HODLR structure (permuted range ``[start, stop)``)."""
 
-    __slots__ = ("start", "stop", "mid", "dense", "h11", "h22", "rk12", "rk21",
-                 "acc12", "acc21")
+    __slots__ = ("start", "stop", "mid", "dense", "h11", "h22", "rk", "acc")
 
     def __init__(self, start: int, stop: int):
         self.start = start
@@ -53,12 +56,16 @@ class HNode:
         self.dense: Optional[np.ndarray] = None
         self.h11: Optional["HNode"] = None
         self.h22: Optional["HNode"] = None
-        self.rk12: Optional[RkMatrix] = None
-        self.rk21: Optional[RkMatrix] = None
-        #: Deferred-recompression accumulators of the off-diagonal blocks
-        #: (created lazily by commits; ``acc.base is rk``).
-        self.acc12: Optional[RkAccumulator] = None
-        self.acc21: Optional[RkAccumulator] = None
+        #: Stored off-diagonal blocks by side: ``"12"`` (upper) and ``"21"``
+        #: (lower) — a symmetric matrix stores ``"21"`` only, its upper
+        #: block being the plain transpose.
+        self.rk: Dict[str, RkMatrix] = {}
+        #: Deferred-recompression accumulators of the stored blocks
+        #: (created lazily by commits; ``acc[side].base is rk[side]``).
+        self.acc: Dict[str, RkAccumulator] = {}
+
+    rk12 = property(lambda self: self.rk["12"])
+    rk21 = property(lambda self: self.rk["21"])
 
     @property
     def size(self) -> int:
@@ -72,31 +79,27 @@ class HNode:
         """Unflushed accumulator bytes below (and at) this node."""
         if self.is_leaf:
             return 0
-        own = sum(acc.pending_nbytes for acc in (self.acc12, self.acc21)
-                  if acc is not None)
+        own = sum(acc.pending_nbytes for acc in self.acc.values())
         return own + self.h11.pending_nbytes() + self.h22.pending_nbytes()
 
     def nbytes(self) -> int:
         if self.is_leaf:
             return self.dense.nbytes
-        own = sum(acc.pending_nbytes for acc in (self.acc12, self.acc21)
-                  if acc is not None)
         return (
             self.h11.nbytes()
             + self.h22.nbytes()
-            + self.rk12.nbytes
-            + self.rk21.nbytes
-            + own
+            + sum(rk.nbytes for rk in self.rk.values())
+            + sum(acc.pending_nbytes for acc in self.acc.values())
         )
 
     def max_rank(self) -> int:
         if self.is_leaf:
             return 0
-        return max(
-            self.rk12.rank, self.rk21.rank, self.h11.max_rank(), self.h22.max_rank()
-        )
+        return max(*(rk.rank for rk in self.rk.values()),
+                   self.h11.max_rank(), self.h22.max_rank())
 
-    def copy(self) -> "HNode":
+    def copy(self, sides: Optional[Tuple[str, ...]] = None) -> "HNode":
+        """Deep copy; ``sides`` restricts it to those off-diagonal blocks."""
         if self.pending_nbytes() > 0:
             raise ConfigurationError(
                 "cannot copy an HODLR node with unflushed AXPY accumulators"
@@ -107,10 +110,11 @@ class HNode:
         if self.is_leaf:
             out.dense = self.dense.copy()
         else:
-            out.h11 = self.h11.copy()
-            out.h22 = self.h22.copy()
-            out.rk12 = RkMatrix(self.rk12.u.copy(), self.rk12.v.copy())
-            out.rk21 = RkMatrix(self.rk21.u.copy(), self.rk21.v.copy())
+            out.h11 = self.h11.copy(sides)
+            out.h22 = self.h22.copy(sides)
+            out.rk = {side: RkMatrix(rk.u.copy(), rk.v.copy())
+                      for side, rk in self.rk.items()
+                      if sides is None or side in sides}
         return out
 
 
@@ -131,11 +135,12 @@ def _offdiag_dense(rk: RkMatrix, acc: Optional[RkAccumulator]) -> np.ndarray:
 
 
 def _offdiag_matvec(rk: RkMatrix, acc: Optional[RkAccumulator],
-                    x: np.ndarray) -> np.ndarray:
-    """``block @ x`` for an off-diagonal block including pending updates."""
-    y = rk.matvec(x)
+                    x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """``block @ x`` (``blockᵀ @ x`` with ``trans``) for an off-diagonal
+    block including pending updates."""
+    y = rk.rmatvec(x) if trans else rk.matvec(x)
     if acc is not None and acc.pending_rank:
-        y = y + acc.pending_matvec(x)
+        y = y + acc.pending_matvec(x, trans)
     return y
 
 
@@ -237,13 +242,20 @@ class PortableAxpyPlan:
 
 
 class HMatrix:
-    """Square hierarchical low-rank matrix over a cluster tree."""
+    """Square hierarchical low-rank matrix over a cluster tree.
 
-    def __init__(self, tree: ClusterTree, root: HNode, tol: float, dtype):
+    ``symmetric`` (equal to its plain transpose, real or complex) makes it
+    lower-stored: nodes keep, update and recompress their ``21`` block
+    only and every reader takes the upper block as its transpose.
+    """
+
+    def __init__(self, tree: ClusterTree, root: HNode, tol: float, dtype,
+                 symmetric: bool = False):
         self.tree = tree
         self.root = root
         self.tol = float(tol)
         self.dtype = np.dtype(dtype)
+        self.symmetric = bool(symmetric)
         # compressed-AXPY instrumentation: panel-piece compressions happen
         # on runtime workers (precompress), so the counters share a leaf
         # lock (see LOCK_HIERARCHY in tools/analysis/config.py)
@@ -291,6 +303,11 @@ class HMatrix:
 
     # -- inspection -------------------------------------------------------------
     @property
+    def sides(self) -> Tuple[str, ...]:
+        """The off-diagonal sides every node of this matrix stores."""
+        return _SIDES[self.symmetric]
+
+    @property
     def shape(self) -> tuple:
         return (self.tree.n, self.tree.n)
 
@@ -310,7 +327,8 @@ class HMatrix:
         return self.root.max_rank()
 
     def copy(self) -> "HMatrix":
-        return HMatrix(self.tree, self.root.copy(), self.tol, self.dtype)
+        return HMatrix(self.tree, self.root.copy(), self.tol, self.dtype,
+                       self.symmetric)
 
     # -- conversion ---------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
@@ -324,11 +342,11 @@ class HMatrix:
                 return
             fill(node.h11)
             fill(node.h22)
+            lower = _offdiag_dense(node.rk21, node.acc.get("21"))
+            out[node.mid : node.stop, node.start : node.mid] = lower
             out[node.start : node.mid, node.mid : node.stop] = (
-                _offdiag_dense(node.rk12, node.acc12)
-            )
-            out[node.mid : node.stop, node.start : node.mid] = (
-                _offdiag_dense(node.rk21, node.acc21)
+                lower.T if self.symmetric
+                else _offdiag_dense(node.rk12, node.acc.get("12"))
             )
 
         fill(self.root)
@@ -359,11 +377,13 @@ class HMatrix:
             return node.dense @ xp
         cut = node.mid - node.start
         x1, x2 = xp[:cut], xp[cut:]
+        # a symmetric matrix reads its upper block as the lower one's transpose
+        upper = "21" if self.symmetric else "12"
         y1 = self._matvec_node(node.h11, x1) + _offdiag_matvec(
-            node.rk12, node.acc12, x2
+            node.rk[upper], node.acc.get(upper), x2, trans=self.symmetric
         )
-        y2 = _offdiag_matvec(node.rk21, node.acc21, x1) + self._matvec_node(
-            node.h22, x2
+        y2 = _offdiag_matvec(node.rk21, node.acc.get("21"), x1) + (
+            self._matvec_node(node.h22, x2)
         )
         return np.concatenate([y1, y2], axis=0)
 
@@ -530,7 +550,8 @@ class HMatrix:
         the compressed :class:`RkMatrix` of an off-diagonal quadrant with
         freshly allocated factors — ``alpha`` is folded into them in place.
         Sources are called in a fixed order (``h11``, ``h22``, then the
-        ``12`` and ``21`` quadrants), which seeded samplers rely on.
+        quadrants of :attr:`sides` — a lower-stored matrix never asks for
+        a ``12`` piece), which seeded samplers rely on.
         """
         if r0 == r1 or c0 == c1:
             return
@@ -548,10 +569,10 @@ class HMatrix:
         self._plan_walk(plan, node.h22, rp, cp, rm, r1, cm, c1,
                         leaf_piece, fold_piece)
         # off-diagonal quadrants: compress (the expensive part)
-        for side, ra, rb, ca, cb, row_off, col_off in (
-            ("12", r0, rm, cm, c1, node.start, node.mid),
-            ("21", rm, r1, c0, cm, node.mid, node.start),
-        ):
+        quadrants = {"12": (r0, rm, cm, c1, node.start, node.mid),
+                     "21": (rm, r1, c0, cm, node.mid, node.start)}
+        for side in self.sides:
+            ra, rb, ca, cb, row_off, col_off = quadrants[side]
             if ra == rb or ca == cb:
                 continue
             small = fold_piece(ra, rb, ca, cb)
@@ -601,19 +622,15 @@ class HMatrix:
         pending_delta = 0
         for upd in plan.folds:
             node, side = upd.node, upd.side
-            rk = node.rk12 if side == "12" else node.rk21
-            m, n = rk.shape
+            m, n = node.rk[side].shape
             u = np.zeros((m, upd.small.rank), dtype=upd.small.u.dtype)
             v = np.zeros((n, upd.small.rank), dtype=upd.small.v.dtype)
             u[upd.rows] = upd.small.u
             v[upd.cols] = upd.small.v
-            acc = node.acc12 if side == "12" else node.acc21
+            acc = node.acc.get(side)
             if acc is None:
-                acc = RkAccumulator(rk, max_rank=max_accumulated_rank)
-                if side == "12":
-                    node.acc12 = acc
-                else:
-                    node.acc21 = acc
+                acc = node.acc[side] = RkAccumulator(
+                    node.rk[side], max_rank=max_accumulated_rank)
             pending_delta += acc.append(RkMatrix(u, v))
             self._count(updates=1)
             if not accumulate or acc.needs_flush:
@@ -624,16 +641,12 @@ class HMatrix:
 
     def _flush_side(self, node: HNode, side: str) -> Tuple[int, int]:
         """Flush one off-diagonal accumulator; returns byte deltas."""
-        acc = node.acc12 if side == "12" else node.acc21
+        acc = node.acc.get(side)
         if acc is None or acc.pending_rank == 0:
             return 0, 0
         pending = acc.pending_nbytes
         old = acc.base.nbytes
-        new = acc.flush(self.tol)
-        if side == "12":
-            node.rk12 = new
-        else:
-            node.rk21 = new
+        new = node.rk[side] = acc.flush(self.tol)
         self._count(recomp=1)
         return new.nbytes - old, -pending
 
@@ -642,8 +655,8 @@ class HMatrix:
 
         Returns the ``(store_delta, pending_delta)`` byte deltas summed
         over the whole tree.  Idempotent: a second call is a no-op.
-        Call before any operation that reads the bare ``rk12``/``rk21``
-        factors structurally (factorization, copy).
+        Call before any operation that reads the bare ``rk`` factors
+        structurally (factorization, copy).
         """
         store_delta = 0
         pending_delta = 0
@@ -652,7 +665,7 @@ class HMatrix:
             nonlocal store_delta, pending_delta
             if node.is_leaf:
                 return
-            for side in ("12", "21"):
+            for side in self.sides:
                 s_d, p_d = self._flush_side(node, side)
                 store_delta += s_d
                 pending_delta += p_d
@@ -671,23 +684,14 @@ class HMatrix:
         """A values-free copy sharing this matrix's cluster structure.
 
         The skeleton carries only what :meth:`precompress_axpy` reads —
-        the node ranges, split points and ``tree.inv_perm`` — with empty
-        dense leaves and no off-diagonal factors.  It is small enough to
-        ship to worker processes once, letting them plan panels against
-        the exact same structure the coordinator commits into.
+        the node ranges, split points, ``tree.inv_perm`` and the stored
+        sides — with empty dense leaves and no off-diagonal factors.  It
+        is small enough to ship to worker processes once, letting them
+        plan panels against the exact same structure the coordinator
+        commits into.
         """
-
-        def build(node: HNode) -> HNode:
-            out = HNode(node.start, node.stop)
-            out.mid = node.mid
-            if node.is_leaf:
-                out.dense = np.empty((0, 0), dtype=self.dtype)
-            else:
-                out.h11 = build(node.h11)
-                out.h22 = build(node.h22)
-            return out
-
-        return HMatrix(self.tree, build(self.root), self.tol, self.dtype)
+        return _assemble(self.tree, self.tol, self.dtype, self.symmetric,
+                         lambda c: np.empty((0, 0), dtype=self.dtype))
 
     def _range_node(self, start: int, stop: int) -> HNode:
         # lazy map, built once; only the consume thread imports plans so
@@ -761,8 +765,34 @@ def _node_add_rk(node: HNode, rk: RkMatrix, tol: float) -> None:
     v1, v2 = rk.v[:cut], rk.v[cut:]
     _node_add_rk(node.h11, RkMatrix(u1, v1), tol)
     _node_add_rk(node.h22, RkMatrix(u2, v2), tol)
-    node.rk12 = node.rk12.add(RkMatrix(u1, v2).truncate(tol), tol)
-    node.rk21 = node.rk21.add(RkMatrix(u2, v1).truncate(tol), tol)
+    pieces = {"12": (u1, v2), "21": (u2, v1)}
+    for side, block in node.rk.items():
+        node.rk[side] = block.add(RkMatrix(*pieces[side]).truncate(tol), tol)
+
+
+def _assemble(tree: ClusterTree, tol: float, dtype, symmetric: bool,
+              leaf, offdiag=None) -> HMatrix:
+    """The one structure-building recursion: ``leaf(cluster)`` gives a
+    diagonal leaf's dense block and ``offdiag(rows, cols)`` the
+    :class:`RkMatrix` of two sibling clusters (none stored without it),
+    asked only for the sides the matrix stores."""
+    sides = _SIDES[bool(symmetric)]
+
+    def build(cnode: ClusterNode) -> HNode:
+        node = HNode(cnode.start, cnode.stop)
+        if cnode.is_leaf:
+            node.dense = leaf(cnode)
+            return node
+        c1, c2 = cnode.children
+        node.mid = c1.stop
+        node.h11 = build(c1)
+        node.h22 = build(c2)
+        if offdiag is not None:
+            pairs = {"12": (c1, c2), "21": (c2, c1)}
+            node.rk = {side: offdiag(*pairs[side]) for side in sides}
+        return node
+
+    return HMatrix(tree, build(tree.root), tol, dtype, symmetric)
 
 
 def build_hodlr(
@@ -781,9 +811,8 @@ def build_hodlr(
     once into cluster order, so every cluster is a slice of its points.
 
     ``symmetric=True`` states that ``op`` equals its plain transpose
-    (real or complex symmetric): only the ``21`` blocks, the ones the
-    H-LDLᵀ factorization reads, are then compressed and each ``12`` block
-    is its twin's transpose.
+    (real or complex symmetric): the matrix is then lower-stored (see
+    :class:`HMatrix`) and only the ``21`` blocks are ever compressed.
     """
     if op.shape != (tree.n, tree.n):
         raise ConfigurationError(
@@ -802,22 +831,11 @@ def build_hodlr(
             (rows.size, cols.size), tol, max_rank=max_rank, dtype=dtype,
         )
 
-    def build(cnode: ClusterNode) -> HNode:
-        node = HNode(cnode.start, cnode.stop)
-        if cnode.is_leaf:
-            own = slice(cnode.start, cnode.stop)
-            node.dense = np.array(op.block(own, own), dtype=dtype)
-            return node
-        c1, c2 = cnode.children
-        node.mid = c1.stop
-        node.h11 = build(c1)
-        node.h22 = build(c2)
-        node.rk21 = compress(c2, c1)
-        node.rk12 = (node.rk21.transposed() if symmetric
-                     else compress(c1, c2))
-        return node
+    def leaf(cnode: ClusterNode) -> np.ndarray:
+        own = slice(cnode.start, cnode.stop)
+        return np.array(op.block(own, own), dtype=dtype)
 
-    return HMatrix(tree, build(tree.root), tol, dtype)
+    return _assemble(tree, tol, dtype, symmetric, leaf, compress)
 
 
 def hodlr_from_dense(
@@ -825,8 +843,10 @@ def hodlr_from_dense(
     tree: ClusterTree,
     tol: float = 1e-3,
     compressor: str = "svd",
+    symmetric: bool = False,
 ) -> HMatrix:
-    """Compress an explicit dense matrix (original ordering) into HODLR form."""
+    """Compress an explicit dense matrix (original ordering) into HODLR
+    form (lower-stored when ``symmetric``, as in :func:`build_hodlr`)."""
     a = np.asarray(a)
     if a.shape != (tree.n, tree.n):
         raise ConfigurationError(
@@ -835,41 +855,20 @@ def hodlr_from_dense(
     perm = tree.perm
     ap = a[np.ix_(perm, perm)]
 
-    def build(cnode: ClusterNode) -> HNode:
-        node = HNode(cnode.start, cnode.stop)
-        if cnode.is_leaf:
-            node.dense = np.array(ap[cnode.start : cnode.stop,
-                                     cnode.start : cnode.stop])
-            return node
-        c1, c2 = cnode.children
-        node.mid = c1.stop
-        node.h11 = build(c1)
-        node.h22 = build(c2)
-        node.rk12 = _compress_dense(
-            ap[c1.start : c1.stop, c2.start : c2.stop], tol, compressor
-        )
-        node.rk21 = _compress_dense(
-            ap[c2.start : c2.stop, c1.start : c1.stop], tol, compressor
-        )
-        return node
+    def piece(rows: ClusterNode, cols: ClusterNode) -> np.ndarray:
+        return ap[rows.start : rows.stop, cols.start : cols.stop]
 
-    return HMatrix(tree, build(tree.root), tol, np.dtype(a.dtype))
+    return _assemble(
+        tree, tol, a.dtype, symmetric, lambda c: np.array(piece(c, c)),
+        lambda rows, cols: _compress_dense(piece(rows, cols), tol, compressor),
+    )
 
 
-def hodlr_zeros(tree: ClusterTree, tol: float, dtype) -> HMatrix:
+def hodlr_zeros(tree: ClusterTree, tol: float, dtype,
+                symmetric: bool = False) -> HMatrix:
     """An all-zero HODLR matrix with the given structure."""
-
-    def build(cnode: ClusterNode) -> HNode:
-        node = HNode(cnode.start, cnode.stop)
-        if cnode.is_leaf:
-            node.dense = np.zeros((cnode.size, cnode.size), dtype=dtype)
-            return node
-        c1, c2 = cnode.children
-        node.mid = c1.stop
-        node.h11 = build(c1)
-        node.h22 = build(c2)
-        node.rk12 = RkMatrix.zeros(c1.size, c2.size, dtype=dtype)
-        node.rk21 = RkMatrix.zeros(c2.size, c1.size, dtype=dtype)
-        return node
-
-    return HMatrix(tree, build(tree.root), tol, np.dtype(dtype))
+    return _assemble(
+        tree, tol, dtype, symmetric,
+        lambda c: np.zeros((c.size, c.size), dtype=dtype),
+        lambda rows, cols: RkMatrix.zeros(rows.size, cols.size, dtype=dtype),
+    )

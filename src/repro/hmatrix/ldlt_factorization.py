@@ -77,9 +77,10 @@ class _LNode:
 class HLDLTFactorization:
     """LDLᵀ factorization of a *symmetric* HODLR matrix.
 
-    The input is not modified.  The symmetry of the input is trusted (the
-    upper coupling blocks are never read); feeding an unsymmetric matrix
-    silently factors its lower symmetric part.
+    The input is not modified.  The symmetry of the input is trusted:
+    only the ``21`` coupling blocks are copied, updated and recompressed
+    (a lower-stored :class:`HMatrix` has no others); feeding an
+    unsymmetric matrix silently factors its lower symmetric part.
     """
 
     def __init__(self, hm: HMatrix):
@@ -87,7 +88,8 @@ class HLDLTFactorization:
         self.tol = hm.tol
         self.dtype = hm.dtype
         self.d = np.empty(hm.tree.n, dtype=hm.dtype)
-        self.root = self._factor(hm.root.copy(), RowBlockKernel(hm.dtype))
+        self.root = self._factor(hm.root.copy(sides=("21",)),
+                                 RowBlockKernel(hm.dtype))
 
     # -- factorization --------------------------------------------------------
     def _factor(self, node: HNode, kern: RowBlockKernel) -> _LNode:

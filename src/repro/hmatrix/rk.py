@@ -316,14 +316,16 @@ class RkAccumulator:
             out += u @ v.T
         return out
 
-    def pending_matvec(self, x: np.ndarray) -> np.ndarray:
-        """``(sum of pending updates) @ x`` without materialising them."""
+    def pending_matvec(self, x: np.ndarray, trans: bool = False) -> np.ndarray:
+        """``(sum of pending updates) @ x`` (its transpose with ``trans``)
+        without materialising them."""
         out = None
-        for u, v in zip(self._us, self._vs, strict=True):
+        us, vs = (self._vs, self._us) if trans else (self._us, self._vs)
+        for u, v in zip(us, vs, strict=True):
             term = u @ (v.T @ x)
             out = term if out is None else out + term
         if out is None:
-            shape = (self.base.shape[0],) + x.shape[1:]
+            shape = (self.base.shape[int(trans)],) + x.shape[1:]
             out = np.zeros(shape, dtype=np.result_type(self.base.dtype,
                                                        x.dtype))
         return out

@@ -13,7 +13,8 @@ For a 3-D FEM mesh ordered by nested dissection, the factor size follows
 ``nnz(L) ≈ c_f · n_v^{4/3}`` (the classic 3-D nested-dissection bound);
 BLR compression multiplies it by a ratio < 1.  The dense Schur block costs
 ``n_s² · w`` bytes and its HODLR-compressed counterpart roughly
-``2 · n_s · r̄ · log₂(n_s / leaf) · w``.  The remaining terms are the
+``n_s · r̄ · log₂(n_s / leaf) · w`` per stored off-diagonal side (one for
+a symmetric system, two otherwise).  The remaining terms are the
 per-algorithm workspaces (the ``Y_i``/``Z_i`` panels of multi-solve, the
 ``X_ij`` blocks and the duplicated unsymmetric storage of
 multi-factorization).  All coefficients are overridable and can be fitted
@@ -85,6 +86,9 @@ class CouplingMemoryModel:
         Mean rank of compressed off-diagonal blocks of ``S``.
     hodlr_leaf:
         Cluster-tree leaf size.
+    symmetric:
+        The coupled system is symmetric (the pipe): the compressed ``S``
+        stores one off-diagonal side, the other being its transpose.
     unsym_duplication:
         Storage multiplier for the unsymmetric multifrontal mode required
         by multi-factorization (the paper's "duplicated storage", §IV-B1).
@@ -97,6 +101,7 @@ class CouplingMemoryModel:
     blr_ratio: float = 0.35
     hodlr_rank: float = 16.0
     hodlr_leaf: int = 64
+    symmetric: bool = True
     unsym_duplication: float = 2.0
     coupling_nnz_per_row: float = 30.0
     sparse_compression: bool = True
@@ -124,10 +129,16 @@ class CouplingMemoryModel:
         """Bytes of a HODLR-compressed ``n × n`` matrix."""
         if n <= self.hodlr_leaf:
             return self.dense_bytes(n)
+        diag, per_rank = self._hodlr_terms(n)
+        return diag + self.hodlr_rank * per_rank
+
+    def _hodlr_terms(self, n: int) -> Tuple[float, float]:
+        """Bytes of the dense leaves, and of the stored off-diagonal
+        factors per unit of mean rank."""
         depth = max(1.0, math.log2(n / self.hodlr_leaf))
-        offdiag = 2.0 * n * self.hodlr_rank * depth * self.itemsize
-        diag = n * self.hodlr_leaf * self.itemsize
-        return offdiag + diag
+        sides = 1.0 if self.symmetric else 2.0
+        return (n * self.hodlr_leaf * self.itemsize,
+                sides * n * depth * self.itemsize)
 
     def coupling_bytes(self, n_bem: int) -> float:
         """Bytes of the sparse coupling matrix ``A_sv`` (CSR)."""
@@ -253,11 +264,8 @@ class CouplingMemoryModel:
             for n, bytes_ in hodlr_samples:
                 if n <= self.hodlr_leaf:
                     continue
-                depth = max(1.0, math.log2(n / self.hodlr_leaf))
-                diag = n * self.hodlr_leaf * self.itemsize
-                ranks.append(
-                    max(1.0, (bytes_ - diag) / (2.0 * n * depth * self.itemsize))
-                )
+                diag, per_rank = self._hodlr_terms(n)
+                ranks.append(max(1.0, (bytes_ - diag) / per_rank))
             if ranks:
                 updates["hodlr_rank"] = sum(ranks) / len(ranks)
         return replace(self, **updates)

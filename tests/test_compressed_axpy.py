@@ -230,7 +230,7 @@ class TestSplitAxpy:
                                    np.arange(n), np.arange(40))
         expected = []
         for upd in plan.folds:
-            rk = upd.node.rk12 if upd.side == "12" else upd.node.rk21
+            rk = upd.node.rk[upd.side]
             u = np.zeros((rk.shape[0], upd.small.rank))
             v = np.zeros((rk.shape[1], upd.small.rank))
             u[upd.rows] = upd.small.u
@@ -243,9 +243,54 @@ class TestSplitAxpy:
         assert hm.n_offdiag_updates == len(plan.folds) > 0
         assert hm.n_offdiag_recompressions == len(plan.folds)
         for upd, (_, new) in zip(plan.folds, expected, strict=True):
-            rk = upd.node.rk12 if upd.side == "12" else upd.node.rk21
+            rk = upd.node.rk[upd.side]
             assert np.array_equal(rk.u, new.u)
             assert np.array_equal(rk.v, new.v)
+
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_lower_stored_counters_are_the_21_share(self, tree_and_target,
+                                                    rng, accumulate):
+        """A symmetric matrix plans, commits and recompresses exactly the
+        ``21`` pieces of the two-sided run — same factors, half the work."""
+        n, tree = tree_and_target
+        lower = hodlr_zeros(tree, 1e-8, np.float64, symmetric=True)
+        both = hodlr_zeros(tree, 1e-8, np.float64)
+        share = {"12": [], "21": []}
+        for lo in range(0, n, 48):
+            cols = np.arange(lo, min(n, lo + 48))
+            panel = rng.standard_normal((n, len(cols)))
+            plans = [hm.precompress_axpy(-1.0, panel, np.arange(n), cols)
+                     for hm in (lower, both)]
+            assert {f.side for f in plans[0].folds} == {"21"}
+            for fold in plans[1].folds:
+                share[fold.side].append(id(fold.node))
+            for hm, plan in zip((lower, both), plans, strict=True):
+                hm.commit_axpy(plan, accumulate=accumulate)
+        for hm in (lower, both):
+            hm.flush_accumulators()
+        n12, n21 = len(share["12"]), len(share["21"])
+        assert n12 > 0 and n21 > 0
+        # random pieces are never rank 0: every planned piece is a fold
+        assert both.n_panel_compressions == n12 + n21
+        assert lower.n_panel_compressions == n21
+        assert both.n_offdiag_updates == n12 + n21
+        assert lower.n_offdiag_updates == n21
+        # one recompression per fold, or per touched block when accumulated
+        recomp = {side: len(set(ids)) if accumulate else len(ids)
+                  for side, ids in share.items()}
+        assert both.n_offdiag_recompressions == recomp["12"] + recomp["21"]
+        assert lower.n_offdiag_recompressions == recomp["21"]
+
+        def same_lower_blocks(a, b):
+            if a.is_leaf:
+                assert np.array_equal(a.dense, b.dense)
+                return
+            assert np.array_equal(a.rk21.u, b.rk21.u)
+            assert np.array_equal(a.rk21.v, b.rk21.v)
+            same_lower_blocks(a.h11, b.h11)
+            same_lower_blocks(a.h22, b.h22)
+
+        same_lower_blocks(lower.root, both.root)
 
     def test_copy_with_pending_state_is_rejected(self, tree_and_target, rng):
         n, tree = tree_and_target

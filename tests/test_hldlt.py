@@ -153,48 +153,89 @@ class TestContainerIntegration:
 
 
 class TestMirroredAssembly:
-    """The symmetric pipe assembles only the ``21`` blocks of ``A_ss``."""
+    """The symmetric pipe builds, updates and stores only the ``21`` blocks
+    of ``S``; the two-sided container (the previous behaviour, reached by
+    overriding the flag ``HodlrSchurContainer`` passes) gives the same
+    solution bit for bit."""
+
+    @staticmethod
+    def _lower_and_two_sided(problem, algorithm, config, monkeypatch):
+        """Solve as shipped, then with ``build_hodlr(symmetric=False)``;
+        returns both solutions and the two assembled matrices."""
+        from repro.core import schur_tools, solve_coupled
+        from tools.analysis.watchdog import TrackerBalanceRecorder
+
+        built = []
+        build = schur_tools.build_hodlr
+
+        def spy(op, tree, symmetric, **kwargs):
+            built.append(build(op, tree, symmetric=symmetric, **kwargs))
+            return built[-1]
+
+        recorder = TrackerBalanceRecorder().install()
+        try:
+            monkeypatch.setattr(schur_tools, "build_hodlr", spy)
+            lower = solve_coupled(problem, algorithm, config)
+            monkeypatch.setattr(
+                schur_tools, "build_hodlr",
+                lambda op, tree, symmetric, **kw: spy(op, tree, False, **kw))
+            two_sided = solve_coupled(problem, algorithm, config)
+        finally:
+            recorder.uninstall()
+        recorder.verify()
+        assert [hm.symmetric for hm in built] == [True, False]
+        return lower, two_sided, built
 
     @pytest.mark.parametrize("algorithm",
                              ["multi_solve", "multi_factorization"])
     def test_solution_is_that_of_the_two_sided_build(
             self, pipe_small, algorithm, monkeypatch):
-        from repro.core import SolverConfig, schur_tools, solve_coupled
-        from tools.analysis.watchdog import TrackerBalanceRecorder
+        from repro.core import SolverConfig
+
+        # one worker: peaks are scheduling-dependent under several
+        config = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=128,
+                              n_b=2, n_workers=1)
+        lower, two_sided, (hm, twin) = self._lower_and_two_sided(
+            pipe_small, algorithm, config, monkeypatch)
+        # H-LDLᵀ reads the 21 blocks only, which both runs update alike
+        assert np.array_equal(lower.x, two_sided.x)
+        assert lower.relative_error < config.epsilon
+        # half the pieces compressed, folded and recompressed; the stored
+        # S is the leaves plus one of two equal-rank sides
+        for counter in ("n_panel_compressions", "n_offdiag_updates",
+                        "n_offdiag_recompressions"):
+            assert 0 < getattr(hm, counter) < 0.6 * getattr(twin, counter)
+        assert lower.stats.schur_bytes < 0.7 * two_sided.stats.schur_bytes
+        assert lower.stats.peak_bytes < two_sided.stats.peak_bytes
+
+    @pytest.mark.parametrize("n_workers,backend",
+                             [(4, "thread"), (4, "process")])
+    @pytest.mark.parametrize("algorithm,extra", [
+        ("multi_solve", {}),
+        ("multi_solve", {"axpy_accumulate": False}),
+        ("multi_factorization", {}),
+    ])
+    def test_identity_holds_on_every_backend(
+            self, pipe_small, algorithm, extra, n_workers, backend,
+            monkeypatch):
+        from repro.core import SolverConfig, solve_coupled
 
         config = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=128,
-                              n_b=2)
-        seen = []
-        build = schur_tools.build_hodlr
-
-        def spy(op, tree, symmetric, **kwargs):
-            hm = build(op, tree, symmetric=symmetric, **kwargs)
-            seen.append((symmetric, hm.nbytes()))
-            return hm
-
-        recorder = TrackerBalanceRecorder().install()
-        try:
-            monkeypatch.setattr(schur_tools, "build_hodlr", spy)
-            mirrored = solve_coupled(pipe_small, algorithm, config)
-            monkeypatch.setattr(
-                schur_tools, "build_hodlr",
-                lambda op, tree, symmetric, **kw: spy(op, tree, False, **kw))
-            two_sided = solve_coupled(pipe_small, algorithm, config)
-        finally:
-            recorder.uninstall()
-        recorder.verify()
-        assert [flag for flag, _ in seen] == [True, False]
-        # H-LDLᵀ reads the 21 blocks only, which both builds cross alike
-        assert np.array_equal(mirrored.x, two_sided.x)
-        assert mirrored.relative_error < config.epsilon
-        # the mirrored 12 block takes its twin's rank: bytes move a little
-        assert abs(seen[0][1] - seen[1][1]) < 0.05 * seen[1][1]
+                              n_b=2, **extra)
+        serial = solve_coupled(pipe_small, algorithm, config)
+        lower, two_sided, _ = self._lower_and_two_sided(
+            pipe_small, algorithm,
+            config.with_(n_workers=n_workers, runtime_backend=backend),
+            monkeypatch)
+        for sol in (lower, two_sided):
+            assert np.array_equal(sol.x_v, serial.x_v)
+            assert np.array_equal(sol.x_s, serial.x_s)
 
     def test_complex_nonsymmetric_builds_both_sides(self, aircraft_small,
                                                     monkeypatch):
         """No harness workload runs a complex ℋ assembly: this is the
-        guard that the non-symmetric path still crosses ``12`` and ``21``
-        separately and meets ε."""
+        guard that the non-symmetric path still crosses, stores and
+        updates ``12`` and ``21`` separately and meets ε."""
         from repro.core import SolverConfig, schur_tools, solve_coupled
 
         built = []
@@ -211,5 +252,10 @@ class TestMirroredAssembly:
         assert sol.relative_error < config.epsilon
         (symmetric, hm), = built
         assert symmetric is False and hm.dtype == np.complex128
+        assert not hm.symmetric and hm.sides == ("12", "21")
         root = hm.root
+        assert set(root.rk) == {"12", "21"}
         assert not np.array_equal(root.rk12.u, root.rk21.v)
+        # both sides took the Schur updates of every panel
+        assert {side: acc.n_appends > 0 and acc.pending_rank == 0
+                for side, acc in root.acc.items()} == {"12": True, "21": True}

@@ -8,7 +8,7 @@ from repro.fembem.mesh import box_surface_points
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.factorization import HLUFactorization
 from repro.hmatrix.hmatrix import build_hodlr, hodlr_from_dense
-from repro.utils.errors import SingularMatrixError
+from repro.utils.errors import ConfigurationError, SingularMatrixError
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,17 @@ class TestSolve:
         hm = hodlr_from_dense(np.zeros((n, n)), tree, tol=1e-10)
         with pytest.raises(SingularMatrixError):
             HLUFactorization(hm)
+
+    def test_lower_stored_matrix_is_refused(self, setup):
+        """A symmetric ``HMatrix`` has no ``12`` blocks for H-LU to
+        transform: a clear error, not a missing key or factored zeros."""
+        pts, tree = setup
+        op = make_surface_operator(pts)
+        for hm in (build_hodlr(op, tree, tol=1e-6, symmetric=True),
+                   hodlr_from_dense(np.eye(len(pts)), tree, tol=1e-10,
+                                    symmetric=True)):
+            with pytest.raises(ConfigurationError, match="HLDLTFactorization"):
+                HLUFactorization(hm)
 
 
 class TestAccounting:

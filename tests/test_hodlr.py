@@ -38,10 +38,9 @@ class TestAssembly:
         assert hm.compression_ratio() < 1.0
 
     def test_symmetric_build_mirrors_the_21_blocks(self, setup):
-        """``symmetric=True``: only the ``21`` blocks are crossed, each
-        ``12`` block is its twin's plain transpose in its own memory."""
+        """``symmetric=True``: only the ``21`` blocks are crossed and
+        stored; readers mirror them into the upper half."""
         _, tree, op, dense = setup
-        both = build_hodlr(op, tree, tol=1e-7)
         calls = []
         block = type(op).block
 
@@ -51,9 +50,10 @@ class TestAssembly:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(type(op), "block", counted)
-            build_hodlr(op, tree, tol=1e-7)
+            both = build_hodlr(op, tree, tol=1e-7)
             n_both, _ = len(calls), calls.clear()
             hm = build_hodlr(op, tree, tol=1e-7, symmetric=True)
+        assert hm.symmetric and not both.symmetric
         n_leaves = 0
 
         def walk(node, twin):
@@ -62,10 +62,7 @@ class TestAssembly:
                 n_leaves += 1
                 assert np.array_equal(node.dense, twin.dense)
                 return
-            assert np.array_equal(node.rk12.u, node.rk21.v)
-            assert np.array_equal(node.rk12.v, node.rk21.u)
-            assert not np.shares_memory(node.rk12.u, node.rk21.v)
-            assert not np.shares_memory(node.rk12.v, node.rk21.u)
+            assert set(node.rk) == {"21"} and set(twin.rk) == {"12", "21"}
             # the 21 side is the very block the two-sided build crosses
             assert np.array_equal(node.rk21.u, twin.rk21.u)
             assert np.array_equal(node.rk21.v, twin.rk21.v)
@@ -75,8 +72,7 @@ class TestAssembly:
         walk(hm.root, both.root)
         # the requests of the 12 side are saved, the leaves' stay
         assert n_leaves < len(calls) < 0.55 * n_both
-        np.testing.assert_allclose(hm.to_dense(), hm.to_dense().T,
-                                   rtol=0, atol=1e-14)
+        assert np.array_equal(hm.to_dense(), hm.to_dense().T)
         assert np.abs(hm.to_dense() - dense).max() < 1e-5 * np.abs(dense).max()
 
     def test_every_evaluation_goes_through_the_operator_block(self, setup):
@@ -254,3 +250,86 @@ class TestAddRkAndCopy:
         hm.axpy_dense(1.0, rng.standard_normal((n, n)),
                       np.arange(n), np.arange(n))
         assert hm.nbytes() > before  # random update is incompressible
+
+
+class TestLowerStored:
+    """A symmetric matrix stores its ``21`` blocks only: every reader must
+    give what the two-sided matrix of the same operator gives."""
+
+    @pytest.fixture(params=["laplace", "helmholtz"])
+    def pair(self, request, setup):
+        pts, tree, _, _ = setup
+        op = make_surface_operator(pts, kind=request.param)
+        lower = build_hodlr(op, tree, tol=1e-7, symmetric=True)
+        both = build_hodlr(op, tree, tol=1e-7)
+        assert lower.dtype == both.dtype == op.dtype
+        return lower, both, op.to_dense()
+
+    @staticmethod
+    def _upper_nbytes(hm):
+        """Bytes of the ``12`` side (factors + pending), by tree walk."""
+        def walk(node):
+            if node.is_leaf:
+                return 0
+            own = node.rk["12"].nbytes
+            if "12" in node.acc:
+                own += node.acc["12"].pending_nbytes
+            return own + walk(node.h11) + walk(node.h22)
+        return walk(hm.root)
+
+    def _check_readers(self, lower, both, rng, atol):
+        n = lower.shape[0]
+        ld, bd = lower.to_dense(), both.to_dense()
+        # the stored triangle is the two-sided matrix's, bit for bit; the
+        # implied one is its plain transpose (also for complex symmetric)
+        perm = lower.tree.perm
+        tril = np.tril(np.ones((n, n), dtype=bool))
+        assert np.array_equal(ld[np.ix_(perm, perm)][tril],
+                              bd[np.ix_(perm, perm)][tril])
+        assert np.array_equal(ld, ld.T)
+        np.testing.assert_allclose(ld, bd, rtol=0, atol=atol)
+        x = rng.standard_normal((n, 3)).astype(lower.dtype)
+        np.testing.assert_allclose(lower.matvec(x), ld @ x,
+                                   rtol=0, atol=1e-10 * np.abs(ld).max() * n)
+        np.testing.assert_allclose(lower.matvec(x[:, 0]), both.matvec(x[:, 0]),
+                                   rtol=0, atol=atol * n)
+        assert lower.nbytes() == both.nbytes() - self._upper_nbytes(both)
+
+    def test_readers_match_the_two_sided_matrix(self, pair, rng):
+        lower, both, dense = pair
+        scale = np.abs(dense).max()
+        self._check_readers(lower, both, rng, atol=1e-5 * scale)
+        assert lower.max_rank() <= both.max_rank()
+        # the same symmetric update, pending and then flushed
+        n = lower.shape[0]
+        g = rng.standard_normal((n, 12)).astype(lower.dtype)
+        update = (g @ g.T) * (scale / n)
+        for lo in range(0, n, 90):
+            cols = np.arange(lo, min(n, lo + 90))
+            for hm in (lower, both):
+                hm.axpy_dense(-1.0, update[:, cols], np.arange(n), cols,
+                              accumulate=True)
+        assert lower.pending_accumulator_nbytes() > 0
+        assert lower.pending_accumulator_nbytes() < (
+            both.pending_accumulator_nbytes())
+        self._check_readers(lower, both, rng, atol=1e-5 * scale)
+        np.testing.assert_allclose(lower.to_dense(), dense - update,
+                                   rtol=0, atol=1e-5 * scale)
+        for hm in (lower, both):
+            hm.flush_accumulators()
+        assert lower.pending_accumulator_nbytes() == 0
+        self._check_readers(lower, both, rng, atol=1e-5 * scale)
+        np.testing.assert_allclose(lower.to_dense(), dense - update,
+                                   rtol=0, atol=1e-5 * scale)
+
+    def test_copy_skeleton_and_builders_keep_the_flag(self, pair):
+        lower, _, dense = pair
+        for hm in (lower.copy(), lower.structure_skeleton(),
+                   hodlr_from_dense(dense, lower.tree, tol=1e-7,
+                                    symmetric=True),
+                   hodlr_zeros(lower.tree, 1e-7, lower.dtype,
+                               symmetric=True)):
+            assert hm.symmetric and hm.sides == ("21",)
+            assert set(hm.root.rk) <= {"21"}
+        assert set(lower.copy().root.rk) == {"21"}
+        assert lower.structure_skeleton().root.rk == {}

@@ -146,6 +146,49 @@ class TestCalibration:
         recovered = model.calibrated(hodlr_samples=[(n, measured)])
         assert recovered.hodlr_rank == pytest.approx(target_rank, rel=0.01)
 
+    def test_symmetric_system_stores_one_off_diagonal_side(self):
+        """The compressed ``S`` of a symmetric system keeps its ``21``
+        blocks only: half the off-diagonal bytes, the same leaves."""
+        n = 4096
+        lower = CouplingMemoryModel()
+        both = CouplingMemoryModel(symmetric=False)
+        assert lower.symmetric
+        diag = n * lower.hodlr_leaf * lower.itemsize
+        assert both.hodlr_bytes(n) - diag == 2 * (lower.hodlr_bytes(n) - diag)
+
+    def test_calibrated_rank_of_a_lower_stored_matrix_is_a_rank(self):
+        """Fitted from the bytes of a real lower-stored ``S``, the mean
+        rank must sit among the ranks the matrix actually has — the
+        two-sided formula would report half of it."""
+        from repro.fembem.bem import make_surface_operator
+        from repro.fembem.mesh import box_surface_points
+        from repro.hmatrix import build_cluster_tree, build_hodlr
+
+        pts = box_surface_points((8.0, 2.0, 2.0), 1024, seed=4)
+        tree = build_cluster_tree(pts, leaf_size=64)
+        op = make_surface_operator(pts, kind="laplace")
+        fitted = {}
+        for symmetric in (True, False):
+            hm = build_hodlr(op, tree, tol=1e-4, symmetric=symmetric)
+            ranks = []
+
+            def collect(node, ranks=ranks):
+                if not node.is_leaf:
+                    ranks.extend(rk.rank for rk in node.rk.values())
+                    collect(node.h11)
+                    collect(node.h22)
+
+            collect(hm.root)
+            model = CouplingMemoryModel(symmetric=symmetric).calibrated(
+                hodlr_samples=[(tree.n, hm.nbytes())])
+            assert min(ranks) <= model.hodlr_rank <= max(ranks)
+            fitted[symmetric] = model.hodlr_rank
+        assert fitted[True] == pytest.approx(fitted[False], rel=0.15)
+        mismatched = CouplingMemoryModel(symmetric=False).calibrated(
+            hodlr_samples=[(tree.n, build_hodlr(
+                op, tree, tol=1e-4, symmetric=True).nbytes())])
+        assert mismatched.hodlr_rank < 0.7 * fitted[True]
+
     def test_calibration_without_samples_is_identity(self):
         model = CouplingMemoryModel()
         assert model.calibrated() == model

@@ -308,6 +308,37 @@ class TestEndToEnd:
         other = solve_coupled(pipe_small, "multi_solve", cfg.with_(seed=43))
         assert not np.array_equal(a.x, other.x)
 
+    def test_symmetric_problem_samples_the_lower_quadrants_only(
+            self, pipe_small, monkeypatch):
+        """A lower-stored ``S`` never asks the sampler for a ``12``
+        quadrant: fewer solves and another random stream than the
+        two-sided walk, so the check is the residual against the exact
+        operator, not byte identity."""
+        from repro.core import schur_tools
+
+        cfg = SolverConfig(dense_backend="hmat", schur_assembly="randomized")
+        build = schur_tools.build_hodlr
+        runs = {}
+        for stored in (True, False):
+            monkeypatch.setattr(
+                schur_tools, "build_hodlr",
+                lambda op, tree, symmetric, stored=stored, **kw:
+                    build(op, tree, symmetric=stored, **kw))
+            runs[stored] = solve_coupled(pipe_small, "multi_solve", cfg)
+        lower, two_sided = runs[True], runs[False]
+        p = pipe_small
+        for sol in (lower, two_sided):
+            r_v = p.b_v - (p.a_vv @ sol.x_v + p.a_sv.T @ sol.x_s)
+            r_s = p.b_s - (p.a_sv @ sol.x_v + p.a_ss_op.matvec(sol.x_s))
+            backward = np.sqrt(
+                (np.linalg.norm(r_v) ** 2 + np.linalg.norm(r_s) ** 2)
+                / (np.linalg.norm(p.b_v) ** 2 + np.linalg.norm(p.b_s) ** 2))
+            assert backward <= cfg.epsilon
+            assert sol.relative_error < cfg.epsilon
+        assert 0 < (lower.stats.params["n_sampled_borders"]
+                    < two_sided.stats.params["n_sampled_borders"])
+        assert lower.stats.n_sparse_solves < two_sided.stats.n_sparse_solves
+
     def test_invalid_assembly_rejected(self):
         with pytest.raises(ConfigurationError):
             SolverConfig(schur_assembly="magic")
