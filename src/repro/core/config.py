@@ -82,13 +82,6 @@ class SolverConfig:
     #: the compression tolerance for a couple of extra solves.  0 (the
     #: paper's setting) disables it.
     refinement_steps: int = 0
-    #: Beyond the paper: when the coupled system is symmetric, the diagonal
-    #: W blocks (i == j) of multi-factorization *are* symmetric, and a
-    #: solver able to exploit that halves their factor storage.  The paper's
-    #: solvers cannot ("we can not rely on a symmetric mode of the direct
-    #: solver", §IV-B1) — the default stays faithful to that constraint;
-    #: enabling this measures what the constraint costs (ablation bench).
-    mf_exploit_diagonal_symmetry: bool = False
     #: Worker threads of the parallel panel runtime (:mod:`repro.runtime`).
     #: ``None`` = ``$REPRO_N_WORKERS`` if set, else 1 (serial).  Any value
     #: yields bit-identical solutions; memory stays bounded by

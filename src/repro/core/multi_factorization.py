@@ -14,13 +14,20 @@ reproduced from the paper:
 * ``W`` is non-symmetric whenever ``i ≠ j``, so the sparse solver runs in
   unsymmetric mode with **duplicated factor storage** (§IV-B1);
 * the solver API offers no way to reuse the factorization of ``A_vv``
-  across calls, so each of the ``n_b²`` blocks pays a full superfluous
+  across calls, so each block pays a full superfluous
   **re-factorization** — "hence the name of the method".
+
+A non-symmetric system runs all ``n_b²`` blocks in LU mode — the paper's
+count, whose solver has no symmetric mode for ``W``.  Ours has one, and
+on a symmetric system ``X_ji = X_ijᵀ``: only the ``n_b(n_b+1)/2`` blocks
+``j ≤ i`` are factorized, the diagonal ones as LDLᵀ, and an off-diagonal
+``X_ij`` is folded into ``S`` twice — at ``(rows_i, cols_j)`` and, as its
+transpose view, at ``(rows_j, cols_i)``.
 
 With the hierarchical dense backend each returned dense block ``X_ij`` is
 folded into the compressed ``S`` by a compressed AXPY (§IV-B2).
 
-The ``n_b²`` block factorizations are mutually independent — each builds
+The block factorizations are mutually independent — each builds
 its own ``W`` and pays its own sparse factorization — so they run on the
 shared-memory parallel runtime (:mod:`repro.runtime`) when
 ``config.n_workers > 1``.  The folds into the Schur container are consumed
@@ -108,31 +115,48 @@ def _build_w_block(a_vv, a_sv, rows_i, cols_j, dtype):
     return w, np.arange(n_v, n_v + k)
 
 
+def _factorize_w_block(w, sparse, arena, timer, i: int, j: int):
+    """Build ``W_ij`` from the shared inputs ``w`` and factorize it.
+
+    ``W`` is non-symmetric whenever ``i ≠ j``; a diagonal block of a
+    symmetric system runs the sparse solver's symmetric (LDLᵀ) mode —
+    half the factor storage of the LU mode the paper's solvers are
+    confined to ("we can not rely on a symmetric mode of the direct
+    solver").
+    """
+    blocks = w["blocks"]
+    w_mat, schur_vars = _build_w_block(
+        w["a_vv"], w["a_sv"], blocks[i], blocks[j], w["dtype"]
+    )
+    with timer.phase("sparse_factorization_schur"):
+        return sparse.factorize_schur(
+            w_mat, schur_vars, coords_interior=w["coords_v"],
+            symmetric_values=w["symmetric"] and i == j,
+            timer=timer, arena=arena,
+        )
+
+
+def _folds(w, x_block, i: int, j: int):
+    """Where ``X_ij`` goes in ``S``, as ``(values, rows, cols)``: its own
+    position and, for an off-diagonal block of a symmetric system, the
+    transpose view at the mirrored position (``X_ji`` is never computed)."""
+    rows_i, cols_j = w["blocks"][i], w["blocks"][j]
+    x = x_block[:len(rows_i), :len(cols_j)]
+    if w["symmetric"] and i != j:
+        return (x, rows_i, cols_j), (x.T, cols_j, rows_i)
+    return ((x, rows_i, cols_j),)
+
+
 def _facto_block_kernel(w, timer, i: int, j: int):
     """One W-block factorization+Schur on a worker process.
 
-    Returns ``(factor_bytes, d_analyses, d_reuses, X_or_plan)`` — the
+    Returns ``(factor_bytes, d_analyses, d_reuses, X_or_plans)`` — the
     4-tuple shape the consumer uses to tell a worker result from the
-    thread backend's ``(mf_ij, plan)``.
+    thread backend's ``(mf_ij, plans)``.
     """
-    blocks = w["blocks"]
-    rows_i, cols_j = blocks[i], blocks[j]
-    k_i, k_j = len(rows_i), len(cols_j)
-    w_mat, schur_vars = _build_w_block(
-        w["a_vv"], w["a_sv"], rows_i, cols_j, w["dtype"]
-    )
     config = w["config"]
-    symmetric_block = (
-        config.mf_exploit_diagonal_symmetry and w["symmetric"]
-        and i == j and k_i == k_j
-    )
     sparse = w["sparse"]
-    with timer.phase("sparse_factorization_schur"):
-        mf_ij = sparse.factorize_schur(
-            w_mat, schur_vars, coords_interior=w["coords_v"],
-            symmetric_values=symmetric_block,
-            timer=timer, arena=w["arena"],
-        )
+    mf_ij = _factorize_w_block(w, sparse, w["arena"], timer, i, j)
     factor_bytes = mf_ij.factor_bytes
     d_an = sparse.n_symbolic_analyses - w["sym_counts"][0]
     d_re = sparse.n_symbolic_reuses - w["sym_counts"][1]
@@ -141,18 +165,21 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     try:
         skel = w.get("skeleton")  # shipped only when the commits accumulate
         if skel is not None:
-            before = skel.n_panel_compressions
-            with timer.phase("schur_precompress"):
-                # axpy-ok: skeleton stages nothing; plan commits+flushes on tree
-                plan = skel.precompress_axpy(
-                    1.0, x_block[:k_i, :k_j], rows_i, cols_j,
-                    compressor=config.compressor,
-                )
-            body = HMatrix.export_plan(
-                plan, skel.n_panel_compressions - before
-            )
+            body = []
+            for x, rows, cols in _folds(w, x_block, i, j):
+                before = skel.n_panel_compressions
+                with timer.phase("schur_precompress"):
+                    # axpy-ok: skeleton stages nothing; plan commits+flushes on tree
+                    plan = skel.precompress_axpy(
+                        1.0, x, rows, cols, compressor=config.compressor,
+                    )
+                body.append(HMatrix.export_plan(
+                    plan, skel.n_panel_compressions - before
+                ))
         else:
-            body = np.ascontiguousarray(x_block[:k_i, :k_j])
+            blocks = w["blocks"]
+            body = np.ascontiguousarray(
+                x_block[:len(blocks[i]), :len(blocks[j])])
     finally:
         del x_block
         x_alloc.free()
@@ -197,74 +224,55 @@ def assemble_multi_factorization(ctx: RunContext):
     state = {"mf": None, "factor_bytes": 0}
     accumulate = compressed and config.axpy_accumulate
     backend = ctx.runtime_backend
-    worker_payload = None
-    if backend == "process":
-        worker_payload = {
-            "a_vv": problem.a_vv,
-            "a_sv": problem.a_sv,
-            "coords_v": problem.coords_v,
-            "symmetric": problem.symmetric,
-            "dtype": problem.dtype,
-            "blocks": blocks,
-            "config": config,
-        }
-        if accumulate:
-            worker_payload["skeleton"] = container.structure_skeleton()
+    # what a block task reads, for the thread closure and (pickled once per
+    # worker) the process kernel alike
+    w = {
+        "a_vv": problem.a_vv,
+        "a_sv": problem.a_sv,
+        "coords_v": problem.coords_v,
+        "symmetric": problem.symmetric,
+        "dtype": problem.dtype,
+        "blocks": blocks,
+        "config": config,
+    }
+    if backend == "process" and accumulate:
+        w["skeleton"] = container.structure_skeleton()
     runtime = make_runtime(
         ctx.tracker, ctx.n_workers, "multi-facto", backend=backend,
-        worker_payload=worker_payload, worker_builder=_facto_worker_ctx,
+        worker_payload=w if backend == "process" else None,
+        worker_builder=_facto_worker_ctx,
     )
 
     def block_task(seq: int, i: int, j: int, is_last: bool) -> PanelTask:
         """One ``W = [[A_vv, A_sv_jᵀ], [A_sv_i, 0]]`` factorization+Schur."""
-        rows_i, cols_j = blocks[i], blocks[j]
-        k_i, k_j = len(rows_i), len(cols_j)
-        k = max(k_i, k_j)
+        k = max(len(blocks[i]), len(blocks[j]))
 
         def fn(timer, alloc):
-            w, schur_vars = _build_w_block(
-                problem.a_vv, problem.a_sv, rows_i, cols_j, problem.dtype
-            )
-            # W is non-symmetric except when i == j; the paper's solvers
-            # offer no way to switch ("we can not rely on a symmetric mode
-            # of the direct solver"), so the faithful default pays the
-            # duplicated unsymmetric storage on every block.  The opt-in
-            # flag below measures what that constraint costs (ablation).
-            symmetric_block = (
-                config.mf_exploit_diagonal_symmetry
-                and problem.symmetric
-                and i == j
-                and k_i == k_j
-            )
             # one front-workspace arena per worker thread, recycled
             # across every block this worker factorizes
             arena = runtime.worker_slot(
                 "front_arena", lambda: FrontArena(ctx.tracker)
             )
-            with timer.phase("sparse_factorization_schur"):
-                mf_ij = sparse.factorize_schur(
-                    w, schur_vars, coords_interior=problem.coords_v,
-                    symmetric_values=symmetric_block,
-                    timer=timer, arena=arena,
-                )
-            plan = None
+            mf_ij = _factorize_w_block(w, sparse, arena, timer, i, j)
+            plans = None
             if accumulate:
                 # pre-compress the dense X_ij on this worker (the SVDs of
                 # the quadrant pieces — the expensive part of the fold);
-                # the dense block dies here, only the compressed plan
-                # travels to the serialized commit
+                # the dense block dies here, only the compressed plans
+                # travel to the serialized commit
                 x_block, x_alloc = mf_ij.take_schur()
                 try:
                     with timer.phase("schur_precompress"):
-                        plan = container.precompress_add(
-                            x_block[:k_i, :k_j], rows_i, cols_j,
-                            charge_gather=False,
-                        )
+                        plans = [
+                            container.precompress_add(
+                                x, rows, cols, charge_gather=False)
+                            for x, rows, cols in _folds(w, x_block, i, j)
+                        ]
                 finally:
                     del x_block
                     x_alloc.free()
-                alloc.resize(plan.nbytes)
-            return mf_ij, plan
+                alloc.resize(sum(plan.nbytes for plan in plans))
+            return mf_ij, plans
 
         # the factor storage is only known after the numeric factorization;
         # reserving the dense Schur block twice over is a scheduling
@@ -286,40 +294,44 @@ def assemble_multi_factorization(ctx: RunContext):
             inline=is_last,
         )
 
+    def fold(i, j, body):
+        """Ordered commit of one block: pre-compressed plans, or dense
+        ``X_ij`` (and its mirror image on a symmetric system)."""
+        with ctx.timer.phase(
+            "schur_compression" if compressed else "schur_assembly"
+        ):
+            if isinstance(body, np.ndarray):
+                for x, rows, cols in _folds(w, body, i, j):
+                    container.add_block(x, rows, cols)
+            else:
+                for plan in body:
+                    container.commit(plan)
+
     def consume(task, result):
         i, j, is_last = task.payload
-        rows_i, cols_j = blocks[i], blocks[j]
-        k_i, k_j = len(rows_i), len(cols_j)
         ctx.n_sparse_factorizations += 1
-        phase = "schur_compression" if compressed else "schur_assembly"
         if len(result) == 4:
             # process-backend worker result: the block's factors died in
-            # the worker — only the Schur body (dense or portable plan)
+            # the worker — only the Schur body (dense or portable plans)
             # and its instrumentation deltas came back
             factor_bytes, d_an, d_re, body = result
             ctx.n_symbolic_analyses += d_an
             ctx.n_symbolic_reuses += d_re
             state["factor_bytes"] = max(state["factor_bytes"], factor_bytes)
-            with ctx.timer.phase(phase):
-                if isinstance(body, np.ndarray):
-                    container.add_block(body, rows_i, cols_j)
-                else:
-                    container.commit(body)
+            fold(i, j, body)
             return
-        mf_ij, plan = result
+        mf_ij, plans = result
         state["factor_bytes"] = max(
             state["factor_bytes"], mf_ij.factor_bytes
         )
-        if plan is not None:
+        if plans is not None:
             # pre-compressed on the worker: only the cheap ordered commit
             # (accumulator appends) runs on the turnstile
-            with ctx.timer.phase(phase):
-                container.commit(plan)
+            fold(i, j, plans)
         else:
             x_block, x_alloc = mf_ij.take_schur()
             try:
-                with ctx.timer.phase(phase):
-                    container.add_block(x_block[:k_i, :k_j], rows_i, cols_j)
+                fold(i, j, x_block)
             finally:
                 del x_block
                 x_alloc.free()
@@ -334,14 +346,17 @@ def assemble_multi_factorization(ctx: RunContext):
         for arena in runtime.drain_worker_slots("front_arena"):
             arena.free()
 
-    n_tasks = n_blocks * n_blocks
+    # a symmetric system needs one triangle of blocks (X_ji = X_ijᵀ);
+    # either way the last block is the diagonal (n_b−1, n_b−1)
+    pairs = [
+        (i, j) for i in range(n_blocks)
+        for j in range(i + 1 if problem.symmetric else n_blocks)
+    ]
     try:
         runtime.run(
             [
-                block_task(i * n_blocks + j, i, j,
-                           i * n_blocks + j == n_tasks - 1)
-                for i in range(n_blocks)
-                for j in range(n_blocks)
+                block_task(seq, i, j, seq == len(pairs) - 1)
+                for seq, (i, j) in enumerate(pairs)
             ],
             consume,
         )

@@ -37,7 +37,7 @@ class SolveStats:
     n_sparse_solves: int = 0
     #: Full symbolic analyses (ordering + symbolic factorization)
     #: actually computed; multi-factorization performs exactly one for
-    #: all ``n_b²`` blocks (one per worker process on that backend).
+    #: all its ``W`` blocks (one per worker process on that backend).
     n_symbolic_analyses: int = 0
     #: Analyses served from the :class:`repro.sparse.SymbolicCache`
     #: instead of recomputed (0 for baseline / advanced, which attach

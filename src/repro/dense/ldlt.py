@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from repro.dense.triangular import blocked_triangular_solve
 from repro.utils.errors import SingularMatrixError
@@ -26,11 +26,11 @@ from repro.utils.validation import check_square
 DEFAULT_BLOCK = 128
 
 
-def _ldlt_kernel(a: np.ndarray, tiny: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Unblocked in-place LDLᵀ of a small symmetric block.
+def _ldlt_columns(a: np.ndarray, tiny: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Unpivoted LDLᵀ of a small symmetric block, one column at a time.
 
-    Returns ``(L_unit_lower, d)``; uses plain transpose (complex symmetric
-    safe).
+    The reference :func:`_ldlt_kernel` falls back on; returns
+    ``(L_unit_lower, d)`` and uses plain transpose (complex symmetric safe).
     """
     n = a.shape[0]
     l = np.array(a, copy=True)
@@ -49,6 +49,25 @@ def _ldlt_kernel(a: np.ndarray, tiny: float) -> Tuple[np.ndarray, np.ndarray]:
         if j + 1 < n:
             l[j + 1 :, j] /= dj
     return np.tril(l), d
+
+
+def _ldlt_kernel(a: np.ndarray, tiny: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Unpivoted LDLᵀ of a small symmetric block (lower triangle read).
+
+    LAPACK ``?sytrf`` (Bunch–Kaufman; ``zsytrf`` is plain-transpose
+    symmetric too) is asked first: where it chose no interchange and no
+    2×2 block and every pivot clears ``tiny``, its factors *are* the
+    unpivoted factorization.  Any other tile takes :func:`_ldlt_columns`.
+    """
+    (sytrf,) = get_lapack_funcs(("sytrf",), (a,))
+    ldu, ipiv, info = sytrf(a, lower=1)
+    if info == 0 and np.array_equal(ipiv, np.arange(1, len(a) + 1)):
+        d = np.diagonal(ldu).copy()
+        if np.all(np.abs(d) > tiny):
+            l = np.tril(ldu, -1)
+            np.fill_diagonal(l, 1.0)
+            return l, d
+    return _ldlt_columns(a, tiny)
 
 
 def blocked_ldlt(

@@ -90,8 +90,10 @@ class CouplingMemoryModel:
         The coupled system is symmetric (the pipe): the compressed ``S``
         stores one off-diagonal side, the other being its transpose.
     unsym_duplication:
-        Storage multiplier for the unsymmetric multifrontal mode required
-        by multi-factorization (the paper's "duplicated storage", §IV-B1).
+        Storage multiplier for the unsymmetric multifrontal mode of
+        multi-factorization (the paper's "duplicated storage", §IV-B1);
+        applies when an off-diagonal ``W`` block exists (``n_b`` > 1) or
+        the system is non-symmetric.
     coupling_nnz_per_row:
         nnz per row of ``A_sv`` (thin geometric coupling band).
     """
@@ -197,26 +199,23 @@ class CouplingMemoryModel:
             comp["solve_panel_Y"] = self.dense_bytes(n_v, n_c)
             comp["spmm_panel_Z"] = self.dense_bytes(n_s, min(n_s_block, n_s))
             comp["schur_hodlr"] = self.hodlr_bytes(n_s)
-        elif algorithm == "multi_factorization":
+        else:  # multi_factorization, dense or compressed S
             block = max(1, math.ceil(n_s / n_b))
-            comp["sparse_factor"] = (
-                self.sparse_factor_bytes(n_v) * self.unsym_duplication
+            # LU mode as soon as one W block is off-diagonal (n_b > 1) or
+            # the system itself is non-symmetric; a lone diagonal block of
+            # a symmetric system is factored LDLᵀ
+            lu = n_b > 1 or not self.symmetric
+            comp["sparse_factor"] = self.sparse_factor_bytes(n_v) * (
+                self.unsym_duplication if lu else 1.0
             )
             comp["schur_block_X"] = self.dense_bytes(block)
             comp["schur_front_workspace"] = (
                 self.schur_workspace_factor * self.dense_bytes(block)
             )
-            comp["schur_dense"] = self.dense_bytes(n_s)
-        elif algorithm == "multi_factorization_compressed":
-            block = max(1, math.ceil(n_s / n_b))
-            comp["sparse_factor"] = (
-                self.sparse_factor_bytes(n_v) * self.unsym_duplication
-            )
-            comp["schur_block_X"] = self.dense_bytes(block)
-            comp["schur_front_workspace"] = (
-                self.schur_workspace_factor * self.dense_bytes(block)
-            )
-            comp["schur_hodlr"] = self.hodlr_bytes(n_s)
+            if algorithm == "multi_factorization":
+                comp["schur_dense"] = self.dense_bytes(n_s)
+            else:
+                comp["schur_hodlr"] = self.hodlr_bytes(n_s)
         if out_of_core:
             for key in ("schur_dense", "schur_hodlr"):
                 if key in comp:

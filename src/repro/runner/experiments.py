@@ -8,6 +8,7 @@ values.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -185,10 +186,18 @@ def run_fig13(
     memory_limit: Optional[int] = None,
     nb_values: Optional[Sequence[int]] = None,
 ) -> List[Dict]:
-    """Figure 13 analog: multi-factorization trade-off in n_b."""
+    """Figure 13 analog: multi-factorization trade-off in n_b.
+
+    Every configuration runs twice: on the symmetric pipe
+    (``n_b(n_b+1)/2`` blocks, LDLᵀ on the diagonal) and — under the row's
+    ``"unsymmetric"`` key — on a view of the same matrices with the
+    symmetry flag cleared, which is the count the paper studies: ``n_b²``
+    blocks, LU everywhere, both sides of ``S`` stored.
+    """
     n_total = n_total or workloads.scaled_n(1_000_000)
     nb_values = list(nb_values) if nb_values is not None else fig13_nb_sweep()
     problem = generate_pipe_case(n_total)
+    unsymmetric = dataclasses.replace(problem, symmetric=False)
     rows: List[Dict] = []
     for n_b in nb_values:
         for backend, variant in (
@@ -199,7 +208,11 @@ def run_fig13(
                 dense_backend=backend, n_b=n_b, memory_limit=memory_limit
             )
             result = _attempt(problem, "multi_factorization", config)
-            result.update(n_total=n_total, variant=variant, n_b=n_b)
+            result.update(
+                n_total=n_total, variant=variant, n_b=n_b,
+                unsymmetric=_attempt(
+                    unsymmetric, "multi_factorization", config),
+            )
             rows.append(result)
     return rows
 

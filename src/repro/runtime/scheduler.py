@@ -181,7 +181,7 @@ class ParallelRuntime:
         Task functions call this from their worker thread to obtain a
         worker-local resource that is reused across the tasks that thread
         executes — e.g. the multifrontal :class:`~repro.sparse
-        .multifrontal.FrontArena`, recycled across the ``n_b²`` block
+        .multifrontal.FrontArena`, recycled across the ``W``-block
         factorizations instead of reallocated per block.  The factory runs
         outside the runtime's locks (only the calling thread ever touches
         its slot); the serial fast path shares the mechanism through the

@@ -57,8 +57,8 @@ class FrontArena:
     entries), replaces the per-front ``np.zeros`` allocations: the numeric
     phase asks for a zeroed ``(nf, nf)`` :meth:`frame` per tree node and
     the same memory is recycled across fronts — and, when the arena is
-    shared (one per runtime worker in multi-factorization), across the
-    ``n_b²`` numeric refactorizations as well.
+    shared (one per runtime worker in multi-factorization), across its
+    numeric refactorizations as well.
 
     The tracker is charged **once** under the ``front_arena`` category and
     the charge follows the capacity through :meth:`ensure` growth; the
@@ -128,7 +128,7 @@ class _FrontFactor:
         self.mode = mode
         self.l11 = None   # unit-lower (ldlt) or compact LU (lu)
         self.d = None     # ldlt diagonal
-        self.perm = None  # lu pivots (local) as the gather x[perm]
+        self.perm = None  # lu pivots (local) as the gather x[perm]; None = identity
         self.l21 = None   # (n_bnd, n_own) panel, possibly Rk
         self.u12 = None   # (n_own, n_bnd) panel (lu mode only), possibly Rk
         self.alloc = None
@@ -405,14 +405,16 @@ class MultifrontalFactorization:
         if np.any(np.diag(lu11) == 0):
             raise SingularMatrixError("zero pivot in frontal LU")
         factor.l11 = lu11
-        factor.perm = piv_to_perm(piv)
+        perm = piv_to_perm(piv)
+        if not np.array_equal(perm, np.arange(p)):
+            factor.perm = perm  # most fronts never pivot: no gather at solve
         if fmat.shape[0] == p:
             factor.l21 = np.zeros((0, p), dtype=fmat.dtype)
             factor.u12 = np.zeros((p, 0), dtype=fmat.dtype)
             return
         # U12 = L11⁻¹ Pᵀ F12 and L21ᵀ = U11⁻ᵀ F21ᵀ, each solved in place
         # on the rows of the panel that is stored
-        u12 = fmat[:p, p:][factor.perm]
+        u12 = fmat[:p, p:][perm]
         kern.solve(lu11, u12, lower=True, unit=True)
         l21t = np.array(fmat[p:, :p].T, order="C")
         kern.solve(lu11, l21t, lower=False, trans=True)
@@ -652,7 +654,7 @@ class MultifrontalFactorization:
             if transpose:
                 kern.solve(fr.l11, zo, lower=False, trans=True)
             else:
-                if lu:
+                if fr.perm is not None:
                     zo[:] = zo[fr.perm]
                 kern.solve(fr.l11, zo, lower=True, unit=True)
             if len(f.bnd_pos):
@@ -675,5 +677,5 @@ class MultifrontalFactorization:
                 kern.solve(fr.l11, zo, lower=False)
             else:
                 kern.solve(fr.l11, zo, lower=True, trans=True, unit=True)
-                if lu:
+                if fr.perm is not None:
                     zo[fr.perm] = zo.copy()

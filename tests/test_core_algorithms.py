@@ -6,6 +6,8 @@ the compressed variants must actually compress, and the blockwise
 algorithms must agree with the single-shot couplings.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,11 +62,22 @@ class TestCompressionEffects:
 
 
 class TestAlgorithmStructure:
-    def test_multi_factorization_counts_nb_squared(self, pipe_small):
+    def test_multi_factorization_counts_nb_squared(self, pipe_small,
+                                                   aircraft_small):
+        """``n_b²`` blocks as in the paper, except on a symmetric system:
+        ``X_ji = X_ijᵀ``, so one triangle of ``n_b(n_b+1)/2`` suffices."""
+        unsymmetric_view = dataclasses.replace(pipe_small, symmetric=False)
         for n_b in (1, 2, 3):
-            sol = solve_coupled(pipe_small, "multi_factorization",
-                                UNCOMPRESSED.with_(n_b=n_b))
-            assert sol.stats.n_sparse_factorizations == n_b * n_b
+            config = UNCOMPRESSED.with_(n_b=n_b)
+            counts = {
+                name: solve_coupled(problem, "multi_factorization",
+                                    config).stats.n_sparse_factorizations
+                for name, problem in (("pipe", pipe_small),
+                                      ("view", unsymmetric_view),
+                                      ("aircraft", aircraft_small))
+            }
+            assert counts == {"pipe": n_b * (n_b + 1) // 2,
+                              "view": n_b * n_b, "aircraft": n_b * n_b}
 
     def test_multi_solve_single_factorization(self, pipe_small):
         sol = solve_coupled(pipe_small, "multi_solve", UNCOMPRESSED)

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import get_lapack_funcs
 from scipy.linalg import lu_factor as scipy_lu_factor
 
 from repro.dense.blocked_lu import blocked_lu, lu_solve, piv_to_perm
 from repro.dense.cholesky import blocked_cholesky, cholesky_solve
-from repro.dense.ldlt import blocked_ldlt, ldlt_solve
+from repro.dense.ldlt import (
+    _ldlt_columns,
+    _ldlt_kernel,
+    blocked_ldlt,
+    ldlt_solve,
+)
 from repro.utils.errors import SingularMatrixError
 
 
@@ -164,6 +170,60 @@ class TestBlockedLDLT:
     def test_zero_pivot_raises(self):
         with pytest.raises(SingularMatrixError):
             blocked_ldlt(np.zeros((4, 4)))
+
+
+class TestLdltKernel:
+    """``_ldlt_kernel`` takes LAPACK's factors only where Bunch–Kaufman
+    did not pivot; ``_ldlt_columns`` is the reference it must match."""
+
+    TINY = float(np.finfo(np.float64).tiny) ** 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_fast_path_matches_the_column_loop(self, rng, dtype):
+        n = 96
+        a = rng.standard_normal((n, n))
+        if dtype is np.complex128:  # complex symmetric, not Hermitian
+            a = a + 1j * rng.standard_normal((n, n))
+            a = a + a.T + 4 * n * np.eye(n)
+        else:  # SPD
+            a = a @ a.T + n * np.eye(n)
+        tile = np.tril(a)
+        l, d = _ldlt_kernel(tile, self.TINY)
+        l_ref, d_ref = _ldlt_columns(tile, self.TINY)
+        assert l.dtype == l_ref.dtype == dtype
+        # the arithmetic is reordered (blocked updates): a tolerance from
+        # the dtype, n·eps relative to the largest entry
+        tol = n * np.finfo(np.float64).eps
+        np.testing.assert_allclose(l, l_ref, rtol=0, atol=tol * np.abs(l_ref).max())
+        np.testing.assert_allclose(d, d_ref, rtol=0, atol=tol * np.abs(d_ref).max())
+        np.testing.assert_array_equal(np.diag(l), 1.0)
+        np.testing.assert_array_equal(np.triu(l, 1), 0.0)
+
+    def test_pivoting_tile_takes_the_column_loop(self, rng):
+        """Where ``?sytrf`` would interchange or take a 2×2 block, the
+        result is the column loop's, bit for bit."""
+        n = 12
+        a = rng.standard_normal((n, n))
+        a = a @ a.T + n * np.eye(n)
+        a[4:6, 4:6] = [[1e-3, 1.0], [1.0, 1e-3]]
+        a[4:6, :4] = a[:4, 4:6] = 0.0
+        a[6:, 4:6] = 0.0
+        a[4:6, 6:] = 0.0
+        tile = np.tril(a)
+        _, ipiv, info = get_lapack_funcs(("sytrf",), (tile,))[0](tile, lower=1)
+        assert info == 0 and not np.array_equal(ipiv, np.arange(1, n + 1))
+        l, d = _ldlt_kernel(tile, self.TINY)
+        l_ref, d_ref = _ldlt_columns(tile, self.TINY)
+        np.testing.assert_array_equal(l, l_ref)
+        np.testing.assert_array_equal(d, d_ref)
+        np.testing.assert_allclose((l * d) @ l.T, a, atol=1e-10)
+
+    def test_singular_tile_still_raises(self):
+        singular = np.tril(np.ones((4, 4)))  # rank one
+        with pytest.raises(SingularMatrixError):
+            _ldlt_kernel(singular, self.TINY)
+        with pytest.raises(SingularMatrixError):
+            _ldlt_kernel(np.zeros((3, 3)), self.TINY)
 
 
 class TestBlockedCholesky:

@@ -91,6 +91,21 @@ class TestModelComponents:
             < peaks["multi_factorization_compressed"]
         )
 
+    def test_unsym_duplication_needs_an_unsymmetric_block(self):
+        """A lone diagonal W block of a symmetric system is factored LDLᵀ:
+        the duplicated LU storage applies from n_b = 2 on, or whenever
+        the system itself is non-symmetric."""
+        sym = self.model
+        unsym = CouplingMemoryModel(symmetric=False)
+        once = sym.sparse_factor_bytes(self.dims.n_fem)
+        for algo in ("multi_factorization", "multi_factorization_compressed"):
+            def factor(model, n_b):
+                return model.peak_components(
+                    algo, self.dims, n_b=n_b)["sparse_factor"]
+            assert factor(sym, 1) == once
+            assert factor(sym, 2) == once * sym.unsym_duplication
+            assert factor(unsym, 1) == once * unsym.unsym_duplication
+
     def test_more_blocks_reduce_multifact_peak(self):
         p1 = self.model.peak_bytes("multi_factorization", self.dims, n_b=1)
         p8 = self.model.peak_bytes("multi_factorization", self.dims, n_b=8)

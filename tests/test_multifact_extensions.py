@@ -1,37 +1,50 @@
 """Tests for the beyond-the-paper multi-factorization extensions."""
 
+import dataclasses
+
 import numpy as np
 
 from repro.core import SolverConfig, solve_coupled
+from repro.core.multi_factorization import (
+    assemble_multi_factorization,
+    make_multi_factorization_context,
+)
+from repro.core.schur_tools import finalize_solution
 
 
 class TestDiagonalSymmetryFlag:
+    """A symmetric problem runs one triangle of W blocks, LDLᵀ on the
+    diagonal; the same matrices with the symmetry flag cleared run the
+    paper's ``n_b²`` LU blocks — the reference these tests compare with."""
+
     def test_same_solution(self, pipe_medium):
-        faithful = solve_coupled(pipe_medium, "multi_factorization",
+        unsymmetric = dataclasses.replace(pipe_medium, symmetric=False)
+        faithful = solve_coupled(unsymmetric, "multi_factorization",
                                  SolverConfig(n_b=2))
-        exploit = solve_coupled(
-            pipe_medium, "multi_factorization",
-            SolverConfig(n_b=2, mf_exploit_diagonal_symmetry=True),
-        )
+        exploit = solve_coupled(pipe_medium, "multi_factorization",
+                                SolverConfig(n_b=2))
+        assert faithful.stats.n_sparse_factorizations == 4
+        assert exploit.stats.n_sparse_factorizations == 3
         np.testing.assert_allclose(faithful.x, exploit.x, atol=1e-8)
 
     def test_not_applied_to_nonsymmetric_problem(self, aircraft_small):
-        # the flag must silently stay off for non-symmetric systems
-        sol = solve_coupled(
-            aircraft_small, "multi_factorization",
-            SolverConfig(n_b=2, epsilon=1e-4,
-                         mf_exploit_diagonal_symmetry=True),
-        )
+        # a non-symmetric system keeps the paper's n_b² LU blocks
+        ctx = make_multi_factorization_context(
+            aircraft_small, SolverConfig(n_b=2, epsilon=1e-4))
+        mf, container, factor_bytes = assemble_multi_factorization(ctx)
+        mode = mf.mode
+        sol = finalize_solution(ctx, mf, container, factor_bytes)  # frees
+        assert sol.stats.n_sparse_factorizations == 4
+        assert mode == "lu"
         assert sol.relative_error < 1e-4
 
     def test_diagonal_symmetry_saves_factor_storage(self, pipe_medium):
         """On the i == j blocks the symmetric mode stores one panel set."""
-        faithful = solve_coupled(pipe_medium, "multi_factorization",
+        unsymmetric = dataclasses.replace(pipe_medium, symmetric=False)
+        faithful = solve_coupled(unsymmetric, "multi_factorization",
                                  SolverConfig(n_b=1))
-        exploit = solve_coupled(
-            pipe_medium, "multi_factorization",
-            SolverConfig(n_b=1, mf_exploit_diagonal_symmetry=True),
-        )
+        exploit = solve_coupled(pipe_medium, "multi_factorization",
+                                SolverConfig(n_b=1))
         # n_b = 1: the single block is diagonal, so the whole factorization
         # switches to LDLᵀ — roughly half the stored panel bytes
         assert exploit.stats.sparse_factor_bytes < (

@@ -346,6 +346,62 @@ class TestBackendParity:
         assert sol_proc.stats.runtime_wall_seconds > 0.0
 
 
+class TestSymmetricMultiFactorization:
+    """One triangle of ``W`` blocks on a symmetric system: every ``X_ij``
+    with ``j < i`` is folded in twice (itself and its transpose view), and
+    an ``n_s`` no block count divides makes the off-diagonal blocks padded
+    (``k_i ≠ k_j``)."""
+
+    @pytest.fixture(scope="class")
+    def pipe_odd(self):
+        from repro.fembem import generate_pipe_case
+
+        problem = generate_pipe_case(1_301, seed=7)
+        assert problem.symmetric
+        assert problem.n_bem % 2 and problem.n_bem % 3
+        return problem
+
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    @pytest.mark.parametrize("config", [UNCOMPRESSED, COMPRESSED],
+                             ids=["spido", "hmat"])
+    def test_padded_blocks_on_every_runtime(self, pipe_odd, config, n_b):
+        p = pipe_odd
+        runs = [
+            _assemble_and_solve(
+                p, "multi_factorization",
+                config.with_(n_b=n_b, n_workers=n_workers,
+                             runtime_backend=backend),
+            )
+            for n_workers, backend in ((1, "thread"), (4, "thread"),
+                                       (4, "process"))
+        ]
+        s_ref, sol_ref, _ = runs[0]
+        for s, sol, ctx in runs:
+            assert sol.stats.n_sparse_factorizations == n_b * (n_b + 1) // 2
+            assert np.array_equal(s, s_ref)
+            assert np.array_equal(sol.x, sol_ref.x)
+            ctx.tracker.assert_all_freed()
+        # S stays a full symmetric matrix: mirrored blocks are exact copies,
+        # a diagonal block is symmetric to the rounding of its LDLᵀ update
+        from repro.core.multi_factorization import _surface_blocks
+
+        blocks = _surface_blocks(p.n_bem, n_b)
+        for i in range(n_b):
+            for j in range(i):
+                assert np.array_equal(s_ref[np.ix_(blocks[i], blocks[j])],
+                                      s_ref[np.ix_(blocks[j], blocks[i])].T)
+        np.testing.assert_allclose(s_ref, s_ref.T, rtol=0,
+                                   atol=1e-14 * np.abs(s_ref).max())
+        # backward error against the uncompressed operator
+        x_v, x_s = sol_ref.x_v, sol_ref.x_s
+        r_v = p.b_v - (p.a_vv @ x_v + p.a_sv.T @ x_s)
+        r_s = p.b_s - (p.a_sv @ x_v + p.a_ss_op.matvec(x_s))
+        err = np.sqrt(
+            (np.linalg.norm(r_v) ** 2 + np.linalg.norm(r_s) ** 2)
+            / (np.linalg.norm(p.b_v) ** 2 + np.linalg.norm(p.b_s) ** 2))
+        assert err <= config.epsilon
+
+
 class TestMemoryBoundedProcessExecution:
     def test_peak_within_limit_under_four_workers(self, pipe_small):
         """A limit barely above the serial peak cannot fit four concurrent

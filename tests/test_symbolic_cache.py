@@ -4,8 +4,8 @@ Covers the :class:`repro.sparse.SymbolicCache` machinery end to end: the
 pattern fingerprint (values must not participate), the thread-safe
 exactly-once build, the border extension grafting a Schur border onto a
 cached interior analysis (bit-identical to the full analysis), the arena
-lifecycle with tracker accounting, and multi-factorization running all
-``n_b²`` blocks on one analysis, bit-identically across worker counts.
+lifecycle with tracker accounting, and multi-factorization running every
+``W`` block on one analysis, bit-identically across worker counts.
 
 This module runs under the lock-order watchdog + tracker-balance recorder
 (see ``conftest.py``), so every test doubles as a runtime check that the
@@ -270,7 +270,9 @@ class TestMultiFactorizationReuse:
             config.with_(n_workers=n_workers),
         )
         assert np.array_equal(sol.x, serial.x)
-        n_blocks = config.n_b ** 2
+        # the pipe is symmetric: one triangle of W blocks
+        n_blocks = config.n_b * (config.n_b + 1) // 2
+        assert sol.stats.n_sparse_factorizations == n_blocks
         from repro.runtime import resolve_runtime_backend
 
         if resolve_runtime_backend(None) == "process" and n_workers > 1:
