@@ -1,15 +1,12 @@
 #!/usr/bin/env python
 """Tour of the implemented future-work extensions (paper §VII).
 
-Three directions the paper names as future work, implemented here and
+Two directions the paper names as future work, implemented here and
 compared against the paper's own algorithms on one pipe system:
 
-1. **Randomized direct-compressed Schur assembly** — every low-rank block
-   of S is built straight in compressed form by randomized sampling of
-   the correction operator; no dense Z panel ever exists.
-2. **Out-of-core dense Schur** — the uncompressed S lives in a
+1. **Out-of-core dense Schur** — the uncompressed S lives in a
    disk-backed memory map; only two column panels are ever resident.
-3. **Symmetric multi-factorization** — one triangle of W blocks, LDLᵀ on
+2. **Symmetric multi-factorization** — one triangle of W blocks, LDLᵀ on
    the diagonal, against the paper's ``n_b²`` LU blocks (the same
    matrices with the symmetry flag cleared): what the missing symmetric
    mode of the paper's solvers costs.
@@ -51,9 +48,6 @@ def main() -> None:
         SolverConfig(dense_backend="hmat", n_c=128, n_s_block=512))
     run(problem, "extension: out-of-core dense S", "multi_solve",
         SolverConfig(dense_backend="spido_ooc", n_c=128))
-    run(problem, "extension: randomized compressed assembly", "multi_solve",
-        SolverConfig(dense_backend="hmat", n_c=128,
-                     schur_assembly="randomized"))
 
     # a symmetric system needs the blocks j <= i only (X_ji = X_ijᵀ) and
     # factors the diagonal ones LDLᵀ; clearing the symmetry flag gives the

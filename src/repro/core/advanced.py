@@ -71,10 +71,8 @@ def assemble_advanced(ctx: RunContext):
 
     x_block, x_alloc = mf.take_schur()
     try:
-        with ctx.timer.phase("schur_assembly"):
-            container = DenseSchurContainer(
-                problem, config, ctx.tracker, start_from_a_ss=True
-            )
+        with ctx.timer.phase("schur_update"):
+            container = DenseSchurContainer(problem, config, ctx.tracker)
             container.s += x_block
     finally:
         del x_block

@@ -72,7 +72,7 @@ def assemble_baseline(ctx: RunContext):
     )
     try:
         with ctx.timer.phase("sparse_solve"):
-            y = mf.solve(rhs, exploit_sparsity=config.exploit_sparse_rhs)
+            y = mf.solve(rhs)
         ctx.n_sparse_solves += 1
 
         with ctx.tracker.borrow(
@@ -85,10 +85,8 @@ def assemble_baseline(ctx: RunContext):
             y_alloc.free()
             y_alloc = None
 
-            with ctx.timer.phase("schur_assembly"):
-                container = DenseSchurContainer(
-                    problem, config, ctx.tracker, start_from_a_ss=True
-                )
+            with ctx.timer.phase("schur_update"):
+                container = DenseSchurContainer(problem, config, ctx.tracker)
                 container.s -= z
             del z
     except BaseException:

@@ -41,7 +41,6 @@ from repro.utils.errors import ConfigurationError
 #: choices from here).
 DENSE_BACKENDS = ("spido", "hmat", "spido_ooc")
 _COMPRESSORS = ("svd", "aca")
-_ORDERINGS = ("geometric", "graph")
 
 
 @dataclass(frozen=True)
@@ -54,28 +53,13 @@ class SolverConfig:
     n_c: int = 256
     n_s_block: int = 2048
     n_b: int = 2
-    ordering: str = "geometric"
-    nd_leaf_size: int = 96
-    amalgamate: int = 32
-    hodlr_leaf_size: int = 64
-    dense_block_size: int = 128
+    #: Dense → Rk compressor of the compressed-AXPY pieces: ``"svd"`` is
+    #: rank-first and optimal; ``"aca"`` skips the Gram ``eigh`` and is
+    #: the faster one where the pieces are large (complex
+    #: multi-factorization blocks: EXPERIMENTS.md "PR 22", table B).
     compressor: str = "svd"
     compression_safety: float = 0.02
-    blr_min_panel: int = 64
-    exploit_sparse_rhs: bool = True
     memory_limit: Optional[int] = None
-    #: Compressed multi-solve Schur assembly: ``"blocked"`` is the paper's
-    #: Algorithm 2 (dense column panels compressed after the fact);
-    #: ``"randomized"`` builds every low-rank block of S directly in
-    #: compressed form by randomized sampling — the paper's §VII
-    #: future-work direction (see :mod:`repro.core.randomized`).
-    schur_assembly: str = "blocked"
-    #: The sampling knobs of ``schur_assembly="randomized"``: first rank
-    #: estimate of the adaptive range finder, extra sampling columns beyond
-    #: the current estimate, and the seed of the generator.
-    randomized_start_rank: int = 16
-    randomized_oversample: int = 8
-    seed: int = 0
     #: Steps of iterative refinement after the direct solve: the (possibly
     #: compressed) factorizations precondition a residual correction
     #: evaluated against the *exact* operator, recovering accuracy below
@@ -105,10 +89,6 @@ class SolverConfig:
     #: what Fig. 12 sweeps); results differ only in rounding order, both
     #: within ε.
     axpy_accumulate: bool = True
-    #: Pending-rank budget per off-diagonal block before an accumulator is
-    #: force-flushed mid-stream (bounds the factor storage and keeps the
-    #: eventual QR+SVD from going superlinear).
-    axpy_max_accumulated_rank: int = 128
     #: Maximum live :class:`repro.core.factorized.CoupledFactorization`
     #: entries the serving layer's factor cache keeps (LRU beyond this).
     serve_cache_entries: int = 4
@@ -144,30 +124,17 @@ class SolverConfig:
             )
         if self.compressor not in _COMPRESSORS:
             raise ConfigurationError(f"compressor must be one of {_COMPRESSORS}")
-        if self.ordering not in _ORDERINGS:
-            raise ConfigurationError(f"ordering must be one of {_ORDERINGS}")
         if self.epsilon <= 0:
             raise ConfigurationError("epsilon must be positive")
         if not 0.0 < self.compression_safety <= 1.0:
             raise ConfigurationError(
                 "compression_safety must be in (0, 1]"
             )
-        for name in ("n_c", "n_s_block", "n_b", "nd_leaf_size",
-                     "hodlr_leaf_size", "dense_block_size", "blr_min_panel"):
+        for name in ("n_c", "n_s_block", "n_b"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.memory_limit is not None and self.memory_limit <= 0:
             raise ConfigurationError("memory_limit must be positive or None")
-        if self.schur_assembly not in ("blocked", "randomized"):
-            raise ConfigurationError(
-                "schur_assembly must be 'blocked' or 'randomized'"
-            )
-        if self.randomized_start_rank < 1 or self.randomized_oversample < 1:
-            raise ConfigurationError(
-                "randomized rank parameters must be >= 1"
-            )
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
         if self.refinement_steps < 0:
             raise ConfigurationError("refinement_steps must be >= 0")
         if self.n_workers is not None and self.n_workers < 1:
@@ -177,10 +144,6 @@ class SolverConfig:
         ):
             raise ConfigurationError(
                 "runtime_backend must be 'thread', 'process' or None"
-            )
-        if self.axpy_max_accumulated_rank < 1:
-            raise ConfigurationError(
-                "axpy_max_accumulated_rank must be >= 1"
             )
         if self.serve_cache_entries < 1:
             raise ConfigurationError("serve_cache_entries must be >= 1")
@@ -244,18 +207,11 @@ class SolverConfig:
             "spido_ooc": "MUMPS/SPIDO-OOC",
         }[self.dense_backend]
 
-    @property
-    def ooc_panel_width(self) -> int:
-        """Column-panel width of the out-of-core dense backend."""
-        return max(self.n_c, self.dense_block_size)
-
     def blr_config(self) -> Optional[BLRConfig]:
         """BLR settings for the sparse solver (None = compression off)."""
         if not self.sparse_compression:
             return None
-        return BLRConfig(
-            enabled=True, tol=self.epsilon, min_panel=self.blr_min_panel
-        )
+        return BLRConfig(enabled=True, tol=self.epsilon)
 
     def make_tracker(self, name: str = "") -> MemoryTracker:
         """Fresh memory tracker honouring ``memory_limit``."""

@@ -298,7 +298,7 @@ def assemble_multi_factorization(ctx: RunContext):
         """Ordered commit of one block: pre-compressed plans, or dense
         ``X_ij`` (and its mirror image on a symmetric system)."""
         with ctx.timer.phase(
-            "schur_compression" if compressed else "schur_assembly"
+            "schur_compression" if compressed else "schur_update"
         ):
             if isinstance(body, np.ndarray):
                 for x, rows, cols in _folds(w, body, i, j):

@@ -45,7 +45,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SolverConfig
-from repro.core.randomized import sample_border_plan
 from repro.core.result import CoupledSolution
 from repro.core.schur_tools import (
     RunContext,
@@ -71,7 +70,7 @@ def _panel_solve_kernel(w, timer, col_lo: int, col_hi: int):
     """``Z = A_sv A_vv^{-1} (A_sv^T)_block`` on a worker process."""
     rhs = w["a_sv_t"][:, col_lo:col_hi].tocsr()
     with timer.phase("sparse_solve"):
-        y = w["mf"].solve(rhs, exploit_sparsity=w["exploit_sparse_rhs"])
+        y = w["mf"].solve(rhs)
     with timer.phase("spmm"):
         z = w["a_sv"] @ y
     return z
@@ -150,7 +149,7 @@ def assemble_multi_solve(ctx: RunContext):
         def fn(timer, alloc):
             rhs = a_sv_t[:, col_lo:col_hi].tocsr()
             with timer.phase("sparse_solve"):
-                y = mf.solve(rhs, exploit_sparsity=config.exploit_sparse_rhs)
+                y = mf.solve(rhs)
             with timer.phase("spmm"):
                 z = problem.a_sv @ y
             del y
@@ -180,10 +179,9 @@ def assemble_multi_solve(ctx: RunContext):
             "mf": mf,
             "a_sv": problem.a_sv,
             "a_sv_t": a_sv_t,
-            "exploit_sparse_rhs": config.exploit_sparse_rhs,
             "all_rows": all_rows,
         }
-        if compressed and config.schur_assembly != "randomized":
+        if compressed:
             worker_payload["skeleton"] = container.structure_skeleton()
             worker_payload["compressor"] = config.compressor
     runtime = make_runtime(
@@ -197,7 +195,7 @@ def assemble_multi_solve(ctx: RunContext):
             def consume(task, z):
                 col_lo, col_hi = task.payload
                 ctx.n_sparse_solves += 1
-                with ctx.timer.phase("schur_assembly"):
+                with ctx.timer.phase("schur_update"):
                     container.subtract_block(
                         z, all_rows, np.arange(col_lo, col_hi)
                     )
@@ -209,31 +207,6 @@ def assemble_multi_solve(ctx: RunContext):
                 ],
                 consume,
             )
-        elif config.schur_assembly == "randomized":
-            # future-work variant (§VII): every low-rank block of S is built
-            # directly in compressed form by randomized sampling of the
-            # correction operator — no dense Z panel ever exists.  The
-            # sampling loop is adaptive (each rank doubling depends on the
-            # previous residual), so it stays on the caller thread.
-            def count_solve():
-                ctx.n_sparse_solves += 1
-
-            with ctx.timer.phase("schur_sampling"):
-                plan, n_sampled, n_fallbacks = sample_border_plan(
-                    container.s, mf, problem.a_sv, all_rows, all_rows,
-                    config, problem.dtype, on_solve=count_solve,
-                )
-            ctx.n_sampled_borders += n_sampled
-            ctx.n_border_fallbacks += n_fallbacks
-            # the plan is alive while it commits: charge it like the
-            # runtime charges a task's pre-compressed result
-            with ctx.timer.phase("schur_compression"):
-                with ctx.tracker.borrow(
-                    plan.nbytes, category="schur_block",
-                    label="sampled update plan of S",
-                ):
-                    container.commit(plan)
-                container.flush()
         elif config.axpy_accumulate:
             # Algorithm 2 with deferred recompression: each n_c panel is
             # *pre-compressed on the worker that solved it* (the SVD of
@@ -250,9 +223,7 @@ def assemble_multi_solve(ctx: RunContext):
                 def fn(timer, alloc):
                     rhs = a_sv_t[:, col_lo:col_hi].tocsr()
                     with timer.phase("sparse_solve"):
-                        y = mf.solve(
-                            rhs, exploit_sparsity=config.exploit_sparse_rhs
-                        )
+                        y = mf.solve(rhs)
                     with timer.phase("spmm"):
                         z = problem.a_sv @ y
                     del y

@@ -24,14 +24,15 @@ import numpy as np
 from repro.core.config import SolverConfig
 from repro.core.result import SolveStats
 from repro.dense.solver import DenseSolver
+from repro.dense.triangular import DEFAULT_BLOCK
 from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.factorization import HLUFactorization
 from repro.hmatrix.hmatrix import PortableAxpyPlan, build_hodlr
+from repro.hmatrix.rk import MAX_ACCUMULATED_RANK
 from repro.memory.tracker import MemoryTracker
 from repro.sparse.solver import SparseSolver
 from repro.sparse.symbolic_cache import SymbolicCache
-from repro.utils.errors import ConfigurationError
 from repro.utils.timer import PhaseTimer
 
 
@@ -39,12 +40,7 @@ def make_sparse_solver(config: SolverConfig, tracker: MemoryTracker,
                        cache: Optional[SymbolicCache] = None) -> SparseSolver:
     """The sparse solver ``config`` describes, charging ``tracker``."""
     return SparseSolver(
-        ordering=config.ordering,
-        leaf_size=config.nd_leaf_size,
-        amalgamate=config.amalgamate,
-        blr=config.blr_config(),
-        tracker=tracker,
-        symbolic_cache=cache,
+        blr=config.blr_config(), tracker=tracker, symbolic_cache=cache
     )
 
 
@@ -53,13 +49,6 @@ class RunContext:
 
     def __init__(self, problem: CoupledProblem, config: SolverConfig,
                  algorithm: str):
-        if (config.schur_assembly == "randomized"
-                and algorithm != "multi_solve_compressed"):
-            raise ConfigurationError(
-                "schur_assembly='randomized' builds the *compressed* Schur "
-                "blocks directly; it requires algorithm 'multi_solve' with "
-                f"dense_backend='hmat' (got {algorithm!r})"
-            )
         self.problem = problem
         self.config = config
         self.algorithm = algorithm
@@ -73,11 +62,6 @@ class RunContext:
         self.n_symbolic_reuses = 0
         self.n_workers = config.effective_n_workers
         self.runtime_backend = config.effective_runtime_backend
-        #: ``schur_assembly="randomized"`` counters: quadrants built
-        #: directly in low-rank form vs. quadrants whose rank test failed
-        #: and fell back to the dense product.
-        self.n_sampled_borders = 0
-        self.n_border_fallbacks = 0
         #: Filled by the assembly phase when it ran on the parallel
         #: runtime (:mod:`repro.runtime`): per-worker phase breakdown.
         self.runtime_report = None
@@ -126,8 +110,6 @@ class RunContext:
                 "n_workers": self.n_workers,
                 "runtime_backend": self.runtime_backend,
                 "axpy_accumulate": self.config.axpy_accumulate,
-                "n_sampled_borders": self.n_sampled_borders,
-                "n_border_fallbacks": self.n_border_fallbacks,
             },
         )
 
@@ -136,31 +118,22 @@ class DenseSchurContainer:
     """Uncompressed Schur complement in a dense buffer (SPIDO role)."""
 
     def __init__(self, problem: CoupledProblem, config: SolverConfig,
-                 tracker: MemoryTracker, start_from_a_ss: bool = True):
+                 tracker: MemoryTracker):
         self.problem = problem
-        self.config = config
         self.tracker = tracker
         n = problem.n_bem
         itemsize = np.dtype(problem.dtype).itemsize
         self._alloc = tracker.allocate(
             n * n * itemsize, category="schur_store", label="dense Schur S"
         )
-        if start_from_a_ss:
-            # to_dense returns a fresh array: take it, do not copy it
-            # schur-ok: this IS the sanctioned uncompressed container (SPIDO)
-            self.s = np.asarray(problem.a_ss_op.to_dense(), dtype=problem.dtype)
-        else:
-            # schur-ok: tracked above via tracker.allocate(schur_store)
-            self.s = np.zeros((n, n), dtype=problem.dtype)
+        # to_dense returns a fresh array: take it, do not copy it
+        # schur-ok: this IS the sanctioned uncompressed container (SPIDO)
+        self.s = np.asarray(problem.a_ss_op.to_dense(), dtype=problem.dtype)
         self._fact = None
 
     @property
     def nbytes(self) -> int:
         return self._alloc.nbytes if self._alloc.live else 0
-
-    def add_a_ss_block(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """``S[rows, cols] += A_ss[rows, cols]`` (assembled from the kernel)."""
-        self.s[np.ix_(rows, cols)] += self.problem.a_ss_op.block(rows, cols)
 
     def subtract_block(self, z: np.ndarray, rows: np.ndarray,
                        cols: np.ndarray) -> None:
@@ -173,10 +146,9 @@ class DenseSchurContainer:
         self.s[np.ix_(rows, cols)] += x
 
     def factorize(self, tracker: MemoryTracker) -> None:
-        solver = DenseSolver(
-            tracker=tracker, block_size=self.config.dense_block_size
+        self._fact = DenseSolver(tracker=tracker).factorize(
+            self.s, symmetric=self.problem.symmetric
         )
-        self._fact = solver.factorize(self.s, symmetric=self.problem.symmetric)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._fact.solve(b)
@@ -208,8 +180,8 @@ class HodlrSchurContainer:
     :meth:`factorize`.
 
     Tracked sizes are maintained *incrementally* from the byte deltas the
-    commit/flush path returns — every update, sampled ones included,
-    reaches ``S`` through :meth:`commit`, so the tree is never re-walked.
+    commit/flush path returns — every update reaches ``S`` through
+    :meth:`commit`, so the tree is never re-walked.
     Accumulator bytes are charged to their own ``axpy_accumulator``
     category so budget-aware admission sees them.
     """
@@ -219,9 +191,7 @@ class HodlrSchurContainer:
         self.problem = problem
         self.config = config
         self.tracker = tracker
-        self.tree = build_cluster_tree(
-            problem.coords_s, leaf_size=config.hodlr_leaf_size
-        )
+        self.tree = build_cluster_tree(problem.coords_s)
         # compressed assembly of A_ss straight from the kernel (ACA); the
         # internal rounding tolerance sits a safety factor below ε so that
         # accumulated recompression error stays within the advertised ε
@@ -230,7 +200,6 @@ class HodlrSchurContainer:
             symmetric=problem.symmetric,
         )
         self._accumulate = config.axpy_accumulate
-        self._max_acc_rank = config.axpy_max_accumulated_rank
         self._alloc = tracker.allocate(
             self.s.nbytes(), category="schur_store", label="compressed Schur S"
         )
@@ -300,7 +269,7 @@ class HodlrSchurContainer:
             plan = self.s.import_plan(plan)
         self._apply_deltas(*self.s.commit_axpy(
             plan, accumulate=self._accumulate,
-            max_accumulated_rank=self._max_acc_rank,
+            max_accumulated_rank=MAX_ACCUMULATED_RANK,
         ))
 
     def flush(self) -> None:
@@ -359,7 +328,7 @@ class OocSchurContainer:
         self.tracker = tracker
         n = problem.n_bem
         self.store = OutOfCoreDense(
-            n, problem.dtype, panel_width=config.ooc_panel_width,
+            n, problem.dtype, panel_width=max(config.n_c, DEFAULT_BLOCK),
             tracker=tracker,
         )
         # stream A_ss in panel by panel; the full dense A_ss never exists
@@ -422,14 +391,13 @@ class OocSchurContainer:
 
 
 def make_schur_container(problem: CoupledProblem, config: SolverConfig,
-                         tracker: MemoryTracker, start_from_a_ss: bool = True):
+                         tracker: MemoryTracker):
     """Dense, compressed or out-of-core container per ``config.dense_backend``."""
     if config.dense_backend == "hmat":
         return HodlrSchurContainer(problem, config, tracker)
     if config.dense_backend == "spido_ooc":
         return OocSchurContainer(problem, config, tracker)
-    return DenseSchurContainer(problem, config, tracker,
-                               start_from_a_ss=start_from_a_ss)
+    return DenseSchurContainer(problem, config, tracker)
 
 
 def finalize_solution(ctx: RunContext, mf, container,

@@ -16,6 +16,7 @@ import numpy as np
 from repro.dense.blocked_lu import blocked_lu, lu_solve_perm, piv_to_perm
 from repro.dense.cholesky import blocked_cholesky, cholesky_solve
 from repro.dense.ldlt import blocked_ldlt, ldlt_solve
+from repro.dense.triangular import DEFAULT_BLOCK
 from repro.memory.tracker import MemoryTracker
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_square
@@ -92,7 +93,7 @@ class DenseSolver:
     def __init__(
         self,
         tracker: Optional[MemoryTracker] = None,
-        block_size: int = 128,
+        block_size: int = DEFAULT_BLOCK,
         method: str = "auto",
     ) -> None:
         if method not in _METHODS:

@@ -31,7 +31,6 @@ from repro.hmatrix.aca import aca, aca_dense
 from repro.hmatrix.hmatrix import AxpyPlan, HMatrix, build_hodlr, hodlr_from_dense
 from repro.hmatrix.factorization import HLUFactorization
 from repro.hmatrix.ldlt_factorization import HLDLTFactorization
-from repro.hmatrix.strong import StrongHMatrix, build_strong_hmatrix, is_admissible
 
 __all__ = [
     "ClusterNode",
@@ -48,7 +47,4 @@ __all__ = [
     "hodlr_from_dense",
     "HLUFactorization",
     "HLDLTFactorization",
-    "StrongHMatrix",
-    "build_strong_hmatrix",
-    "is_admissible",
 ]

@@ -456,118 +456,51 @@ class HMatrix:
                 f"block shape {block.shape} does not match index sets "
                 f"({len(rows)}, {len(cols)})"
             )
-        rp, cp, ro, co = self._sorted_positions(rows, cols)
+        # cluster-permuted positions, sorted; the stable sort orders gather
+        # the panel into that ordering
+        rp = self.tree.inv_perm[rows]
+        cp = self.tree.inv_perm[cols]
+        ro = np.argsort(rp, kind="stable")
+        co = np.argsort(cp, kind="stable")
+        rp, cp = rp[ro], cp[co]
         plan = AxpyPlan(alpha)
         gather = nullcontext() if tracker is None else tracker.borrow(
             block.nbytes, category="axpy_gather", label="permuted AXPY panel"
         )
         with gather:
             sub = block[np.ix_(ro, co)]
-            self._plan_walk(
-                plan, self.root, rp, cp, 0, len(rp), 0, len(cp),
-                lambda r0, r1, c0, c1: np.array(sub[r0:r1, c0:c1]),
-                lambda r0, r1, c0, c1: _compress_dense(
-                    sub[r0:r1, c0:c1], self.tol, compressor
-                ),
-            )
+            self._plan_walk(plan, self.root, sub, compressor, rp, cp,
+                            0, len(rp), 0, len(cp))
         return plan
 
-    def precompress_axpy_sampled(
-        self,
-        alpha,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        sample_rk,
-        dense_piece,
-        min_sample_dim: int = 64,
-        compressor: str = "svd",
-    ):
-        """Build an :class:`AxpyPlan` by *sampling* an operator blockwise.
-
-        The sampled-border pipeline: instead of gathering a dense panel and
-        compressing its quadrant pieces, each off-diagonal quadrant of the
-        update is requested directly in low-rank form from
-        ``sample_rk(global_rows, global_cols) -> Optional[RkMatrix]`` (a
-        randomized range finder against the operator; ``None`` = rank test
-        failed) and dense diagonal-leaf pieces from
-        ``dense_piece(global_rows, global_cols) -> ndarray``.  Quadrants
-        below ``min_sample_dim`` or whose rank test fails fall back to the
-        exact dense piece compressed the usual way — so the only thing that
-        ever exists densely is what the plan would have stored densely
-        anyway.  The full ``len(rows) × len(cols)`` block is never
-        materialized.
-
-        Returns ``(plan, n_sampled, n_fallbacks)`` where ``n_fallbacks``
-        counts quadrants where sampling was *attempted* and refused.
-        Thread-safe like :meth:`precompress_axpy`; callbacks are invoked in
-        deterministic tree order, so a seeded sampler yields identical
-        plans on every backend.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        rp, cp, ro, co = self._sorted_positions(rows, cols)
-        grows, gcols = rows[ro], cols[co]
-        plan = AxpyPlan(alpha)
-        n_sampled = n_fallbacks = 0
-
-        def leaf_piece(r0, r1, c0, c1):
-            return np.asarray(dense_piece(grows[r0:r1], gcols[c0:c1]))
-
-        def fold_piece(r0, r1, c0, c1):
-            nonlocal n_sampled, n_fallbacks
-            if min(r1 - r0, c1 - c0) >= min_sample_dim:
-                rk = sample_rk(grows[r0:r1], gcols[c0:c1])
-                if rk is not None:
-                    n_sampled += 1
-                    return rk.truncate(self.tol)
-                n_fallbacks += 1
-            return _compress_dense(
-                leaf_piece(r0, r1, c0, c1), self.tol, compressor
-            )
-
-        self._plan_walk(plan, self.root, rp, cp, 0, len(rp), 0, len(cp),
-                        leaf_piece, fold_piece)
-        return plan, n_sampled, n_fallbacks
-
-    def _sorted_positions(self, rows: np.ndarray, cols: np.ndarray):
-        """Cluster-permuted positions of ``rows``/``cols``, sorted, with the
-        stable sort orders that gather a panel into that ordering."""
-        rp = self.tree.inv_perm[rows]
-        cp = self.tree.inv_perm[cols]
-        ro = np.argsort(rp, kind="stable")
-        co = np.argsort(cp, kind="stable")
-        return rp[ro], cp[co], ro, co
-
-    def _plan_walk(self, plan: AxpyPlan, node: HNode, rp: np.ndarray,
-                   cp: np.ndarray, r0: int, r1: int, c0: int, c1: int,
-                   leaf_piece, fold_piece) -> None:
-        """The one plan-building recursion of the compressed AXPY.
+    def _plan_walk(self, plan: AxpyPlan, node: HNode, sub: np.ndarray,
+                   compressor: str, rp: np.ndarray, cp: np.ndarray,
+                   r0: int, r1: int, c0: int, c1: int) -> None:
+        """The plan-building recursion of the compressed AXPY.
 
         ``rp[r0:r1]`` / ``cp[c0:c1]`` are the sorted permuted positions
-        that fall inside ``node``.  The piece sources are addressed by such
-        windows ``(r0, r1, c0, c1)``: ``leaf_piece`` returns the exact
-        dense piece (owned by the plan) of a diagonal leaf, ``fold_piece``
-        the compressed :class:`RkMatrix` of an off-diagonal quadrant with
-        freshly allocated factors — ``alpha`` is folded into them in place.
-        Sources are called in a fixed order (``h11``, ``h22``, then the
-        quadrants of :attr:`sides` — a lower-stored matrix never asks for
-        a ``12`` piece), which seeded samplers rely on.
+        that fall inside ``node`` and ``sub[r0:r1, c0:c1]`` the piece of
+        the gathered panel they address: a diagonal leaf takes an exact
+        copy of it (owned by the plan), an off-diagonal quadrant of
+        :attr:`sides` (a lower-stored matrix has no ``12`` piece) its
+        compression by ``compressor`` to :attr:`tol`, with ``alpha`` folded
+        into the fresh factors in place.
         """
         if r0 == r1 or c0 == c1:
             return
         if node.is_leaf:
             plan.leaves.append(_LeafUpdate(
                 node, rp[r0:r1] - node.start, cp[c0:c1] - node.start,
-                leaf_piece(r0, r1, c0, c1),
+                np.array(sub[r0:r1, c0:c1]),
             ))
             return
         rm = r0 + int(np.searchsorted(rp[r0:r1], node.mid))
         cm = c0 + int(np.searchsorted(cp[c0:c1], node.mid))
         # diagonal quadrants recurse
-        self._plan_walk(plan, node.h11, rp, cp, r0, rm, c0, cm,
-                        leaf_piece, fold_piece)
-        self._plan_walk(plan, node.h22, rp, cp, rm, r1, cm, c1,
-                        leaf_piece, fold_piece)
+        self._plan_walk(plan, node.h11, sub, compressor, rp, cp,
+                        r0, rm, c0, cm)
+        self._plan_walk(plan, node.h22, sub, compressor, rp, cp,
+                        rm, r1, cm, c1)
         # off-diagonal quadrants: compress (the expensive part)
         quadrants = {"12": (r0, rm, cm, c1, node.start, node.mid),
                      "21": (rm, r1, c0, cm, node.mid, node.start)}
@@ -575,7 +508,7 @@ class HMatrix:
             ra, rb, ca, cb, row_off, col_off = quadrants[side]
             if ra == rb or ca == cb:
                 continue
-            small = fold_piece(ra, rb, ca, cb)
+            small = _compress_dense(sub[ra:rb, ca:cb], self.tol, compressor)
             self._count(panel=1)
             if small.rank == 0:
                 continue
@@ -724,7 +657,7 @@ class HMatrix:
         """Resolve a :class:`PortableAxpyPlan` against *this* tree.
 
         Returns an :class:`AxpyPlan` ready for :meth:`commit_axpy`, and
-        folds the worker-side compression count into this matrix's
+        folds the worker-side SVD/ACA count into this matrix's
         instrumentation.
         """
         plan = AxpyPlan(portable.alpha)

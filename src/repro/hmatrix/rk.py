@@ -16,7 +16,7 @@ block into roughly one.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -186,22 +186,6 @@ class RkMatrix:
         """``(U Vᵀ)ᵀ @ x = V (Uᵀ x)``."""
         return self.v @ (self.u.T @ x)
 
-    def scaled(self, alpha) -> "RkMatrix":
-        if self.rank == 0:
-            return self
-        return RkMatrix(alpha * self.u, self.v.copy())
-
-    def transposed(self) -> "RkMatrix":
-        return RkMatrix(self.v.copy(), self.u.copy())
-
-    def norm_estimate(self) -> float:
-        """Cheap upper bound on the Frobenius norm."""
-        if self.rank == 0:
-            return 0.0
-        return float(
-            np.linalg.norm(self.u, "fro") * np.linalg.norm(self.v, "fro")
-        )
-
     def truncate(
         self, tol: float, max_rank: Optional[int] = None,
         norm_ref: Optional[float] = None,
@@ -246,6 +230,13 @@ class RkMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RkMatrix(shape={self.shape}, rank={self.rank})"
+
+
+#: Pending-rank budget per off-diagonal block the Schur containers pass as
+#: ``RkAccumulator.max_rank``: past it an accumulator is flushed mid-stream,
+#: which bounds the factor storage and keeps the eventual QR+SVD from
+#: going superlinear.
+MAX_ACCUMULATED_RANK = 128
 
 
 class RkAccumulator:
@@ -376,16 +367,3 @@ class RkAccumulator:
             f"pending_rank={self.pending_rank})"
         )
 
-
-def rk_sum(blocks: Sequence[RkMatrix], tol: float,
-           max_rank: Optional[int] = None) -> RkMatrix:
-    """Sum several same-shape Rk blocks with a single final recompression."""
-    blocks = [b for b in blocks if b.rank > 0]
-    if not blocks:
-        raise ConfigurationError("rk_sum needs at least one block")
-    if len(blocks) == 1:
-        return blocks[0].truncate(tol, max_rank)
-    dtype = np.result_type(*[b.dtype for b in blocks])
-    u = np.hstack([b.u.astype(dtype, copy=False) for b in blocks])
-    v = np.hstack([b.v.astype(dtype, copy=False) for b in blocks])
-    return RkMatrix(u, v).truncate(tol, max_rank)

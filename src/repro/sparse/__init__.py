@@ -25,8 +25,6 @@ the paper's couplings:
 from repro.sparse.ordering import (
     geometric_nested_dissection,
     graph_nested_dissection,
-    minimum_degree_ordering,
-    rcm_ordering,
 )
 from repro.sparse.partition import PartitionNode, PartitionTree
 from repro.sparse.symbolic import (
@@ -45,8 +43,6 @@ from repro.sparse.solver import SparseSolver
 __all__ = [
     "geometric_nested_dissection",
     "graph_nested_dissection",
-    "minimum_degree_ordering",
-    "rcm_ordering",
     "PartitionNode",
     "PartitionTree",
     "SymbolicFactorization",

@@ -555,26 +555,6 @@ class MultifrontalFactorization:
         Dense solution array with the same leading shape as ``b``, in the
         factors' precision (complex when either side is).
         """
-        return self._solve(b, False, exploit_sparsity, rhs_panel)
-
-    def solve_transpose(
-        self,
-        b: Union[np.ndarray, sp.spmatrix],
-        rhs_panel: Optional[int] = None,
-    ) -> np.ndarray:
-        """Solve ``A₁₁ᵀ x = b`` over the interior variables.
-
-        For symmetric factorizations this is :meth:`solve`; in LU mode the
-        same sweep runs against the transposed factors (``Uᵀ`` forward in
-        postorder, ``Lᵀ`` backward), with the frontal pivots undone at the
-        end of each pivot block.  Needed by the randomized compressed-Schur
-        assembly (the paper's §VII future-work direction), which samples
-        the correction operator from both sides.
-        """
-        return self._solve(b, self.mode == "lu", False, rhs_panel)
-
-    def _solve(self, b, transpose: bool, exploit_sparsity, rhs_panel):
-        """Column panels of ``b`` through :meth:`_sweep`, reassembled."""
         if self._freed:
             raise RuntimeError("factorization has been freed")
         sym = self.symbolic
@@ -621,7 +601,7 @@ class MultifrontalFactorization:
                         support = sym.interior_pos[np.any(bp != 0, axis=1)]
                 active = (self._active_mask(support) if exploit_sparsity
                           else None)
-                self._sweep(z.view(self.dtype), transpose, active)
+                self._sweep(z.view(self.dtype), active)
                 xp = z[sym.interior_pos]
             if width == n_rhs:
                 x = xp
@@ -632,15 +612,14 @@ class MultifrontalFactorization:
         assert x is not None
         return x[:, 0] if was_1d else x
 
-    def _sweep(self, z: np.ndarray, transpose: bool, active) -> None:
+    def _sweep(self, z: np.ndarray, active) -> None:
         """Forward then backward substitution, in place on ``z``.
 
         ``z`` is the C-ordered work vector in elimination order, viewed in
         the factor dtype (real factors sweep the real ``(n, 2m)`` view of
         a complex right-hand side).  A front's pivot rows are the slice
         ``z[lo:hi]``, updated in place by the kernel; only its boundary
-        rows are gathered.  ``transpose`` (LU only) sweeps ``Uᵀ`` forward
-        and ``Lᵀ`` backward instead of ``L`` and ``U``.
+        rows are gathered.
         """
         sym = self.symbolic
         kern = RowBlockKernel(self.dtype)
@@ -651,31 +630,24 @@ class MultifrontalFactorization:
             if active is not None and not active[f.node_index]:
                 continue
             zo = z[f.lo:f.hi]
-            if transpose:
-                kern.solve(fr.l11, zo, lower=False, trans=True)
-            else:
-                if fr.perm is not None:
-                    zo[:] = zo[fr.perm]
-                kern.solve(fr.l11, zo, lower=True, unit=True)
+            if fr.perm is not None:
+                zo[:] = zo[fr.perm]
+            kern.solve(fr.l11, zo, lower=True, unit=True)
             if len(f.bnd_pos):
                 zb = z[f.bnd_pos]
-                panel_update(kern, zb, fr.u12 if transpose else fr.l21, zo,
-                             trans=transpose)
+                panel_update(kern, zb, fr.l21, zo)
                 z[f.bnd_pos] = zb
         # the forward sweep scribbles on the Schur positions (they are
         # reduced-RHS scratch); a pure interior solve treats x_schur = 0
         z[sym.n_interior:] = 0
-        upper = lu and not transpose
         for f, fr in reversed(todo):
             zo = z[f.lo:f.hi]
             if not lu:
                 zo /= fr.d[:, None]
             if len(f.bnd_pos):
-                panel_update(kern, zo, fr.u12 if upper else fr.l21,
-                             z[f.bnd_pos], trans=not upper)
-            if upper:
+                panel_update(kern, zo, fr.u12 if lu else fr.l21,
+                             z[f.bnd_pos], trans=not lu)
+            if lu:
                 kern.solve(fr.l11, zo, lower=False)
             else:
                 kern.solve(fr.l11, zo, lower=True, trans=True, unit=True)
-                if fr.perm is not None:
-                    zo[fr.perm] = zo.copy()

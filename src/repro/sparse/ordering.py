@@ -9,10 +9,6 @@ dissection builders:
   is the default the coupling algorithms use);
 * :func:`graph_nested_dissection` — BFS level-set separators on the
   matrix graph when no coordinates are available.
-
-:func:`minimum_degree_ordering` and :func:`rcm_ordering` are provided as
-standalone permutations for comparison benches; they do not produce a
-separator tree and are not used by the multifrontal path.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.sparse.partition import PartitionNode, PartitionTree
 from repro.utils.errors import ConfigurationError
@@ -179,38 +175,3 @@ def graph_nested_dissection(
     root = build(np.arange(n, dtype=np.intp))
     return PartitionTree(root, n)
 
-
-def rcm_ordering(a: sp.spmatrix) -> np.ndarray:
-    """Reverse Cuthill-McKee permutation (bandwidth reduction)."""
-    pattern = symmetrized_pattern(a)
-    return np.asarray(reverse_cuthill_mckee(pattern, symmetric_mode=True),
-                      dtype=np.intp)
-
-
-def minimum_degree_ordering(a: sp.spmatrix) -> np.ndarray:
-    """A simple (non-amalgamated, quotient-free) minimum-degree ordering.
-
-    Implements the textbook greedy minimum-degree algorithm on an explicit
-    elimination graph.  Quadratic worst case — intended for small matrices
-    and ordering-quality comparisons, not the production path (nested
-    dissection is).
-    """
-    pattern = symmetrized_pattern(a)
-    n = pattern.shape[0]
-    adj = [set(pattern.indices[pattern.indptr[i] : pattern.indptr[i + 1]])
-           for i in range(n)]
-    eliminated = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.intp)
-    degrees = np.array([len(s) for s in adj], dtype=np.intp)
-    for k in range(n):
-        alive = np.flatnonzero(~eliminated)
-        v = int(alive[np.argmin(degrees[alive])])
-        order[k] = v
-        eliminated[v] = True
-        nbrs = {w for w in adj[v] if not eliminated[w]}
-        for w in nbrs:
-            adj[w].discard(v)
-            adj[w].update(nbrs - {w})
-            degrees[w] = len(adj[w])
-        adj[v] = set()
-    return order

@@ -42,6 +42,7 @@ from repro.memory.tracker import MemoryTracker
 from repro.sparse.blr import BLRConfig
 from repro.sparse.multifrontal import FrontArena, MultifrontalFactorization
 from repro.sparse.ordering import (
+    DEFAULT_LEAF,
     geometric_nested_dissection,
     graph_nested_dissection,
 )
@@ -100,7 +101,7 @@ class SparseSolver:
     def __init__(
         self,
         ordering: str = "geometric",
-        leaf_size: int = 96,
+        leaf_size: int = DEFAULT_LEAF,
         amalgamate: int = 32,
         blr: Optional[BLRConfig] = None,
         tracker: Optional[MemoryTracker] = None,

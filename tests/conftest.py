@@ -30,8 +30,7 @@ from repro.fembem import generate_aircraft_case, generate_pipe_case
 _WATCHDOG_MODULES = {"test_runtime", "test_symbolic_cache",
                      "test_compressed_axpy", "test_process_backend",
                      "test_factorized", "test_serving_cache",
-                     "test_serving", "test_randomized",
-                     "test_multifrontal"}
+                     "test_serving", "test_multifrontal"}
 
 
 @pytest.fixture(autouse=True)

@@ -328,13 +328,6 @@ class TestSplitAxpy:
         assert np.linalg.norm(hm.to_dense() - before) > 0
 
 
-# -- config validation ---------------------------------------------------------
-class TestAccumulateConfig:
-    def test_rank_budget_validated(self):
-        with pytest.raises(ConfigurationError, match="axpy_max_accumulated"):
-            SolverConfig(axpy_max_accumulated_rank=0)
-
-
 # -- end-to-end: determinism, accuracy, recompression reduction ----------------
 def _assemble_compressed(problem, **cfg_kwargs):
     config = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=256,

@@ -1,6 +1,7 @@
 """Tests for SolverConfig validation and helpers."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,23 +22,37 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("dense_backend", "lapack"),
         ("compressor", "rrqr"),
-        ("ordering", "amd"),
         ("epsilon", 0.0),
         ("epsilon", -1.0),
         ("n_c", 0),
         ("n_s_block", 0),
         ("n_b", 0),
-        ("nd_leaf_size", 0),
-        ("hodlr_leaf_size", 0),
-        ("dense_block_size", 0),
         ("memory_limit", 0),
         ("compression_safety", 0.0),
         ("compression_safety", 1.5),
-        ("seed", -1),
-        ("blr_min_panel", 0),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("ordering", "graph"),
+        ("nd_leaf_size", 96),
+        ("amalgamate", 32),
+        ("hodlr_leaf_size", 64),
+        ("dense_block_size", 128),
+        ("blr_min_panel", 64),
+        ("exploit_sparse_rhs", False),
+        ("schur_assembly", "randomized"),
+        ("randomized_start_rank", 16),
+        ("randomized_oversample", 8),
+        ("seed", 0),
+        ("axpy_max_accumulated_rank", 128),
+    ])
+    def test_removed_fields_rejected(self, field, value):
+        """A caller still passing a field PR 22 removed fails at
+        construction instead of silently running the default."""
+        with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: value})
 
     def test_frozen(self):
@@ -97,6 +112,12 @@ class TestOptionValuesAreFields:
         assert after.stats.n_symbolic_reuses == before.stats.n_symbolic_reuses
         assert after.stats.params["axpy_accumulate"] is True
 
+    def test_api_table_lists_exactly_the_fields(self):
         api = (Path(__file__).parent.parent / "docs" / "api.md").read_text()
-        missing = [name for name in types if f"`{name}`" not in api]
-        assert not missing, f"SolverConfig fields absent from docs/api.md: {missing}"
+        table = api.split("### `SolverConfig` fields")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert rows == fields, (
+            f"docs/api.md rows without a field: {sorted(set(rows) - set(fields))}; "
+            f"fields without a row: {sorted(set(fields) - set(rows))}"
+        )

@@ -9,8 +9,6 @@ from repro.fembem.mesh import StructuredGrid
 from repro.sparse.ordering import (
     geometric_nested_dissection,
     graph_nested_dissection,
-    minimum_degree_ordering,
-    rcm_ordering,
     symmetrized_pattern,
 )
 from repro.sparse.partition import PartitionNode, PartitionTree
@@ -144,37 +142,3 @@ class TestPartitionTree:
         for node in tree.postorder:
             assert (owner[node.own] == node.index).all()
 
-
-class TestClassicOrderings:
-    def test_rcm_reduces_bandwidth(self, grid_problem):
-        _, a = grid_problem
-        # scramble, then check RCM recovers a small bandwidth
-        rng = np.random.default_rng(0)
-        p = rng.permutation(a.shape[0])
-        scrambled = a[p][:, p].tocsr()
-        perm = rcm_ordering(scrambled)
-        reordered = scrambled[perm][:, perm].tocoo()
-        bw_before = np.abs(scrambled.tocoo().row - scrambled.tocoo().col).max()
-        bw_after = np.abs(reordered.row - reordered.col).max()
-        assert bw_after < bw_before
-
-    def test_minimum_degree_is_permutation(self):
-        grid = StructuredGrid(5, 4, 3)
-        a = assemble_fem_matrix(grid, mode="real_spd", stencil="7pt")
-        perm = minimum_degree_ordering(a)
-        np.testing.assert_array_equal(np.sort(perm), np.arange(a.shape[0]))
-
-    def test_minimum_degree_beats_natural_order_fill(self):
-        """Greedy min-degree produces less Cholesky fill than natural order."""
-        grid = StructuredGrid(6, 5, 1)
-        a = assemble_fem_matrix(grid, mode="real_spd", stencil="7pt")
-        dense = a.toarray()
-
-        def fill(perm):
-            m = dense[np.ix_(perm, perm)]
-            l = np.linalg.cholesky(m)
-            return (np.abs(l) > 1e-12).sum()
-
-        natural = fill(np.arange(a.shape[0]))
-        md = fill(minimum_degree_ordering(a))
-        assert md <= natural

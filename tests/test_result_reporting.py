@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import SolverConfig, SolveStats, solve_coupled
+from repro.core import SolveStats
 from repro.core.result import CoupledSolution
 from repro.runner.reporting import (
     render_fig10,
     render_fig11,
     render_table,
 )
-from repro.utils.errors import ConfigurationError
 
 
 def _stats(**over):
@@ -46,16 +45,6 @@ class TestCoupledSolution:
             x_v=np.array([1.0, 2.0]), x_s=np.array([3.0]), stats=_stats()
         )
         np.testing.assert_array_equal(sol.x, [1.0, 2.0, 3.0])
-
-
-class TestRandomizedGuard:
-    def test_randomized_requires_hmat(self, pipe_small):
-        with pytest.raises(ConfigurationError):
-            solve_coupled(
-                pipe_small, "multi_solve",
-                SolverConfig(dense_backend="spido",
-                             schur_assembly="randomized"),
-            )
 
 
 class TestRenderers:

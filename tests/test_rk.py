@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hmatrix.rk import RkMatrix, rank_first, rk_sum, svd_truncate
+from repro.hmatrix.rk import RkMatrix, rank_first, svd_truncate
 from tests.test_blr import _SHAPES, _SPECTRA, _Decompositions, _panel
 from repro.utils.errors import ConfigurationError
 
@@ -85,14 +85,6 @@ class TestRkMatrix:
         np.testing.assert_allclose(rk.matvec(x), a @ x, atol=1e-10)
         np.testing.assert_allclose(rk.rmatvec(y), a.T @ y, atol=1e-10)
 
-    def test_scaled_and_transposed(self, rng):
-        a = _low_rank(rng, 10, 12, 3)
-        rk = RkMatrix.from_dense(a, 1e-12)
-        np.testing.assert_allclose(rk.scaled(-2.0).to_dense(), -2 * a,
-                                   atol=1e-10)
-        np.testing.assert_allclose(rk.transposed().to_dense(), a.T,
-                                   atol=1e-10)
-
     def test_truncate_reduces_inflated_rank(self, rng):
         a = _low_rank(rng, 30, 30, 4)
         u = np.hstack([RkMatrix.from_dense(a, 1e-12).u] * 3)
@@ -132,12 +124,6 @@ class TestRkMatrix:
         a = a + a.T  # complex symmetric
         rk = RkMatrix.from_dense(a, 1e-12)
         np.testing.assert_allclose(rk.to_dense(), a, atol=1e-8)
-
-    def test_norm_estimate_upper_bounds(self, rng):
-        a = _low_rank(rng, 12, 12, 3)
-        rk = RkMatrix.from_dense(a, 1e-12)
-        assert rk.norm_estimate() >= np.linalg.norm(a, "fro") * 0.999
-        assert RkMatrix.zeros(3, 3).norm_estimate() == 0.0
 
 
 class TestRankFirst:
@@ -236,22 +222,6 @@ class TestRankFirst:
         assert (count.eigh, count.svd_vectors) == (1, 0)
         assert out.rank == 5
         np.testing.assert_allclose(out.to_dense(), 6 * u @ v.T, atol=1e-9)
-
-
-class TestRkSum:
-    def test_sum_of_several(self, rng):
-        blocks = [_low_rank(rng, 18, 14, 2) for _ in range(4)]
-        rks = [RkMatrix.from_dense(b, 1e-12) for b in blocks]
-        out = rk_sum(rks, tol=1e-10)
-        np.testing.assert_allclose(out.to_dense(), sum(blocks), atol=1e-7)
-
-    def test_empty_sum_rejected(self):
-        with pytest.raises(ConfigurationError):
-            rk_sum([], tol=1e-3)
-
-    def test_all_zero_blocks_rejected(self):
-        with pytest.raises(ConfigurationError):
-            rk_sum([RkMatrix.zeros(3, 3)], tol=1e-3)
 
 
 @settings(max_examples=25, deadline=None)

@@ -25,15 +25,6 @@ class TestDenseContainer:
         c.free()
         tracker.assert_all_freed()
 
-    def test_starts_from_zero(self, pipe_small, tracker):
-        c = DenseSchurContainer(pipe_small, SolverConfig(), tracker,
-                                start_from_a_ss=False)
-        assert np.abs(c.s).max() == 0.0
-        c.add_a_ss_block(np.arange(4), np.arange(4))
-        expected = pipe_small.a_ss_op.block(np.arange(4), np.arange(4))
-        np.testing.assert_allclose(c.s[:4, :4], expected)
-        c.free()
-
     def test_blockwise_updates(self, pipe_small, tracker, rng):
         c = DenseSchurContainer(pipe_small, SolverConfig(), tracker)
         ref = c.s.copy()

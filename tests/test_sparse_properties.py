@@ -79,19 +79,3 @@ def test_property_blr_solve_error_bounded(blr_tol, min_panel, seed):
     res = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
     assert res < 50 * blr_tol + 1e-10
     f.free()
-
-
-@settings(max_examples=10, deadline=None)
-@given(k=st.integers(1, 16), n_rhs=st.integers(1, 6),
-       seed=st.integers(0, 100))
-def test_property_transpose_solve(k, n_rhs, seed):
-    """solve_transpose inverts Aᵀ for any unsymmetric system."""
-    grid = StructuredGrid(6, 5, 4)
-    a = assemble_fem_matrix(grid, mode="complex_nonsym")
-    f = SparseSolver().factorize(a, coords=grid.points(),
-                                 symmetric_values=False)
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal((a.shape[0], n_rhs)) * k
-    x = f.solve_transpose(b)
-    assert np.abs(a.T @ x - b).max() < 1e-8 * k
-    f.free()

@@ -382,25 +382,6 @@ class TestDeterminismChecker:
                            if "def clean_paths" in l)
         assert all(f.line < clean_start for f in found)
 
-    def test_rng_construction_fixture(self):
-        found = run_checkers(
-            [str(FIXTURES / "repro" / "sparse" / "sampling_misuse.py")],
-            only=["determinism"])
-        assert {"DET002", "DET004"} == codes(found)
-        # np.random.Generator(...) and bare RandomState(...); the waived
-        # interop shim stays silent
-        assert sum(1 for f in found if f.code == "DET004") == 2
-
-    def test_rng_rule_is_path_gated(self, tmp_path):
-        # same content outside the randomized-kernel paths: DET004 is
-        # silent but the unseeded default_rng() (DET002) applies anywhere
-        src = (FIXTURES / "repro" / "sparse"
-               / "sampling_misuse.py").read_text()
-        other = tmp_path / "not_sparse.py"
-        other.write_text(src)
-        found = run_checkers([str(other)], only=["determinism"])
-        assert codes(found) == {"DET002"}
-
 
 # -- runner robustness ---------------------------------------------------------
 class TestRunnerRobustness:

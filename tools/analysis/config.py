@@ -204,23 +204,6 @@ DET_LEGACY_NP_RANDOM_FUNCS = frozenset({
 #: commits.
 DET_WALLCLOCK_FUNCS = frozenset({"time", "time_ns", "ctime", "localtime"})
 
-#: Path fragments (posix form) of the randomized kernels where RNG
-#: construction discipline is enforced: generators must be built with
-#: seeded ``np.random.default_rng(seed)`` (spawnable SeedSequence keys
-#: like ``default_rng([seed, i, j])`` included) so the draw sequence is
-#: a pure function of the configuration.  Constructing
-#: ``np.random.Generator``/``RandomState`` directly (DET004) hand-picks
-#: a bit generator and bypasses that discipline — the sampled Schur
-#: blocks of randomized multi-solve would no longer be byte-identical
-#: across backends.
-DET_SEEDED_RNG_PATH_FRAGMENTS = (
-    "repro/sparse/",
-    "repro/core/randomized",
-)
-
-#: RNG classes that must not be constructed directly in those modules.
-DET_RNG_CONSTRUCTORS = frozenset({"Generator", "RandomState"})
-
 # -- dtype-safety -------------------------------------------------------------
 
 #: Path suffixes of the kernel modules where dtype discipline is enforced.

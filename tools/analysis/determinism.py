@@ -18,15 +18,6 @@ sources of hidden nondeterminism would break it silently:
 * DET003 — wall-clock values (``time.time()``, ``datetime.now()``, …)
   flowing into computations.  ``perf_counter``/``monotonic`` timing of
   phases is fine — it only feeds reports.
-* DET004 — constructing ``np.random.Generator`` or ``RandomState``
-  directly in the randomized kernel modules
-  (:data:`tools.analysis.config.DET_SEEDED_RNG_PATH_FRAGMENTS`).  The
-  sampled Schur blocks of randomized multi-solve are byte-identical
-  across worker counts and backends only because every generator there
-  is ``np.random.default_rng(seed)`` with an explicit seed
-  (seed-sequence keys like ``default_rng([seed, i, j])`` included) —
-  hand-built generators pick their own bit-generator stream and break
-  that contract.
 
 Waive with ``# det-ok: <reason>`` (e.g. an order-insensitive reduction
 over a set, with a comment arguing the insensitivity).
@@ -42,17 +33,10 @@ from tools.analysis.base import Checker, Finding, ModuleSource, \
 from tools.analysis.config import (
     DET_GLOBAL_RANDOM_MODULES,
     DET_LEGACY_NP_RANDOM_FUNCS,
-    DET_RNG_CONSTRUCTORS,
-    DET_SEEDED_RNG_PATH_FRAGMENTS,
     DET_WALLCLOCK_FUNCS,
 )
 
 _DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-
-
-def _rng_disciplined(mod: ModuleSource) -> bool:
-    posix = mod.posix()
-    return any(frag in posix for frag in DET_SEEDED_RNG_PATH_FRAGMENTS)
 
 
 def _set_expr(node: ast.AST) -> bool:
@@ -98,30 +82,12 @@ class DeterminismChecker(Checker):
                          "comprehension over a set: element order depends "
                          "on hash seeding — iterate sorted(...) instead")
             elif isinstance(node, ast.Call):
-                self._check_call(mod, node, emit)
+                self._check_call(node, emit)
         return findings
 
-    def _check_call(self, mod: ModuleSource, call: ast.Call, emit) -> None:
+    def _check_call(self, call: ast.Call, emit) -> None:
         func = call.func
-        # Generator(...) / RandomState(...) imported as bare names
-        if (isinstance(func, ast.Name)
-                and func.id in DET_RNG_CONSTRUCTORS
-                and _rng_disciplined(mod)):
-            emit("DET004", call.lineno,
-                 f"'{func.id}(...)' builds a generator by hand — in the "
-                 f"randomized kernels every rng must come from "
-                 f"np.random.default_rng(seed) so sampled Schur blocks "
-                 f"stay byte-identical across backends")
-            return
         if not isinstance(func, ast.Attribute):
-            return
-        # np.random.Generator(...) / np.random.RandomState(...)
-        if func.attr in DET_RNG_CONSTRUCTORS and _rng_disciplined(mod):
-            emit("DET004", call.lineno,
-                 f"'np.random.{func.attr}(...)' builds a generator by "
-                 f"hand — use np.random.default_rng(seed) (seed-sequence "
-                 f"keys like default_rng([seed, i, j]) are fine) so sampled "
-                 f"Schur blocks stay byte-identical across backends")
             return
         root = receiver_root(func)
         chain = attribute_chain(func)  # e.g. np.random.rand -> [random, rand]
