@@ -50,6 +50,8 @@ from repro.core.schur_tools import (
     RunContext,
     finalize_solution,
     make_schur_container,
+    restrict_coupling,
+    schur_panel,
 )
 from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.hmatrix import HMatrix
@@ -62,31 +64,28 @@ from repro.sparse.symbolic_cache import SymbolicCache
 # Module-level (hence picklable) counterparts of the closures below, run
 # inside worker processes by :class:`repro.runtime.ProcessRuntime`.  The
 # large inputs — the stripped multifrontal factorization, the coupling
-# matrices, the HODLR structure skeleton — ship once per worker through the
-# pool initializer; each task pickle carries only the column range.
+# matrix, the panel index sets with the rows of ``A_sv`` they read, the
+# HODLR structure skeleton — ship once per worker through the pool
+# initializer; each task pickle carries only the panel number.
 
 
-def _panel_solve_kernel(w, timer, col_lo: int, col_hi: int):
-    """``Z = A_sv A_vv^{-1} (A_sv^T)_block`` on a worker process."""
-    rhs = w["a_sv_t"][:, col_lo:col_hi].tocsr()
-    with timer.phase("sparse_solve"):
-        y = w["mf"].solve(rhs)
-    with timer.phase("spmm"):
-        z = w["a_sv"] @ y
-    return z
+def _panel_solve_kernel(w, timer, k: int):
+    """``Z[rows, cols]`` of panel ``k`` on a worker process."""
+    return schur_panel(w["mf"], w["a_sv_t"], *w["couplings"][k],
+                       w["panels"][k][1], timer)
 
 
-def _panel_precompress_kernel(w, timer, col_lo: int, col_hi: int):
+def _panel_precompress_kernel(w, timer, k: int):
     """Solve + pre-compress one panel against the structure skeleton;
     only the portable low-rank plan travels back to the coordinator."""
-    z = _panel_solve_kernel(w, timer, col_lo, col_hi)
+    z = _panel_solve_kernel(w, timer, k)
+    rows, cols = w["panels"][k]
     skel = w["skeleton"]
     before = skel.n_panel_compressions
     with timer.phase("schur_precompress"):
         # axpy-ok: skeleton stages nothing; plan commits+flushes on the tree
         plan = skel.precompress_axpy(
-            -1.0, z, w["all_rows"], np.arange(col_lo, col_hi),
-            compressor=w["compressor"],
+            -1.0, z, rows, cols, compressor=w["compressor"],
         )
     return HMatrix.export_plan(plan, skel.n_panel_compressions - before)
 
@@ -132,54 +131,85 @@ def assemble_multi_solve(ctx: RunContext):
     n_s = problem.n_bem
     n_c = min(config.n_c, n_s)
     itemsize = np.dtype(problem.dtype).itemsize
-    a_sv_t = problem.a_sv.T.tocsc()
-    all_rows = np.arange(n_s)
+    a_sv = problem.a_sv
+    a_sv_t = a_sv.T.tocsc()
+    immediate = compressed and not config.axpy_accumulate
+    # Algorithm 2 with immediate folds gathers the n_c panels of each
+    # outer n_S block into one dense Z_i (the paper's n_c / n_S scheme,
+    # what Fig. 12 sweeps); everything else has one "block", all of S
+    n_s_block = min(config.n_s_block, n_s) if immediate else n_s
+    blocks = [(lo, min(n_s, lo + n_s_block))
+              for lo in range(0, n_s, n_s_block)]
+    bounds = [(jlo, min(hi, jlo + n_c))
+              for lo, hi in blocks for jlo in range(lo, hi, n_c)]
+    # the container says which rows and columns of S a column range is
+    panels = [container.panel(jlo, jhi) for jlo, jhi in bounds]
+    # ... and A_sv[rows] over the volume unknowns it reads, once per panel
+    couplings = [restrict_coupling(a_sv, rows) for rows, _ in panels]
 
-    def panel_task(index: int, col_lo: int, col_hi: int) -> PanelTask:
-        """One blocked sparse solve + SpMM: ``Z = A_sv A_vv^{-1} (A_sv^T)_block``.
+    def panel_task(k: int, precompress: bool) -> PanelTask:
+        """One blocked sparse solve + SpMM, ``Z[rows, cols]`` of panel
+        ``k`` — pre-compressed on the worker that solved it when
+        ``precompress``.
 
-        The task's budget covers both the solve panel ``Y_i``
-        (``n_fem × n_c``) and the SpMM result ``Z_i`` (``n_bem × n_c``)
-        that outlives it, plus reserved headroom for the solver's nested
-        workspace; the allocation is shrunk to the ``Z_i`` share once the
-        panel dies, and freed after the fold consumes the result.
+        The task's budget covers the solution rows ``Y`` the solve
+        returns (``len(wanted) × n_c``) and the SpMM result ``Z``
+        (``len(rows) × n_c``) that outlives them, plus reserved headroom
+        for the solver's nested work vector (and the cluster-permuted
+        gather of ``Z`` under ``precompress``); the allocation is shrunk
+        to what is still alive as each intermediate dies, and freed after
+        the fold consumes the result.
         """
-        width = col_hi - col_lo
+        rows, cols = panels[k]
+        a_rows, wanted = couplings[k]
+        n_rows, n_wanted = a_rows.shape
+        width = bounds[k][1] - bounds[k][0]
+        z_bytes = n_rows * width * itemsize
 
         def fn(timer, alloc):
-            rhs = a_sv_t[:, col_lo:col_hi].tocsr()
-            with timer.phase("sparse_solve"):
-                y = mf.solve(rhs)
-            with timer.phase("spmm"):
-                z = problem.a_sv @ y
-            del y
-            alloc.resize(z.nbytes)
-            return z
+            z = schur_panel(mf, a_sv_t, a_rows, wanted, cols, timer)
+            if not precompress:
+                alloc.resize(z.nbytes)
+                return z
+            # live set: Z plus its cluster-permuted gather
+            alloc.resize(2 * z.nbytes)
+            with timer.phase("schur_precompress"):
+                plan = container.precompress_subtract(
+                    z, rows, cols, charge_gather=False,
+                )
+            del z
+            alloc.resize(plan.nbytes)
+            return plan
 
         return PanelTask(
-            index=index,
+            index=k,
             fn=fn,
-            cost_bytes=(problem.n_fem + n_s) * width * itemsize,
-            headroom_bytes=mf.solve_workspace_bytes(width, a_sv_t.dtype),
+            cost_bytes=n_wanted * width * itemsize + z_bytes,
+            headroom_bytes=(
+                mf.solve_workspace_bytes(width, a_sv_t.dtype)
+                + (z_bytes if precompress else 0)
+            ),
             category="solve_panel",
-            label=f"Y/Z panel cols {col_lo}:{col_hi}",
-            payload=(col_lo, col_hi),
-            kernel=_panel_solve_kernel,
-            kernel_args=(col_lo, col_hi),
-            result_nbytes=n_s * width * itemsize,
+            label=f"Y/Z panel {k}" + (" precompress" if precompress else ""),
+            payload=k,
+            kernel=(_panel_precompress_kernel if precompress
+                    else _panel_solve_kernel),
+            kernel_args=(k,),
+            result_nbytes=0 if precompress else z_bytes,
         )
 
     backend = ctx.runtime_backend
     worker_payload = None
     if backend == "process":
         # shipped once per worker: the factorization (tracker stripped by
-        # its __getstate__), the coupling matrices and — for the
-        # compressed container — a values-free skeleton of S's structure
+        # its __getstate__), the right-hand sides, the panel index sets
+        # with their restricted couplings and — for the compressed
+        # container — a values-free skeleton of S's structure
         worker_payload = {
             "mf": mf,
-            "a_sv": problem.a_sv,
             "a_sv_t": a_sv_t,
-            "all_rows": all_rows,
+            "panels": panels,
+            "couplings": couplings,
         }
         if compressed:
             worker_payload["skeleton"] = container.structure_skeleton()
@@ -193,21 +223,13 @@ def assemble_multi_solve(ctx: RunContext):
             # Algorithm 1: dense S, assembled column block by column block;
             # panels solve concurrently, folds land in panel order
             def consume(task, z):
-                col_lo, col_hi = task.payload
                 ctx.n_sparse_solves += 1
                 with ctx.timer.phase("schur_update"):
-                    container.subtract_block(
-                        z, all_rows, np.arange(col_lo, col_hi)
-                    )
+                    container.subtract_block(z, *panels[task.payload])
 
             runtime.run(
-                [
-                    panel_task(k, lo, min(n_s, lo + n_c))
-                    for k, lo in enumerate(range(0, n_s, n_c))
-                ],
-                consume,
-            )
-        elif config.axpy_accumulate:
+                [panel_task(k, False) for k in range(len(panels))], consume)
+        elif not immediate:
             # Algorithm 2 with deferred recompression: each n_c panel is
             # *pre-compressed on the worker that solved it* (the SVD of
             # every quadrant piece — the expensive part — runs off the
@@ -216,87 +238,44 @@ def assemble_multi_solve(ctx: RunContext):
             # each off-diagonal block once at the end.  The outer n_S
             # gather block is unnecessary: the accumulator plays its
             # amortisation role without the dense staging buffer.
-            def precompress_task(index: int, col_lo: int,
-                                 col_hi: int) -> PanelTask:
-                width = col_hi - col_lo
-
-                def fn(timer, alloc):
-                    rhs = a_sv_t[:, col_lo:col_hi].tocsr()
-                    with timer.phase("sparse_solve"):
-                        y = mf.solve(rhs)
-                    with timer.phase("spmm"):
-                        z = problem.a_sv @ y
-                    del y
-                    # live set: Z plus its cluster-permuted gather
-                    alloc.resize(2 * z.nbytes)
-                    with timer.phase("schur_precompress"):
-                        plan = container.precompress_subtract(
-                            z, all_rows, np.arange(col_lo, col_hi),
-                            charge_gather=False,
-                        )
-                    del z
-                    alloc.resize(plan.nbytes)
-                    return plan
-
-                return PanelTask(
-                    index=index,
-                    fn=fn,
-                    cost_bytes=(problem.n_fem + n_s) * width * itemsize,
-                    headroom_bytes=(
-                        mf.solve_workspace_bytes(width, a_sv_t.dtype)
-                        + n_s * width * itemsize
-                    ),
-                    category="solve_panel",
-                    label=f"Z panel precompress cols {col_lo}:{col_hi}",
-                    payload=(col_lo, col_hi),
-                    kernel=_panel_precompress_kernel,
-                    kernel_args=(col_lo, col_hi),
-                )
-
             def consume(task, plan):
                 ctx.n_sparse_solves += 1
                 with ctx.timer.phase("schur_compression"):
                     container.commit(plan)
 
             runtime.run(
-                [
-                    precompress_task(k, lo, min(n_s, lo + n_c))
-                    for k, lo in enumerate(range(0, n_s, n_c))
-                ],
-                consume,
-            )
+                [panel_task(k, True) for k in range(len(panels))], consume)
             with ctx.timer.phase("schur_compression"):
                 container.flush()
         else:
             # Algorithm 2, immediate folds: the inner n_c panels of each
             # outer n_S block solve concurrently into a dense Z_i, folded
             # in by one compressed AXPY per outer block (on the caller
-            # thread) — the paper's n_c / n_S scheme, what Fig. 12 sweeps
-            n_s_block = min(config.n_s_block, n_s)
-            for lo in range(0, n_s, n_s_block):
-                hi = min(n_s, lo + n_s_block)
+            # thread)
+            for lo, hi in blocks:
+                rows, cols = container.panel(lo, hi)
                 with ctx.tracker.borrow(
-                    n_s * (hi - lo) * itemsize,
+                    len(rows) * (hi - lo) * itemsize,
                     category="spmm_panel", label="Z_i block",
                 ):
-                    z_i = np.empty((n_s, hi - lo), dtype=problem.dtype)
+                    # zeroed: an inner panel starts at the leaf of *its*
+                    # first column, below the first row of the block;
+                    # the entries above are ones S does not store
+                    z_i = np.zeros((len(rows), hi - lo), dtype=problem.dtype)
 
                     def consume(task, z, z_i=z_i, lo=lo):
-                        col_lo, col_hi = task.payload
+                        jlo, jhi = bounds[task.payload]
                         ctx.n_sparse_solves += 1
-                        z_i[:, col_lo - lo: col_hi - lo] = z
+                        z_i[len(z_i) - len(z):, jlo - lo:jhi - lo] = z
 
                     runtime.run(
-                        [
-                            panel_task(k, jlo, min(hi, jlo + n_c))
-                            for k, jlo in enumerate(range(lo, hi, n_c))
-                        ],
+                        [panel_task(k, False)
+                         for k, (jlo, _) in enumerate(bounds)
+                         if lo <= jlo < hi],
                         consume,
                     )
                     with ctx.timer.phase("schur_compression"):
-                        container.subtract_block(
-                            z_i, all_rows, np.arange(lo, hi)
-                        )
+                        container.subtract_block(z_i, rows, cols)
                     del z_i
 
         if compressed:

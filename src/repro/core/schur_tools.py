@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.config import SolverConfig
 from repro.core.result import SolveStats
@@ -114,6 +115,15 @@ class RunContext:
         )
 
 
+def _block_index(rows, cols):
+    """Index of the block ``rows × cols``: the view when both are slices
+    (updated in place), the ``np.ix_`` mesh of two index sets otherwise
+    (NumPy copies that block out and back)."""
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
+
+
 class DenseSchurContainer:
     """Uncompressed Schur complement in a dense buffer (SPIDO role)."""
 
@@ -135,15 +145,18 @@ class DenseSchurContainer:
     def nbytes(self) -> int:
         return self._alloc.nbytes if self._alloc.live else 0
 
-    def subtract_block(self, z: np.ndarray, rows: np.ndarray,
-                       cols: np.ndarray) -> None:
-        """``S[rows, cols] -= z`` (plain dense AXPY)."""
-        self.s[np.ix_(rows, cols)] -= z
+    def panel(self, lo: int, hi: int):
+        """``(rows, cols)`` of ``S`` the multi-solve panel ``lo:hi``
+        updates: those columns and every row, as slices."""
+        return slice(None), slice(lo, hi)
 
-    def add_block(self, x: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> None:
+    def subtract_block(self, z: np.ndarray, rows, cols) -> None:
+        """``S[rows, cols] -= z`` (plain dense AXPY)."""
+        self.s[_block_index(rows, cols)] -= z
+
+    def add_block(self, x: np.ndarray, rows, cols) -> None:
         """``S[rows, cols] += x``."""
-        self.s[np.ix_(rows, cols)] += x
+        self.s[_block_index(rows, cols)] += x
 
     def factorize(self, tracker: MemoryTracker) -> None:
         self._fact = DenseSolver(tracker=tracker).factorize(
@@ -192,6 +205,8 @@ class HodlrSchurContainer:
         self.config = config
         self.tracker = tracker
         self.tree = build_cluster_tree(problem.coords_s)
+        self._leaf_starts = np.array(
+            [leaf.start for leaf in self.tree.leaves()])
         # compressed assembly of A_ss straight from the kernel (ACA); the
         # internal rounding tolerance sits a safety factor below ε so that
         # accumulated recompression error stays within the advertised ε
@@ -213,6 +228,20 @@ class HodlrSchurContainer:
     @property
     def nbytes(self) -> int:
         return self._alloc.nbytes if self._alloc.live else 0
+
+    def panel(self, lo: int, hi: int):
+        """``(rows, cols)`` of ``S`` the multi-solve panel ``lo:hi``
+        updates, as original indices: the columns at cluster positions
+        ``lo:hi`` — contiguous in the tree, so the panel splits into few
+        whole quadrant pieces — and the rows the stored blocks read.  A
+        lower-stored ``S`` reads nothing above the diagonal leaf of its
+        first column; a two-sided one reads every row."""
+        perm = self.tree.perm
+        first = 0
+        if self.s.symmetric:
+            starts = self._leaf_starts
+            first = starts[np.searchsorted(starts, lo, side="right") - 1]
+        return perm[first:], perm[lo:hi]
 
     def _apply_deltas(self, store_delta: int, pending_delta: int) -> None:
         """Fold commit/flush byte deltas into the tracked allocations."""
@@ -347,6 +376,11 @@ class OocSchurContainer:
     def disk_bytes(self) -> int:
         return self.store.disk_bytes
 
+    def panel(self, lo: int, hi: int):
+        """``(rows, cols)`` of ``S`` the multi-solve panel ``lo:hi``
+        updates: those columns and every row."""
+        return np.arange(self.problem.n_bem), np.arange(lo, hi)
+
     def _apply(self, sign, block, rows, cols) -> None:
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
@@ -398,6 +432,45 @@ def make_schur_container(problem: CoupledProblem, config: SolverConfig,
     if config.dense_backend == "spido_ooc":
         return OocSchurContainer(problem, config, tracker)
     return DenseSchurContainer(problem, config, tracker)
+
+
+def restrict_coupling(a_sv: sp.csr_matrix, rows):
+    """``A_sv[rows]`` over its own column support.
+
+    Returns ``(a_rows, wanted)``: ``wanted`` the sorted volume unknowns
+    the surface rows ``rows`` couple to and ``a_rows`` the CSR matrix
+    ``A_sv[rows][:, wanted]``.  The entries keep their order inside each
+    row, so ``a_rows @ y[wanted]`` is ``A_sv[rows] @ y`` bit for bit.
+    """
+    picked = a_sv[rows]
+    reached = np.zeros(a_sv.shape[1], dtype=bool)
+    reached[picked.indices] = True
+    wanted = np.flatnonzero(reached)
+    lookup = np.empty(a_sv.shape[1], dtype=picked.indices.dtype)
+    lookup[wanted] = np.arange(len(wanted), dtype=lookup.dtype)
+    a_rows = sp.csr_matrix(
+        (picked.data, lookup[picked.indices], picked.indptr),
+        shape=(picked.shape[0], len(wanted)),
+    )
+    return a_rows, wanted
+
+
+def schur_panel(mf, a_sv_t: sp.csc_matrix, a_rows: sp.csr_matrix,
+                wanted: np.ndarray, cols, timer: PhaseTimer) -> np.ndarray:
+    """``Z[rows, cols]`` of ``Z = A_sv A_vv⁻¹ A_svᵀ`` by one blocked
+    sparse solve (``rows`` / ``cols``: a container's :meth:`panel`;
+    ``a_rows, wanted = restrict_coupling(a_sv, rows)``).
+
+    The sparse solver is asked for the volume rows ``A_sv[rows]`` reads
+    and nothing else: the right-hand side is the CSC panel
+    ``A_svᵀ[:, cols]`` (forward sweep pruned to its support) and the
+    solution comes back restricted to ``wanted`` (backward sweep pruned
+    to their fronts), so the dense ``Y`` is ``len(wanted) × len(cols)``.
+    """
+    with timer.phase("sparse_solve"):
+        y = mf.solve(a_sv_t[:, cols], wanted=wanted)
+    with timer.phase("spmm"):
+        return a_rows @ y
 
 
 def finalize_solution(ctx: RunContext, mf, container,

@@ -64,9 +64,10 @@ def _ldlt_kernel(a: np.ndarray, tiny: float) -> Tuple[np.ndarray, np.ndarray]:
     if info == 0 and np.array_equal(ipiv, np.arange(1, len(a) + 1)):
         d = np.diagonal(ldu).copy()
         if np.all(np.abs(d) > tiny):
-            l = np.tril(ldu, -1)
-            np.fill_diagonal(l, 1.0)
-            return l, d
+            # ldu is LAPACK's own output buffer: make it L where it is
+            ldu[~np.tri(len(a), dtype=bool)] = 0
+            np.fill_diagonal(ldu, 1.0)
+            return ldu, d
     return _ldlt_columns(a, tiny)
 
 
@@ -88,14 +89,16 @@ def blocked_ldlt(
     check_square(a, "a")
     n = a.shape[0]
     dtype = a.dtype if np.issubdtype(a.dtype, np.inexact) else np.float64
-    l = np.tril(np.array(a, dtype=dtype, copy=True))
+    l = np.tril(np.asarray(a, dtype=dtype))  # the one copy: np.tril's result
     d = np.empty(n, dtype=dtype)
     tiny = float(np.finfo(np.dtype(dtype).char.lower() if np.issubdtype(dtype, np.complexfloating) else dtype).tiny) ** 0.5
 
     for k in range(0, n, block_size):
         kb = min(block_size, n - k)
-        lk, dk = _ldlt_kernel(l[k : k + kb, k : k + kb], tiny)
-        l[k : k + kb, k : k + kb] = lk
+        # lk stays the C-ordered view of l below: solve_triangular picks
+        # its LAPACK call from the layout, the kernel's array is F-ordered
+        lk = l[k : k + kb, k : k + kb]
+        lk[:], dk = _ldlt_kernel(lk, tiny)
         d[k : k + kb] = dk
         if k + kb < n:
             # L21 = A21 L11^{-T} D11^{-1}

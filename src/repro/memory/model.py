@@ -15,8 +15,9 @@ BLR compression multiplies it by a ratio < 1.  The dense Schur block costs
 ``n_s² · w`` bytes and its HODLR-compressed counterpart roughly
 ``n_s · r̄ · log₂(n_s / leaf) · w`` per stored off-diagonal side (one for
 a symmetric system, two otherwise).  The remaining terms are the
-per-algorithm workspaces (the ``Y_i``/``Z_i`` panels of multi-solve, the
-``X_ij`` blocks and the duplicated unsymmetric storage of
+per-algorithm workspaces (multi-solve's solve work vector and its
+``Y_i``/``Z_i`` panels — ``Y_i`` only over the volume unknowns ``A_sv``
+couples to — the ``X_ij`` blocks and the duplicated unsymmetric storage of
 multi-factorization).  All coefficients are overridable and can be fitted
 from measured runs with :meth:`CouplingMemoryModel.calibrated`.
 """
@@ -32,6 +33,12 @@ from repro.utils.errors import ConfigurationError
 #: Ratio ``n_bem / N^(2/3)`` of the paper's pipe test case (Table I gives
 #: 3.717, 3.711, 3.714, 3.703 for N = 1M, 2M, 4M, 9M).
 PIPE_BEM_COEFF = 3.71
+
+#: Bound on the volume unknowns ``A_sv`` reaches per surface unknown — the
+#: layer under the surface, the only rows of ``Y_i`` multi-solve asks the
+#: sparse solver for (measured 1.73 on the pipe at N = 12,000, 0.98 on the
+#: aircraft at 9,000).
+_COUPLED_VOLUME_BOUND = 2.0
 
 
 @dataclass(frozen=True)
@@ -189,16 +196,20 @@ class CouplingMemoryModel:
             comp["schur_front_workspace"] = (
                 self.schur_workspace_factor * self.dense_bytes(n_s)
             )
-        elif algorithm == "multi_solve":
+        elif algorithm in ("multi_solve", "multi_solve_compressed"):
             comp["sparse_factor"] = self.sparse_factor_bytes(n_v)
-            comp["solve_panel_Y"] = self.dense_bytes(n_v, n_c)
-            comp["spmm_panel_Z"] = self.dense_bytes(n_s, n_c)
-            comp["schur_dense"] = self.dense_bytes(n_s)
-        elif algorithm == "multi_solve_compressed":
-            comp["sparse_factor"] = self.sparse_factor_bytes(n_v)
-            comp["solve_panel_Y"] = self.dense_bytes(n_v, n_c)
-            comp["spmm_panel_Z"] = self.dense_bytes(n_s, min(n_s_block, n_s))
-            comp["schur_hodlr"] = self.hodlr_bytes(n_s)
+            # the sweeps run on every volume unknown; the solution comes
+            # back on the ones A_sv couples to
+            comp["solve_workspace"] = self.dense_bytes(n_v, n_c)
+            comp["solve_panel_Y"] = self.dense_bytes(
+                min(n_v, math.ceil(_COUPLED_VOLUME_BOUND * n_s)), n_c)
+            if algorithm == "multi_solve":
+                comp["spmm_panel_Z"] = self.dense_bytes(n_s, n_c)
+                comp["schur_dense"] = self.dense_bytes(n_s)
+            else:
+                comp["spmm_panel_Z"] = self.dense_bytes(
+                    n_s, min(n_s_block, n_s))
+                comp["schur_hodlr"] = self.hodlr_bytes(n_s)
         else:  # multi_factorization, dense or compressed S
             block = max(1, math.ceil(n_s / n_b))
             # LU mode as soon as one W block is off-diagonal (n_b > 1) or

@@ -515,7 +515,10 @@ class MultifrontalFactorization:
 
     # -- solves ---------------------------------------------------------------
     def _active_mask(self, support_pos: np.ndarray) -> np.ndarray:
-        """Fronts whose subtree holds a right-hand-side nonzero (plus ancestors)."""
+        """Fronts owning one of the elimination positions ``support_pos``,
+        plus their ancestors: the fronts a forward sweep must visit when
+        the right-hand side is nonzero only there, and the ones a backward
+        sweep must visit when the solution is read only there."""
         sym = self.symbolic
         active = np.zeros(len(sym.fronts), dtype=bool)
         active[np.searchsorted(sym.front_hi, support_pos, side="right")] = True
@@ -529,6 +532,7 @@ class MultifrontalFactorization:
         b: Union[np.ndarray, sp.spmatrix],
         exploit_sparsity: Optional[bool] = None,
         rhs_panel: Optional[int] = None,
+        wanted: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Solve ``A₁₁ x = b`` over the interior variables.
 
@@ -549,11 +553,19 @@ class MultifrontalFactorization:
             products stay in cache-resident BLAS-3 shapes and the solve
             workspace is bounded by ``n_full × rhs_panel`` — with sparse
             right-hand sides keeping per-panel support exploitation.
+        wanted:
+            Interior indices (any order) whose solution rows the caller
+            reads.  The result is then ``x[wanted]`` — bit for bit the
+            rows the full solve returns — and the backward sweep skips
+            every front that neither owns a wanted variable nor is an
+            ancestor of one that does (the sparse-solution counterpart of
+            the sparse right-hand side).
 
         Returns
         -------
-        Dense solution array with the same leading shape as ``b``, in the
-        factors' precision (complex when either side is).
+        Dense solution array with the same leading shape as ``b`` (its
+        rows those of ``wanted`` when given), in the factors' precision
+        (complex when either side is).
         """
         if self._freed:
             raise RuntimeError("factorization has been freed")
@@ -579,6 +591,11 @@ class MultifrontalFactorization:
             )
         n_rhs = b.shape[1]
         dtype = sweep_dtype(self.dtype, b.dtype)
+        if wanted is None:
+            read_pos, needed = sym.interior_pos, None
+        else:
+            read_pos = sym.interior_pos[np.asarray(wanted, dtype=np.intp)]
+            needed = self._active_mask(read_pos)
         x: Optional[np.ndarray] = None
         for lo in range(0, max(n_rhs, 1), panel):
             bp = b if n_rhs <= panel else b[:, lo:lo + panel]
@@ -601,8 +618,8 @@ class MultifrontalFactorization:
                         support = sym.interior_pos[np.any(bp != 0, axis=1)]
                 active = (self._active_mask(support) if exploit_sparsity
                           else None)
-                self._sweep(z.view(self.dtype), active)
-                xp = z[sym.interior_pos]
+                self._sweep(z.view(self.dtype), active, needed)
+                xp = z[read_pos]
             if width == n_rhs:
                 x = xp
             else:
@@ -612,14 +629,18 @@ class MultifrontalFactorization:
         assert x is not None
         return x[:, 0] if was_1d else x
 
-    def _sweep(self, z: np.ndarray, active) -> None:
+    def _sweep(self, z: np.ndarray, active, needed) -> None:
         """Forward then backward substitution, in place on ``z``.
 
         ``z`` is the C-ordered work vector in elimination order, viewed in
         the factor dtype (real factors sweep the real ``(n, 2m)`` view of
         a complex right-hand side).  A front's pivot rows are the slice
         ``z[lo:hi]``, updated in place by the kernel; only its boundary
-        rows are gathered.
+        rows are gathered.  ``active`` / ``needed`` are the
+        :meth:`_active_mask` of the right-hand side's support and of the
+        solution rows that will be read (``None``: every front): the
+        forward loop skips fronts outside the first, the backward loop
+        fronts outside the second, whose rows of ``z`` are left stale.
         """
         sym = self.symbolic
         kern = RowBlockKernel(self.dtype)
@@ -641,6 +662,8 @@ class MultifrontalFactorization:
         # reduced-RHS scratch); a pure interior solve treats x_schur = 0
         z[sym.n_interior:] = 0
         for f, fr in reversed(todo):
+            if needed is not None and not needed[f.node_index]:
+                continue
             zo = z[f.lo:f.hi]
             if not lu:
                 zo /= fr.d[:, None]

@@ -466,6 +466,98 @@ class TestSweepEquivalence:
         f.free()
 
 
+@pytest.fixture(scope="module", params=_KINDS + ["lu-pivoting"])
+def factored(request):
+    """``(a, f)`` per factorization kind; ``lu-pivoting`` shrinks the
+    diagonal so LAPACK interchanges rows inside the pivot blocks."""
+    kind = request.param
+    pivoting = kind == "lu-pivoting"
+    grid, a, symmetric = _sweep_matrix("lu-real" if pivoting else kind)
+    if pivoting:
+        a = (a - 0.97 * sp.diags(a.diagonal())).tocsr()
+    f = SparseSolver(leaf_size=24, amalgamate=8).factorize(
+        a, coords=grid.points(), symmetric_values=symmetric)
+    assert any(fr.perm is not None for fr in f._fronts) == pivoting
+    yield a, f
+    f.free()
+
+
+class TestWantedRows:
+    """``solve(b, wanted=w)`` is ``solve(b)[w]`` bit for bit: the backward
+    sweep skips fronts whose rows nobody reads and changes no other."""
+
+    @staticmethod
+    def _wanted_sets(f, n):
+        leaf = f.symbolic.fronts[0]
+        assert not leaf.child_indices and leaf.n_own >= 3
+        return {
+            "empty": np.empty(0, dtype=np.intp),
+            "one-leaf": leaf.own[:3],
+            "everything": np.arange(n),
+            "unsorted": np.random.default_rng(5).permutation(n)[: n // 3],
+        }
+
+    @pytest.mark.parametrize("cols", [1, 64, 300])   # 300 > rhs_panel
+    @pytest.mark.parametrize("rhs", ["dense", "sparse"])
+    def test_is_the_rows_of_the_full_solve(self, factored, rhs, cols):
+        a, f = factored
+        n = a.shape[0]
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal((n, cols))
+        if np.iscomplexobj(a.data):
+            b = b + 1j * rng.standard_normal((n, cols))
+        if rhs == "sparse":
+            b[rng.random((n, cols)) < 0.97] = 0.0
+            b = sp.csc_matrix(b)
+        full = f.solve(b)
+        resid = a @ full - (b.toarray() if rhs == "sparse" else b)
+        assert np.abs(resid).max() <= 1e-8 * max(1.0, np.abs(full).max())
+        for name, w in self._wanted_sets(f, n).items():
+            x = f.solve(b, wanted=w)
+            assert x.shape == (len(w), cols) and x.dtype == full.dtype, name
+            assert np.array_equal(x, full[w]), name
+
+    def test_vector_and_complex_rhs_on_real_factors(self, factored):
+        a, f = factored
+        n = a.shape[0]
+        rng = np.random.default_rng(9)
+        for b in (rng.standard_normal(n),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            full = f.solve(b)
+            for name, w in self._wanted_sets(f, n).items():
+                x = f.solve(b, wanted=w)
+                assert x.shape == (len(w),), name
+                assert np.array_equal(x, full[w]), name
+
+    def test_backward_sweep_visits_the_ancestor_closure_only(self, factored):
+        """One leaf's rows need that leaf and its ancestors; the stale
+        rows of every skipped front stay out of the answer."""
+        _, f = factored
+        sym = f.symbolic
+        leaf = sym.fronts[0]
+        needed = f._active_mask(sym.interior_pos[leaf.own[:3]])
+        chain = [0]
+        while sym.parent[chain[-1]] >= 0:
+            chain.append(int(sym.parent[chain[-1]]))
+        assert np.flatnonzero(needed).tolist() == sorted(chain)
+        assert len(chain) < len(sym.fronts) / 2
+
+    def test_wanted_with_schur_variables_present(self, rng):
+        """``wanted`` indexes the interior unknowns, as ``b`` does."""
+        grid, a, symmetric = _sweep_matrix("ldlt-real")
+        n, k = a.shape[0], 14
+        c = sp.random(k, n, density=0.05, format="csr", random_state=2,
+                      dtype=np.float64)
+        w = sp.bmat([[a, c.T], [c, None]], format="csr")
+        f = SparseSolver(leaf_size=24, amalgamate=8).factorize_schur(
+            w, np.arange(n, n + k), coords_interior=grid.points(),
+            symmetric_values=symmetric)
+        b = rng.standard_normal((n, 3))
+        rows = rng.permutation(n)[:40]
+        assert np.array_equal(f.solve(b, wanted=rows), f.solve(b)[rows])
+        f.free()
+
+
 class TestNoHiddenCopies:
     """The sweep works in place on its own buffer, and only there."""
 

@@ -346,6 +346,38 @@ class TestBackendParity:
         assert sol_proc.stats.runtime_wall_seconds > 0.0
 
 
+class TestMultiSolveOnEveryRuntime:
+    """Multi-solve cuts its panels as the Schur container says and asks
+    the sparse solve for the rows those panels read; the thread closure
+    and the process kernels share that one helper, so ``S`` and the
+    solution are the same bits on 1 worker, 4 threads and 4 processes."""
+
+    @pytest.mark.parametrize("case", ["pipe_small", "aircraft_small"])
+    @pytest.mark.parametrize("config", [
+        UNCOMPRESSED, COMPRESSED, COMPRESSED.with_(axpy_accumulate=False),
+    ], ids=["spido", "hmat", "hmat-immediate"])
+    def test_s_and_solution_are_byte_identical(self, request, case, config):
+        problem = request.getfixturevalue(case)
+        if not problem.symmetric:  # complex: the gate the aircraft tests use
+            config = config.with_(epsilon=1e-4)
+        runs = [
+            _assemble_and_solve(
+                problem, "multi_solve",
+                config.with_(n_workers=n_workers, runtime_backend=backend),
+            )
+            for n_workers, backend in ((1, "thread"), (4, "thread"),
+                                       (4, "process"))
+        ]
+        s_ref, sol_ref, _ = runs[0]
+        assert sol_ref.relative_error < config.epsilon
+        for s, sol, ctx in runs:
+            assert np.array_equal(s, s_ref)
+            assert np.array_equal(sol.x_v, sol_ref.x_v)
+            assert np.array_equal(sol.x_s, sol_ref.x_s)
+            assert sol.stats.n_sparse_solves == sol_ref.stats.n_sparse_solves
+            ctx.tracker.assert_all_freed()
+
+
 class TestSymmetricMultiFactorization:
     """One triangle of ``W`` blocks on a symmetric system: every ``X_ij``
     with ``j < i`` is folded in twice (itself and its transpose view), and

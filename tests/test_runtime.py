@@ -333,14 +333,63 @@ class TestMemoryBoundedExecution:
 
     def test_untracked_z_panel_is_now_accounted(self, pipe_small):
         """Regression: the SpMM result ``Z_i`` (n_bem × n_c) must be part
-        of the solve-panel accounting, not only the solve panel ``Y_i``
-        (n_fem × n_c).  The seed's accounting fails this check."""
+        of the solve-panel accounting, not only the solution rows ``Y_i``
+        the solve returns — the volume unknowns ``A_sv`` couples to, not
+        all ``n_fem``.  The seed's accounting fails this check."""
         config = UNCOMPRESSED.with_(n_workers=1)
         ctx, _ = self._run_tracked(pipe_small, "multi_solve", config)
         width = min(config.n_c, pipe_small.n_bem)
         itemsize = np.dtype(pipe_small.dtype).itemsize
-        y_and_z = (pipe_small.n_fem + pipe_small.n_bem) * width * itemsize
-        assert ctx.tracker.category_peak("solve_panel") >= y_and_z
+        n_wanted = len(np.unique(pipe_small.a_sv.indices))
+        assert n_wanted < pipe_small.n_fem
+        y_and_z = (n_wanted + pipe_small.n_bem) * width * itemsize
+        assert ctx.tracker.category_peak("solve_panel") == y_and_z
+
+    @pytest.mark.parametrize("case", ["pipe_small", "aircraft_small"])
+    @pytest.mark.parametrize("config", [UNCOMPRESSED, COMPRESSED],
+                             ids=["spido", "hmat"])
+    def test_panel_charges_stay_within_the_admitted_budgets(
+            self, request, monkeypatch, case, config):
+        """What a panel task charges — the ``Y`` / ``Z`` shares, the
+        cluster-permuted gather, the solver's nested work vector — never
+        exceeds the ``cost_bytes + headroom_bytes`` it was admitted
+        with, and the memory model's panel terms bound both.  One
+        worker: which panels overlap under several is scheduling."""
+        from repro.core import multi_solve
+        from repro.memory.model import CouplingMemoryModel, ProblemDims
+
+        problem = request.getfixturevalue(case)
+        tasks = []
+        panel_task = multi_solve.PanelTask
+
+        def recording(**kwargs):
+            tasks.append(panel_task(**kwargs))
+            return tasks[-1]
+
+        monkeypatch.setattr(multi_solve, "PanelTask", recording)
+        ctx, _ = self._run_tracked(
+            problem, "multi_solve", config.with_(n_workers=1))
+        assert len(tasks) == -(-problem.n_bem // config.n_c)
+        charged = (ctx.tracker.category_peak("solve_panel")
+                   + ctx.tracker.category_peak("solve_workspace")
+                   + ctx.tracker.category_peak("axpy_gather"))
+        assert 0 < charged <= max(t.cost_bytes + t.headroom_bytes
+                                  for t in tasks)
+        if config.dense_backend == "spido":
+            # nothing outlives Y and Z there: the charge is the cost
+            assert ctx.tracker.category_peak("solve_panel") == max(
+                t.cost_bytes for t in tasks)
+        comps = CouplingMemoryModel(
+            itemsize=np.dtype(problem.dtype).itemsize,
+            symmetric=problem.symmetric,
+        ).peak_components(
+            ctx.algorithm,
+            ProblemDims(problem.n_total, problem.n_fem, problem.n_bem),
+            n_c=config.n_c, n_s_block=config.n_s_block)
+        assert max(t.headroom_bytes for t in tasks) <= (
+            comps["solve_workspace"] + comps["spmm_panel_Z"])
+        assert max(t.cost_bytes for t in tasks) <= (
+            comps["solve_panel_Y"] + comps["spmm_panel_Z"])
 
     def test_peak_within_limit_under_four_workers(self, pipe_small):
         """A limit barely above the serial peak admits nowhere near four

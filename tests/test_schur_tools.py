@@ -38,6 +38,24 @@ class TestDenseContainer:
         np.testing.assert_allclose(c.s, ref)
         c.free()
 
+    def test_own_panel_is_updated_through_the_view(self, pipe_small,
+                                                   tracker, rng):
+        """The container's panel spec is two slices: the update writes
+        ``S[:, lo:hi]`` in place, the same numbers ``np.ix_`` leaves."""
+        c = DenseSchurContainer(pipe_small, SolverConfig(), tracker)
+        n = pipe_small.n_bem
+        rows, cols = c.panel(30, 94)
+        assert isinstance(rows, slice) and isinstance(cols, slice)
+        ref = c.s.copy()
+        buffer = c.s
+        z = rng.standard_normal((n, 64))
+        c.subtract_block(z, rows, cols)
+        ref[np.ix_(np.arange(n), np.arange(30, 94))] -= z
+        c.add_block(0.5 * z, rows, cols)
+        ref[np.ix_(np.arange(n), np.arange(30, 94))] += 0.5 * z
+        assert c.s is buffer and np.array_equal(c.s, ref)
+        c.free()
+
     def test_factorize_and_solve(self, pipe_small, tracker, rng):
         c = DenseSchurContainer(pipe_small, SolverConfig(), tracker)
         s_ref = c.s.copy()
@@ -108,6 +126,65 @@ class TestHodlrContainer:
         b = rng.standard_normal(pipe_small.n_bem)
         x = c.solve(b)
         assert np.linalg.norm(dense @ x - b) / np.linalg.norm(b) < 1e-2
+        c.free()
+        tracker.assert_all_freed()
+
+
+class TestPanelSpec:
+    """What a multi-solve panel is on each container: together the panels
+    of any width reach every stored entry of ``S`` exactly once."""
+
+    @pytest.mark.parametrize("accumulate", [True, False],
+                             ids=["accumulate", "immediate"])
+    @pytest.mark.parametrize("n_c", [7, 64, 100, 256, 10_000])
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["lower-stored", "two-sided"])
+    def test_hodlr_panels_cover_s_once(self, pipe_small, tracker, symmetric,
+                                       n_c, accumulate):
+        from repro.hmatrix.hmatrix import hodlr_zeros
+
+        c = HodlrSchurContainer(
+            pipe_small,
+            SolverConfig(dense_backend="hmat", axpy_accumulate=accumulate),
+            tracker)
+        n = pipe_small.n_bem
+        assert c.tree.leaf_size == 64 and n % 64 == 0  # 7, 100: edges inside leaves
+        c.s = hodlr_zeros(c.tree, 1e-10, np.float64, symmetric=symmetric)
+        c._alloc.resize(c.s.nbytes())
+        n_rows = []
+        for lo in range(0, n, n_c):
+            rows, cols = c.panel(lo, min(n, lo + n_c))
+            assert np.array_equal(cols, c.tree.perm[lo:lo + n_c])
+            n_rows.append(len(rows))
+            c.subtract_block(np.ones((len(rows), len(cols))), rows, cols)
+        c.flush()
+        np.testing.assert_allclose(c.s.to_dense(), -1.0, rtol=0, atol=1e-12)
+        if symmetric:
+            # rows start at the leaf of the panel's first column
+            assert n_rows == [n - 64 * (lo // 64) for lo in range(0, n, n_c)]
+        else:
+            assert set(n_rows) == {n}
+        c.free()
+        tracker.assert_all_freed()
+
+    @pytest.mark.parametrize("backend", ["spido", "spido_ooc"])
+    def test_dense_panels_are_whole_columns(self, pipe_small, tracker,
+                                            backend):
+        c = make_schur_container(
+            pipe_small, SolverConfig(dense_backend=backend, n_c=100), tracker)
+        n = pipe_small.n_bem
+        start = (c.s.copy() if backend == "spido"
+                 else pipe_small.a_ss_op.to_dense())
+        for lo in range(0, n, 100):
+            rows, cols = c.panel(lo, min(n, lo + 100))
+            width = min(n, lo + 100) - lo
+            c.subtract_block(np.ones((n, width)), rows, cols)
+        if backend == "spido":
+            end = c.s
+        else:
+            end = np.hstack([c.store.read_panel(lo, hi)
+                             for lo, hi in c.store.panel_bounds()])
+        np.testing.assert_allclose(end, start - 1.0, rtol=0, atol=1e-12)
         c.free()
         tracker.assert_all_freed()
 
