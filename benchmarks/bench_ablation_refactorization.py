@@ -9,9 +9,7 @@ pays the factorization exactly once (the per-block Schur work plus a
 single factorization) — i.e. what a Schur API able to reuse factors would
 cost.  The count of factorizations is read from the run: ``n_b²`` on a
 non-symmetric system, ``n_b(n_b+1)/2`` on the symmetric pipe used here.
-Times are wall-clock around the call (``SolveStats.total_time`` sums the
-flat phase dict, which counts the nested ``sparse_analysis`` /
-``sparse_numeric`` phases twice).
+Times are wall-clock around the call.
 """
 
 import time

@@ -169,7 +169,6 @@ def _facto_block_kernel(w, timer, i: int, j: int):
             for x, rows, cols in _folds(w, x_block, i, j):
                 before = skel.n_panel_compressions
                 with timer.phase("schur_precompress"):
-                    # axpy-ok: skeleton stages nothing; plan commits+flushes on tree
                     plan = skel.precompress_axpy(
                         1.0, x, rows, cols, compressor=config.compressor,
                     )

@@ -83,7 +83,6 @@ def _panel_precompress_kernel(w, timer, k: int):
     skel = w["skeleton"]
     before = skel.n_panel_compressions
     with timer.phase("schur_precompress"):
-        # axpy-ok: skeleton stages nothing; plan commits+flushes on the tree
         plan = skel.precompress_axpy(
             -1.0, z, rows, cols, compressor=w["compressor"],
         )

@@ -16,6 +16,8 @@ class SolveStats:
 
     ``phases`` holds the wall-clock breakdown (sparse factorization, sparse
     solve, SpMM, Schur assembly/compression, dense factorization, solves);
+    phases nest and, under several workers, add up worker time, so they
+    need not sum to ``total_time``, the run's wall clock;
     ``peak_bytes`` is the logical peak of the run's memory tracker, and
     ``peak_by_category`` its breakdown — the memory axis of Figs. 12/13 and
     the RAM column of Table II.

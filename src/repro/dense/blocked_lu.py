@@ -53,7 +53,7 @@ def blocked_lu(
     check_square(a, "a")
     lu = a if overwrite and a.flags.writeable else np.array(a, copy=True)
     if not np.issubdtype(lu.dtype, np.inexact):
-        lu = lu.astype(np.float64)  # dtype-ok: guard only admits integer input
+        lu = lu.astype(np.float64)
     n = lu.shape[0]
     piv = np.arange(n, dtype=np.intp)
 

@@ -122,7 +122,7 @@ def blocked_triangular_solve(
     a = np.asarray(a)
     check_square(a, "a")
     if not np.issubdtype(a.dtype, np.inexact):
-        a = a.astype(np.float64)  # dtype-ok: guard only admits integer input
+        a = a.astype(np.float64)
     b2 = as_2d_array(b, name="rhs")
     n = a.shape[0]
     if b2.shape[0] != n:

@@ -86,7 +86,7 @@ def rank_first(
         raise ConfigurationError("rank_first expects a 2-D block")
     m, n = a.shape
     if not np.issubdtype(a.dtype, np.inexact):
-        a = a.astype(np.float64)  # dtype-ok: integers or booleans only
+        a = a.astype(np.float64)
     if min(m, n) == 0:
         return svd_truncate(a, tol)
     bound = 100 * max(m, n) * np.finfo(a.dtype).eps

@@ -17,8 +17,7 @@ single-process asyncio server on a unix-domain socket that
 * keeps the event loop non-blocking: factorizations and panel solves
   run on a small :class:`~concurrent.futures.ThreadPoolExecutor`
   (BLAS releases the GIL, so executor threads scale the way the
-  in-process runtime does), enforced statically by the BLK003 rule in
-  ``tools/analysis``.
+  in-process runtime does).
 
 Responses to one connection are multiplexed by ``request_id`` — a
 client may pipeline many requests and receive completions out of

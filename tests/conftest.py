@@ -3,11 +3,13 @@
 Problem generation dominates test time, so the coupled test problems are
 session-scoped; tests must not mutate them.
 
+Every test runs under the tracker-balance recorder from
+:mod:`tools.analysis.watchdog`: a ``MemoryTracker`` created during the
+test that ends it with bytes still charged fails the test at teardown.
 The concurrency tests (``_WATCHDOG_MODULES``) additionally run under the
-lock-order watchdog from :mod:`tools.analysis.watchdog`: every lock
-acquisition is recorded and the test fails if the observed acquisition
-graph contains a cycle (a potential ABBA deadlock), or if any
-``MemoryTracker`` created during the test ends it unbalanced.
+lock-order watchdog: every lock acquisition is recorded and the test
+fails if the observed acquisition graph contains a cycle (a potential
+ABBA deadlock).
 """
 
 from __future__ import annotations
@@ -34,25 +36,26 @@ _WATCHDOG_MODULES = {"test_runtime", "test_symbolic_cache",
 
 
 @pytest.fixture(autouse=True)
-def _concurrency_invariants(request):
-    """Lock-order + tracker-balance verification around concurrency tests."""
-    module = getattr(request, "module", None)
-    # ``tests`` is a package: the module is named ``tests.test_runtime``
-    if (module is None
-            or module.__name__.rpartition(".")[2] not in _WATCHDOG_MODULES):
-        yield
-        return
+def _runtime_invariants(request):
+    """Tracker balance around every test; lock order around the
+    concurrency tests."""
     from tools.analysis.watchdog import LockOrderWatchdog, TrackerBalanceRecorder
 
-    watchdog = LockOrderWatchdog().install()
+    module = getattr(request, "module", None)
+    # ``tests`` is a package: the module is named ``tests.test_runtime``
+    watched = (module is not None
+               and module.__name__.rpartition(".")[2] in _WATCHDOG_MODULES)
+    watchdog = LockOrderWatchdog().install() if watched else None
     recorder = TrackerBalanceRecorder().install()
     try:
         yield
     finally:
         recorder.uninstall()
-        watchdog.uninstall()
+        if watchdog is not None:
+            watchdog.uninstall()
     # a violation surfaces as a teardown error on the offending test
-    watchdog.assert_acyclic()
+    if watchdog is not None:
+        watchdog.assert_acyclic()
     recorder.verify()
 
 

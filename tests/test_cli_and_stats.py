@@ -1,9 +1,11 @@
 """Tests for the CLI entry point and the factorization statistics."""
 
 import os
+import time
 
 import pytest
 
+from repro.core import SolverConfig, solve_coupled
 from repro.core.config import DENSE_BACKENDS
 from repro.runner.__main__ import main as runner_main
 from repro.sparse import BLRConfig, SparseSolver
@@ -62,6 +64,18 @@ class TestStatistics:
         )
         fs.free()
         fb.free()
+
+    def test_total_time_is_the_run_wall_clock(self, pipe_small):
+        """``total_time`` is the run's wall clock, not the phase sum: the
+        sparse analysis / numeric phases nest inside the factorization
+        phase and two workers add up worker time."""
+        t0 = time.perf_counter()
+        sol = solve_coupled(pipe_small, "multi_factorization",
+                            SolverConfig(n_b=2, n_workers=2))
+        wall = time.perf_counter() - t0
+        total = sol.stats.total_time
+        assert 0.8 * wall <= total <= wall
+        assert sum(sol.stats.phases.values()) > total
 
 
 class TestCli:

@@ -1,5 +1,7 @@
 """Integration tests on the complex non-symmetric industrial case."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,29 @@ class TestComplexNonsymmetric:
                              ["multi_solve", "multi_factorization"])
     def test_compressed_below_epsilon(self, aircraft_small, algorithm):
         sol = solve_coupled(aircraft_small, algorithm, COMPRESSED)
+        assert sol.relative_error < EPS
+
+    @pytest.mark.parametrize("algorithm, config", [
+        ("baseline", UNCOMPRESSED),
+        ("advanced", UNCOMPRESSED),
+        ("multi_solve", UNCOMPRESSED),
+        ("multi_factorization", UNCOMPRESSED),
+        ("multi_solve", COMPRESSED),
+        ("multi_factorization", COMPRESSED),
+    ], ids=lambda v: v if isinstance(v, str) else v.dense_backend)
+    def test_complex_coupling_accurate(self, aircraft_small, algorithm,
+                                       config):
+        """The generator's ``A_sv`` is complex-typed but real-valued; a
+        coupling with an imaginary part must come through every path too
+        (a real cast of it anywhere would drop that part)."""
+        p = aircraft_small
+        a_sv = (p.a_sv * (1.0 + 0.5j)).tocsr()
+        problem = dataclasses.replace(
+            p, a_sv=a_sv,
+            b_v=p.a_vv @ p.x_v_exact + a_sv.T @ p.x_s_exact,
+            b_s=a_sv @ p.x_v_exact + p.a_ss_op.matvec(p.x_s_exact),
+        )
+        sol = solve_coupled(problem, algorithm, config)
         assert sol.relative_error < EPS
 
     def test_solution_is_complex(self, aircraft_small):

@@ -99,10 +99,11 @@ class TestLimit:
 
     def test_failed_allocation_does_not_leak(self):
         t = MemoryTracker(limit_bytes=100)
-        t.allocate(80)
+        a = t.allocate(80)
         with pytest.raises(MemoryLimitExceeded):
             t.allocate(30)
         assert t.in_use == 80
+        a.free()
 
     def test_exact_fit_allowed(self):
         t = MemoryTracker(limit_bytes=100)
@@ -157,9 +158,10 @@ class TestResizeAndBorrow:
 class TestReporting:
     def test_assert_all_freed_raises_on_leak(self):
         t = MemoryTracker(name="leaky")
-        t.allocate(10, category="oops")
+        a = t.allocate(10, category="oops")
         with pytest.raises(AssertionError, match="oops"):
             t.assert_all_freed()
+        a.free()
 
     def test_report_mentions_categories(self):
         t = MemoryTracker(name="r")
@@ -392,17 +394,19 @@ class TestAcquire:
 class TestUnderflowGuard:
     def test_release_more_than_charged_raises(self):
         t = MemoryTracker()
-        t.allocate(100, category="a")
+        a = t.allocate(100, category="a")
         with pytest.raises(AssertionError, match="underflow"):
             t._uncharge(150, "a")
+        a.free()
 
     def test_category_mismatch_raises(self):
         # a charge recorded under one category must not be released
         # from another, even when the total would stay non-negative
         t = MemoryTracker()
-        t.allocate(100, category="a")
+        a = t.allocate(100, category="a")
         with pytest.raises(AssertionError, match="underflow"):
             t._uncharge(50, "b")
+        a.free()
 
     def test_failed_release_leaves_state_untouched(self):
         t = MemoryTracker()

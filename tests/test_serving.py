@@ -74,6 +74,25 @@ class TestProtocolBasics:
 
         run_with_server(SolverConfig(**CONFIG_KW), body)
 
+    def test_factorize_miss_leaves_the_loop_free(self, pipe_small):
+        """A factorization runs on the executor: a ping sent while a
+        cache-missing factorize is in flight is answered first."""
+        async def body(server, client):
+            done = []
+
+            async def factorize():
+                await client.factorize(pipe_small)
+                done.append("factorize")
+
+            async def ping():
+                assert await client.ping()
+                done.append("ping")
+
+            await asyncio.gather(factorize(), ping())
+            assert done == ["ping", "factorize"]
+
+        run_with_server(SolverConfig(**CONFIG_KW), body)
+
     def test_error_marshalling_round_trip(self):
         response = error_response(7, FactorizationFreed("evicted"))
         with pytest.raises(FactorizationFreed, match="evicted"):

@@ -123,6 +123,8 @@ class TestSolverCacheIntegration:
             symbolic_cache=SymbolicCache()
         ).factorize_schur(w, schur_vars, **kwargs)
         assert np.array_equal(plain.schur, cached.schur)
+        plain.free()
+        cached.free()
 
     def test_same_pattern_hits(self, pipe_small):
         w, schur_vars = _coupled_w(pipe_small)
@@ -137,6 +139,8 @@ class TestSolverCacheIntegration:
         )
         assert (solver.n_symbolic_analyses, solver.n_symbolic_reuses) == (1, 1)
         assert np.array_equal(mf1.schur, mf2.schur)
+        mf1.free()
+        mf2.free()
 
     def test_value_change_hits_but_redoes_numeric(self, pipe_small):
         w, schur_vars = _coupled_w(pipe_small)
@@ -154,6 +158,8 @@ class TestSolverCacheIntegration:
         # symbolic reused, numeric genuinely recomputed on the new values
         assert (solver.n_symbolic_analyses, solver.n_symbolic_reuses) == (1, 1)
         assert np.array_equal(mf2.schur, 2.0 * mf1.schur)
+        mf1.free()
+        mf2.free()
 
     def test_pattern_change_misses(self, pipe_small):
         w, schur_vars = _coupled_w(pipe_small)
@@ -163,28 +169,31 @@ class TestSolverCacheIntegration:
         bumped[0, n_int - 1] = 1e-3
         bumped[n_int - 1, 0] = 1e-3
         solver = SparseSolver(symbolic_cache=SymbolicCache())
-        solver.factorize_schur(
+        mf1 = solver.factorize_schur(
             w, schur_vars, coords_interior=pipe_small.coords_v,
             symmetric_values=True,
         )
-        solver.factorize_schur(
+        mf2 = solver.factorize_schur(
             bumped.tocsr(), schur_vars,
             coords_interior=pipe_small.coords_v, symmetric_values=True,
         )
         assert (solver.n_symbolic_analyses, solver.n_symbolic_reuses) == (2, 0)
+        mf1.free()
+        mf2.free()
 
     def test_timer_splits_analysis_from_numeric(self, pipe_small):
         from repro.utils.timer import PhaseTimer
 
         timer = PhaseTimer()
         solver = SparseSolver(symbolic_cache=SymbolicCache())
-        solver.factorize(
+        mf = solver.factorize(
             pipe_small.a_vv, coords=pipe_small.coords_v,
             symmetric_values=True, timer=timer,
         )
         phases = timer.phases
         assert phases.get("sparse_analysis", 0.0) > 0.0
         assert phases.get("sparse_numeric", 0.0) > 0.0
+        mf.free()
 
 
 class TestFrontArena:
@@ -250,6 +259,8 @@ class TestFrontArena:
         x1 = mf1.solve(rhs)
         x2 = mf2.solve(rhs)
         assert np.array_equal(x1, x2)
+        mf1.free()
+        mf2.free()
         arena.free()
 
 

@@ -1,101 +1,44 @@
 """Repo-specific static invariant checkers (``python -m tools.analysis``).
 
-The paper's capacity results rest on invariants the type system cannot
-express; each checker turns one of them into a CI-enforced contract.
-Flow-sensitive checkers run on the CFG/dataflow engine in
-:mod:`tools.analysis.engine`, so exception paths, early returns and
-``finally`` blocks are real paths, not blind spots.
-
-``resource-discipline``
-    Every ``MemoryTracker.allocate``/``acquire``/``track_array`` call must
-    be paired with a ``free()`` on every path — including the path where
-    an exception escapes the scope (RES008) — so tracked peaks stay
-    truthful and capacity headroom is never silently consumed.
+Two checkers are left: the ones that, seeded with a fault, caught
+something the tier-1 tests, the tracker-balance recorder and the lock
+watchdog all miss (``docs/static_analysis.md`` has the audit, one row per
+historical bug and per rule code).
 
 ``lock-discipline``
     Attributes annotated ``# guarded-by: <lock>`` may only be touched
-    while the declared lock is held on the current path, and nested lock
-    acquisitions must follow the declared hierarchy.
+    while the declared lock is held, and nested lock acquisitions must
+    follow the declared hierarchy.  A race is rare enough that no test
+    reliably sees it.
 
 ``dense-schur``
-    The dense Schur complement ``S`` must never be fully materialised
-    outside the sanctioned uncompressed paths — no ``.to_dense()``,
-    ``.toarray()`` or full ``(n_bem, n_bem)`` allocations on Schur-typed
-    objects outside the whitelist.
+    The Schur complement ``S`` (and ``A_ss``) must never be fully
+    materialised outside the sanctioned uncompressed paths — no
+    ``.to_dense()``, ``.toarray()``, ``np.asarray`` or full
+    ``(n_bem, n_bem)`` allocations on Schur-typed objects outside the
+    whitelist.  Such a copy is untracked, so no accounting test sees it.
 
-``dtype-safety``
-    Kernel modules must construct arrays with an explicit ``dtype=`` and
-    must not hard-code real dtypes where a problem dtype is in scope
-    (silent complex -> real truncation).
-
-``axpy-discipline``
-    Deferred-recompression accumulators (the batched compressed AXPY)
-    must be flushed on every path: a constructed ``RkAccumulator`` must
-    flush or escape, a receiver with staged updates must see a flush in
-    the module, and ``factorize()`` must be preceded by one.
-
-``pickle-safety``
-    Kernels and worker builders handed to the process backend cross a
-    pickle boundary: no lambdas, closures, bound methods or
-    lock/pool-like module globals may ride along.
-
-``blocking-under-lock``
-    Never block waiting for another thread (``wait``/``result``/
-    ``join``/blocking ``acquire``) while holding a lock — the classic
-    scheduler/tracker deadlock shape.
-
-``slab-lifecycle``
-    Shared-memory slabs checked out of the coordinator pool must be
-    released on every path (exception paths included), exactly once.
-
-``determinism``
-    Nothing order-unstable (set iteration, global-state randomness,
-    wall-clock values) may feed the ordered commit pipeline that backs
-    the thread/process byte-identity guarantee.
-
-See ``docs/static_analysis.md`` for the conventions, waiver/baseline
-workflow and how to extend the suite.  The runtime companion
-(:mod:`tools.analysis.watchdog`) records the actual lock-acquisition
-graph during the concurrency tests and fails on cycles.
+The suite runs inside tier-1 (``tests/test_static_analysis.py``).  Its
+runtime companions (:mod:`tools.analysis.watchdog`) run around the tests:
+every ``MemoryTracker`` created during a test must end it balanced, and
+the lock-acquisition graph of the concurrency tests must stay acyclic.
 """
 
-from tools.analysis.base import Checker, Finding, ModuleSource, iter_sources
-from tools.analysis.axpy import AxpyDisciplineChecker
-from tools.analysis.blocking import BlockingUnderLockChecker
-from tools.analysis.determinism import DeterminismChecker
-from tools.analysis.dtype_safety import DtypeSafetyChecker
+from tools.analysis.base import Checker, Finding, ModuleSource
 from tools.analysis.locks import LockDisciplineChecker
-from tools.analysis.pickle_safety import PickleSafetyChecker
-from tools.analysis.resource import ResourceDisciplineChecker
 from tools.analysis.schur import DenseSchurChecker
-from tools.analysis.slab import SlabLifecycleChecker
 
 #: All checkers, in reporting order.
 ALL_CHECKERS = (
-    ResourceDisciplineChecker,
     LockDisciplineChecker,
     DenseSchurChecker,
-    DtypeSafetyChecker,
-    AxpyDisciplineChecker,
-    PickleSafetyChecker,
-    BlockingUnderLockChecker,
-    SlabLifecycleChecker,
-    DeterminismChecker,
 )
 
 __all__ = [
     "ALL_CHECKERS",
-    "AxpyDisciplineChecker",
-    "BlockingUnderLockChecker",
     "Checker",
     "DenseSchurChecker",
-    "DeterminismChecker",
-    "DtypeSafetyChecker",
     "Finding",
     "LockDisciplineChecker",
     "ModuleSource",
-    "PickleSafetyChecker",
-    "ResourceDisciplineChecker",
-    "SlabLifecycleChecker",
-    "iter_sources",
 ]

@@ -1,17 +1,13 @@
 """Shared infrastructure of the invariant checkers.
 
 A :class:`ModuleSource` couples a parsed AST with the inline *markers*
-extracted from comments.  Markers are the escape hatch and annotation
-mechanism of the suite:
+extracted from comments:
 
 ``# guarded-by: <lock>``
     Declares that the attribute assigned on this line may only be accessed
     while holding ``self.<lock>`` (consumed by lock-discipline).
 
-``# schur-ok: <reason>`` / ``# dtype-ok: <reason>`` /
-``# resource-ok: <reason>`` / ``# lock-ok: <reason>`` /
-``# axpy-ok: <reason>`` / ``# pkl-ok: <reason>`` /
-``# blk-ok: <reason>`` / ``# slb-ok: <reason>`` / ``# det-ok: <reason>``
+``# lock-ok: <reason>`` / ``# schur-ok: <reason>``
     Waive findings of the corresponding checker on this line.  A reason is
     mandatory — a waiver without justification is itself reported.
 """
@@ -26,23 +22,8 @@ from io import StringIO
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-#: Marker kinds understood by the suite (kind -> whether a value is required).
-MARKER_KINDS = {
-    "guarded-by": True,
-    "schur-ok": True,
-    "dtype-ok": True,
-    "resource-ok": True,
-    "lock-ok": True,
-    "axpy-ok": True,
-    "pkl-ok": True,
-    "blk-ok": True,
-    "slb-ok": True,
-    "det-ok": True,
-}
-
 _MARKER_RE = re.compile(
-    r"#\s*(?P<kind>guarded-by|schur-ok|dtype-ok|resource-ok|lock-ok|axpy-ok"
-    r"|pkl-ok|blk-ok|slb-ok|det-ok)"
+    r"#\s*(?P<kind>guarded-by|lock-ok|schur-ok)"
     r"\s*(?::\s*(?P<value>.*?))?\s*$"
 )
 
@@ -185,28 +166,6 @@ def load_source(path: Path) -> "Tuple[Optional[ModuleSource], Optional[Finding]]
             "runner", "E000", path.as_posix(), 1,
             f"cannot tokenize file: {exc}",
         )
-
-
-def iter_sources(paths: Iterable[str]) -> Iterator[ModuleSource]:
-    """Parse every python file under ``paths`` into a :class:`ModuleSource`.
-
-    Files that fail to parse yield nothing here; the runner reports them
-    separately via :func:`parse_failures`.
-    """
-    for f in iter_python_files(paths):
-        mod, _ = load_source(f)
-        if mod is not None:
-            yield mod
-
-
-def parse_failures(paths: Iterable[str]) -> List[Finding]:
-    """E000 findings for files that cannot be read or parsed at all."""
-    out = []
-    for f in iter_python_files(paths):
-        _, failure = load_source(f)
-        if failure is not None:
-            out.append(failure)
-    return out
 
 
 def receiver_root(node: ast.AST) -> Optional[str]:

@@ -17,24 +17,34 @@ global hierarchy declared in :data:`tools.analysis.config.LOCK_HIERARCHY`
 ordering inversion (LOCK003) that can deadlock against a thread acquiring
 in the declared order.
 
-Both checks run on the dataflow engine's held-lock-set analysis
-(:mod:`tools.analysis.engine.locksets`), so they are path-sensitive: a
-guarded access after an early ``return`` released the lock, or on an
-exception edge that unwound the ``with``, is seen with the lock set that
-is actually in effect there.  Cross-function nesting is covered at
-runtime by :mod:`tools.analysis.watchdog`.
+The codebase takes its locks only through ``with self.<lock>:``, so the
+locks held at a statement are exactly the ``with`` blocks that enclose it
+in its function: a ``return`` or an exception leaves the block and
+releases the lock, a nested ``def`` starts with nothing held (it runs
+later), a lambda runs with the locks of the code that defines it.
+Cross-function nesting is covered at runtime by
+:mod:`tools.analysis.watchdog`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from tools.analysis.base import Checker, Finding, ModuleSource
 from tools.analysis.config import LOCK_EXEMPT_METHODS, LOCK_HIERARCHY
-from tools.analysis.engine import Node, iter_scopes, run_analysis, \
-    walk_expressions
-from tools.analysis.engine.locksets import LockTrackingAnalysis, self_attr
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = _FUNCTIONS + (ast.ClassDef,)
+
+
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``self.<attr>`` -> attr, else None."""
+    if (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"):
+        return node.attr
+    return None
 
 
 def _guarded_map(mod: ModuleSource, cls: ast.ClassDef) -> Dict[str, str]:
@@ -54,51 +64,87 @@ def _guarded_map(mod: ModuleSource, cls: ast.ClassDef) -> Dict[str, str]:
     return guarded
 
 
-class _LockAnalysis(LockTrackingAnalysis):
-    def __init__(self, guarded: Dict[str, str], context: str):
-        super().__init__()
-        self.guarded = guarded
-        self.context = context
-        self.extra_locks = tuple(sorted(set(guarded.values())))
+def _functions(tree: ast.Module) -> Iterator[Tuple[ast.AST, Optional[ast.ClassDef]]]:
+    """Every (possibly nested) function with its innermost enclosing class."""
+    stack: List[Tuple[ast.AST, Optional[ast.ClassDef]]] = [(tree, None)]
+    while stack:
+        node, klass = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _FUNCTIONS):
+                yield child, klass
+            stack.append((child, child if isinstance(child, ast.ClassDef)
+                          else klass))
 
-    def on_acquire(self, node: Node, lock: str, held) -> None:
+
+def _expression_nodes(node: ast.AST) -> Iterator[ast.AST]:
+    """``node`` and everything under it, lambdas included, nested
+    ``def``/``class`` bodies excluded."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in ast.iter_child_nodes(node)
+                     if not isinstance(c, _SCOPES))
+
+
+class _FunctionWalk:
+    """One function body, statement by statement, with the held locks."""
+
+    def __init__(self, guarded: Dict[str, str], label: str):
+        self.guarded = guarded
+        self.label = label
+        self.tracked = set(LOCK_HIERARCHY) | set(guarded.values())
+        self.found: List[Tuple[str, int, str]] = []
+
+    def stmt(self, node: ast.AST, held: Tuple[str, ...]) -> None:
+        if isinstance(node, _SCOPES):
+            return  # a nested scope runs later, with its own locks
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                self.expr(item.context_expr, held)
+            for item in node.items:
+                lock = self_attr(item.context_expr)
+                if lock in self.tracked:
+                    self.acquire(node.lineno, lock, held)
+                    held = held + (lock,)
+            for child in node.body:
+                self.stmt(child, held)
+            return
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.stmt, ast.ExceptHandler)):
+                self.stmt(child, held)
+            elif isinstance(child, ast.match_case):
+                for sub in child.body:
+                    self.stmt(sub, held)
+            elif not isinstance(child, ast.pattern):
+                self.expr(child, held)
+
+    def acquire(self, line: int, lock: str, held: Tuple[str, ...]) -> None:
         if lock not in LOCK_HIERARCHY:
             return
         rank = LOCK_HIERARCHY.index(lock)
         for other in held:
-            if other not in LOCK_HIERARCHY:
-                continue
-            if LOCK_HIERARCHY.index(other) >= rank:
-                self.report(
-                    "LOCK003", node.line,
+            if other in LOCK_HIERARCHY and LOCK_HIERARCHY.index(other) >= rank:
+                self.found.append((
+                    "LOCK003", line,
                     f"acquiring '{lock}' while holding '{other}' inverts "
                     f"the declared lock hierarchy "
                     f"({' -> '.join(LOCK_HIERARCHY)})",
-                )
+                ))
 
-    def on_node(self, node: Node, held) -> None:
-        if not self.guarded:
-            return
-        held_set = set(held)
-        for expr in node.exprs:
-            for sub in walk_expressions(expr, into_lambdas=True):
-                if not isinstance(sub, ast.Attribute):
-                    continue
-                attr = self_attr(sub)
-                if attr is None or attr not in self.guarded:
-                    continue
-                lock = self.guarded[attr]
-                if lock in held_set:
-                    continue
-                access = ("write"
-                          if isinstance(sub.ctx, (ast.Store, ast.Del))
-                          else "read")
-                self.report(
-                    "LOCK001" if access == "write" else "LOCK002",
-                    sub.lineno,
-                    f"{access} of self.{attr} (guarded by '{lock}') "
-                    f"outside 'with self.{lock}:' in {self.context}",
-                )
+    def expr(self, node: ast.AST, held: Tuple[str, ...]) -> None:
+        for sub in _expression_nodes(node):
+            attr = self_attr(sub)
+            lock = self.guarded.get(attr) if attr is not None else None
+            if lock is None or lock in held:
+                continue
+            access = ("write" if isinstance(sub.ctx, (ast.Store, ast.Del))
+                      else "read")
+            self.found.append((
+                "LOCK001" if access == "write" else "LOCK002", sub.lineno,
+                f"{access} of self.{attr} (guarded by '{lock}') "
+                f"outside 'with self.{lock}:' in {self.label}",
+            ))
 
 
 class LockDisciplineChecker(Checker):
@@ -107,19 +153,26 @@ class LockDisciplineChecker(Checker):
 
     def check(self, mod: ModuleSource) -> List[Finding]:
         findings = list(self.check_waivers(mod))
-        for scope in iter_scopes(mod.tree):
-            if scope.is_module:
+        seen: Set[Tuple[str, int, str]] = set()
+        guarded_by_class: Dict[ast.ClassDef, Dict[str, str]] = {}
+        for fn, klass in _functions(mod.tree):
+            if fn.name in LOCK_EXEMPT_METHODS or mod.waived(fn.lineno,
+                                                            "lock-ok"):
                 continue
-            fn = scope.node
-            if fn.name in LOCK_EXEMPT_METHODS:
-                continue
-            if mod.waived(fn.lineno, "lock-ok"):
-                continue
-            guarded = (_guarded_map(mod, scope.enclosing_class)
-                       if scope.enclosing_class is not None else {})
-            analysis = _LockAnalysis(guarded, scope.label)
-            for code, line, message in run_analysis(scope.cfg(), analysis):
-                f = self.finding(mod, code, line, message)
+            guarded = {}
+            if klass is not None:
+                if klass not in guarded_by_class:
+                    guarded_by_class[klass] = _guarded_map(mod, klass)
+                guarded = guarded_by_class[klass]
+            label = fn.name if klass is None else f"{klass.name}.{fn.name}"
+            walk = _FunctionWalk(guarded, label)
+            for child in fn.body:
+                walk.stmt(child, ())
+            for key in walk.found:
+                if key in seen:
+                    continue
+                seen.add(key)
+                f = self.finding(mod, *key)
                 if f is not None:
                     findings.append(f)
         return findings

@@ -23,18 +23,16 @@ it.  The watchdog closes that gap dynamically:
   graph; a cycle is exactly a potential ABBA deadlock and fails the test
   that exercised it, printing the offending site cycle.
 
-The test suite installs the watchdog around the concurrency tests via an
-autouse fixture in ``tests/conftest.py``.  The same fixture asserts every
-:class:`repro.memory.tracker.MemoryTracker` constructed during the test
-ends the test balanced (``assert_all_freed``), turning the resource
-checker's static guarantee into a runtime one.
+An autouse fixture in ``tests/conftest.py`` installs the watchdog around
+the concurrency tests, and :class:`TrackerBalanceRecorder` around every
+test: each :class:`repro.memory.tracker.MemoryTracker` constructed during
+a test must end it balanced (``assert_all_freed``).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 _THREADING_FILE = threading.__file__
@@ -227,14 +225,15 @@ class LockOrderWatchdog:
 class TrackerBalanceRecorder:
     """Asserts every tracker created while installed ends balanced.
 
-    Patches ``MemoryTracker.__init__`` to collect weak references; on
-    :meth:`verify` each surviving tracker must satisfy
-    ``assert_all_freed`` — a per-test runtime complement to the static
-    resource-discipline checker.
+    Patches ``MemoryTracker.__init__`` to keep each new tracker alive
+    until :meth:`verify`, which calls ``assert_all_freed`` on all of them.
+    Holding them strongly is the point: a run's tracker dies with the run
+    (``solve_coupled`` keeps no reference), so a charge a finished run
+    never released would otherwise vanish unseen.
     """
 
     def __init__(self) -> None:
-        self._trackers: List[weakref.ref] = []
+        self._trackers: List[object] = []
         self._orig_init = None
 
     def install(self) -> "TrackerBalanceRecorder":
@@ -247,7 +246,7 @@ class TrackerBalanceRecorder:
 
         def recording_init(tracker_self, *args, **kwargs):
             orig_init(tracker_self, *args, **kwargs)
-            recorder._trackers.append(weakref.ref(tracker_self))
+            recorder._trackers.append(tracker_self)
 
         self._orig_init = orig_init
         MemoryTracker.__init__ = recording_init  # type: ignore[method-assign]
@@ -261,9 +260,7 @@ class TrackerBalanceRecorder:
             self._orig_init = None
 
     def verify(self) -> None:
-        """``assert_all_freed`` on every tracker still alive."""
-        for ref in self._trackers:
-            tracker = ref()
-            if tracker is not None:
-                tracker.assert_all_freed()
-        self._trackers = []
+        """``assert_all_freed`` on every tracker created while installed."""
+        trackers, self._trackers = self._trackers, []
+        for tracker in trackers:
+            tracker.assert_all_freed()
