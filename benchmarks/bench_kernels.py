@@ -40,6 +40,17 @@ calls and the entries they evaluated as a share of the off-diagonal blocks'
 entries, the stored MiB —
 and ``RkMatrix.from_dense`` on a 960 × 217 piece of numerical rank 26,
 the rank-first Gram branch against the SVD it replaced.
+
+Analysis rows, the layer under ``sparse.analysis_s``: nested dissection
+(with amalgamation, ``SparseSolver.build_tree``), ``symbolic_analysis`` of
+the interior and ``extend_symbolic_with_border`` of one
+multi-factorization ``W`` block (half the surface as Schur variables) onto
+it, for the pipe and the aircraft, min-of-k with spread.  Kernel rows, the
+primitive under both solve sweeps: ``RowBlockKernel.solve`` (``trsm`` /
+``trsv``) against ``RowBlockKernel.multiply`` (``trmm`` / ``trmv``) with the
+inverted factor, on C-ordered unit-lower pivot blocks of 60 and 157 rows
+(157: the pipe's largest), 256 columns and one; each the
+minimum of single timed calls, in microseconds.
 """
 
 import argparse
@@ -437,6 +448,90 @@ def render_hmatrix_rows(result):
     return "\n".join(lines)
 
 
+# -- analysis and triangular-kernel rows --------------------------------------
+
+def analysis_rows(n_pipe, n_aircraft, k=7, seed=0):
+    """The analysis layer rows; see the module docstring."""
+    from repro.core.multi_factorization import _build_w_block
+    from repro.fembem import generate_aircraft_case, generate_pipe_case
+    from repro.sparse.symbolic import (
+        extend_symbolic_with_border,
+        symbolic_analysis,
+    )
+
+    rows = []
+    for name, case in (
+            ("pipe", generate_pipe_case(n_pipe, seed=seed)),
+            ("aircraft", generate_aircraft_case(n_aircraft, bem_fraction=0.25,
+                                                seed=seed))):
+        a = case.a_vv.tocsr()
+        solver = SparseSolver()
+        tree = solver.build_tree(a, case.coords_v)
+        interior = symbolic_analysis(a, tree)
+        half = np.arange(case.n_bem // 2)
+        cols = half if case.symmetric else half + len(half)
+        w, schur_vars = _build_w_block(a, case.a_sv.tocsr(), half, cols,
+                                       a.dtype)
+        ids = np.arange(a.shape[0])
+        for phase, fn in (
+                ("nested dissection", lambda: solver.build_tree(
+                    a, case.coords_v)),
+                ("symbolic", lambda: symbolic_analysis(a, tree)),
+                (f"graft W k={len(half)}", lambda: extend_symbolic_with_border(
+                    interior, w, schur_vars, ids))):
+            best, q1, q3 = _min_of_k(fn, k)
+            rows.append({"row": f"{phase} {name}", "n": a.shape[0],
+                         "fronts": tree.n_nodes, "k": k, "min_ms": best,
+                         "q1_ms": q1, "q3_ms": q3})
+    return {"analysis_rows": rows}
+
+
+def triangular_rows(k=200, seed=0):
+    """``RowBlockKernel.solve`` (``trsm`` / ``trsv``) against ``multiply``
+    (``trmm`` / ``trmv``) with the inverse, at front shapes; see the
+    module docstring."""
+    from repro.dense import RowBlockKernel
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    for p, m, dtype in ((60, 256, np.float64), (157, 256, np.float64),
+                        (60, 1, np.float64), (60, 1, np.complex128)):
+        l = np.tril(rng.standard_normal((p, p)), -1) / p + np.eye(p)
+        l = l.astype(dtype)           # C-ordered, as an LDLᵀ front stores it
+        inv = np.ascontiguousarray(np.linalg.inv(l))
+        x0 = rng.standard_normal((p, m)).astype(dtype)
+        kern = RowBlockKernel(dtype)
+        times = {}
+        for name, call, a in (("solve", kern.solve, l),
+                              ("multiply", kern.multiply, inv)):
+            x, best = x0.copy(), []
+            for _ in range(k):
+                x[...] = x0
+                start = time.perf_counter()
+                call(a, x, lower=True, unit=True)
+                best.append(time.perf_counter() - start)
+            times[name] = min(best) * 1e6
+        rows.append({"row": f"p={p} cols={m} {np.dtype(dtype).name}",
+                     "k": k, "solve_us": times["solve"],
+                     "multiply_us": times["multiply"]})
+    return {"triangular_rows": rows}
+
+
+def render_analysis_rows(result):
+    lines = [f"{'row':<32}{'n':>7}{'fronts':>7}{'min ms':>9}{'q1-q3 ms':>16}"]
+    for r in result["analysis_rows"]:
+        lines.append(
+            f"{r['row']:<32}{r['n']:>7}{r['fronts']:>7}{r['min_ms']:>9.2f}"
+            f"{r['q1_ms']:>8.2f}-{r['q3_ms']:<7.2f}")
+    lines.append(f"{'kernel':<32}{'solve us':>10}{'multiply us':>13}"
+                 f"{'ratio':>7}")
+    for r in result["triangular_rows"]:
+        lines.append(
+            f"{r['row']:<32}{r['solve_us']:>10.2f}{r['multiply_us']:>13.2f}"
+            f"{r['solve_us'] / r['multiply_us']:>7.2f}")
+    return "\n".join(lines)
+
+
 def test_solve_sweep_rows():
     from bench_utils import scaled, write_result
 
@@ -470,6 +565,16 @@ def test_hmatrix_assembly_rows():
     assert gram["rank"] == svd["rank"] == 26
 
 
+def test_analysis_rows():
+    from bench_utils import scaled, write_result
+
+    result = analysis_rows(scaled(12_000), scaled(9_000), k=3)
+    result.update(triangular_rows(k=50))
+    write_result("kernels_analysis", render_analysis_rows(result))
+    assert len(result["analysis_rows"]) == 6
+    assert len(result["triangular_rows"]) == 4
+
+
 def main(argv=None):
     here = pathlib.Path(__file__).resolve().parent
     sys.path[:0] = [str(here), str(here / "harness")]
@@ -493,6 +598,11 @@ def main(argv=None):
                            seed=args.seed)
     print(render_hmatrix_rows(hmatrix))
     result.update(hmatrix)
+    analysis = analysis_rows(scaled(12_000), scaled(9_000), k=args.repeat,
+                             seed=args.seed)
+    analysis.update(triangular_rows(seed=args.seed))
+    print(render_analysis_rows(analysis))
+    result.update(analysis)
     if args.json:
         payload = {"provenance": header(args.seed), **result}
         pathlib.Path(args.json).write_text(

@@ -2,7 +2,8 @@
 
 Right-looking variant: LAPACK ``potrf`` on each diagonal panel, a blocked
 triangular solve for the panel below it, and one symmetric rank-``nb``
-update of the trailing matrix per step.
+update of the trailing matrix's lower triangle per step, one GEMM per row
+slab.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 from scipy.linalg import cholesky as _lapack_cholesky
 from scipy.linalg import solve_triangular
 
+from repro.dense.ldlt import _lower_update
 from repro.dense.triangular import blocked_triangular_solve
 from repro.utils.errors import SingularMatrixError
 from repro.utils.validation import check_square
@@ -52,7 +54,7 @@ def blocked_cholesky(a: np.ndarray, block_size: int = DEFAULT_BLOCK) -> np.ndarr
                 lk, a21.conj().T, lower=True, check_finite=False
             ).conj().T
             l[k + kb :, k : k + kb] = x
-            l[k + kb :, k + kb :] -= np.tril(x @ x.conj().T)
+            _lower_update(l[k + kb :, k + kb :], x, x.conj().T, block_size)
     return l
 
 

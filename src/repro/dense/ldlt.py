@@ -4,7 +4,8 @@ The paper factors symmetric blocks (real pipe case: LDLᵀ; complex symmetric
 case: LDLᵀ with the *transpose*, not the conjugate transpose).  We
 implement the unpivoted blocked right-looking variant: an unblocked LDLᵀ
 kernel on each diagonal panel, a triangular solve for the panel below, and
-one symmetric rank-``nb`` GEMM update of the trailing matrix.
+one symmetric rank-``nb`` update of the trailing matrix's lower triangle,
+one GEMM per row slab.
 
 No pivoting means the input must have nonsingular leading principal
 minors — true for the well-conditioned Schur complements and surface
@@ -110,10 +111,20 @@ def blocked_ldlt(
             x /= dk[None, :]
             l[k + kb :, k : k + kb] = x
             # trailing symmetric update: A22 -= L21 D11 L21ᵀ
-            w = x * dk[None, :]
-            l[k + kb :, k + kb :] -= np.tril(w @ x.T)
-            # (only the lower triangle is stored/updated)
+            _lower_update(l[k + kb :, k + kb :], x * dk[None, :], x.T,
+                          block_size)
     return l, d
+
+
+def _lower_update(c: np.ndarray, w: np.ndarray, xt: np.ndarray,
+                  block_size: int) -> None:
+    """``c −= tril(w @ xt)`` in place, one ``block_size``-row slab at a
+    time and only up to each slab's diagonal: half the flops of the full
+    product and no trailing-size temporary (see ``blocked_lu``).  ``c``'s
+    strict upper triangle is left as it is."""
+    for r in range(0, len(c), block_size):
+        e = min(r + block_size, len(c))
+        c[r:e, :e] -= np.tril(w[r:e] @ xt[:, :e], r)
 
 
 def ldlt_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray,

@@ -5,11 +5,12 @@ the package: multifrontal fronts, H-LU / H-LDLᵀ leaves and couplings, and
 the blocked dense solves below.  It works on *row blocks* of a C-ordered
 work buffer.  A C-ordered ``(p, m)`` block is an F-ordered ``(m, p)``
 matrix, so ``op(A) X = B`` runs as ``Xᵀ op(A)ᵀ = Bᵀ`` (``trsm``,
-``side=right``) and ``C −= op(A) B`` as ``Cᵀ −= Bᵀ op(A)ᵀ`` (``gemm``),
-both overwriting the block; a C-ordered factor is handed over as its
-F-ordered ``.T``.  No call copies or casts a factor or a right-hand side —
-the kernel asserts what it hands to BLAS is F-contiguous and of the BLAS
-dtype, so a silent f2py copy cannot come back.
+``side=right``), ``X ← op(A) X`` as ``Xᵀ ← Xᵀ op(A)ᵀ`` (``trmm``) and
+``C −= op(A) B`` as ``Cᵀ −= Bᵀ op(A)ᵀ`` (``gemm``), all overwriting the
+block; a C-ordered factor is handed over as its F-ordered ``.T``.  No call
+copies or casts a factor or a right-hand side — the kernel asserts what it
+hands to BLAS is F-contiguous and of the BLAS dtype, so a silent f2py copy
+cannot come back.
 """
 
 from __future__ import annotations
@@ -32,25 +33,30 @@ def sweep_dtype(factor_dtype, rhs_dtype) -> np.dtype:
 
 
 class RowBlockKernel:
-    """``trsm`` / ``gemm`` of one dtype, in place on C-ordered row blocks.
+    """``trsm`` / ``trmm`` / ``gemm`` of one dtype, in place on C-ordered
+    row blocks.
 
     Matrix operands (``a``) are C- or F-contiguous arrays of the kernel
     dtype, and ``op(a)`` is ``aᵀ`` when ``trans`` (plain transpose, never
     conjugated); row blocks (``x``, ``b``, ``c``) are C-contiguous slices of
     a work buffer of the same dtype.  A one-column block is a contiguous
-    vector and takes ``trsv`` / ``gemv`` on the same memory: ``trsm`` with
-    one right-hand side is 3× slower than ``trsv`` on a 150-row front, and
-    ``zgemm`` with ``m = 1`` 3× slower than ``zgemv`` (real ``gemm`` and
-    ``gemv`` tie: the ``gemv`` branch is kept for complex only).  The width
-    is the only dispatch; there are no size thresholds.
+    vector and takes ``trsv`` / ``trmv`` / ``gemv`` on the same memory:
+    ``trsm`` with one right-hand side is 3× slower than ``trsv`` on a
+    150-row front, and ``zgemm`` with ``m = 1`` 3× slower than ``zgemv``
+    (real ``gemm`` and ``gemv`` tie: the ``gemv`` branch is kept for
+    complex only).  The width is the only dispatch; there are no size
+    thresholds.
     """
 
-    __slots__ = ("dtype", "_trsm", "_gemm", "_trsv", "_gemv")
+    __slots__ = ("dtype", "_trsm", "_trmm", "_gemm", "_trsv", "_trmv",
+                 "_gemv")
 
     def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
-        self._trsm, self._gemm, self._trsv, self._gemv = get_blas_funcs(
-            ("trsm", "gemm", "trsv", "gemv"), dtype=self.dtype)
+        (self._trsm, self._trmm, self._gemm, self._trsv, self._trmv,
+         self._gemv) = get_blas_funcs(
+            ("trsm", "trmm", "gemm", "trsv", "trmv", "gemv"),
+            dtype=self.dtype)
 
     def _check(self, *mats) -> None:
         """Every matrix BLAS is handed is F-contiguous, of the BLAS dtype."""
@@ -61,8 +67,9 @@ class RowBlockKernel:
             )
 
     # BLAS arguments are positional (f2py parses keywords slowly):
-    #   trsm(alpha, a, b, side, lower, trans_a, diag, overwrite_b)
+    #   trsm / trmm(alpha, a, b, side, lower, trans_a, diag, overwrite_b)
     #   trsv(a, x, incx, offx, lower, trans, diag, overwrite_x)
+    #   trmv(a, x, offx, incx, lower, trans, diag, overwrite_x)
     #   gemm(alpha, a, b, beta, c, trans_a, trans_b, overwrite_c)
     #   gemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y)
     def solve(self, a, x, lower: bool, trans=False, unit=False) -> None:
@@ -75,6 +82,18 @@ class RowBlockKernel:
             self._trsv(a, xt[0], 1, 0, lower, trans, unit, 1)
         else:
             self._trsm(1.0, a, xt, 1, lower, not trans, unit, 1)
+
+    def multiply(self, a, x, lower: bool, trans=False, unit=False) -> None:
+        """``x ← op(a) x`` with ``a`` triangular (``lower`` names its
+        triangle): :meth:`solve` against a stored inverse."""
+        if not a.flags.f_contiguous:
+            a, lower, trans = a.T, not lower, not trans
+        xt = x.T
+        self._check(a, xt)
+        if len(xt) == 1:
+            self._trmv(a, xt[0], 0, 1, lower, trans, unit, 1)
+        else:
+            self._trmm(1.0, a, xt, 1, lower, not trans, unit, 1)
 
     def update(self, c, a, b, trans=False) -> None:
         """``c ← c − op(a) b``."""

@@ -7,8 +7,10 @@ postorder (paper §II-C building blocks, reproduced from scratch):
    variable is owned by the node, then *extend-add* the children's
    contribution blocks;
 2. **partially factorize** the front's pivot block (LDLᵀ for symmetric
-   values, LU with pivoting confined to the pivot block otherwise) and
-   compute the coupling panels;
+   values, LU with pivoting confined to the pivot block otherwise), invert
+   its triangular factors in place (LAPACK ``?trtri``: the panels and
+   both solve sweeps then multiply, ``trmm``, instead of solving, ``trsm``)
+   and compute the coupling panels;
 3. optionally **compress** the stored panels (BLR, see
    :mod:`repro.sparse.blr`); the contribution block is always formed from
    the exact panels;
@@ -27,7 +29,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor
+from scipy.linalg import get_lapack_funcs, lu_factor
 
 from repro.dense.blocked_lu import piv_to_perm
 from repro.dense.ldlt import blocked_ldlt
@@ -48,6 +50,18 @@ from repro.utils.errors import ConfigurationError, SingularMatrixError
 #: sides wider than this are processed in blocks so the triangular solves
 #: and panel products stay in cache-resident BLAS-3 shapes.
 DEFAULT_RHS_PANEL = 256
+
+
+def _invert_triangle(a: np.ndarray, lower: bool, unit: bool = False) -> None:
+    """``?trtri`` in place on one triangle of the C- or F-contiguous ``a``;
+    the other triangle (and, when ``unit``, the diagonal) is not touched."""
+    if not a.flags.f_contiguous:  # C-ordered: the F matrix is aᵀ
+        a, lower = a.T, not lower
+    (trtri,) = get_lapack_funcs(("trtri",), (a,))
+    inv, info = trtri(a, lower, unit, 1)
+    assert np.may_share_memory(inv, a), "trtri copied the pivot block"
+    if info:
+        raise SingularMatrixError(f"front pivot block failed: trtri info {info}")
 
 
 class FrontArena:
@@ -126,7 +140,9 @@ class _FrontFactor:
 
     def __init__(self, mode: str):
         self.mode = mode
-        self.l11 = None   # unit-lower (ldlt) or compact LU (lu)
+        # inverted pivot factors: L11⁻¹ (ldlt, unit lower), or L11⁻¹
+        # (strict lower, unit diagonal) and U11⁻¹ (upper) packed (lu)
+        self.l11 = None
         self.d = None     # ldlt diagonal
         self.perm = None  # lu pivots (local) as the gather x[perm]; None = identity
         self.l21 = None   # (n_bnd, n_own) panel, possibly Rk
@@ -381,6 +397,7 @@ class MultifrontalFactorization:
             raise SingularMatrixError(
                 f"front pivot block failed: {exc}"
             ) from exc
+        _invert_triangle(l11, lower=True, unit=True)
         factor.l11 = l11
         factor.d = d
         if fmat.shape[0] == p:
@@ -388,7 +405,7 @@ class MultifrontalFactorization:
             return
         # L21ᵀ = D⁻¹ L11⁻¹ F21ᵀ, in place on the rows of the stored panel
         l21t = np.array(fmat[p:, :p].T, order="C")
-        kern.solve(l11, l21t, lower=True, unit=True)
+        kern.multiply(l11, l21t, lower=True, unit=True)
         l21t /= d[:, None]
         l21 = l21t.T
         factor.l21 = compress_panel(l21, self.blr)
@@ -404,6 +421,8 @@ class MultifrontalFactorization:
             ) from exc
         if np.any(np.diag(lu11) == 0):
             raise SingularMatrixError("zero pivot in frontal LU")
+        _invert_triangle(lu11, lower=True, unit=True)
+        _invert_triangle(lu11, lower=False)
         factor.l11 = lu11
         perm = piv_to_perm(piv)
         if not np.array_equal(perm, np.arange(p)):
@@ -412,12 +431,12 @@ class MultifrontalFactorization:
             factor.l21 = np.zeros((0, p), dtype=fmat.dtype)
             factor.u12 = np.zeros((p, 0), dtype=fmat.dtype)
             return
-        # U12 = L11⁻¹ Pᵀ F12 and L21ᵀ = U11⁻ᵀ F21ᵀ, each solved in place
-        # on the rows of the panel that is stored
+        # U12 = L11⁻¹ Pᵀ F12 and L21ᵀ = U11⁻ᵀ F21ᵀ, each multiplied in
+        # place on the rows of the panel that is stored
         u12 = fmat[:p, p:][perm]
-        kern.solve(lu11, u12, lower=True, unit=True)
+        kern.multiply(lu11, u12, lower=True, unit=True)
         l21t = np.array(fmat[p:, :p].T, order="C")
-        kern.solve(lu11, l21t, lower=False, trans=True)
+        kern.multiply(lu11, l21t, lower=False, trans=True)
         l21 = l21t.T
         factor.l21 = compress_panel(l21, self.blr)
         factor.u12 = compress_panel(u12, self.blr)
@@ -653,7 +672,7 @@ class MultifrontalFactorization:
             zo = z[f.lo:f.hi]
             if fr.perm is not None:
                 zo[:] = zo[fr.perm]
-            kern.solve(fr.l11, zo, lower=True, unit=True)
+            kern.multiply(fr.l11, zo, lower=True, unit=True)
             if len(f.bnd_pos):
                 zb = z[f.bnd_pos]
                 panel_update(kern, zb, fr.l21, zo)
@@ -671,6 +690,6 @@ class MultifrontalFactorization:
                 panel_update(kern, zo, fr.u12 if lu else fr.l21,
                              z[f.bnd_pos], trans=not lu)
             if lu:
-                kern.solve(fr.l11, zo, lower=False)
+                kern.multiply(fr.l11, zo, lower=False)
             else:
-                kern.solve(fr.l11, zo, lower=True, trans=True, unit=True)
+                kern.multiply(fr.l11, zo, lower=True, trans=True, unit=True)

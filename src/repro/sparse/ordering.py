@@ -13,6 +13,7 @@ dissection builders:
 
 from __future__ import annotations
 
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +23,21 @@ from repro.sparse.partition import PartitionNode, PartitionTree
 from repro.utils.errors import ConfigurationError
 
 DEFAULT_LEAF = 96
+
+
+def gather_rows(m: sp.csr_matrix, rows: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """The column indices of the CSR rows ``rows``, concatenated in the
+    order given, and for each entry the position in ``rows`` of the row
+    it came from (nondecreasing).  One vectorised gather in place of a
+    Python loop over the rows."""
+    rows = np.asarray(rows, dtype=np.intp)
+    start = m.indptr[rows]
+    count = m.indptr[rows + 1] - start
+    owner = np.repeat(np.arange(len(rows)), count)
+    # entry j of the output is entry j − (entries before its row) of it
+    skip = np.repeat(start - (np.cumsum(count) - count), count)
+    return m.indices[np.arange(len(owner)) + skip], owner
 
 
 def symmetrized_pattern(a: sp.spmatrix) -> sp.csr_matrix:
@@ -66,7 +82,8 @@ def geometric_nested_dissection(
         raise ConfigurationError(
             f"coords has {len(coords)} rows, matrix has {n}"
         )
-    indptr, indices = pattern.indptr, pattern.indices
+    # scratch membership mask of the current lower half, cleared after use
+    in_lower = np.zeros(n, dtype=bool)
 
     def build(idx: np.ndarray) -> PartitionNode:
         if len(idx) <= leaf_size:
@@ -81,13 +98,11 @@ def geometric_nested_dissection(
         if len(lower) == 0 or len(upper) == 0:
             return PartitionNode(idx)
         # separator: vertices of the upper half adjacent to the lower half
-        in_lower = np.zeros(n, dtype=bool)
+        nbrs, which = gather_rows(pattern, upper)
         in_lower[lower] = True
         sep_mask = np.zeros(len(upper), dtype=bool)
-        for pos, v in enumerate(upper):
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            if in_lower[nbrs].any():
-                sep_mask[pos] = True
+        sep_mask[which[in_lower[nbrs]]] = True
+        in_lower[lower] = False
         sep = upper[sep_mask]
         rest = upper[~sep_mask]
         if len(sep) == 0:

@@ -20,14 +20,17 @@ from repro.utils.errors import ConfigurationError
 
 
 class PartitionNode:
-    """A partition-tree node owning the variables in ``own``."""
+    """A partition-tree node owning the variables in ``own``.
 
-    __slots__ = ("own", "children", "parent", "index")
+    Nodes point down only; the way up is :attr:`PartitionTree.parent`, so
+    a tree holds no reference cycle and is freed by reference counting.
+    """
+
+    __slots__ = ("own", "children", "index")
 
     def __init__(self, own: np.ndarray, children: Optional[List["PartitionNode"]] = None):
         self.own = np.asarray(own, dtype=np.intp)
         self.children: List["PartitionNode"] = children or []
-        self.parent: Optional["PartitionNode"] = None
         self.index: int = -1  # postorder index, set by PartitionTree
 
     @property
@@ -47,16 +50,22 @@ class PartitionNode:
 class PartitionTree:
     """A separator tree over variables ``0 .. n-1``.
 
-    The constructor assigns postorder indices, builds parent links and the
-    global elimination permutation (postorder concatenation of each node's
-    owned variables — interiors first, separators after their subtrees).
+    The constructor assigns postorder indices, the :attr:`parent` array
+    and the global elimination permutation (postorder concatenation of
+    each node's owned variables — interiors first, separators after their
+    subtrees).
     """
 
     def __init__(self, root: PartitionNode, n: int):
         self.root = root
         self.n = n
         self._postorder: List[PartitionNode] = []
-        self._assign(root, None)
+        self._assign(root)
+        #: postorder index of each node's parent (−1 at the root)
+        self.parent = np.full(len(self._postorder), -1, dtype=np.intp)
+        for node in self._postorder:
+            for child in node.children:
+                self.parent[child.index] = node.index
         own_total = sum(len(node.own) for node in self._postorder)
         if own_total != n:
             raise ConfigurationError(
@@ -72,10 +81,9 @@ class PartitionTree:
         self.elim_pos = np.empty(n, dtype=np.intp)
         self.elim_pos[self.perm] = np.arange(n)
 
-    def _assign(self, node: PartitionNode, parent: Optional[PartitionNode]):
-        node.parent = parent
+    def _assign(self, node: PartitionNode):
         for child in node.children:
-            self._assign(child, node)
+            self._assign(child)
         node.index = len(self._postorder)
         self._postorder.append(node)
 
@@ -104,19 +112,14 @@ class PartitionTree:
         """
         owner = self.node_of_variable()
         # ancestors-or-self as sets of node indices
-        anc: List[set] = [set() for _ in self._postorder]
-        for node in self._postorder:
-            s = {node.index}
-            if node.parent is not None:
-                # parent has a larger postorder index; fill after traversal
-                pass
-            anc[node.index] = s
-        # walk up parents
-        for node in self._postorder:
-            p = node.parent
-            while p is not None:
-                anc[node.index].add(p.index)
-                p = p.parent
+        parent = self.parent.tolist()
+        anc: List[set] = []
+        for i in range(self.n_nodes):
+            s, j = {i}, parent[i]
+            while j >= 0:
+                s.add(j)
+                j = parent[j]
+            anc.append(s)
         # subtree membership via descendant intervals: postorder indices of
         # a subtree form a contiguous range ending at the node's own index
         first = np.empty(self.n_nodes, dtype=np.intp)

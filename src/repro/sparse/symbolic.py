@@ -29,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.sparse.ordering import symmetrized_pattern
+from repro.sparse.ordering import gather_rows, symmetrized_pattern
 from repro.sparse.partition import PartitionTree
 from repro.utils.errors import ConfigurationError
 
@@ -165,42 +165,41 @@ def symbolic_analysis(
         raise ConfigurationError("schur_vars must be unique and in range")
 
     pattern = symmetrized_pattern(a)
-    indptr, indices = pattern.indptr, pattern.indices
+    # the variable at each elimination position, in the pattern's index
+    # dtype (what the boundaries are made of)
+    var_at = np.empty(n_full, dtype=pattern.indices.dtype)
+    var_at[elim_pos] = np.arange(n_full)
+    # a front owns positions lo..hi-1 of the postorder concatenation, so
+    # the neighbours of every interior variable in elimination order are
+    # one gather, and a front's are one slice of it (as positions)
+    front_hi = np.cumsum([len(node.own) for node in tree.postorder],
+                         dtype=np.intp)
+    nbr, row = gather_rows(pattern, full_perm)
+    nbr_pos = elim_pos[nbr]
+    cut = np.searchsorted(row, np.concatenate(([0], front_hi))).tolist()
 
     fronts: List[FrontSymbolic] = []
-    bnd_of: List[np.ndarray] = []
-    # elimination position just past each node's own variables
-    hi = 0
-    for node in tree.postorder:
-        own_full = interior_ids[node.own]
-        hi += len(own_full)
+    bnd_of: List[np.ndarray] = []  # boundary positions, ascending
+    lo = 0
+    for node, hi in zip(tree.postorder, front_hi.tolist()):
         # candidate boundary: neighbours of own + children boundaries
         parts = [bnd_of[c.index] for c in node.children]
-        if len(own_full):
-            nbr = np.concatenate(
-                [indices[indptr[v] : indptr[v + 1]] for v in own_full]
-            )
-            parts.append(nbr)
-        cand = (
-            np.unique(np.concatenate(parts)) if parts
-            else np.empty(0, dtype=np.intp)
-        )
-        keep = elim_pos[cand] >= hi
-        bnd = cand[keep]
-        bnd = bnd[np.argsort(elim_pos[bnd], kind="stable")]
-        own_sorted = own_full[np.argsort(elim_pos[own_full], kind="stable")]
+        parts.append(nbr_pos[cut[node.index]:cut[node.index + 1]])
+        cand = np.unique(np.concatenate(parts))
+        bnd_pos = cand[np.searchsorted(cand, hi):]
         fronts.append(
             FrontSymbolic(
                 node_index=node.index,
-                own=own_sorted,
-                bnd=bnd,
-                lo=hi - len(own_full),
+                own=full_perm[lo:hi],
+                bnd=var_at[bnd_pos],
+                lo=lo,
                 hi=hi,
-                bnd_pos=elim_pos[bnd],
+                bnd_pos=bnd_pos,
                 child_indices=[c.index for c in node.children],
             )
         )
-        bnd_of.append(bnd)
+        bnd_of.append(bnd_pos)
+        lo = hi
 
     root_bnd = bnd_of[-1] if bnd_of else np.empty(0, dtype=np.intp)
     if n_schur == 0 and len(root_bnd):
@@ -208,14 +207,11 @@ def symbolic_analysis(
             "root front has a non-empty boundary without Schur variables; "
             "the partition tree does not satisfy the separator property"
         )
-    if n_schur and np.any(elim_pos[root_bnd] < n_int):
+    if n_schur and np.any(root_bnd < n_int):
         raise ConfigurationError(
             "root boundary contains interior variables; invalid tree"
         )
-    parent = np.array(
-        [node.parent.index if node.parent is not None else -1
-         for node in tree.postorder], dtype=np.intp)
-    _link_to_parents(fronts, parent)
+    _link_to_parents(fronts, tree.parent)
     return SymbolicFactorization(
         tree=tree,
         fronts=fronts,
@@ -223,8 +219,8 @@ def symbolic_analysis(
         schur_vars=schur_vars,
         n_full=n_full,
         interior_pos=elim_pos[interior_ids],
-        parent=parent,
-        front_hi=np.array([f.hi for f in fronts], dtype=np.intp),
+        parent=tree.parent,
+        front_hi=front_hi,
     )
 
 
@@ -294,7 +290,11 @@ def extend_symbolic_with_border(
     adj = ((b_blk != 0).astype(np.int8) + (c_blk != 0).astype(np.int8).T)
     adj = adj.tocsr()
     adj.sort_indices()
-    indptr, indices = adj.indptr, adj.indices
+    # the cached fronts own the interior-only tree's permutation in
+    # slices lo..hi-1: one gather, one slice per front
+    nbr, row = gather_rows(adj, interior.tree.perm)
+    cut = np.searchsorted(
+        row, np.concatenate(([0], interior.front_hi))).tolist()
 
     # when the interior occupies ids 0..n_int-1 (the multi-factorization
     # W layout) the cached index arrays can be shared as-is
@@ -305,16 +305,10 @@ def extend_symbolic_with_border(
 
     fronts: List[FrontSymbolic] = []
     border_of: List[np.ndarray] = []  # Schur-local border per front
-    for f in interior.fronts:
+    for i, f in enumerate(interior.fronts):
         parts = [border_of[ci] for ci in f.child_indices]
-        if len(f.own):
-            parts.append(np.concatenate(
-                [indices[indptr[v] : indptr[v + 1]] for v in f.own]
-            ))
-        border = (
-            np.unique(np.concatenate(parts)) if parts
-            else np.empty(0, dtype=np.intp)
-        )
+        parts.append(nbr[cut[i]:cut[i + 1]])
+        border = np.unique(np.concatenate(parts))
         border_of.append(border)
         own_full = f.own if identity else interior_ids[f.own]
         bnd_full = f.bnd if identity else interior_ids[f.bnd]

@@ -256,3 +256,47 @@ class TestBlockedCholesky:
         a = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(SingularMatrixError):
             blocked_cholesky(a)
+
+
+def _full_trailing_update(c, w, xt, block_size):
+    """The trailing update as one full product (the reference)."""
+    c -= np.tril(w @ xt)
+
+
+class TestTrailingUpdateBySlabs:
+    """``blocked_ldlt`` / ``blocked_cholesky`` update the trailing matrix
+    one ``block_size``-row slab at a time, lower part only.  Where the
+    trailing matrix is one slab (``n ≤ 2·block_size``) the BLAS call is the
+    full product's and the factors are bit for bit the reference's; with
+    more slabs OpenBLAS may round a row slab of a ``gemm`` differently from
+    the same rows of the whole product, so there the reference is matched
+    to ``n·eps``."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_matches_the_full_product(self, monkeypatch, dtype):
+        import repro.dense.cholesky as chol_mod
+        import repro.dense.ldlt as ldlt_mod
+
+        def factors(a, spd, bs):
+            return ((blocked_cholesky(spd, block_size=bs),)
+                    + blocked_ldlt(a, block_size=bs))
+
+        rng = np.random.default_rng(6)
+        for n, bs in ((1, 128), (129, 128), (256, 128), (257, 128),
+                      (450, 128), (75, 16), (150, 32)):
+            g = _well_conditioned(rng, n, dtype)
+            a = g + g.T + n * np.eye(n)              # complex symmetric
+            spd = g @ g.conj().T + n * np.eye(n)     # Hermitian pos. def.
+            got = factors(a, spd, bs)
+            with monkeypatch.context() as m:
+                m.setattr(ldlt_mod, "_lower_update", _full_trailing_update)
+                m.setattr(chol_mod, "_lower_update", _full_trailing_update)
+                want = factors(a, spd, bs)
+            for x, y in zip(got, want, strict=True):
+                if n <= 2 * bs:
+                    np.testing.assert_array_equal(x, y)
+                else:
+                    np.testing.assert_allclose(
+                        x, y, rtol=0,
+                        atol=n * np.finfo(np.float64).eps * np.abs(y).max())
+            assert not np.triu(got[0], 1).any() and not np.triu(got[1], 1).any()

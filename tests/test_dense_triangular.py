@@ -103,3 +103,34 @@ def test_property_lower_solve_inverts(n, bs, seed):
     b = rng.standard_normal(n)
     x = solve_lower_triangular(l, b, block_size=bs)
     np.testing.assert_allclose(l @ x, b, rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kernel_multiply_matches_numpy(dtype, lower, order):
+    """``RowBlockKernel.multiply`` is ``x ← op(a) x`` in place on a row
+    block of a larger buffer, for every transpose / unit-diagonal flag and
+    width (one column takes ``trmv``); the triangle it is not told about,
+    and the diagonal when ``unit``, are never read."""
+    from repro.dense import RowBlockKernel
+
+    rng = np.random.default_rng(4)
+    p = 60
+    full = rng.standard_normal((p, p)).astype(dtype)
+    if dtype is np.complex128:
+        full = full + 1j * rng.standard_normal((p, p))
+    kern = RowBlockKernel(dtype)
+    for trans in (False, True):
+        for unit in (False, True):
+            tri = np.tril(full) if lower else np.triu(full)
+            if unit:
+                np.fill_diagonal(tri, 1.0)
+            op = tri.T if trans else tri
+            a = np.array(full, order=order)  # the other triangle: garbage
+            for m in (1, 3, 300):
+                buf = rng.standard_normal((p + 7, m)).astype(dtype)
+                want = op @ buf[5:5 + p]
+                kern.multiply(a, buf[5:5 + p], lower, trans=trans, unit=unit)
+                np.testing.assert_allclose(buf[5:5 + p], want, rtol=1e-13,
+                                           atol=1e-13 * np.abs(want).max())

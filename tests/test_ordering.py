@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro.fembem.fem import assemble_fem_matrix
 from repro.fembem.mesh import StructuredGrid
 from repro.sparse.ordering import (
+    gather_rows,
     geometric_nested_dissection,
     graph_nested_dissection,
     symmetrized_pattern,
@@ -20,6 +21,47 @@ def grid_problem():
     grid = StructuredGrid(8, 7, 6)
     a = assemble_fem_matrix(grid, mode="real_spd")
     return grid, a
+
+
+class TestGatherRows:
+    """``gather_rows`` is the per-row concatenation, with owners."""
+
+    @staticmethod
+    def _loop(m, rows):
+        parts = [m.indices[m.indptr[r]:m.indptr[r + 1]] for r in rows]
+        owner = [np.full(len(p), i) for i, p in enumerate(parts)]
+        return (np.concatenate(parts + [m.indices[:0]]),
+                np.concatenate(owner + [np.empty(0, dtype=np.intp)]))
+
+    @pytest.mark.parametrize("rows", [
+        [],                       # empty selection
+        [1, 3],                   # empty rows only
+        [4, 0, 1, 5, 2, 0],       # unsorted, repeated, empty rows inside
+        [5, 4, 3, 2, 1, 0],
+    ])
+    def test_matches_the_row_loop(self, rows):
+        m = sp.csr_matrix(np.array([
+            [0, 1, 0, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0, 0],
+            [1, 1, 1, 1, 1, 1],
+            [0, 0, 1, 0, 0, 0],
+        ]))
+        cols, owner = gather_rows(m, np.array(rows, dtype=np.intp))
+        want_cols, want_owner = self._loop(m, rows)
+        np.testing.assert_array_equal(cols, want_cols)
+        np.testing.assert_array_equal(owner, want_owner)
+        assert cols.dtype == m.indices.dtype
+
+    def test_pattern_rows(self, grid_problem):
+        _, a = grid_problem
+        p = symmetrized_pattern(a)
+        rows = np.random.default_rng(0).permutation(a.shape[0])[:100]
+        cols, owner = gather_rows(p, rows)
+        want_cols, want_owner = self._loop(p, rows)
+        np.testing.assert_array_equal(cols, want_cols)
+        np.testing.assert_array_equal(owner, want_owner)
 
 
 class TestSymmetrizedPattern:
@@ -134,6 +176,35 @@ class TestPartitionTree:
         )
         with pytest.raises(ConfigurationError):
             bad.validate_separators(symmetrized_pattern(a))
+
+    def test_parent_array(self, grid_problem):
+        grid, a = grid_problem
+        tree = geometric_nested_dissection(a, grid.points(), leaf_size=30)
+        assert tree.parent[-1] == -1
+        for node in tree.postorder:
+            for child in node.children:
+                assert tree.parent[child.index] == node.index
+        assert (tree.parent[:-1] > np.arange(tree.n_nodes - 1)).all()
+
+    def test_a_solve_leaves_no_partition_tree_to_the_cycle_collector(
+            self, pipe_small):
+        """Nodes point down only: a finished run frees its partition trees
+        by reference counting, none is left as cyclic garbage."""
+        import gc
+
+        from repro import SolverConfig, solve_coupled
+
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            solve_coupled(pipe_small, "multi_solve",
+                          SolverConfig(dense_backend="hmat"))
+            gc.collect()
+            left = [o for o in gc.garbage if isinstance(o, PartitionNode)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
 
     def test_node_of_variable(self, grid_problem):
         grid, a = grid_problem

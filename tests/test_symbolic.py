@@ -6,8 +6,15 @@ import scipy.sparse as sp
 
 from repro.fembem.fem import assemble_fem_matrix
 from repro.fembem.mesh import StructuredGrid
-from repro.sparse.ordering import geometric_nested_dissection
-from repro.sparse.symbolic import symbolic_analysis
+from repro.sparse.ordering import (
+    geometric_nested_dissection,
+    symmetrized_pattern,
+)
+from repro.sparse.partition import PartitionNode, PartitionTree
+from repro.sparse.symbolic import (
+    extend_symbolic_with_border,
+    symbolic_analysis,
+)
 from repro.utils.errors import ConfigurationError
 
 
@@ -143,9 +150,10 @@ class TestSweepIndexMaps:
         interior = np.setdiff1d(np.arange(sym.n_full), sym.schur_vars)
         np.testing.assert_array_equal(sym.interior_pos,
                                       sym.elim_pos[interior])
+        want = np.full(len(sym.fronts), -1)
         for node in sym.tree.postorder:
-            want = node.parent.index if node.parent is not None else -1
-            assert sym.parent[node.index] == want
+            want[[c.index for c in node.children]] = node.index
+        np.testing.assert_array_equal(sym.parent, want)
 
     def test_interior_analysis(self, problem):
         _, a, tree = problem
@@ -153,8 +161,6 @@ class TestSweepIndexMaps:
 
     @pytest.mark.parametrize("front", [False, True])
     def test_border_graft_shares_and_matches(self, problem, front):
-        from repro.sparse.symbolic import extend_symbolic_with_border
-
         a, tree, w, schur, interior_ids = self._bordered(problem, front)
         cached = symbolic_analysis(a, tree)
         grafted = extend_symbolic_with_border(cached, w, schur, interior_ids)
@@ -168,3 +174,202 @@ class TestSweepIndexMaps:
         assert grafted.interior_pos is cached.interior_pos
         assert grafted.parent is cached.parent
         assert grafted.front_hi is cached.front_hi
+
+
+# -- the vectorised analysis against the per-variable loops it replaced -------
+
+def _nd_loops(a, coords, leaf_size):
+    """Geometric nested dissection testing separator membership one vertex
+    at a time (the reference for :func:`geometric_nested_dissection`)."""
+    pattern = symmetrized_pattern(a)
+    coords = np.asarray(coords, dtype=np.float64)
+    n = pattern.shape[0]
+    indptr, indices = pattern.indptr, pattern.indices
+
+    def build(idx):
+        if len(idx) <= leaf_size:
+            return PartitionNode(idx)
+        pts = coords[idx]
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        order = np.argsort(pts[:, axis], kind="stable")
+        half = len(idx) // 2
+        lower, upper = idx[order[:half]], idx[order[half:]]
+        if len(lower) == 0 or len(upper) == 0:
+            return PartitionNode(idx)
+        in_lower = np.zeros(n, dtype=bool)
+        in_lower[lower] = True
+        sep_mask = np.zeros(len(upper), dtype=bool)
+        for pos, v in enumerate(upper):
+            if in_lower[indices[indptr[v]:indptr[v + 1]]].any():
+                sep_mask[pos] = True
+        sep, rest = upper[sep_mask], upper[~sep_mask]
+        if len(sep) == 0:
+            return PartitionNode(np.empty(0, dtype=np.intp),
+                                 [build(lower), build(upper)])
+        if len(sep) == len(upper) or len(rest) == 0:
+            return PartitionNode(idx)
+        return PartitionNode(sep, [build(lower), build(rest)])
+
+    return PartitionTree(build(np.arange(n, dtype=np.intp)), n)
+
+
+def _in_parent(fronts, parent):
+    """The extend-add maps, as ``(own, bnd, lo, hi, bnd_pos)`` tuples."""
+    out = []
+    for (own, bnd, lo, hi, bnd_pos), pi in zip(fronts, parent):
+        at = None
+        if pi >= 0 and len(bnd_pos):
+            par = fronts[pi]
+            at = np.where(bnd_pos < par[3], bnd_pos - par[2],
+                          len(par[0]) + np.searchsorted(par[4], bnd_pos))
+        out.append(at)
+    return out
+
+
+def _symbolic_loops(a, tree, schur_vars):
+    """Front structures gathering each front's neighbours one variable at
+    a time (the reference for :func:`symbolic_analysis`)."""
+    n_full = a.shape[0]
+    n_int = n_full - len(schur_vars)
+    elim_pos = np.full(n_full, -1, dtype=np.intp)
+    interior_mask = np.ones(n_full, dtype=bool)
+    interior_mask[schur_vars] = False
+    interior_ids = np.flatnonzero(interior_mask)
+    elim_pos[interior_ids[tree.perm]] = np.arange(n_int)
+    elim_pos[schur_vars] = n_int + np.arange(len(schur_vars))
+    pattern = symmetrized_pattern(a)
+    indptr, indices = pattern.indptr, pattern.indices
+    fronts, bnd_of, hi = [], [], 0
+    for node in tree.postorder:
+        own = interior_ids[node.own]
+        hi += len(own)
+        parts = [bnd_of[c.index] for c in node.children]
+        if len(own):
+            parts.append(np.concatenate(
+                [indices[indptr[v]:indptr[v + 1]] for v in own]))
+        cand = (np.unique(np.concatenate(parts)) if parts
+                else np.empty(0, dtype=np.intp))
+        bnd = cand[elim_pos[cand] >= hi]
+        bnd = bnd[np.argsort(elim_pos[bnd], kind="stable")]
+        own = own[np.argsort(elim_pos[own], kind="stable")]
+        fronts.append((own, bnd, hi - len(own), hi, elim_pos[bnd]))
+        bnd_of.append(bnd)
+    return fronts
+
+
+def _extend_loops(interior, a_full, schur_vars, interior_ids):
+    """The border graft gathering each front's Schur neighbours one
+    variable at a time (the reference for
+    :func:`extend_symbolic_with_border`)."""
+    a_full = a_full.tocsr()
+    n_int = interior.n_full
+    b_blk = a_full[interior_ids][:, schur_vars]
+    c_blk = a_full[schur_vars][:, interior_ids]
+    adj = ((b_blk != 0).astype(np.int8)
+           + (c_blk != 0).astype(np.int8).T).tocsr()
+    adj.sort_indices()
+    indptr, indices = adj.indptr, adj.indices
+    fronts, border_of = [], []
+    for f in interior.fronts:
+        parts = [border_of[ci] for ci in f.child_indices]
+        if len(f.own):
+            parts.append(np.concatenate(
+                [indices[indptr[v]:indptr[v + 1]] for v in f.own]))
+        border = (np.unique(np.concatenate(parts)) if parts
+                  else np.empty(0, dtype=np.intp))
+        border_of.append(border)
+        fronts.append((interior_ids[f.own],
+                       np.concatenate([interior_ids[f.bnd],
+                                       schur_vars[border]]),
+                       f.lo, f.hi,
+                       np.concatenate([f.bnd_pos, n_int + border])))
+    return fronts
+
+
+def _assert_same_tree(tree, ref):
+    np.testing.assert_array_equal(tree.perm, ref.perm)
+    assert tree.n_nodes == ref.n_nodes
+    for node, want in zip(tree.postorder, ref.postorder, strict=True):
+        np.testing.assert_array_equal(node.own, want.own)
+        assert ([c.index for c in node.children]
+                == [c.index for c in want.children])
+
+
+def _assert_same_fronts(sym, ref_fronts):
+    ref_in_parent = _in_parent(ref_fronts, sym.parent)
+    for f, ref, at in zip(sym.fronts, ref_fronts, ref_in_parent, strict=True):
+        own, bnd, lo, hi, bnd_pos = ref
+        np.testing.assert_array_equal(f.own, own)
+        np.testing.assert_array_equal(f.bnd, bnd)
+        assert (f.lo, f.hi) == (lo, hi)
+        np.testing.assert_array_equal(f.bnd_pos, bnd_pos)
+        if at is None:
+            assert f.in_parent is None
+        else:
+            np.testing.assert_array_equal(f.in_parent, at)
+
+
+def _grid_matrix(dims, origin=0.0):
+    grid = StructuredGrid(*dims)
+    a = assemble_fem_matrix(grid, mode="real_spd").tocsr()
+    return a, grid.points() + origin
+
+
+def _analysis_case(name):
+    """``(a_interior, coords, w, schur_vars)`` per pattern kind."""
+    from repro.core.multi_factorization import _build_w_block
+    from repro.fembem import generate_aircraft_case, generate_pipe_case
+
+    if name in ("pipe", "aircraft"):
+        p = (generate_pipe_case(2_000, seed=0) if name == "pipe" else
+             generate_aircraft_case(1_800, bem_fraction=0.25, seed=0))
+        a, coords = p.a_vv.tocsr(), p.coords_v
+        a_sv = p.a_sv.tocsr()
+    else:
+        a, coords = _grid_matrix((9, 8, 7))
+        if name == "disconnected":   # two grids far apart: empty separators
+            b, cb = _grid_matrix((9, 8, 7), origin=100.0)
+            a = sp.block_diag([a, b], format="csr")
+            coords = np.vstack([coords, cb])
+        else:                        # isolated variables: empty pattern rows
+            lone = np.arange(0, a.shape[0], 7)
+            keep = np.ones(a.shape[0])
+            keep[lone] = 0
+            a = (sp.diags(keep) @ a @ sp.diags(keep)
+                 + sp.diags(1.0 - keep)).tocsr()
+            a.eliminate_zeros()
+        a_sv = sp.random(40, a.shape[0], density=0.01, format="csr",
+                         random_state=3)
+    k = a_sv.shape[0] // 2
+    w, schur_vars = _build_w_block(a, a_sv, np.arange(k),
+                                   np.arange(k, 2 * k), a.dtype)
+    return a, coords, w.tocsr(), schur_vars
+
+
+@pytest.mark.parametrize("name", ["pipe", "aircraft", "disconnected",
+                                  "isolated"])
+def test_analysis_matches_the_per_variable_loops(name):
+    """Trees and fronts of the vectorised analysis are ``array_equal`` to
+    what the per-variable loops build: the interior analysis, a ``W``
+    block analysed from scratch, and the same ``W`` grafted onto the
+    interior analysis."""
+    from repro.sparse import SparseSolver
+
+    a, coords, w, schur_vars = _analysis_case(name)
+    for leaf_size in (96, 24):
+        tree = geometric_nested_dissection(a, coords, leaf_size=leaf_size)
+        _assert_same_tree(tree, _nd_loops(a, coords, leaf_size))
+    if name == "disconnected":
+        assert any(len(node.own) == 0 for node in tree.postorder)
+    tree = SparseSolver(leaf_size=24).build_tree(a, coords)
+    none = np.empty(0, dtype=np.intp)
+    interior = symbolic_analysis(a, tree)
+    _assert_same_fronts(interior, _symbolic_loops(a, tree, none))
+    scratch = symbolic_analysis(w, tree, schur_vars=schur_vars)
+    _assert_same_fronts(scratch, _symbolic_loops(w, tree, schur_vars))
+    interior_ids = np.arange(a.shape[0])
+    grafted = extend_symbolic_with_border(interior, w, schur_vars,
+                                          interior_ids)
+    _assert_same_fronts(grafted, _extend_loops(interior, w, schur_vars,
+                                               interior_ids))
+    _assert_same_fronts(grafted, _symbolic_loops(w, tree, schur_vars))
