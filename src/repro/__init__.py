@@ -17,7 +17,8 @@ The package layers:
   industrial aircraft analogs) with manufactured exact solutions;
 * :mod:`repro.core` — the paper's contribution: baseline/advanced
   couplings and the multi-solve / multi-factorization algorithms with
-  compressed-Schur variants;
+  compressed-Schur variants, named in :data:`ALGORITHMS` and run as a
+  :class:`CoupledFactorization` (:func:`solve_coupled` solves one once);
 * :mod:`repro.memory` — logical memory tracking (OOM analog) and the
   paper-scale analytic memory model;
 * :mod:`repro.runner` — experiment harness regenerating every table and
@@ -39,11 +40,7 @@ from repro.core import (
     CoupledSolution,
     SolveStats,
     SolverConfig,
-    solve_advanced,
-    solve_baseline,
     solve_coupled,
-    solve_multi_factorization,
-    solve_multi_solve,
 )
 from repro.fembem import (
     CoupledProblem,
@@ -68,10 +65,6 @@ __all__ = [
     "fmt_bytes",
     "generate_aircraft_case",
     "generate_pipe_case",
-    "solve_advanced",
-    "solve_baseline",
     "solve_coupled",
-    "solve_multi_factorization",
-    "solve_multi_solve",
     "__version__",
 ]

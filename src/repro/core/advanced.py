@@ -20,36 +20,22 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.config import SolverConfig
-from repro.core.result import CoupledSolution
-from repro.core.schur_tools import (
-    DenseSchurContainer,
-    RunContext,
-    finalize_solution,
-)
-from repro.fembem.cases import CoupledProblem
+from repro.core.schur_tools import DenseSchurContainer, RunContext
 from repro.utils.errors import ConfigurationError
-
-
-def make_advanced_context(
-    problem: CoupledProblem, config: SolverConfig
-) -> RunContext:
-    """Validate the configuration and create the run context."""
-    if config.dense_backend != "spido":
-        raise ConfigurationError(
-            "the advanced coupling receives S dense from the sparse "
-            "solver; use dense_backend='spido' (multi-factorization is "
-            "its compressed evolution)"
-        )
-    return RunContext(problem, config, "advanced")
 
 
 def assemble_advanced(ctx: RunContext):
     """Run the advanced-coupling assembly and factorization phases.
 
     Returns ``(mf, container, sparse_factor_bytes)`` with both
-    factorizations alive for repeated right-hand sides.
+    factorizations alive for repeated right-hand sides, owned by ``ctx``.
     """
+    if ctx.config.dense_backend != "spido":
+        raise ConfigurationError(
+            "the advanced coupling receives S dense from the sparse "
+            "solver; use dense_backend='spido' (multi-factorization is "
+            "its compressed evolution)"
+        )
     problem, config = ctx.problem, ctx.config
     sparse = ctx.sparse_solver()
 
@@ -60,34 +46,24 @@ def assemble_advanced(ctx: RunContext):
     schur_vars = np.arange(n_v, n_v + n_s)
 
     with ctx.timer.phase("sparse_factorization_schur"):
-        mf = sparse.factorize_schur(
+        mf = ctx.own(sparse.factorize_schur(
             w, schur_vars, coords_interior=problem.coords_v,
             symmetric_values=problem.symmetric,
             timer=ctx.timer,
-        )
+        ))
     ctx.n_sparse_factorizations += 1
     ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
     sparse_factor_bytes = mf.factor_bytes
 
     x_block, x_alloc = mf.take_schur()
-    try:
-        with ctx.timer.phase("schur_update"):
-            container = DenseSchurContainer(problem, config, ctx.tracker)
-            container.s += x_block
-    finally:
-        del x_block
-        x_alloc.free()
+    ctx.own(x_alloc)
+    with ctx.timer.phase("schur_update"):
+        container = ctx.own(DenseSchurContainer(problem, config, ctx.tracker))
+        container.s += x_block
+    del x_block
+    ctx.free(x_alloc)
 
     with ctx.timer.phase("dense_factorization"):
         container.factorize(ctx.tracker)
 
     return mf, container, sparse_factor_bytes
-
-
-def solve_advanced(
-    problem: CoupledProblem, config: SolverConfig = SolverConfig()
-) -> CoupledSolution:
-    """Solve the coupled system with the advanced (Schur-feature) coupling."""
-    ctx = make_advanced_context(problem, config)
-    mf, container, sparse_factor_bytes = assemble_advanced(ctx)
-    return finalize_solution(ctx, mf, container, sparse_factor_bytes)

@@ -1,25 +1,11 @@
-"""Top-level dispatch for the coupled solution algorithms."""
+"""Top-level entry point of the coupled solution algorithms."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
-from repro.core.advanced import solve_advanced
-from repro.core.baseline import solve_baseline
 from repro.core.config import SolverConfig
-from repro.core.multi_factorization import solve_multi_factorization
-from repro.core.multi_solve import solve_multi_solve
+from repro.core.factorized import CoupledFactorization
 from repro.core.result import CoupledSolution
 from repro.fembem.cases import CoupledProblem
-from repro.utils.errors import ConfigurationError
-
-#: Registry of coupling algorithms by name.
-ALGORITHMS: Dict[str, Callable[[CoupledProblem, SolverConfig], CoupledSolution]] = {
-    "baseline": solve_baseline,
-    "advanced": solve_advanced,
-    "multi_solve": solve_multi_solve,
-    "multi_factorization": solve_multi_factorization,
-}
 
 
 def solve_coupled(
@@ -29,6 +15,9 @@ def solve_coupled(
 ) -> CoupledSolution:
     """Solve a coupled FEM/BEM system with the named algorithm.
 
+    A :class:`~repro.core.factorized.CoupledFactorization` solved once,
+    with the problem's own right-hand side, then freed.
+
     Parameters
     ----------
     problem:
@@ -36,8 +25,10 @@ def solve_coupled(
         :func:`repro.fembem.generate_aircraft_case`).
     algorithm:
         One of ``"baseline"``, ``"advanced"``, ``"multi_solve"``,
-        ``"multi_factorization"``.  The compressed-Schur variants of the
-        latter two are selected by ``config.dense_backend == "hmat"``.
+        ``"multi_factorization"`` (the keys of
+        :data:`repro.core.factorized.ALGORITHMS`).  The
+        compressed-Schur variants of the latter two are selected by
+        ``config.dense_backend == "hmat"``.
     config:
         Solver configuration (block sizes, tolerances, memory limit).
 
@@ -51,12 +42,13 @@ def solve_coupled(
     ------
     repro.utils.MemoryLimitExceeded
         When ``config.memory_limit`` is set and the algorithm's logical
-        footprint would exceed it (the paper's out-of-memory analog).
+        footprint would exceed it (the paper's out-of-memory analog); the
+        failed run leaves nothing charged.
     """
-    try:
-        fn = ALGORITHMS[algorithm]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
-        ) from None
-    return fn(problem, config)
+    with CoupledFactorization(problem, algorithm, config) as fact:
+        x_v, x_s = fact.solve(problem.b_v, problem.b_s)
+        stats = fact.stats
+    return CoupledSolution(
+        x_v=x_v, x_s=x_s, stats=stats,
+        relative_error=problem.relative_error(x_v, x_s),
+    )

@@ -15,49 +15,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SolverConfig
-from repro.core.result import CoupledSolution
-from repro.core.schur_tools import (
-    DenseSchurContainer,
-    RunContext,
-    finalize_solution,
-)
-from repro.fembem.cases import CoupledProblem
+from repro.core.schur_tools import DenseSchurContainer, RunContext
 from repro.utils.errors import ConfigurationError
-
-
-def make_baseline_context(
-    problem: CoupledProblem, config: SolverConfig
-) -> RunContext:
-    """Validate the configuration and create the run context.
-
-    Only the uncompressed dense backend is meaningful here (the Schur
-    complement and the sparse-solve result are dense by construction).
-    """
-    if config.dense_backend != "spido":
-        raise ConfigurationError(
-            "the baseline coupling stores S dense; use dense_backend="
-            "'spido' (the multi-solve algorithm is its compressed "
-            "evolution)"
-        )
-    return RunContext(problem, config, "baseline")
 
 
 def assemble_baseline(ctx: RunContext):
     """Run the baseline-coupling assembly and factorization phases.
 
+    Only the uncompressed dense backend is meaningful here (the Schur
+    complement and the sparse-solve result are dense by construction).
     Returns ``(mf, container, sparse_factor_bytes)`` with both
-    factorizations alive for repeated right-hand sides.
+    factorizations alive for repeated right-hand sides, owned by ``ctx``.
     """
+    if ctx.config.dense_backend != "spido":
+        raise ConfigurationError(
+            "the baseline coupling stores S dense; use dense_backend="
+            "'spido' (the multi-solve algorithm is its compressed "
+            "evolution)"
+        )
     problem, config = ctx.problem, ctx.config
     sparse = ctx.sparse_solver()
 
     with ctx.timer.phase("sparse_factorization"):
-        mf = sparse.factorize(
+        mf = ctx.own(sparse.factorize(
             problem.a_vv, coords=problem.coords_v,
             symmetric_values=problem.symmetric,
             timer=ctx.timer,
-        )
+        ))
     ctx.n_sparse_factorizations += 1
     ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
     sparse_factor_bytes = mf.factor_bytes
@@ -66,46 +50,30 @@ def assemble_baseline(ctx: RunContext):
     # retrieved as one dense n_v-by-n_s matrix
     rhs = problem.a_sv.T.tocsr()
     itemsize = np.dtype(problem.dtype).itemsize
-    y_alloc = ctx.tracker.allocate(
+    y_alloc = ctx.own(ctx.tracker.allocate(
         problem.n_fem * problem.n_bem * itemsize,
         category="solve_panel", label="dense A_vv^-1 A_sv^T",
-    )
-    try:
-        with ctx.timer.phase("sparse_solve"):
-            y = mf.solve(rhs)
-        ctx.n_sparse_solves += 1
+    ))
+    with ctx.timer.phase("sparse_solve"):
+        y = mf.solve(rhs)
+    ctx.n_sparse_solves += 1
 
-        with ctx.tracker.borrow(
-            problem.n_bem * problem.n_bem * itemsize,
-            category="spmm_panel", label="A_sv Y",
-        ):
-            with ctx.timer.phase("spmm"):
-                z = problem.a_sv @ y
-            del y
-            y_alloc.free()
-            y_alloc = None
+    with ctx.tracker.borrow(
+        problem.n_bem * problem.n_bem * itemsize,
+        category="spmm_panel", label="A_sv Y",
+    ):
+        with ctx.timer.phase("spmm"):
+            z = problem.a_sv @ y
+        del y
+        ctx.free(y_alloc)
 
-            with ctx.timer.phase("schur_update"):
-                container = DenseSchurContainer(problem, config, ctx.tracker)
-                container.s -= z
-            del z
-    except BaseException:
-        # the panel charge must not outlive a failed solve/spmm (the
-        # borrow entry itself can raise on a tight budget)
-        if y_alloc is not None:
-            y_alloc.free()
-        raise
+        with ctx.timer.phase("schur_update"):
+            container = ctx.own(
+                DenseSchurContainer(problem, config, ctx.tracker))
+            container.s -= z
+        del z
 
     with ctx.timer.phase("dense_factorization"):
         container.factorize(ctx.tracker)
 
     return mf, container, sparse_factor_bytes
-
-
-def solve_baseline(
-    problem: CoupledProblem, config: SolverConfig = SolverConfig()
-) -> CoupledSolution:
-    """Solve the coupled system with the baseline coupling."""
-    ctx = make_baseline_context(problem, config)
-    mf, container, sparse_factor_bytes = assemble_baseline(ctx)
-    return finalize_solution(ctx, mf, container, sparse_factor_bytes)

@@ -7,7 +7,9 @@ frequency — i.e. many right-hand sides against one factorization.
 :class:`CoupledFactorization` keeps the expensive state alive — the sparse
 factorization of :math:`A_{vv}` and the factored Schur complement, built
 by any of the four coupling algorithms — and exposes a repeatable
-``solve(b_v, b_s)``.
+``solve(b_v, b_s)``.  It is the only way a run is built:
+:func:`repro.core.solve_coupled` is one solved once with the test case's
+own right-hand side.
 
 Example
 -------
@@ -28,29 +30,23 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.advanced import assemble_advanced, make_advanced_context
-from repro.core.baseline import assemble_baseline, make_baseline_context
+from repro.core.advanced import assemble_advanced
+from repro.core.baseline import assemble_baseline
 from repro.core.config import SolverConfig
-from repro.core.multi_factorization import (
-    assemble_multi_factorization,
-    make_multi_factorization_context,
-)
-from repro.core.multi_solve import (
-    assemble_multi_solve,
-    make_multi_solve_context,
-)
+from repro.core.multi_factorization import assemble_multi_factorization
+from repro.core.multi_solve import assemble_multi_solve
 from repro.core.result import SolveStats
-from repro.core.schur_tools import reduce_rhs_and_solve
+from repro.core.schur_tools import RunContext, reduce_rhs_and_solve
 from repro.fembem.cases import CoupledProblem
 from repro.utils.errors import ConfigurationError, FactorizationFreed
 
-_ASSEMBLERS = {
-    "baseline": (make_baseline_context, assemble_baseline),
-    "advanced": (make_advanced_context, assemble_advanced),
-    "multi_solve": (make_multi_solve_context, assemble_multi_solve),
-    "multi_factorization": (
-        make_multi_factorization_context, assemble_multi_factorization,
-    ),
+#: The coupling algorithms by name: each ``assemble_*`` builds the sparse
+#: factorization and the factored Schur container on a :class:`RunContext`.
+ALGORITHMS = {
+    "baseline": assemble_baseline,
+    "advanced": assemble_advanced,
+    "multi_solve": assemble_multi_solve,
+    "multi_factorization": assemble_multi_factorization,
 }
 
 
@@ -77,19 +73,26 @@ class CoupledFactorization:
         config: SolverConfig = SolverConfig(),
     ):
         try:
-            make_context, assemble = _ASSEMBLERS[algorithm]
+            assemble = ALGORITHMS[algorithm]
         except KeyError:
             raise ConfigurationError(
                 f"unknown algorithm {algorithm!r}; "
-                f"available: {sorted(_ASSEMBLERS)}"
+                f"available: {sorted(ALGORITHMS)}"
             ) from None
         self.problem = problem
         self.config = config
         self.algorithm = algorithm
-        self._ctx = make_context(problem, config)
-        self._mf, self._container, self._sparse_factor_bytes = assemble(
-            self._ctx
-        )
+        self._ctx = RunContext(problem, config, algorithm)
+        try:
+            self._mf, self._container, self._sparse_factor_bytes = assemble(
+                self._ctx
+            )
+        except BaseException:
+            # a failed run leaves nothing charged and nothing on disk
+            self._ctx.close()
+            raise
+        # the container's own count dies with it in free()
+        self._schur_bytes = self._container.stored_bytes
         # concurrent-solve state machine: solves register themselves so a
         # racing free() (a cache eviction) defers the actual resource
         # release until the last in-flight solve drains — a solve either
@@ -172,10 +175,9 @@ class CoupledFactorization:
     # -- inspection -----------------------------------------------------------
     @property
     def stats(self) -> SolveStats:
-        """Statistics snapshot (assembly phases + solves so far)."""
-        return self._ctx.stats(
-            self._container.stored_bytes, self._sparse_factor_bytes
-        )
+        """Statistics snapshot (assembly phases + solves so far); still
+        readable after :meth:`free`."""
+        return self._ctx.stats(self._schur_bytes, self._sparse_factor_bytes)
 
     @property
     def peak_bytes(self) -> int:
@@ -191,9 +193,7 @@ class CoupledFactorization:
     @property
     def stored_bytes(self) -> int:
         """Resident factor bytes (sparse factors + Schur container)."""
-        return int(self._container.stored_bytes) + int(
-            self._sparse_factor_bytes
-        )
+        return int(self._schur_bytes) + int(self._sparse_factor_bytes)
 
     @property
     def freed(self) -> bool:
@@ -221,8 +221,7 @@ class CoupledFactorization:
 
     def _release_resources(self) -> None:
         """Actually drop the factors; reached exactly once per instance."""
-        self._container.free()
-        self._mf.free()
+        self._ctx.close()
 
     def __enter__(self) -> "CoupledFactorization":
         return self

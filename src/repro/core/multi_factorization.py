@@ -48,18 +48,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.config import SolverConfig
-from repro.core.result import CoupledSolution
 from repro.core.schur_tools import (
     RunContext,
-    finalize_solution,
     make_schur_container,
     make_sparse_solver,
 )
-from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.hmatrix import HMatrix
 from repro.memory.tracker import MemoryTracker
-from repro.runtime import PanelTask, make_runtime
+from repro.runtime import PanelTask
 from repro.sparse.multifrontal import FrontArena
 from repro.sparse.symbolic_cache import SymbolicCache
 
@@ -186,24 +182,12 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     return factor_bytes, d_an, d_re, body
 
 
-def make_multi_factorization_context(
-    problem: CoupledProblem, config: SolverConfig
-) -> RunContext:
-    """Create the run context for the chosen coupling flavour."""
-    compressed = config.dense_backend == "hmat"
-    name = (
-        "multi_factorization_compressed" if compressed
-        else "multi_factorization"
-    )
-    return RunContext(problem, config, name)
-
-
 def assemble_multi_factorization(ctx: RunContext):
     """Run the multi-factorization Schur assembly and factorization.
 
-    Returns ``(mf, container, sparse_factor_bytes)`` — ``mf`` is the last
-    block's factorization, which still holds ``A_vv``'s factors for the
-    right-hand-side solves.
+    Returns ``(mf, container, sparse_factor_bytes)``, owned by ``ctx`` —
+    ``mf`` is the last block's factorization, which still holds
+    ``A_vv``'s factors for the right-hand-side solves.
     """
     problem, config = ctx.problem, ctx.config
     compressed = config.dense_backend == "hmat"
@@ -215,12 +199,13 @@ def assemble_multi_factorization(ctx: RunContext):
     sparse = ctx.sparse_solver(SymbolicCache())
 
     with ctx.timer.phase("schur_init"):
-        container = make_schur_container(problem, config, ctx.tracker)
+        container = ctx.own(make_schur_container(problem, config, ctx.tracker))
 
     blocks = _surface_blocks(problem.n_bem, config.n_b)
     n_blocks = len(blocks)
     itemsize = np.dtype(problem.dtype).itemsize
-    state = {"mf": None, "factor_bytes": 0}
+    mf = None
+    factor_bytes = 0
     accumulate = compressed and config.axpy_accumulate
     backend = ctx.runtime_backend
     # what a block task reads, for the thread closure and (pickled once per
@@ -236,11 +221,6 @@ def assemble_multi_factorization(ctx: RunContext):
     }
     if backend == "process" and accumulate:
         w["skeleton"] = container.structure_skeleton()
-    runtime = make_runtime(
-        ctx.tracker, ctx.n_workers, "multi-facto", backend=backend,
-        worker_payload=w if backend == "process" else None,
-        worker_builder=_facto_worker_ctx,
-    )
 
     def block_task(seq: int, i: int, j: int, is_last: bool) -> PanelTask:
         """One ``W = [[A_vv, A_sv_jᵀ], [A_sv_i, 0]]`` factorization+Schur."""
@@ -250,9 +230,9 @@ def assemble_multi_factorization(ctx: RunContext):
             # one front-workspace arena per worker thread, recycled
             # across every block this worker factorizes
             arena = runtime.worker_slot(
-                "front_arena", lambda: FrontArena(ctx.tracker)
+                "front_arena", lambda: ctx.own(FrontArena(ctx.tracker))
             )
-            mf_ij = _factorize_w_block(w, sparse, arena, timer, i, j)
+            mf_ij = ctx.own(_factorize_w_block(w, sparse, arena, timer, i, j))
             plans = None
             if accumulate:
                 # pre-compress the dense X_ij on this worker (the SVDs of
@@ -260,16 +240,15 @@ def assemble_multi_factorization(ctx: RunContext):
                 # the dense block dies here, only the compressed plans
                 # travel to the serialized commit
                 x_block, x_alloc = mf_ij.take_schur()
-                try:
-                    with timer.phase("schur_precompress"):
-                        plans = [
-                            container.precompress_add(
-                                x, rows, cols, charge_gather=False)
-                            for x, rows, cols in _folds(w, x_block, i, j)
-                        ]
-                finally:
-                    del x_block
-                    x_alloc.free()
+                ctx.own(x_alloc)
+                with timer.phase("schur_precompress"):
+                    plans = [
+                        container.precompress_add(
+                            x, rows, cols, charge_gather=False)
+                        for x, rows, cols in _folds(w, x_block, i, j)
+                    ]
+                del x_block
+                ctx.free(x_alloc)
                 alloc.resize(sum(plan.nbytes for plan in plans))
             return mf_ij, plans
 
@@ -307,43 +286,37 @@ def assemble_multi_factorization(ctx: RunContext):
                     container.commit(plan)
 
     def consume(task, result):
+        nonlocal mf, factor_bytes
         i, j, is_last = task.payload
         ctx.n_sparse_factorizations += 1
         if len(result) == 4:
             # process-backend worker result: the block's factors died in
             # the worker — only the Schur body (dense or portable plans)
             # and its instrumentation deltas came back
-            factor_bytes, d_an, d_re, body = result
+            block_bytes, d_an, d_re, body = result
             ctx.n_symbolic_analyses += d_an
             ctx.n_symbolic_reuses += d_re
-            state["factor_bytes"] = max(state["factor_bytes"], factor_bytes)
+            factor_bytes = max(factor_bytes, block_bytes)
             fold(i, j, body)
             return
         mf_ij, plans = result
-        state["factor_bytes"] = max(
-            state["factor_bytes"], mf_ij.factor_bytes
-        )
+        factor_bytes = max(factor_bytes, mf_ij.factor_bytes)
         if plans is not None:
             # pre-compressed on the worker: only the cheap ordered commit
             # (accumulator appends) runs on the turnstile
             fold(i, j, plans)
         else:
             x_block, x_alloc = mf_ij.take_schur()
-            try:
-                fold(i, j, x_block)
-            finally:
-                del x_block
-                x_alloc.free()
+            ctx.own(x_alloc)
+            fold(i, j, x_block)
+            del x_block
+            ctx.free(x_alloc)
         if is_last:
             # the last block's factorization still holds A_vv's factors,
             # which the coupled right-hand-side solves reuse
-            state["mf"] = mf_ij
+            mf = mf_ij
         else:
-            mf_ij.free()  # the API cannot keep A_vv factored across calls
-
-    def free_worker_arenas():
-        for arena in runtime.drain_worker_slots("front_arena"):
-            arena.free()
+            ctx.free(mf_ij)  # the API cannot keep A_vv factored across calls
 
     # a symmetric system needs one triangle of blocks (X_ji = X_ijᵀ);
     # either way the last block is the diagonal (n_b−1, n_b−1)
@@ -351,7 +324,10 @@ def assemble_multi_factorization(ctx: RunContext):
         (i, j) for i in range(n_blocks)
         for j in range(i + 1 if problem.symmetric else n_blocks)
     ]
-    try:
+    with ctx.runtime(
+        "multi-facto", worker_payload=w if backend == "process" else None,
+        worker_builder=_facto_worker_ctx,
+    ) as runtime:
         runtime.run(
             [
                 block_task(seq, i, j, seq == len(pairs) - 1)
@@ -361,7 +337,8 @@ def assemble_multi_factorization(ctx: RunContext):
         )
         # the arenas are dead weight from here on: release them before the
         # dense factorization so its peak does not sit on top of them
-        free_worker_arenas()
+        for arena in runtime.drain_worker_slots("front_arena"):
+            ctx.free(arena)
         if compressed:
             # fold pending accumulator batches into S (one recompression
             # per off-diagonal block; no-op when accumulation is off)
@@ -369,19 +346,6 @@ def assemble_multi_factorization(ctx: RunContext):
                 container.flush()
         with ctx.timer.phase("dense_factorization"):
             container.factorize(ctx.tracker)
-    finally:
-        free_worker_arenas()
-        ctx.runtime_report = runtime.finalize(ctx.timer)
-        ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
-        ctx.n_symbolic_reuses += sparse.n_symbolic_reuses
-    return state["mf"], container, state["factor_bytes"]
-
-
-def solve_multi_factorization(
-    problem: CoupledProblem, config: SolverConfig = SolverConfig()
-) -> CoupledSolution:
-    """Solve the coupled system with multi-factorization (compressed iff
-    the dense backend is ``"hmat"``)."""
-    ctx = make_multi_factorization_context(problem, config)
-    mf, container, sparse_factor_bytes = assemble_multi_factorization(ctx)
-    return finalize_solution(ctx, mf, container, sparse_factor_bytes)
+    ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
+    ctx.n_symbolic_reuses += sparse.n_symbolic_reuses
+    return mf, container, factor_bytes

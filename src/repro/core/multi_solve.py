@@ -44,18 +44,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SolverConfig
-from repro.core.result import CoupledSolution
 from repro.core.schur_tools import (
     RunContext,
-    finalize_solution,
     make_schur_container,
     restrict_coupling,
     schur_panel,
 )
-from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.hmatrix import HMatrix
-from repro.runtime import PanelTask, make_runtime
+from repro.runtime import PanelTask
 from repro.sparse.symbolic_cache import SymbolicCache
 
 
@@ -89,22 +85,13 @@ def _panel_precompress_kernel(w, timer, k: int):
     return HMatrix.export_plan(plan, skel.n_panel_compressions - before)
 
 
-def make_multi_solve_context(
-    problem: CoupledProblem, config: SolverConfig
-) -> RunContext:
-    """Create the run context for the chosen coupling flavour."""
-    compressed = config.dense_backend == "hmat"
-    name = "multi_solve_compressed" if compressed else "multi_solve"
-    return RunContext(problem, config, name)
-
-
 def assemble_multi_solve(ctx: RunContext):
     """Run the multi-solve Schur assembly and factorization phases.
 
     Returns ``(mf, container, sparse_factor_bytes)`` with the sparse
-    factorization and the factored Schur container alive — the pieces a
-    :class:`repro.core.factorized.CoupledFactorization` keeps for
-    repeated right-hand sides.
+    factorization and the factored Schur container alive and owned by
+    ``ctx`` — the pieces a :class:`repro.core.factorized.CoupledFactorization`
+    keeps for repeated right-hand sides.
     """
     problem, config = ctx.problem, ctx.config
     compressed = config.dense_backend == "hmat"
@@ -114,18 +101,18 @@ def assemble_multi_solve(ctx: RunContext):
     sparse = ctx.sparse_solver(SymbolicCache())
 
     with ctx.timer.phase("sparse_factorization"):
-        mf = sparse.factorize(
+        mf = ctx.own(sparse.factorize(
             problem.a_vv, coords=problem.coords_v,
             symmetric_values=problem.symmetric,
             timer=ctx.timer,
-        )
+        ))
     ctx.n_sparse_factorizations += 1
     ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
     ctx.n_symbolic_reuses += sparse.n_symbolic_reuses
     sparse_factor_bytes = mf.factor_bytes
 
     with ctx.timer.phase("schur_init"):
-        container = make_schur_container(problem, config, ctx.tracker)
+        container = ctx.own(make_schur_container(problem, config, ctx.tracker))
 
     n_s = problem.n_bem
     n_c = min(config.n_c, n_s)
@@ -213,11 +200,7 @@ def assemble_multi_solve(ctx: RunContext):
         if compressed:
             worker_payload["skeleton"] = container.structure_skeleton()
             worker_payload["compressor"] = config.compressor
-    runtime = make_runtime(
-        ctx.tracker, ctx.n_workers, "multi-solve", backend=backend,
-        worker_payload=worker_payload,
-    )
-    try:
+    with ctx.runtime("multi-solve", worker_payload=worker_payload) as runtime:
         if not compressed:
             # Algorithm 1: dense S, assembled column block by column block;
             # panels solve concurrently, folds land in panel order
@@ -283,16 +266,4 @@ def assemble_multi_solve(ctx: RunContext):
             container.flush()
         with ctx.timer.phase("dense_factorization"):
             container.factorize(ctx.tracker)
-    finally:
-        ctx.runtime_report = runtime.finalize(ctx.timer)
     return mf, container, sparse_factor_bytes
-
-
-def solve_multi_solve(
-    problem: CoupledProblem, config: SolverConfig = SolverConfig()
-) -> CoupledSolution:
-    """Solve the coupled system with multi-solve (compressed iff the
-    dense backend is ``"hmat"``)."""
-    ctx = make_multi_solve_context(problem, config)
-    mf, container, sparse_factor_bytes = assemble_multi_solve(ctx)
-    return finalize_solution(ctx, mf, container, sparse_factor_bytes)

@@ -8,8 +8,10 @@ Two pieces live here:
   (``S_i = A_{ss_i} − Z_i``, ``S_{ij} = A_{ss_{ij}} + X_{ij}``), factorize
   and solve.  The compressed container implements the paper's *compressed
   AXPY* with recompression.
-* the **run context** — couples a memory tracker and a phase timer and
-  finalises a :class:`~repro.core.result.SolveStats`.
+* the **run context** — couples a memory tracker and a phase timer,
+  owns every long-lived object the run allocates (freed in one place when
+  the run fails or its factorization is freed), scopes the run's parallel
+  runtime and finalises a :class:`~repro.core.result.SolveStats`.
 
 The right-hand-side reduction and back-substitution (common to all four
 algorithms, paper eq. (7)) are in :func:`reduce_rhs_and_solve`.
@@ -17,8 +19,10 @@ algorithms, paper eq. (7)) are in :func:`reduce_rhs_and_solve`.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +37,7 @@ from repro.hmatrix.factorization import HLUFactorization
 from repro.hmatrix.hmatrix import PortableAxpyPlan, build_hodlr
 from repro.hmatrix.rk import MAX_ACCUMULATED_RANK
 from repro.memory.tracker import MemoryTracker
+from repro.runtime import make_runtime
 from repro.sparse.solver import SparseSolver
 from repro.sparse.symbolic_cache import SymbolicCache
 from repro.utils.timer import PhaseTimer
@@ -47,7 +52,17 @@ def make_sparse_solver(config: SolverConfig, tracker: MemoryTracker,
 
 
 class RunContext:
-    """Tracker + timer pair shared by one coupled solve."""
+    """One coupled run: its tracker, timer and counters, and every
+    long-lived object it allocates.
+
+    The assembly registers what must outlive a statement — the sparse
+    factorizations, the Schur container, the front arenas, a tracked
+    :class:`~repro.memory.tracker.Allocation` — with :meth:`own`, frees
+    what dies early with :meth:`free`, and leaves the rest to
+    :meth:`close`, which a failed run and a freed factorization both end
+    with.  ``algorithm`` is the coupling's name; the compressed variants
+    (``dense_backend == "hmat"``) report as ``<algorithm>_compressed``.
+    """
 
     def __init__(self, problem: CoupledProblem, config: SolverConfig,
                  algorithm: str):
@@ -55,6 +70,8 @@ class RunContext:
         self._t0 = time.perf_counter()
         self.problem = problem
         self.config = config
+        if config.dense_backend == "hmat":
+            algorithm += "_compressed"
         self.algorithm = algorithm
         self.tracker = config.make_tracker(name=algorithm)
         self.timer = PhaseTimer()
@@ -69,6 +86,40 @@ class RunContext:
         #: Filled by the assembly phase when it ran on the parallel
         #: runtime (:mod:`repro.runtime`): per-worker phase breakdown.
         self.runtime_report = None
+        # worker threads register what they create (arenas, W-block
+        # factorizations), so the owned set takes a lock
+        self._own_lock = threading.Lock()
+        self._owned: Dict[int, Any] = {}  # guarded-by: _own_lock
+
+    def own(self, obj):
+        """Make ``obj`` (anything with ``free()``) the run's; returns it."""
+        with self._own_lock:
+            self._owned[id(obj)] = obj
+        return obj
+
+    def free(self, obj) -> None:
+        """Free an owned object before the run ends, and forget it."""
+        with self._own_lock:
+            self._owned.pop(id(obj), None)
+        obj.free()
+
+    def close(self) -> None:
+        """Free everything still owned, newest first (idempotent)."""
+        with self._own_lock:
+            owned, self._owned = self._owned, {}
+        for obj in reversed(list(owned.values())):
+            obj.free()
+
+    @contextmanager
+    def runtime(self, name: str, **kwargs) -> Iterator[Any]:
+        """The run's parallel runtime for the ``with`` block; on exit,
+        success or error, its report lands in :attr:`runtime_report`."""
+        runtime = make_runtime(self.tracker, self.n_workers, name,
+                               backend=self.runtime_backend, **kwargs)
+        try:
+            yield runtime
+        finally:
+            self.runtime_report = runtime.finalize(self.timer)
 
     def sparse_solver(
         self, cache: Optional[SymbolicCache] = None
@@ -365,15 +416,20 @@ class OocSchurContainer:
         )
         # stream A_ss in panel by panel; the full dense A_ss never exists
         all_rows = np.arange(n)
-        for lo, hi in self.store.panel_bounds():
-            with tracker.borrow(
-                n * (hi - lo) * np.dtype(problem.dtype).itemsize,
-                category="ooc_panel", label="A_ss assembly panel",
-            ):
-                self.store.write_panel(
-                    lo, hi,
-                    problem.a_ss_op.block(all_rows, np.arange(lo, hi)),
-                )
+        try:
+            for lo, hi in self.store.panel_bounds():
+                with tracker.borrow(
+                    n * (hi - lo) * np.dtype(problem.dtype).itemsize,
+                    category="ooc_panel", label="A_ss assembly panel",
+                ):
+                    self.store.write_panel(
+                        lo, hi,
+                        problem.a_ss_op.block(all_rows, np.arange(lo, hi)),
+                    )
+        except BaseException:
+            # a container never handed out removes its file itself
+            self.store.close()
+            raise
 
     @property
     def disk_bytes(self) -> int:
@@ -474,24 +530,6 @@ def schur_panel(mf, a_sv_t: sp.csc_matrix, a_rows: sp.csr_matrix,
         y = mf.solve(a_sv_t[:, cols], wanted=wanted)
     with timer.phase("spmm"):
         return a_rows @ y
-
-
-def finalize_solution(ctx: RunContext, mf, container,
-                      sparse_factor_bytes: int):
-    """Shared epilogue: coupled solve, stats snapshot, resource release."""
-    from repro.core.result import CoupledSolution
-
-    p = ctx.problem
-    x_v, x_s = reduce_rhs_and_solve(
-        ctx, mf, container, p.b_v, p.b_s, ctx.config.refinement_steps
-    )
-    stats = ctx.stats(container.stored_bytes, sparse_factor_bytes)
-    container.free()
-    mf.free()
-    return CoupledSolution(
-        x_v=x_v, x_s=x_s, stats=stats,
-        relative_error=ctx.problem.relative_error(x_v, x_s),
-    )
 
 
 def _coupled_solve(ctx: RunContext, mf, container, b_v, b_s):

@@ -18,14 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.api import solve_coupled
 from repro.core.config import SolverConfig
-from repro.core.multi_factorization import solve_multi_factorization
-from repro.core.multi_solve import (
-    assemble_multi_solve,
-    make_multi_solve_context,
-    solve_multi_solve,
-)
-from repro.core.schur_tools import finalize_solution
+from repro.core.factorized import CoupledFactorization
+from repro.core.result import CoupledSolution
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.hmatrix import hodlr_from_dense, hodlr_zeros
 from repro.hmatrix.rk import RkAccumulator, RkMatrix, svd_truncate
@@ -332,11 +328,12 @@ class TestSplitAxpy:
 def _assemble_compressed(problem, **cfg_kwargs):
     config = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=256,
                           **cfg_kwargs)
-    ctx = make_multi_solve_context(problem, config)
-    mf, container, sparse_bytes = assemble_multi_solve(ctx)
-    s_dense = container.s.to_dense()
-    recompressions = container.s.n_offdiag_recompressions
-    sol = finalize_solution(ctx, mf, container, sparse_bytes)
+    with CoupledFactorization(problem, "multi_solve", config) as fact:
+        s_dense = fact._container.s.to_dense()
+        recompressions = fact._container.s.n_offdiag_recompressions
+        x_v, x_s = fact.solve(problem.b_v, problem.b_s)
+    sol = CoupledSolution(x_v, x_s, fact.stats,
+                          problem.relative_error(x_v, x_s))
     return s_dense, recompressions, sol
 
 
@@ -369,10 +366,10 @@ class TestEndToEnd:
 
     def test_multi_factorization_accumulate_matches_modes(self, pipe_small):
         config = SolverConfig(dense_backend="hmat", n_b=2, n_c=64)
-        on = solve_multi_factorization(
-            pipe_small, config.with_(axpy_accumulate=True))
-        off = solve_multi_factorization(
-            pipe_small, config.with_(axpy_accumulate=False))
+        on = solve_coupled(pipe_small, "multi_factorization",
+                           config.with_(axpy_accumulate=True))
+        off = solve_coupled(pipe_small, "multi_factorization",
+                            config.with_(axpy_accumulate=False))
         eps = config.epsilon
         assert on.relative_error <= eps
         assert off.relative_error <= eps
@@ -380,14 +377,16 @@ class TestEndToEnd:
     def test_multi_factorization_identical_across_workers(self, pipe_small):
         config = SolverConfig(dense_backend="hmat", n_b=2, n_c=64,
                               axpy_accumulate=True)
-        s1 = solve_multi_factorization(pipe_small, config.with_(n_workers=1))
-        s4 = solve_multi_factorization(pipe_small, config.with_(n_workers=4))
+        s1 = solve_coupled(pipe_small, "multi_factorization",
+                           config.with_(n_workers=1))
+        s4 = solve_coupled(pipe_small, "multi_factorization",
+                           config.with_(n_workers=4))
         assert np.array_equal(s1.x_s, s4.x_s)
         assert np.array_equal(s1.x_v, s4.x_v)
 
     def test_stats_record_accumulate_flag(self, pipe_small):
-        sol = solve_multi_solve(
-            pipe_small,
+        sol = solve_coupled(
+            pipe_small, "multi_solve",
             SolverConfig(dense_backend="hmat", axpy_accumulate=True),
         )
         assert sol.stats.params["axpy_accumulate"] is True

@@ -1,5 +1,6 @@
 """Tests for the reusable CoupledFactorization (factor once, solve many)."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -114,6 +115,17 @@ class TestLifecycleAndErrors:
         assert s.n_total == pipe_medium.n_total
         assert s.peak_bytes > 0
         assert "sparse_factorization" in s.phases
+
+    @pytest.mark.parametrize("backend", ["spido", "hmat", "spido_ooc"])
+    def test_stats_and_stored_bytes_survive_free(self, pipe_small, backend):
+        f = CoupledFactorization(pipe_small, "multi_solve",
+                                 SolverConfig(dense_backend=backend, n_c=64))
+        stats, stored = f.stats, f.stored_bytes
+        f.free()
+        assert f.stored_bytes == stored
+        # everything but the wall clock, which keeps running
+        assert dataclasses.replace(
+            f.stats, total_time=stats.total_time) == stats
 
 
 class TestConcurrency:

@@ -4,12 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.core import SolverConfig, solve_coupled
-from repro.core.multi_factorization import (
-    assemble_multi_factorization,
-    make_multi_factorization_context,
-)
-from repro.core.schur_tools import finalize_solution
+from repro.core import CoupledFactorization, SolverConfig, solve_coupled
 
 
 class TestDiagonalSymmetryFlag:
@@ -29,14 +24,13 @@ class TestDiagonalSymmetryFlag:
 
     def test_not_applied_to_nonsymmetric_problem(self, aircraft_small):
         # a non-symmetric system keeps the paper's n_b² LU blocks
-        ctx = make_multi_factorization_context(
-            aircraft_small, SolverConfig(n_b=2, epsilon=1e-4))
-        mf, container, factor_bytes = assemble_multi_factorization(ctx)
-        mode = mf.mode
-        sol = finalize_solution(ctx, mf, container, factor_bytes)  # frees
-        assert sol.stats.n_sparse_factorizations == 4
+        with CoupledFactorization(aircraft_small, "multi_factorization",
+                                  SolverConfig(n_b=2, epsilon=1e-4)) as fact:
+            mode = fact._mf.mode
+            x_v, x_s = fact.solve(aircraft_small.b_v, aircraft_small.b_s)
+        assert fact.stats.n_sparse_factorizations == 4
         assert mode == "lu"
-        assert sol.relative_error < 1e-4
+        assert aircraft_small.relative_error(x_v, x_s) < 1e-4
 
     def test_diagonal_symmetry_saves_factor_storage(self, pipe_medium):
         """On the i == j blocks the symmetric mode stores one panel set."""

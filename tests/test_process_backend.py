@@ -20,11 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import SolverConfig
-from repro.core.multi_solve import (
-    assemble_multi_solve,
-    make_multi_solve_context,
-)
-from repro.core.schur_tools import finalize_solution
+from repro.core.factorized import CoupledFactorization
+from repro.core.result import CoupledSolution
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import (
     PanelTask,
@@ -273,22 +270,13 @@ class TestProcessScheduler:
 def _assemble_and_solve(problem, algorithm, config):
     """Run one coupled solve, returning ``(S_dense, solution, ctx)`` with
     the (factored) Schur complement densified for bitwise comparison."""
-    if algorithm == "multi_solve":
-        ctx = make_multi_solve_context(problem, config)
-        pieces = assemble_multi_solve(ctx)
-    else:
-        from repro.core.multi_factorization import (
-            assemble_multi_factorization,
-            make_multi_factorization_context,
-        )
-
-        ctx = make_multi_factorization_context(problem, config)
-        pieces = assemble_multi_factorization(ctx)
-    container = pieces[1]
-    s = container.s
-    s_dense = s.copy() if isinstance(s, np.ndarray) else s.to_dense()
-    solution = finalize_solution(ctx, *pieces)
-    return s_dense, solution, ctx
+    with CoupledFactorization(problem, algorithm, config) as fact:
+        s = fact._container.s
+        s_dense = s.copy() if isinstance(s, np.ndarray) else s.to_dense()
+        x_v, x_s = fact.solve(problem.b_v, problem.b_s)
+        solution = CoupledSolution(x_v, x_s, fact.stats,
+                                   problem.relative_error(x_v, x_s))
+    return s_dense, solution, fact._ctx
 
 
 class TestBackendParity:

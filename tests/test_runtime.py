@@ -17,11 +17,8 @@ import pytest
 
 from repro.core.api import solve_coupled
 from repro.core.config import SolverConfig
-from repro.core.multi_solve import (
-    assemble_multi_solve,
-    make_multi_solve_context,
-)
-from repro.core.schur_tools import finalize_solution
+from repro.core.factorized import CoupledFactorization
+from repro.core.result import CoupledSolution
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import PanelTask, ParallelRuntime, resolve_n_workers
 from repro.utils.errors import ConfigurationError, MemoryLimitExceeded
@@ -317,19 +314,11 @@ class TestBitIdenticalSolutions:
 
 class TestMemoryBoundedExecution:
     def _run_tracked(self, problem, algorithm, config):
-        if algorithm == "multi_solve":
-            ctx = make_multi_solve_context(problem, config)
-            pieces = assemble_multi_solve(ctx)
-        else:
-            from repro.core.multi_factorization import (
-                assemble_multi_factorization,
-                make_multi_factorization_context,
-            )
-
-            ctx = make_multi_factorization_context(problem, config)
-            pieces = assemble_multi_factorization(ctx)
-        solution = finalize_solution(ctx, *pieces)
-        return ctx, solution
+        """``solve_coupled`` that also hands back the run's context."""
+        with CoupledFactorization(problem, algorithm, config) as fact:
+            x_v, x_s = fact.solve(problem.b_v, problem.b_s)
+            solution = CoupledSolution(x_v, x_s, fact.stats)
+        return fact._ctx, solution
 
     def test_untracked_z_panel_is_now_accounted(self, pipe_small):
         """Regression: the SpMM result ``Z_i`` (n_bem × n_c) must be part

@@ -22,6 +22,7 @@ LOCK_HIERARCHY = (
     "_cache_lock",   # repro.sparse.symbolic_cache.SymbolicCache (leaf)
     "_stats_lock",   # repro.sparse.solver.SparseSolver counters (leaf)
     "_axpy_lock",    # repro.hmatrix.hmatrix.HMatrix AXPY counters (leaf)
+    "_own_lock",     # repro.core.schur_tools.RunContext owned set (leaf)
 )
 # The process execution backend (repro.runtime.process_backend) adds no
 # entry here on purpose: its coordinator is single-threaded and its
