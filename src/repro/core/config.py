@@ -89,33 +89,6 @@ class SolverConfig:
     #: what Fig. 12 sweeps); results differ only in rounding order, both
     #: within ε.
     axpy_accumulate: bool = True
-    #: Maximum live :class:`repro.core.factorized.CoupledFactorization`
-    #: entries the serving layer's factor cache keeps (LRU beyond this).
-    serve_cache_entries: int = 4
-    #: Byte budget of the factor cache: each cached entry charges its
-    #: ``peak_bytes`` against the server's dedicated ``MemoryTracker``
-    #: under the ``factor_cache`` category; a miss that does not admit
-    #: evicts LRU entries until it does.  ``None`` = unlimited.
-    serve_cache_budget: Optional[int] = None
-    #: Coalesce concurrent solve requests with the same system
-    #: fingerprint/dtype into blocked RHS panels (the serving tentpole).
-    #: Off, each request dispatches alone — bytes then match a direct
-    #: ``solve_coupled`` exactly (coalesced panels change the BLAS sweep
-    #: shape, so batched results agree within the solver tolerance
-    #: instead; see ``docs/serving.md``).
-    serve_batching: bool = True
-    #: Linger window (milliseconds) a batch stays open for co-arriving
-    #: requests before dispatch.  0 dispatches immediately (batches still
-    #: form under backpressure while the executor is busy).
-    serve_batch_linger_ms: float = 2.0
-    #: Column budget per dispatched batch.  ``None`` = the blocked-sweep
-    #: panel width (:data:`repro.sparse.multifrontal.DEFAULT_RHS_PANEL`),
-    #: so one batch is exactly one cache-resident sweep.
-    serve_max_batch_cols: Optional[int] = None
-    #: Worker threads of the server's solve/factorize executor.  2 keeps
-    #: one factorization build from stalling batched solves of cached
-    #: entries.
-    serve_executor_threads: int = 2
 
     def __post_init__(self):
         if self.dense_backend not in DENSE_BACKENDS:
@@ -145,23 +118,6 @@ class SolverConfig:
             raise ConfigurationError(
                 "runtime_backend must be 'thread', 'process' or None"
             )
-        if self.serve_cache_entries < 1:
-            raise ConfigurationError("serve_cache_entries must be >= 1")
-        if self.serve_cache_budget is not None and self.serve_cache_budget <= 0:
-            raise ConfigurationError(
-                "serve_cache_budget must be positive or None"
-            )
-        if self.serve_batch_linger_ms < 0:
-            raise ConfigurationError(
-                "serve_batch_linger_ms must be non-negative"
-            )
-        if (self.serve_max_batch_cols is not None
-                and self.serve_max_batch_cols < 1):
-            raise ConfigurationError(
-                "serve_max_batch_cols must be >= 1 or None"
-            )
-        if self.serve_executor_threads < 1:
-            raise ConfigurationError("serve_executor_threads must be >= 1")
 
     @property
     def effective_n_workers(self) -> int:
@@ -177,15 +133,6 @@ class SolverConfig:
         from repro.runtime import resolve_runtime_backend
 
         return resolve_runtime_backend(self.runtime_backend)
-
-    @property
-    def effective_serve_max_batch_cols(self) -> int:
-        """Resolved batch column budget (default: the blocked-sweep panel)."""
-        if self.serve_max_batch_cols is not None:
-            return int(self.serve_max_batch_cols)
-        from repro.sparse.multifrontal import DEFAULT_RHS_PANEL
-
-        return DEFAULT_RHS_PANEL
 
     @property
     def hierarchical_tol(self) -> float:

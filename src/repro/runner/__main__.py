@@ -64,30 +64,20 @@ def _cmd_serve(args) -> str:
     import asyncio
 
     from repro.core.config import SolverConfig
-    from repro.serving import run_server
+    from repro.serving import default_socket_path, run_server
 
-    config = SolverConfig(
-        dense_backend=args.dense_backend,
-        serve_cache_entries=args.cache_entries,
-        serve_cache_budget=args.cache_budget,
-        serve_batching=args.batching,
-        serve_batch_linger_ms=args.linger_ms,
-        serve_max_batch_cols=args.max_batch_cols,
-        serve_executor_threads=args.executor_threads,
-    )
-    from repro.serving.server import default_socket_path
-
+    config = SolverConfig(dense_backend=args.dense_backend)
     socket_path = args.socket or default_socket_path()
-    print(f"serving on {socket_path} "
-          f"(cache: {'on' if args.cache else 'off'}, "
-          f"batching: {'on' if config.serve_batching else 'off'})",
-          flush=True)
+    budget = ("unlimited" if args.cache_budget is None
+              else f"{args.cache_budget} B")
+    print(f"serving on {socket_path} (cache budget: {budget})", flush=True)
     asyncio.run(run_server(config, socket_path=socket_path,
-                           cache_enabled=args.cache))
+                           cache_budget=args.cache_budget))
     return "server stopped"
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (every subcommand and its flags)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
         description="Regenerate the paper's tables and figures "
@@ -135,24 +125,17 @@ def main(argv=None) -> int:
     ps.add_argument("--dense-backend", default="hmat",
                     choices=DENSE_BACKENDS,
                     help="Schur backend of served factorizations")
-    ps.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                    default=True,
-                    help="cache numeric factorizations across requests")
-    ps.add_argument("--cache-entries", type=int, default=4,
-                    help="factor-cache entry cap (LRU beyond it)")
     ps.add_argument("--cache-budget", type=int, default=None, metavar="BYTES",
                     help="factor-cache byte budget (default: unlimited)")
-    ps.add_argument("--batching", action=argparse.BooleanOptionalAction,
-                    default=True,
-                    help="coalesce concurrent RHS into panels")
-    ps.add_argument("--linger-ms", type=float, default=2.0,
-                    help="batching linger window in milliseconds")
-    ps.add_argument("--max-batch-cols", type=int, default=None,
-                    help="panel column cap (default: DEFAULT_RHS_PANEL)")
-    ps.add_argument("--executor-threads", type=int, default=2,
-                    help="blocking-work executor threads")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "serve" and args.cache_budget is not None
+            and args.cache_budget < 1):
+        parser.error("--cache-budget must be >= 1")
     # the experiment grid builds many SolverConfigs internally; the
     # environment defaults reach all of them without re-plumbing
     overrides = {}

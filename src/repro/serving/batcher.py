@@ -6,9 +6,9 @@ sweep over 32 columns costs far less than 32 GEMV-bound vector sweeps.
 A serving workload arrives as many small independent requests, so the
 panel has to be *re-assembled at the server*: :class:`RhsBatcher` holds
 compatible pending solves (same factorization key, same dtypes) for a
-short linger window, concatenates their columns into one panel up to
-``max_cols``, runs a single blocked solve, and scatters the result
-columns back to each caller's future.
+short linger window (:data:`LINGER_SECONDS`), concatenates their columns
+into one panel of at most :data:`MAX_BATCH_COLS`, runs a single blocked
+solve, and scatters the result columns back to each caller's future.
 
 Batching discipline:
 
@@ -23,9 +23,8 @@ Batching discipline:
   caller's arrays through unmodified, so its solution is byte-identical
   to a direct :meth:`CoupledFactorization.solve`.  Coalesced multi-
   request panels take the GEMM path, whose column results agree with
-  the vector path only to solver tolerance (see ``docs/serving.md``);
-  batching is therefore a config switch
-  (``SolverConfig.serve_batching``), not always-on.
+  the vector path only to solver tolerance (see ``docs/serving.md``), so
+  a bit-reproducibility audit sends its requests one at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +36,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.factorized import CoupledFactorization
+from repro.sparse.multifrontal import DEFAULT_RHS_PANEL
+
+#: How long the first request of a panel waits for company.
+LINGER_SECONDS = 0.002
+
+#: Panel column cap: the blocked-sweep panel width, so one batch is
+#: exactly one cache-resident sweep.  A group dispatches early when full;
+#: a single oversized request dispatches alone, unsplit.
+MAX_BATCH_COLS = DEFAULT_RHS_PANEL
+
 
 def _as_panel(column: np.ndarray) -> np.ndarray:
     """View a 1-D load case as an (n, 1) panel; pass 2-D through."""
@@ -81,14 +90,6 @@ class RhsBatcher:
         Coroutine ``(fact, b_v, b_s) -> (x_v, x_s)`` performing the
         blocked solve without blocking the loop (the server wraps the
         solve in ``run_in_executor``).
-    linger_seconds:
-        How long the first request of a panel waits for company.
-    max_cols:
-        Panel column cap; a group dispatches early when full.  A single
-        oversized request dispatches alone, unsplit.
-    enabled:
-        ``False`` dispatches every request immediately as a panel of
-        one (the byte-exact path).
     on_batch:
         Optional callback ``(n_requests, n_columns, queue_waits,
         solve_seconds)`` invoked per dispatched panel (stats hook).
@@ -98,19 +99,12 @@ class RhsBatcher:
         self,
         loop: asyncio.AbstractEventLoop,
         run_solve: Callable,
-        *,
-        linger_seconds: float = 0.002,
-        max_cols: int = 256,
-        enabled: bool = True,
         on_batch: Optional[Callable] = None,
     ) -> None:
-        if max_cols < 1:
-            raise ValueError("max_cols must be >= 1")
         self._loop = loop
         self._run_solve = run_solve
-        self.linger_seconds = float(linger_seconds)
-        self.max_cols = int(max_cols)
-        self.enabled = bool(enabled)
+        self.linger_seconds = LINGER_SECONDS
+        self.max_cols = MAX_BATCH_COLS
         self._on_batch = on_batch
         self._groups: Dict[Tuple, _Group] = {}
         self._inflight: set = set()
@@ -123,12 +117,6 @@ class RhsBatcher:
         b_s = np.asarray(b_s)
         pending = _PendingSolve(b_v, b_s, self._loop.create_future(),
                                 time.monotonic())
-        if not self.enabled:
-            group = _Group(fact)
-            group.pending.append(pending)
-            group.n_cols = pending.n_cols
-            self._dispatch(group)
-            return pending.future
         gkey = (key, b_v.dtype.str, b_s.dtype.str)
         group = self._groups.get(gkey)
         if group is not None and group.n_cols + pending.n_cols > self.max_cols:

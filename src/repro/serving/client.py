@@ -11,7 +11,7 @@ and transparently **reconnect with bounded exponential backoff** when the
 connection drops mid-request (server restart, transient socket failure):
 the failed request is re-sent on the fresh connection — every server op
 is idempotent against the factor cache except ``shutdown``, which is
-never retried.  ``retries=0`` restores fail-fast behaviour.
+never retried.
 
 >>> client = await ServingClient.connect(socket_path)
 >>> result = await client.factorize(problem)          # miss: builds
@@ -34,7 +34,9 @@ from repro.serving.protocol import (
     write_message,
 )
 
-#: Defaults of the reconnect policy (see :meth:`ServingClient.connect`).
+#: Reconnect policy: one request is retried at most ``DEFAULT_RETRIES``
+#: times after a lost connection, waiting ``DEFAULT_BACKOFF_BASE ·
+#: 2^attempt`` seconds capped at ``DEFAULT_BACKOFF_CAP`` between attempts.
 DEFAULT_RETRIES = 5
 DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 1.0
@@ -62,16 +64,10 @@ class ServingClient:
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
-                 socket_path: Optional[str] = None,
-                 retries: int = DEFAULT_RETRIES,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP) -> None:
+                 socket_path: Optional[str] = None) -> None:
         self._reader = reader
         self._writer = writer
         self._socket_path = socket_path
-        self._retries = max(0, int(retries))
-        self._backoff_base = float(backoff_base)
-        self._backoff_cap = float(backoff_cap)
         self._write_lock = asyncio.Lock()
         self._reconnect_lock = asyncio.Lock()
         self._pending: Dict[int, "asyncio.Future"] = {}
@@ -81,21 +77,10 @@ class ServingClient:
         self._reader_task = asyncio.ensure_future(self._read_loop(reader))
 
     @classmethod
-    async def connect(cls, socket_path: str,
-                      retries: int = DEFAULT_RETRIES,
-                      backoff_base: float = DEFAULT_BACKOFF_BASE,
-                      backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                      ) -> "ServingClient":
-        """Connect to ``socket_path`` and remember it for reconnects.
-
-        ``retries`` bounds how often one request is retried after a lost
-        connection; waits between attempts grow as
-        ``backoff_base · 2^attempt`` capped at ``backoff_cap`` seconds.
-        """
+    async def connect(cls, socket_path: str) -> "ServingClient":
+        """Connect to ``socket_path`` and remember it for reconnects."""
         reader, writer = await asyncio.open_unix_connection(socket_path)
-        return cls(reader, writer, socket_path=socket_path,
-                   retries=retries, backoff_base=backoff_base,
-                   backoff_cap=backoff_cap)
+        return cls(reader, writer, socket_path=socket_path)
 
     # -- plumbing --------------------------------------------------------------
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
@@ -145,9 +130,16 @@ class ServingClient:
             self._reader_task.cancel()
             await asyncio.gather(self._reader_task, return_exceptions=True)
             self._writer.close()
-            reader, writer = await asyncio.open_unix_connection(
-                self._socket_path
-            )
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    self._socket_path
+                )
+            except OSError as exc:
+                # no server on the socket (yet): the same typed, retryable
+                # failure as a connection that drops mid-request
+                raise ConnectionLostError(
+                    f"reconnect to {self._socket_path} failed: {exc}"
+                ) from exc
             self._reader = reader
             self._writer = writer
             self._reader_task = asyncio.ensure_future(self._read_loop(reader))
@@ -182,17 +174,17 @@ class ServingClient:
                 if self._broken:
                     await self._ensure_connected()
                 return await self._request_once(op, **fields)
-            except (ConnectionLostError, ConnectionError, OSError) as exc:
+            except ConnectionLostError:
                 self._broken = True
                 retryable = (
                     op != "shutdown"
                     and self._socket_path is not None
                     and not self._closed
                 )
-                if not retryable or attempt >= self._retries:
+                if not retryable or attempt >= DEFAULT_RETRIES:
                     raise
-                delay = min(self._backoff_cap,
-                            self._backoff_base * (2 ** attempt))
+                delay = min(DEFAULT_BACKOFF_CAP,
+                            DEFAULT_BACKOFF_BASE * (2 ** attempt))
                 attempt += 1
                 await asyncio.sleep(delay)
 

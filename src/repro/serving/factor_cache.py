@@ -52,17 +52,11 @@ FACTOR_CACHE_CATEGORY = "factor_cache"
 
 #: ``SolverConfig`` fields excluded from :func:`system_fingerprint`:
 #: execution-only knobs that are guaranteed (and tested) not to change
-#: the factor bytes, plus the serving knobs themselves.
+#: the factor bytes.
 _FINGERPRINT_EXCLUDED_FIELDS = frozenset({
     "n_workers",            # bit-identical by the runtime's ordered commit
     "runtime_backend",      # bit-identical across thread/process backends
     "memory_limit",         # affects admission, never values
-    "serve_cache_entries",
-    "serve_cache_budget",
-    "serve_batching",
-    "serve_batch_linger_ms",
-    "serve_max_batch_cols",
-    "serve_executor_threads",
 })
 
 
@@ -143,22 +137,15 @@ class FactorCache:
     budget_bytes:
         Byte budget enforced through a dedicated tracker; ``None`` means
         unlimited (the entry-count cap still applies).
-    enabled:
-        ``False`` turns numeric-factor reuse off for A/B measurement:
-        every :meth:`get_or_build` builds a fresh entry under a salted
-        key (so key-based solves still work) and counts as a miss.
     """
 
-    def __init__(self, max_entries: int = 4,
-                 budget_bytes: Optional[int] = None,
-                 enabled: bool = True,
-                 tracker_name: str = "factor_cache") -> None:
+    def __init__(self, max_entries: int,
+                 budget_bytes: Optional[int] = None) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self.enabled = bool(enabled)
         self.tracker = MemoryTracker(limit_bytes=budget_bytes,
-                                     name=tracker_name)
+                                     name="factor_cache")
         self._factor_lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()  # guarded-by: _factor_lock
         self._pending: Dict[str, _BuildLatch] = {}  # guarded-by: _factor_lock
@@ -166,7 +153,6 @@ class FactorCache:
         self._misses = 0  # guarded-by: _factor_lock
         self._evictions = 0  # guarded-by: _factor_lock
         self._builds = 0  # guarded-by: _factor_lock
-        self._build_seq = 0  # guarded-by: _factor_lock
 
     # -- the one way in --------------------------------------------------------
     def get_or_build(
@@ -180,10 +166,6 @@ class FactorCache:
         propagates to every waiter.  On a miss under a full budget, LRU
         entries are evicted until the new entry's ``peak_bytes`` admits.
         """
-        if not self.enabled:
-            with self._factor_lock:
-                self._build_seq += 1
-                key = f"{key}#nocache{self._build_seq}"
         while True:
             with self._factor_lock:
                 entry = self._entries.get(key)
@@ -303,7 +285,6 @@ class FactorCache:
     def stats(self) -> Dict[str, Any]:
         with self._factor_lock:
             return {
-                "enabled": self.enabled,
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
                 "hits": self._hits,

@@ -49,6 +49,13 @@ from repro.serving.protocol import (
 )
 from repro.serving.stats import ServerStats
 
+#: Live factorizations the cache keeps (LRU beyond this).
+CACHE_ENTRIES = 4
+
+#: Threads of the solve / factorize executor: 2 keeps one factorization
+#: build from stalling batched solves of cached entries.
+EXECUTOR_THREADS = 2
+
 
 def default_socket_path() -> str:
     """Per-user default unix socket path."""
@@ -62,29 +69,26 @@ class SolverServer:
     Parameters
     ----------
     config:
-        Solver configuration; the ``serve_*`` fields size the cache,
-        the batcher and the executor (see :class:`SolverConfig`).
+        Solver configuration of every factorization the server builds.
     socket_path:
         Unix socket to bind; defaults to a per-PID path under the
         system temp directory.
-    cache_enabled:
-        ``False`` disables numeric-factor reuse (every ``factorize``
-        request builds).
+    cache_budget:
+        Byte budget of the factor cache (each entry charges its
+        ``peak_bytes``; LRU entries are evicted until a miss admits);
+        ``None`` = unlimited, the :data:`CACHE_ENTRIES` cap still holds.
     """
 
     def __init__(self, config: SolverConfig = SolverConfig(),
                  socket_path: Optional[str] = None,
-                 cache_enabled: bool = True) -> None:
+                 cache_budget: Optional[int] = None) -> None:
         self.config = config
         self.socket_path = socket_path or default_socket_path()
         self.stats = ServerStats()
-        self.cache = FactorCache(
-            max_entries=config.serve_cache_entries,
-            budget_bytes=config.serve_cache_budget,
-            enabled=cache_enabled,
-        )
+        self.cache = FactorCache(max_entries=CACHE_ENTRIES,
+                                 budget_bytes=cache_budget)
         self._executor = ThreadPoolExecutor(
-            max_workers=config.serve_executor_threads,
+            max_workers=EXECUTOR_THREADS,
             thread_name_prefix="repro-serve",
         )
         self._batcher: Optional[RhsBatcher] = None
@@ -99,14 +103,8 @@ class SolverServer:
         """Bind the socket and start accepting connections."""
         self._loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
-        self._batcher = RhsBatcher(
-            self._loop,
-            self._solve_in_executor,
-            linger_seconds=self.config.serve_batch_linger_ms / 1000.0,
-            max_cols=self.config.effective_serve_max_batch_cols,
-            enabled=self.config.serve_batching,
-            on_batch=self.stats.record_batch,
-        )
+        self._batcher = RhsBatcher(self._loop, self._solve_in_executor,
+                                   on_batch=self.stats.record_batch)
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)  # stale socket from a dead server
         self._server = await asyncio.start_unix_server(
@@ -139,6 +137,10 @@ class SolverServer:
         # connection handler exits, which the handlers only do on EOF.
         for writer in list(self._connections):
             writer.close()
+        # a handler exits only once its requests are answered: dispatch
+        # lingering batches now rather than after their linger window
+        if self._batcher is not None:
+            self._batcher.flush()
         if self._server is not None:
             await self._server.wait_closed()
         if self._batcher is not None:
@@ -280,18 +282,10 @@ class SolverServer:
 
 async def run_server(config: SolverConfig = SolverConfig(),
                      socket_path: Optional[str] = None,
-                     cache_enabled: bool = True,
-                     ready_event: Optional[asyncio.Event] = None,
+                     cache_budget: Optional[int] = None,
                      ) -> SolverServer:
-    """Start a server and block until it is asked to shut down.
-
-    ``ready_event`` (if given) is set once the socket is accepting —
-    the hook the CLI and the tests use to order client startup.
-    """
+    """Start a server and block until it is asked to shut down."""
     server = SolverServer(config, socket_path=socket_path,
-                          cache_enabled=cache_enabled)
-    await server.start()
-    if ready_event is not None:
-        ready_event.set()
+                          cache_budget=cache_budget)
     await server.serve_until_shutdown()
     return server

@@ -9,7 +9,7 @@ shared with executor threads and has its own lock) and are merged into
 :meth:`snapshot` on demand.
 
 A snapshot is a plain JSON-able dict, served over the wire for the
-``stats`` request and embedded into ``BENCH_serving.json``.
+``stats`` request.
 """
 
 from __future__ import annotations
@@ -67,10 +67,12 @@ class ServerStats:
         self.n_connections = 0
         self.n_requests: Dict[str, int] = {}
         self.n_errors = 0
+        #: every solve request reaches the executor through one batch
+        #: (a lone request is a batch of one), so this one counter is
+        #: both the snapshot's ``requests`` and its ``batched_requests``
         self.n_solve_requests = 0
         self.n_solve_columns = 0
         self.n_batches = 0
-        self.n_batched_requests = 0
         #: batch size histograms: requests coalesced per dispatch and
         #: total RHS columns per dispatch
         self.batch_request_hist: Dict[int, int] = {}
@@ -89,7 +91,6 @@ class ServerStats:
     def record_batch(self, n_requests: int, n_columns: int,
                      queue_waits: List[float], solve_seconds: float) -> None:
         self.n_batches += 1
-        self.n_batched_requests += n_requests
         self.n_solve_requests += n_requests
         self.n_solve_columns += n_columns
         self.batch_request_hist[n_requests] = (
@@ -117,9 +118,9 @@ class ServerStats:
                 "requests": self.n_solve_requests,
                 "columns": self.n_solve_columns,
                 "batches": self.n_batches,
-                "batched_requests": self.n_batched_requests,
+                "batched_requests": self.n_solve_requests,
                 "mean_batch_requests": (
-                    self.n_batched_requests / self.n_batches
+                    self.n_solve_requests / self.n_batches
                     if self.n_batches else None
                 ),
                 "batch_request_hist": {

@@ -117,7 +117,7 @@ class TestCli:
         started = {}
 
         async def fake_run_server(config, socket_path=None,
-                                  cache_enabled=True):
+                                  cache_budget=None):
             started["config"] = config
 
         monkeypatch.setattr("repro.serving.run_server", fake_run_server)
@@ -128,3 +128,7 @@ class TestCli:
     def test_serve_rejects_unknown_dense_backend(self):
         with pytest.raises(SystemExit):
             runner_main(["serve", "--dense-backend", "dense"])
+
+    def test_serve_rejects_non_positive_cache_budget(self):
+        with pytest.raises(SystemExit):
+            runner_main(["serve", "--cache-budget", "0"])

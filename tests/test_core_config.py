@@ -93,12 +93,14 @@ class TestOptionValuesAreFields:
     def test_switches_are_plain_fields_the_environment_cannot_move(
         self, monkeypatch, pipe_small
     ):
-        """``axpy_accumulate`` / ``serve_batching`` are ``bool`` fields and
-        the symbolic cache is always attached: the variables that used to
-        mirror them no longer reach the config or the solution."""
+        """``axpy_accumulate`` is a ``bool`` field, the symbolic cache is
+        always attached and the server's settings are not config fields:
+        the variables that used to mirror them no longer reach the config
+        or the solution."""
         types = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
-        assert types["axpy_accumulate"] == types["serve_batching"] == "bool"
+        assert types["axpy_accumulate"] == "bool"
         assert "reuse_analysis" not in types
+        assert not [name for name in types if name.startswith("serve_")]
         config = SolverConfig(dense_backend="hmat", n_b=2)
         before = solve_coupled(pipe_small, "multi_factorization", config)
         for name in ("REPRO_AXPY_ACCUMULATE", "REPRO_REUSE_ANALYSIS",
@@ -106,7 +108,6 @@ class TestOptionValuesAreFields:
             monkeypatch.setenv(name, "0")
         assert SolverConfig(dense_backend="hmat", n_b=2) == config
         assert config.axpy_accumulate is True
-        assert config.serve_batching is True
         after = solve_coupled(pipe_small, "multi_factorization", config)
         assert np.array_equal(before.x_s, after.x_s)
         assert after.stats.n_symbolic_reuses == before.stats.n_symbolic_reuses

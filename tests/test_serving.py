@@ -10,10 +10,12 @@ the module watchdog from ``conftest.py``).
 
 import asyncio
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from repro.serving import (
     ServingError,
 )
 from repro.serving.protocol import error_response, raise_remote_error
-from repro.utils.errors import FactorizationFreed
+from repro.utils.errors import FactorizationFreed, MemoryLimitExceeded
 
 CONFIG_KW = dict(dense_backend="hmat", n_c=64)
 
@@ -37,12 +39,11 @@ def short_socket_path():
     return os.path.join(tempfile.mkdtemp(prefix="repro-srv-"), "s.sock")
 
 
-def run_with_server(config, body, cache_enabled=True):
+def run_with_server(config, body):
     """Run ``body(server, client)`` against a live server; clean stop."""
 
     async def main():
-        server = SolverServer(config, socket_path=short_socket_path(),
-                              cache_enabled=cache_enabled)
+        server = SolverServer(config, socket_path=short_socket_path())
         await server.start()
         client = await ServingClient.connect(server.socket_path)
         try:
@@ -116,26 +117,10 @@ class TestProtocolBasics:
 
 
 class TestFactorizeAndSolve:
-    def test_unbatched_solve_is_byte_identical(self, pipe_small):
-        """Batching off: the served solution equals solve_coupled exactly."""
-        config = SolverConfig(serve_batching=False, **CONFIG_KW)
-        reference = solve_coupled(pipe_small, "multi_solve", config)
-
-        async def body(server, client):
-            result = await client.factorize(pipe_small)
-            assert not result.hit
-            x_v, x_s = await client.solve(result.key, pipe_small.b_v,
-                                          pipe_small.b_s)
-            np.testing.assert_array_equal(x_v, reference.x_v)
-            np.testing.assert_array_equal(x_s, reference.x_s)
-
-        run_with_server(config, body)
-
     def test_lone_request_is_byte_identical_even_with_batching(
             self, pipe_small):
         """A panel of one passes arrays through unmodified."""
-        config = SolverConfig(serve_batching=True,
-                              serve_batch_linger_ms=1.0, **CONFIG_KW)
+        config = SolverConfig(**CONFIG_KW)
         reference = solve_coupled(pipe_small, "multi_solve", config)
 
         async def body(server, client):
@@ -165,8 +150,7 @@ class TestFactorizeAndSolve:
             async def run_solve(f, b_v, b_s):
                 return f.solve(b_v, b_s)
 
-            batcher = RhsBatcher(asyncio.get_running_loop(), run_solve,
-                                 linger_seconds=0.001)
+            batcher = RhsBatcher(asyncio.get_running_loop(), run_solve)
             return await batcher.submit("k", fact, pipe_small.b_v,
                                         pipe_small.b_s)
 
@@ -188,11 +172,12 @@ class TestFactorizeAndSolve:
 
         run_with_server(SolverConfig(**CONFIG_KW), body)
 
-    def test_concurrent_solves_coalesce_and_agree(self, pipe_small):
+    def test_concurrent_solves_coalesce_and_agree(self, pipe_small,
+                                                  monkeypatch):
         """Overlapping requests batch into one panel; results match the
         direct solve to solver tolerance and scatter deterministically."""
-        config = SolverConfig(serve_batching=True,
-                              serve_batch_linger_ms=50.0, **CONFIG_KW)
+        monkeypatch.setattr("repro.serving.batcher.LINGER_SECONDS", 0.05)
+        config = SolverConfig(**CONFIG_KW)
         scales = [1.0, -2.0, 0.5, 3.0, -1.5, 0.25]
 
         async def body(server, client):
@@ -218,10 +203,11 @@ class TestFactorizeAndSolve:
 
         run_with_server(config, body)
 
-    def test_matrix_load_cases_scatter_correctly(self, pipe_small):
+    def test_matrix_load_cases_scatter_correctly(self, pipe_small,
+                                                 monkeypatch):
         """Mixed vector and multi-column requests in one batch."""
-        config = SolverConfig(serve_batching=True,
-                              serve_batch_linger_ms=50.0, **CONFIG_KW)
+        monkeypatch.setattr("repro.serving.batcher.LINGER_SECONDS", 0.05)
+        config = SolverConfig(**CONFIG_KW)
 
         async def body(server, client):
             result = await client.factorize(pipe_small)
@@ -280,34 +266,51 @@ class TestCacheLifecycleOverProtocol:
 
         run_with_server(SolverConfig(**CONFIG_KW), body)
 
-    def test_cache_disabled_mode_counts_misses(self, pipe_small):
-        async def body(server, client):
-            first = await client.factorize(pipe_small)
-            second = await client.factorize(pipe_small)
-            assert not first.hit and not second.hit
-            assert first.key != second.key
-            stats = await client.stats()
-            assert stats["cache"]["enabled"] is False
-            assert stats["cache"]["misses"] == 2
+    def test_factorize_over_the_memory_limit_leaves_nothing_behind(
+            self, pipe_small):
+        """A served factorize under a ``memory_limit`` it cannot meet: the
+        typed error reaches the client, the server keeps answering, the
+        cache holds neither an entry nor a build latch, a retry is a fresh
+        miss that fails the same way, and ``stop()`` (run_with_server
+        teardown) finds a zero balance."""
+        limit = 1 << 20  # below the ~2.4 MB peak of pipe_small
 
-        run_with_server(
-            SolverConfig(serve_cache_entries=4, **CONFIG_KW),
-            body, cache_enabled=False,
-        )
+        async def body(server, client):
+            with pytest.raises(MemoryLimitExceeded) as first:
+                await client.factorize(pipe_small)
+            assert first.value.limit == limit
+            assert first.value.requested > 0
+            assert await client.ping()
+            assert len(server.cache) == 0
+            assert not server.cache._pending
+            with pytest.raises(MemoryLimitExceeded) as second:
+                await client.factorize(pipe_small)
+            assert second.value.limit == limit
+            assert second.value.requested > 0
+            stats = await client.stats()
+            assert stats["cache"]["misses"] == 2
+            assert stats["cache"]["hits"] == 0
+            assert stats["cache"]["builds"] == 0
+            assert stats["cache"]["entries"] == 0
+            assert not server.cache._pending
+
+        run_with_server(SolverConfig(memory_limit=limit, **CONFIG_KW), body)
 
 
 class TestReconnect:
-    def test_client_survives_a_server_restart(self, pipe_small):
+    def test_client_survives_a_server_restart(self, pipe_small,
+                                              monkeypatch):
         """Kill the server, bring a new one up on the same socket: the
         client reconnects with backoff and the request succeeds."""
+        monkeypatch.setattr("repro.serving.client.DEFAULT_BACKOFF_BASE",
+                            0.01)
 
         async def main():
             socket_path = short_socket_path()
             first = SolverServer(SolverConfig(**CONFIG_KW),
                                  socket_path=socket_path)
             await first.start()
-            client = await ServingClient.connect(socket_path,
-                                                 backoff_base=0.01)
+            client = await ServingClient.connect(socket_path)
             try:
                 assert await client.ping()
                 await first.stop()  # connection drops under the client
@@ -326,17 +329,18 @@ class TestReconnect:
 
         asyncio.run(main())
 
-    def test_retries_exhausted_raises(self, pipe_small):
+    def test_retries_exhausted_raises(self, pipe_small, monkeypatch):
         """No server comes back: bounded retries, then the failure
         propagates instead of looping forever."""
+        monkeypatch.setattr("repro.serving.client.DEFAULT_RETRIES", 2)
+        monkeypatch.setattr("repro.serving.client.DEFAULT_BACKOFF_BASE",
+                            0.01)
 
         async def main():
             server = SolverServer(SolverConfig(**CONFIG_KW),
                                   socket_path=short_socket_path())
             await server.start()
-            client = await ServingClient.connect(server.socket_path,
-                                                 retries=2,
-                                                 backoff_base=0.01)
+            client = await ServingClient.connect(server.socket_path)
             try:
                 assert await client.ping()
                 await server.stop()
@@ -347,20 +351,52 @@ class TestReconnect:
 
         asyncio.run(main())
 
-    def test_retries_zero_fails_fast(self, pipe_small):
+    def test_stop_with_a_coalesced_batch_in_flight(self, pipe_small,
+                                                   monkeypatch):
+        """Stop the server while a batch of solves from two clients
+        lingers: every call ends within a bound, with its answer or a typed
+        error (never a hang), and the stopped server's cache reads zero."""
+        monkeypatch.setattr("repro.serving.batcher.LINGER_SECONDS", 60.0)
+        bound = 30.0  # half the linger: a stop that waits it out fails
+        scales = [1.0, -2.0, 0.5, 3.0]
+
         async def main():
             server = SolverServer(SolverConfig(**CONFIG_KW),
                                   socket_path=short_socket_path())
             await server.start()
-            client = await ServingClient.connect(server.socket_path,
-                                                 retries=0)
+            clients = [await ServingClient.connect(server.socket_path)
+                       for _ in range(2)]
             try:
-                assert await client.ping()
-                await server.stop()
-                with pytest.raises(ConnectionLostError):
-                    await client.ping()
+                key = (await clients[0].factorize(pipe_small)).key
+                reference = server.cache.lookup(key).solve(
+                    pipe_small.b_v, pipe_small.b_s)
+                calls = [
+                    asyncio.ensure_future(clients[i % 2].solve(
+                        key, s * pipe_small.b_v, s * pipe_small.b_s))
+                    for i, s in enumerate(scales)
+                ]
+                while (await clients[0].stats())["pending_solves"] < len(
+                        scales):
+                    await asyncio.sleep(0.01)
+                await asyncio.wait_for(server.stop(), timeout=bound)
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*calls, return_exceptions=True),
+                    timeout=bound,
+                )
+                for s, outcome in zip(scales, outcomes):
+                    if isinstance(outcome, BaseException):
+                        assert isinstance(
+                            outcome, (ConnectionLostError, ServingError)
+                        ), repr(outcome)
+                    else:
+                        np.testing.assert_allclose(
+                            outcome[0], s * reference[0],
+                            rtol=1e-8, atol=1e-10)
+                assert server.cache.tracker.in_use == 0
             finally:
-                await client.close()
+                for client in clients:
+                    await client.close()
+                await server.stop()
 
         asyncio.run(main())
 
@@ -375,7 +411,7 @@ class TestCli:
         )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.runner", "serve",
-             "--socket", socket_path, "--linger-ms", "1.0"],
+             "--socket", socket_path, "--cache-budget", str(1 << 30)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         )
         try:
@@ -388,6 +424,8 @@ class TestCli:
             async def drive():
                 client = await ServingClient.connect(socket_path)
                 assert await client.ping()
+                stats = await client.stats()
+                assert stats["cache"]["budget_bytes"] == 1 << 30
                 x_v, x_s = await client.solve_system(pipe_small)
                 assert pipe_small.relative_error(x_v, x_s) < 1e-3
                 await client.shutdown_server()
@@ -399,3 +437,25 @@ class TestCli:
             if proc.poll() is None:  # pragma: no cover - failure path
                 proc.kill()
                 proc.wait()
+
+    def test_configuration_table_lists_exactly_the_serve_flags(self):
+        """``docs/serving.md`` § Configuration has one row per flag of the
+        ``serve`` subcommand, in order, and no row for a flag it lacks."""
+        import argparse
+
+        from repro.runner.__main__ import build_parser
+
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = [opt for action in subparsers.choices["serve"]._actions
+                 for opt in action.option_strings
+                 if opt.startswith("--") and opt != "--help"]
+        doc = (Path(__file__).parent.parent / "docs" / "serving.md"
+               ).read_text()
+        table = doc.split("## Configuration")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `(--[\w-]+)` \|", table, flags=re.MULTILINE)
+        assert rows == flags, (
+            f"docs/serving.md rows without a flag: "
+            f"{sorted(set(rows) - set(flags))}; "
+            f"flags without a row: {sorted(set(flags) - set(rows))}"
+        )

@@ -53,11 +53,11 @@ class TestSystemFingerprint:
         factorization built under one serves requests made under another."""
         base = system_fingerprint(pipe_small, "multi_solve", CONFIG)
         wide = SolverConfig(dense_backend="hmat", n_c=64, n_workers=4,
-                            serve_cache_entries=2)
+                            memory_limit=1 << 40)
         assert base == system_fingerprint(pipe_small, "multi_solve", wide)
         fields = config_fingerprint_fields(CONFIG)
         assert "n_workers" not in fields
-        assert "serve_cache_budget" not in fields
+        assert "memory_limit" not in fields
         assert "epsilon" in fields
 
     def test_key_moves_exactly_when_the_factor_bytes_do(self, pipe_small):
@@ -73,9 +73,6 @@ class TestSystemFingerprint:
             pipe_small, "multi_solve", CONFIG.with_(axpy_accumulate=False))
         execution_only = dict(
             n_workers=2, runtime_backend="process", memory_limit=1 << 40,
-            serve_cache_entries=2, serve_cache_budget=1 << 30,
-            serve_batching=False, serve_batch_linger_ms=0.0,
-            serve_max_batch_cols=8, serve_executor_threads=1,
         )
         assert set(execution_only) == _FINGERPRINT_EXCLUDED_FIELDS
         assert base == system_fingerprint(
@@ -230,18 +227,5 @@ class TestSolutionIdentity:
         np.testing.assert_array_equal(x_hit[1], x_miss[1])
         np.testing.assert_array_equal(x_hit[0], x_fresh[0])
         np.testing.assert_array_equal(x_hit[1], x_fresh[1])
-        cache.clear()
-        cache.tracker.assert_all_freed()
-
-
-class TestDisabledMode:
-    def test_disabled_cache_always_builds(self, pipe_small):
-        cache = FactorCache(max_entries=2, enabled=False)
-        r1 = cache.get_or_build("k", lambda: build_fact(pipe_small))
-        r2 = cache.get_or_build("k", lambda: build_fact(pipe_small))
-        assert not r1.hit and not r2.hit
-        assert r1.key != r2.key  # salted keys never collide
-        assert cache.lookup(r1.key) is r1.entry  # key-based solves work
-        assert cache.misses == 2 and cache.hits == 0
         cache.clear()
         cache.tracker.assert_all_freed()
