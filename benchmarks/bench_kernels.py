@@ -22,7 +22,9 @@ reuse each streamed byte got.
 
 Numeric-phase rows: ``MultifrontalFactorization`` on a ready analysis for
 LDLᵀ-real (pipe), LU on one multi-factorization ``W`` block (pipe, half the
-surface as Schur variables) and LU-complex (aircraft), min-of-k with
+surface as Schur variables) — kept, as ``factorize_schur`` runs it, and
+Schur-only (``keep_factors=False``), as ``schur_complement`` runs it for
+every block but the last — and LU-complex (aircraft), min-of-k with
 spread and the fastest run split into *plan* (``_entry_plan``), *eliminate*
 (pivot block, panel solves, contribution update), *compress*
 (``compress_panel``) — timed by wrapping those calls — and *assemble*
@@ -267,7 +269,7 @@ def _replay_front_loop(sym, plan, dtype):
     return assemble, extend_add
 
 
-def _numeric_row(name, a, sym, symmetric, blr, k):
+def _numeric_row(name, a, sym, symmetric, blr, k, keep_factors=True):
     import repro.sparse.multifrontal as mfmod
 
     cls = mfmod.MultifrontalFactorization
@@ -283,7 +285,7 @@ def _numeric_row(name, a, sym, symmetric, blr, k):
                 mfmod, "compress_panel",
                 clock.wrap("compress", mfmod.compress_panel)):
             start = time.perf_counter()
-            mf = cls(a, sym, symmetric, blr=blr)
+            mf = cls(a, sym, symmetric, blr=blr, keep_factors=keep_factors)
             total = time.perf_counter() - start
         stats = mf.statistics()
         mf.free()
@@ -332,10 +334,11 @@ def numeric_rows(n_pipe, n_aircraft, k=5, seed=0):
     solver = SparseSolver(blr=blr, symbolic_cache=SymbolicCache())
     rows = []
 
-    def add(name, mf, a, symmetric):
+    def add(name, mf, a, symmetric, keep_factors=True):
         sym = mf.symbolic
         mf.free()
-        rows.append(_numeric_row(name, a.tocsr(), sym, symmetric, blr, k))
+        rows.append(_numeric_row(name, a.tocsr(), sym, symmetric, blr, k,
+                                 keep_factors))
 
     pipe = generate_pipe_case(n_pipe, seed=seed)
     add("factorize ldlt-real",
@@ -344,9 +347,12 @@ def numeric_rows(n_pipe, n_aircraft, k=5, seed=0):
     half = np.arange(pipe.n_bem // 2)
     w, schur_vars = _build_w_block(pipe.a_vv.tocsr(), pipe.a_sv.tocsr(),
                                    half, half, pipe.a_vv.dtype)
-    add(f"factorize_schur lu W k={len(half)}",
-        solver.factorize_schur(w, schur_vars, coords_interior=pipe.coords_v,
-                               symmetric_values=False), w, False)
+    for call, keep in (("factorize_schur", True),
+                       ("schur_complement", False)):
+        add(f"{call} lu W k={len(half)}",
+            solver.factorize_schur(w, schur_vars,
+                                   coords_interior=pipe.coords_v,
+                                   symmetric_values=False), w, False, keep)
     air = generate_aircraft_case(n_aircraft, bem_fraction=0.25, seed=seed)
     add("factorize lu-complex",
         solver.factorize(air.a_vv, coords=air.coords_v,
@@ -546,7 +552,7 @@ def test_numeric_phase_rows():
 
     result = numeric_rows(scaled(12_000), scaled(9_000), k=2)
     write_result("kernels_numeric_phase", render_numeric_rows(result))
-    assert len(result["numeric_rows"]) == 3
+    assert len(result["numeric_rows"]) == 4
     assert len(result["compress_rows"]) == 4
     for r in result["numeric_rows"]:
         assert r["min_ms"] > 0

@@ -17,6 +17,12 @@ reproduced from the paper:
   across calls, so each block pays a full superfluous
   **re-factorization** — "hence the name of the method".
 
+Only the last block's factors are ever read (by the right-hand-side
+solves), so every other block asks the solver for its Schur block alone
+(:meth:`~repro.sparse.SparseSolver.schur_complement`, MUMPS's
+``ICNTL(31)=1``): it pays the same numeric factorization but stores no
+factor, and one sparse factorization is kept per run.
+
 A non-symmetric system runs all ``n_b²`` blocks in LU mode — the paper's
 count, whose solver has no symmetric mode for ``W``.  Ours has one, and
 on a symmetric system ``X_ji = X_ijᵀ``: only the ``n_b(n_b+1)/2`` blocks
@@ -33,8 +39,9 @@ shared-memory parallel runtime (:mod:`repro.runtime`) when
 ``config.n_workers > 1``.  The folds into the Schur container are consumed
 on the caller thread in ``(i, j)`` order, keeping the assembled ``S``
 bit-identical for any worker count; with ``k`` workers up to ``k`` sparse
-factorizations are alive at once (the time/memory trade-off of
-parallelising this algorithm).
+factorizations are in progress at once, each with its own front workspace
+and contribution blocks (the time/memory trade-off of parallelising this
+algorithm), and one — the last block's — is kept.
 
 With the compressed backend and ``config.axpy_accumulate`` (the default),
 each dense ``X_ij`` is *pre-compressed on its worker* — only a low-rank
@@ -56,7 +63,6 @@ from repro.core.schur_tools import (
 from repro.hmatrix.hmatrix import HMatrix
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import PanelTask
-from repro.sparse.multifrontal import FrontArena
 from repro.sparse.symbolic_cache import SymbolicCache
 
 
@@ -70,11 +76,11 @@ def _surface_blocks(n_s: int, n_b: int):
 # Module-level (hence picklable) counterpart of the ``block_task`` closure,
 # run inside worker processes by :class:`repro.runtime.ProcessRuntime`.
 # Each worker owns a private sparse solver (fresh untracked tracker, its
-# own symbolic cache and front arena); the factors of non-final blocks die
-# in the worker — only the Schur block (dense, via a shared-memory slab)
-# or its pre-compressed portable plan travels back.  The *last* block runs
-# inline on the coordinator so its factors stay available for the
-# right-hand-side solves.
+# own symbolic cache); a non-final block computes only its Schur block,
+# which travels back dense (via a shared-memory slab) or as a
+# pre-compressed portable plan.  The *last* block runs inline on the
+# coordinator so its factors stay available for the right-hand-side
+# solves.
 
 
 def _facto_worker_ctx(payload):
@@ -83,7 +89,6 @@ def _facto_worker_ctx(payload):
     payload["sparse"] = make_sparse_solver(
         payload["config"], tracker, SymbolicCache()
     )
-    payload["arena"] = FrontArena(tracker)
     payload["sym_counts"] = [0, 0]  # (analyses, reuses) last reported
     return payload
 
@@ -111,8 +116,10 @@ def _build_w_block(a_vv, a_sv, rows_i, cols_j, dtype):
     return w, np.arange(n_v, n_v + k)
 
 
-def _factorize_w_block(w, sparse, arena, timer, i: int, j: int):
-    """Build ``W_ij`` from the shared inputs ``w`` and factorize it.
+def _factorize_w_block(w, call, timer, i: int, j: int):
+    """Build ``W_ij`` from the shared inputs ``w`` and run the solver's
+    ``call`` on it: ``factorize_schur`` for the kept last block,
+    ``schur_complement`` for every other.
 
     ``W`` is non-symmetric whenever ``i ≠ j``; a diagonal block of a
     symmetric system runs the sparse solver's symmetric (LDLᵀ) mode —
@@ -125,10 +132,9 @@ def _factorize_w_block(w, sparse, arena, timer, i: int, j: int):
         w["a_vv"], w["a_sv"], blocks[i], blocks[j], w["dtype"]
     )
     with timer.phase("sparse_factorization_schur"):
-        return sparse.factorize_schur(
+        return call(
             w_mat, schur_vars, coords_interior=w["coords_v"],
-            symmetric_values=w["symmetric"] and i == j,
-            timer=timer, arena=arena,
+            symmetric_values=w["symmetric"] and i == j, timer=timer,
         )
 
 
@@ -144,20 +150,19 @@ def _folds(w, x_block, i: int, j: int):
 
 
 def _facto_block_kernel(w, timer, i: int, j: int):
-    """One W-block factorization+Schur on a worker process.
+    """The Schur block of one non-final ``W`` on a worker process.
 
-    Returns ``(factor_bytes, d_analyses, d_reuses, X_or_plans)`` — the
-    4-tuple shape the consumer uses to tell a worker result from the
-    thread backend's ``(mf_ij, plans)``.
+    Returns ``(d_analyses, d_reuses, X_or_plans)`` — the 3-tuple shape the
+    consumer uses to tell a worker result from the thread backend's
+    ``(mf_ij, body)``.
     """
     config = w["config"]
     sparse = w["sparse"]
-    mf_ij = _factorize_w_block(w, sparse, w["arena"], timer, i, j)
-    factor_bytes = mf_ij.factor_bytes
+    x_block, x_alloc = _factorize_w_block(
+        w, sparse.schur_complement, timer, i, j)
     d_an = sparse.n_symbolic_analyses - w["sym_counts"][0]
     d_re = sparse.n_symbolic_reuses - w["sym_counts"][1]
     w["sym_counts"] = [sparse.n_symbolic_analyses, sparse.n_symbolic_reuses]
-    x_block, x_alloc = mf_ij.take_schur()
     try:
         skel = w.get("skeleton")  # shipped only when the commits accumulate
         if skel is not None:
@@ -178,8 +183,7 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     finally:
         del x_block
         x_alloc.free()
-        mf_ij.free()
-    return factor_bytes, d_an, d_re, body
+    return d_an, d_re, body
 
 
 def assemble_multi_factorization(ctx: RunContext):
@@ -187,7 +191,8 @@ def assemble_multi_factorization(ctx: RunContext):
 
     Returns ``(mf, container, sparse_factor_bytes)``, owned by ``ctx`` —
     ``mf`` is the last block's factorization, which still holds
-    ``A_vv``'s factors for the right-hand-side solves.
+    ``A_vv``'s factors for the right-hand-side solves, and the only one
+    the run keeps.
     """
     problem, config = ctx.problem, ctx.config
     compressed = config.dense_backend == "hmat"
@@ -205,7 +210,6 @@ def assemble_multi_factorization(ctx: RunContext):
     n_blocks = len(blocks)
     itemsize = np.dtype(problem.dtype).itemsize
     mf = None
-    factor_bytes = 0
     accumulate = compressed and config.axpy_accumulate
     backend = ctx.runtime_backend
     # what a block task reads, for the thread closure and (pickled once per
@@ -227,29 +231,30 @@ def assemble_multi_factorization(ctx: RunContext):
         k = max(len(blocks[i]), len(blocks[j]))
 
         def fn(timer, alloc):
-            # one front-workspace arena per worker thread, recycled
-            # across every block this worker factorizes
-            arena = runtime.worker_slot(
-                "front_arena", lambda: ctx.own(FrontArena(ctx.tracker))
-            )
-            mf_ij = ctx.own(_factorize_w_block(w, sparse, arena, timer, i, j))
-            plans = None
-            if accumulate:
-                # pre-compress the dense X_ij on this worker (the SVDs of
-                # the quadrant pieces — the expensive part of the fold);
-                # the dense block dies here, only the compressed plans
-                # travel to the serialized commit
+            mf_ij = None
+            if is_last:
+                mf_ij = ctx.own(_factorize_w_block(
+                    w, sparse.factorize_schur, timer, i, j))
                 x_block, x_alloc = mf_ij.take_schur()
-                ctx.own(x_alloc)
-                with timer.phase("schur_precompress"):
-                    plans = [
-                        container.precompress_add(
-                            x, rows, cols, charge_gather=False)
-                        for x, rows, cols in _folds(w, x_block, i, j)
-                    ]
-                del x_block
-                ctx.free(x_alloc)
-                alloc.resize(sum(plan.nbytes for plan in plans))
+            else:
+                x_block, x_alloc = _factorize_w_block(
+                    w, sparse.schur_complement, timer, i, j)
+            ctx.own(x_alloc)
+            if not accumulate:
+                return mf_ij, (x_block, x_alloc)
+            # pre-compress the dense X_ij on this worker (the SVDs of the
+            # quadrant pieces — the expensive part of the fold); the dense
+            # block dies here, only the compressed plans travel to the
+            # serialized commit
+            with timer.phase("schur_precompress"):
+                plans = [
+                    container.precompress_add(
+                        x, rows, cols, charge_gather=False)
+                    for x, rows, cols in _folds(w, x_block, i, j)
+                ]
+            del x_block
+            ctx.free(x_alloc)
+            alloc.resize(sum(plan.nbytes for plan in plans))
             return mf_ij, plans
 
         # the factor storage is only known after the numeric factorization;
@@ -286,37 +291,30 @@ def assemble_multi_factorization(ctx: RunContext):
                     container.commit(plan)
 
     def consume(task, result):
-        nonlocal mf, factor_bytes
+        nonlocal mf
         i, j, is_last = task.payload
         ctx.n_sparse_factorizations += 1
-        if len(result) == 4:
-            # process-backend worker result: the block's factors died in
-            # the worker — only the Schur body (dense or portable plans)
-            # and its instrumentation deltas came back
-            block_bytes, d_an, d_re, body = result
+        if len(result) == 3:
+            # process-backend worker result: only the Schur body (dense or
+            # portable plans) and its instrumentation deltas came back
+            d_an, d_re, body = result
             ctx.n_symbolic_analyses += d_an
             ctx.n_symbolic_reuses += d_re
-            factor_bytes = max(factor_bytes, block_bytes)
             fold(i, j, body)
             return
-        mf_ij, plans = result
-        factor_bytes = max(factor_bytes, mf_ij.factor_bytes)
-        if plans is not None:
+        mf_ij, body = result
+        if accumulate:
             # pre-compressed on the worker: only the cheap ordered commit
             # (accumulator appends) runs on the turnstile
-            fold(i, j, plans)
+            fold(i, j, body)
         else:
-            x_block, x_alloc = mf_ij.take_schur()
-            ctx.own(x_alloc)
+            x_block, x_alloc = body
             fold(i, j, x_block)
-            del x_block
             ctx.free(x_alloc)
         if is_last:
             # the last block's factorization still holds A_vv's factors,
             # which the coupled right-hand-side solves reuse
             mf = mf_ij
-        else:
-            ctx.free(mf_ij)  # the API cannot keep A_vv factored across calls
 
     # a symmetric system needs one triangle of blocks (X_ji = X_ijᵀ);
     # either way the last block is the diagonal (n_b−1, n_b−1)
@@ -335,10 +333,6 @@ def assemble_multi_factorization(ctx: RunContext):
             ],
             consume,
         )
-        # the arenas are dead weight from here on: release them before the
-        # dense factorization so its peak does not sit on top of them
-        for arena in runtime.drain_worker_slots("front_arena"):
-            ctx.free(arena)
         if compressed:
             # fold pending accumulator batches into S (one recompression
             # per off-diagonal block; no-op when accumulation is off)
@@ -348,4 +342,4 @@ def assemble_multi_factorization(ctx: RunContext):
             container.factorize(ctx.tracker)
     ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
     ctx.n_symbolic_reuses += sparse.n_symbolic_reuses
-    return mf, container, factor_bytes
+    return mf, container, mf.factor_bytes

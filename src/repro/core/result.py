@@ -34,6 +34,9 @@ class SolveStats:
     peak_by_category: Dict[str, int] = field(default_factory=dict)
     schur_bytes: int = 0
     schur_dense_bytes: int = 0
+    #: Stored bytes of the sparse factorization the run keeps for its
+    #: right-hand-side solves; for multi-factorization that is the last
+    #: ``W`` block's (every other block keeps no factors).
     sparse_factor_bytes: int = 0
     n_sparse_factorizations: int = 0
     n_sparse_solves: int = 0

@@ -56,7 +56,7 @@ class RunContext:
     long-lived object it allocates.
 
     The assembly registers what must outlive a statement — the sparse
-    factorizations, the Schur container, the front arenas, a tracked
+    factorizations, the Schur container, a dense Schur block, a tracked
     :class:`~repro.memory.tracker.Allocation` — with :meth:`own`, frees
     what dies early with :meth:`free`, and leaves the rest to
     :meth:`close`, which a failed run and a freed factorization both end
@@ -86,8 +86,8 @@ class RunContext:
         #: Filled by the assembly phase when it ran on the parallel
         #: runtime (:mod:`repro.runtime`): per-worker phase breakdown.
         self.runtime_report = None
-        # worker threads register what they create (arenas, W-block
-        # factorizations), so the owned set takes a lock
+        # worker threads register what they create (the kept W-block
+        # factorization, dense Schur blocks), so the owned set takes a lock
         self._own_lock = threading.Lock()
         self._owned: Dict[int, Any] = {}  # guarded-by: _own_lock
 

@@ -17,9 +17,10 @@ BLR compression multiplies it by a ratio < 1.  The dense Schur block costs
 a symmetric system, two otherwise).  The remaining terms are the
 per-algorithm workspaces (multi-solve's solve work vector and its
 ``Y_i``/``Z_i`` panels — ``Y_i`` only over the volume unknowns ``A_sv``
-couples to — the ``X_ij`` blocks and the duplicated unsymmetric storage of
-multi-factorization).  All coefficients are overridable and can be fitted
-from measured runs with :meth:`CouplingMemoryModel.calibrated`.
+couples to — the ``X_ij`` blocks and, on a non-symmetric system, the
+duplicated unsymmetric storage of multi-factorization's kept factor).
+All coefficients are overridable and can be fitted from measured runs
+with :meth:`CouplingMemoryModel.calibrated`.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class CouplingMemoryModel:
     unsym_duplication:
         Storage multiplier for the unsymmetric multifrontal mode of
         multi-factorization (the paper's "duplicated storage", §IV-B1);
-        applies when an off-diagonal ``W`` block exists (``n_b`` > 1) or
-        the system is non-symmetric.
+        applies to its one resident factor, the last diagonal ``W``
+        block's, when the system is non-symmetric.
     coupling_nnz_per_row:
         nnz per row of ``A_sv`` (thin geometric coupling band).
     """
@@ -212,12 +213,11 @@ class CouplingMemoryModel:
                 comp["schur_hodlr"] = self.hodlr_bytes(n_s)
         else:  # multi_factorization, dense or compressed S
             block = max(1, math.ceil(n_s / n_b))
-            # LU mode as soon as one W block is off-diagonal (n_b > 1) or
-            # the system itself is non-symmetric; a lone diagonal block of
-            # a symmetric system is factored LDLᵀ
-            lu = n_b > 1 or not self.symmetric
+            # one factor stays resident, the last diagonal W block's (the
+            # others keep only their Schur block): LDLᵀ on a symmetric
+            # system, duplicated LU storage otherwise
             comp["sparse_factor"] = self.sparse_factor_bytes(n_v) * (
-                self.unsym_duplication if lu else 1.0
+                1.0 if self.symmetric else self.unsym_duplication
             )
             comp["schur_block_X"] = self.dense_bytes(block)
             comp["schur_front_workspace"] = (

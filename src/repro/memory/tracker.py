@@ -42,11 +42,12 @@ _UNITS = ["B", "KiB", "MiB", "GiB", "TiB"]
 #: into it and carry no charge of their own.
 CATEGORY_DESCRIPTIONS: Dict[str, str] = {
     "front_arena": "reusable multifrontal front workspace (charged once, "
-                   "resized to the peak front, recycled across fronts and "
-                   "numeric refactorizations)",
+                   "resized to the peak front, recycled across the fronts "
+                   "of one factorization)",
     "sparse_factor": "stored frontal factor panels",
     "update_stack": "multifrontal contribution blocks awaiting extend-add",
-    "schur_dense": "dense Schur block returned by factorize_schur",
+    "schur_dense": "dense Schur block returned by factorize_schur or "
+                   "schur_complement",
     "schur_store": "assembled Schur container (dense or compressed)",
     "schur_block": "admitted multi-factorization W-block budget",
     "solve_panel": "blocked solve panels (Y_i / Z_i)",

@@ -125,7 +125,7 @@ def _worker_init(payload_bytes: bytes, builder: Optional[Callable[[Any], Any]],
 
 
 def worker_cache(key: str, factory: Callable[[], Any]) -> Any:
-    """Per-process cached object for kernels (the ``worker_slot`` analogue)."""
+    """Per-process cached object for kernels, created on first use."""
     cache = _worker_state.setdefault("cache", {})
     obj = cache.get(key)
     if obj is None:
@@ -306,27 +306,10 @@ class ProcessRuntime:
         # records the coordinator's admission waits plus any serial /
         # inline task phases; merged at finalize like a worker timer
         self._coord_timer = PhaseTimer()
-        self._worker_slots: Dict[str, Any] = {}  # coordinator-side only
         self._n_tasks = 0
         self._run_wall = 0.0
         self._saved_env: Optional[Dict[str, Optional[str]]] = None
         self._closed = False
-
-    # -- worker_slot protocol (coordinator thread only) ----------------------
-    def worker_slot(self, key: str, factory: Callable[[], Any]) -> Any:
-        """Cached object for serial / inline tasks (single coordinator
-        thread; pooled kernels use :func:`worker_cache` in their own
-        process instead)."""
-        obj = self._worker_slots.get(key)
-        if obj is None:
-            obj = factory()
-            self._worker_slots[key] = obj
-        return obj
-
-    def drain_worker_slots(self, key: str) -> list:
-        """Remove and return the coordinator's ``key`` slot (idempotent)."""
-        obj = self._worker_slots.pop(key, None)
-        return [] if obj is None else [obj]
 
     # -- pool lifecycle ------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:

@@ -154,9 +154,6 @@ class ParallelRuntime:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._timers: Dict[int, PhaseTimer] = {}  # guarded-by: _timer_lock
         self._timer_names: Dict[int, str] = {}  # guarded-by: _timer_lock
-        # (thread ident, key) -> per-worker cached object (e.g. the
-        # multifrontal front arena); see worker_slot()
-        self._worker_slots: Dict[Any, Any] = {}  # guarded-by: _timer_lock
         self._timer_lock = threading.Lock()
         self._admit_cond = threading.Condition()
         self._next_admit = 0  # guarded-by: _admit_cond
@@ -174,35 +171,6 @@ class ParallelRuntime:
                 self._timers[ident] = timer
                 self._timer_names[ident] = f"worker-{len(self._timer_names)}"
             return timer
-
-    def worker_slot(self, key: str, factory: Callable[[], Any]) -> Any:
-        """Per-worker cached object, created on first use.
-
-        Task functions call this from their worker thread to obtain a
-        worker-local resource that is reused across the tasks that thread
-        executes — e.g. the multifrontal :class:`~repro.sparse
-        .multifrontal.FrontArena`, recycled across the ``W``-block
-        factorizations instead of reallocated per block.  The factory runs
-        outside the runtime's locks (only the calling thread ever touches
-        its slot); the serial fast path shares the mechanism through the
-        caller thread's ident.  The owner of the run collects (and
-        disposes of) the objects afterwards with :meth:`drain_worker_slots`.
-        """
-        ident = threading.get_ident()
-        slot = (ident, key)
-        with self._timer_lock:
-            obj = self._worker_slots.get(slot)
-        if obj is None:
-            obj = factory()
-            with self._timer_lock:
-                self._worker_slots[slot] = obj
-        return obj
-
-    def drain_worker_slots(self, key: str) -> list:
-        """Remove and return every worker's ``key`` slot (idempotent)."""
-        with self._timer_lock:
-            matched = [s for s in self._worker_slots if s[1] == key]
-            return [self._worker_slots.pop(s) for s in matched]
 
     def _admit(self, seq: int, task: PanelTask,
                timer: PhaseTimer) -> Allocation:

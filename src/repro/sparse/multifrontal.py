@@ -70,14 +70,13 @@ class FrontArena:
     One buffer, sized for the largest front (``peak_front_size²``
     entries), replaces the per-front ``np.zeros`` allocations: the numeric
     phase asks for a zeroed ``(nf, nf)`` :meth:`frame` per tree node and
-    the same memory is recycled across fronts — and, when the arena is
-    shared (one per runtime worker in multi-factorization), across its
-    numeric refactorizations as well.
+    the same memory is recycled across the fronts of one factorization,
+    which owns the arena and frees it when its numeric phase ends.
 
     The tracker is charged **once** under the ``front_arena`` category and
     the charge follows the capacity through :meth:`ensure` growth; the
-    lifecycle is ``FrontArena(...)`` → any number of ``frame``/``ensure``/
-    ``reset`` calls → :meth:`free`.  Frames are *views* into the buffer:
+    lifecycle is ``FrontArena(...)`` → any number of ``frame``/``ensure``
+    calls → :meth:`free`.  Frames are *views* into the buffer:
     only one is valid at a time (the multifrontal loop uses exactly one),
     and anything that must outlive the next frame has to be copied out.
     """
@@ -117,11 +116,6 @@ class FrontArena:
         view = self._buf[: n * n].reshape(n, n)
         view.fill(0)
         return view
-
-    def reset(self) -> None:
-        """Mark the arena idle between factorizations (keeps capacity)."""
-        if self._freed:
-            raise RuntimeError("arena has been freed")
 
     def free(self) -> None:
         """Release the buffer and its tracker charge (idempotent)."""
@@ -187,6 +181,15 @@ class MultifrontalFactorization:
     Built by :class:`repro.sparse.solver.SparseSolver`; do not construct
     directly unless you already hold a :class:`SymbolicFactorization`.
 
+    With ``keep_factors=False`` the numeric loop runs only for the Schur
+    block (MUMPS's ``ICNTL(31)=1``, "discard factors"): every front is
+    still assembled, eliminated and passes on the contribution block it
+    computes from its exact panels, so :attr:`schur` is bit for bit the
+    kept factorization's, but no front's factors are stored, BLR-compressed
+    or charged.  Such a factorization cannot solve;
+    :meth:`~repro.sparse.solver.SparseSolver.schur_complement` hands out
+    only its Schur block.
+
     Attributes
     ----------
     schur:
@@ -203,11 +206,12 @@ class MultifrontalFactorization:
         symmetric_values: bool,
         blr: Optional[BLRConfig] = None,
         tracker: Optional[MemoryTracker] = None,
-        arena: Optional[FrontArena] = None,
+        keep_factors: bool = True,
     ):
         self.symbolic = symbolic
         self.mode = "ldlt" if symmetric_values else "lu"
         self.blr = blr
+        self.keep_factors = keep_factors
         self.tracker = tracker if tracker is not None else MemoryTracker()
         a = a.tocsr()
         if a.shape != (symbolic.n_full, symbolic.n_full):
@@ -221,17 +225,11 @@ class MultifrontalFactorization:
         self.schur: Optional[np.ndarray] = None
         self._schur_alloc = None
         self._freed = False
-        if arena is not None:
-            # caller-owned arena (e.g. one per runtime worker): reused
-            # across factorizations, reset between them, freed by the owner
+        arena = FrontArena(self.tracker)
+        try:
             self._factorize(a, arena)
-            arena.reset()
-        else:
-            own_arena = FrontArena(self.tracker)
-            try:
-                self._factorize(a, own_arena)
-            finally:
-                own_arena.free()
+        finally:
+            arena.free()
 
     # -- pickling (process-backend worker shipping) ------------------------------
     def __getstate__(self):
@@ -312,14 +310,16 @@ class MultifrontalFactorization:
         else:
             upd = np.array(fmat[p:, p:])
         factor = _FrontFactor(self.mode)
-        self._fronts.append(factor)
         if p:
             (self._eliminate_ldlt if self.mode == "ldlt"
              else self._eliminate_lu)(fmat, p, factor, kern, upd)
-            factor.alloc = self.tracker.allocate(
-                factor.nbytes(), category="sparse_factor",
-                label=f"front {f.node_index} factors",
-            )
+        if self.keep_factors:
+            self._fronts.append(factor)
+            if p:
+                factor.alloc = self.tracker.allocate(
+                    factor.nbytes(), category="sparse_factor",
+                    label=f"front {f.node_index} factors",
+                )
         if is_root:
             if upd is not self.schur:  # some Schur variable is uncoupled
                 spos = f.bnd_pos - self.symbolic.n_interior
@@ -408,7 +408,7 @@ class MultifrontalFactorization:
         kern.multiply(l11, l21t, lower=True, unit=True)
         l21t /= d[:, None]
         l21 = l21t.T
-        factor.l21 = compress_panel(l21, self.blr)
+        factor.l21 = self._stored(l21)
         kern.update(upd, l21 * d, l21t)
 
     def _eliminate_lu(self, fmat, p, factor, kern, upd) -> None:
@@ -438,9 +438,14 @@ class MultifrontalFactorization:
         l21t = np.array(fmat[p:, :p].T, order="C")
         kern.multiply(lu11, l21t, lower=False, trans=True)
         l21 = l21t.T
-        factor.l21 = compress_panel(l21, self.blr)
-        factor.u12 = compress_panel(u12, self.blr)
+        factor.l21 = self._stored(l21)
+        factor.u12 = self._stored(u12)
         kern.update(upd, l21, u12)
+
+    def _stored(self, panel):
+        """A coupling panel as the front keeps it: BLR-compressed when
+        factors are kept, the exact panel (soon dropped) otherwise."""
+        return compress_panel(panel, self.blr) if self.keep_factors else panel
 
     # -- inspection ---------------------------------------------------------------
     @property

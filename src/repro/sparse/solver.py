@@ -14,7 +14,10 @@ solvers (§II-C):
   limitation at the heart of the paper.  Every call pays the full numeric
   factorization from scratch, exactly like the repeated calls the
   multi-factorization algorithm has to pay for ("implies a re-factorization
-  of A_vv at each iteration", §IV-B1).
+  of A_vv at each iteration", §IV-B1);
+* :meth:`SparseSolver.schur_complement` — the same call for a caller that
+  reads only the Schur block (MUMPS ``ICNTL(31)=1``, "discard factors"):
+  the numeric phase runs in full, but no factor is stored or compressed.
 
 The *analysis* phase, however, follows what real solvers do (MUMPS JOB=1
 vs JOB=2, PaStiX's split API): when a :class:`~repro.sparse.symbolic_cache
@@ -33,14 +36,14 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.memory.tracker import MemoryTracker
+from repro.memory.tracker import Allocation, MemoryTracker
 from repro.sparse.blr import BLRConfig
-from repro.sparse.multifrontal import FrontArena, MultifrontalFactorization
+from repro.sparse.multifrontal import MultifrontalFactorization
 from repro.sparse.ordering import (
     DEFAULT_LEAF,
     geometric_nested_dissection,
@@ -194,15 +197,12 @@ class SparseSolver:
         coords: Optional[np.ndarray] = None,
         symmetric_values: Optional[bool] = None,
         timer: Optional[PhaseTimer] = None,
-        arena: Optional[FrontArena] = None,
     ) -> MultifrontalFactorization:
         """Analyse and factorize ``a`` (paper §II-C1, *baseline usage*).
 
         ``symmetric_values`` selects LDLᵀ (True) versus LU (False);
         ``None`` probes the matrix.  ``timer`` splits the call into
-        ``sparse_analysis`` and ``sparse_numeric`` phases; ``arena`` is an
-        optional reusable front workspace (one is created and released
-        internally otherwise).
+        ``sparse_analysis`` and ``sparse_numeric`` phases.
         """
         a = a.tocsr()
         if symmetric_values is None:
@@ -212,7 +212,7 @@ class SparseSolver:
         with _phase(timer, "sparse_numeric"):
             return MultifrontalFactorization(
                 a, analysis.symbolic, symmetric_values, blr=self.blr,
-                tracker=self.tracker, arena=arena,
+                tracker=self.tracker,
             )
 
     # -- advanced usage --------------------------------------------------------------
@@ -223,7 +223,6 @@ class SparseSolver:
         coords_interior: Optional[np.ndarray] = None,
         symmetric_values: Optional[bool] = None,
         timer: Optional[PhaseTimer] = None,
-        arena: Optional[FrontArena] = None,
     ) -> MultifrontalFactorization:
         """The *sparse factorization+Schur* building block (paper §II-C2).
 
@@ -241,8 +240,6 @@ class SparseSolver:
             Optional phase timer; the call splits into ``sparse_analysis``
             (ordering + symbolic, or cache lookup + border extension) and
             ``sparse_numeric`` (the faithful numeric factorization).
-        arena:
-            Optional reusable front workspace shared across calls.
 
         Returns
         -------
@@ -251,6 +248,35 @@ class SparseSolver:
             ``A₂₂ − A₂₁ A₁₁⁻¹ A₁₂`` (dense by design; see module docstring)
             and ``solve`` available for the interior block.
         """
+        return self._factorize_bordered(a_full, schur_vars, coords_interior,
+                                        symmetric_values, timer,
+                                        keep_factors=True)
+
+    def schur_complement(
+        self,
+        a_full: sp.spmatrix,
+        schur_vars: np.ndarray,
+        coords_interior: Optional[np.ndarray] = None,
+        symmetric_values: Optional[bool] = None,
+        timer: Optional[PhaseTimer] = None,
+    ) -> Tuple[np.ndarray, Allocation]:
+        """:meth:`factorize_schur` for a caller that reads only the Schur
+        block (MUMPS ``ICNTL(31)=1``, "discard factors").
+
+        Same parameters and the same analysis and numeric loop, bit for
+        bit the same Schur block; the factors of the interior block are
+        neither stored, BLR-compressed nor charged under
+        ``sparse_factor``.  Returns ``(schur, alloc)`` — the dense block
+        and its ``schur_dense`` charge, which the caller frees.
+        """
+        return self._factorize_bordered(a_full, schur_vars, coords_interior,
+                                        symmetric_values, timer,
+                                        keep_factors=False).take_schur()
+
+    def _factorize_bordered(self, a_full, schur_vars, coords_interior,
+                            symmetric_values, timer, keep_factors):
+        """Analysis (cached interior, grafted border) + numeric phase of
+        ``a_full`` with ``schur_vars`` kept uneliminated."""
         a_full = a_full.tocsr()
         schur_vars = np.asarray(schur_vars, dtype=np.intp)
         if len(np.unique(schur_vars)) != len(schur_vars):
@@ -276,7 +302,7 @@ class SparseSolver:
         with _phase(timer, "sparse_numeric"):
             return MultifrontalFactorization(
                 a_full, symbolic, symmetric_values, blr=self.blr,
-                tracker=self.tracker, arena=arena,
+                tracker=self.tracker, keep_factors=keep_factors,
             )
 
 

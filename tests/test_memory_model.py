@@ -92,9 +92,10 @@ class TestModelComponents:
         )
 
     def test_unsym_duplication_needs_an_unsymmetric_block(self):
-        """A lone diagonal W block of a symmetric system is factored LDLᵀ:
-        the duplicated LU storage applies from n_b = 2 on, or whenever
-        the system itself is non-symmetric."""
+        """The one resident factor is the last diagonal W block's, kept
+        LDLᵀ on a symmetric system at any n_b (the off-diagonal LU blocks
+        keep none); the duplicated LU storage applies only when the
+        system itself is non-symmetric."""
         sym = self.model
         unsym = CouplingMemoryModel(symmetric=False)
         once = sym.sparse_factor_bytes(self.dims.n_fem)
@@ -102,9 +103,9 @@ class TestModelComponents:
             def factor(model, n_b):
                 return model.peak_components(
                     algo, self.dims, n_b=n_b)["sparse_factor"]
-            assert factor(sym, 1) == once
-            assert factor(sym, 2) == once * sym.unsym_duplication
-            assert factor(unsym, 1) == once * unsym.unsym_duplication
+            for n_b in (1, 2, 8):
+                assert factor(sym, n_b) == once
+                assert factor(unsym, n_b) == once * unsym.unsym_duplication
 
     def test_more_blocks_reduce_multifact_peak(self):
         p1 = self.model.peak_bytes("multi_factorization", self.dims, n_b=1)

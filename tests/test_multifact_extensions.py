@@ -3,8 +3,14 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from repro.core import CoupledFactorization, SolverConfig, solve_coupled
+from repro.core.multi_factorization import _build_w_block, _surface_blocks
+from repro.core.schur_tools import make_sparse_solver
+from repro.memory import MemoryTracker
+from repro.sparse import SymbolicCache
+from repro.sparse import multifrontal
 
 
 class TestDiagonalSymmetryFlag:
@@ -44,6 +50,72 @@ class TestDiagonalSymmetryFlag:
         assert exploit.stats.sparse_factor_bytes < (
             0.7 * faithful.stats.sparse_factor_bytes
         )
+
+
+def _w_block(problem, i, j, n_b=2):
+    blocks = _surface_blocks(problem.n_bem, n_b)
+    w, schur_vars = _build_w_block(problem.a_vv, problem.a_sv, blocks[i],
+                                   blocks[j], problem.dtype)
+    return w, schur_vars, problem.symmetric and i == j
+
+
+class TestSchurOnlyBlocks:
+    """Every W block but the last asks only for its Schur block: the same
+    numeric loop, no stored, BLR-tested or charged factors."""
+
+    @pytest.mark.parametrize("case,i,j,mode", [
+        ("pipe_small", 0, 0, "ldlt"),
+        ("pipe_small", 1, 0, "lu"),
+        ("aircraft_small", 1, 0, "lu"),
+    ])
+    def test_schur_complement_is_the_kept_factorizations_schur(
+            self, request, monkeypatch, case, i, j, mode):
+        problem = request.getfixturevalue(case)
+        w, schur_vars, symmetric = _w_block(problem, i, j)
+        compressions = []
+        compress = multifrontal.compress_panel
+        monkeypatch.setattr(multifrontal, "compress_panel",
+                            lambda panel, blr: compressions.append(1)
+                            or compress(panel, blr))
+
+        def solver(tracker):
+            return make_sparse_solver(SolverConfig(), tracker, SymbolicCache())
+
+        kept = solver(MemoryTracker()).factorize_schur(
+            w, schur_vars, coords_interior=problem.coords_v,
+            symmetric_values=symmetric)
+        assert kept.mode == mode and kept.factor_bytes > 0
+        assert compressions
+        expected, expected_alloc = kept.take_schur()
+        kept.free()
+        expected_alloc.free()
+
+        compressions.clear()
+        tracker = MemoryTracker()
+        schur, alloc = solver(tracker).schur_complement(
+            w, schur_vars, coords_interior=problem.coords_v,
+            symmetric_values=symmetric)
+        assert np.array_equal(schur, expected)
+        assert not compressions
+        assert tracker.category_peak("sparse_factor") == 0
+        assert tracker.in_use == alloc.nbytes == schur.nbytes
+        alloc.free()
+        assert tracker.in_use == 0
+
+    def test_run_charges_only_the_kept_blocks_factors(self, pipe_small):
+        # the off-diagonal LU block stores more factor bytes than the kept
+        # LDLᵀ block, so a run that kept or charged it fails here
+        w, schur_vars, symmetric = _w_block(pipe_small, 1, 1)
+        last = make_sparse_solver(
+            SolverConfig(), MemoryTracker()).factorize_schur(
+                w, schur_vars, coords_interior=pipe_small.coords_v,
+                symmetric_values=symmetric)
+        kept_bytes = last.factor_bytes
+        last.free()
+        sol = solve_coupled(pipe_small, "multi_factorization",
+                            SolverConfig(n_b=2, n_c=64))
+        assert sol.stats.sparse_factor_bytes == kept_bytes
+        assert sol.stats.peak_by_category["sparse_factor"] == kept_bytes
 
 
 class TestOutOfCoreModel:

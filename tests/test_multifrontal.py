@@ -798,9 +798,8 @@ class TestNumericPhase:
     @pytest.mark.parametrize("kind", _KINDS)
     def test_singular_pivot_block_releases_everything(self, kind, rng):
         """A failed factorization is never handed out: its factor, update
-        and Schur charges are released and a shared arena stays usable."""
-        from repro.sparse import FrontArena
-
+        and Schur charges are released, it frees its own front arena,
+        and the tracker reads 0 — for the Schur-only call too."""
         grid, symmetric, w, schur_vars, a, *_ = _bordered(kind, "schur")
         dead = SparseSolver(leaf_size=24, amalgamate=8).factorize(
             a, coords=grid.points(), symmetric_values=symmetric)
@@ -812,20 +811,19 @@ class TestNumericPhase:
         singular = (keep @ w @ keep).tocsr()
         singular.eliminate_zeros()
         tracker = MemoryTracker()
-        arena = FrontArena(tracker)
         solver = SparseSolver(leaf_size=24, amalgamate=8, tracker=tracker)
-        with pytest.raises(SingularMatrixError):
-            solver.factorize_schur(
-                singular, schur_vars, coords_interior=grid.points(),
-                symmetric_values=symmetric, arena=arena)
-        assert tracker.in_use == arena.nbytes   # nothing but the arena
+        for call in (solver.factorize_schur, solver.schur_complement):
+            with pytest.raises(SingularMatrixError):
+                call(singular, schur_vars, coords_interior=grid.points(),
+                     symmetric_values=symmetric)
+            assert tracker.in_use == 0
+            assert tracker.category_peak("front_arena") > 0
         f = solver.factorize_schur(
             w, schur_vars, coords_interior=grid.points(),
-            symmetric_values=symmetric, arena=arena)
+            symmetric_values=symmetric)
         rhs = rng.standard_normal(a.shape[0]).astype(a.dtype)
         assert _rel_err(f.solve(rhs), spla.splu(a.tocsc()).solve(rhs)) <= 1e-10
         f.free()
-        arena.free()
         tracker.assert_all_freed()
 
 

@@ -57,40 +57,6 @@ class TestScheduler:
         assert seen == list(range(5))
         tracker.assert_all_freed()
 
-    @pytest.mark.parametrize("n_workers", [1, 4])
-    def test_worker_slots_are_per_worker_and_drain(self, n_workers):
-        # each worker lazily creates one slot object (the per-worker
-        # front arena in multi-factorization) and keeps getting it back;
-        # drain hands every created object to the caller exactly once
-        tracker = MemoryTracker()
-        created = []
-
-        def factory():
-            obj = object()
-            created.append(obj)
-            return obj
-
-        def slot_task(index):
-            def fn(timer, alloc):
-                first = runtime.worker_slot("slot", factory)
-                again = runtime.worker_slot("slot", factory)
-                assert again is first
-                return first
-
-            return PanelTask(index=index, fn=fn, cost_bytes=0,
-                             label=f"task {index}")
-
-        used = []
-        with ParallelRuntime(tracker, n_workers=n_workers) as runtime:
-            runtime.run([slot_task(i) for i in range(8)],
-                        lambda task, result: used.append(result))
-            drained = runtime.drain_worker_slots("slot")
-            assert runtime.drain_worker_slots("slot") == []
-        assert 1 <= len(created) <= max(n_workers, 1)
-        assert sorted(map(id, drained)) == sorted(map(id, created))
-        assert set(map(id, used)) <= set(map(id, created))
-        tracker.assert_all_freed()
-
     def test_budget_bounds_concurrent_tasks(self):
         # each task holds 40 B; the 100 B limit admits at most two at once
         tracker = MemoryTracker(limit_bytes=100)

@@ -219,8 +219,6 @@ class TestFrontArena:
         assert tracker.in_use == 16 * 16 * 8
         arena.ensure(32, np.float64)
         assert tracker.in_use == 32 * 32 * 8
-        arena.reset()                  # reset keeps capacity and charge
-        assert tracker.in_use == 32 * 32 * 8
         arena.free()
         assert tracker.in_use == 0
 
@@ -237,31 +235,6 @@ class TestFrontArena:
         arena.free()   # idempotent
         with pytest.raises(RuntimeError, match="freed"):
             arena.frame(4, np.float64)
-        with pytest.raises(RuntimeError, match="freed"):
-            arena.reset()
-
-    def test_shared_arena_keeps_factorizations_correct(self, pipe_small):
-        # two sequential factorizations through one arena must not alias
-        tracker = MemoryTracker()
-        arena = FrontArena(tracker)
-        solver = SparseSolver(
-            tracker=tracker, symbolic_cache=SymbolicCache()
-        )
-        mf1 = solver.factorize(
-            pipe_small.a_vv, coords=pipe_small.coords_v,
-            symmetric_values=True, arena=arena,
-        )
-        mf2 = solver.factorize(
-            pipe_small.a_vv, coords=pipe_small.coords_v,
-            symmetric_values=True, arena=arena,
-        )
-        rhs = np.linspace(-1.0, 1.0, pipe_small.n_fem)
-        x1 = mf1.solve(rhs)
-        x2 = mf2.solve(rhs)
-        assert np.array_equal(x1, x2)
-        mf1.free()
-        mf2.free()
-        arena.free()
 
 
 class TestMultiFactorizationReuse:
