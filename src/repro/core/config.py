@@ -13,7 +13,10 @@ directly onto the parameters the paper studies:
   (Fig. 13 sweeps 1–4; more blocks = less memory, more superfluous
   refactorizations);
 * ``epsilon`` — low-rank precision of both the sparse (BLR) and dense
-  (hierarchical) compression (paper: 1e-3 pipe, 1e-4 industrial);
+  (hierarchical) compression (paper: 1e-3 pipe, 1e-4 industrial); every
+  ℋ operation on ``S`` — ACA build, AXPY pre-compression, flush and
+  H-LDLᵀ / H-LU — rounds at ε itself, and the solution's relative error
+  lands within ε (Fig. 11);
 * ``dense_backend`` — ``"spido"`` (uncompressed dense Schur) versus
   ``"hmat"`` (compressed Schur), i.e. the MUMPS/SPIDO and MUMPS/HMAT
   couplings;
@@ -58,7 +61,6 @@ class SolverConfig:
     #: the faster one where the pieces are large (complex
     #: multi-factorization blocks: EXPERIMENTS.md "PR 22", table B).
     compressor: str = "svd"
-    compression_safety: float = 0.02
     memory_limit: Optional[int] = None
     #: Steps of iterative refinement after the direct solve: the (possibly
     #: compressed) factorizations precondition a residual correction
@@ -99,10 +101,6 @@ class SolverConfig:
             raise ConfigurationError(f"compressor must be one of {_COMPRESSORS}")
         if self.epsilon <= 0:
             raise ConfigurationError("epsilon must be positive")
-        if not 0.0 < self.compression_safety <= 1.0:
-            raise ConfigurationError(
-                "compression_safety must be in (0, 1]"
-            )
         for name in ("n_c", "n_s_block", "n_b"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
@@ -133,16 +131,6 @@ class SolverConfig:
         from repro.runtime import resolve_runtime_backend
 
         return resolve_runtime_backend(self.runtime_backend)
-
-    @property
-    def hierarchical_tol(self) -> float:
-        """Internal rounding tolerance of the hierarchical Schur container.
-
-        Repeated compressed-AXPY recompressions and H-LU updates accumulate
-        roundoff; rounding a safety factor below the target ε keeps the
-        final relative error under ε (the behaviour Fig. 11 reports).
-        """
-        return self.epsilon * self.compression_safety
 
     @property
     def coupling_name(self) -> str:

@@ -261,11 +261,10 @@ class HodlrSchurContainer:
         self.tree = build_cluster_tree(problem.coords_s)
         self._leaf_starts = np.array(
             [leaf.start for leaf in self.tree.leaves()])
-        # compressed assembly of A_ss straight from the kernel (ACA); the
-        # internal rounding tolerance sits a safety factor below ε so that
-        # accumulated recompression error stays within the advertised ε
+        # compressed assembly of A_ss straight from the kernel (ACA); every
+        # later rounding of S (AXPY, flush, H-LDLᵀ / H-LU) inherits this ε
         self.s = build_hodlr(
-            problem.a_ss_op, self.tree, tol=config.hierarchical_tol,
+            problem.a_ss_op, self.tree, tol=config.epsilon,
             symmetric=problem.symmetric,
         )
         self._accumulate = config.axpy_accumulate

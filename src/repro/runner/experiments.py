@@ -259,10 +259,6 @@ def run_table2(
             n_c=64,
             n_s_block=512,
             memory_limit=memory_limit,
-            # the complex industrial case amplifies recompression error
-            # more than the pipe; round a factor lower internally so the
-            # final error stays below the advertised ε = 1e-4
-            compression_safety=0.005,
         )
         result = _attempt(problem, algorithm, config)
         result.update(

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import solve_coupled
 from repro.core.config import SolverConfig
+from repro.core.schur_tools import HodlrSchurContainer
 from repro.memory import MemoryTracker
 from repro.utils.errors import ConfigurationError
 
@@ -28,8 +29,6 @@ class TestValidation:
         ("n_s_block", 0),
         ("n_b", 0),
         ("memory_limit", 0),
-        ("compression_safety", 0.0),
-        ("compression_safety", 1.5),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
@@ -71,9 +70,16 @@ class TestHelpers:
         blr = SolverConfig(epsilon=1e-5).blr_config()
         assert blr is not None and blr.tol == 1e-5
 
-    def test_hierarchical_tol_below_epsilon(self):
-        cfg = SolverConfig(epsilon=1e-3)
-        assert cfg.hierarchical_tol < cfg.epsilon
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-4])
+    def test_compressed_schur_rounds_at_epsilon(self, pipe_small, epsilon):
+        """The ℋ container builds ``S`` at ε itself, so every later
+        rounding of ``S`` (AXPY, flush, H-LDLᵀ) runs at ε too."""
+        cfg = SolverConfig(dense_backend="hmat", epsilon=epsilon)
+        container = HodlrSchurContainer(pipe_small, cfg, cfg.make_tracker())
+        try:
+            assert container.s.tol == cfg.epsilon
+        finally:
+            container.free()
 
     def test_make_tracker_honours_limit(self):
         t = SolverConfig(memory_limit=1234).make_tracker("x")

@@ -3,22 +3,24 @@
 Hypothesis generates random problem shapes and random well-conditioned
 systems; the invariants checked here are the ones every paper experiment
 silently relies on: factor-solve correctness on arbitrary grids, Schur
-identity on random couplings, and the algebraic equivalence of the four
-coupling algorithms.
+identity on random couplings, the algebraic equivalence of the four
+coupling algorithms, and the accuracy contract — every configuration the
+knobs reach solves within the compression threshold ε.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SolverConfig, solve_coupled
-from repro.fembem import generate_pipe_case
+from repro.fembem import generate_aircraft_case, generate_pipe_case
 from repro.fembem.fem import assemble_fem_matrix
 from repro.fembem.mesh import StructuredGrid
 from repro.sparse import SparseSolver
+from repro.utils.errors import ConfigurationError
 
 
 @settings(max_examples=12, deadline=None)
@@ -101,3 +103,65 @@ def test_property_block_sizes_never_change_answers(pipe_tiny, n_c, n_b):
 @pytest.fixture(scope="module")
 def pipe_tiny():
     return generate_pipe_case(900, seed=11)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+# the compressed corners at the largest size, always run: both cases ×
+# both ε × both compressed algorithms, the other knobs spread across them
+@example(aircraft=False, n_total=2_400, seed=0, epsilon=1e-3,
+         algorithm="multi_solve", dense_backend="hmat",
+         sparse_compression=True, axpy_accumulate=True, n_workers=1)
+@example(aircraft=False, n_total=2_400, seed=1, epsilon=1e-4,
+         algorithm="multi_factorization", dense_backend="hmat",
+         sparse_compression=True, axpy_accumulate=False, n_workers=4)
+@example(aircraft=True, n_total=2_400, seed=2, epsilon=1e-3,
+         algorithm="multi_factorization", dense_backend="hmat",
+         sparse_compression=False, axpy_accumulate=True, n_workers=4)
+@example(aircraft=True, n_total=2_400, seed=3, epsilon=1e-4,
+         algorithm="multi_solve", dense_backend="hmat",
+         sparse_compression=True, axpy_accumulate=False, n_workers=1)
+@given(
+    aircraft=st.booleans(),
+    n_total=st.integers(1_200, 2_400),
+    seed=st.integers(0, 20),
+    epsilon=st.sampled_from([1e-3, 1e-4]),
+    # hypothesis leans towards each list's first entry: the compressed
+    # lanes, the ones that round at ε, come first
+    algorithm=st.sampled_from(["multi_solve", "multi_factorization",
+                               "baseline", "advanced"]),
+    dense_backend=st.sampled_from(["hmat", "spido", "spido_ooc"]),
+    sparse_compression=st.booleans(),
+    axpy_accumulate=st.booleans(),
+    n_workers=st.sampled_from([1, 4]),
+)
+def test_property_solution_within_epsilon(
+    aircraft, n_total, seed, epsilon, algorithm, dense_backend,
+    sparse_compression, axpy_accumulate, n_workers,
+):
+    """The accuracy oracle: on the real symmetric pipe and the complex
+    non-symmetric aircraft, every algorithm × backend × BLR ×
+    ``axpy_accumulate`` × worker count the solver accepts returns a
+    solution whose backward residual and forward error are both ≤ ε.
+    ``derandomize`` draws the same cases on every run."""
+    if aircraft:
+        # the test fixtures' larger surface share, so S is big enough to
+        # be compressed into more than a few leaves
+        problem = generate_aircraft_case(n_total, seed=seed,
+                                         bem_fraction=0.25)
+    else:
+        problem = generate_pipe_case(n_total, seed=seed)
+    config = SolverConfig(
+        dense_backend=dense_backend, epsilon=epsilon,
+        sparse_compression=sparse_compression,
+        axpy_accumulate=axpy_accumulate, n_workers=n_workers,
+        runtime_backend="thread", n_c=64, n_s_block=256,
+    )
+    try:
+        sol = solve_coupled(problem, algorithm, config)
+    except ConfigurationError:
+        # baseline and advanced receive S dense: spido only
+        assert algorithm in ("baseline", "advanced")
+        assert dense_backend != "spido"
+        return
+    assert problem.residual_norm(sol.x_v, sol.x_s) <= epsilon
+    assert sol.relative_error <= epsilon

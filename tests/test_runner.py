@@ -145,6 +145,8 @@ class TestTable2Quick:
                           bem_fraction=0.25)
         assert len(rows) == 9
         assert all(r["feasible"] for r in rows)  # generous limit
+        # every row meets Table II's ε = 1e-4
+        assert all(r["relative_error"] <= 1e-4 for r in rows)
         # compressed rows store a Schur complement no bigger than dense rows
         dense_s = rows[2]["schur_bytes"]
         comp_s = rows[5]["schur_bytes"]

@@ -264,7 +264,8 @@ class TestCacheLifecycleOverProtocol:
             # perturbed), so judge by the residual of its own system
             assert other.residual_norm(x_v, x_s) < 1e-4
 
-        run_with_server(SolverConfig(**CONFIG_KW), body)
+        # ℋ rounds at ε, so the 1e-4 residual bound needs ε = 1e-4
+        run_with_server(SolverConfig(**CONFIG_KW, epsilon=1e-4), body)
 
     def test_factorize_over_the_memory_limit_leaves_nothing_behind(
             self, pipe_small):
