@@ -55,6 +55,15 @@ primitive under both solve sweeps: ``RowBlockKernel.solve`` (``trsm`` /
 inverted factor, on C-ordered unit-lower pivot blocks of 60 and 157 rows
 (157: the pipe's largest), 256 columns and one; each the
 minimum of single timed calls, in microseconds.
+
+Dense-factorization rows, the layer under ``dense.factorize_s``: the
+SPIDO factorization of ``S`` at the harness aircraft's and pipe's ``n_s``
+— complex LU at n = 2,252, ``lu_factor`` into a fresh buffer against
+:func:`~repro.dense.lu_factor_inplace` (one ``getrf`` on ``S.T``), and
+real LDLᵀ at n = 1,950, :func:`~repro.dense.blocked_ldlt` copying against
+``overwrite=True`` — min-of-k seconds with spread and GFlop/s
+(``(2/3)n³`` for LU, ``n³/3`` for LDLᵀ, ×4 complex); ``S`` is refilled,
+untimed, before every call.
 """
 
 import argparse
@@ -69,7 +78,7 @@ import numpy as np
 import pytest
 
 from repro import SolverConfig
-from repro.dense import blocked_ldlt, blocked_lu
+from repro.dense import blocked_ldlt, lu_factor_inplace
 from repro.fembem.bem import make_surface_operator
 from repro.fembem.mesh import box_surface_points
 from repro.hmatrix import (
@@ -97,9 +106,10 @@ def surface_setup():
     return pts, tree, op
 
 
-def test_blocked_lu_kernel(benchmark, dense_matrix):
-    benchmark.pedantic(blocked_lu, args=(dense_matrix,),
-                       kwargs={"block_size": 128}, rounds=3, iterations=1)
+def test_lu_factor_inplace_kernel(benchmark, dense_matrix):
+    benchmark.pedantic(lu_factor_inplace,
+                       setup=lambda: ((dense_matrix.copy(),), {}),
+                       rounds=3, iterations=1)
 
 
 def test_blocked_ldlt_kernel(benchmark, dense_matrix):
@@ -456,6 +466,52 @@ def render_hmatrix_rows(result):
     return "\n".join(lines)
 
 
+# -- dense-factorization rows -------------------------------------------------
+
+def dense_rows(k=3, seed=0, n_lu=2_252, n_ldlt=1_950):
+    """The layer under ``dense.factorize_s``: the SPIDO factorization of
+    ``S``, copying against in place; see the module docstring."""
+    from scipy.linalg import lu_factor
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n_lu, n_lu)) + 1j * rng.standard_normal((n_lu, n_lu))
+    a_lu = g + 0.05 * n_lu * np.eye(n_lu)
+    g = rng.standard_normal((n_ldlt, n_ldlt))
+    a_ldlt = g + g.T + 0.1 * n_ldlt * np.eye(n_ldlt)
+    del g
+    rows = []
+    for name, a, flops, calls in (
+            ("lu complex", a_lu, 4 * (2 / 3) * n_lu**3, (
+                ("copy", lambda s: lu_factor(s, check_finite=False)),
+                ("in place", lu_factor_inplace))),
+            ("ldlt real", a_ldlt, n_ldlt**3 / 3, (
+                ("copy", blocked_ldlt),
+                ("in place", lambda s: blocked_ldlt(s, overwrite=True))))):
+        s = np.empty_like(a)
+        for variant, call in calls:
+            times = []
+            for _ in range(k):
+                s[...] = a            # a fresh S for every call, untimed
+                start = time.perf_counter()
+                call(s)
+                times.append(time.perf_counter() - start)
+            q1, q3 = np.percentile(times, [25, 75])
+            rows.append({"row": f"{name} {variant}", "n": len(a), "k": k,
+                         "min_s": min(times), "q1_s": float(q1),
+                         "q3_s": float(q3),
+                         "gflops": flops / min(times) / 1e9})
+    return {"dense_rows": rows}
+
+
+def render_dense_rows(result):
+    lines = [f"{'row':<22}{'n':>7}{'min s':>9}{'q1-q3 s':>16}{'GFlop/s':>9}"]
+    for r in result["dense_rows"]:
+        lines.append(
+            f"{r['row']:<22}{r['n']:>7}{r['min_s']:>9.3f}{r['q1_s']:>8.3f}-"
+            f"{r['q3_s']:<7.3f}{r['gflops']:>9.1f}")
+    return "\n".join(lines)
+
+
 # -- analysis and triangular-kernel rows --------------------------------------
 
 def analysis_rows(n_pipe, n_aircraft, k=7, seed=0):
@@ -583,6 +639,17 @@ def test_analysis_rows():
     assert len(result["triangular_rows"]) == 4
 
 
+def test_dense_factorization_rows():
+    from bench_utils import write_result
+
+    result = dense_rows(k=2, n_lu=600, n_ldlt=500)
+    write_result("kernels_dense_factorization", render_dense_rows(result))
+    assert [r["row"] for r in result["dense_rows"]] == [
+        "lu complex copy", "lu complex in place",
+        "ldlt real copy", "ldlt real in place"]
+    assert all(r["gflops"] > 0 for r in result["dense_rows"])
+
+
 def main(argv=None):
     here = pathlib.Path(__file__).resolve().parent
     sys.path[:0] = [str(here), str(here / "harness")]
@@ -611,6 +678,9 @@ def main(argv=None):
     analysis.update(triangular_rows(seed=args.seed))
     print(render_analysis_rows(analysis))
     result.update(analysis)
+    dense = dense_rows(k=max(2, args.repeat - 4), seed=args.seed)
+    print(render_dense_rows(dense))
+    result.update(dense)
     if args.json:
         payload = {"provenance": header(args.seed), **result}
         pathlib.Path(args.json).write_text(

@@ -213,7 +213,9 @@ class DenseSchurContainer:
         self.s[_block_index(rows, cols)] += x
 
     def factorize(self, tracker: MemoryTracker) -> None:
-        self._fact = DenseSolver(tracker=tracker).factorize(
+        """Factor ``S`` in its own buffer: the ``schur_store`` charge is
+        the factor's only one, and ``S`` reads as factors from here on."""
+        self._fact = DenseSolver().factorize(
             self.s, symmetric=self.problem.symmetric
         )
 

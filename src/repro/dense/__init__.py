@@ -4,22 +4,21 @@ The paper's baseline dense solver SPIDO is a proprietary ScaLAPACK-like
 direct solver: uncompressed dense storage, blocked factorization kernels.
 This subpackage provides the equivalent building blocks on NumPy buffers:
 
-* blocked LU with partial pivoting (:func:`blocked_lu`),
+* LU with partial pivoting, one LAPACK ``getrf`` in the caller's buffer
+  (:func:`lu_factor_inplace`),
 * blocked LDLᵀ for symmetric matrices (:func:`blocked_ldlt`),
-* blocked Cholesky for SPD matrices (:func:`blocked_cholesky`),
 * the in-place triangular kernel of every solve sweep and the blocked
   triangular solves built on it (:mod:`repro.dense.triangular`), and
 * the :class:`DenseSolver` facade used by the coupling algorithms, which
-  picks the factorization from the matrix's symmetry and tracks the factor
-  memory.
+  factors the dense Schur block in place with the one of the two its
+  symmetry calls for.
 
-All routines operate on explicit 2-D arrays; the blocked structure keeps
-the heavy work in BLAS-3 calls exactly as a tiled dense solver would.
+All routines operate on explicit 2-D arrays and leave the heavy work to
+LAPACK and BLAS-3 calls, as a tiled dense solver would.
 """
 
-from repro.dense.blocked_lu import blocked_lu, lu_solve, piv_to_perm
+from repro.dense.lu import lu_factor_inplace, lu_solve_transposed, piv_to_perm
 from repro.dense.ldlt import blocked_ldlt, ldlt_solve
-from repro.dense.cholesky import blocked_cholesky, cholesky_solve
 from repro.dense.triangular import (
     RowBlockKernel,
     solve_lower_triangular,
@@ -29,13 +28,11 @@ from repro.dense.triangular import (
 from repro.dense.solver import DenseFactorization, DenseSolver
 
 __all__ = [
-    "blocked_lu",
-    "lu_solve",
+    "lu_factor_inplace",
+    "lu_solve_transposed",
     "piv_to_perm",
     "blocked_ldlt",
     "ldlt_solve",
-    "blocked_cholesky",
-    "cholesky_solve",
     "RowBlockKernel",
     "solve_lower_triangular",
     "solve_upper_triangular",

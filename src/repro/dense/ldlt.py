@@ -73,12 +73,15 @@ def _ldlt_kernel(a: np.ndarray, tiny: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def blocked_ldlt(
-    a: np.ndarray, block_size: int = DEFAULT_BLOCK
+    a: np.ndarray, block_size: int = DEFAULT_BLOCK, overwrite: bool = False
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Factor symmetric ``a = L D Lᵀ`` (unit lower ``L``, diagonal ``d``).
 
     Works for real symmetric and complex *symmetric* (not Hermitian)
-    matrices; only the lower triangle of ``a`` is referenced.
+    matrices; only the lower triangle of ``a`` is referenced.  With
+    ``overwrite`` (as ``scipy.linalg.lu_factor``'s ``overwrite_a``) an
+    ``a`` of an inexact dtype becomes ``l`` itself, its strict upper
+    triangle zeroed; the factors are bit for bit the copying call's.
 
     Returns
     -------
@@ -90,7 +93,12 @@ def blocked_ldlt(
     check_square(a, "a")
     n = a.shape[0]
     dtype = a.dtype if np.issubdtype(a.dtype, np.inexact) else np.float64
-    l = np.tril(np.asarray(a, dtype=dtype))  # the one copy: np.tril's result
+    if overwrite and a.dtype == dtype:
+        l = a
+        for r in range(0, n, block_size):  # np.tril by row slabs, in place
+            l[r : r + block_size, r:] = np.tril(l[r : r + block_size, r:])
+    else:
+        l = np.tril(np.asarray(a, dtype=dtype))  # the one copy
     d = np.empty(n, dtype=dtype)
     tiny = float(np.finfo(np.dtype(dtype).char.lower() if np.issubdtype(dtype, np.complexfloating) else dtype).tiny) ** 0.5
 
@@ -120,8 +128,10 @@ def _lower_update(c: np.ndarray, w: np.ndarray, xt: np.ndarray,
                   block_size: int) -> None:
     """``c −= tril(w @ xt)`` in place, one ``block_size``-row slab at a
     time and only up to each slab's diagonal: half the flops of the full
-    product and no trailing-size temporary (see ``blocked_lu``).  ``c``'s
-    strict upper triangle is left as it is."""
+    product and no trailing-size temporary (the product of a slab is a
+    few MiB the allocator recycles; the whole trailing product would be a
+    fresh mapping, and its page faults, per panel).  ``c``'s strict upper
+    triangle is left as it is."""
     for r in range(0, len(c), block_size):
         e = min(r + block_size, len(c))
         c[r:e, :e] -= np.tril(w[r:e] @ xt[:, :e], r)

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lu_factor
 
-from repro.dense.blocked_lu import piv_to_perm
+from repro.dense.lu import piv_to_perm
 from repro.dense.triangular import RowBlockKernel, sweep_dtype
 from repro.hmatrix.hmatrix import HMatrix, HNode, _node_add_rk
 from repro.hmatrix.rk import RkMatrix

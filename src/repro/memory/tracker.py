@@ -53,7 +53,8 @@ CATEGORY_DESCRIPTIONS: Dict[str, str] = {
     "solve_panel": "blocked solve panels (Y_i / Z_i)",
     "solve_workspace": "forward/backward sweep work vector (panel-bounded)",
     "spmm_panel": "dense Z_i accumulation block (compressed multi-solve)",
-    "dense_factor": "dense/hierarchical factorization storage",
+    "dense_factor": "hierarchical (H-LU / H-LDLᵀ) factors of a compressed "
+                    "S; a dense S is factored in its schur_store buffer",
     "axpy_accumulator": "pending low-rank factors awaiting deferred "
                         "recompression (RkAccumulator batches)",
     "axpy_gather": "cluster-permuted gather of one dense AXPY panel",

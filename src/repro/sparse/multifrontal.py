@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs, lu_factor
 
-from repro.dense.blocked_lu import piv_to_perm
+from repro.dense.lu import piv_to_perm
 from repro.dense.ldlt import blocked_ldlt
 from repro.dense.triangular import RowBlockKernel, sweep_dtype
 from repro.hmatrix.rk import RkMatrix

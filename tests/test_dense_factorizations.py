@@ -1,4 +1,5 @@
-"""Tests for blocked LU, LDLᵀ and Cholesky factorizations."""
+"""Tests for the in-place LU, the blocked LDLᵀ factorization and the LU
+pivot conversion."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 from scipy.linalg import lu_factor as scipy_lu_factor
 
-from repro.dense.blocked_lu import blocked_lu, lu_solve, piv_to_perm
-from repro.dense.cholesky import blocked_cholesky, cholesky_solve
+from repro.dense.lu import lu_factor_inplace, lu_solve_transposed, piv_to_perm
 from repro.dense.ldlt import (
     _ldlt_columns,
     _ldlt_kernel,
     blocked_ldlt,
     ldlt_solve,
 )
-from repro.utils.errors import SingularMatrixError
+from repro.utils.errors import ConfigurationError, SingularMatrixError
 
 
 def _well_conditioned(rng, n, dtype=np.float64):
@@ -26,75 +26,70 @@ def _well_conditioned(rng, n, dtype=np.float64):
     return a
 
 
+def _lu_solve(a, b):
+    """Solve ``a x = b`` by the in-place LU of a copy of ``a``."""
+    return lu_solve_transposed(*lu_factor_inplace(a.copy()), b)
+
+
 class TestBlockedLU:
-    @pytest.mark.parametrize("n,bs", [(1, 1), (7, 3), (50, 8), (128, 128),
-                                      (257, 64)])
-    def test_solve_accuracy(self, rng, n, bs):
+    """LAPACK's ``getrf`` is a blocked LU; :func:`lu_factor_inplace` runs
+    it on ``aᵀ`` in ``a``'s own buffer and :func:`lu_solve_transposed`
+    solves ``a x = b`` from those factors."""
+
+    @pytest.mark.parametrize("n,nrhs", [(1, 1), (7, 3), (50, 8), (128, 128),
+                                        (257, 64)])
+    def test_solve_accuracy(self, rng, n, nrhs):
         a = _well_conditioned(rng, n)
-        b = rng.standard_normal((n, 3))
-        lu, piv = blocked_lu(a, block_size=bs)
-        x = lu_solve(lu, piv, b, block_size=bs)
-        np.testing.assert_allclose(a @ x, b, rtol=1e-8, atol=1e-8)
+        b = rng.standard_normal((n, nrhs))
+        np.testing.assert_allclose(a @ _lu_solve(a, b), b, rtol=1e-8,
+                                   atol=1e-8)
 
     def test_matches_lapack_factors(self, rng):
-        """With one panel the compact LU must equal LAPACK's exactly."""
-        a = _well_conditioned(rng, 40)
-        lu, piv = blocked_lu(a, block_size=64)
-        lu_ref, piv_ref = scipy_lu_factor(a)
-        np.testing.assert_allclose(lu, lu_ref, rtol=1e-12)
+        """The factors and pivots are LAPACK's of ``aᵀ``, bit for bit."""
+        a = _well_conditioned(rng, 300, np.complex128)
+        lu_ref, piv_ref = scipy_lu_factor(np.asfortranarray(a.T))
+        lu_t, piv = lu_factor_inplace(a.copy())
+        np.testing.assert_array_equal(lu_t, lu_ref)
         np.testing.assert_array_equal(piv, piv_ref)
 
     def test_transpose_solve(self, rng):
+        """Factoring the buffer of ``aᵀ`` solves with ``aᵀ``."""
         a = _well_conditioned(rng, 90)
         b = rng.standard_normal(90)
-        lu, piv = blocked_lu(a, block_size=32)
-        x = lu_solve(lu, piv, b, trans=1, block_size=32)
-        np.testing.assert_allclose(a.T @ x, b, rtol=1e-8)
+        np.testing.assert_allclose(a.T @ _lu_solve(a.T, b), b, rtol=1e-8)
 
     def test_pivoting_handles_zero_leading_entry(self, rng):
         a = _well_conditioned(rng, 30)
         a[0, 0] = 0.0
         b = rng.standard_normal(30)
-        lu, piv = blocked_lu(a, block_size=8)
-        x = lu_solve(lu, piv, b, block_size=8)
-        np.testing.assert_allclose(a @ x, b, rtol=1e-8)
+        np.testing.assert_allclose(a @ _lu_solve(a, b), b, rtol=1e-8)
 
     def test_complex_nonsymmetric(self, rng):
         a = _well_conditioned(rng, 70, np.complex128)
         b = rng.standard_normal((70, 2)) + 1j * rng.standard_normal((70, 2))
-        lu, piv = blocked_lu(a, block_size=20)
-        x = lu_solve(lu, piv, b, block_size=20)
-        np.testing.assert_allclose(a @ x, b, rtol=1e-8)
+        np.testing.assert_allclose(a @ _lu_solve(a, b), b, rtol=1e-8)
 
     def test_singular_matrix_raises(self):
-        a = np.zeros((5, 5))
         with pytest.raises(SingularMatrixError):
-            blocked_lu(a)
+            lu_factor_inplace(np.zeros((5, 5)))
 
     def test_non_square_rejected(self):
-        from repro.utils.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
-            blocked_lu(np.zeros((3, 4)))
-
-    def test_input_not_modified(self, rng):
-        a = _well_conditioned(rng, 20)
-        a0 = a.copy()
-        blocked_lu(a, block_size=8)
-        np.testing.assert_array_equal(a, a0)
+            lu_factor_inplace(np.zeros((3, 4)))
 
     def test_overwrite_reuses_buffer(self, rng):
         a = _well_conditioned(rng, 20)
-        lu, _ = blocked_lu(a, block_size=8, overwrite=True)
-        assert lu is a
+        lu_t, _ = lu_factor_inplace(a)
+        assert np.shares_memory(lu_t, a)
+        np.testing.assert_array_equal(lu_t.T, a)
 
     @settings(max_examples=20, deadline=None)
-    @given(n=st.integers(2, 48), bs=st.integers(1, 50), seed=st.integers(0, 500))
-    def test_property_plu_reconstructs(self, n, bs, seed):
+    @given(n=st.integers(2, 48), seed=st.integers(0, 500))
+    def test_property_plu_reconstructs(self, n, seed):
         rng = np.random.default_rng(seed)
         a = _well_conditioned(rng, n)
-        lu, piv = blocked_lu(a, block_size=bs)
-        x = lu_solve(lu, piv, np.eye(n), block_size=bs)
-        np.testing.assert_allclose(a @ x, np.eye(n), atol=1e-6)
+        np.testing.assert_allclose(a @ _lu_solve(a, np.eye(n)), np.eye(n),
+                                   atol=1e-6)
 
 
 class TestPivotsAsPermutation:
@@ -113,13 +108,12 @@ class TestPivotsAsPermutation:
         np.testing.assert_array_equal(undone, x)
 
     def test_transposed_and_complex_solves(self, rng):
+        """LAPACK's pivots of a complex ``a`` and of its buffer
+        transposed: the plain transpose, not the conjugate one."""
         a = _well_conditioned(rng, 70, np.complex128)
         b = rng.standard_normal(70) + 1j * rng.standard_normal(70)
-        lu, piv = blocked_lu(a, block_size=16)
-        np.testing.assert_allclose(a @ lu_solve(lu, piv, b, block_size=16),
-                                   b, atol=1e-9)
-        np.testing.assert_allclose(
-            a.T @ lu_solve(lu, piv, b, trans=1, block_size=16), b, atol=1e-9)
+        np.testing.assert_allclose(a @ _lu_solve(a, b), b, atol=1e-9)
+        np.testing.assert_allclose(a.T @ _lu_solve(a.T, b), b, atol=1e-9)
 
 
 class TestBlockedLDLT:
@@ -226,72 +220,32 @@ class TestLdltKernel:
             _ldlt_kernel(np.zeros((3, 3)), self.TINY)
 
 
-class TestBlockedCholesky:
-    @pytest.mark.parametrize("n,bs", [(1, 1), (64, 16), (150, 128)])
-    def test_real_spd(self, rng, n, bs):
-        a = rng.standard_normal((n, n))
-        a = a @ a.T + n * np.eye(n)
-        l = blocked_cholesky(a, block_size=bs)
-        np.testing.assert_allclose(l @ l.T, a, rtol=1e-8)
-
-    def test_solve(self, rng):
-        a = rng.standard_normal((100, 100))
-        a = a @ a.T + 100 * np.eye(100)
-        b = rng.standard_normal((100, 2))
-        l = blocked_cholesky(a, block_size=32)
-        x = cholesky_solve(l, b, block_size=32)
-        np.testing.assert_allclose(a @ x, b, rtol=1e-8)
-
-    def test_hermitian_positive_definite(self, rng):
-        n = 60
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = m @ m.conj().T + n * np.eye(n)
-        l = blocked_cholesky(a, block_size=24)
-        np.testing.assert_allclose(l @ l.conj().T, a, rtol=1e-8)
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = cholesky_solve(l, b, block_size=24)
-        np.testing.assert_allclose(a @ x, b, rtol=1e-8)
-
-    def test_indefinite_raises(self, rng):
-        a = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(SingularMatrixError):
-            blocked_cholesky(a)
-
-
 def _full_trailing_update(c, w, xt, block_size):
     """The trailing update as one full product (the reference)."""
     c -= np.tril(w @ xt)
 
 
 class TestTrailingUpdateBySlabs:
-    """``blocked_ldlt`` / ``blocked_cholesky`` update the trailing matrix
-    one ``block_size``-row slab at a time, lower part only.  Where the
-    trailing matrix is one slab (``n ≤ 2·block_size``) the BLAS call is the
-    full product's and the factors are bit for bit the reference's; with
-    more slabs OpenBLAS may round a row slab of a ``gemm`` differently from
-    the same rows of the whole product, so there the reference is matched
-    to ``n·eps``."""
+    """``blocked_ldlt`` updates the trailing matrix one ``block_size``-row
+    slab at a time, lower part only.  Where the trailing matrix is one slab
+    (``n ≤ 2·block_size``) the BLAS call is the full product's and the
+    factors are bit for bit the reference's; with more slabs OpenBLAS may
+    round a row slab of a ``gemm`` differently from the same rows of the
+    whole product, so there the reference is matched to ``n·eps``."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_matches_the_full_product(self, monkeypatch, dtype):
-        import repro.dense.cholesky as chol_mod
         import repro.dense.ldlt as ldlt_mod
-
-        def factors(a, spd, bs):
-            return ((blocked_cholesky(spd, block_size=bs),)
-                    + blocked_ldlt(a, block_size=bs))
 
         rng = np.random.default_rng(6)
         for n, bs in ((1, 128), (129, 128), (256, 128), (257, 128),
                       (450, 128), (75, 16), (150, 32)):
             g = _well_conditioned(rng, n, dtype)
             a = g + g.T + n * np.eye(n)              # complex symmetric
-            spd = g @ g.conj().T + n * np.eye(n)     # Hermitian pos. def.
-            got = factors(a, spd, bs)
+            got = blocked_ldlt(a, block_size=bs)
             with monkeypatch.context() as m:
                 m.setattr(ldlt_mod, "_lower_update", _full_trailing_update)
-                m.setattr(chol_mod, "_lower_update", _full_trailing_update)
-                want = factors(a, spd, bs)
+                want = blocked_ldlt(a, block_size=bs)
             for x, y in zip(got, want, strict=True):
                 if n <= 2 * bs:
                     np.testing.assert_array_equal(x, y)
@@ -299,4 +253,4 @@ class TestTrailingUpdateBySlabs:
                     np.testing.assert_allclose(
                         x, y, rtol=0,
                         atol=n * np.finfo(np.float64).eps * np.abs(y).max())
-            assert not np.triu(got[0], 1).any() and not np.triu(got[1], 1).any()
+            assert not np.triu(got[0], 1).any()

@@ -128,6 +128,50 @@ class TestLifecycleAndErrors:
             f.stats, total_time=stats.total_time) == stats
 
 
+class TestSpidoStoresSOnce:
+    """The dense ``S`` is factored in its own buffer: its ``schur_store``
+    charge is the factor's only one, so what the factorization reports as
+    stored is what its tracker holds."""
+
+    @pytest.mark.parametrize("algorithm",
+                             ["multi_solve", "multi_factorization"])
+    def test_no_dense_factor_and_stored_bytes_truthful(self, aircraft_small,
+                                                       algorithm):
+        problem = aircraft_small
+        f = CoupledFactorization(problem, algorithm,
+                                 SolverConfig(dense_backend="spido", n_c=64))
+        peaks = f.stats.peak_by_category
+        s_bytes = problem.n_bem ** 2 * np.dtype(problem.dtype).itemsize
+        assert "dense_factor" not in peaks
+        assert peaks["schur_store"] == s_bytes
+        assert f.stored_bytes == s_bytes + peaks["sparse_factor"]
+        assert f._ctx.tracker.in_use == f.stored_bytes
+        f.free()
+
+    @pytest.mark.parametrize("case", ["aircraft_small", "pipe_small"])
+    def test_memory_model_bounds_the_multi_solve_peak(self, request, case):
+        """``CouplingMemoryModel``'s spido multi-solve prediction, its
+        factor coefficient calibrated on the run's own sparse factor, is
+        an upper bound of the tracked peak."""
+        from repro.memory.model import CouplingMemoryModel, ProblemDims
+
+        problem = request.getfixturevalue(case)
+        config = SolverConfig(dense_backend="spido", n_c=64)
+        f = CoupledFactorization(problem, "multi_solve", config)
+        stats = f.stats
+        f.free()
+        model = CouplingMemoryModel(
+            itemsize=np.dtype(problem.dtype).itemsize,
+            symmetric=problem.symmetric,
+        ).calibrated(factor_samples=[
+            (problem.n_fem, stats.peak_by_category["sparse_factor"])])
+        predicted = model.peak_bytes(
+            "multi_solve",
+            ProblemDims(problem.n_total, problem.n_fem, problem.n_bem),
+            n_c=config.n_c)
+        assert stats.peak_bytes <= predicted
+
+
 class TestConcurrency:
     """The PR-8 serving contract: concurrent solve() + idempotent free().
 

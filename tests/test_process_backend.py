@@ -15,6 +15,7 @@ backend must not introduce any new lock ordering on the coordinator.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ import pytest
 from repro.core.config import SolverConfig
 from repro.core.factorized import CoupledFactorization
 from repro.core.result import CoupledSolution
+from repro.core.schur_tools import DenseSchurContainer
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import (
     PanelTask,
@@ -269,10 +271,20 @@ class TestProcessScheduler:
 
 def _assemble_and_solve(problem, algorithm, config):
     """Run one coupled solve, returning ``(S_dense, solution, ctx)`` with
-    the (factored) Schur complement densified for bitwise comparison."""
-    with CoupledFactorization(problem, algorithm, config) as fact:
-        s = fact._container.s
-        s_dense = s.copy() if isinstance(s, np.ndarray) else s.to_dense()
+    the Schur complement densified for bitwise comparison: a dense ``S``
+    as assembled (its buffer then holds its factors), a compressed one as
+    factored."""
+    assembled = []
+    factorize = DenseSchurContainer.factorize
+
+    def snapshot(container, tracker):
+        assembled.append(container.s.copy())
+        factorize(container, tracker)
+
+    with mock.patch.object(DenseSchurContainer, "factorize", snapshot), \
+            CoupledFactorization(problem, algorithm, config) as fact:
+        s_dense = (assembled[0] if assembled
+                   else fact._container.s.to_dense())
         x_v, x_s = fact.solve(problem.b_v, problem.b_s)
         solution = CoupledSolution(x_v, x_s, fact.stats,
                                    problem.relative_error(x_v, x_s))
