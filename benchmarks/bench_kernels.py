@@ -11,12 +11,15 @@ phase**, the layers under ``sparse.solve_s`` / ``hmatrix.solve_s`` and
 
     python benchmarks/bench_kernels.py [--json BENCH_kernels.json]
 
-Rows: ``mf.solve`` at 1 / 64 / 256 columns for LDLᵀ-real (pipe) and
-LU-complex (aircraft) factors, and the H-LDLᵀ solve at 1 / 64 columns.
+Rows: ``mf.solve`` at 1 / 2 / 64 / 256 columns (2: the serving batcher's
+width) for LDLᵀ-real (pipe) and LU-complex (aircraft) factors, and the
+H-LDLᵀ solve at 1 / 64 columns.
 Each is min-of-k milliseconds with the q1–q3 spread, the GB/s of factor
 bytes it streamed (a solve reads every factor twice, forward and backward)
 and the floor ``2 × factor_bytes / bandwidth`` against a bandwidth measured
-on the spot.  A sweep is bandwidth-bound only when the panel is narrow;
+on the spot; the one-column ``mf.solve`` rows also give the front visits
+of the two sweeps (twice the fronts with pivots) and the microseconds per
+visit.  A sweep is bandwidth-bound only when the panel is narrow;
 wide panels are bounded by BLAS-3 flops, and their GB/s says how much
 reuse each streamed byte got.
 
@@ -194,47 +197,55 @@ def sweep_rows(n_pipe, n_aircraft, k=7, seed=0):
     bandwidth = _stream_bandwidth()
     rows = []
 
-    def add(name, solve, n, complex_rhs, factor_bytes, widths):
+    def add(name, solve, n, complex_rhs, factor_bytes, widths, visits=None):
         for m in widths:
             b = rng.standard_normal((n, m))
             if complex_rhs:
                 b = b + 1j * rng.standard_normal((n, m))
             best, q1, q3 = _min_of_k(lambda: solve(b), k)
+            one = visits is not None and m == 1
             rows.append({
                 "row": name, "n": n, "columns": m, "k": k,
                 "min_ms": best, "q1_ms": q1, "q3_ms": q3,
                 "factor_mb": factor_bytes / 2**20,
                 "streamed_gb_per_s": 2 * factor_bytes / (best * 1e-3) / 1e9,
                 "bandwidth_floor_ms": 2 * factor_bytes / bandwidth * 1e3,
+                "front_visits": visits if one else None,
+                "us_per_visit": best * 1e3 / visits if one else None,
             })
 
+    def mf_row(name, case, symmetric):
+        mf = SparseSolver().factorize(case.a_vv, coords=case.coords_v,
+                                      symmetric_values=symmetric)
+        # each front with pivots: once forward, once backward
+        visits = 2 * sum(1 for f in mf.symbolic.fronts if f.n_own)
+        add(name, mf.solve, case.n_fem, not symmetric, mf.factor_bytes,
+            (1, 2, 64, 256), visits)
+        mf.free()
+
     pipe = generate_pipe_case(n_pipe, seed=seed)
-    mf = SparseSolver().factorize(pipe.a_vv, coords=pipe.coords_v,
-                                  symmetric_values=True)
-    add("mf.solve ldlt-real", mf.solve, pipe.n_fem, False,
-        mf.factor_bytes, (1, 64, 256))
-    mf.free()
+    mf_row("mf.solve ldlt-real", pipe, True)
     tree = build_cluster_tree(pipe.coords_s, leaf_size=64)
     hf = HLDLTFactorization(build_hodlr(pipe.a_ss_op, tree, tol=1e-3))
     add("hldlt.solve real", hf.solve, pipe.n_bem, False, hf.nbytes(), (1, 64))
     air = generate_aircraft_case(n_aircraft, bem_fraction=0.25, seed=seed)
-    mf = SparseSolver().factorize(air.a_vv, coords=air.coords_v,
-                                  symmetric_values=False)
-    add("mf.solve lu-complex", mf.solve, air.n_fem, True,
-        mf.factor_bytes, (1, 64, 256))
-    mf.free()
+    mf_row("mf.solve lu-complex", air, False)
     return {"stream_bandwidth_gb_per_s": bandwidth / 1e9, "rows": rows}
 
 
 def render_sweep_rows(result):
     lines = [f"stream bandwidth {result['stream_bandwidth_gb_per_s']:.1f} GB/s",
              f"{'row':<22}{'n':>7}{'cols':>6}{'min ms':>9}{'q1-q3 ms':>16}"
-             f"{'factor MiB':>12}{'GB/s':>8}{'floor ms':>10}"]
+             f"{'factor MiB':>12}{'GB/s':>8}{'floor ms':>10}"
+             f"{'visits':>8}{'us/visit':>10}"]
     for r in result["rows"]:
+        visits = ("" if r["front_visits"] is None else
+                  f"{r['front_visits']:>8}{r['us_per_visit']:>10.2f}")
         lines.append(
             f"{r['row']:<22}{r['n']:>7}{r['columns']:>6}{r['min_ms']:>9.2f}"
             f"{r['q1_ms']:>8.2f}-{r['q3_ms']:<7.2f}{r['factor_mb']:>12.1f}"
-            f"{r['streamed_gb_per_s']:>8.2f}{r['bandwidth_floor_ms']:>10.2f}")
+            f"{r['streamed_gb_per_s']:>8.2f}{r['bandwidth_floor_ms']:>10.2f}"
+            f"{visits}")
     return "\n".join(lines)
 
 
@@ -601,7 +612,7 @@ def test_solve_sweep_rows():
 
     result = sweep_rows(scaled(12_000), scaled(9_000), k=3)
     write_result("kernels_solve_sweeps", render_sweep_rows(result))
-    assert len(result["rows"]) == 8
+    assert len(result["rows"]) == 10
     assert all(r["min_ms"] > 0 for r in result["rows"])
 
 

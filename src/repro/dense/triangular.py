@@ -1,16 +1,18 @@
 """The in-place triangular kernel, and blocked dense triangular solves.
 
-:class:`RowBlockKernel` is the one BLAS-3 kernel under every solve sweep of
-the package: multifrontal fronts, H-LU / H-LDLᵀ leaves and couplings, and
-the blocked dense solves below.  It works on *row blocks* of a C-ordered
-work buffer.  A C-ordered ``(p, m)`` block is an F-ordered ``(m, p)``
-matrix, so ``op(A) X = B`` runs as ``Xᵀ op(A)ᵀ = Bᵀ`` (``trsm``,
-``side=right``), ``X ← op(A) X`` as ``Xᵀ ← Xᵀ op(A)ᵀ`` (``trmm``) and
-``C −= op(A) B`` as ``Cᵀ −= Bᵀ op(A)ᵀ`` (``gemm``), all overwriting the
-block; a C-ordered factor is handed over as its F-ordered ``.T``.  No call
-copies or casts a factor or a right-hand side — the kernel asserts what it
-hands to BLAS is F-contiguous and of the BLAS dtype, so a silent f2py copy
-cannot come back.
+:class:`RowBlockKernel` is the BLAS-3 kernel of the H-LU / H-LDLᵀ leaves
+and couplings, the blocked dense solves below and the multifrontal
+factor-time panels; the multifrontal solve sweeps make the same calls from
+a plan validated once per factorization
+(``MultifrontalFactorization._sweep_plan``).  It works on *row blocks* of
+a C-ordered work buffer.  A C-ordered ``(p, m)`` block is an F-ordered
+``(m, p)`` matrix, so ``op(A) X = B`` runs as ``Xᵀ op(A)ᵀ = Bᵀ``
+(``trsm``, ``side=right``), ``X ← op(A) X`` as ``Xᵀ ← Xᵀ op(A)ᵀ``
+(``trmm``) and ``C −= op(A) B`` as ``Cᵀ −= Bᵀ op(A)ᵀ`` (``gemm``), all
+overwriting the block; a C-ordered factor is handed over as its
+F-ordered ``.T``.  No call copies or casts a factor or a right-hand side —
+the kernel asserts what it hands to BLAS is F-contiguous and of the BLAS
+dtype, so a silent f2py copy cannot come back.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.dense.triangular import RowBlockKernel
 from repro.hmatrix.rk import RkMatrix, rank_first
 from repro.utils.errors import ConfigurationError
 
@@ -93,11 +92,3 @@ def panel_nbytes(panel: Panel) -> int:
     """Stored bytes of a (possibly compressed) panel."""
     return panel.nbytes
 
-
-def panel_update(kern: RowBlockKernel, c: np.ndarray, panel: Panel,
-                 b: np.ndarray, trans: bool = False) -> None:
-    """``c ← c − op(panel) b`` in place on row blocks, dense or Rk panel."""
-    if isinstance(panel, RkMatrix):
-        kern.update_rk(c, panel.u, panel.v, b, trans)
-    else:
-        kern.update(c, panel, b, trans)

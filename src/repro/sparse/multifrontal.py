@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs, lu_factor
+from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor
 
 from repro.dense.lu import piv_to_perm
 from repro.dense.ldlt import blocked_ldlt
@@ -40,7 +40,6 @@ from repro.sparse.blr import (
     BLRConfig,
     compress_panel,
     panel_nbytes,
-    panel_update,
     rank_tested,
 )
 from repro.sparse.symbolic import SymbolicFactorization
@@ -62,6 +61,41 @@ def _invert_triangle(a: np.ndarray, lower: bool, unit: bool = False) -> None:
     assert np.may_share_memory(inv, a), "trtri copied the pivot block"
     if info:
         raise SingularMatrixError(f"front pivot block failed: trtri info {info}")
+
+
+def _blas_view(a, dtype):
+    """``a`` as BLAS takes it without a copy: its F-contiguous view and
+    whether that view is ``aᵀ`` (``a`` was C-ordered)."""
+    flip = not a.flags.f_contiguous
+    if flip:
+        a = a.T
+    assert a.flags.f_contiguous and a.dtype == dtype, (
+        f"BLAS would copy a {a.dtype} factor with strides {a.strides}; "
+        f"the {dtype} sweep needs it contiguous"
+    )
+    return a, flip
+
+
+def _multiply_step(a, dtype, lower, trans=False, unit=False):
+    """``x ← op(a) x`` as ``RowBlockKernel.multiply`` calls BLAS:
+    ``(a, lower, trans, unit)`` with a C-ordered ``a``'s flip applied."""
+    a, flip = _blas_view(a, dtype)
+    return a, lower != flip, trans != flip, unit
+
+
+def _update_step(panel, dtype, trans=False):
+    """``c ← c − op(panel) b`` as ``RowBlockKernel.update`` /
+    ``update_rk`` call BLAS: ``(a, trans, v, vtrans)``, where an Rk panel
+    first forms the rank-sized ``op(v) b`` (``v`` is ``None`` for a dense
+    panel); ``None`` for a rank-0 panel, whose update is a no-op."""
+    if isinstance(panel, RkMatrix):
+        u, v = (panel.v, panel.u) if trans else (panel.u, panel.v)
+        if not u.shape[1]:
+            return None
+        (u, uflip), (v, vflip) = _blas_view(u, dtype), _blas_view(v, dtype)
+        return u, uflip, v, not vflip
+    a, flip = _blas_view(panel, dtype)
+    return a, trans != flip, None, None
 
 
 class FrontArena:
@@ -224,6 +258,7 @@ class MultifrontalFactorization:
         self._fronts: List[_FrontFactor] = []
         self.schur: Optional[np.ndarray] = None
         self._schur_alloc = None
+        self._plan = None  # see _sweep_plan; built once factors are kept
         self._freed = False
         arena = FrontArena(self.tracker)
         try:
@@ -243,11 +278,14 @@ class MultifrontalFactorization:
         state = self.__dict__.copy()
         state["tracker"] = None
         state["_schur_alloc"] = None
+        state["_plan"] = None  # its .T views would pickle as copies
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.tracker = MemoryTracker()
+        if self.keep_factors and not self._freed:
+            self._plan = self._sweep_plan()
 
     # -- numeric factorization ----------------------------------------------------
     def _factorize(self, a: sp.csr_matrix, arena: FrontArena) -> None:
@@ -276,6 +314,8 @@ class MultifrontalFactorization:
                 self._front(i, f, arena, kern, updates,
                             pos[start[i]:start[i + 1]],
                             vals[start[i]:start[i + 1]])
+            if self.keep_factors:
+                self._plan = self._sweep_plan()
         except BaseException:
             # a failed factorization is never handed out: release its charges
             for _, ualloc in updates.values():
@@ -532,6 +572,7 @@ class MultifrontalFactorization:
             if f.alloc is not None:
                 f.alloc.free()
         self._fronts = []
+        self._plan = None  # its views would keep the factors resident
         if self._schur_alloc is not None:
             self._schur_alloc.free()
             self._schur_alloc = None
@@ -593,6 +634,9 @@ class MultifrontalFactorization:
         """
         if self._freed:
             raise RuntimeError("factorization has been freed")
+        if self._plan is None:
+            raise ConfigurationError(
+                "a factorization that keeps no factors cannot solve")
         sym = self.symbolic
         panel = (DEFAULT_RHS_PANEL if rhs_panel is None
                  else max(1, int(rhs_panel)))
@@ -653,48 +697,104 @@ class MultifrontalFactorization:
         assert x is not None
         return x[:, 0] if was_1d else x
 
+    def _sweep_plan(self):
+        """What :meth:`_sweep` hands BLAS, decided once per factorization.
+
+        The ``trmm`` / ``gemm`` / ``trmv`` / ``gemv`` handles of the factor
+        dtype, and per front with pivots, in postorder: ``(node_index, lo,
+        hi, bnd_pos or None, perm, d, forward multiply, forward update,
+        backward update, backward multiply)``, the steps as
+        :func:`_multiply_step` / :func:`_update_step` make them from the
+        stored factors.  Every operand is a view of a stored factor, so
+        the plan adds no bytes; a factor BLAS would copy is refused here.
+        """
+        dt = self.dtype
+        lu = self.mode == "lu"
+        steps = []
+        for f, fr in zip(self.symbolic.fronts, self._fronts, strict=True):
+            if not f.n_own:
+                continue
+            bnd = f.bnd_pos if len(f.bnd_pos) else None
+            steps.append((
+                f.node_index, f.lo, f.hi, bnd, fr.perm, fr.d,
+                _multiply_step(fr.l11, dt, lower=True, unit=True),
+                None if bnd is None else _update_step(fr.l21, dt),
+                None if bnd is None else (
+                    _update_step(fr.u12, dt) if lu
+                    else _update_step(fr.l21, dt, trans=True)),
+                _multiply_step(fr.l11, dt, lower=False) if lu
+                else _multiply_step(fr.l11, dt, lower=True, trans=True,
+                                    unit=True),
+            ))
+        blas = get_blas_funcs(("trmm", "gemm", "trmv", "gemv"), dtype=dt)
+        return blas, tuple(steps)
+
     def _sweep(self, z: np.ndarray, active, needed) -> None:
         """Forward then backward substitution, in place on ``z``.
 
         ``z`` is the C-ordered work vector in elimination order, viewed in
         the factor dtype (real factors sweep the real ``(n, 2m)`` view of
         a complex right-hand side).  A front's pivot rows are the slice
-        ``z[lo:hi]``, updated in place by the kernel; only its boundary
-        rows are gathered.  ``active`` / ``needed`` are the
-        :meth:`_active_mask` of the right-hand side's support and of the
-        solution rows that will be read (``None``: every front): the
+        ``z[lo:hi]``, updated in place by BLAS through its transposed
+        view (one column: the contiguous vector itself); only its boundary
+        rows are gathered.  The calls are those :class:`RowBlockKernel`
+        makes, from the :meth:`_sweep_plan`.  ``active`` / ``needed`` are
+        the :meth:`_active_mask` of the right-hand side's support and of
+        the solution rows that will be read (``None``: every front): the
         forward loop skips fronts outside the first, the backward loop
         fronts outside the second, whose rows of ``z`` are left stale.
         """
-        sym = self.symbolic
-        kern = RowBlockKernel(self.dtype)
-        lu = self.mode == "lu"
-        todo = [(f, fr) for f, fr in zip(sym.fronts, self._fronts, strict=True)
-                if f.n_own]
-        for f, fr in todo:
-            if active is not None and not active[f.node_index]:
+        assert z.flags.c_contiguous and z.dtype == self.dtype
+        if not z.shape[1]:
+            return
+        (trmm, gemm, trmv, gemv), steps = self._plan
+        one = z.shape[1] == 1
+        if one:
+            w = z[:, 0]
+
+            def multiply(step, x):
+                a, lower, trans, unit = step
+                trmv(a, x, 0, 1, lower, trans, unit, 1)
+
+            def update(c, step, b):
+                a, trans, v, vtrans = step
+                if v is not None:
+                    b = gemv(1.0, v, b, trans=vtrans)
+                gemv(-1.0, a, b, 1.0, c, 0, 1, 0, 1, trans, 1)
+        else:
+            w = z
+
+            def multiply(step, x):
+                a, lower, trans, unit = step
+                trmm(1.0, a, x.T, 1, lower, not trans, unit, 1)
+
+            def update(c, step, b):
+                a, trans, v, vtrans = step
+                bt = b.T
+                if v is not None:
+                    bt = gemm(1.0, bt, v, trans_b=not vtrans)
+                gemm(-1.0, bt, a, 1.0, c.T, 0, not trans, 1)
+
+        for node, lo, hi, bnd, perm, _, fwd, down, _, _ in steps:
+            if active is not None and not active[node]:
                 continue
-            zo = z[f.lo:f.hi]
-            if fr.perm is not None:
-                zo[:] = zo[fr.perm]
-            kern.multiply(fr.l11, zo, lower=True, unit=True)
-            if len(f.bnd_pos):
-                zb = z[f.bnd_pos]
-                panel_update(kern, zb, fr.l21, zo)
-                z[f.bnd_pos] = zb
+            zo = w[lo:hi]
+            if perm is not None:
+                zo[:] = zo[perm]
+            multiply(fwd, zo)
+            if down is not None:
+                zb = w[bnd]
+                update(zb, down, zo)
+                w[bnd] = zb
         # the forward sweep scribbles on the Schur positions (they are
         # reduced-RHS scratch); a pure interior solve treats x_schur = 0
-        z[sym.n_interior:] = 0
-        for f, fr in reversed(todo):
-            if needed is not None and not needed[f.node_index]:
+        w[self.symbolic.n_interior:] = 0
+        for node, lo, hi, bnd, _, d, _, _, up, bwd in reversed(steps):
+            if needed is not None and not needed[node]:
                 continue
-            zo = z[f.lo:f.hi]
-            if not lu:
-                zo /= fr.d[:, None]
-            if len(f.bnd_pos):
-                panel_update(kern, zo, fr.u12 if lu else fr.l21,
-                             z[f.bnd_pos], trans=not lu)
-            if lu:
-                kern.multiply(fr.l11, zo, lower=False)
-            else:
-                kern.multiply(fr.l11, zo, lower=True, trans=True, unit=True)
+            zo = w[lo:hi]
+            if d is not None:
+                zo /= d if one else d[:, None]
+            if up is not None:
+                update(zo, up, w[bnd])
+            multiply(bwd, zo)

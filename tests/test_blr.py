@@ -9,7 +9,6 @@ from repro.sparse.blr import (
     BLRConfig,
     compress_panel,
     panel_nbytes,
-    panel_update,
 )
 from repro.utils.errors import ConfigurationError
 
@@ -80,10 +79,12 @@ class TestPanelOps:
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal((60, 3))
         kern = RowBlockKernel(np.float64)
-        for p in (panel, rk):
+        for update in (lambda c, b, trans: kern.update(c, panel, b, trans),
+                       lambda c, b, trans: kern.update_rk(c, rk.u, rk.v, b,
+                                                          trans)):
             cy, cx = y.copy(), x.copy()
-            panel_update(kern, cy, p, x)
-            panel_update(kern, cx, p, y, trans=True)
+            update(cy, x, False)
+            update(cx, y, True)
             np.testing.assert_allclose(cy, y - panel @ x, atol=1e-8)
             np.testing.assert_allclose(cx, x - panel.T @ y, atol=1e-8)
 

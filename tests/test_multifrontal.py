@@ -1,5 +1,12 @@
 """Tests for the numeric multifrontal factorization, Schur API and solves."""
 
+import gc
+import pickle
+import sys
+import types
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -349,6 +356,7 @@ def _exact_rk_panels(f):
                 setattr(fr, name, rk)
                 n_rk += 1
     assert n_rk > 0
+    f._plan = f._sweep_plan()  # the sweep reads the panels from its plan
     return f
 
 
@@ -844,6 +852,202 @@ class TestSolveWorkspaceReservation:
         assert 0 < borrowed <= f.solve_workspace_bytes(cols, b.dtype)
         if rhs_dtype is np.complex128:
             assert borrowed > f.solve_workspace_bytes(cols)  # the old sizing
+        f.free()
+
+
+# -- the sweep plan: RowBlockKernel's calls, decided once ---------------------
+
+def _kernel_sweep(self, z, active, needed):
+    """The sweep as ``RowBlockKernel`` runs it, front by front: the
+    reference the plan-driven ``MultifrontalFactorization._sweep`` must
+    match bit for bit."""
+    from repro.dense import RowBlockKernel
+    from repro.hmatrix.rk import RkMatrix
+
+    sym = self.symbolic
+    kern = RowBlockKernel(self.dtype)
+    lu = self.mode == "lu"
+
+    def panel_update(c, panel, b, trans=False):
+        if isinstance(panel, RkMatrix):
+            kern.update_rk(c, panel.u, panel.v, b, trans)
+        else:
+            kern.update(c, panel, b, trans)
+
+    todo = [(f, fr) for f, fr in zip(sym.fronts, self._fronts, strict=True)
+            if f.n_own]
+    for f, fr in todo:
+        if active is not None and not active[f.node_index]:
+            continue
+        zo = z[f.lo:f.hi]
+        if fr.perm is not None:
+            zo[:] = zo[fr.perm]
+        kern.multiply(fr.l11, zo, lower=True, unit=True)
+        if len(f.bnd_pos):
+            zb = z[f.bnd_pos]
+            panel_update(zb, fr.l21, zo)
+            z[f.bnd_pos] = zb
+    z[sym.n_interior:] = 0
+    for f, fr in reversed(todo):
+        if needed is not None and not needed[f.node_index]:
+            continue
+        zo = z[f.lo:f.hi]
+        if not lu:
+            zo /= fr.d[:, None]
+        if len(f.bnd_pos):
+            panel_update(zo, fr.u12 if lu else fr.l21, z[f.bnd_pos],
+                         trans=not lu)
+        if lu:
+            kern.multiply(fr.l11, zo, lower=False)
+        else:
+            kern.multiply(fr.l11, zo, lower=True, trans=True, unit=True)
+
+
+def _planned(kind):
+    """A factorization of each kind the plan prepares differently."""
+    from repro.hmatrix.rk import RkMatrix
+
+    if kind == "blr":
+        grid = StructuredGrid(12, 10, 8)
+        a = assemble_fem_matrix(grid, mode="real_spd").tocsr()
+        f = SparseSolver(blr=BLRConfig(tol=1e-3, min_panel=16)).factorize(
+            a, coords=grid.points(), symmetric_values=True)
+        assert any(isinstance(p, RkMatrix)
+                   for fr in f._fronts for p in (fr.l21, fr.u12))
+        return a, f
+    grid, a, symmetric = _sweep_matrix(
+        "lu-complex" if kind == "lu-complex-pivoting" else kind)
+    if kind == "lu-complex-pivoting":
+        a = (a - 0.97 * sp.diags(a.diagonal())).tocsr()
+    f = SparseSolver(leaf_size=24, amalgamate=8).factorize(
+        a, coords=grid.points(), symmetric_values=symmetric)
+    if kind == "lu-complex-pivoting":
+        assert any(fr.perm is not None for fr in f._fronts)
+    return a, f
+
+
+@pytest.fixture(scope="module", params=[
+    "ldlt-real", "lu-complex", "lu-complex-pivoting", "blr"])
+def planned(request):
+    a, f = _planned(request.param)
+    yield a, f
+    f.free()
+
+
+class TestSweepPlan:
+    """The sweep makes ``RowBlockKernel``'s BLAS calls from a plan built
+    once per factorization, on views of the stored factors."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 64, 300])   # 300 > rhs_panel
+    @pytest.mark.parametrize("rhs", ["dense", "complex", "sparse-wanted"])
+    def test_is_the_kernel_sweep_bit_for_bit(self, planned, rhs, cols,
+                                             monkeypatch):
+        a, f = planned
+        n = a.shape[0]
+        rng = np.random.default_rng(cols)
+        b = rng.standard_normal((n, cols)).astype(a.dtype)
+        kw = {}
+        if rhs == "complex":   # real factors sweep its (n, 2m) real view
+            b = b + 1j * rng.standard_normal((n, cols))
+        elif rhs == "sparse-wanted":
+            b = sp.random(n, cols, density=0.02, format="csc",
+                          random_state=cols, dtype=np.float64)
+            kw["wanted"] = rng.permutation(n)[: n // 3]
+        x = f.solve(b, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(f, "_sweep", types.MethodType(_kernel_sweep, f))
+            ref = f.solve(b, **kw)
+        assert np.array_equal(x, ref)
+
+    def test_refuses_a_factor_blas_would_copy(self, planned):
+        _, f = planned
+        fr = next(fr for fr in f._fronts if isinstance(fr.l21, np.ndarray)
+                  and min(fr.l21.shape) > 1)
+        kept = fr.l21
+        try:
+            fr.l21 = np.repeat(kept, 2, axis=1)[:, ::2]   # strided
+            assert not fr.l21.flags.forc
+            with pytest.raises(AssertionError, match="BLAS would copy"):
+                f._sweep_plan()
+        finally:
+            fr.l21 = kept
+
+    def test_every_operand_is_a_view_of_a_stored_factor(self, planned):
+        from repro.hmatrix.rk import RkMatrix
+
+        _, f = planned
+        _, steps = f._plan
+        stored = [fr for sf, fr in zip(f.symbolic.fronts, f._fronts)
+                  if sf.n_own]
+        assert len(steps) == len(stored)
+        n_operands = 0
+        for step, fr in zip(steps, stored):
+            arrays = [fr.l11, fr.d, fr.perm]
+            for panel in (fr.l21, fr.u12):
+                arrays += ([panel.u, panel.v] if isinstance(panel, RkMatrix)
+                           else [panel])
+            arrays = [x for x in arrays if x is not None]
+            operands = [step[4], step[5]] + [
+                x for part in step[6:] if part is not None
+                for x in part if isinstance(x, np.ndarray)]
+            for op in operands:
+                if op is None:
+                    continue
+                n_operands += 1
+                assert any(np.shares_memory(op, x) and op.size == x.size
+                           for x in arrays)
+        assert n_operands > 2 * len(steps)
+
+    def test_free_drops_the_plan_and_the_factors_with_it(self):
+        _, f = _planned("ldlt-real")
+        fr = next(fr for fr in f._fronts if fr.l21.size)
+        owner = fr.l21 if fr.l21.base is None else fr.l21.base
+        ref = weakref.ref(owner)
+        del fr, owner
+        f.free()
+        gc.collect()
+        assert f._plan is None
+        assert ref() is None
+
+    def test_pickle_ships_the_factors_not_the_plan(self, planned):
+        a, f = planned
+        assert f.__getstate__()["_plan"] is None
+        data = pickle.dumps(f)
+        factors_only = len(pickle.dumps((f.symbolic, f._fronts)))
+        assert len(data) <= 1.01 * factors_only
+        g = pickle.loads(data)
+        assert g._plan is not None
+        b = np.random.default_rng(2).standard_normal((a.shape[0], 3))
+        assert np.array_equal(g.solve(b), f.solve(b))
+        g.free()
+
+    def test_concurrent_solves_share_the_plan(self, planned):
+        """Solves on shared factors only read the plan: threads switching
+        every microsecond get the serial answers bit for bit."""
+        a, f = planned
+        rng = np.random.default_rng(4)
+        rhs = [rng.standard_normal((a.shape[0], m)).astype(a.dtype)
+               for m in (1, 2, 1, 5, 1, 3)] * 4
+        want = [f.solve(b) for b in rhs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(f.solve, rhs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_a_schur_only_factorization_has_no_plan(self, spd_problem):
+        grid, a = spd_problem
+        kept = SparseSolver().factorize(a, coords=grid.points(),
+                                        symmetric_values=True)
+        f = MultifrontalFactorization(a, kept.symbolic, symmetric_values=True,
+                                      keep_factors=False)
+        kept.free()
+        assert f._plan is None
+        with pytest.raises(ConfigurationError, match="keeps no factors"):
+            f.solve(np.ones(a.shape[0]))
         f.free()
 
 
