@@ -26,8 +26,8 @@ def _run(problem, blr):
     import time
     solver = SparseSolver(blr=blr, tracker=MemoryTracker())
     t0 = time.perf_counter()
-    f = solver.factorize(problem.a_vv, coords=problem.coords_v,
-                         symmetric_values=True)
+    f = solver.factorize(solver.analyse(problem.a_vv, problem.coords_v),
+                         problem.a_vv, symmetric_values=True)
     t_factor = time.perf_counter() - t0
     rng = np.random.default_rng(0)
     b = rng.standard_normal(problem.n_fem)

@@ -24,8 +24,8 @@ def test_ordering_choice(benchmark, pipe_8k):
         tracker = MemoryTracker()
         solver = SparseSolver(ordering=ordering, tracker=tracker)
         t0 = time.perf_counter()
-        f = solver.factorize(pipe_8k.a_vv, coords=pipe_8k.coords_v,
-                             symmetric_values=True)
+        f = solver.factorize(solver.analyse(pipe_8k.a_vv, pipe_8k.coords_v),
+                             pipe_8k.a_vv, symmetric_values=True)
         t_factor = time.perf_counter() - t0
         rng = np.random.default_rng(0)
         b = rng.standard_normal(pipe_8k.n_fem)
@@ -51,9 +51,11 @@ def test_ordering_choice(benchmark, pipe_8k):
     geo_bytes = results["geometric"][1]
     graph_bytes = results["graph"][1]
     assert graph_bytes < 5 * geo_bytes
+    geometric = SparseSolver(ordering="geometric")
     benchmark.pedantic(
-        lambda: SparseSolver(ordering="geometric").factorize(
-            pipe_8k.a_vv, coords=pipe_8k.coords_v, symmetric_values=True
+        lambda: geometric.factorize(
+            geometric.analyse(pipe_8k.a_vv, pipe_8k.coords_v), pipe_8k.a_vv,
+            symmetric_values=True,
         ).free(),
         rounds=1, iterations=1,
     )

@@ -32,8 +32,9 @@ ROUNDS = 3
 
 
 def _factorize(problem):
-    return SparseSolver().factorize(
-        problem.a_vv, coords=problem.coords_v,
+    solver = SparseSolver()
+    return solver.factorize(
+        solver.analyse(problem.a_vv, problem.coords_v), problem.a_vv,
         symmetric_values=problem.symmetric,
     )
 

@@ -154,15 +154,17 @@ def test_aca_compression(benchmark):
 
 def test_multifrontal_factorize(benchmark, pipe_8k):
     def factorize():
-        f = SparseSolver().factorize(pipe_8k.a_vv, coords=pipe_8k.coords_v,
-                                     symmetric_values=True)
+        solver = SparseSolver()
+        f = solver.factorize(solver.analyse(pipe_8k.a_vv, pipe_8k.coords_v),
+                             pipe_8k.a_vv, symmetric_values=True)
         f.free()
     benchmark.pedantic(factorize, rounds=2, iterations=1)
 
 
 def test_multifrontal_solve(benchmark, pipe_8k):
-    f = SparseSolver().factorize(pipe_8k.a_vv, coords=pipe_8k.coords_v,
-                                 symmetric_values=True)
+    solver = SparseSolver()
+    f = solver.factorize(solver.analyse(pipe_8k.a_vv, pipe_8k.coords_v),
+                         pipe_8k.a_vv, symmetric_values=True)
     b = np.random.default_rng(0).standard_normal((pipe_8k.n_fem, 16))
     benchmark.pedantic(f.solve, args=(b,), rounds=3, iterations=1)
     f.free()
@@ -215,8 +217,9 @@ def sweep_rows(n_pipe, n_aircraft, k=7, seed=0):
             })
 
     def mf_row(name, case, symmetric):
-        mf = SparseSolver().factorize(case.a_vv, coords=case.coords_v,
-                                      symmetric_values=symmetric)
+        solver = SparseSolver()
+        mf = solver.factorize(solver.analyse(case.a_vv, case.coords_v),
+                              case.a_vv, symmetric_values=symmetric)
         # each front with pivots: once forward, once backward
         visits = 2 * sum(1 for f in mf.symbolic.fronts if f.n_own)
         add(name, mf.solve, case.n_fem, not symmetric, mf.factor_bytes,
@@ -350,11 +353,10 @@ def numeric_rows(n_pipe, n_aircraft, k=5, seed=0):
     from repro.core.multi_factorization import _build_w_block
     from repro.fembem import generate_aircraft_case, generate_pipe_case
     from repro.hmatrix.rk import RkMatrix
-    from repro.sparse import SymbolicCache
     from repro.sparse.blr import compress_panel
 
     blr = SolverConfig(epsilon=1e-3).blr_config()
-    solver = SparseSolver(blr=blr, symbolic_cache=SymbolicCache())
+    solver = SparseSolver(blr=blr)
     rows = []
 
     def add(name, mf, a, symmetric, keep_factors=True):
@@ -364,21 +366,21 @@ def numeric_rows(n_pipe, n_aircraft, k=5, seed=0):
                                  keep_factors))
 
     pipe = generate_pipe_case(n_pipe, seed=seed)
+    analysis = solver.analyse(pipe.a_vv, pipe.coords_v)
     add("factorize ldlt-real",
-        solver.factorize(pipe.a_vv, coords=pipe.coords_v,
-                         symmetric_values=True), pipe.a_vv, True)
+        solver.factorize(analysis, pipe.a_vv, symmetric_values=True),
+        pipe.a_vv, True)
     half = np.arange(pipe.n_bem // 2)
     w, schur_vars = _build_w_block(pipe.a_vv.tocsr(), pipe.a_sv.tocsr(),
                                    half, half, pipe.a_vv.dtype)
     for call, keep in (("factorize_schur", True),
                        ("schur_complement", False)):
         add(f"{call} lu W k={len(half)}",
-            solver.factorize_schur(w, schur_vars,
-                                   coords_interior=pipe.coords_v,
+            solver.factorize_schur(analysis, w, schur_vars,
                                    symmetric_values=False), w, False, keep)
     air = generate_aircraft_case(n_aircraft, bem_fraction=0.25, seed=seed)
     add("factorize lu-complex",
-        solver.factorize(air.a_vv, coords=air.coords_v,
+        solver.factorize(solver.analyse(air.a_vv, air.coords_v), air.a_vv,
                          symmetric_values=False), air.a_vv, False)
 
     rng = np.random.default_rng(seed)

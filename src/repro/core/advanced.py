@@ -47,12 +47,10 @@ def assemble_advanced(ctx: RunContext):
 
     with ctx.timer.phase("sparse_factorization_schur"):
         mf = ctx.own(sparse.factorize_schur(
-            w, schur_vars, coords_interior=problem.coords_v,
-            symmetric_values=problem.symmetric,
-            timer=ctx.timer,
+            ctx.analyse(sparse), w, schur_vars,
+            symmetric_values=problem.symmetric, timer=ctx.timer,
         ))
     ctx.n_sparse_factorizations += 1
-    ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
     sparse_factor_bytes = mf.factor_bytes
 
     x_block, x_alloc = mf.take_schur()

@@ -38,12 +38,10 @@ def assemble_baseline(ctx: RunContext):
 
     with ctx.timer.phase("sparse_factorization"):
         mf = ctx.own(sparse.factorize(
-            problem.a_vv, coords=problem.coords_v,
-            symmetric_values=problem.symmetric,
-            timer=ctx.timer,
+            ctx.analyse(sparse), problem.a_vv,
+            symmetric_values=problem.symmetric, timer=ctx.timer,
         ))
     ctx.n_sparse_factorizations += 1
-    ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
     sparse_factor_bytes = mf.factor_bytes
 
     # the defining (and memory-pathological) step: Y = A_vv^{-1} A_sv^T,

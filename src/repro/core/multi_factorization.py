@@ -63,7 +63,6 @@ from repro.core.schur_tools import (
 from repro.hmatrix.hmatrix import HMatrix
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import PanelTask
-from repro.sparse.symbolic_cache import SymbolicCache
 
 
 def _surface_blocks(n_s: int, n_b: int):
@@ -75,21 +74,17 @@ def _surface_blocks(n_s: int, n_b: int):
 #
 # Module-level (hence picklable) counterpart of the ``block_task`` closure,
 # run inside worker processes by :class:`repro.runtime.ProcessRuntime`.
-# Each worker owns a private sparse solver (fresh untracked tracker, its
-# own symbolic cache); a non-final block computes only its Schur block,
-# which travels back dense (via a shared-memory slab) or as a
-# pre-compressed portable plan.  The *last* block runs inline on the
-# coordinator so its factors stay available for the right-hand-side
-# solves.
+# Each worker owns a private sparse solver (fresh untracked tracker) and
+# unpickles the coordinator's analysis of ``A_vv`` once, with the rest of
+# the payload; a non-final block computes only its Schur block, which
+# travels back dense (via a shared-memory slab) or as a pre-compressed
+# portable plan.  The *last* block runs inline on the coordinator so its
+# factors stay available for the right-hand-side solves.
 
 
 def _facto_worker_ctx(payload):
     """Pool-initializer builder: per-process solver state from the payload."""
-    tracker = MemoryTracker()
-    payload["sparse"] = make_sparse_solver(
-        payload["config"], tracker, SymbolicCache()
-    )
-    payload["sym_counts"] = [0, 0]  # (analyses, reuses) last reported
+    payload["sparse"] = make_sparse_solver(payload["config"], MemoryTracker())
     return payload
 
 
@@ -118,7 +113,8 @@ def _build_w_block(a_vv, a_sv, rows_i, cols_j, dtype):
 
 def _factorize_w_block(w, call, timer, i: int, j: int):
     """Build ``W_ij`` from the shared inputs ``w`` and run the solver's
-    ``call`` on it: ``factorize_schur`` for the kept last block,
+    ``call`` on it with the shared analysis of ``A_vv`` (the interior
+    block of every ``W``): ``factorize_schur`` for the kept last block,
     ``schur_complement`` for every other.
 
     ``W`` is non-symmetric whenever ``i ≠ j``; a diagonal block of a
@@ -133,7 +129,7 @@ def _factorize_w_block(w, call, timer, i: int, j: int):
     )
     with timer.phase("sparse_factorization_schur"):
         return call(
-            w_mat, schur_vars, coords_interior=w["coords_v"],
+            w["analysis"], w_mat, schur_vars,
             symmetric_values=w["symmetric"] and i == j, timer=timer,
         )
 
@@ -150,19 +146,13 @@ def _folds(w, x_block, i: int, j: int):
 
 
 def _facto_block_kernel(w, timer, i: int, j: int):
-    """The Schur block of one non-final ``W`` on a worker process.
-
-    Returns ``(d_analyses, d_reuses, X_or_plans)`` — the 3-tuple shape the
-    consumer uses to tell a worker result from the thread backend's
-    ``(mf_ij, body)``.
+    """The Schur block of one non-final ``W`` on a worker process: the
+    dense ``X_ij`` or its pre-compressed plans — never a tuple, which is
+    how the consumer tells it from the thread backend's ``(mf_ij, body)``.
     """
     config = w["config"]
-    sparse = w["sparse"]
     x_block, x_alloc = _factorize_w_block(
-        w, sparse.schur_complement, timer, i, j)
-    d_an = sparse.n_symbolic_analyses - w["sym_counts"][0]
-    d_re = sparse.n_symbolic_reuses - w["sym_counts"][1]
-    w["sym_counts"] = [sparse.n_symbolic_analyses, sparse.n_symbolic_reuses]
+        w, w["sparse"].schur_complement, timer, i, j)
     try:
         skel = w.get("skeleton")  # shipped only when the commits accumulate
         if skel is not None:
@@ -183,7 +173,7 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     finally:
         del x_block
         x_alloc.free()
-    return d_an, d_re, body
+    return body
 
 
 def assemble_multi_factorization(ctx: RunContext):
@@ -196,12 +186,14 @@ def assemble_multi_factorization(ctx: RunContext):
     """
     problem, config = ctx.problem, ctx.config
     compressed = config.dense_backend == "hmat"
-    # the interior pattern of every W block is the pattern of A_vv: the
-    # ordering + symbolic analysis runs once and each block only grafts
-    # its Schur border onto the cached elimination tree (the split
-    # analyse/factorize idiom of real solver APIs); the numeric
-    # re-factorization per block stays, faithful to the paper (§IV-B1)
-    sparse = ctx.sparse_solver(SymbolicCache())
+    # the interior block of every W is A_vv: the ordering + symbolic
+    # analysis runs once, here, and each block only grafts its Schur
+    # border onto it (the split analyse/factorize API of real solvers);
+    # the numeric re-factorization per block stays, faithful to the
+    # paper (§IV-B1)
+    sparse = ctx.sparse_solver()
+    with ctx.timer.phase("sparse_factorization_schur"):
+        analysis = ctx.analyse(sparse)
 
     with ctx.timer.phase("schur_init"):
         container = ctx.own(make_schur_container(problem, config, ctx.tracker))
@@ -215,9 +207,9 @@ def assemble_multi_factorization(ctx: RunContext):
     # what a block task reads, for the thread closure and (pickled once per
     # worker) the process kernel alike
     w = {
+        "analysis": analysis,
         "a_vv": problem.a_vv,
         "a_sv": problem.a_sv,
-        "coords_v": problem.coords_v,
         "symmetric": problem.symmetric,
         "dtype": problem.dtype,
         "blocks": blocks,
@@ -294,13 +286,10 @@ def assemble_multi_factorization(ctx: RunContext):
         nonlocal mf
         i, j, is_last = task.payload
         ctx.n_sparse_factorizations += 1
-        if len(result) == 3:
+        if not isinstance(result, tuple):
             # process-backend worker result: only the Schur body (dense or
-            # portable plans) and its instrumentation deltas came back
-            d_an, d_re, body = result
-            ctx.n_symbolic_analyses += d_an
-            ctx.n_symbolic_reuses += d_re
-            fold(i, j, body)
+            # portable plans) came back
+            fold(i, j, result)
             return
         mf_ij, body = result
         if accumulate:
@@ -340,6 +329,4 @@ def assemble_multi_factorization(ctx: RunContext):
                 container.flush()
         with ctx.timer.phase("dense_factorization"):
             container.factorize(ctx.tracker)
-    ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
-    ctx.n_symbolic_reuses += sparse.n_symbolic_reuses
     return mf, container, mf.factor_bytes

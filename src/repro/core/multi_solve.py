@@ -52,7 +52,6 @@ from repro.core.schur_tools import (
 )
 from repro.hmatrix.hmatrix import HMatrix
 from repro.runtime import PanelTask
-from repro.sparse.symbolic_cache import SymbolicCache
 
 
 # -- process-backend kernels ----------------------------------------------------
@@ -95,20 +94,14 @@ def assemble_multi_solve(ctx: RunContext):
     """
     problem, config = ctx.problem, ctx.config
     compressed = config.dense_backend == "hmat"
-    # multi-solve factorizes A_vv once, so there is nothing to reuse
-    # within a run — but attaching the cache keeps the analysis/numeric
-    # phase split and the counters consistent across the algorithms
-    sparse = ctx.sparse_solver(SymbolicCache())
+    sparse = ctx.sparse_solver()
 
     with ctx.timer.phase("sparse_factorization"):
         mf = ctx.own(sparse.factorize(
-            problem.a_vv, coords=problem.coords_v,
-            symmetric_values=problem.symmetric,
-            timer=ctx.timer,
+            ctx.analyse(sparse), problem.a_vv,
+            symmetric_values=problem.symmetric, timer=ctx.timer,
         ))
     ctx.n_sparse_factorizations += 1
-    ctx.n_symbolic_analyses += sparse.n_symbolic_analyses
-    ctx.n_symbolic_reuses += sparse.n_symbolic_reuses
     sparse_factor_bytes = mf.factor_bytes
 
     with ctx.timer.phase("schur_init"):

@@ -40,13 +40,14 @@ class SolveStats:
     sparse_factor_bytes: int = 0
     n_sparse_factorizations: int = 0
     n_sparse_solves: int = 0
-    #: Full symbolic analyses (ordering + symbolic factorization)
-    #: actually computed; multi-factorization performs exactly one for
-    #: all its ``W`` blocks (one per worker process on that backend).
+    #: Symbolic analyses of ``A_vv`` (ordering + symbolic factorization)
+    #: the run computed: one, on the coordinator, for every algorithm
+    #: and runtime.
     n_symbolic_analyses: int = 0
-    #: Analyses served from the :class:`repro.sparse.SymbolicCache`
-    #: instead of recomputed (0 for baseline / advanced, which attach
-    #: no cache).
+    #: Sparse factorizations that took an existing analysis instead of
+    #: computing one (``n_sparse_factorizations − n_symbolic_analyses``:
+    #: every ``W`` block but the first of multi-factorization, 0 for the
+    #: other algorithms).
     n_symbolic_reuses: int = 0
     #: Width of the parallel panel runtime that ran the Schur assembly
     #: (1 = serial); phase totals are worker time, so they stay comparable

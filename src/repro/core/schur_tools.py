@@ -38,17 +38,14 @@ from repro.hmatrix.hmatrix import PortableAxpyPlan, build_hodlr
 from repro.hmatrix.rk import MAX_ACCUMULATED_RANK
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import make_runtime
-from repro.sparse.solver import SparseSolver
-from repro.sparse.symbolic_cache import SymbolicCache
+from repro.sparse.solver import SparseAnalysis, SparseSolver
 from repro.utils.timer import PhaseTimer
 
 
-def make_sparse_solver(config: SolverConfig, tracker: MemoryTracker,
-                       cache: Optional[SymbolicCache] = None) -> SparseSolver:
+def make_sparse_solver(config: SolverConfig,
+                       tracker: MemoryTracker) -> SparseSolver:
     """The sparse solver ``config`` describes, charging ``tracker``."""
-    return SparseSolver(
-        blr=config.blr_config(), tracker=tracker, symbolic_cache=cache
-    )
+    return SparseSolver(blr=config.blr_config(), tracker=tracker)
 
 
 class RunContext:
@@ -77,10 +74,9 @@ class RunContext:
         self.timer = PhaseTimer()
         self.n_sparse_factorizations = 0
         self.n_sparse_solves = 0
-        #: Full symbolic analyses computed / served from the symbolic
-        #: cache (:class:`repro.sparse.SymbolicCache`).
+        #: Calls to :meth:`analyse`; every other sparse factorization of
+        #: the run reused an analysis.
         self.n_symbolic_analyses = 0
-        self.n_symbolic_reuses = 0
         self.n_workers = config.effective_n_workers
         self.runtime_backend = config.effective_runtime_backend
         #: Filled by the assembly phase when it ran on the parallel
@@ -121,11 +117,16 @@ class RunContext:
         finally:
             self.runtime_report = runtime.finalize(self.timer)
 
-    def sparse_solver(
-        self, cache: Optional[SymbolicCache] = None
-    ) -> SparseSolver:
+    def sparse_solver(self) -> SparseSolver:
         """This run's sparse solver, charging the run's tracker."""
-        return make_sparse_solver(self.config, self.tracker, cache)
+        return make_sparse_solver(self.config, self.tracker)
+
+    def analyse(self, sparse: SparseSolver) -> SparseAnalysis:
+        """The analysis of ``A_vv`` that every sparse factorization of the
+        run takes, built on the calling thread and counted."""
+        self.n_symbolic_analyses += 1
+        p = self.problem
+        return sparse.analyse(p.a_vv, p.coords_v, timer=self.timer)
 
     def stats(self, schur_bytes: int, sparse_factor_bytes: int) -> SolveStats:
         p = self.problem
@@ -147,7 +148,9 @@ class RunContext:
             n_sparse_factorizations=self.n_sparse_factorizations,
             n_sparse_solves=self.n_sparse_solves,
             n_symbolic_analyses=self.n_symbolic_analyses,
-            n_symbolic_reuses=self.n_symbolic_reuses,
+            n_symbolic_reuses=(
+                self.n_sparse_factorizations - self.n_symbolic_analyses
+            ),
             n_workers=self.n_workers,
             worker_phases=report.worker_phases if report is not None else {},
             scheduler_wait_seconds=(

@@ -1,28 +1,24 @@
 """Numeric-factor cache: live ``CoupledFactorization`` objects by key.
 
-PR 3's :class:`~repro.sparse.symbolic_cache.SymbolicCache` reuses the
-*analysis* across blocks of one factorization; this cache extends the
-idea one level up, to whole **numeric factorizations** across *requests*
-— the paper's industrial regime of many solves against few
-factorizations.  Three disciplines carry over and one is new:
+The paper's industrial regime is many solves against few factorizations;
+this cache keeps whole **numeric factorizations** alive across
+*requests*.  Four disciplines:
 
-* **keying** — :func:`system_fingerprint` builds on the PR-3
-  :func:`~repro.sparse.symbolic_cache.pattern_fingerprint`, extended
-  with value digests (a numeric cache must miss when values change, the
-  exact opposite of the symbolic cache's value-blindness), coordinate
-  digests, the surface operator's structural key and the
-  factorization-relevant ``SolverConfig`` fields;
+* **keying** — :func:`system_fingerprint` digests the patterns
+  (:func:`pattern_fingerprint`, values-blind) *and* the values of both
+  sparse blocks, the point coordinates (:func:`coords_digest`), the
+  surface operator's structural key and the factorization-relevant
+  ``SolverConfig`` fields, so the key moves exactly when the factors do;
 * **exactly-once construction** — concurrent misses on one key build the
   factorization once; losers wait on a per-key latch *outside* the cache
-  lock (the build itself also runs outside the lock, unlike the
-  symbolic cache's build-under-lock, so lookups of other entries never
-  stall behind a multi-second factorization);
+  lock (the build itself also runs outside the lock, so lookups of other
+  entries never stall behind a multi-second factorization);
 * **thread safety** — every map access happens under ``_factor_lock``;
-  the entries themselves are concurrency-safe per PR 8's
+  the entries themselves are concurrency-safe per the
   :class:`~repro.core.factorized.CoupledFactorization` state machine
   (a solve racing an eviction completes or raises
   :class:`~repro.utils.FactorizationFreed`);
-* **budgeted LRU eviction** (new) — each stored entry charges its
+* **budgeted LRU eviction** — each stored entry charges its
   ``peak_bytes`` against a dedicated :class:`~repro.memory.MemoryTracker`
   under the ``factor_cache`` category; a miss that does not admit evicts
   least-recently-used entries until it does (or until the cache is empty,
@@ -39,12 +35,12 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.config import SolverConfig
 from repro.core.factorized import CoupledFactorization
 from repro.fembem.cases import CoupledProblem
 from repro.memory.tracker import Allocation, MemoryTracker
-from repro.sparse.symbolic_cache import coords_digest, pattern_fingerprint
 from repro.utils.errors import MemoryLimitExceeded
 
 #: Tracker category the cache charges entry peaks under.
@@ -58,6 +54,32 @@ _FINGERPRINT_EXCLUDED_FIELDS = frozenset({
     "runtime_backend",      # bit-identical across thread/process backends
     "memory_limit",         # affects admission, never values
 })
+
+
+def pattern_fingerprint(a: sp.spmatrix) -> str:
+    """Digest of a sparse matrix *pattern* (shape + indptr/indices).
+
+    Values are deliberately excluded (:func:`system_fingerprint` digests
+    them separately).  Index arrays are widened to a fixed dtype so
+    int32/int64 representations of the same pattern agree.
+    """
+    a = a.tocsr()
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr((a.shape, a.nnz)).encode())
+    h.update(np.ascontiguousarray(a.indptr, dtype=np.int64))
+    h.update(np.ascontiguousarray(a.indices, dtype=np.int64))
+    return h.hexdigest()
+
+
+def coords_digest(coords: Optional[np.ndarray]) -> bytes:
+    """Digest of the point coordinates feeding the geometric ordering."""
+    if coords is None:
+        return b"none"
+    c = np.ascontiguousarray(coords, dtype=np.float64)
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr(c.shape).encode())
+    h.update(c)
+    return h.digest()
 
 
 def config_fingerprint_fields(config: SolverConfig) -> Dict[str, Any]:

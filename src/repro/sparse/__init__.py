@@ -8,7 +8,8 @@ the paper's couplings:
   separator :class:`~repro.sparse.partition.PartitionTree`
   (:mod:`~repro.sparse.ordering`);
 * **symbolic analysis** computing each front's boundary variables
-  (:mod:`~repro.sparse.symbolic`);
+  (:mod:`~repro.sparse.symbolic`), run once per interior pattern by
+  :meth:`SparseSolver.analyse` and taken by every numeric call;
 * **numeric multifrontal factorization** with dense frontal matrices,
   LDLᵀ for symmetric values and LU for general values on a symmetrized
   pattern (:mod:`~repro.sparse.multifrontal`);
@@ -32,13 +33,9 @@ from repro.sparse.symbolic import (
     extend_symbolic_with_border,
     symbolic_analysis,
 )
-from repro.sparse.symbolic_cache import (
-    SymbolicCache,
-    pattern_fingerprint,
-)
 from repro.sparse.blr import BLRConfig
 from repro.sparse.multifrontal import FrontArena, MultifrontalFactorization
-from repro.sparse.solver import SparseSolver
+from repro.sparse.solver import SparseAnalysis, SparseSolver
 
 __all__ = [
     "geometric_nested_dissection",
@@ -48,10 +45,9 @@ __all__ = [
     "SymbolicFactorization",
     "symbolic_analysis",
     "extend_symbolic_with_border",
-    "SymbolicCache",
-    "pattern_fingerprint",
     "BLRConfig",
     "FrontArena",
     "MultifrontalFactorization",
+    "SparseAnalysis",
     "SparseSolver",
 ]

@@ -2,39 +2,36 @@
 
 This is the interface the coupling algorithms in :mod:`repro.core` consume,
 shaped after the paper's description of fully-featured sparse direct
-solvers (§II-C):
+solvers (§II-C), with the analysis split from the numeric phase by API as
+in every real solver (MUMPS JOB=1 vs JOB=2, PaStiX):
 
-* :meth:`SparseSolver.factorize` — *baseline usage*: analysis + numeric
-  factorization of a sparse matrix, returning a factorization handle whose
-  ``solve`` supports many right-hand sides and sparse-RHS exploitation;
+* :meth:`SparseSolver.analyse` — ordering, partition tree and symbolic
+  factorization of the *interior* matrix, returned as a
+  :class:`SparseAnalysis` that every numeric call below takes;
+* :meth:`SparseSolver.factorize` — *baseline usage*: numeric factorization
+  of the analysed matrix, returning a factorization handle whose ``solve``
+  supports many right-hand sides and sparse-RHS exploitation;
 * :meth:`SparseSolver.factorize_schur` — *advanced usage*: the
-  "sparse factorization+Schur" building block.  The listed Schur variables
-  are kept uneliminated and their Schur complement is returned **as a
-  non-compressed dense matrix** — deliberately reproducing the API
-  limitation at the heart of the paper.  Every call pays the full numeric
-  factorization from scratch, exactly like the repeated calls the
-  multi-factorization algorithm has to pay for ("implies a re-factorization
-  of A_vv at each iteration", §IV-B1);
+  "sparse factorization+Schur" building block.  The Schur border is
+  grafted onto the interior analysis
+  (:func:`~repro.sparse.symbolic.extend_symbolic_with_border`), the listed
+  Schur variables are kept uneliminated and their Schur complement is
+  returned **as a non-compressed dense matrix** — deliberately reproducing
+  the API limitation at the heart of the paper.  Every call pays the full
+  numeric factorization from scratch, exactly like the repeated calls the
+  multi-factorization algorithm has to pay for ("implies a
+  re-factorization of A_vv at each iteration", §IV-B1);
 * :meth:`SparseSolver.schur_complement` — the same call for a caller that
   reads only the Schur block (MUMPS ``ICNTL(31)=1``, "discard factors"):
   the numeric phase runs in full, but no factor is stored or compressed.
 
-The *analysis* phase, however, follows what real solvers do (MUMPS JOB=1
-vs JOB=2, PaStiX's split API): when a :class:`~repro.sparse.symbolic_cache
-.SymbolicCache` is attached, the ordering + partition tree + symbolic
-factorization of the interior matrix are computed once per pattern and
-reused — each subsequent ``factorize_schur`` call only grafts its Schur
-border onto the cached elimination tree
-(:func:`~repro.sparse.symbolic.extend_symbolic_with_border`) before paying
-the faithful numeric phase.  ``n_symbolic_analyses`` /
-``n_symbolic_reuses`` count both outcomes; an optional
-:class:`~repro.utils.timer.PhaseTimer` splits ``sparse_analysis`` from
-``sparse_numeric`` so the saving is visible in reports.
+An optional :class:`~repro.utils.timer.PhaseTimer` splits
+``sparse_analysis`` (the analysis, and each call's border graft) from
+``sparse_numeric``.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import nullcontext
 from typing import NamedTuple, Optional, Tuple
 
@@ -55,11 +52,6 @@ from repro.sparse.symbolic import (
     extend_symbolic_with_border,
     symbolic_analysis,
 )
-from repro.sparse.symbolic_cache import (
-    SymbolicCache,
-    coords_digest,
-    pattern_fingerprint,
-)
 from repro.utils.errors import ConfigurationError
 from repro.utils.timer import PhaseTimer
 
@@ -71,8 +63,10 @@ def _phase(timer: Optional[PhaseTimer], name: str):
     return timer.phase(name) if timer is not None else nullcontext()
 
 
-class _CachedAnalysis(NamedTuple):
-    """What a :class:`SymbolicCache` entry stores for one pattern."""
+class SparseAnalysis(NamedTuple):
+    """The analysis of an interior matrix (MUMPS JOB=1): its partition
+    tree and its symbolic factorization.  Immutable once built, so one
+    analysis serves any number of numeric calls, from any thread."""
 
     tree: PartitionTree
     symbolic: SymbolicFactorization
@@ -94,11 +88,6 @@ class SparseSolver:
         for uncompressed factors.
     tracker:
         Memory tracker shared with the caller.
-    symbolic_cache:
-        Optional :class:`SymbolicCache`.  When set, analyses are reused
-        across calls whose interior pattern (and ordering inputs) match;
-        when ``None`` every call re-analyses from scratch (the historical
-        behavior).
     """
 
     def __init__(
@@ -108,7 +97,6 @@ class SparseSolver:
         amalgamate: int = 32,
         blr: Optional[BLRConfig] = None,
         tracker: Optional[MemoryTracker] = None,
-        symbolic_cache: Optional[SymbolicCache] = None,
     ):
         if ordering not in _ORDERINGS:
             raise ConfigurationError(
@@ -119,38 +107,6 @@ class SparseSolver:
         self.amalgamate = int(amalgamate)
         self.blr = blr
         self.tracker = tracker if tracker is not None else MemoryTracker()
-        self.symbolic_cache = symbolic_cache
-        self._n_symbolic_analyses = 0  # guarded-by: _stats_lock
-        self._n_symbolic_reuses = 0  # guarded-by: _stats_lock
-        self._stats_lock = threading.Lock()
-
-    # -- analysis counters --------------------------------------------------------
-    @property
-    def n_symbolic_analyses(self) -> int:
-        """Full symbolic analyses actually computed (cache misses included)."""
-        with self._stats_lock:
-            return self._n_symbolic_analyses
-
-    @property
-    def n_symbolic_reuses(self) -> int:
-        """Analyses served from the symbolic cache instead of recomputed."""
-        with self._stats_lock:
-            return self._n_symbolic_reuses
-
-    def _count_analysis(self, reused: bool) -> None:
-        with self._stats_lock:
-            if reused:
-                self._n_symbolic_reuses += 1
-            else:
-                self._n_symbolic_analyses += 1
-
-    def _analysis_key(self, a_interior: sp.csr_matrix,
-                      coords: Optional[np.ndarray]) -> str:
-        """Cache key: interior pattern + everything the tree depends on."""
-        extra = repr(
-            (self.ordering, self.leaf_size, self.amalgamate)
-        ).encode() + coords_digest(coords)
-        return pattern_fingerprint(a_interior, extra=extra)
 
     # -- analysis -----------------------------------------------------------------
     def build_tree(
@@ -172,43 +128,50 @@ class SparseSolver:
             tree = tree.amalgamated(min_own=self.amalgamate)
         return tree
 
-    def _analyse_interior(
-        self, a_interior: sp.csr_matrix, coords: Optional[np.ndarray]
-    ) -> _CachedAnalysis:
-        """Interior analysis through the cache (or from scratch)."""
+    def analyse(
+        self,
+        a: sp.spmatrix,
+        coords: Optional[np.ndarray] = None,
+        timer: Optional[PhaseTimer] = None,
+    ) -> SparseAnalysis:
+        """Analyse the interior matrix ``a`` (ordering + symbolic
+        factorization), under the ``sparse_analysis`` phase of ``timer``.
 
-        def build() -> _CachedAnalysis:
-            tree = self.build_tree(a_interior, coords)
-            return _CachedAnalysis(tree, symbolic_analysis(a_interior, tree))
-
-        if self.symbolic_cache is None:
-            entry = build()
-            self._count_analysis(reused=False)
-            return entry
-        key = self._analysis_key(a_interior, coords)
-        entry, was_hit = self.symbolic_cache.get_or_build(key, build)
-        self._count_analysis(reused=was_hit)
-        return entry
+        ``coords`` are the point coordinates of ``a``'s variables, for
+        the geometric ordering.  The result serves :meth:`factorize` of
+        any matrix with ``a``'s pattern, and :meth:`factorize_schur` /
+        :meth:`schur_complement` of any matrix whose interior block has
+        it.
+        """
+        a = a.tocsr()
+        with _phase(timer, "sparse_analysis"):
+            tree = self.build_tree(a, coords)
+            return SparseAnalysis(tree, symbolic_analysis(a, tree))
 
     # -- baseline usage ------------------------------------------------------------
     def factorize(
         self,
+        analysis: SparseAnalysis,
         a: sp.spmatrix,
-        coords: Optional[np.ndarray] = None,
         symmetric_values: Optional[bool] = None,
         timer: Optional[PhaseTimer] = None,
     ) -> MultifrontalFactorization:
-        """Analyse and factorize ``a`` (paper §II-C1, *baseline usage*).
+        """Numeric factorization of ``a`` along ``analysis`` (paper
+        §II-C1, *baseline usage*).
 
         ``symmetric_values`` selects LDLᵀ (True) versus LU (False);
-        ``None`` probes the matrix.  ``timer`` splits the call into
-        ``sparse_analysis`` and ``sparse_numeric`` phases.
+        ``None`` probes the matrix.  ``timer`` times the call as
+        ``sparse_numeric``.
         """
+        n = analysis.symbolic.n_full
+        if a.shape != (n, n):
+            raise ConfigurationError(
+                f"matrix shape {a.shape} does not match the analysis "
+                f"({n} variables)"
+            )
         a = a.tocsr()
         if symmetric_values is None:
             symmetric_values = _probe_symmetry(a)
-        with _phase(timer, "sparse_analysis"):
-            analysis = self._analyse_interior(a, coords)
         with _phase(timer, "sparse_numeric"):
             return MultifrontalFactorization(
                 a, analysis.symbolic, symmetric_values, blr=self.blr,
@@ -218,9 +181,9 @@ class SparseSolver:
     # -- advanced usage --------------------------------------------------------------
     def factorize_schur(
         self,
+        analysis: SparseAnalysis,
         a_full: sp.spmatrix,
         schur_vars: np.ndarray,
-        coords_interior: Optional[np.ndarray] = None,
         symmetric_values: Optional[bool] = None,
         timer: Optional[PhaseTimer] = None,
     ) -> MultifrontalFactorization:
@@ -228,18 +191,18 @@ class SparseSolver:
 
         Parameters
         ----------
+        analysis:
+            The analysis of ``a_full``'s interior block (its rows and
+            columns outside ``schur_vars``, in ascending order).
         a_full:
             The full sparse matrix including the Schur variables (the
             paper's ``W`` matrices).
         schur_vars:
             Row/column indices of ``a_full`` to keep uneliminated.
-        coords_interior:
-            Coordinates of the interior variables (ascending id order),
-            for the geometric ordering.
         timer:
             Optional phase timer; the call splits into ``sparse_analysis``
-            (ordering + symbolic, or cache lookup + border extension) and
-            ``sparse_numeric`` (the faithful numeric factorization).
+            (the border graft) and ``sparse_numeric`` (the faithful
+            numeric factorization).
 
         Returns
         -------
@@ -248,35 +211,35 @@ class SparseSolver:
             ``A₂₂ − A₂₁ A₁₁⁻¹ A₁₂`` (dense by design; see module docstring)
             and ``solve`` available for the interior block.
         """
-        return self._factorize_bordered(a_full, schur_vars, coords_interior,
+        return self._factorize_bordered(analysis, a_full, schur_vars,
                                         symmetric_values, timer,
                                         keep_factors=True)
 
     def schur_complement(
         self,
+        analysis: SparseAnalysis,
         a_full: sp.spmatrix,
         schur_vars: np.ndarray,
-        coords_interior: Optional[np.ndarray] = None,
         symmetric_values: Optional[bool] = None,
         timer: Optional[PhaseTimer] = None,
     ) -> Tuple[np.ndarray, Allocation]:
         """:meth:`factorize_schur` for a caller that reads only the Schur
         block (MUMPS ``ICNTL(31)=1``, "discard factors").
 
-        Same parameters and the same analysis and numeric loop, bit for
-        bit the same Schur block; the factors of the interior block are
+        Same parameters and the same graft and numeric loop, bit for bit
+        the same Schur block; the factors of the interior block are
         neither stored, BLR-compressed nor charged under
         ``sparse_factor``.  Returns ``(schur, alloc)`` — the dense block
         and its ``schur_dense`` charge, which the caller frees.
         """
-        return self._factorize_bordered(a_full, schur_vars, coords_interior,
+        return self._factorize_bordered(analysis, a_full, schur_vars,
                                         symmetric_values, timer,
                                         keep_factors=False).take_schur()
 
-    def _factorize_bordered(self, a_full, schur_vars, coords_interior,
+    def _factorize_bordered(self, analysis, a_full, schur_vars,
                             symmetric_values, timer, keep_factors):
-        """Analysis (cached interior, grafted border) + numeric phase of
-        ``a_full`` with ``schur_vars`` kept uneliminated."""
+        """Border graft + numeric phase of ``a_full`` with ``schur_vars``
+        kept uneliminated."""
         a_full = a_full.tocsr()
         schur_vars = np.asarray(schur_vars, dtype=np.intp)
         if len(np.unique(schur_vars)) != len(schur_vars):
@@ -286,19 +249,10 @@ class SparseSolver:
         with _phase(timer, "sparse_analysis"):
             interior_mask = np.ones(a_full.shape[0], dtype=bool)
             interior_mask[schur_vars] = False
-            interior_ids = np.flatnonzero(interior_mask)
-            a_int = a_full[interior_ids][:, interior_ids].tocsr()
-            if self.symbolic_cache is None:
-                tree = self.build_tree(a_int, coords_interior)
-                symbolic = symbolic_analysis(
-                    a_full, tree, schur_vars=schur_vars
-                )
-                self._count_analysis(reused=False)
-            else:
-                analysis = self._analyse_interior(a_int, coords_interior)
-                symbolic = extend_symbolic_with_border(
-                    analysis.symbolic, a_full, schur_vars, interior_ids
-                )
+            symbolic = extend_symbolic_with_border(
+                analysis.symbolic, a_full, schur_vars,
+                np.flatnonzero(interior_mask),
+            )
         with _phase(timer, "sparse_numeric"):
             return MultifrontalFactorization(
                 a_full, symbolic, symmetric_values, blr=self.blr,

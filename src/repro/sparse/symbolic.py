@@ -81,8 +81,8 @@ class SymbolicFactorization:
         ``lo:hi``, only ``bnd_pos`` is gathered): the elimination position
         of each interior variable in ascending id order, the postorder
         index of each front's parent (−1 at the root), and each front's
-        ``hi``.  They depend on the interior analysis only, so a cached
-        analysis shares them with every border grafted onto it.
+        ``hi``.  They depend on the interior analysis only, so an
+        interior analysis shares them with every border grafted onto it.
     """
 
     tree: PartitionTree
@@ -230,18 +230,18 @@ def extend_symbolic_with_border(
     schur_vars: np.ndarray,
     interior_ids: np.ndarray,
 ) -> SymbolicFactorization:
-    """Graft a Schur border onto a cached interior analysis.
+    """Graft a Schur border onto an interior analysis.
 
     Produces exactly what ``symbolic_analysis(a_full, interior.tree,
     schur_vars)`` would, without re-walking the interior adjacency:
 
     * interior-interior adjacency is a submatrix of ``a_full`` identical
-      to the matrix the cached analysis saw, so the *interior part* of
-      every front boundary is the cached one (mapped to full ids);
+      to the matrix the interior analysis saw, so the *interior part* of
+      every front boundary is the interior one (mapped to full ids);
     * Schur variables take elimination positions ``>= n_int``, hence they
       always survive the ``elim_pos >= hi`` filter and sort *after* every
       interior boundary variable, in Schur-local order — so each front's
-      boundary is the cached interior boundary followed by the subtree's
+      boundary is the interior boundary followed by the subtree's
       Schur border, which propagates up the tree exactly like the
       boundaries themselves do.
 
@@ -252,14 +252,14 @@ def extend_symbolic_with_border(
     Parameters
     ----------
     interior:
-        Cached analysis of the interior matrix (no Schur variables).
+        Analysis of the interior matrix (no Schur variables).
     a_full:
         Full matrix including the Schur rows/columns (the paper's ``W``).
     schur_vars:
         Full-matrix ids kept uneliminated.
     interior_ids:
         Full-matrix ids of the interior variables, ascending; position
-        ``l`` is the interior-local variable ``l`` of the cached analysis.
+        ``l`` is the interior-local variable ``l`` of the interior analysis.
     """
     a_full = a_full.tocsr()
     schur_vars = np.asarray(schur_vars, dtype=np.intp)
@@ -269,11 +269,11 @@ def extend_symbolic_with_border(
     n_int = interior.n_full
     if len(interior.schur_vars):
         raise ConfigurationError(
-            "the cached analysis must be interior-only (no Schur variables)"
+            "the interior analysis must have no Schur variables"
         )
     if n_int + n_schur != n_full or len(interior_ids) != n_int:
         raise ConfigurationError(
-            f"matrix has {n_full} variables; cached interior analysis "
+            f"matrix has {n_full} variables; the interior analysis "
             f"covers {n_int} and the border adds {n_schur}"
         )
 
@@ -290,14 +290,14 @@ def extend_symbolic_with_border(
     adj = ((b_blk != 0).astype(np.int8) + (c_blk != 0).astype(np.int8).T)
     adj = adj.tocsr()
     adj.sort_indices()
-    # the cached fronts own the interior-only tree's permutation in
+    # the interior fronts own the interior-only tree's permutation in
     # slices lo..hi-1: one gather, one slice per front
     nbr, row = gather_rows(adj, interior.tree.perm)
     cut = np.searchsorted(
         row, np.concatenate(([0], interior.front_hi))).tolist()
 
     # when the interior occupies ids 0..n_int-1 (the multi-factorization
-    # W layout) the cached index arrays can be shared as-is
+    # W layout) the interior index arrays can be shared as-is
     identity = bool(
         n_int == 0
         or (interior_ids[0] == 0 and interior_ids[-1] == n_int - 1)
@@ -327,7 +327,7 @@ def extend_symbolic_with_border(
                 child_indices=list(f.child_indices),
             )
         )
-    # the cached root boundary is empty (validated at interior analysis
+    # the interior root boundary is empty (validated at interior analysis
     # time), so the root front's boundary is exactly its Schur border
     _link_to_parents(fronts, interior.parent)
     return SymbolicFactorization(

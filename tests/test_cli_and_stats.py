@@ -11,12 +11,15 @@ from repro.runner.__main__ import main as runner_main
 from repro.sparse import BLRConfig, SparseSolver
 
 
+def _factorize(solver, problem, **kwargs):
+    """Analyse and factorize ``problem.a_vv``."""
+    analysis = solver.analyse(problem.a_vv, problem.coords_v)
+    return solver.factorize(analysis, problem.a_vv, **kwargs)
+
+
 class TestStatistics:
     def test_fields_present_and_consistent(self, pipe_small):
-        f = SparseSolver().factorize(
-            pipe_small.a_vv, coords=pipe_small.coords_v,
-            symmetric_values=True,
-        )
+        f = _factorize(SparseSolver(), pipe_small, symmetric_values=True)
         stats = f.statistics()
         assert stats["mode"] == "ldlt"
         assert stats["n_fronts"] >= 1
@@ -27,27 +30,22 @@ class TestStatistics:
         f.free()
 
     def test_lu_mode_reported(self, aircraft_small):
-        f = SparseSolver().factorize(
-            aircraft_small.a_vv, coords=aircraft_small.coords_v,
-            symmetric_values=False,
-        )
+        f = _factorize(SparseSolver(), aircraft_small,
+                       symmetric_values=False)
         assert f.statistics()["mode"] == "lu"
         f.free()
 
     def test_blr_panel_counts(self, pipe_small):
-        f = SparseSolver(
+        f = _factorize(SparseSolver(
             blr=BLRConfig(tol=1e-1, min_panel=16, max_rank_fraction=1.0)
-        ).factorize(pipe_small.a_vv, coords=pipe_small.coords_v,
-                    symmetric_values=True)
+        ), pipe_small, symmetric_values=True)
         stats = f.statistics()
         assert (0 < stats["blr_compressed_panels"]
                 <= stats["blr_tested_panels"] <= stats["blr_total_panels"])
         f.free()
         # a front with fewer than min_panel pivots is stored, never tested
         assert stats["blr_tested_panels"] < stats["blr_total_panels"]
-        off = SparseSolver().factorize(pipe_small.a_vv,
-                                       coords=pipe_small.coords_v,
-                                       symmetric_values=True)
+        off = _factorize(SparseSolver(), pipe_small, symmetric_values=True)
         assert off.statistics()["blr_tested_panels"] == 0
         off.free()
 
@@ -55,10 +53,8 @@ class TestStatistics:
         from repro.fembem import generate_pipe_case
         small = generate_pipe_case(1_000)
         big = generate_pipe_case(3_000)
-        fs = SparseSolver().factorize(small.a_vv, coords=small.coords_v,
-                                      symmetric_values=True)
-        fb = SparseSolver().factorize(big.a_vv, coords=big.coords_v,
-                                      symmetric_values=True)
+        fs = _factorize(SparseSolver(), small, symmetric_values=True)
+        fb = _factorize(SparseSolver(), big, symmetric_values=True)
         assert fb.statistics()["flops_estimate"] > (
             2 * fs.statistics()["flops_estimate"]
         )

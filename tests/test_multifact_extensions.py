@@ -9,7 +9,6 @@ from repro.core import CoupledFactorization, SolverConfig, solve_coupled
 from repro.core.multi_factorization import _build_w_block, _surface_blocks
 from repro.core.schur_tools import make_sparse_solver
 from repro.memory import MemoryTracker
-from repro.sparse import SymbolicCache
 from repro.sparse import multifrontal
 
 
@@ -78,12 +77,14 @@ class TestSchurOnlyBlocks:
                             lambda panel, blr: compressions.append(1)
                             or compress(panel, blr))
 
+        analysis = make_sparse_solver(SolverConfig(), MemoryTracker()).analyse(
+            problem.a_vv, problem.coords_v)
+
         def solver(tracker):
-            return make_sparse_solver(SolverConfig(), tracker, SymbolicCache())
+            return make_sparse_solver(SolverConfig(), tracker)
 
         kept = solver(MemoryTracker()).factorize_schur(
-            w, schur_vars, coords_interior=problem.coords_v,
-            symmetric_values=symmetric)
+            analysis, w, schur_vars, symmetric_values=symmetric)
         assert kept.mode == mode and kept.factor_bytes > 0
         assert compressions
         expected, expected_alloc = kept.take_schur()
@@ -93,8 +94,7 @@ class TestSchurOnlyBlocks:
         compressions.clear()
         tracker = MemoryTracker()
         schur, alloc = solver(tracker).schur_complement(
-            w, schur_vars, coords_interior=problem.coords_v,
-            symmetric_values=symmetric)
+            analysis, w, schur_vars, symmetric_values=symmetric)
         assert np.array_equal(schur, expected)
         assert not compressions
         assert tracker.category_peak("sparse_factor") == 0
@@ -106,10 +106,10 @@ class TestSchurOnlyBlocks:
         # the off-diagonal LU block stores more factor bytes than the kept
         # LDLᵀ block, so a run that kept or charged it fails here
         w, schur_vars, symmetric = _w_block(pipe_small, 1, 1)
-        last = make_sparse_solver(
-            SolverConfig(), MemoryTracker()).factorize_schur(
-                w, schur_vars, coords_interior=pipe_small.coords_v,
-                symmetric_values=symmetric)
+        solver = make_sparse_solver(SolverConfig(), MemoryTracker())
+        last = solver.factorize_schur(
+            solver.analyse(pipe_small.a_vv, pipe_small.coords_v), w,
+            schur_vars, symmetric_values=symmetric)
         kept_bytes = last.factor_bytes
         last.free()
         sol = solve_coupled(pipe_small, "multi_factorization",

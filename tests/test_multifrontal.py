@@ -20,6 +20,18 @@ from repro.sparse.multifrontal import MultifrontalFactorization
 from repro.utils.errors import ConfigurationError, SingularMatrixError
 
 
+def _factorize(solver, a, coords=None, **kwargs):
+    """Analyse ``a`` and factorize it along that analysis."""
+    return solver.factorize(solver.analyse(a, coords), a, **kwargs)
+
+
+def _factorize_schur(solver, a, coords, w, schur_vars, **kwargs):
+    """``factorize_schur`` of ``w`` along the analysis of its interior
+    block ``a``."""
+    return solver.factorize_schur(solver.analyse(a, coords), w, schur_vars,
+                                  **kwargs)
+
+
 @pytest.fixture(scope="module")
 def spd_problem():
     grid = StructuredGrid(9, 7, 6)
@@ -37,8 +49,7 @@ def unsym_problem():
 class TestFactorizeSolve:
     def test_ldlt_solve_matches_scipy(self, spd_problem, rng):
         grid, a = spd_problem
-        f = SparseSolver().factorize(a, coords=grid.points(),
-                                     symmetric_values=True)
+        f = _factorize(SparseSolver(), a, grid.points(), symmetric_values=True)
         b = rng.standard_normal(a.shape[0])
         x = f.solve(b)
         np.testing.assert_allclose(x, spla.spsolve(a.tocsc(), b), rtol=1e-8)
@@ -46,8 +57,8 @@ class TestFactorizeSolve:
 
     def test_lu_solve_complex_nonsymmetric(self, unsym_problem, rng):
         grid, a = unsym_problem
-        f = SparseSolver().factorize(a, coords=grid.points(),
-                                     symmetric_values=False)
+        f = _factorize(
+            SparseSolver(), a, grid.points(), symmetric_values=False)
         b = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
         x = f.solve(b)
         res = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
@@ -56,8 +67,7 @@ class TestFactorizeSolve:
 
     def test_multiple_rhs(self, spd_problem, rng):
         grid, a = spd_problem
-        f = SparseSolver().factorize(a, coords=grid.points(),
-                                     symmetric_values=True)
+        f = _factorize(SparseSolver(), a, grid.points(), symmetric_values=True)
         b = rng.standard_normal((a.shape[0], 7))
         x = f.solve(b)
         assert np.abs(a @ x - b).max() < 1e-9
@@ -66,8 +76,7 @@ class TestFactorizeSolve:
     def test_sparse_rhs_exploitation_matches_dense_path(self, spd_problem):
         grid, a = spd_problem
         n = a.shape[0]
-        f = SparseSolver().factorize(a, coords=grid.points(),
-                                     symmetric_values=True)
+        f = _factorize(SparseSolver(), a, grid.points(), symmetric_values=True)
         rhs = sp.random(n, 3, density=0.003, format="csr", random_state=5)
         x_sparse = f.solve(rhs, exploit_sparsity=True)
         x_dense = f.solve(np.asarray(rhs.todense()), exploit_sparsity=False)
@@ -76,15 +85,15 @@ class TestFactorizeSolve:
 
     def test_zero_rhs_gives_zero(self, spd_problem):
         grid, a = spd_problem
-        f = SparseSolver().factorize(a, coords=grid.points(),
-                                     symmetric_values=True)
+        f = _factorize(SparseSolver(), a, grid.points(), symmetric_values=True)
         x = f.solve(np.zeros(a.shape[0]))
         np.testing.assert_array_equal(x, 0.0)
         f.free()
 
     def test_graph_ordering_backend(self, spd_problem, rng):
         _, a = spd_problem
-        f = SparseSolver(ordering="graph").factorize(a, symmetric_values=True)
+        f = _factorize(
+            SparseSolver(ordering="graph"), a, symmetric_values=True)
         b = rng.standard_normal(a.shape[0])
         np.testing.assert_allclose(f.solve(b), spla.spsolve(a.tocsc(), b),
                                    rtol=1e-8)
@@ -93,20 +102,18 @@ class TestFactorizeSolve:
     def test_geometric_without_coords_rejected(self, spd_problem):
         _, a = spd_problem
         with pytest.raises(ConfigurationError):
-            SparseSolver(ordering="geometric").factorize(a)
+            _factorize(SparseSolver(ordering="geometric"), a)
 
     def test_rhs_size_mismatch_rejected(self, spd_problem):
         grid, a = spd_problem
-        f = SparseSolver().factorize(a, coords=grid.points(),
-                                     symmetric_values=True)
+        f = _factorize(SparseSolver(), a, grid.points(), symmetric_values=True)
         with pytest.raises(ConfigurationError):
             f.solve(np.zeros(a.shape[0] + 1))
         f.free()
 
     def test_solve_after_free_raises(self, spd_problem):
         grid, a = spd_problem
-        f = SparseSolver().factorize(a, coords=grid.points(),
-                                     symmetric_values=True)
+        f = _factorize(SparseSolver(), a, grid.points(), symmetric_values=True)
         f.free()
         with pytest.raises(RuntimeError):
             f.solve(np.zeros(a.shape[0]))
@@ -117,9 +124,9 @@ class TestFactorizeSolve:
         a = sp.csr_matrix((n, n))
         a.setdiag(0.0)
         with pytest.raises(SingularMatrixError):
-            SparseSolver().factorize(a + sp.csr_matrix(
+            _factorize(SparseSolver(), a + sp.csr_matrix(
                 (np.zeros(1), ([0], [1])), shape=(n, n)),
-                coords=grid.points(), symmetric_values=True)
+                grid.points(), symmetric_values=True)
 
 
 class TestSchurAPI:
@@ -137,10 +144,9 @@ class TestSchurAPI:
         grid, a = spd_problem
         n, k = a.shape[0], 25
         w, b, c = self._schur_setup(grid, a, k, seed=7)
-        f = SparseSolver().factorize_schur(
-            w, np.arange(n, n + k), coords_interior=grid.points(),
-            symmetric_values=True,
-        )
+        f = _factorize_schur(
+            SparseSolver(), a, grid.points(), w, np.arange(n, n + k),
+            symmetric_values=True)
         ref = -(c @ spla.spsolve(a.tocsc(), b.toarray()))
         np.testing.assert_allclose(f.schur, ref, atol=1e-10)
         f.free()
@@ -149,10 +155,9 @@ class TestSchurAPI:
         grid, a = spd_problem
         n, k = a.shape[0], 20
         w, b, c = self._schur_setup(grid, a, k, seed=11, unsym=True)
-        f = SparseSolver().factorize_schur(
-            w, np.arange(n, n + k), coords_interior=grid.points(),
-            symmetric_values=False,
-        )
+        f = _factorize_schur(
+            SparseSolver(), a, grid.points(), w, np.arange(n, n + k),
+            symmetric_values=False)
         ref = -(c @ spla.spsolve(a.tocsc(), b.toarray()))
         np.testing.assert_allclose(f.schur, ref, atol=1e-10)
         f.free()
@@ -165,10 +170,9 @@ class TestSchurAPI:
         for i in range(k):
             w[n + i, n + i] = 10.0 + i
         w = w.tocsr()
-        f = SparseSolver().factorize_schur(
-            w, np.arange(n, n + k), coords_interior=grid.points(),
-            symmetric_values=True,
-        )
+        f = _factorize_schur(
+            SparseSolver(), a, grid.points(), w, np.arange(n, n + k),
+            symmetric_values=True)
         ref = np.diag(10.0 + np.arange(k)) - (
             c @ spla.spsolve(a.tocsc(), b.toarray())
         )
@@ -180,10 +184,9 @@ class TestSchurAPI:
         grid, a = spd_problem
         n, k = a.shape[0], 10
         w, _, _ = self._schur_setup(grid, a, k, seed=17)
-        f = SparseSolver().factorize_schur(
-            w, np.arange(n, n + k), coords_interior=grid.points(),
-            symmetric_values=True,
-        )
+        f = _factorize_schur(
+            SparseSolver(), a, grid.points(), w, np.arange(n, n + k),
+            symmetric_values=True)
         assert isinstance(f.schur, np.ndarray)
         assert f.schur.shape == (k, k)
         f.free()
@@ -192,10 +195,9 @@ class TestSchurAPI:
         grid, a = spd_problem
         n, k = a.shape[0], 15
         w, _, _ = self._schur_setup(grid, a, k, seed=19)
-        f = SparseSolver().factorize_schur(
-            w, np.arange(n, n + k), coords_interior=grid.points(),
-            symmetric_values=True,
-        )
+        f = _factorize_schur(
+            SparseSolver(), a, grid.points(), w, np.arange(n, n + k),
+            symmetric_values=True)
         b = rng.standard_normal(n)
         x = f.solve(b)
         np.testing.assert_allclose(a @ x, b, atol=1e-9)
@@ -206,10 +208,9 @@ class TestSchurAPI:
         n, k = a.shape[0], 8
         w, _, _ = self._schur_setup(grid, a, k, seed=23)
         t = MemoryTracker()
-        f = SparseSolver(tracker=t).factorize_schur(
-            w, np.arange(n, n + k), coords_interior=grid.points(),
-            symmetric_values=True,
-        )
+        f = _factorize_schur(
+            SparseSolver(tracker=t), a, grid.points(), w, np.arange(n, n + k),
+            symmetric_values=True)
         s, alloc = f.take_schur()
         f.free()
         assert t.in_use == alloc.nbytes  # only the transferred Schur remains
@@ -218,8 +219,7 @@ class TestSchurAPI:
 
     def test_take_schur_without_schur_rejected(self, spd_problem):
         grid, a = spd_problem
-        f = SparseSolver().factorize(a, coords=grid.points(),
-                                     symmetric_values=True)
+        f = _factorize(SparseSolver(), a, grid.points(), symmetric_values=True)
         with pytest.raises(ConfigurationError):
             f.take_schur()
         f.free()
@@ -228,9 +228,9 @@ class TestSchurAPI:
 class TestBLR:
     def test_blr_preserves_solve_accuracy(self, spd_problem, rng):
         grid, a = spd_problem
-        f = SparseSolver(blr=BLRConfig(tol=1e-10, min_panel=16)).factorize(
-            a, coords=grid.points(), symmetric_values=True
-        )
+        f = _factorize(
+            SparseSolver(blr=BLRConfig(tol=1e-10, min_panel=16)), a,
+            grid.points(), symmetric_values=True)
         b = rng.standard_normal(a.shape[0])
         res = np.linalg.norm(a @ f.solve(b) - b) / np.linalg.norm(b)
         assert res < 1e-7
@@ -238,12 +238,11 @@ class TestBLR:
 
     def test_loose_blr_reduces_factor_bytes(self, spd_problem):
         grid, a = spd_problem
-        dense_f = SparseSolver(blr=None).factorize(
-            a, coords=grid.points(), symmetric_values=True
-        )
-        blr_f = SparseSolver(
+        dense_f = _factorize(
+            SparseSolver(blr=None), a, grid.points(), symmetric_values=True)
+        blr_f = _factorize(SparseSolver(
             blr=BLRConfig(tol=1e-1, min_panel=8, max_rank_fraction=0.9)
-        ).factorize(a, coords=grid.points(), symmetric_values=True)
+        ), a, grid.points(), symmetric_values=True)
         assert blr_f.factor_bytes < dense_f.factor_bytes
         dense_f.free()
         blr_f.free()
@@ -253,9 +252,9 @@ class TestBLR:
         b = rng.standard_normal(a.shape[0])
         errs = []
         for tol in (1e-2, 1e-8):
-            f = SparseSolver(
+            f = _factorize(SparseSolver(
                 blr=BLRConfig(tol=tol, min_panel=8, max_rank_fraction=1.0)
-            ).factorize(a, coords=grid.points(), symmetric_values=True)
+            ), a, grid.points(), symmetric_values=True)
             errs.append(
                 np.linalg.norm(a @ f.solve(b) - b) / np.linalg.norm(b)
             )
@@ -267,9 +266,8 @@ class TestMemoryAccounting:
     def test_no_leaks_after_free(self, spd_problem, rng):
         grid, a = spd_problem
         t = MemoryTracker()
-        f = SparseSolver(tracker=t).factorize(
-            a, coords=grid.points(), symmetric_values=True
-        )
+        f = _factorize(
+            SparseSolver(tracker=t), a, grid.points(), symmetric_values=True)
         f.solve(rng.standard_normal(a.shape[0]))
         assert t.in_use > 0
         f.free()
@@ -278,9 +276,8 @@ class TestMemoryAccounting:
     def test_peak_includes_front_workspace(self, spd_problem):
         grid, a = spd_problem
         t = MemoryTracker()
-        f = SparseSolver(tracker=t).factorize(
-            a, coords=grid.points(), symmetric_values=True
-        )
+        f = _factorize(
+            SparseSolver(tracker=t), a, grid.points(), symmetric_values=True)
         assert t.peak > f.factor_bytes  # transient fronts exceeded factors
         # the reusable arena replaces per-front workspace allocations:
         # one charge, sized for the largest front, released with the call
@@ -292,10 +289,10 @@ class TestMemoryAccounting:
     def test_unsymmetric_mode_doubles_factor_storage(self, spd_problem):
         """The paper's duplicated-storage effect: LU stores two panels."""
         grid, a = spd_problem
-        f_ldlt = SparseSolver().factorize(a, coords=grid.points(),
-                                          symmetric_values=True)
-        f_lu = SparseSolver().factorize(a, coords=grid.points(),
-                                        symmetric_values=False)
+        f_ldlt = _factorize(
+            SparseSolver(), a, grid.points(), symmetric_values=True)
+        f_lu = _factorize(
+            SparseSolver(), a, grid.points(), symmetric_values=False)
         assert f_lu.factor_bytes > 1.6 * f_ldlt.factor_bytes
         f_ldlt.free()
         f_lu.free()
@@ -305,21 +302,21 @@ class TestMemoryAccounting:
         grid, a = spd_problem
         t = MemoryTracker(limit_bytes=50_000)
         with pytest.raises(MemoryLimitExceeded):
-            SparseSolver(tracker=t).factorize(
-                a, coords=grid.points(), symmetric_values=True
-            )
+            _factorize(
+                SparseSolver(tracker=t), a, grid.points(),
+                symmetric_values=True)
 
 
 class TestSymmetryProbe:
     def test_auto_detects_symmetric(self, spd_problem, rng):
         grid, a = spd_problem
-        f = SparseSolver().factorize(a, coords=grid.points())
+        f = _factorize(SparseSolver(), a, grid.points())
         assert f.mode == "ldlt"
         f.free()
 
     def test_auto_detects_unsymmetric(self, unsym_problem):
         grid, a = unsym_problem
-        f = SparseSolver().factorize(a, coords=grid.points())
+        f = _factorize(SparseSolver(), a, grid.points())
         assert f.mode == "lu"
         f.free()
 
@@ -369,8 +366,9 @@ _KINDS = ["ldlt-real", "ldlt-complex", "lu-real", "lu-complex"]
 def swept(request):
     kind, panels = request.param
     grid, a, symmetric = _sweep_matrix(kind)
-    f = SparseSolver(leaf_size=24, amalgamate=8).factorize(
-        a, coords=grid.points(), symmetric_values=symmetric)
+    f = _factorize(
+        SparseSolver(leaf_size=24, amalgamate=8), a, grid.points(),
+        symmetric_values=symmetric)
     assert len(f.symbolic.fronts) > 8
     if panels == "rk":
         _exact_rk_panels(f)
@@ -465,9 +463,9 @@ class TestSweepEquivalence:
         c = sp.random(k, n, density=0.05, format="csr", random_state=2,
                       dtype=np.float64)
         w = sp.bmat([[a, c.T], [c, None]], format="csr")
-        f = SparseSolver(leaf_size=24, amalgamate=8).factorize_schur(
-            w, np.arange(n, n + k), coords_interior=grid.points(),
-            symmetric_values=symmetric)
+        f = _factorize_schur(
+            SparseSolver(leaf_size=24, amalgamate=8), a, grid.points(), w,
+            np.arange(n, n + k), symmetric_values=symmetric)
         b = rng.standard_normal((n, 3)).astype(a.dtype)
         ref = spla.splu(a.tocsc()).solve(b)
         assert _rel_err(f.solve(b), ref) <= 1e-10
@@ -483,8 +481,9 @@ def factored(request):
     grid, a, symmetric = _sweep_matrix("lu-real" if pivoting else kind)
     if pivoting:
         a = (a - 0.97 * sp.diags(a.diagonal())).tocsr()
-    f = SparseSolver(leaf_size=24, amalgamate=8).factorize(
-        a, coords=grid.points(), symmetric_values=symmetric)
+    f = _factorize(
+        SparseSolver(leaf_size=24, amalgamate=8), a, grid.points(),
+        symmetric_values=symmetric)
     assert any(fr.perm is not None for fr in f._fronts) == pivoting
     yield a, f
     f.free()
@@ -557,9 +556,9 @@ class TestWantedRows:
         c = sp.random(k, n, density=0.05, format="csr", random_state=2,
                       dtype=np.float64)
         w = sp.bmat([[a, c.T], [c, None]], format="csr")
-        f = SparseSolver(leaf_size=24, amalgamate=8).factorize_schur(
-            w, np.arange(n, n + k), coords_interior=grid.points(),
-            symmetric_values=symmetric)
+        f = _factorize_schur(
+            SparseSolver(leaf_size=24, amalgamate=8), a, grid.points(), w,
+            np.arange(n, n + k), symmetric_values=symmetric)
         b = rng.standard_normal((n, 3))
         rows = rng.permutation(n)[:40]
         assert np.array_equal(f.solve(b, wanted=rows), f.solve(b)[rows])
@@ -634,8 +633,8 @@ class TestNoHiddenCopies:
     def test_tracker_balanced_after_wrong_sized_rhs(self, spd_problem):
         grid, a = spd_problem
         t = MemoryTracker()
-        f = SparseSolver(tracker=t).factorize(
-            a, coords=grid.points(), symmetric_values=True)
+        f = _factorize(
+            SparseSolver(tracker=t), a, grid.points(), symmetric_values=True)
         held = t.in_use
         for bad in (np.zeros(a.shape[0] + 1), np.zeros((3, 2)),
                     sp.csc_matrix((a.shape[0] - 1, 2))):
@@ -652,8 +651,8 @@ class TestNoHiddenCopies:
         grid, a = spd_problem
         n = a.shape[0]
         t = MemoryTracker()
-        f = SparseSolver(tracker=t).factorize(
-            a, coords=grid.points(), symmetric_values=True)
+        f = _factorize(
+            SparseSolver(tracker=t), a, grid.points(), symmetric_values=True)
         f.solve(sp.random(n, 12, density=0.01, format="csr", random_state=0))
         assert t.category_peak("solve_workspace") == f.solve_workspace_bytes(12)
         f.free()
@@ -710,8 +709,6 @@ class TestNumericPhase:
     @pytest.mark.parametrize("border", ["none", "schur", "w-block"])
     @pytest.mark.parametrize("kind", _KINDS)
     def test_schur_and_solve_match_splu(self, kind, border, panels, rng):
-        from repro.sparse import SymbolicCache
-
         blr = _BLR[panels]
         grid, symmetric, w, schur_vars, a, b, c, d = _bordered(
             kind, "schur" if border == "none" else border)
@@ -720,17 +717,14 @@ class TestNumericPhase:
         schur_tol = 1e-10
         solve_tol = 1e-10 if blr is None else _TOL
         solver = SparseSolver(
-            leaf_size=24, amalgamate=8, blr=blr, tracker=MemoryTracker(),
-            # the W blocks go through the grafted analysis, as in the
-            # multi-factorization algorithm
-            symbolic_cache=SymbolicCache() if border == "w-block" else None)
+            leaf_size=24, amalgamate=8, blr=blr, tracker=MemoryTracker())
         if border == "none":
-            f = solver.factorize(a, coords=grid.points(),
-                                 symmetric_values=symmetric)
+            f = _factorize(
+                solver, a, grid.points(), symmetric_values=symmetric)
             assert f.schur is None
         else:
-            f = solver.factorize_schur(
-                w, schur_vars, coords_interior=grid.points(),
+            f = _factorize_schur(
+                solver, a, grid.points(), w, schur_vars,
                 symmetric_values=symmetric)
             ref = d - c @ lu.solve(b.toarray())
             assert f.schur.shape == ref.shape and f.schur.dtype == a.dtype
@@ -763,12 +757,12 @@ class TestNumericPhase:
             shape=w.shape)
         assert zeros.nnz > w.nnz
         rhs = rng.standard_normal(a.shape[0])
-        f = SparseSolver(leaf_size=24, amalgamate=8).factorize_schur(
-            w, schur_vars, coords_interior=grid.points(),
-            symmetric_values=symmetric)
+        f = _factorize_schur(
+            SparseSolver(leaf_size=24, amalgamate=8), a, grid.points(), w,
+            schur_vars, symmetric_values=symmetric)
         schur, x = f.schur.copy(), f.solve(rhs)
         for mat in (halves, zeros):
-            # straight into the numeric phase, as on a symbolic-cache hit
+            # straight into the numeric phase, as on a reused analysis
             g = MultifrontalFactorization(mat, f.symbolic, symmetric)
             assert np.array_equal(g.schur, schur)
             assert np.array_equal(g.solve(rhs), x)
@@ -781,8 +775,8 @@ class TestNumericPhase:
         up (its parent used to look one up and die on a ``KeyError``)."""
         _, a, _ = _sweep_matrix("ldlt-real")
         blocks = sp.block_diag([a, 2 * a, 3 * a], format="csr")
-        f = SparseSolver(ordering="graph", leaf_size=24,
-                         amalgamate=8).factorize(blocks, symmetric_values=True)
+        f = _factorize(SparseSolver(ordering="graph", leaf_size=24,
+                         amalgamate=8), blocks, symmetric_values=True)
         assert any(fr.n_bnd == 0 for fr in f.symbolic.fronts[:-1])
         b = rng.standard_normal(blocks.shape[0])
         assert _rel_err(f.solve(b), spla.spsolve(blocks.tocsc(), b)) <= 1e-10
@@ -790,8 +784,9 @@ class TestNumericPhase:
 
     def test_entry_outside_the_analysed_pattern_is_refused(self):
         grid, a, _ = _sweep_matrix("lu-real")
-        f = SparseSolver(leaf_size=24, amalgamate=8).factorize(
-            a, coords=grid.points(), symmetric_values=False)
+        f = _factorize(
+            SparseSolver(leaf_size=24, amalgamate=8), a, grid.points(),
+            symmetric_values=False)
         first, last = f.symbolic.fronts[0].own[0], f.symbolic.fronts[1].own[0]
         assert a[first, last] == 0              # two sibling leaves
         stray = a.tolil()
@@ -809,26 +804,23 @@ class TestNumericPhase:
         and Schur charges are released, it frees its own front arena,
         and the tracker reads 0 — for the Schur-only call too."""
         grid, symmetric, w, schur_vars, a, *_ = _bordered(kind, "schur")
-        dead = SparseSolver(leaf_size=24, amalgamate=8).factorize(
-            a, coords=grid.points(), symmetric_values=symmetric)
+        tracker = MemoryTracker()
+        solver = SparseSolver(leaf_size=24, amalgamate=8, tracker=tracker)
+        analysis = solver.analyse(a, grid.points())
         # a variable of a late front: earlier fronts have factors and
         # contribution blocks in flight when its pivot block fails
-        var = dead.symbolic.fronts[-2].own[0]
-        dead.free()
+        var = analysis.symbolic.fronts[-2].own[0]
         keep = sp.diags((np.arange(w.shape[0]) != var).astype(w.dtype))
         singular = (keep @ w @ keep).tocsr()
         singular.eliminate_zeros()
-        tracker = MemoryTracker()
-        solver = SparseSolver(leaf_size=24, amalgamate=8, tracker=tracker)
         for call in (solver.factorize_schur, solver.schur_complement):
             with pytest.raises(SingularMatrixError):
-                call(singular, schur_vars, coords_interior=grid.points(),
+                call(analysis, singular, schur_vars,
                      symmetric_values=symmetric)
             assert tracker.in_use == 0
             assert tracker.category_peak("front_arena") > 0
-        f = solver.factorize_schur(
-            w, schur_vars, coords_interior=grid.points(),
-            symmetric_values=symmetric)
+        f = solver.factorize_schur(analysis, w, schur_vars,
+                                   symmetric_values=symmetric)
         rhs = rng.standard_normal(a.shape[0]).astype(a.dtype)
         assert _rel_err(f.solve(rhs), spla.splu(a.tocsc()).solve(rhs)) <= 1e-10
         f.free()
@@ -844,8 +836,8 @@ class TestSolveWorkspaceReservation:
         runtime's admission headroom has to be sized by the sweep dtype."""
         grid, a = spd_problem
         t = MemoryTracker()
-        f = SparseSolver(tracker=t).factorize(
-            a, coords=grid.points(), symmetric_values=True)
+        f = _factorize(
+            SparseSolver(tracker=t), a, grid.points(), symmetric_values=True)
         b = rng.standard_normal((a.shape[0], cols)).astype(rhs_dtype)
         f.solve(b)
         borrowed = t.category_peak("solve_workspace")
@@ -910,8 +902,9 @@ def _planned(kind):
     if kind == "blr":
         grid = StructuredGrid(12, 10, 8)
         a = assemble_fem_matrix(grid, mode="real_spd").tocsr()
-        f = SparseSolver(blr=BLRConfig(tol=1e-3, min_panel=16)).factorize(
-            a, coords=grid.points(), symmetric_values=True)
+        f = _factorize(
+            SparseSolver(blr=BLRConfig(tol=1e-3, min_panel=16)), a,
+            grid.points(), symmetric_values=True)
         assert any(isinstance(p, RkMatrix)
                    for fr in f._fronts for p in (fr.l21, fr.u12))
         return a, f
@@ -919,8 +912,9 @@ def _planned(kind):
         "lu-complex" if kind == "lu-complex-pivoting" else kind)
     if kind == "lu-complex-pivoting":
         a = (a - 0.97 * sp.diags(a.diagonal())).tocsr()
-    f = SparseSolver(leaf_size=24, amalgamate=8).factorize(
-        a, coords=grid.points(), symmetric_values=symmetric)
+    f = _factorize(
+        SparseSolver(leaf_size=24, amalgamate=8), a, grid.points(),
+        symmetric_values=symmetric)
     if kind == "lu-complex-pivoting":
         assert any(fr.perm is not None for fr in f._fronts)
     return a, f
@@ -1040,8 +1034,8 @@ class TestSweepPlan:
 
     def test_a_schur_only_factorization_has_no_plan(self, spd_problem):
         grid, a = spd_problem
-        kept = SparseSolver().factorize(a, coords=grid.points(),
-                                        symmetric_values=True)
+        kept = _factorize(
+            SparseSolver(), a, grid.points(), symmetric_values=True)
         f = MultifrontalFactorization(a, kept.symbolic, symmetric_values=True,
                                       keep_factors=False)
         kept.free()

@@ -34,7 +34,8 @@ def test_property_multifrontal_solves_any_grid(nx, ny, nz, leaf, amal, seed):
     grid = StructuredGrid(nx, ny, nz)
     a = assemble_fem_matrix(grid, mode="real_spd")
     solver = SparseSolver(leaf_size=leaf, amalgamate=amal)
-    f = solver.factorize(a, coords=grid.points(), symmetric_values=True)
+    f = solver.factorize(solver.analyse(a, grid.points()), a,
+                         symmetric_values=True)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(a.shape[0])
     x = f.solve(b)
@@ -57,8 +58,9 @@ def test_property_schur_identity(k, density, seed, unsym):
     b = (sp.random(k, n, density=density, format="csr",
                    random_state=seed + 1).T if unsym else c.T)
     w = sp.bmat([[a, b], [c, None]], format="csr")
-    f = SparseSolver().factorize_schur(
-        w, np.arange(n, n + k), coords_interior=grid.points(),
+    solver = SparseSolver()
+    f = solver.factorize_schur(
+        solver.analyse(a, grid.points()), w, np.arange(n, n + k),
         symmetric_values=not unsym,
     )
     # spsolve squeezes single-column right-hand sides; normalise shapes

@@ -13,6 +13,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import CoupledFactorization, SolverConfig
 from repro.serving import (
@@ -21,6 +22,7 @@ from repro.serving import (
     config_fingerprint_fields,
     system_fingerprint,
 )
+from repro.serving.factor_cache import pattern_fingerprint
 from repro.utils.errors import FactorizationFreed, MemoryLimitExceeded
 
 CONFIG = SolverConfig(dense_backend="hmat", n_c=64)
@@ -28,6 +30,28 @@ CONFIG = SolverConfig(dense_backend="hmat", n_c=64)
 
 def build_fact(problem, config=CONFIG):
     return CoupledFactorization(problem, "multi_solve", config)
+
+
+class TestPatternFingerprint:
+    def test_values_do_not_participate(self, pipe_small):
+        a = pipe_small.a_vv.tocsr()
+        b = a.copy()
+        b.data = b.data * 2.0
+        assert pattern_fingerprint(a) == pattern_fingerprint(b)
+
+    def test_pattern_change_changes_key(self, pipe_small):
+        a = pipe_small.a_vv.tocsr()
+        b = a.tolil()
+        b[0, a.shape[1] - 1] = 1.0
+        b[a.shape[1] - 1, 0] = 1.0
+        assert pattern_fingerprint(a) != pattern_fingerprint(b.tocsr())
+
+    def test_index_width_is_canonicalised(self):
+        a = sp.eye(8, format="csr")
+        b = a.copy()
+        b.indptr = b.indptr.astype(np.int64)
+        b.indices = b.indices.astype(np.int64)
+        assert pattern_fingerprint(a) == pattern_fingerprint(b)
 
 
 class TestSystemFingerprint:

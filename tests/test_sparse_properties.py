@@ -69,10 +69,12 @@ def test_property_blr_solve_error_bounded(blr_tol, min_panel, seed):
     """BLR at any tolerance keeps the solve residual O(tol)."""
     grid = StructuredGrid(7, 6, 5)
     a = assemble_fem_matrix(grid, mode="real_spd")
-    f = SparseSolver(
+    solver = SparseSolver(
         blr=BLRConfig(tol=blr_tol, min_panel=min_panel,
                       max_rank_fraction=1.0)
-    ).factorize(a, coords=grid.points(), symmetric_values=True)
+    )
+    f = solver.factorize(solver.analyse(a, grid.points()), a,
+                         symmetric_values=True)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(a.shape[0])
     x = f.solve(b)

@@ -1,20 +1,18 @@
 """Symbolic-analysis reuse and the frontal workspace arena.
 
-Covers the :class:`repro.sparse.SymbolicCache` machinery end to end: the
-pattern fingerprint (values must not participate), the thread-safe
-exactly-once build, the border extension grafting a Schur border onto a
-cached interior analysis (bit-identical to the full analysis), the arena
-lifecycle with tracker accounting, and multi-factorization running every
-``W`` block on one analysis, bit-identically across worker counts.
+One :meth:`repro.sparse.SparseSolver.analyse` serves every numeric call
+on its pattern: the border graft is bit-identical to the from-scratch
+bordered analysis, the numeric phase is redone on new values, and a
+matrix the analysis does not describe is refused.  Also covered: the
+arena lifecycle with tracker accounting, and multi-factorization running
+every ``W`` block on one analysis, bit-identically across worker counts.
 
 This module runs under the lock-order watchdog + tracker-balance recorder
 (see ``conftest.py``), so every test doubles as a runtime check that the
-cache and arena locks stay acyclic and every tracked byte is released.
+runtime and arena locks stay acyclic and every tracked byte is released.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -25,10 +23,12 @@ from repro.core.config import SolverConfig
 from repro.memory.tracker import MemoryTracker
 from repro.sparse import (
     FrontArena,
+    MultifrontalFactorization,
     SparseSolver,
-    SymbolicCache,
-    pattern_fingerprint,
+    symbolic_analysis,
 )
+from repro.utils.errors import ConfigurationError
+from repro.utils.timer import PhaseTimer
 
 
 def _coupled_w(problem):
@@ -40,104 +40,34 @@ def _coupled_w(problem):
     return w, np.arange(n_v, n_v + n_s)
 
 
-class TestPatternFingerprint:
-    def test_values_do_not_participate(self, pipe_small):
-        a = pipe_small.a_vv.tocsr()
-        b = a.copy()
-        b.data = b.data * 2.0
-        assert pattern_fingerprint(a) == pattern_fingerprint(b)
-
-    def test_pattern_change_changes_key(self, pipe_small):
-        a = pipe_small.a_vv.tocsr()
-        b = a.tolil()
-        b[0, a.shape[1] - 1] = 1.0
-        b[a.shape[1] - 1, 0] = 1.0
-        assert pattern_fingerprint(a) != pattern_fingerprint(b.tocsr())
-
-    def test_index_width_is_canonicalised(self):
-        a = sp.eye(8, format="csr")
-        b = a.copy()
-        b.indptr = b.indptr.astype(np.int64)
-        b.indices = b.indices.astype(np.int64)
-        assert pattern_fingerprint(a) == pattern_fingerprint(b)
-
-    def test_extra_context_changes_key(self):
-        a = sp.eye(8, format="csr")
-        assert pattern_fingerprint(a) != pattern_fingerprint(a, extra=b"x")
-
-
-class TestSymbolicCache:
-    def test_hit_miss_accounting(self):
-        cache = SymbolicCache()
-        entry, hit = cache.get_or_build("k", lambda: object())
-        assert not hit
-        again, hit = cache.get_or_build("k", lambda: object())
-        assert hit and again is entry
-        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_lru_eviction(self):
-        cache = SymbolicCache(max_entries=2)
-        cache.get_or_build("a", lambda: "A")
-        cache.get_or_build("b", lambda: "B")
-        cache.get_or_build("a", lambda: "A")   # refresh a
-        cache.get_or_build("c", lambda: "C")   # evicts b
-        assert len(cache) == 2
-        _, hit = cache.get_or_build("b", lambda: "B2")
-        assert not hit
-
-    def test_concurrent_first_touch_builds_exactly_once(self):
-        cache = SymbolicCache()
-        builds = []
-
-        def build():
-            builds.append(threading.get_ident())
-            return object()
-
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(
-                    cache.get_or_build("k", build)[0]
-                )
-            )
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(builds) == 1
-        assert all(r is results[0] for r in results)
-
-
 class TestSolverCacheIntegration:
+    """One analysis of ``A_vv``, many numeric calls."""
+
     def test_extension_matches_full_analysis_bitwise(self, pipe_small):
         w, schur_vars = _coupled_w(pipe_small)
-        kwargs = dict(
-            coords_interior=pipe_small.coords_v, symmetric_values=True
-        )
-        plain = SparseSolver().factorize_schur(w, schur_vars, **kwargs)
-        cached = SparseSolver(
-            symbolic_cache=SymbolicCache()
-        ).factorize_schur(w, schur_vars, **kwargs)
-        assert np.array_equal(plain.schur, cached.schur)
-        plain.free()
-        cached.free()
+        solver = SparseSolver()
+        analysis = solver.analyse(pipe_small.a_vv, pipe_small.coords_v)
+        grafted = solver.factorize_schur(analysis, w, schur_vars,
+                                         symmetric_values=True)
+        scratch = MultifrontalFactorization(
+            w, symbolic_analysis(w, analysis.tree, schur_vars=schur_vars),
+            True)
+        assert np.array_equal(grafted.schur, scratch.schur)
+        grafted.free()
+        scratch.free()
 
     def test_same_pattern_hits(self, pipe_small):
         w, schur_vars = _coupled_w(pipe_small)
-        solver = SparseSolver(symbolic_cache=SymbolicCache())
-        mf1 = solver.factorize_schur(
-            w, schur_vars, coords_interior=pipe_small.coords_v,
-            symmetric_values=True,
-        )
-        mf2 = solver.factorize_schur(
-            w, schur_vars, coords_interior=pipe_small.coords_v,
-            symmetric_values=True,
-        )
-        assert (solver.n_symbolic_analyses, solver.n_symbolic_reuses) == (1, 1)
+        solver = SparseSolver()
+        analysis = solver.analyse(pipe_small.a_vv, pipe_small.coords_v)
+        mf1 = solver.factorize_schur(analysis, w, schur_vars,
+                                     symmetric_values=True)
+        mf2 = solver.factorize_schur(analysis, w, schur_vars,
+                                     symmetric_values=True)
+        # both grafts share the interior analysis' tree and sweep maps
+        for mf in (mf1, mf2):
+            assert mf.symbolic.tree is analysis.tree
+            assert mf.symbolic.interior_pos is analysis.symbolic.interior_pos
         assert np.array_equal(mf1.schur, mf2.schur)
         mf1.free()
         mf2.free()
@@ -146,50 +76,56 @@ class TestSolverCacheIntegration:
         w, schur_vars = _coupled_w(pipe_small)
         scaled = w.copy()
         scaled.data = scaled.data * 2.0
-        solver = SparseSolver(symbolic_cache=SymbolicCache())
-        mf1 = solver.factorize_schur(
-            w, schur_vars, coords_interior=pipe_small.coords_v,
-            symmetric_values=True,
-        )
-        mf2 = solver.factorize_schur(
-            scaled, schur_vars, coords_interior=pipe_small.coords_v,
-            symmetric_values=True,
-        )
-        # symbolic reused, numeric genuinely recomputed on the new values
-        assert (solver.n_symbolic_analyses, solver.n_symbolic_reuses) == (1, 1)
+        solver = SparseSolver()
+        analysis = solver.analyse(pipe_small.a_vv, pipe_small.coords_v)
+        mf1 = solver.factorize_schur(analysis, w, schur_vars,
+                                     symmetric_values=True)
+        mf2 = solver.factorize_schur(analysis, scaled, schur_vars,
+                                     symmetric_values=True)
+        # one analysis, numeric genuinely recomputed on the new values
         assert np.array_equal(mf2.schur, 2.0 * mf1.schur)
         mf1.free()
         mf2.free()
 
-    def test_pattern_change_misses(self, pipe_small):
+    @pytest.mark.parametrize("mismatch", ["shape", "border", "pattern"])
+    def test_foreign_analysis_is_refused(self, pipe_small, mismatch):
+        """A matrix the analysis does not describe raises
+        ``ConfigurationError`` and leaves nothing charged."""
+        a = pipe_small.a_vv.tocsr()
         w, schur_vars = _coupled_w(pipe_small)
-        n_int = pipe_small.n_fem
-        bumped = w.tolil()
-        # add a symmetric interior coupling that the pattern did not have
-        bumped[0, n_int - 1] = 1e-3
-        bumped[n_int - 1, 0] = 1e-3
-        solver = SparseSolver(symbolic_cache=SymbolicCache())
-        mf1 = solver.factorize_schur(
-            w, schur_vars, coords_interior=pipe_small.coords_v,
-            symmetric_values=True,
-        )
-        mf2 = solver.factorize_schur(
-            bumped.tocsr(), schur_vars,
-            coords_interior=pipe_small.coords_v, symmetric_values=True,
-        )
-        assert (solver.n_symbolic_analyses, solver.n_symbolic_reuses) == (2, 0)
-        mf1.free()
-        mf2.free()
+        tracker = MemoryTracker()
+        solver = SparseSolver(tracker=tracker)
+        analysis = solver.analyse(a, pipe_small.coords_v)
+        if mismatch == "shape":
+            # the whole W against the analysis of its interior block
+            with pytest.raises(ConfigurationError, match="does not match"):
+                solver.factorize(analysis, w, symmetric_values=True)
+        elif mismatch == "border":
+            with pytest.raises(ConfigurationError, match="border adds"):
+                solver.factorize_schur(analysis, w, schur_vars[1:],
+                                       symmetric_values=True)
+        else:
+            # couple a pivot of the first front to a later variable
+            # outside its boundary: a nonzero the analysis never saw
+            first = analysis.symbolic.fronts[0]
+            later = np.concatenate(
+                [f.own for f in analysis.symbolic.fronts[1:]])
+            far = later[~np.isin(later, first.bnd)][0]
+            stray = a.tolil()
+            stray[first.own[0], far] = stray[far, first.own[0]] = 1e-3
+            with pytest.raises(ConfigurationError, match="analysed pattern"):
+                solver.factorize(analysis, stray.tocsr(),
+                                 symmetric_values=True)
+        tracker.assert_all_freed()
 
     def test_timer_splits_analysis_from_numeric(self, pipe_small):
-        from repro.utils.timer import PhaseTimer
-
         timer = PhaseTimer()
-        solver = SparseSolver(symbolic_cache=SymbolicCache())
-        mf = solver.factorize(
-            pipe_small.a_vv, coords=pipe_small.coords_v,
-            symmetric_values=True, timer=timer,
-        )
+        solver = SparseSolver()
+        analysis = solver.analyse(pipe_small.a_vv, pipe_small.coords_v,
+                                  timer=timer)
+        assert set(timer.phases) == {"sparse_analysis"}
+        mf = solver.factorize(analysis, pipe_small.a_vv,
+                              symmetric_values=True, timer=timer)
         phases = timer.phases
         assert phases.get("sparse_analysis", 0.0) > 0.0
         assert phases.get("sparse_numeric", 0.0) > 0.0
@@ -242,33 +178,26 @@ class TestMultiFactorizationReuse:
     def test_bit_identical_across_reuse_and_workers(
         self, pipe_small, n_workers
     ):
-        # the cached-vs-fresh analysis bit identity is pinned at solver
+        # the grafted-vs-fresh analysis bit identity is pinned at solver
         # level by test_extension_matches_full_analysis_bitwise; here the
-        # one analysis serves every block on every runtime width
+        # one analysis serves every block on every runtime
         config = SolverConfig(n_b=2, n_c=64)
         serial = solve_coupled(
             pipe_small, "multi_factorization", config.with_(n_workers=1)
         )
-        sol = serial if n_workers == 1 else solve_coupled(
-            pipe_small, "multi_factorization",
-            config.with_(n_workers=n_workers),
-        )
-        assert np.array_equal(sol.x, serial.x)
         # the pipe is symmetric: one triangle of W blocks
         n_blocks = config.n_b * (config.n_b + 1) // 2
-        assert sol.stats.n_sparse_factorizations == n_blocks
-        from repro.runtime import resolve_runtime_backend
-
-        if resolve_runtime_backend(None) == "process" and n_workers > 1:
-            # the symbolic cache is per-process on the process backend, so
-            # the first block of *each worker* analyses; reuse still covers
-            # every further block a worker factorizes
-            assert 1 <= sol.stats.n_symbolic_analyses <= n_workers
-            assert (sol.stats.n_symbolic_analyses
-                    + sol.stats.n_symbolic_reuses == n_blocks)
-        else:
-            assert sol.stats.n_symbolic_analyses == 1
-            assert sol.stats.n_symbolic_reuses == n_blocks - 1
+        backends = [None] if n_workers == 1 else ["thread", "process"]
+        for backend in backends:
+            sol = serial if n_workers == 1 else solve_coupled(
+                pipe_small, "multi_factorization",
+                config.with_(n_workers=n_workers, runtime_backend=backend),
+            )
+            assert np.array_equal(sol.x, serial.x)
+            assert sol.stats.n_sparse_factorizations == n_blocks
+            # analysed once on the coordinator, on every runtime
+            assert (sol.stats.n_symbolic_analyses,
+                    sol.stats.n_symbolic_reuses) == (1, n_blocks - 1)
 
     def test_phase_split_is_reported(self, pipe_small):
         sol = solve_coupled(

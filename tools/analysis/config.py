@@ -19,8 +19,6 @@ LOCK_HIERARCHY = (
     "_timer_lock",   # repro.runtime.scheduler.ParallelRuntime (timer map)
     "_cond",         # repro.memory.tracker.MemoryTracker (bookkeeping)
     "_lock",         # repro.utils.timer.PhaseTimer (phase accumulator)
-    "_cache_lock",   # repro.sparse.symbolic_cache.SymbolicCache (leaf)
-    "_stats_lock",   # repro.sparse.solver.SparseSolver counters (leaf)
     "_axpy_lock",    # repro.hmatrix.hmatrix.HMatrix AXPY counters (leaf)
     "_own_lock",     # repro.core.schur_tools.RunContext owned set (leaf)
 )
