@@ -87,7 +87,7 @@ from repro.fembem.mesh import box_surface_points
 from repro.hmatrix import (
     HLDLTFactorization,
     HLUFactorization,
-    aca_dense,
+    aca,
     build_cluster_tree,
     build_hodlr,
 )
@@ -147,8 +147,10 @@ def test_aca_compression(benchmark):
                            origin=(8.0, 0.0, 0.0))
     from repro.fembem.bem import laplace_kernel
     g = laplace_kernel(0.05)(x, y)
-    rk = benchmark.pedantic(aca_dense, args=(g, 1e-6), rounds=3,
-                            iterations=1)
+    rk = benchmark.pedantic(
+        aca, args=(lambda r, c: g[r][:, c], g.shape, 1e-6),
+        kwargs={"dtype": g.dtype}, rounds=3, iterations=1,
+    )
     assert rk.rank < 60
 
 

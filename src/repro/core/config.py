@@ -14,9 +14,9 @@ directly onto the parameters the paper studies:
   refactorizations);
 * ``epsilon`` — low-rank precision of both the sparse (BLR) and dense
   (hierarchical) compression (paper: 1e-3 pipe, 1e-4 industrial); every
-  ℋ operation on ``S`` — ACA build, AXPY pre-compression, flush and
-  H-LDLᵀ / H-LU — rounds at ε itself, and the solution's relative error
-  lands within ε (Fig. 11);
+  ℋ operation on ``S`` — ACA build, AXPY pre-compression (rank-first
+  SVD, the paper's recompression), flush and H-LDLᵀ / H-LU — rounds at
+  ε itself, and the solution's relative error lands within ε (Fig. 11);
 * ``dense_backend`` — ``"spido"`` (uncompressed dense Schur) versus
   ``"hmat"`` (compressed Schur), i.e. the MUMPS/SPIDO and MUMPS/HMAT
   couplings;
@@ -29,6 +29,10 @@ directly onto the parameters the paper studies:
   24-core node).  ``None`` resolves ``$REPRO_N_WORKERS`` and falls back
   to 1 (serial, the historical behavior); solutions are bit-identical
   for every worker count.
+
+Iterative refinement is not a field: it belongs to one solve, not to
+the factorization, and is an argument of
+:meth:`repro.core.factorized.CoupledFactorization.solve`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from repro.utils.errors import ConfigurationError
 #: Every value ``SolverConfig.dense_backend`` accepts (the CLI takes its
 #: choices from here).
 DENSE_BACKENDS = ("spido", "hmat", "spido_ooc")
-_COMPRESSORS = ("svd", "aca")
 
 
 @dataclass(frozen=True)
@@ -56,18 +59,7 @@ class SolverConfig:
     n_c: int = 256
     n_s_block: int = 2048
     n_b: int = 2
-    #: Dense → Rk compressor of the compressed-AXPY pieces: ``"svd"`` is
-    #: rank-first and optimal; ``"aca"`` skips the Gram ``eigh`` and is
-    #: the faster one where the pieces are large (complex
-    #: multi-factorization blocks: EXPERIMENTS.md "PR 22", table B).
-    compressor: str = "svd"
     memory_limit: Optional[int] = None
-    #: Steps of iterative refinement after the direct solve: the (possibly
-    #: compressed) factorizations precondition a residual correction
-    #: evaluated against the *exact* operator, recovering accuracy below
-    #: the compression tolerance for a couple of extra solves.  0 (the
-    #: paper's setting) disables it.
-    refinement_steps: int = 0
     #: Worker threads of the parallel panel runtime (:mod:`repro.runtime`).
     #: ``None`` = ``$REPRO_N_WORKERS`` if set, else 1 (serial).  Any value
     #: yields bit-identical solutions; memory stays bounded by
@@ -97,8 +89,6 @@ class SolverConfig:
             raise ConfigurationError(
                 f"dense_backend must be one of {DENSE_BACKENDS}"
             )
-        if self.compressor not in _COMPRESSORS:
-            raise ConfigurationError(f"compressor must be one of {_COMPRESSORS}")
         if self.epsilon <= 0:
             raise ConfigurationError("epsilon must be positive")
         for name in ("n_c", "n_s_block", "n_b"):
@@ -106,8 +96,6 @@ class SolverConfig:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.memory_limit is not None and self.memory_limit <= 0:
             raise ConfigurationError("memory_limit must be positive or None")
-        if self.refinement_steps < 0:
-            raise ConfigurationError("refinement_steps must be >= 0")
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1 or None")
         if self.runtime_backend is not None and self.runtime_backend not in (

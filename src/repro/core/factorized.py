@@ -26,7 +26,7 @@ Example
 from __future__ import annotations
 
 import threading
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class CoupledFactorization:
         One of the four coupling algorithms; the compressed variants are
         selected by ``config.dense_backend`` as usual.
     config:
-        Solver configuration.  ``config.refinement_steps`` applies to
-        every subsequent :meth:`solve` (override per call).
+        Solver configuration.
     """
 
     def __init__(
@@ -130,12 +129,17 @@ class CoupledFactorization:
         self,
         b_v: np.ndarray,
         b_s: np.ndarray,
-        refinement_steps: Optional[int] = None,
+        refinement_steps: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Solve for one load case ``(b_v, b_s)``.
 
         Accepts vectors or matrices of stacked load-case columns; returns
-        ``(x_v, x_s)`` with matching shapes.
+        ``(x_v, x_s)`` with matching shapes.  ``refinement_steps`` rounds
+        of iterative refinement follow the direct solve: the (possibly
+        compressed) factorizations precondition a residual correction
+        evaluated against the *exact* operator, recovering accuracy below
+        the compression tolerance for a couple of extra solves.  0 (the
+        paper's setting) runs none.
 
         Thread-safe: concurrent calls are allowed (the factors are
         immutable after assembly and the per-solve workspaces are local),
@@ -152,8 +156,10 @@ class CoupledFactorization:
         self,
         b_v: np.ndarray,
         b_s: np.ndarray,
-        refinement_steps: Optional[int],
+        refinement_steps: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if refinement_steps < 0:
+            raise ConfigurationError("refinement_steps must be >= 0")
         b_v = np.asarray(b_v)
         b_s = np.asarray(b_s)
         if b_v.shape[0] != self.problem.n_fem:
@@ -164,12 +170,8 @@ class CoupledFactorization:
             raise ConfigurationError(
                 f"b_s has {b_s.shape[0]} rows, expected {self.problem.n_bem}"
             )
-        steps = (
-            self.config.refinement_steps if refinement_steps is None
-            else refinement_steps
-        )
         return reduce_rhs_and_solve(
-            self._ctx, self._mf, self._container, b_v, b_s, steps
+            self._ctx, self._mf, self._container, b_v, b_s, refinement_steps
         )
 
     # -- inspection -----------------------------------------------------------

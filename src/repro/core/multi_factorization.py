@@ -150,7 +150,6 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     dense ``X_ij`` or its pre-compressed plans — never a tuple, which is
     how the consumer tells it from the thread backend's ``(mf_ij, body)``.
     """
-    config = w["config"]
     x_block, x_alloc = _factorize_w_block(
         w, w["sparse"].schur_complement, timer, i, j)
     try:
@@ -160,9 +159,7 @@ def _facto_block_kernel(w, timer, i: int, j: int):
             for x, rows, cols in _folds(w, x_block, i, j):
                 before = skel.n_panel_compressions
                 with timer.phase("schur_precompress"):
-                    plan = skel.precompress_axpy(
-                        1.0, x, rows, cols, compressor=config.compressor,
-                    )
+                    plan = skel.precompress_axpy(1.0, x, rows, cols)
                 body.append(HMatrix.export_plan(
                     plan, skel.n_panel_compressions - before
                 ))

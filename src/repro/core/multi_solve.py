@@ -78,9 +78,7 @@ def _panel_precompress_kernel(w, timer, k: int):
     skel = w["skeleton"]
     before = skel.n_panel_compressions
     with timer.phase("schur_precompress"):
-        plan = skel.precompress_axpy(
-            -1.0, z, rows, cols, compressor=w["compressor"],
-        )
+        plan = skel.precompress_axpy(-1.0, z, rows, cols)
     return HMatrix.export_plan(plan, skel.n_panel_compressions - before)
 
 
@@ -192,7 +190,6 @@ def assemble_multi_solve(ctx: RunContext):
         }
         if compressed:
             worker_payload["skeleton"] = container.structure_skeleton()
-            worker_payload["compressor"] = config.compressor
     with ctx.runtime("multi-solve", worker_payload=worker_payload) as runtime:
         if not compressed:
             # Algorithm 1: dense S, assembled column block by column block;

@@ -327,7 +327,7 @@ class HodlrSchurContainer:
         whose admitted budget already reserves it.
         """
         return self.s.precompress_axpy(
-            -1.0, z, rows, cols, compressor=self.config.compressor,
+            -1.0, z, rows, cols,
             tracker=self.tracker if charge_gather else None,
         )
 
@@ -335,7 +335,7 @@ class HodlrSchurContainer:
                         cols: np.ndarray, charge_gather: bool = True):
         """Pre-compress ``S[rows, cols] += x`` (thread-safe, no mutation)."""
         return self.s.precompress_axpy(
-            1.0, x, rows, cols, compressor=self.config.compressor,
+            1.0, x, rows, cols,
             tracker=self.tracker if charge_gather else None,
         )
 

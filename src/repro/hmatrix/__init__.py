@@ -9,7 +9,7 @@ provides the equivalent stack, built from scratch:
 * :mod:`~repro.hmatrix.rk` — rank-revealing outer-product (Rk) blocks with
   SVD recompression;
 * :mod:`~repro.hmatrix.aca` — adaptive cross approximation with partial
-  pivoting (lazy kernels) and its dense-input counterpart;
+  pivoting (lazy kernels);
 * :mod:`~repro.hmatrix.hmatrix` — the hierarchical container (HODLR
   structure: nested diagonal blocks, low-rank off-diagonal blocks) with
   kernel assembly, matvec, **compressed AXPY** of dense sub-blocks (the
@@ -27,7 +27,7 @@ from repro.hmatrix.rk import (
     RkMatrix,
     svd_truncate,
 )
-from repro.hmatrix.aca import aca, aca_dense
+from repro.hmatrix.aca import aca
 from repro.hmatrix.hmatrix import AxpyPlan, HMatrix, build_hodlr, hodlr_from_dense
 from repro.hmatrix.factorization import HLUFactorization
 from repro.hmatrix.ldlt_factorization import HLDLTFactorization
@@ -40,7 +40,6 @@ __all__ = [
     "RkMatrix",
     "svd_truncate",
     "aca",
-    "aca_dense",
     "AxpyPlan",
     "HMatrix",
     "build_hodlr",

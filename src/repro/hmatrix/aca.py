@@ -14,13 +14,9 @@ when the cross criterion triggers, a few unseen columns are evaluated
 exactly; if their residual exceeds the tolerance, the worst probe column
 is fed back as the next cross and iteration continues.
 
-Two entry points:
-
-* :func:`aca` — lazy access through one accessor ``block(rows, cols)``
-  (used for kernel assembly);
-* :func:`aca_dense` — same algorithm on an explicit array (used as an
-  alternative to SVD when compressing the dense Schur blocks returned by
-  the sparse solver; see the compression-method ablation bench).
+:func:`aca` takes lazy access through one accessor ``block(rows, cols)``
+(used for kernel assembly); an explicit array ``a`` goes through the same
+accessor as ``lambda r, c: a[r][:, c]``.
 
 The factors live in two preallocated panels ``U (cap, m)``, ``V (cap, n)``
 (doubled when full) so that each step is a handful of BLAS-2 calls on
@@ -75,6 +71,8 @@ def aca(
     RkMatrix
         The compressed block.
     """
+    if len(shape) != 2:
+        raise ConfigurationError(f"block shape {shape} is not 2-D")
     m, n = shape
     if m <= 0 or n <= 0:
         raise ConfigurationError("block must be non-empty")
@@ -171,21 +169,3 @@ def _grown(panel: np.ndarray, size: int, like: np.ndarray) -> np.ndarray:
                    dtype=np.result_type(panel, like))
     out[:len(panel)] = panel
     return out
-
-
-def aca_dense(
-    a: np.ndarray, tol: float, max_rank: Optional[int] = None,
-    verify_columns: int = 4,
-) -> RkMatrix:
-    """ACA with partial pivoting on an explicit dense block."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ConfigurationError("aca_dense expects a 2-D block")
-    return aca(
-        lambda rows, cols: a[rows][:, cols],
-        a.shape,
-        tol,
-        max_rank=max_rank,
-        dtype=a.dtype,
-        verify_columns=verify_columns,
-    )

@@ -13,7 +13,7 @@ off-diagonal blocks are stored as :class:`~repro.hmatrix.rk.RkMatrix`
   dense Schur blocks returned by the sparse solver into the compressed
   Schur complement (§IV-A2 / §IV-B2, "Compressed AXPY"), split into a
   thread-safe **pre-compress** stage (:meth:`HMatrix.precompress_axpy`,
-  the SVD/ACA of every quadrant piece — runs off the caller thread) and a
+  the SVD of every quadrant piece — runs off the caller thread) and a
   deterministic **commit** stage (:meth:`HMatrix.commit_axpy`), with
   optional deferred recompression through per-block
   :class:`~repro.hmatrix.rk.RkAccumulator` batches
@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hmatrix.aca import aca, aca_dense
+from repro.hmatrix.aca import aca
 from repro.hmatrix.cluster import ClusterNode, ClusterTree
 from repro.hmatrix.rk import RkAccumulator, RkMatrix
 from repro.utils.errors import ConfigurationError
@@ -116,14 +116,6 @@ class HNode:
                       for side, rk in self.rk.items()
                       if sides is None or side in sides}
         return out
-
-
-def _compress_dense(block: np.ndarray, tol: float, compressor: str) -> RkMatrix:
-    if compressor == "svd":
-        return RkMatrix.from_dense(block, tol)
-    if compressor == "aca":
-        return aca_dense(block, tol)
-    raise ConfigurationError(f"unknown compressor {compressor!r}")
 
 
 def _offdiag_dense(rk: RkMatrix, acc: Optional[RkAccumulator]) -> np.ndarray:
@@ -218,7 +210,7 @@ class PortableAxpyPlan:
     block in a HODLR tree — and is resolved against the coordinator's
     real tree by :meth:`HMatrix.import_plan`.
 
-    ``panel_compressions`` carries the worker-side SVD/ACA count so the
+    ``panel_compressions`` carries the worker-side SVD count so the
     coordinator's instrumentation stays faithful across backends.
     """
 
@@ -279,7 +271,7 @@ class HMatrix:
     # -- compressed-AXPY counters ------------------------------------------------
     @property
     def n_panel_compressions(self) -> int:
-        """SVD/ACA compressions of dense quadrant pieces (precompress stage)."""
+        """SVD compressions of dense quadrant pieces (precompress stage)."""
         with self._axpy_lock:
             return self._n_panel_compressions
 
@@ -394,7 +386,6 @@ class HMatrix:
         block: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
-        compressor: str = "svd",
         accumulate: bool = False,
         max_accumulated_rank: Optional[int] = None,
         tracker=None,
@@ -416,7 +407,7 @@ class HMatrix:
         followed by :meth:`commit_axpy`; returns the same byte deltas.
         """
         plan = self.precompress_axpy(alpha, block, rows, cols,
-                                     compressor=compressor, tracker=tracker)
+                                     tracker=tracker)
         return self.commit_axpy(
             plan, accumulate=accumulate,
             max_accumulated_rank=max_accumulated_rank,
@@ -428,13 +419,12 @@ class HMatrix:
         block: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
-        compressor: str = "svd",
         tracker=None,
     ) -> AxpyPlan:
         """Pre-compress stage of the compressed AXPY (thread-safe).
 
         Performs everything expensive about ``self[rows, cols] += alpha *
-        block`` — the index permutation and the SVD/ACA of every quadrant
+        block`` — the index permutation and the SVD of every quadrant
         piece — **without mutating the matrix**: it only reads the
         immutable tree structure, so independent panels can pre-compress
         concurrently on runtime workers while commits stay serialized.
@@ -469,12 +459,12 @@ class HMatrix:
         )
         with gather:
             sub = block[np.ix_(ro, co)]
-            self._plan_walk(plan, self.root, sub, compressor, rp, cp,
+            self._plan_walk(plan, self.root, sub, rp, cp,
                             0, len(rp), 0, len(cp))
         return plan
 
     def _plan_walk(self, plan: AxpyPlan, node: HNode, sub: np.ndarray,
-                   compressor: str, rp: np.ndarray, cp: np.ndarray,
+                   rp: np.ndarray, cp: np.ndarray,
                    r0: int, r1: int, c0: int, c1: int) -> None:
         """The plan-building recursion of the compressed AXPY.
 
@@ -483,8 +473,8 @@ class HMatrix:
         the gathered panel they address: a diagonal leaf takes an exact
         copy of it (owned by the plan), an off-diagonal quadrant of
         :attr:`sides` (a lower-stored matrix has no ``12`` piece) its
-        compression by ``compressor`` to :attr:`tol`, with ``alpha`` folded
-        into the fresh factors in place.
+        rank-first compression (:meth:`RkMatrix.from_dense`) to
+        :attr:`tol`, with ``alpha`` folded into the fresh factors in place.
         """
         if r0 == r1 or c0 == c1:
             return
@@ -497,10 +487,8 @@ class HMatrix:
         rm = r0 + int(np.searchsorted(rp[r0:r1], node.mid))
         cm = c0 + int(np.searchsorted(cp[c0:c1], node.mid))
         # diagonal quadrants recurse
-        self._plan_walk(plan, node.h11, sub, compressor, rp, cp,
-                        r0, rm, c0, cm)
-        self._plan_walk(plan, node.h22, sub, compressor, rp, cp,
-                        rm, r1, cm, c1)
+        self._plan_walk(plan, node.h11, sub, rp, cp, r0, rm, c0, cm)
+        self._plan_walk(plan, node.h22, sub, rp, cp, rm, r1, cm, c1)
         # off-diagonal quadrants: compress (the expensive part)
         quadrants = {"12": (r0, rm, cm, c1, node.start, node.mid),
                      "21": (rm, r1, c0, cm, node.mid, node.start)}
@@ -508,7 +496,7 @@ class HMatrix:
             ra, rb, ca, cb, row_off, col_off = quadrants[side]
             if ra == rb or ca == cb:
                 continue
-            small = _compress_dense(sub[ra:rb, ca:cb], self.tol, compressor)
+            small = RkMatrix.from_dense(sub[ra:rb, ca:cb], self.tol)
             self._count(panel=1)
             if small.rank == 0:
                 continue
@@ -657,7 +645,7 @@ class HMatrix:
         """Resolve a :class:`PortableAxpyPlan` against *this* tree.
 
         Returns an :class:`AxpyPlan` ready for :meth:`commit_axpy`, and
-        folds the worker-side SVD/ACA count into this matrix's
+        folds the worker-side SVD count into this matrix's
         instrumentation.
         """
         plan = AxpyPlan(portable.alpha)
@@ -775,7 +763,6 @@ def hodlr_from_dense(
     a: np.ndarray,
     tree: ClusterTree,
     tol: float = 1e-3,
-    compressor: str = "svd",
     symmetric: bool = False,
 ) -> HMatrix:
     """Compress an explicit dense matrix (original ordering) into HODLR
@@ -793,7 +780,7 @@ def hodlr_from_dense(
 
     return _assemble(
         tree, tol, a.dtype, symmetric, lambda c: np.array(piece(c, c)),
-        lambda rows, cols: _compress_dense(piece(rows, cols), tol, compressor),
+        lambda rows, cols: RkMatrix.from_dense(piece(rows, cols), tol),
     )
 
 

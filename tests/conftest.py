@@ -29,7 +29,7 @@ if (_REPO_ROOT / "tools").is_dir() and str(_REPO_ROOT) not in sys.path:
 from repro.fembem import generate_aircraft_case, generate_pipe_case
 
 #: test modules whose lock usage the watchdog verifies end to end
-_WATCHDOG_MODULES = {"test_runtime", "test_symbolic_cache",
+_WATCHDOG_MODULES = {"test_runtime", "test_sparse_analysis",
                      "test_compressed_axpy", "test_process_backend",
                      "test_factorized", "test_serving_cache",
                      "test_serving", "test_multifrontal"}

@@ -5,9 +5,15 @@ import pytest
 
 from repro.fembem.bem import helmholtz_kernel, laplace_kernel
 from repro.fembem.mesh import box_surface_points
-from repro.hmatrix.aca import aca, aca_dense
+from repro.hmatrix.aca import aca
 from repro.hmatrix.rk import RkMatrix
 from repro.utils.errors import ConfigurationError
+
+
+def _aca_of(a, tol, **kwargs):
+    """ACA of an explicit array through the one accessor interface."""
+    return aca(lambda r, c: a[r][:, c], a.shape, tol, dtype=a.dtype,
+               **kwargs)
 
 
 class _Logged:
@@ -147,7 +153,7 @@ class TestAcaOnKernels:
     def test_laplace_admissible_block_compresses(self, separated_clouds):
         x, y = separated_clouds
         g = laplace_kernel(0.05)(x, y)
-        rk = aca_dense(g, tol=1e-8)
+        rk = _aca_of(g, tol=1e-8)
         assert rk.rank < min(g.shape) // 3  # genuinely low rank
         err = np.abs(rk.to_dense() - g).max()
         assert err < 1e-6 * np.abs(g).max()
@@ -155,8 +161,8 @@ class TestAcaOnKernels:
     def test_tolerance_controls_rank(self, separated_clouds):
         x, y = separated_clouds
         g = laplace_kernel(0.05)(x, y)
-        loose = aca_dense(g, tol=1e-2).rank
-        tight = aca_dense(g, tol=1e-9).rank
+        loose = _aca_of(g, tol=1e-2).rank
+        tight = _aca_of(g, tol=1e-9).rank
         assert loose < tight
 
     def test_helmholtz_complex_kernel(self, separated_clouds):
@@ -187,40 +193,40 @@ class TestAcaOnKernels:
 
 class TestAcaEdgeCases:
     def test_zero_block(self):
-        rk = aca_dense(np.zeros((10, 8)), tol=1e-6)
+        rk = _aca_of(np.zeros((10, 8)), tol=1e-6)
         assert rk.rank == 0
 
     def test_exact_low_rank_terminates_early(self, rng):
         a = np.outer(rng.standard_normal(20), rng.standard_normal(15))
         a += np.outer(rng.standard_normal(20), rng.standard_normal(15))
-        rk = aca_dense(a, tol=1e-12)
+        rk = _aca_of(a, tol=1e-12)
         assert rk.rank <= 4  # small overshoot allowed, not min(m,n)
         np.testing.assert_allclose(rk.to_dense(), a, atol=1e-8)
 
     def test_max_rank_cap(self, rng):
         a = rng.standard_normal((30, 30))
-        rk = aca_dense(a, tol=1e-15, max_rank=5)
+        rk = _aca_of(a, tol=1e-15, max_rank=5)
         assert rk.rank <= 5
 
     def test_full_rank_block_recovered_exactly_at_cap(self, rng):
         a = rng.standard_normal((12, 12))
-        rk = aca_dense(a, tol=1e-15)
+        rk = _aca_of(a, tol=1e-15)
         np.testing.assert_allclose(rk.to_dense(), a, atol=1e-7)
 
     def test_single_row_block(self, rng):
         a = rng.standard_normal((1, 10))
-        rk = aca_dense(a, tol=1e-10)
+        rk = _aca_of(a, tol=1e-10)
         np.testing.assert_allclose(rk.to_dense(), a, atol=1e-10)
 
     def test_single_column_block(self, rng):
         a = rng.standard_normal((10, 1))
-        rk = aca_dense(a, tol=1e-10)
+        rk = _aca_of(a, tol=1e-10)
         np.testing.assert_allclose(rk.to_dense(), a, atol=1e-10)
 
     def test_block_with_zero_rows(self, rng):
         a = np.zeros((10, 10))
         a[7] = rng.standard_normal(10)
-        rk = aca_dense(a, tol=1e-10)
+        rk = _aca_of(a, tol=1e-10)
         np.testing.assert_allclose(rk.to_dense(), a, atol=1e-10)
 
     def test_empty_shape_rejected(self):
@@ -229,7 +235,7 @@ class TestAcaEdgeCases:
 
     def test_non_2d_dense_rejected(self):
         with pytest.raises(ConfigurationError):
-            aca_dense(np.zeros(5), tol=1e-3)
+            _aca_of(np.zeros(5), tol=1e-3)
 
 
 def _oracle_cases():

@@ -22,7 +22,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("dense_backend", "lapack"),
-        ("compressor", "rrqr"),
         ("epsilon", 0.0),
         ("epsilon", -1.0),
         ("n_c", 0),
@@ -47,10 +46,12 @@ class TestValidation:
         ("randomized_oversample", 8),
         ("seed", 0),
         ("axpy_max_accumulated_rank", 128),
+        ("compressor", "svd"),
+        ("refinement_steps", 1),
     ])
     def test_removed_fields_rejected(self, field, value):
-        """A caller still passing a field PR 22 removed fails at
-        construction instead of silently running the default."""
+        """A caller still passing a removed field fails at construction
+        instead of silently running the default."""
         with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: value})
 

@@ -98,11 +98,6 @@ class TestAssembly:
         hm = hodlr_from_dense(dense, tree, tol=1e-8)
         assert np.abs(hm.to_dense() - dense).max() < 1e-6
 
-    def test_from_dense_aca_compressor(self, setup):
-        _, tree, _, dense = setup
-        hm = hodlr_from_dense(dense, tree, tol=1e-8, compressor="aca")
-        assert np.abs(hm.to_dense() - dense).max() < 1e-5
-
     def test_zeros(self, setup):
         _, tree, _, _ = setup
         hz = hodlr_zeros(tree, 1e-6, np.float64)
@@ -188,17 +183,6 @@ class TestCompressedAxpy:
         ref = dense.copy()
         ref[np.ix_(rows, cols)] += upd
         np.testing.assert_allclose(hm.to_dense(), ref, atol=1e-5)
-
-    def test_aca_compressor_path(self, setup, rng):
-        _, tree, _, dense = setup
-        n = dense.shape[0]
-        upd = rng.standard_normal((n, 64))
-        hm = hodlr_from_dense(dense, tree, tol=1e-9)
-        hm.axpy_dense(-1.0, upd, np.arange(n), np.arange(64),
-                      compressor="aca")
-        ref = dense.copy()
-        ref[:, :64] -= upd
-        np.testing.assert_allclose(hm.to_dense(), ref, atol=1e-4)
 
     def test_shape_mismatch_rejected(self, setup):
         _, tree, _, dense = setup

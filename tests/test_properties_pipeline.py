@@ -112,16 +112,16 @@ def pipe_tiny():
 # both ε × both compressed algorithms, the other knobs spread across them
 @example(aircraft=False, n_total=2_400, seed=0, epsilon=1e-3,
          algorithm="multi_solve", dense_backend="hmat",
-         sparse_compression=True, axpy_accumulate=True, n_workers=1)
+         sparse_compression=True, axpy_accumulate=True, n_workers=1, n_b=2)
 @example(aircraft=False, n_total=2_400, seed=1, epsilon=1e-4,
          algorithm="multi_factorization", dense_backend="hmat",
-         sparse_compression=True, axpy_accumulate=False, n_workers=4)
+         sparse_compression=True, axpy_accumulate=False, n_workers=4, n_b=2)
 @example(aircraft=True, n_total=2_400, seed=2, epsilon=1e-3,
          algorithm="multi_factorization", dense_backend="hmat",
-         sparse_compression=False, axpy_accumulate=True, n_workers=4)
+         sparse_compression=False, axpy_accumulate=True, n_workers=4, n_b=2)
 @example(aircraft=True, n_total=2_400, seed=3, epsilon=1e-4,
          algorithm="multi_solve", dense_backend="hmat",
-         sparse_compression=True, axpy_accumulate=False, n_workers=1)
+         sparse_compression=True, axpy_accumulate=False, n_workers=1, n_b=2)
 @given(
     aircraft=st.booleans(),
     n_total=st.integers(1_200, 2_400),
@@ -135,16 +135,17 @@ def pipe_tiny():
     sparse_compression=st.booleans(),
     axpy_accumulate=st.booleans(),
     n_workers=st.sampled_from([1, 4]),
+    n_b=st.sampled_from([2, 1, 3]),
 )
 def test_property_solution_within_epsilon(
     aircraft, n_total, seed, epsilon, algorithm, dense_backend,
-    sparse_compression, axpy_accumulate, n_workers,
+    sparse_compression, axpy_accumulate, n_workers, n_b,
 ):
     """The accuracy oracle: on the real symmetric pipe and the complex
     non-symmetric aircraft, every algorithm × backend × BLR ×
-    ``axpy_accumulate`` × worker count the solver accepts returns a
-    solution whose backward residual and forward error are both ≤ ε.
-    ``derandomize`` draws the same cases on every run."""
+    ``axpy_accumulate`` × ``n_b`` × worker count the solver accepts
+    returns a solution whose backward residual and forward error are both
+    ≤ ε.  ``derandomize`` draws the same cases on every run."""
     if aircraft:
         # the test fixtures' larger surface share, so S is big enough to
         # be compressed into more than a few leaves
@@ -156,7 +157,7 @@ def test_property_solution_within_epsilon(
         dense_backend=dense_backend, epsilon=epsilon,
         sparse_compression=sparse_compression,
         axpy_accumulate=axpy_accumulate, n_workers=n_workers,
-        runtime_backend="thread", n_c=64, n_s_block=256,
+        runtime_backend="thread", n_c=64, n_s_block=256, n_b=n_b,
     )
     try:
         sol = solve_coupled(problem, algorithm, config)
