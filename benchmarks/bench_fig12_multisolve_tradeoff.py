@@ -6,9 +6,8 @@ fixed scaled problem size, reproducing the paper's observations: raising
 ``n_c`` buys time then memory; a too-small ``n_S`` pays recompression
 overhead — the reason the two parameters are dissociated (§IV-A2).
 
-The ``n_S`` lanes run with ``axpy_accumulate=False`` (one immediately
-recompressed AXPY per ``n_S`` block, the paper's Algorithm 2): the default
-deferred recompression ignores ``n_s_block``.
+In the compressed lanes ``S``'s accumulators are flushed once per
+``n_S`` committed columns (the paper's Algorithm 2), whatever ``n_c``.
 """
 
 import pytest
@@ -63,7 +62,6 @@ def test_fig12_ns_dissociation(benchmark, tradeoff_rows, pipe_8k):
     benchmark.pedantic(
         solve_coupled,
         args=(pipe_8k, "multi_solve",
-              SolverConfig(dense_backend="hmat", n_c=256, n_s_block=1024,
-                           axpy_accumulate=False)),
+              SolverConfig(dense_backend="hmat", n_c=256, n_s_block=1024)),
         rounds=1, iterations=1,
     )

@@ -6,9 +6,10 @@ directly onto the parameters the paper studies:
 * ``n_c`` — columns of ``A_svᵀ`` per blocked sparse solve in multi-solve
   (also the number of simultaneous right-hand sides the sparse solver
   processes; Fig. 12 sweeps 32–256);
-* ``n_s_block`` (the paper's ``n_S``) — columns of each Schur block in
-  *compressed* multi-solve, dissociated from ``n_c`` to amortise the
-  recompression cost (Fig. 12 sweeps 512–4096);
+* ``n_s_block`` (the paper's ``n_S``) — in *compressed* multi-solve, the
+  columns of ``S`` between two flushes of its deferred-recompression
+  accumulators, dissociated from ``n_c`` to amortise the recompression
+  cost (Fig. 12 sweeps 512–4096);
 * ``n_b`` — number of square Schur blocks per side in multi-factorization
   (Fig. 13 sweeps 1–4; more blocks = less memory, more superfluous
   refactorizations);
@@ -37,6 +38,7 @@ the factorization, and is an argument of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -74,23 +76,14 @@ class SolverConfig:
     #: Solutions are bit-identical across backends under the same BLAS
     #: threading.
     runtime_backend: Optional[str] = None
-    #: Deferred recompression of the compressed-AXPY updates (LUAR-style):
-    #: low-rank panel pieces are *appended* to per-block accumulators and
-    #: recompressed once per budget window / final flush instead of once
-    #: per panel, removing the heavy recompression overhead the paper
-    #: reports for small ``n_S``.  ``False`` is the paper's Algorithm 2
-    #: as written (one immediately recompressed AXPY per ``n_S`` block,
-    #: what Fig. 12 sweeps); results differ only in rounding order, both
-    #: within ε.
-    axpy_accumulate: bool = True
 
     def __post_init__(self):
         if self.dense_backend not in DENSE_BACKENDS:
             raise ConfigurationError(
                 f"dense_backend must be one of {DENSE_BACKENDS}"
             )
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigurationError("epsilon must be finite and positive")
         for name in ("n_c", "n_s_block", "n_b"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")

@@ -31,7 +31,11 @@ on a symmetric system ``X_ji = X_ijᵀ``: only the ``n_b(n_b+1)/2`` blocks
 transpose view, at ``(rows_j, cols_i)``.
 
 With the hierarchical dense backend each returned dense block ``X_ij`` is
-folded into the compressed ``S`` by a compressed AXPY (§IV-B2).
+folded into the compressed ``S`` by a compressed AXPY (§IV-B2): it is
+*pre-compressed on its worker* — only a low-rank plan travels to the
+serialized commit, which appends to deferred-recompression accumulators —
+and a single ``flush()`` before the hierarchical factorization
+recompresses each off-diagonal block once.
 
 The block factorizations are mutually independent — each builds
 its own ``W`` and pays its own sparse factorization — so they run on the
@@ -42,12 +46,6 @@ bit-identical for any worker count; with ``k`` workers up to ``k`` sparse
 factorizations are in progress at once, each with its own front workspace
 and contribution blocks (the time/memory trade-off of parallelising this
 algorithm), and one — the last block's — is kept.
-
-With the compressed backend and ``config.axpy_accumulate`` (the default),
-each dense ``X_ij`` is *pre-compressed on its worker* — only a low-rank
-plan travels to the serialized commit, which appends to deferred
-recompression accumulators; a single ``flush()`` before the hierarchical
-factorization recompresses each off-diagonal block once.
 """
 
 from __future__ import annotations
@@ -153,7 +151,7 @@ def _facto_block_kernel(w, timer, i: int, j: int):
     x_block, x_alloc = _factorize_w_block(
         w, w["sparse"].schur_complement, timer, i, j)
     try:
-        skel = w.get("skeleton")  # shipped only when the commits accumulate
+        skel = w.get("skeleton")  # shipped only for a compressed S
         if skel is not None:
             body = []
             for x, rows, cols in _folds(w, x_block, i, j):
@@ -199,7 +197,6 @@ def assemble_multi_factorization(ctx: RunContext):
     n_blocks = len(blocks)
     itemsize = np.dtype(problem.dtype).itemsize
     mf = None
-    accumulate = compressed and config.axpy_accumulate
     backend = ctx.runtime_backend
     # what a block task reads, for the thread closure and (pickled once per
     # worker) the process kernel alike
@@ -212,7 +209,7 @@ def assemble_multi_factorization(ctx: RunContext):
         "blocks": blocks,
         "config": config,
     }
-    if backend == "process" and accumulate:
+    if backend == "process" and compressed:
         w["skeleton"] = container.structure_skeleton()
 
     def block_task(seq: int, i: int, j: int, is_last: bool) -> PanelTask:
@@ -229,7 +226,7 @@ def assemble_multi_factorization(ctx: RunContext):
                 x_block, x_alloc = _factorize_w_block(
                     w, sparse.schur_complement, timer, i, j)
             ctx.own(x_alloc)
-            if not accumulate:
+            if not compressed:
                 return mf_ij, (x_block, x_alloc)
             # pre-compress the dense X_ij on this worker (the SVDs of the
             # quadrant pieces — the expensive part of the fold); the dense
@@ -259,7 +256,7 @@ def assemble_multi_factorization(ctx: RunContext):
             payload=(i, j, is_last),
             kernel=_facto_block_kernel,
             kernel_args=(i, j),
-            result_nbytes=0 if accumulate else k * k * itemsize,
+            result_nbytes=0 if compressed else k * k * itemsize,
             # the last block's factors must live in the coordinator for
             # the right-hand-side solves; the process backend runs it
             # there once the pool has drained
@@ -267,8 +264,9 @@ def assemble_multi_factorization(ctx: RunContext):
         )
 
     def fold(i, j, body):
-        """Ordered commit of one block: pre-compressed plans, or dense
-        ``X_ij`` (and its mirror image on a symmetric system)."""
+        """Ordered commit of one block: pre-compressed plans (compressed
+        ``S``), or dense ``X_ij`` and its mirror image on a symmetric
+        system (dense ``S``)."""
         with ctx.timer.phase(
             "schur_compression" if compressed else "schur_update"
         ):
@@ -289,7 +287,7 @@ def assemble_multi_factorization(ctx: RunContext):
             fold(i, j, result)
             return
         mf_ij, body = result
-        if accumulate:
+        if compressed:
             # pre-compressed on the worker: only the cheap ordered commit
             # (accumulator appends) runs on the turnstile
             fold(i, j, body)
@@ -321,7 +319,7 @@ def assemble_multi_factorization(ctx: RunContext):
         )
         if compressed:
             # fold pending accumulator batches into S (one recompression
-            # per off-diagonal block; no-op when accumulation is off)
+            # per off-diagonal block)
             with ctx.timer.phase("schur_compression"):
                 container.flush()
         with ctx.timer.phase("dense_factorization"):

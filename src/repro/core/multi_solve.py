@@ -20,7 +20,8 @@ so the dense working set shrinks from ``n_v × n_s`` to ``n_v × n_c``.
   ACA-compressed :math:`A_{ss}` and each dense ``Z_i`` is folded in by a
   *compressed AXPY* (compression + recompression).  The Schur block width
   ``n_S`` (``config.n_s_block``) is dissociated from the solve block width
-  ``n_c`` to amortise recompression cost, exactly as §IV-A2 argues.
+  ``n_c`` to amortise recompression cost, exactly as §IV-A2 argues: ``S``
+  is recompressed once per ``n_S`` columns, not once per panel.
 
 The independent panel solves run on the shared-memory parallel runtime
 (:mod:`repro.runtime`) when ``config.n_workers > 1``: each panel is a
@@ -31,13 +32,14 @@ Schur container are consumed on the caller thread in panel order, so the
 assembled ``S`` (and hence the solution) is bit-identical for any worker
 count.
 
-With ``config.axpy_accumulate`` (the default) the compressed variant
-additionally *pre-compresses* each panel on the worker that solved it —
-the SVDs of the quadrant pieces, the expensive part of the compressed
-AXPY, leave the turnstile — while the cheap commits append to per-block
-deferred-recompression accumulators in panel order and a final
-``flush()`` recompresses each off-diagonal block once (see
-:class:`repro.hmatrix.rk.RkAccumulator`).
+On a compressed ``S`` each ``n_c`` panel is *pre-compressed* on the
+worker that solved it — the SVDs of the quadrant pieces, the expensive
+part of the compressed AXPY, leave the turnstile — and the cheap commits
+append to per-block deferred-recompression accumulators in panel order
+(see :class:`repro.hmatrix.rk.RkAccumulator`).  The panels are cut inside
+``n_S``-column windows, and the commit of a window's last panel flushes
+the accumulators, recompressing each touched block once; no dense
+``n_S``-wide block is ever staged.
 """
 
 from __future__ import annotations
@@ -110,30 +112,29 @@ def assemble_multi_solve(ctx: RunContext):
     itemsize = np.dtype(problem.dtype).itemsize
     a_sv = problem.a_sv
     a_sv_t = a_sv.T.tocsc()
-    immediate = compressed and not config.axpy_accumulate
-    # Algorithm 2 with immediate folds gathers the n_c panels of each
-    # outer n_S block into one dense Z_i (the paper's n_c / n_S scheme,
-    # what Fig. 12 sweeps); everything else has one "block", all of S
-    n_s_block = min(config.n_s_block, n_s) if immediate else n_s
-    blocks = [(lo, min(n_s, lo + n_s_block))
-              for lo in range(0, n_s, n_s_block)]
+    # Algorithm 2 recompresses the compressed S once per n_S columns: the
+    # n_c panels are cut inside those windows and S's accumulators are
+    # flushed where a window closes.  A dense S has one window, all of it
+    n_s_block = min(config.n_s_block, n_s) if compressed else n_s
+    windows = [(lo, min(n_s, lo + n_s_block))
+               for lo in range(0, n_s, n_s_block)]
     bounds = [(jlo, min(hi, jlo + n_c))
-              for lo, hi in blocks for jlo in range(lo, hi, n_c)]
+              for lo, hi in windows for jlo in range(lo, hi, n_c)]
     # the container says which rows and columns of S a column range is
     panels = [container.panel(jlo, jhi) for jlo, jhi in bounds]
     # ... and A_sv[rows] over the volume unknowns it reads, once per panel
     couplings = [restrict_coupling(a_sv, rows) for rows, _ in panels]
 
-    def panel_task(k: int, precompress: bool) -> PanelTask:
+    def panel_task(k: int) -> PanelTask:
         """One blocked sparse solve + SpMM, ``Z[rows, cols]`` of panel
-        ``k`` — pre-compressed on the worker that solved it when
-        ``precompress``.
+        ``k`` — pre-compressed on the worker that solved it when ``S`` is
+        compressed.
 
         The task's budget covers the solution rows ``Y`` the solve
         returns (``len(wanted) × n_c``) and the SpMM result ``Z``
         (``len(rows) × n_c``) that outlives them, plus reserved headroom
         for the solver's nested work vector (and the cluster-permuted
-        gather of ``Z`` under ``precompress``); the allocation is shrunk
+        gather of ``Z`` on a compressed ``S``); the allocation is shrunk
         to what is still alive as each intermediate dies, and freed after
         the fold consumes the result.
         """
@@ -145,7 +146,7 @@ def assemble_multi_solve(ctx: RunContext):
 
         def fn(timer, alloc):
             z = schur_panel(mf, a_sv_t, a_rows, wanted, cols, timer)
-            if not precompress:
+            if not compressed:
                 alloc.resize(z.nbytes)
                 return z
             # live set: Z plus its cluster-permuted gather
@@ -164,15 +165,15 @@ def assemble_multi_solve(ctx: RunContext):
             cost_bytes=n_wanted * width * itemsize + z_bytes,
             headroom_bytes=(
                 mf.solve_workspace_bytes(width, a_sv_t.dtype)
-                + (z_bytes if precompress else 0)
+                + (z_bytes if compressed else 0)
             ),
             category="solve_panel",
-            label=f"Y/Z panel {k}" + (" precompress" if precompress else ""),
+            label=f"Y/Z panel {k}" + (" precompress" if compressed else ""),
             payload=k,
-            kernel=(_panel_precompress_kernel if precompress
+            kernel=(_panel_precompress_kernel if compressed
                     else _panel_solve_kernel),
             kernel_args=(k,),
-            result_nbytes=0 if precompress else z_bytes,
+            result_nbytes=0 if compressed else z_bytes,
         )
 
     backend = ctx.runtime_backend
@@ -190,70 +191,35 @@ def assemble_multi_solve(ctx: RunContext):
         }
         if compressed:
             worker_payload["skeleton"] = container.structure_skeleton()
+    # windows closed inside the run; the final flush closes the last one
+    flush_after = {hi for _, hi in windows[:-1]}
     with ctx.runtime("multi-solve", worker_payload=worker_payload) as runtime:
-        if not compressed:
-            # Algorithm 1: dense S, assembled column block by column block;
-            # panels solve concurrently, folds land in panel order
-            def consume(task, z):
-                ctx.n_sparse_solves += 1
+        def consume(task, result):
+            ctx.n_sparse_solves += 1
+            k = task.payload
+            if not compressed:
+                # Algorithm 1: dense S, assembled column block by column
+                # block; panels solve concurrently, folds land in panel
+                # order
                 with ctx.timer.phase("schur_update"):
-                    container.subtract_block(z, *panels[task.payload])
+                    container.subtract_block(result, *panels[k])
+                return
+            # Algorithm 2: the panel was pre-compressed on the worker that
+            # solved it (the SVD of every quadrant piece — the expensive
+            # part — runs off the turnstile); the cheap commit appends to
+            # S's accumulators in panel order, and the panel that closes
+            # an n_S window recompresses each touched block once
+            with ctx.timer.phase("schur_compression"):
+                container.commit(result)
+                if bounds[k][1] in flush_after:
+                    container.flush()
 
-            runtime.run(
-                [panel_task(k, False) for k in range(len(panels))], consume)
-        elif not immediate:
-            # Algorithm 2 with deferred recompression: each n_c panel is
-            # *pre-compressed on the worker that solved it* (the SVD of
-            # every quadrant piece — the expensive part — runs off the
-            # turnstile), the cheap commits append to per-block
-            # accumulators in panel order, and one flush recompresses
-            # each off-diagonal block once at the end.  The outer n_S
-            # gather block is unnecessary: the accumulator plays its
-            # amortisation role without the dense staging buffer.
-            def consume(task, plan):
-                ctx.n_sparse_solves += 1
-                with ctx.timer.phase("schur_compression"):
-                    container.commit(plan)
-
-            runtime.run(
-                [panel_task(k, True) for k in range(len(panels))], consume)
+        runtime.run([panel_task(k) for k in range(len(panels))], consume)
+        if compressed:
+            # idempotent; closes the last window, so S carries no pending
+            # updates into factorize
             with ctx.timer.phase("schur_compression"):
                 container.flush()
-        else:
-            # Algorithm 2, immediate folds: the inner n_c panels of each
-            # outer n_S block solve concurrently into a dense Z_i, folded
-            # in by one compressed AXPY per outer block (on the caller
-            # thread)
-            for lo, hi in blocks:
-                rows, cols = container.panel(lo, hi)
-                with ctx.tracker.borrow(
-                    len(rows) * (hi - lo) * itemsize,
-                    category="spmm_panel", label="Z_i block",
-                ):
-                    # zeroed: an inner panel starts at the leaf of *its*
-                    # first column, below the first row of the block;
-                    # the entries above are ones S does not store
-                    z_i = np.zeros((len(rows), hi - lo), dtype=problem.dtype)
-
-                    def consume(task, z, z_i=z_i, lo=lo):
-                        jlo, jhi = bounds[task.payload]
-                        ctx.n_sparse_solves += 1
-                        z_i[len(z_i) - len(z):, jlo - lo:jhi - lo] = z
-
-                    runtime.run(
-                        [panel_task(k, False)
-                         for k, (jlo, _) in enumerate(bounds)
-                         if lo <= jlo < hi],
-                        consume,
-                    )
-                    with ctx.timer.phase("schur_compression"):
-                        container.subtract_block(z_i, rows, cols)
-                    del z_i
-
-        if compressed:
-            # idempotent (a no-op unless commits accumulated); keeps the
-            # invariant that S carries no pending updates into factorize
-            container.flush()
         with ctx.timer.phase("dense_factorization"):
             container.factorize(ctx.tracker)
     return mf, container, sparse_factor_bytes

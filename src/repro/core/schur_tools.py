@@ -35,7 +35,6 @@ from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.factorization import HLUFactorization
 from repro.hmatrix.hmatrix import PortableAxpyPlan, build_hodlr
-from repro.hmatrix.rk import MAX_ACCUMULATED_RANK
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import make_runtime
 from repro.sparse.solver import SparseAnalysis, SparseSolver
@@ -167,7 +166,6 @@ class RunContext:
                 "sparse_compression": self.config.sparse_compression,
                 "n_workers": self.n_workers,
                 "runtime_backend": self.runtime_backend,
-                "axpy_accumulate": self.config.axpy_accumulate,
             },
         )
 
@@ -245,11 +243,10 @@ class HodlrSchurContainer:
     call :meth:`subtract_block` / :meth:`add_block` directly (pre-compress
     and commit in one step) or pre-compress panels concurrently on runtime
     workers via :meth:`precompress_subtract` / :meth:`precompress_add` and
-    serialize only the cheap :meth:`commit`.  With
-    ``config.axpy_accumulate`` on, commits append to per-block
+    serialize only the cheap :meth:`commit`.  Commits append to per-block
     :class:`~repro.hmatrix.rk.RkAccumulator` batches; :meth:`flush` folds
-    them in (one recompression per block) and must run before
-    :meth:`factorize`.
+    them in (one recompression per block) — the owner says when, and
+    :meth:`factorize` flushes whatever is still pending.
 
     Tracked sizes are maintained *incrementally* from the byte deltas the
     commit/flush path returns — every update reaches ``S`` through
@@ -272,7 +269,6 @@ class HodlrSchurContainer:
             problem.a_ss_op, self.tree, tol=config.epsilon,
             symmetric=problem.symmetric,
         )
-        self._accumulate = config.axpy_accumulate
         self._alloc = tracker.allocate(
             self.s.nbytes(), category="schur_store", label="compressed Schur S"
         )
@@ -354,10 +350,7 @@ class HodlrSchurContainer:
         """
         if isinstance(plan, PortableAxpyPlan):
             plan = self.s.import_plan(plan)
-        self._apply_deltas(*self.s.commit_axpy(
-            plan, accumulate=self._accumulate,
-            max_accumulated_rank=MAX_ACCUMULATED_RANK,
-        ))
+        self._apply_deltas(*self.s.commit_axpy(plan))
 
     def flush(self) -> None:
         """Fold every pending accumulator into the structure (idempotent)."""

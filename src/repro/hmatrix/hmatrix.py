@@ -14,10 +14,10 @@ off-diagonal blocks are stored as :class:`~repro.hmatrix.rk.RkMatrix`
   Schur complement (§IV-A2 / §IV-B2, "Compressed AXPY"), split into a
   thread-safe **pre-compress** stage (:meth:`HMatrix.precompress_axpy`,
   the SVD of every quadrant piece — runs off the caller thread) and a
-  deterministic **commit** stage (:meth:`HMatrix.commit_axpy`), with
-  optional deferred recompression through per-block
-  :class:`~repro.hmatrix.rk.RkAccumulator` batches
-  (:meth:`HMatrix.flush_accumulators`), and
+  deterministic **commit** stage (:meth:`HMatrix.commit_axpy`) that
+  appends to per-block :class:`~repro.hmatrix.rk.RkAccumulator` batches,
+  recompressed when the owner calls :meth:`HMatrix.flush_accumulators`
+  (or a batch outgrows its rank budget), and
 * exact byte-level memory accounting (:meth:`HMatrix.nbytes`), maintained
   incrementally by the commit/flush path (delta returns) so per-panel
   accounting never re-walks the tree.
@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.hmatrix import rk as _rk
 from repro.hmatrix.aca import aca
 from repro.hmatrix.cluster import ClusterNode, ClusterTree
 from repro.hmatrix.rk import RkAccumulator, RkMatrix
@@ -283,7 +284,7 @@ class HMatrix:
 
     @property
     def n_offdiag_recompressions(self) -> int:
-        """QR+SVD roundings of off-diagonal blocks (immediate folds + flushes)."""
+        """QR+SVD roundings of off-diagonal blocks (budget trips + flushes)."""
         with self._axpy_lock:
             return self._n_offdiag_recompressions
 
@@ -386,8 +387,6 @@ class HMatrix:
         block: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
-        accumulate: bool = False,
-        max_accumulated_rank: Optional[int] = None,
         tracker=None,
     ) -> Tuple[int, int]:
         """``self[rows, cols] += alpha * block`` with on-the-fly compression.
@@ -395,11 +394,10 @@ class HMatrix:
         ``rows`` / ``cols`` are *original* indices (arbitrary subsets —
         e.g. a contiguous block of original Schur columns, which scatter
         across the cluster ordering).  The parts of the update falling on
-        low-rank blocks are compressed and folded in at tolerance
-        ``self.tol`` — immediately recompressed by default, or appended to
-        per-block :class:`~repro.hmatrix.rk.RkAccumulator` batches with
-        ``accumulate=True`` (flush with :meth:`flush_accumulators`); parts
-        on dense leaves are added exactly.
+        low-rank blocks are compressed at tolerance ``self.tol`` and
+        appended to per-block :class:`~repro.hmatrix.rk.RkAccumulator`
+        batches (flush with :meth:`flush_accumulators`); parts on dense
+        leaves are added exactly.
 
         This is the paper's "Compressed AXPY": ``A_ss_i − Z_i`` in
         compressed multi-solve and ``A_ss_ij + X_ij`` in compressed
@@ -408,10 +406,7 @@ class HMatrix:
         """
         plan = self.precompress_axpy(alpha, block, rows, cols,
                                      tracker=tracker)
-        return self.commit_axpy(
-            plan, accumulate=accumulate,
-            max_accumulated_rank=max_accumulated_rank,
-        )
+        return self.commit_axpy(plan)
 
     def precompress_axpy(
         self,
@@ -507,21 +502,16 @@ class HMatrix:
                 node, side, small, rp[ra:rb] - row_off, cp[ca:cb] - col_off,
             ))
 
-    def commit_axpy(
-        self,
-        plan: AxpyPlan,
-        accumulate: bool = False,
-        max_accumulated_rank: Optional[int] = None,
-    ) -> Tuple[int, int]:
+    def commit_axpy(self, plan: AxpyPlan) -> Tuple[int, int]:
         """Commit stage of the compressed AXPY (must run serialized).
 
         Applies a plan produced by :meth:`precompress_axpy`: dense leaf
         pieces are added exactly; pre-compressed off-diagonal pieces are
         appended to the block's :class:`~repro.hmatrix.rk.RkAccumulator`,
-        which is flushed (one QR+SVD recompression) straight away with
-        ``accumulate=False`` — the paper's immediate fold — and otherwise
-        only when the pending-rank budget trips or
-        :meth:`flush_accumulators` runs.
+        which is flushed (one QR+SVD recompression) only when its
+        pending-rank budget (:data:`~repro.hmatrix.rk.MAX_ACCUMULATED_RANK`)
+        trips; the owner says when the rest is recompressed, with
+        :meth:`flush_accumulators`.
 
         Returns ``(store_delta, pending_delta)`` — the byte growth of the
         compressed structure and of the unflushed accumulators — so owners
@@ -551,10 +541,10 @@ class HMatrix:
             acc = node.acc.get(side)
             if acc is None:
                 acc = node.acc[side] = RkAccumulator(
-                    node.rk[side], max_rank=max_accumulated_rank)
+                    node.rk[side], max_rank=_rk.MAX_ACCUMULATED_RANK)
             pending_delta += acc.append(RkMatrix(u, v))
             self._count(updates=1)
-            if not accumulate or acc.needs_flush:
+            if acc.needs_flush:
                 s_d, p_d = self._flush_side(node, side)
                 store_delta += s_d
                 pending_delta += p_d

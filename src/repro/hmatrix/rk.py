@@ -232,10 +232,10 @@ class RkMatrix:
         return f"RkMatrix(shape={self.shape}, rank={self.rank})"
 
 
-#: Pending-rank budget per off-diagonal block the Schur containers pass as
-#: ``RkAccumulator.max_rank``: past it an accumulator is flushed mid-stream,
-#: which bounds the factor storage and keeps the eventual QR+SVD from
-#: going superlinear.
+#: Pending-rank budget of every accumulator ``HMatrix.commit_axpy`` makes
+#: (its ``RkAccumulator.max_rank``, read when the accumulator is made):
+#: past it an accumulator is flushed mid-stream, which bounds the factor
+#: storage and keeps the eventual QR+SVD from going superlinear.
 MAX_ACCUMULATED_RANK = 128
 
 

@@ -161,7 +161,6 @@ class CouplingMemoryModel:
         algorithm: str,
         dims: ProblemDims,
         n_c: int = 256,
-        n_s_block: int = 2048,
         n_b: int = 2,
         out_of_core: bool = False,
     ) -> Dict[str, float]:
@@ -208,8 +207,9 @@ class CouplingMemoryModel:
                 comp["spmm_panel_Z"] = self.dense_bytes(n_s, n_c)
                 comp["schur_dense"] = self.dense_bytes(n_s)
             else:
-                comp["spmm_panel_Z"] = self.dense_bytes(
-                    n_s, min(n_s_block, n_s))
+                # a panel task holds its Z and, while it pre-compresses,
+                # the cluster-order gather of Z
+                comp["spmm_panel_Z"] = 2 * self.dense_bytes(n_s, n_c)
                 comp["schur_hodlr"] = self.hodlr_bytes(n_s)
         else:  # multi_factorization, dense or compressed S
             block = max(1, math.ceil(n_s / n_b))

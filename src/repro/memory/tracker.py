@@ -52,7 +52,7 @@ CATEGORY_DESCRIPTIONS: Dict[str, str] = {
     "schur_block": "admitted multi-factorization W-block budget",
     "solve_panel": "blocked solve panels (Y_i / Z_i)",
     "solve_workspace": "forward/backward sweep work vector (panel-bounded)",
-    "spmm_panel": "dense Z_i accumulation block (compressed multi-solve)",
+    "spmm_panel": "dense A_sv Y product of the baseline coupling",
     "dense_factor": "hierarchical (H-LU / H-LDLᵀ) factors of a compressed "
                     "S; a dense S is factored in its schur_store buffer",
     "axpy_accumulator": "pending low-rank factors awaiting deferred "

@@ -137,11 +137,10 @@ def run_fig12(
     sweeping ``n_c``; compressed multi-solve (MUMPS/HMAT) first with
     ``n_c = n_S`` sweeping both, then with ``n_c`` pinned sweeping ``n_S``.
 
-    The ``n_S`` lanes run the paper's Algorithm 2 as written — one
-    compressed AXPY with immediate recompression per ``n_S`` block
-    (``axpy_accumulate=False``).  Deferred recompression, the solver's
-    default, never gathers an ``n_S`` block: it ignores ``n_s_block`` and
-    would give every row of the sweep the same time and peak.
+    In the compressed lanes ``S`` is recompressed once per ``n_S``
+    columns (Algorithm 2): every ``n_c`` panel is pre-compressed where it
+    was solved and appended to ``S``'s accumulators, which are flushed
+    each time ``n_S`` columns have been committed.
     """
     n_total = n_total or workloads.scaled_n(2_000_000)
     nc_values = list(nc_values) if nc_values is not None else fig12_nc_sweep()
@@ -163,8 +162,7 @@ def run_fig12(
         )
         record(
             "compressed multi_solve, n_c = n_S", "multi_solve",
-            SolverConfig(dense_backend="hmat", n_c=n_c, n_s_block=n_c,
-                         axpy_accumulate=False),
+            SolverConfig(dense_backend="hmat", n_c=n_c, n_s_block=n_c),
             n_c=n_c, n_s_block=n_c,
         )
     for n_s in ns_values:
@@ -172,10 +170,7 @@ def run_fig12(
             continue
         record(
             f"compressed multi_solve, n_c = {pinned_nc}", "multi_solve",
-            SolverConfig(
-                dense_backend="hmat", n_c=pinned_nc, n_s_block=n_s,
-                axpy_accumulate=False,
-            ),
+            SolverConfig(dense_backend="hmat", n_c=pinned_nc, n_s_block=n_s),
             n_c=pinned_nc, n_s_block=n_s,
         )
     return rows

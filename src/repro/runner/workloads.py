@@ -97,10 +97,8 @@ def fig10_config_grid() -> Dict[Tuple[str, str], List[SolverConfig]]:
             SolverConfig(dense_backend="spido", n_c=n_c)
             for n_c in (32, 64, 128, 256)
         ],
-        # one configuration: with deferred recompression (the default)
-        # the assembly never gathers an n_S block, so an n_S sweep here
-        # would time the same run three times (Fig. 12 sweeps n_S in the
-        # immediate-fold mode, where it matters)
+        # one configuration: no n_S block is staged, so n_S barely moves
+        # the peak this capacity study is about (Fig. 12 sweeps it)
         ("multi_solve", "hmat"): [SolverConfig(dense_backend="hmat", n_c=128)],
         ("multi_factorization", "spido"): [
             SolverConfig(dense_backend="spido", n_b=n_b)

@@ -5,8 +5,8 @@ pre-compress/commit split of ``HMatrix.axpy_dense``, the incremental byte
 accounting of the compressed Schur container, and the end-to-end
 guarantees: accuracy within the compression tolerance for randomized
 panel schedules, byte-identical assembled ``S`` across worker counts,
-and a ≥ 2× reduction in off-diagonal recompressions versus the
-immediate-fold path.
+and off-diagonal recompressions that follow the ``n_S`` flush windows of
+multi-solve.
 
 This module runs under the lock-order watchdog and tracker-balance
 recorder (see ``conftest.py``): any ABBA-prone lock acquisition or
@@ -22,6 +22,7 @@ from repro.core.api import solve_coupled
 from repro.core.config import SolverConfig
 from repro.core.factorized import CoupledFactorization
 from repro.core.result import CoupledSolution
+from repro.hmatrix import rk as rk_mod
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.hmatrix import hodlr_from_dense, hodlr_zeros
 from repro.hmatrix.rk import RkAccumulator, RkMatrix, svd_truncate
@@ -145,9 +146,11 @@ class TestSplitAxpy:
         return n, tree
 
     def test_randomized_panels_stay_within_tolerance(self, tree_and_target,
-                                                     rng):
-        """Property-style: random panel orders/sizes, accumulation on."""
+                                                     rng, monkeypatch):
+        """Property-style: random panel orders/sizes, with mid-stream
+        budget flushes."""
         n, tree = tree_and_target
+        monkeypatch.setattr(rk_mod, "MAX_ACCUMULATED_RANK", 32)
         tol = 1e-8
         for trial in range(3):
             hm = hodlr_zeros(tree, tol, np.float64)
@@ -160,8 +163,7 @@ class TestSplitAxpy:
                 alpha = rng.choice([-1.0, 1.0])
                 panel = rng.standard_normal((len(rows), len(cols)))
                 target[np.ix_(rows, cols)] += alpha * panel
-                hm.axpy_dense(alpha, panel, rows, cols, accumulate=True,
-                              max_accumulated_rank=32)
+                hm.axpy_dense(alpha, panel, rows, cols)
             hm.flush_accumulators()
             err = np.linalg.norm(hm.to_dense() - target)
             assert err <= 100 * tol * max(1.0, np.linalg.norm(target))
@@ -172,7 +174,7 @@ class TestSplitAxpy:
         hm = hodlr_zeros(tree, 1e-10, np.float64)
         panel = rng.standard_normal((n, 40))
         cols = np.arange(40)
-        hm.axpy_dense(-1.0, panel, np.arange(n), cols, accumulate=True)
+        hm.axpy_dense(-1.0, panel, np.arange(n), cols)
         assert hm.pending_accumulator_nbytes() > 0
         target = np.zeros((n, n))
         target[:, :40] = -panel
@@ -183,18 +185,18 @@ class TestSplitAxpy:
         # nbytes includes the pending factors
         assert hm.nbytes() >= hm.pending_accumulator_nbytes()
 
-    def test_deltas_track_tree_walk_exactly(self, tree_and_target, rng):
+    def test_deltas_track_tree_walk_exactly(self, tree_and_target, rng,
+                                            monkeypatch):
         """Incremental accounting invariant: deltas == full re-walk."""
         n, tree = tree_and_target
+        monkeypatch.setattr(rk_mod, "MAX_ACCUMULATED_RANK", 16)
         hm = hodlr_zeros(tree, 1e-8, np.float64)
         store = hm.nbytes()
         pending = 0
         for k in range(6):
             cols = np.arange(k * 25, min(n, (k + 1) * 25))
             panel = rng.standard_normal((n, len(cols)))
-            s_d, p_d = hm.axpy_dense(1.0, panel, np.arange(n), cols,
-                                     accumulate=True,
-                                     max_accumulated_rank=16)
+            s_d, p_d = hm.axpy_dense(1.0, panel, np.arange(n), cols)
             store += s_d
             pending += p_d
             assert pending == hm.pending_accumulator_nbytes()
@@ -205,20 +207,21 @@ class TestSplitAxpy:
         assert pending == 0
         assert store == hm.nbytes()
 
-    def test_budget_trip_flushes_midstream(self, tree_and_target, rng):
+    def test_budget_trip_flushes_midstream(self, tree_and_target, rng,
+                                           monkeypatch):
         n, tree = tree_and_target
+        monkeypatch.setattr(rk_mod, "MAX_ACCUMULATED_RANK", 4)
         hm = hodlr_zeros(tree, 1e-8, np.float64)
         for k in range(5):
             panel = rng.standard_normal((n, 30))
             hm.axpy_dense(1.0, panel, np.arange(n),
-                          np.arange(30 * k, 30 * (k + 1)),
-                          accumulate=True, max_accumulated_rank=4)
+                          np.arange(30 * k, 30 * (k + 1)))
         # tiny budget: mid-stream flushes happened before the final one
         assert hm.n_offdiag_recompressions > 0
 
     def test_immediate_fold_is_the_eager_rk_add(self, rng):
-        """``accumulate=False`` commits through the accumulator too: the
-        factors, byte deltas and counters are those of ``rk.add`` per fold."""
+        """A commit flushed straight away (``n_S = n_c``): the factors,
+        byte deltas and counters are those of ``rk.add`` per fold."""
         n = 96
         tree = build_cluster_tree(rng.random((n, 3)), leaf_size=24)
         hm = hodlr_from_dense(rng.standard_normal((n, n)), tree, tol=1e-8)
@@ -233,7 +236,10 @@ class TestSplitAxpy:
             v[upd.cols] = upd.small.v
             expected.append((rk.nbytes, rk.add(RkMatrix(u, v), hm.tol)))
         assert len({(id(f.node), f.side) for f in plan.folds}) == len(plan.folds)
-        store_delta, pending_delta = hm.commit_axpy(plan, accumulate=False)
+        store_delta, pending_delta = hm.commit_axpy(plan)
+        flushed = hm.flush_accumulators()
+        store_delta += flushed[0]
+        pending_delta += flushed[1]
         assert pending_delta == 0 == hm.pending_accumulator_nbytes()
         assert store_delta == sum(new.nbytes - old for old, new in expected)
         assert hm.n_offdiag_updates == len(plan.folds) > 0
@@ -247,7 +253,8 @@ class TestSplitAxpy:
     def test_lower_stored_counters_are_the_21_share(self, tree_and_target,
                                                     rng, accumulate):
         """A symmetric matrix plans, commits and recompresses exactly the
-        ``21`` pieces of the two-sided run — same factors, half the work."""
+        ``21`` pieces of the two-sided run — same factors, half the work —
+        whether the commits accumulate or each is flushed straight away."""
         n, tree = tree_and_target
         lower = hodlr_zeros(tree, 1e-8, np.float64, symmetric=True)
         both = hodlr_zeros(tree, 1e-8, np.float64)
@@ -261,7 +268,9 @@ class TestSplitAxpy:
             for fold in plans[1].folds:
                 share[fold.side].append(id(fold.node))
             for hm, plan in zip((lower, both), plans, strict=True):
-                hm.commit_axpy(plan, accumulate=accumulate)
+                hm.commit_axpy(plan)
+                if not accumulate:
+                    hm.flush_accumulators()
         for hm in (lower, both):
             hm.flush_accumulators()
         n12, n21 = len(share["12"]), len(share["21"])
@@ -292,7 +301,7 @@ class TestSplitAxpy:
         n, tree = tree_and_target
         hm = hodlr_zeros(tree, 1e-8, np.float64)
         hm.axpy_dense(1.0, rng.standard_normal((n, 20)), np.arange(n),
-                      np.arange(20), accumulate=True)
+                      np.arange(20))
         with pytest.raises(ConfigurationError, match="unflushed"):
             hm.copy()
         hm.flush_accumulators()
@@ -324,10 +333,10 @@ class TestSplitAxpy:
         assert np.linalg.norm(hm.to_dense() - before) > 0
 
 
-# -- end-to-end: determinism, accuracy, recompression reduction ----------------
+# -- end-to-end: determinism, accuracy, flush cadence ---------------------------
 def _assemble_compressed(problem, **cfg_kwargs):
-    config = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=256,
-                          **cfg_kwargs)
+    config = SolverConfig(**{"dense_backend": "hmat", "n_c": 64,
+                             "n_s_block": 256, **cfg_kwargs})
     with CoupledFactorization(problem, "multi_solve", config) as fact:
         s_dense = fact._container.s.to_dense()
         recompressions = fact._container.s.n_offdiag_recompressions
@@ -339,55 +348,48 @@ def _assemble_compressed(problem, **cfg_kwargs):
 
 class TestEndToEnd:
     def test_schur_byte_identical_across_worker_counts(self, pipe_small):
-        # the commit stage is a deterministic turnstile in both modes
-        for accumulate in (True, False):
+        # the commit stage is a deterministic turnstile at every cadence
+        for n_s_block in (256, 64):
             s1, _, sol1 = _assemble_compressed(
-                pipe_small, axpy_accumulate=accumulate, n_workers=1)
+                pipe_small, n_s_block=n_s_block, n_workers=1)
             s4, _, sol4 = _assemble_compressed(
-                pipe_small, axpy_accumulate=accumulate, n_workers=4)
+                pipe_small, n_s_block=n_s_block, n_workers=4)
             assert np.array_equal(s1, s4)
             assert np.array_equal(sol1.x_s, sol4.x_s)
             assert np.array_equal(sol1.x_v, sol4.x_v)
 
-    def test_accumulation_reduces_recompressions(self, pipe_small):
-        # accumulation recompresses each of the 7 stored blocks (8
-        # leaves, lower triangle) once.  So does the immediate mode here:
-        # its two n_S = 256 folds are cut along the cluster order and
-        # each crosses a stored block once.  (ROADMAP, ℋ item: does the
-        # option still earn its place?)
-        _, rec_on, sol_on = _assemble_compressed(pipe_small,
-                                                 axpy_accumulate=True)
-        _, rec_off, sol_off = _assemble_compressed(pipe_small,
-                                                   axpy_accumulate=False)
-        assert rec_on == 7
-        assert rec_off == 7
-        assert sol_on.relative_error <= SolverConfig().epsilon
-        assert sol_off.relative_error <= SolverConfig().epsilon
-
-    def test_multi_factorization_accumulate_matches_modes(self, pipe_small):
-        config = SolverConfig(dense_backend="hmat", n_b=2, n_c=64)
-        on = solve_coupled(pipe_small, "multi_factorization",
-                           config.with_(axpy_accumulate=True))
-        off = solve_coupled(pipe_small, "multi_factorization",
-                            config.with_(axpy_accumulate=False))
-        eps = config.epsilon
-        assert on.relative_error <= eps
-        assert off.relative_error <= eps
+    # pipe_small's S has 512 columns over 8 leaves of 64, stored lower:
+    # its 21 blocks span 256 (root), 2 × 128 and 4 × 64 columns.  Each
+    # block is recompressed once per n_S window its columns meet:
+    # n_S 64 → 4 + 2·2 + 4 = 12, n_S 128 → 2 + 2 + 4 = 8, and from
+    # n_S 256 on (no window splits a block) once each, 7
+    @pytest.mark.parametrize("n_s_block,recompressions",
+                             [(64, 12), (128, 8), (256, 7), (512, 7)])
+    def test_recompressions_follow_the_n_s_windows(
+            self, pipe_small, n_s_block, recompressions):
+        _, rec1, sol1 = _assemble_compressed(
+            pipe_small, n_s_block=n_s_block, n_workers=1)
+        _, rec4, sol4 = _assemble_compressed(
+            pipe_small, n_s_block=n_s_block, n_workers=4)
+        assert rec1 == rec4 == recompressions
+        assert np.array_equal(sol1.x_v, sol4.x_v)
+        assert np.array_equal(sol1.x_s, sol4.x_s)
+        eps = SolverConfig().epsilon
+        assert sol1.relative_error <= eps
+        assert sol4.relative_error <= eps
 
     def test_multi_factorization_identical_across_workers(self, pipe_small):
-        config = SolverConfig(dense_backend="hmat", n_b=2, n_c=64,
-                              axpy_accumulate=True)
+        config = SolverConfig(dense_backend="hmat", n_b=2, n_c=64)
         s1 = solve_coupled(pipe_small, "multi_factorization",
                            config.with_(n_workers=1))
         s4 = solve_coupled(pipe_small, "multi_factorization",
                            config.with_(n_workers=4))
+        assert s1.relative_error <= config.epsilon
         assert np.array_equal(s1.x_s, s4.x_s)
         assert np.array_equal(s1.x_v, s4.x_v)
 
-    def test_stats_record_accumulate_flag(self, pipe_small):
+    def test_stats_record_the_accumulator_peak(self, pipe_small):
         sol = solve_coupled(
-            pipe_small, "multi_solve",
-            SolverConfig(dense_backend="hmat", axpy_accumulate=True),
-        )
-        assert sol.stats.params["axpy_accumulate"] is True
-        assert "axpy_accumulator" in sol.stats.peak_by_category
+            pipe_small, "multi_solve", SolverConfig(dense_backend="hmat"))
+        assert "axpy_accumulate" not in sol.stats.params
+        assert sol.stats.peak_by_category["axpy_accumulator"] > 0

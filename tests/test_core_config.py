@@ -24,6 +24,8 @@ class TestValidation:
         ("dense_backend", "lapack"),
         ("epsilon", 0.0),
         ("epsilon", -1.0),
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
         ("n_c", 0),
         ("n_s_block", 0),
         ("n_b", 0),
@@ -48,6 +50,7 @@ class TestValidation:
         ("axpy_max_accumulated_rank", 128),
         ("compressor", "svd"),
         ("refinement_steps", 1),
+        ("axpy_accumulate", False),
     ])
     def test_removed_fields_rejected(self, field, value):
         """A caller still passing a removed field fails at construction
@@ -100,12 +103,12 @@ class TestOptionValuesAreFields:
     def test_switches_are_plain_fields_the_environment_cannot_move(
         self, monkeypatch, pipe_small
     ):
-        """``axpy_accumulate`` is a ``bool`` field, the symbolic cache is
-        always attached and the server's settings are not config fields:
-        the variables that used to mirror them no longer reach the config
-        or the solution."""
+        """The AXPY always accumulates, the symbolic cache is always
+        attached and the server's settings are not config fields: the
+        variables that used to mirror them no longer reach the config or
+        the solution."""
         types = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
-        assert types["axpy_accumulate"] == "bool"
+        assert "axpy_accumulate" not in types
         assert "reuse_analysis" not in types
         assert not [name for name in types if name.startswith("serve_")]
         config = SolverConfig(dense_backend="hmat", n_b=2)
@@ -114,11 +117,9 @@ class TestOptionValuesAreFields:
                      "REPRO_SERVE_BATCHING"):
             monkeypatch.setenv(name, "0")
         assert SolverConfig(dense_backend="hmat", n_b=2) == config
-        assert config.axpy_accumulate is True
         after = solve_coupled(pipe_small, "multi_factorization", config)
         assert np.array_equal(before.x_s, after.x_s)
         assert after.stats.n_symbolic_reuses == before.stats.n_symbolic_reuses
-        assert after.stats.params["axpy_accumulate"] is True
 
     def test_api_table_lists_exactly_the_fields(self):
         api = (Path(__file__).parent.parent / "docs" / "api.md").read_text()

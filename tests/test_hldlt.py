@@ -212,7 +212,7 @@ class TestMirroredAssembly:
                              [(4, "thread"), (4, "process")])
     @pytest.mark.parametrize("algorithm,extra", [
         ("multi_solve", {}),
-        ("multi_solve", {"axpy_accumulate": False}),
+        ("multi_solve", {"n_s_block": 64}),
         ("multi_factorization", {}),
     ])
     def test_identity_holds_on_every_backend(
@@ -220,8 +220,8 @@ class TestMirroredAssembly:
             monkeypatch):
         from repro.core import SolverConfig, solve_coupled
 
-        config = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=128,
-                              n_b=2, **extra)
+        config = SolverConfig(dense_backend="hmat", n_c=64, n_b=2,
+                              **{"n_s_block": 128, **extra})
         serial = solve_coupled(pipe_small, algorithm, config)
         lower, two_sided, _ = self._lower_and_two_sided(
             pipe_small, algorithm,

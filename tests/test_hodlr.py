@@ -291,8 +291,7 @@ class TestLowerStored:
         for lo in range(0, n, 90):
             cols = np.arange(lo, min(n, lo + 90))
             for hm in (lower, both):
-                hm.axpy_dense(-1.0, update[:, cols], np.arange(n), cols,
-                              accumulate=True)
+                hm.axpy_dense(-1.0, update[:, cols], np.arange(n), cols)
         assert lower.pending_accumulator_nbytes() > 0
         assert lower.pending_accumulator_nbytes() < (
             both.pending_accumulator_nbytes())

@@ -354,7 +354,7 @@ class TestMultiSolveOnEveryRuntime:
 
     @pytest.mark.parametrize("case", ["pipe_small", "aircraft_small"])
     @pytest.mark.parametrize("config", [
-        UNCOMPRESSED, COMPRESSED, COMPRESSED.with_(axpy_accumulate=False),
+        UNCOMPRESSED, COMPRESSED, COMPRESSED.with_(n_s_block=COMPRESSED.n_c),
     ], ids=["spido", "hmat", "hmat-immediate"])
     def test_s_and_solution_are_byte_identical(self, request, case, config):
         problem = request.getfixturevalue(case)

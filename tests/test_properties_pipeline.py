@@ -112,16 +112,16 @@ def pipe_tiny():
 # both ε × both compressed algorithms, the other knobs spread across them
 @example(aircraft=False, n_total=2_400, seed=0, epsilon=1e-3,
          algorithm="multi_solve", dense_backend="hmat",
-         sparse_compression=True, axpy_accumulate=True, n_workers=1, n_b=2)
+         sparse_compression=True, n_s_block=256, n_workers=1, n_b=2)
 @example(aircraft=False, n_total=2_400, seed=1, epsilon=1e-4,
          algorithm="multi_factorization", dense_backend="hmat",
-         sparse_compression=True, axpy_accumulate=False, n_workers=4, n_b=2)
+         sparse_compression=True, n_s_block=64, n_workers=4, n_b=2)
 @example(aircraft=True, n_total=2_400, seed=2, epsilon=1e-3,
          algorithm="multi_factorization", dense_backend="hmat",
-         sparse_compression=False, axpy_accumulate=True, n_workers=4, n_b=2)
+         sparse_compression=False, n_s_block=4096, n_workers=4, n_b=2)
 @example(aircraft=True, n_total=2_400, seed=3, epsilon=1e-4,
          algorithm="multi_solve", dense_backend="hmat",
-         sparse_compression=True, axpy_accumulate=False, n_workers=1, n_b=2)
+         sparse_compression=True, n_s_block=256, n_workers=1, n_b=2)
 @given(
     aircraft=st.booleans(),
     n_total=st.integers(1_200, 2_400),
@@ -133,17 +133,18 @@ def pipe_tiny():
                                "baseline", "advanced"]),
     dense_backend=st.sampled_from(["hmat", "spido", "spido_ooc"]),
     sparse_compression=st.booleans(),
-    axpy_accumulate=st.booleans(),
+    # with n_c = 64: a 4-panel flush window, a 1-panel one, one over all S
+    n_s_block=st.sampled_from([256, 64, 4096]),
     n_workers=st.sampled_from([1, 4]),
     n_b=st.sampled_from([2, 1, 3]),
 )
 def test_property_solution_within_epsilon(
     aircraft, n_total, seed, epsilon, algorithm, dense_backend,
-    sparse_compression, axpy_accumulate, n_workers, n_b,
+    sparse_compression, n_s_block, n_workers, n_b,
 ):
     """The accuracy oracle: on the real symmetric pipe and the complex
     non-symmetric aircraft, every algorithm × backend × BLR ×
-    ``axpy_accumulate`` × ``n_b`` × worker count the solver accepts
+    ``n_s_block`` × ``n_b`` × worker count the solver accepts
     returns a solution whose backward residual and forward error are both
     ≤ ε.  ``derandomize`` draws the same cases on every run."""
     if aircraft:
@@ -156,8 +157,8 @@ def test_property_solution_within_epsilon(
     config = SolverConfig(
         dense_backend=dense_backend, epsilon=epsilon,
         sparse_compression=sparse_compression,
-        axpy_accumulate=axpy_accumulate, n_workers=n_workers,
-        runtime_backend="thread", n_c=64, n_s_block=256, n_b=n_b,
+        n_workers=n_workers, runtime_backend="thread", n_c=64,
+        n_s_block=n_s_block, n_b=n_b,
     )
     try:
         sol = solve_coupled(problem, algorithm, config)

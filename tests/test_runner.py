@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import SolverConfig
 from repro.runner.experiments import (
     run_fig10_fig11,
     run_fig12,
@@ -120,10 +121,14 @@ class TestFig12And13Quick:
         rows = run_fig12(n_total=1_200, nc_values=[16], ns_values=[64, 128])
         pinned = [r for r in rows if "n_c = 16" in r["variant"]]
         assert len(pinned) == 2
-        # the sweep must move what it reports: a wider n_S block gathers a
-        # wider dense Z_i, so the two rows cannot share a tracked peak
+        # the sweep must move what it reports: n_S is the number of
+        # columns S takes between two recompressions, so the two rows
+        # round S differently.  Their errors (bit-identical for any worker
+        # count) tell them apart; their peaks, under several workers, may not
         small, large = sorted(pinned, key=lambda r: r["n_s_block"])
-        assert small["peak_bytes"] < large["peak_bytes"]
+        assert small["relative_error"] != large["relative_error"]
+        assert max(small["relative_error"],
+                   large["relative_error"]) <= SolverConfig().epsilon
 
     def test_fig13_rows(self):
         rows = run_fig13(n_total=1_200, nb_values=[1, 2])

@@ -340,7 +340,7 @@ class TestMemoryBoundedExecution:
         ).peak_components(
             ctx.algorithm,
             ProblemDims(problem.n_total, problem.n_fem, problem.n_bem),
-            n_c=config.n_c, n_s_block=config.n_s_block)
+            n_c=config.n_c)
         assert max(t.headroom_bytes for t in tasks) <= (
             comps["solve_workspace"] + comps["spmm_panel_Z"])
         assert max(t.cost_bytes for t in tasks) <= (

@@ -106,15 +106,18 @@ class TestHodlrContainer:
         tracker.assert_all_freed()
 
     def test_tracked_bytes_immediate_fold(self, pipe_small, tracker, rng):
+        """A flush after every fold (``n_S = n_c``): nothing is left
+        pending between folds and the store charge is the tree's bytes."""
         c = HodlrSchurContainer(
-            pipe_small,
-            SolverConfig(dense_backend="hmat", axpy_accumulate=False),
-            tracker)
+            pipe_small, SolverConfig(dense_backend="hmat"), tracker)
         n = pipe_small.n_bem
-        c.subtract_block(rng.standard_normal((n, 40)), np.arange(n),
-                         np.arange(40))
-        assert tracker.category_in_use("axpy_accumulator") == 0
-        assert tracker.category_in_use("schur_store") == c.s.nbytes()
+        for lo in (0, 40, 80):
+            c.subtract_block(rng.standard_normal((n, 40)), np.arange(n),
+                             np.arange(lo, lo + 40))
+            c.flush()
+            assert tracker.category_in_use("axpy_accumulator") == 0
+            assert c.s.pending_accumulator_nbytes() == 0
+            assert tracker.category_in_use("schur_store") == c.s.nbytes()
         c.free()
         tracker.assert_all_freed()
 
@@ -134,19 +137,17 @@ class TestPanelSpec:
     """What a multi-solve panel is on each container: together the panels
     of any width reach every stored entry of ``S`` exactly once."""
 
-    @pytest.mark.parametrize("accumulate", [True, False],
+    @pytest.mark.parametrize("flush_each", [False, True],
                              ids=["accumulate", "immediate"])
     @pytest.mark.parametrize("n_c", [7, 64, 100, 256, 10_000])
     @pytest.mark.parametrize("symmetric", [True, False],
                              ids=["lower-stored", "two-sided"])
     def test_hodlr_panels_cover_s_once(self, pipe_small, tracker, symmetric,
-                                       n_c, accumulate):
+                                       n_c, flush_each):
         from repro.hmatrix.hmatrix import hodlr_zeros
 
         c = HodlrSchurContainer(
-            pipe_small,
-            SolverConfig(dense_backend="hmat", axpy_accumulate=accumulate),
-            tracker)
+            pipe_small, SolverConfig(dense_backend="hmat"), tracker)
         n = pipe_small.n_bem
         assert c.tree.leaf_size == 64 and n % 64 == 0  # 7, 100: edges inside leaves
         c.s = hodlr_zeros(c.tree, 1e-10, np.float64, symmetric=symmetric)
@@ -157,6 +158,8 @@ class TestPanelSpec:
             assert np.array_equal(cols, c.tree.perm[lo:lo + n_c])
             n_rows.append(len(rows))
             c.subtract_block(np.ones((len(rows), len(cols))), rows, cols)
+            if flush_each:
+                c.flush()
         c.flush()
         np.testing.assert_allclose(c.s.to_dense(), -1.0, rtol=0, atol=1e-12)
         if symmetric:

@@ -86,15 +86,16 @@ class TestSystemFingerprint:
 
     def test_key_moves_exactly_when_the_factor_bytes_do(self, pipe_small):
         """An option's value is its field: spelling a default out is the
-        same key (no second build of identical factors), the immediate-fold
-        AXPY rounds in another order and gets its own."""
+        same key (no second build of identical factors), a shorter ``n_S``
+        flushes S's accumulators more often, rounds in another order and
+        gets its own."""
         from repro.serving.factor_cache import _FINGERPRINT_EXCLUDED_FIELDS
 
         base = system_fingerprint(pipe_small, "multi_solve", CONFIG)
         assert base == system_fingerprint(
-            pipe_small, "multi_solve", CONFIG.with_(axpy_accumulate=True))
+            pipe_small, "multi_solve", CONFIG.with_(n_s_block=2048))
         assert base != system_fingerprint(
-            pipe_small, "multi_solve", CONFIG.with_(axpy_accumulate=False))
+            pipe_small, "multi_solve", CONFIG.with_(n_s_block=64))
         execution_only = dict(
             n_workers=2, runtime_backend="process", memory_limit=1 << 40,
         )
