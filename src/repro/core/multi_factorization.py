@@ -234,8 +234,7 @@ def assemble_multi_factorization(ctx: RunContext):
             # serialized commit
             with timer.phase("schur_precompress"):
                 plans = [
-                    container.precompress_add(
-                        x, rows, cols, charge_gather=False)
+                    container.precompress_add(x, rows, cols)
                     for x, rows, cols in _folds(w, x_block, i, j)
                 ]
             del x_block

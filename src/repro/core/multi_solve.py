@@ -152,9 +152,7 @@ def assemble_multi_solve(ctx: RunContext):
             # live set: Z plus its cluster-permuted gather
             alloc.resize(2 * z.nbytes)
             with timer.phase("schur_precompress"):
-                plan = container.precompress_subtract(
-                    z, rows, cols, charge_gather=False,
-                )
+                plan = container.precompress_subtract(z, rows, cols)
             del z
             alloc.resize(plan.nbytes)
             return plan

@@ -239,11 +239,11 @@ class DenseSchurContainer:
 class HodlrSchurContainer:
     """Compressed Schur complement in a HODLR structure (HMAT role).
 
-    Blockwise updates run the split compressed AXPY: callers may either
-    call :meth:`subtract_block` / :meth:`add_block` directly (pre-compress
-    and commit in one step) or pre-compress panels concurrently on runtime
-    workers via :meth:`precompress_subtract` / :meth:`precompress_add` and
-    serialize only the cheap :meth:`commit`.  Commits append to per-block
+    Blockwise updates run the split compressed AXPY: panels are
+    pre-compressed concurrently on runtime workers via
+    :meth:`precompress_subtract` / :meth:`precompress_add` (whose task
+    budgets reserve the cluster-order gather) and only the cheap
+    :meth:`commit` is serialized.  Commits append to per-block
     :class:`~repro.hmatrix.rk.RkAccumulator` batches; :meth:`flush` folds
     them in (one recompression per block) — the owner says when, and
     :meth:`factorize` flushes whatever is still pending.
@@ -259,7 +259,6 @@ class HodlrSchurContainer:
                  tracker: MemoryTracker):
         self.problem = problem
         self.config = config
-        self.tracker = tracker
         self.tree = build_cluster_tree(problem.coords_s)
         self._leaf_starts = np.array(
             [leaf.start for leaf in self.tree.leaves()])
@@ -304,36 +303,15 @@ class HodlrSchurContainer:
         if pending_delta:
             self._acc_alloc.resize(self._acc_alloc.nbytes + pending_delta)
 
-    def subtract_block(self, z: np.ndarray, rows: np.ndarray,
-                       cols: np.ndarray) -> None:
-        """Compressed AXPY ``S[rows, cols] -= z`` (pre-compress + commit)."""
-        self.commit(self.precompress_subtract(z, rows, cols))
-
-    def add_block(self, x: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> None:
-        """Compressed AXPY ``S[rows, cols] += x`` (pre-compress + commit)."""
-        self.commit(self.precompress_add(x, rows, cols))
-
     def precompress_subtract(self, z: np.ndarray, rows: np.ndarray,
-                             cols: np.ndarray, charge_gather: bool = True):
-        """Pre-compress ``S[rows, cols] -= z`` (thread-safe, no mutation).
-
-        ``charge_gather=False`` skips charging the cluster-permuted panel
-        gather to the tracker — for callers running inside a runtime task
-        whose admitted budget already reserves it.
-        """
-        return self.s.precompress_axpy(
-            -1.0, z, rows, cols,
-            tracker=self.tracker if charge_gather else None,
-        )
+                             cols: np.ndarray):
+        """Pre-compress ``S[rows, cols] -= z`` (thread-safe, no mutation)."""
+        return self.s.precompress_axpy(-1.0, z, rows, cols)
 
     def precompress_add(self, x: np.ndarray, rows: np.ndarray,
-                        cols: np.ndarray, charge_gather: bool = True):
+                        cols: np.ndarray):
         """Pre-compress ``S[rows, cols] += x`` (thread-safe, no mutation)."""
-        return self.s.precompress_axpy(
-            1.0, x, rows, cols,
-            tracker=self.tracker if charge_gather else None,
-        )
+        return self.s.precompress_axpy(1.0, x, rows, cols)
 
     def structure_skeleton(self):
         """Values-free copy of ``S``'s structure for worker processes

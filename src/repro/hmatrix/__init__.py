@@ -6,8 +6,10 @@ Schur complement :math:`S` in the hierarchical ℋ-matrix solver HMAT
 provides the equivalent stack, built from scratch:
 
 * :mod:`~repro.hmatrix.cluster` — geometric binary cluster trees;
-* :mod:`~repro.hmatrix.rk` — rank-revealing outer-product (Rk) blocks with
-  SVD recompression;
+* :mod:`~repro.hmatrix.rk` — rank-revealing outer-product (Rk) blocks and
+  :func:`~repro.hmatrix.rk.recompress`, the one routine that rounds a
+  factored sum at ε (the AXPY flush, ``RkMatrix.truncate`` and the H-LU /
+  H-LDLᵀ Schur updates all call it);
 * :mod:`~repro.hmatrix.aca` — adaptive cross approximation with partial
   pivoting (lazy kernels);
 * :mod:`~repro.hmatrix.hmatrix` — the hierarchical container (HODLR
@@ -25,6 +27,7 @@ from repro.hmatrix.cluster import ClusterNode, ClusterTree, build_cluster_tree
 from repro.hmatrix.rk import (
     RkAccumulator,
     RkMatrix,
+    recompress,
     svd_truncate,
 )
 from repro.hmatrix.aca import aca
@@ -38,6 +41,7 @@ __all__ = [
     "build_cluster_tree",
     "RkAccumulator",
     "RkMatrix",
+    "recompress",
     "svd_truncate",
     "aca",
     "AxpyPlan",

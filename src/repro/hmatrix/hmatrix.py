@@ -17,27 +17,28 @@ off-diagonal blocks are stored as :class:`~repro.hmatrix.rk.RkMatrix`
   deterministic **commit** stage (:meth:`HMatrix.commit_axpy`) that
   appends to per-block :class:`~repro.hmatrix.rk.RkAccumulator` batches,
   recompressed when the owner calls :meth:`HMatrix.flush_accumulators`
-  (or a batch outgrows its rank budget), and
+  (or a batch outgrows its rank budget) — every rounding of a factored
+  sum goes through :func:`~repro.hmatrix.rk.recompress` — and
 * exact byte-level memory accounting (:meth:`HMatrix.nbytes`), maintained
   incrementally by the commit/flush path (delta returns) so per-panel
   accounting never re-walks the tree.
 
 The public interface speaks *original* point indices; internally
-everything lives in the cluster-permuted ordering.
+everything lives in the cluster-permuted ordering.  Pending AXPY updates
+are not readable: :meth:`HMatrix.to_dense`, :meth:`HMatrix.matvec` and
+:meth:`HMatrix.copy` raise until the owner flushes.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hmatrix import rk as _rk
 from repro.hmatrix.aca import aca
 from repro.hmatrix.cluster import ClusterNode, ClusterTree
-from repro.hmatrix.rk import RkAccumulator, RkMatrix
+from repro.hmatrix.rk import RkAccumulator, RkMatrix, recompress
 from repro.utils.errors import ConfigurationError
 
 
@@ -99,13 +100,18 @@ class HNode:
         return max(*(rk.rank for rk in self.rk.values()),
                    self.h11.max_rank(), self.h22.max_rank())
 
-    def copy(self, sides: Optional[Tuple[str, ...]] = None) -> "HNode":
-        """Deep copy; ``sides`` restricts it to those off-diagonal blocks."""
+    def require_flushed(self, action: str) -> None:
+        """Raise unless every AXPY update below this node is flushed: a
+        reader of the bare factors would silently drop the pending ones."""
         if self.pending_nbytes() > 0:
             raise ConfigurationError(
-                "cannot copy an HODLR node with unflushed AXPY accumulators"
-                " — flush first"
+                f"cannot {action} an HODLR node with unflushed AXPY"
+                " accumulators — flush first"
             )
+
+    def copy(self, sides: Optional[Tuple[str, ...]] = None) -> "HNode":
+        """Deep copy; ``sides`` restricts it to those off-diagonal blocks."""
+        self.require_flushed("copy")
         out = HNode(self.start, self.stop)
         out.mid = self.mid
         if self.is_leaf:
@@ -117,24 +123,6 @@ class HNode:
                       for side, rk in self.rk.items()
                       if sides is None or side in sides}
         return out
-
-
-def _offdiag_dense(rk: RkMatrix, acc: Optional[RkAccumulator]) -> np.ndarray:
-    """Dense view of an off-diagonal block including any pending updates."""
-    out = rk.to_dense()
-    if acc is not None and acc.pending_rank:
-        out = out + acc.pending_dense()
-    return out
-
-
-def _offdiag_matvec(rk: RkMatrix, acc: Optional[RkAccumulator],
-                    x: np.ndarray, trans: bool = False) -> np.ndarray:
-    """``block @ x`` (``blockᵀ @ x`` with ``trans``) for an off-diagonal
-    block including pending updates."""
-    y = rk.rmatvec(x) if trans else rk.matvec(x)
-    if acc is not None and acc.pending_rank:
-        y = y + acc.pending_matvec(x, trans)
-    return y
 
 
 class _LeafUpdate:
@@ -326,6 +314,7 @@ class HMatrix:
     # -- conversion ---------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
         """Materialise as a dense array in *original* index order."""
+        self.root.require_flushed("read")
         n = self.tree.n
         out = np.zeros((n, n), dtype=self.dtype)
 
@@ -335,11 +324,10 @@ class HMatrix:
                 return
             fill(node.h11)
             fill(node.h22)
-            lower = _offdiag_dense(node.rk21, node.acc.get("21"))
+            lower = node.rk21.to_dense()
             out[node.mid : node.stop, node.start : node.mid] = lower
             out[node.start : node.mid, node.mid : node.stop] = (
-                lower.T if self.symmetric
-                else _offdiag_dense(node.rk12, node.acc.get("12"))
+                lower.T if self.symmetric else node.rk12.to_dense()
             )
 
         fill(self.root)
@@ -359,6 +347,7 @@ class HMatrix:
                 f"dimension mismatch: H-matrix has {self.tree.n} columns, "
                 f"x has {xb.shape[0]} rows"
             )
+        self.root.require_flushed("read")
         xp = xb[self.tree.perm]
         yp = self._matvec_node(self.root, xp)
         y = np.empty_like(yp)
@@ -371,13 +360,10 @@ class HMatrix:
         cut = node.mid - node.start
         x1, x2 = xp[:cut], xp[cut:]
         # a symmetric matrix reads its upper block as the lower one's transpose
-        upper = "21" if self.symmetric else "12"
-        y1 = self._matvec_node(node.h11, x1) + _offdiag_matvec(
-            node.rk[upper], node.acc.get(upper), x2, trans=self.symmetric
+        y1 = self._matvec_node(node.h11, x1) + (
+            node.rk21.rmatvec(x2) if self.symmetric else node.rk12.matvec(x2)
         )
-        y2 = _offdiag_matvec(node.rk21, node.acc.get("21"), x1) + (
-            self._matvec_node(node.h22, x2)
-        )
+        y2 = node.rk21.matvec(x1) + self._matvec_node(node.h22, x2)
         return np.concatenate([y1, y2], axis=0)
 
     # -- compressed AXPY ----------------------------------------------------------
@@ -387,7 +373,6 @@ class HMatrix:
         block: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
-        tracker=None,
     ) -> Tuple[int, int]:
         """``self[rows, cols] += alpha * block`` with on-the-fly compression.
 
@@ -404,9 +389,7 @@ class HMatrix:
         multi-factorization.  Equivalent to :meth:`precompress_axpy`
         followed by :meth:`commit_axpy`; returns the same byte deltas.
         """
-        plan = self.precompress_axpy(alpha, block, rows, cols,
-                                     tracker=tracker)
-        return self.commit_axpy(plan)
+        return self.commit_axpy(self.precompress_axpy(alpha, block, rows, cols))
 
     def precompress_axpy(
         self,
@@ -414,7 +397,6 @@ class HMatrix:
         block: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
-        tracker=None,
     ) -> AxpyPlan:
         """Pre-compress stage of the compressed AXPY (thread-safe).
 
@@ -429,9 +411,8 @@ class HMatrix:
         are scaled in place and dense leaf pieces carry the scalar into
         the commit, so no scaled copy of the full panel is ever made.
         The one unavoidable temporary — the gather of ``block`` into the
-        cluster-permuted order — is charged to ``tracker`` when one is
-        passed (callers running on the parallel runtime account for it in
-        their task budget instead).
+        cluster-permuted order — is the caller's to account for (the
+        runtime task budgets reserve it).
         """
         block = np.asarray(block)
         rows = np.asarray(rows, dtype=np.intp)
@@ -449,13 +430,8 @@ class HMatrix:
         co = np.argsort(cp, kind="stable")
         rp, cp = rp[ro], cp[co]
         plan = AxpyPlan(alpha)
-        gather = nullcontext() if tracker is None else tracker.borrow(
-            block.nbytes, category="axpy_gather", label="permuted AXPY panel"
-        )
-        with gather:
-            sub = block[np.ix_(ro, co)]
-            self._plan_walk(plan, self.root, sub, rp, cp,
-                            0, len(rp), 0, len(cp))
+        self._plan_walk(plan, self.root, block[np.ix_(ro, co)], rp, cp,
+                        0, len(rp), 0, len(cp))
         return plan
 
     def _plan_walk(self, plan: AxpyPlan, node: HNode, sub: np.ndarray,
@@ -540,8 +516,7 @@ class HMatrix:
             v[upd.cols] = upd.small.v
             acc = node.acc.get(side)
             if acc is None:
-                acc = node.acc[side] = RkAccumulator(
-                    node.rk[side], max_rank=_rk.MAX_ACCUMULATED_RANK)
+                acc = node.acc[side] = RkAccumulator(node.rk[side])
             pending_delta += acc.append(RkMatrix(u, v))
             self._count(updates=1)
             if acc.needs_flush:
@@ -652,11 +627,6 @@ class HMatrix:
             self._count(panel=portable.panel_compressions)
         return plan
 
-    # -- low-rank AXPY (used by the hierarchical factorization) -----------------------
-    def add_rk(self, rk: RkMatrix) -> None:
-        """``self += rk`` where ``rk`` spans the whole (permuted) matrix."""
-        _node_add_rk(self.root, rk, self.tol)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HMatrix(n={self.tree.n}, dtype={self.dtype.name}, "
@@ -665,7 +635,13 @@ class HMatrix:
 
 
 def _node_add_rk(node: HNode, rk: RkMatrix, tol: float) -> None:
-    """Add a node-spanning low-rank update into the HODLR structure."""
+    """Add a node-spanning low-rank update into the HODLR structure (the
+    H-LU / H-LDLᵀ Schur update, in permuted coordinates).
+
+    Each off-diagonal piece is rounded at ``tol`` on its own, then
+    ``[block | piece]``, both by :func:`~repro.hmatrix.rk.recompress`; a
+    piece that rounds to rank 0 leaves the block object untouched.
+    """
     if rk.rank == 0:
         return
     if node.is_leaf:
@@ -678,7 +654,10 @@ def _node_add_rk(node: HNode, rk: RkMatrix, tol: float) -> None:
     _node_add_rk(node.h22, RkMatrix(u2, v2), tol)
     pieces = {"12": (u1, v2), "21": (u2, v1)}
     for side, block in node.rk.items():
-        node.rk[side] = block.add(RkMatrix(*pieces[side]).truncate(tol), tol)
+        piece = RkMatrix(*pieces[side]).truncate(tol)
+        if piece.rank:
+            node.rk[side] = recompress([block.u, piece.u],
+                                       [block.v, piece.v], tol)
 
 
 def _assemble(tree: ClusterTree, tol: float, dtype, symmetric: bool,
@@ -710,7 +689,6 @@ def build_hodlr(
     op,
     tree: ClusterTree,
     tol: float = 1e-3,
-    max_rank: Optional[int] = None,
     symmetric: bool = False,
 ) -> HMatrix:
     """Assemble an :class:`HMatrix` from a lazy kernel operator.
@@ -739,7 +717,7 @@ def build_hodlr(
     def compress(rows: ClusterNode, cols: ClusterNode) -> RkMatrix:
         return aca(
             lambda r, c: op.block(at(r, rows.start), at(c, cols.start)),
-            (rows.size, cols.size), tol, max_rank=max_rank, dtype=dtype,
+            (rows.size, cols.size), tol, dtype=dtype,
         )
 
     def leaf(cnode: ClusterNode) -> np.ndarray:

@@ -2,21 +2,25 @@
 
 An :class:`RkMatrix` stores a block as ``U @ V.T`` (plain transpose, so
 complex *symmetric* data keeps its symmetry, as the paper's complex
-matrices require).  Sums of Rk blocks concatenate the factors and are then
-*recompressed* with the standard QR+SVD rounding — the operation whose cost
-the paper's §IV-A2 dissociated block sizes (``n_c`` vs ``n_S``) trade
-against memory.
+matrices require).
+
+:func:`recompress` is the one place a factored sum is rounded: it stacks
+the factors of ``Σ U_i V_iᵀ`` and recompresses them at ``tol`` with the
+standard QR+SVD rounding — the operation whose cost the paper's §IV-A2
+dissociated block sizes (``n_c`` vs ``n_S``) trade against memory.  The
+compressed AXPY's flush (:meth:`RkAccumulator.flush`),
+:meth:`RkMatrix.truncate` and the H-LU / H-LDLᵀ Schur updates all call it.
 
 :class:`RkAccumulator` batches that recompression: low-rank updates to one
-block are *appended* (factors concatenated, no rounding) until a rank
-budget trips or :meth:`RkAccumulator.flush` runs — the LUAR-style update
-accumulation of BLR/HSS solvers, which turns ``n`` recompressions per
-block into roughly one.
+block are *appended* (factors concatenated, no rounding) until
+:data:`MAX_ACCUMULATED_RANK` trips or :meth:`RkAccumulator.flush` runs —
+the LUAR-style update accumulation of BLR/HSS solvers, which turns ``n``
+recompressions per block into roughly one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,13 +28,12 @@ from repro.utils.errors import ConfigurationError
 
 def svd_truncate(
     a: np.ndarray, tol: float, max_rank: Optional[int] = None,
-    norm_ref: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Best low-rank approximation of a dense block by truncated SVD.
 
-    Singular values below ``tol`` times the reference (the largest singular
-    value, or ``norm_ref`` when provided — used when rounding a *summand*
-    relative to the magnitude of the full accumulated block) are dropped.
+    Singular values below ``tol`` times the largest are dropped, and at
+    most ``max_rank`` are kept (the cap :func:`rank_first`'s ``keep`` path
+    passes: the rank it decided from the values alone).
 
     Returns ``(u, v)`` with ``a ≈ u @ v.T``.
     """
@@ -49,33 +52,31 @@ def svd_truncate(
         from scipy.linalg import svd as scipy_svd
 
         u, s, vh = scipy_svd(a, full_matrices=False, lapack_driver="gesvd")
-    rank = _numerical_rank(s, tol, s[0] if norm_ref is None else norm_ref,
-                           max_rank)
+    rank = _numerical_rank(s, tol, s[0])
+    if max_rank is not None:
+        rank = min(rank, max_rank)
     u = u[:, :rank] * s[:rank]
     v = vh[:rank].T.copy()
     return u, v
 
 
 def rank_first(
-    a: np.ndarray, tol: float, max_rank: Optional[int] = None,
-    norm_ref: Optional[float] = None,
+    a: np.ndarray, tol: float,
     keep: Optional[Callable[[int], bool]] = None,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Dense block → ``(u, v)`` with ``a ≈ u @ v.T``, rank first.
 
-    The rank ``r = #{σ > tol·ref}`` (``ref`` as in :func:`svd_truncate`,
-    capped by ``max_rank``) is decided from the singular *values* and
-    vectors are formed for those ``r`` only.  The values are the
+    The rank ``r = #{σ > tol·σ₀}`` is decided from the singular *values*
+    and vectors are formed for those ``r`` only.  The values are the
     eigenvalues ``σ²`` of the short-side Gram matrix (``A Aᴴ`` for
     ``m ≤ n``: one GEMM, one ``eigh`` of order ``min(m, n)``); the
     factors are the projection onto its top-``r`` eigenvectors ``B`` —
     ``u = B, v = Aᵀ·conj(B)`` or ``u = A·B, v = conj(B)`` — whose error is
     the discarded tail.  Gram eigenvalues carry an absolute error of a
     few ``max(m, n)·eps·σ₀²``, so they resolve the threshold only while
-    ``(tol·ref)² ≥ 100·max(m, n)·eps·σ₀²`` — with ``ref = σ₀`` that is
-    ``tol ≳ 5e-6`` for 960 float64 columns and never float32 at ``tol =
-    1e-3``; otherwise the block's own singular values decide and the
-    vectors are :func:`svd_truncate`'s.
+    ``tol² ≥ 100·max(m, n)·eps`` — ``tol ≳ 5e-6`` for 960 float64 columns
+    and never float32 at ``tol = 1e-3``; otherwise the block's own
+    singular values decide and the vectors are :func:`svd_truncate`'s.
 
     ``keep(r)``, when given, is asked once the rank is known and before
     any vector is computed; ``None`` is returned if it declines — the
@@ -89,26 +90,18 @@ def rank_first(
         a = a.astype(np.float64)
     if min(m, n) == 0:
         return svd_truncate(a, tol)
-    bound = 100 * max(m, n) * np.finfo(a.dtype).eps
-    resolved = tol * tol >= bound
-    if resolved:
-        gram = a @ a.conj().T if m <= n else a.conj().T @ a
+    if tol * tol < 100 * max(m, n) * np.finfo(a.dtype).eps:
         if keep is None:
-            values, vectors = np.linalg.eigh(gram)
-        else:
-            values, vectors = np.linalg.eigvalsh(gram), None
-        ref2 = values[-1] if norm_ref is None else float(norm_ref) ** 2
-        # a norm_ref below σ₀ can still pull the threshold under the bound
-        resolved = tol * tol * ref2 >= bound * values[-1]
-    if not resolved:
-        if keep is not None:
-            s = np.linalg.svd(a, compute_uv=False)
-            max_rank = _numerical_rank(s, tol, s[0] if norm_ref is None
-                                       else norm_ref, max_rank)
-            if not keep(max_rank):
-                return None
-        return svd_truncate(a, tol, max_rank, norm_ref)
-    rank = _numerical_rank(values, tol * tol, ref2, max_rank)
+            return svd_truncate(a, tol)
+        s = np.linalg.svd(a, compute_uv=False)
+        rank = _numerical_rank(s, tol, s[0])
+        return svd_truncate(a, tol, rank) if keep(rank) else None
+    gram = a @ a.conj().T if m <= n else a.conj().T @ a
+    if keep is None:
+        values, vectors = np.linalg.eigh(gram)
+    else:
+        values, vectors = np.linalg.eigvalsh(gram), None
+    rank = _numerical_rank(values, tol * tol, values[-1])
     if keep is not None and not keep(rank):
         return None
     if vectors is None:
@@ -122,11 +115,42 @@ def rank_first(
     return np.ascontiguousarray(u), np.ascontiguousarray(v)
 
 
-def _numerical_rank(values: np.ndarray, cut: float, ref: float,
-                    max_rank: Optional[int]) -> int:
-    """``#{values > cut·ref}``, capped; 0 for a zero reference."""
-    rank = int(np.count_nonzero(values > cut * ref)) if ref > 0 else 0
-    return rank if max_rank is None else min(rank, max_rank)
+def _numerical_rank(values: np.ndarray, cut: float, ref: float) -> int:
+    """``#{values > cut·ref}``; 0 for a zero reference."""
+    return int(np.count_nonzero(values > cut * ref)) if ref > 0 else 0
+
+
+def recompress(us: Sequence[np.ndarray], vs: Sequence[np.ndarray],
+               tol: float) -> "RkMatrix":
+    """Round the factored sum ``Σ us[i] @ vs[i].T`` at ``tol``.
+
+    The one place the ℋ layer rounds a sum of low-rank terms: the flush of
+    an :class:`RkAccumulator`, :meth:`RkMatrix.truncate` and the H-LU /
+    H-LDLᵀ Schur updates all call it.  The factors are stacked (rank-0
+    terms skipped, dtypes promoted together); a zero sum comes back at
+    rank 0, factors at least as thick as the block go through
+    :func:`rank_first` on the dense sum, and the rest through thin QR of
+    both stacks plus a truncated SVD of the small core — ``O((m+n) r² +
+    r³)``, independent of the dense block size, which is what makes
+    hierarchical accumulation affordable.
+    """
+    m, n = us[0].shape[0], vs[0].shape[0]
+    if any(u.shape[0] != m for u in us) or any(v.shape[0] != n for v in vs):
+        raise ConfigurationError("shape mismatch in recompress")
+    dtype = np.result_type(*us, *vs)
+    terms = [(u, v) for u, v in zip(us, vs, strict=True) if u.shape[1]]
+    if not terms:
+        return RkMatrix.zeros(m, n, dtype)
+    # one term is rounded where it lies, several are stacked in order
+    u, v = (np.hstack([f.astype(dtype, copy=False) for f in fs])
+            if len(fs) > 1 else fs[0].astype(dtype, copy=False)
+            for fs in zip(*terms))
+    if u.shape[1] >= min(m, n):
+        return RkMatrix(*rank_first(u @ v.T, tol))
+    qu, ru = np.linalg.qr(u)
+    qv, rv = np.linalg.qr(v)
+    cu, cv = svd_truncate(ru @ rv.T, tol)
+    return RkMatrix(qu @ cu, qv @ cv)
 
 
 class RkMatrix:
@@ -150,12 +174,9 @@ class RkMatrix:
         return cls(np.zeros((m, 0), dtype=dtype), np.zeros((n, 0), dtype=dtype))
 
     @classmethod
-    def from_dense(
-        cls, a: np.ndarray, tol: float, max_rank: Optional[int] = None,
-        norm_ref: Optional[float] = None,
-    ) -> "RkMatrix":
+    def from_dense(cls, a: np.ndarray, tol: float) -> "RkMatrix":
         """Compress a dense block (see :func:`rank_first`)."""
-        return cls(*rank_first(a, tol, max_rank, norm_ref))
+        return cls(*rank_first(a, tol))
 
     # -- properties -----------------------------------------------------------
     @property
@@ -186,56 +207,18 @@ class RkMatrix:
         """``(U Vᵀ)ᵀ @ x = V (Uᵀ x)``."""
         return self.v @ (self.u.T @ x)
 
-    def truncate(
-        self, tol: float, max_rank: Optional[int] = None,
-        norm_ref: Optional[float] = None,
-    ) -> "RkMatrix":
-        """Recompress via thin QR of both factors + small SVD.
-
-        Cost is ``O((m+n) r² + r³)`` — independent of the dense block size,
-        which is what makes hierarchical accumulation affordable.
-        """
-        r = self.rank
-        if r == 0:
-            return self
-        m, n = self.shape
-        if r >= min(m, n):
-            # factors thicker than the block: fall back to a dense SVD
-            return RkMatrix.from_dense(self.to_dense(), tol, max_rank, norm_ref)
-        qu, ru = np.linalg.qr(self.u)
-        qv, rv = np.linalg.qr(self.v)
-        core = ru @ rv.T
-        cu, cv = svd_truncate(core, tol, max_rank, norm_ref)
-        return RkMatrix(qu @ cu, qv @ cv)
-
-    def add(
-        self, other: "RkMatrix", tol: float,
-        max_rank: Optional[int] = None, norm_ref: Optional[float] = None,
-    ) -> "RkMatrix":
-        """``self + other`` followed by recompression."""
-        if self.shape != other.shape:
-            raise ConfigurationError(
-                f"shape mismatch in Rk add: {self.shape} vs {other.shape}"
-            )
-        if other.rank == 0:
-            return self
-        if self.rank == 0:
-            return other.truncate(tol, max_rank, norm_ref)
-        dtype = np.result_type(self.dtype, other.dtype)
-        u = np.hstack([self.u.astype(dtype, copy=False),
-                       other.u.astype(dtype, copy=False)])
-        v = np.hstack([self.v.astype(dtype, copy=False),
-                       other.v.astype(dtype, copy=False)])
-        return RkMatrix(u, v).truncate(tol, max_rank, norm_ref)
+    def truncate(self, tol: float) -> "RkMatrix":
+        """Recompress at ``tol`` (see :func:`recompress`)."""
+        return recompress([self.u], [self.v], tol)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RkMatrix(shape={self.shape}, rank={self.rank})"
 
 
-#: Pending-rank budget of every accumulator ``HMatrix.commit_axpy`` makes
-#: (its ``RkAccumulator.max_rank``, read when the accumulator is made):
-#: past it an accumulator is flushed mid-stream, which bounds the factor
-#: storage and keeps the eventual QR+SVD from going superlinear.
+#: Pending-rank budget of every accumulator (read by
+#: :attr:`RkAccumulator.needs_flush`): past it ``HMatrix.commit_axpy``
+#: flushes the accumulator mid-stream, which bounds the factor storage and
+#: keeps the eventual QR+SVD from going superlinear.
 MAX_ACCUMULATED_RANK = 128
 
 
@@ -245,25 +228,22 @@ class RkAccumulator:
     Wraps a *base* :class:`RkMatrix` and a list of pending low-rank
     updates.  :meth:`append` concatenates factors without rounding —
     O(1) in flops — and :meth:`flush` folds everything into the base with
-    a **single** QR+SVD recompression, so ``n`` updates cost one rounding
+    a **single** :func:`recompress`, so ``n`` updates cost one rounding
     instead of ``n`` (the low-rank update accumulation of BLR solvers).
 
-    ``max_rank`` is the pending-rank budget: when the accumulated (base +
-    pending) rank exceeds it, :attr:`needs_flush` turns true and the owner
-    is expected to flush — unbounded accumulation would grow the factor
-    storage linearly with the update count and make the eventual QR+SVD
-    superlinear.  The accumulator never flushes behind the owner's back,
-    which keeps byte accounting and flush ordering in the owner's hands.
+    When the pending rank exceeds :data:`MAX_ACCUMULATED_RANK`,
+    :attr:`needs_flush` turns true and the owner is expected to flush —
+    unbounded accumulation would grow the factor storage linearly with
+    the update count and make the eventual QR+SVD superlinear.  The
+    accumulator never flushes behind the owner's back, which keeps byte
+    accounting and flush ordering in the owner's hands.  Its pending
+    updates are not readable: the owner flushes before any read.
     """
 
-    __slots__ = ("base", "max_rank", "_us", "_vs",
-                 "n_appends", "n_flushes")
+    __slots__ = ("base", "_us", "_vs", "n_appends", "n_flushes")
 
-    def __init__(self, base: RkMatrix, max_rank: Optional[int] = None):
-        if max_rank is not None and max_rank < 1:
-            raise ConfigurationError("RkAccumulator max_rank must be >= 1")
+    def __init__(self, base: RkMatrix):
         self.base = base
-        self.max_rank = max_rank
         self._us: List[np.ndarray] = []
         self._vs: List[np.ndarray] = []
         self.n_appends = 0
@@ -285,41 +265,13 @@ class RkAccumulator:
 
     @property
     def needs_flush(self) -> bool:
-        """True once the pending rank exceeds the configured budget.
+        """True once the pending rank exceeds :data:`MAX_ACCUMULATED_RANK`.
 
         The budget is on the *pending* factors only: gating on the base
         rank too would thrash (flush on every append) whenever a block's
         converged rank sits near the budget.
         """
-        if self.max_rank is None:
-            return False
-        return self.pending_rank > self.max_rank
-
-    # -- algebra over the pending part ---------------------------------------
-    def pending_dense(self) -> np.ndarray:
-        """Dense sum of the pending (unflushed) updates."""
-        m, n = self.base.shape
-        dt = self.base.dtype
-        if self._us:
-            dt = np.result_type(dt, *[u.dtype for u in self._us])
-        out = np.zeros((m, n), dtype=dt)
-        for u, v in zip(self._us, self._vs, strict=True):
-            out += u @ v.T
-        return out
-
-    def pending_matvec(self, x: np.ndarray, trans: bool = False) -> np.ndarray:
-        """``(sum of pending updates) @ x`` (its transpose with ``trans``)
-        without materialising them."""
-        out = None
-        us, vs = (self._vs, self._us) if trans else (self._us, self._vs)
-        for u, v in zip(us, vs, strict=True):
-            term = u @ (v.T @ x)
-            out = term if out is None else out + term
-        if out is None:
-            shape = (self.base.shape[int(trans)],) + x.shape[1:]
-            out = np.zeros(shape, dtype=np.result_type(self.base.dtype,
-                                                       x.dtype))
-        return out
+        return self.pending_rank > MAX_ACCUMULATED_RANK
 
     # -- lifecycle ------------------------------------------------------------
     def append(self, rk: RkMatrix) -> int:
@@ -340,24 +292,19 @@ class RkAccumulator:
         self.n_appends += 1
         return rk.u.nbytes + rk.v.nbytes
 
-    def flush(self, tol: float, max_rank: Optional[int] = None,
-              norm_ref: Optional[float] = None) -> RkMatrix:
-        """Fold every pending update into the base with one recompression.
+    def flush(self, tol: float) -> RkMatrix:
+        """Fold every pending update into the base with one
+        :func:`recompress` of ``[base | pending]``.
 
         Returns the new base (also stored on :attr:`base`).  With no
         pending updates this is a no-op returning the base unchanged.
         """
         if not self._us:
             return self.base
-        dtype = np.result_type(self.base.dtype,
-                               *[u.dtype for u in self._us])
-        parts_u = ([self.base.u] if self.base.rank else []) + self._us
-        parts_v = ([self.base.v] if self.base.rank else []) + self._vs
-        u = np.hstack([p.astype(dtype, copy=False) for p in parts_u])
-        v = np.hstack([p.astype(dtype, copy=False) for p in parts_v])
+        self.base = recompress([self.base.u, *self._us],
+                               [self.base.v, *self._vs], tol)
         self._us.clear()
         self._vs.clear()
-        self.base = RkMatrix(u, v).truncate(tol, max_rank, norm_ref)
         self.n_flushes += 1
         return self.base
 

@@ -17,8 +17,9 @@ BLR compression multiplies it by a ratio < 1.  The dense Schur block costs
 a symmetric system, two otherwise).  The remaining terms are the
 per-algorithm workspaces (multi-solve's solve work vector and its
 ``Y_i``/``Z_i`` panels — ``Y_i`` only over the volume unknowns ``A_sv``
-couples to — the ``X_ij`` blocks and, on a non-symmetric system, the
-duplicated unsymmetric storage of multi-factorization's kept factor).
+couples to — once per panel task in flight on ``n_workers`` workers, the
+``X_ij`` blocks and, on a non-symmetric system, the duplicated
+unsymmetric storage of multi-factorization's kept factor).
 All coefficients are overridable and can be fitted from measured runs
 with :meth:`CouplingMemoryModel.calibrated`.
 """
@@ -162,11 +163,18 @@ class CouplingMemoryModel:
         dims: ProblemDims,
         n_c: int = 256,
         n_b: int = 2,
+        n_workers: int = 1,
         out_of_core: bool = False,
     ) -> Dict[str, float]:
         """Dominant peak-memory components (bytes) for ``algorithm``.
 
         Returns a dict of named components; sum them for the total peak.
+
+        ``n_workers`` is the run's worker count: the runtimes keep at
+        most that many tasks holding budget, so multi-solve has
+        ``min(n_workers, n_panels)`` panel tasks in flight, each with its
+        own solve workspace, ``Y`` and ``Z`` (and, on a compressed ``S``,
+        the cluster-order gather of ``Z``), as its task budget reserves.
 
         ``out_of_core=True`` models the paper's §VII out-of-core direction:
         the *stored* Schur representation (dense buffer or compressed
@@ -198,18 +206,20 @@ class CouplingMemoryModel:
             )
         elif algorithm in ("multi_solve", "multi_solve_compressed"):
             comp["sparse_factor"] = self.sparse_factor_bytes(n_v)
+            in_flight = min(n_workers, math.ceil(n_s / n_c))
             # the sweeps run on every volume unknown; the solution comes
             # back on the ones A_sv couples to
-            comp["solve_workspace"] = self.dense_bytes(n_v, n_c)
-            comp["solve_panel_Y"] = self.dense_bytes(
+            comp["solve_workspace"] = in_flight * self.dense_bytes(n_v, n_c)
+            comp["solve_panel_Y"] = in_flight * self.dense_bytes(
                 min(n_v, math.ceil(_COUPLED_VOLUME_BOUND * n_s)), n_c)
             if algorithm == "multi_solve":
-                comp["spmm_panel_Z"] = self.dense_bytes(n_s, n_c)
+                comp["spmm_panel_Z"] = in_flight * self.dense_bytes(n_s, n_c)
                 comp["schur_dense"] = self.dense_bytes(n_s)
             else:
                 # a panel task holds its Z and, while it pre-compresses,
                 # the cluster-order gather of Z
-                comp["spmm_panel_Z"] = 2 * self.dense_bytes(n_s, n_c)
+                comp["spmm_panel_Z"] = (
+                    in_flight * 2 * self.dense_bytes(n_s, n_c))
                 comp["schur_hodlr"] = self.hodlr_bytes(n_s)
         else:  # multi_factorization, dense or compressed S
             block = max(1, math.ceil(n_s / n_b))

@@ -57,8 +57,6 @@ CATEGORY_DESCRIPTIONS: Dict[str, str] = {
                     "S; a dense S is factored in its schur_store buffer",
     "axpy_accumulator": "pending low-rank factors awaiting deferred "
                         "recompression (RkAccumulator batches)",
-    "axpy_gather": "cluster-permuted gather of one dense AXPY panel",
-    "axpy_plan": "pre-compressed AXPY plan awaiting commit",
     "factor_cache": "cached numeric factorizations held by the serving "
                     "layer's FactorCache (charged at entry peak_bytes, "
                     "released on LRU eviction)",

@@ -17,7 +17,9 @@ admission hits the limit the coordinator drains the oldest outstanding
 result first (which frees budget the same way an earlier thread-backend
 task would), so ``limit_bytes`` semantics and the deadlock-freedom
 argument are unchanged; a task too large for the limit on its own raises
-exactly as a serial run would.
+exactly as a serial run would.  As on threads, at most ``n_workers``
+tasks are outstanding: the coordinator consumes the oldest before it
+admits one more, so the peak is the same ``n_workers`` task budgets.
 
 **Ordered, deterministic consume.**  Tasks are submitted and consumed in
 index order on the caller's thread, so folds into the Schur container
@@ -376,6 +378,9 @@ class ProcessRuntime:
         pending: deque = deque()  # (task, future, alloc, slab_name)
         try:
             for task in pooled:
+                # bounded lookahead, as on the thread backend
+                while len(pending) >= self.n_workers:
+                    self._consume_one(pending.popleft(), consume)
                 alloc, slab_name = self._admit(task, pending, consume)
                 try:
                     future = pool.submit(

@@ -29,6 +29,13 @@ budget held by *earlier* tasks, which the consumer — draining results in
 the same order — is always able to free; no cyclic wait can form.  A task
 too large for the limit on its own raises exactly as a serial run would.
 
+**Bounded lookahead.**  Task ``k`` is admitted only once task
+``k − n_workers`` has been consumed, so at most ``n_workers`` tasks hold
+budget at any time — a finished task waiting for the in-order consume
+counts as one of them.  The peak is therefore at most ``n_workers``
+task budgets over the serial run's, which is what
+:class:`~repro.memory.model.CouplingMemoryModel` charges.
+
 Per-worker :class:`~repro.utils.timer.PhaseTimer` instances record where
 each worker spent its time, plus a ``scheduler_wait`` phase covering
 turnstile and admission blocking; :meth:`ParallelRuntime.finalize` merges
@@ -157,6 +164,7 @@ class ParallelRuntime:
         self._timer_lock = threading.Lock()
         self._admit_cond = threading.Condition()
         self._next_admit = 0  # guarded-by: _admit_cond
+        self._n_consumed = 0  # guarded-by: _admit_cond
         self._n_tasks = 0
         self._run_wall = 0.0  # coordinator-only (accumulated in run())
         self._closed = False
@@ -177,7 +185,8 @@ class ParallelRuntime:
         """Turnstile + budget acquisition, in task order (see module docs)."""
         t0 = time.perf_counter()
         with self._admit_cond:
-            while self._next_admit != seq:
+            while (self._next_admit != seq
+                   or seq >= self._n_consumed + self.n_workers):
                 self._admit_cond.wait()
         alloc = None
         try:
@@ -263,6 +272,7 @@ class ParallelRuntime:
             )
         with self._admit_cond:
             self._next_admit = 0
+            self._n_consumed = 0
         futures = [
             self._pool.submit(self._run_task, seq, task)
             for seq, task in enumerate(tasks)
@@ -274,6 +284,7 @@ class ParallelRuntime:
             except BaseException as exc:  # noqa: BLE001 - drained and re-raised
                 if first_error is None:
                     first_error = exc
+                self._consumed_one()
                 continue
             try:
                 if first_error is None and consume is not None:
@@ -283,8 +294,15 @@ class ParallelRuntime:
                     first_error = exc
             finally:
                 alloc.free()
+                self._consumed_one()
         if first_error is not None:
             raise first_error
+
+    def _consumed_one(self) -> None:
+        """Open the lookahead window by one task (see module docs)."""
+        with self._admit_cond:
+            self._n_consumed += 1
+            self._admit_cond.notify_all()
 
     def _serial_timer(self) -> PhaseTimer:
         ident = -1  # stable key: the caller thread plays worker-0

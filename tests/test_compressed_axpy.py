@@ -25,8 +25,7 @@ from repro.core.result import CoupledSolution
 from repro.hmatrix import rk as rk_mod
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.hmatrix import hodlr_from_dense, hodlr_zeros
-from repro.hmatrix.rk import RkAccumulator, RkMatrix, svd_truncate
-from repro.memory.tracker import MemoryTracker
+from repro.hmatrix.rk import RkAccumulator, RkMatrix, recompress, svd_truncate
 from repro.utils.errors import ConfigurationError
 
 TOL = 1e-9
@@ -62,10 +61,6 @@ class TestRkAccumulator:
         with pytest.raises(ConfigurationError, match="shape mismatch"):
             acc.append(_random_rk(rng, 10, 11, 2))
 
-    def test_max_rank_validation(self):
-        with pytest.raises(ConfigurationError, match="max_rank"):
-            RkAccumulator(RkMatrix.zeros(4, 4), max_rank=0)
-
     def test_flush_equals_eager_sum(self, rng):
         base = _random_rk(rng, 50, 40, 4)
         updates = [_random_rk(rng, 50, 40, 2) for _ in range(5)]
@@ -81,31 +76,34 @@ class TestRkAccumulator:
         err = np.linalg.norm(out.to_dense() - dense)
         assert err <= 100 * TOL * np.linalg.norm(dense)
 
+    def test_flush_is_recompress_of_the_stacked_factors(self, rng):
+        base = _random_rk(rng, 50, 40, 4)
+        updates = [_random_rk(rng, 50, 40, r) for r in (2, 3, 1)]
+        acc = RkAccumulator(base)
+        for u in updates:
+            acc.append(u)
+        out = acc.flush(TOL)
+        ref = recompress([base.u] + [u.u for u in updates],
+                         [base.v] + [u.v for u in updates], TOL)
+        assert np.array_equal(out.u, ref.u)
+        assert np.array_equal(out.v, ref.v)
+
     def test_flush_without_pending_is_noop(self, rng):
         base = _random_rk(rng, 20, 20, 3)
         acc = RkAccumulator(base)
         assert acc.flush(TOL) is base
         assert acc.n_flushes == 0
 
-    def test_needs_flush_gates_on_pending_rank_only(self, rng):
+    def test_needs_flush_gates_on_pending_rank_only(self, rng, monkeypatch):
         # a converged base rank near the budget must not thrash
+        monkeypatch.setattr(rk_mod, "MAX_ACCUMULATED_RANK", 8)
         base = _random_rk(rng, 64, 64, 30)
-        acc = RkAccumulator(base, max_rank=8)
+        acc = RkAccumulator(base)
         assert not acc.needs_flush
         acc.append(_random_rk(rng, 64, 64, 8))
         assert not acc.needs_flush
         acc.append(_random_rk(rng, 64, 64, 1))
         assert acc.needs_flush
-
-    def test_pending_dense_and_matvec(self, rng):
-        acc = RkAccumulator(RkMatrix.zeros(30, 20))
-        ups = [_random_rk(rng, 30, 20, 2) for _ in range(3)]
-        for u in ups:
-            acc.append(u)
-        dense = sum(u.to_dense() for u in ups)
-        np.testing.assert_allclose(acc.pending_dense(), dense)
-        x = rng.standard_normal((20, 4))
-        np.testing.assert_allclose(acc.pending_matvec(x), dense @ x)
 
 
 # -- gesvd fallback -----------------------------------------------------------
@@ -169,21 +167,24 @@ class TestSplitAxpy:
             assert err <= 100 * tol * max(1.0, np.linalg.norm(target))
             assert hm.pending_accumulator_nbytes() == 0
 
-    def test_reads_include_pending_state(self, tree_and_target, rng):
+    def test_reads_with_pending_state_raise(self, tree_and_target, rng):
         n, tree = tree_and_target
         hm = hodlr_zeros(tree, 1e-10, np.float64)
         panel = rng.standard_normal((n, 40))
-        cols = np.arange(40)
-        hm.axpy_dense(-1.0, panel, np.arange(n), cols)
+        hm.axpy_dense(-1.0, panel, np.arange(n), np.arange(40))
         assert hm.pending_accumulator_nbytes() > 0
-        target = np.zeros((n, n))
-        target[:, :40] = -panel
-        # to_dense and matvec must see the unflushed updates
-        assert np.linalg.norm(hm.to_dense() - target) <= 1e-8
-        x = rng.standard_normal(n)
-        np.testing.assert_allclose(hm.matvec(x), target @ x, atol=1e-8)
         # nbytes includes the pending factors
         assert hm.nbytes() >= hm.pending_accumulator_nbytes()
+        # reading the bare factors would drop the pending updates
+        x = rng.standard_normal(n)
+        for read in (hm.to_dense, lambda: hm.matvec(x)):
+            with pytest.raises(ConfigurationError, match="unflushed"):
+                read()
+        hm.flush_accumulators()
+        target = np.zeros((n, n))
+        target[:, :40] = -panel
+        assert np.linalg.norm(hm.to_dense() - target) <= 1e-8
+        np.testing.assert_allclose(hm.matvec(x), target @ x, atol=1e-8)
 
     def test_deltas_track_tree_walk_exactly(self, tree_and_target, rng,
                                             monkeypatch):
@@ -221,7 +222,8 @@ class TestSplitAxpy:
 
     def test_immediate_fold_is_the_eager_rk_add(self, rng):
         """A commit flushed straight away (``n_S = n_c``): the factors,
-        byte deltas and counters are those of ``rk.add`` per fold."""
+        byte deltas and counters are those of one ``recompress`` of
+        ``[block | piece]`` per fold."""
         n = 96
         tree = build_cluster_tree(rng.random((n, 3)), leaf_size=24)
         hm = hodlr_from_dense(rng.standard_normal((n, n)), tree, tol=1e-8)
@@ -234,7 +236,8 @@ class TestSplitAxpy:
             v = np.zeros((rk.shape[1], upd.small.rank))
             u[upd.rows] = upd.small.u
             v[upd.cols] = upd.small.v
-            expected.append((rk.nbytes, rk.add(RkMatrix(u, v), hm.tol)))
+            expected.append((rk.nbytes,
+                             recompress([rk.u, u], [rk.v, v], hm.tol)))
         assert len({(id(f.node), f.side) for f in plan.folds}) == len(plan.folds)
         store_delta, pending_delta = hm.commit_axpy(plan)
         flushed = hm.flush_accumulators()
@@ -307,19 +310,6 @@ class TestSplitAxpy:
         hm.flush_accumulators()
         hm.copy()  # flushed: fine
 
-    def test_gather_temporary_is_charged(self, rng):
-        n = 96
-        pts = rng.random((n, 3))
-        tree = build_cluster_tree(pts, leaf_size=24)
-        a = rng.standard_normal((n, n))
-        hm = hodlr_from_dense(a, tree, tol=1e-8)
-        tracker = MemoryTracker()
-        panel = rng.standard_normal((n, 32))
-        hm.axpy_dense(-1.0, panel, np.arange(n), np.arange(32),
-                      tracker=tracker)
-        assert tracker.peak_categories.get("axpy_gather", 0) >= panel.nbytes
-        assert tracker.in_use == 0
-
     def test_precompress_plan_is_pure(self, tree_and_target, rng):
         """precompress mutates nothing until commit applies the plan."""
         n, tree = tree_and_target
@@ -330,6 +320,7 @@ class TestSplitAxpy:
         np.testing.assert_array_equal(hm.to_dense(), before)
         assert plan.nbytes > 0
         hm.commit_axpy(plan)
+        hm.flush_accumulators()
         assert np.linalg.norm(hm.to_dense() - before) > 0
 
 

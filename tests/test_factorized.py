@@ -151,8 +151,9 @@ class TestSpidoStoresSOnce:
     @pytest.mark.parametrize("case", ["aircraft_small", "pipe_small"])
     def test_memory_model_bounds_the_multi_solve_peak(self, request, case):
         """``CouplingMemoryModel``'s spido multi-solve prediction, its
-        factor coefficient calibrated on the run's own sparse factor, is
-        an upper bound of the tracked peak."""
+        factor coefficient calibrated on the run's own sparse factor and
+        its panels in flight those of the run's worker count, is an upper
+        bound of the tracked peak."""
         from repro.memory.model import CouplingMemoryModel, ProblemDims
 
         problem = request.getfixturevalue(case)
@@ -168,7 +169,7 @@ class TestSpidoStoresSOnce:
         predicted = model.peak_bytes(
             "multi_solve",
             ProblemDims(problem.n_total, problem.n_fem, problem.n_bem),
-            n_c=config.n_c)
+            n_c=config.n_c, n_workers=config.effective_n_workers)
         assert stats.peak_bytes <= predicted
 
 

@@ -9,7 +9,7 @@ from repro.hmatrix import (
     build_cluster_tree,
     hodlr_from_dense,
 )
-from repro.hmatrix.rk import RkMatrix
+from repro.hmatrix.rk import RkMatrix, recompress
 
 
 def _random_points(rng, n):
@@ -68,6 +68,7 @@ def test_property_axpy_arbitrary_subsets(n, leaf, rows, cols, seed):
     c = rng.choice(n, size=min(cols, n), replace=False)
     upd = rng.standard_normal((len(r), len(c)))
     hm.axpy_dense(1.0, upd, r, c)
+    hm.flush_accumulators()
     ref = a.copy()
     ref[np.ix_(r, c)] += upd
     assert np.abs(hm.to_dense() - ref).max() < 1e-5
@@ -79,7 +80,8 @@ def test_property_axpy_arbitrary_subsets(n, leaf, rows, cols, seed):
     r1=st.integers(0, 5), r2=st.integers(0, 5), seed=st.integers(0, 500),
 )
 def test_property_rk_add_is_additive(m, n, r1, r2, seed):
-    """Rk add with recompression equals the dense sum within tolerance."""
+    """``recompress`` of two stacked Rk blocks equals their dense sum
+    within tolerance."""
     rng = np.random.default_rng(seed)
 
     def rk(r):
@@ -89,7 +91,7 @@ def test_property_rk_add_is_additive(m, n, r1, r2, seed):
                         rng.standard_normal((n, r)))
 
     a, b = rk(r1), rk(r2)
-    out = a.add(b, tol=1e-12)
+    out = recompress([a.u, b.u], [a.v, b.v], tol=1e-12)
     np.testing.assert_allclose(
         out.to_dense(), a.to_dense() + b.to_dense(),
         atol=1e-7 * max(1.0, np.linalg.norm(a.to_dense())

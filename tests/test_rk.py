@@ -1,11 +1,12 @@
-"""Tests for Rk (low-rank outer-product) blocks and SVD truncation."""
+"""Tests for Rk (low-rank outer-product) blocks, SVD truncation and the
+one rounding routine, ``recompress``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hmatrix.rk import RkMatrix, rank_first, svd_truncate
+from repro.hmatrix.rk import RkMatrix, rank_first, recompress, svd_truncate
 from tests.test_blr import _SHAPES, _SPECTRA, _Decompositions, _panel
 from repro.utils.errors import ConfigurationError
 
@@ -43,13 +44,6 @@ class TestSvdTruncate:
         u, v = svd_truncate(np.zeros((10, 5)), tol=1e-3)
         assert u.shape == (10, 0)
         assert v.shape == (5, 0)
-
-    def test_norm_ref_allows_dropping_relative_to_context(self, rng):
-        a = 1e-8 * rng.standard_normal((20, 20))
-        # relative to its own norm the block is full rank, relative to a
-        # large context norm it rounds to nothing
-        u, _ = svd_truncate(a, tol=1e-3, norm_ref=1.0)
-        assert u.shape[1] == 0
 
     def test_empty_block(self):
         u, v = svd_truncate(np.zeros((0, 4)), tol=1e-3)
@@ -101,23 +95,25 @@ class TestRkMatrix:
         np.testing.assert_allclose(out.to_dense(), rk.to_dense(), atol=1e-8)
 
     def test_add_with_recompression(self, rng):
-        a = _low_rank(rng, 25, 20, 3)
-        b = _low_rank(rng, 25, 20, 2)
-        out = RkMatrix.from_dense(a, 1e-12).add(
-            RkMatrix.from_dense(b, 1e-12), tol=1e-10
-        )
+        a = RkMatrix.from_dense(_low_rank(rng, 25, 20, 3), 1e-12)
+        b = RkMatrix.from_dense(_low_rank(rng, 25, 20, 2), 1e-12)
+        out = recompress([a.u, b.u], [a.v, b.v], tol=1e-10)
         assert out.rank <= 5
-        np.testing.assert_allclose(out.to_dense(), a + b, atol=1e-8)
+        np.testing.assert_allclose(out.to_dense(),
+                                   a.to_dense() + b.to_dense(), atol=1e-8)
 
     def test_add_shape_mismatch_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            RkMatrix.zeros(3, 3).add(RkMatrix.zeros(4, 3), tol=1e-3)
+        a, b = RkMatrix.zeros(3, 3), RkMatrix.zeros(4, 3)
+        with pytest.raises(ConfigurationError, match="shape mismatch"):
+            recompress([a.u, b.u], [a.v, b.v], tol=1e-3)
 
     def test_add_rank_zero_is_identity(self, rng):
-        a = _low_rank(rng, 10, 10, 2)
-        rk = RkMatrix.from_dense(a, 1e-12)
-        out = rk.add(RkMatrix.zeros(10, 10), tol=1e-10)
-        np.testing.assert_allclose(out.to_dense(), a, atol=1e-10)
+        rk = RkMatrix.from_dense(_low_rank(rng, 10, 10, 2), 1e-12)
+        zero = RkMatrix.zeros(10, 10)
+        out = recompress([rk.u, zero.u], [rk.v, zero.v], tol=1e-10)
+        alone = rk.truncate(1e-10)
+        assert np.array_equal(out.u, alone.u)
+        assert np.array_equal(out.v, alone.v)
 
     def test_complex_symmetric_uses_plain_transpose(self, rng):
         a = _low_rank(rng, 15, 15, 3, np.complex128)
@@ -170,29 +166,6 @@ class TestRankFirst:
         assert rk.dtype == dtype
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-9], ids=["gram", "svd"])
-    def test_norm_ref_and_max_rank_honoured(self, rng, tol):
-        a = _panel(rng, 96, 64, 0.5 ** np.arange(64), np.float64)
-        own = RkMatrix.from_dense(a, tol).rank
-        assert RkMatrix.from_dense(a, tol, max_rank=3).rank == 3
-        # relative to a context 2⁴ larger, four more values drop
-        assert RkMatrix.from_dense(a, tol, norm_ref=16.0).rank == own - 4
-        assert RkMatrix.from_dense(a, tol, norm_ref=16.0,
-                                   max_rank=2).rank == 2
-        assert RkMatrix.from_dense(a, tol, norm_ref=1e12).rank == 0
-        capped = RkMatrix.from_dense(a, tol, max_rank=3)
-        assert np.linalg.norm(a - capped.to_dense(), 2) <= 0.5 ** 3 * 1.001
-
-    def test_small_norm_ref_pulls_the_threshold_under_the_gram_bound(
-            self, rng, monkeypatch):
-        """``(tol·ref)²`` is what the Gram spectrum must resolve: a
-        ``norm_ref`` far below ``σ₀`` sends the block to the SVD."""
-        a = _panel(rng, 96, 64, 0.5 ** np.arange(64), np.float64)
-        count = _Decompositions(monkeypatch)
-        rk = RkMatrix.from_dense(a, 1e-3, norm_ref=1e-6)
-        assert (count.svd_vectors, count.eigh) == (1, 1)  # tried, then SVD
-        assert rk.rank == int(np.sum(0.5 ** np.arange(64) > 1e-9))
-
-    @pytest.mark.parametrize("tol", [1e-3, 1e-9], ids=["gram", "svd"])
     def test_keep_sees_the_rank_before_any_vector(self, rng, monkeypatch,
                                                   tol):
         a = _panel(rng, 64, 200, np.linspace(1.0, 0.5, 7), np.float64)
@@ -222,6 +195,43 @@ class TestRankFirst:
         assert (count.eigh, count.svd_vectors) == (1, 0)
         assert out.rank == 5
         np.testing.assert_allclose(out.to_dense(), 6 * u @ v.T, atol=1e-9)
+
+
+class TestRecompress:
+    """``recompress`` is the one rounding of a factored sum."""
+
+    def test_thick_stack_is_rank_first_of_the_dense_sum(self, rng):
+        us = [rng.standard_normal((30, 12)) for _ in range(2)]
+        vs = [rng.standard_normal((24, 12)) for _ in range(2)]
+        out = recompress(us, vs, 1e-4)  # rank 24 ≥ min(30, 24)
+        u, v = rank_first(np.hstack(us) @ np.hstack(vs).T, 1e-4)
+        assert np.array_equal(out.u, u) and np.array_equal(out.v, v)
+
+    def test_thin_stack_is_qr_plus_core_svd(self, rng):
+        us = [rng.standard_normal((40, 3)) for _ in range(2)]
+        vs = [rng.standard_normal((30, 3)) for _ in range(2)]
+        out = recompress(us, vs, 1e-12)
+        qu, ru = np.linalg.qr(np.hstack(us))
+        qv, rv = np.linalg.qr(np.hstack(vs))
+        cu, cv = svd_truncate(ru @ rv.T, 1e-12)
+        assert np.array_equal(out.u, qu @ cu)
+        assert np.array_equal(out.v, qv @ cv)
+
+    def test_zero_sum_is_rank_zero(self):
+        out = recompress([np.zeros((5, 0)), np.zeros((5, 0))],
+                         [np.zeros((7, 0), np.complex128), np.zeros((7, 0))],
+                         1e-3)
+        assert out.shape == (5, 7) and out.rank == 0
+        assert out.dtype == np.complex128
+
+    def test_mixed_dtypes_promote(self, rng):
+        a = RkMatrix(rng.standard_normal((20, 2)), rng.standard_normal((15, 2)))
+        b = RkMatrix(rng.standard_normal((20, 1)) + 1j,
+                     rng.standard_normal((15, 1)))
+        out = recompress([a.u, b.u], [a.v, b.v], 1e-12)
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out.to_dense(),
+                                   a.to_dense() + b.to_dense(), atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)

@@ -88,8 +88,8 @@ class TestHodlrContainer:
                                 tracker)
         before = tracker.category_in_use("schur_store")
         n = pipe_small.n_bem
-        c.subtract_block(rng.standard_normal((n, 40)), np.arange(n),
-                         np.arange(40))
+        c.commit(c.precompress_subtract(rng.standard_normal((n, 40)),
+                                        np.arange(n), np.arange(40)))
         # growth lands in the pending accumulators until flush; store +
         # pending always covers the tree exactly
         store = tracker.category_in_use("schur_store")
@@ -112,8 +112,9 @@ class TestHodlrContainer:
             pipe_small, SolverConfig(dense_backend="hmat"), tracker)
         n = pipe_small.n_bem
         for lo in (0, 40, 80):
-            c.subtract_block(rng.standard_normal((n, 40)), np.arange(n),
-                             np.arange(lo, lo + 40))
+            c.commit(c.precompress_subtract(rng.standard_normal((n, 40)),
+                                            np.arange(n),
+                                            np.arange(lo, lo + 40)))
             c.flush()
             assert tracker.category_in_use("axpy_accumulator") == 0
             assert c.s.pending_accumulator_nbytes() == 0
@@ -157,7 +158,8 @@ class TestPanelSpec:
             rows, cols = c.panel(lo, min(n, lo + n_c))
             assert np.array_equal(cols, c.tree.perm[lo:lo + n_c])
             n_rows.append(len(rows))
-            c.subtract_block(np.ones((len(rows), len(cols))), rows, cols)
+            c.commit(c.precompress_subtract(
+                np.ones((len(rows), len(cols))), rows, cols))
             if flush_each:
                 c.flush()
         c.flush()
