@@ -30,22 +30,24 @@ on a symmetric system ``X_ji = X_ijᵀ``: only the ``n_b(n_b+1)/2`` blocks
 ``X_ij`` is folded into ``S`` twice — at ``(rows_i, cols_j)`` and, as its
 transpose view, at ``(rows_j, cols_i)``.
 
-With the hierarchical dense backend each returned dense block ``X_ij`` is
-folded into the compressed ``S`` by a compressed AXPY (§IV-B2): it is
-*pre-compressed on its worker* — only a low-rank plan travels to the
-serialized commit, which appends to deferred-recompression accumulators —
-and a single ``flush()`` before the hierarchical factorization
-recompresses each off-diagonal block once.
+Each task hands its dense ``X_ij`` (and, on a symmetric system, the
+mirror view) to the Schur container's ``prepare`` on the worker that
+computed it, and :func:`~repro.core.schur_tools.assemble_schur` commits
+the blocks in ``(i, j)`` order.  With the hierarchical dense backend that
+is the compressed AXPY (§IV-B2): ``prepare`` pre-compresses ``X_ij`` on
+its worker — only a low-rank plan travels to the serialized commit, which
+appends to deferred-recompression accumulators — and a single flush
+before the hierarchical factorization recompresses each off-diagonal
+block once.  On an entrywise ``S`` the commit is the plain AXPY.
 
 The block factorizations are mutually independent — each builds
 its own ``W`` and pays its own sparse factorization — so they run on the
 shared-memory parallel runtime (:mod:`repro.runtime`) when
-``config.n_workers > 1``.  The folds into the Schur container are consumed
-on the caller thread in ``(i, j)`` order, keeping the assembled ``S``
-bit-identical for any worker count; with ``k`` workers up to ``k`` sparse
-factorizations are in progress at once, each with its own front workspace
-and contribution blocks (the time/memory trade-off of parallelising this
-algorithm), and one — the last block's — is kept.
+``config.n_workers > 1``; the ordered commit keeps the assembled ``S``
+bit-identical for any worker count.  With ``k`` workers up to ``k``
+sparse factorizations are in progress at once, each with its own front
+workspace and contribution blocks (the time/memory trade-off of
+parallelising this algorithm), and one — the last block's — is kept.
 """
 
 from __future__ import annotations
@@ -55,12 +57,17 @@ import scipy.sparse as sp
 
 from repro.core.schur_tools import (
     RunContext,
+    assemble_schur,
     make_schur_container,
     make_sparse_solver,
+    prepare_on_worker,
+    prepare_updates,
 )
-from repro.hmatrix.hmatrix import HMatrix
 from repro.memory.tracker import MemoryTracker
 from repro.runtime import PanelTask
+
+#: ``S_ij = A_ss_ij + X_ij``
+ALPHA = 1.0
 
 
 def _surface_blocks(n_s: int, n_b: int):
@@ -68,16 +75,12 @@ def _surface_blocks(n_s: int, n_b: int):
     return np.array_split(np.arange(n_s), min(n_b, n_s))
 
 
-# -- process-backend worker context and kernel ----------------------------------
+# -- process backend (ROADMAP item 5(b) deletes it) -----------------------------
 #
-# Module-level (hence picklable) counterpart of the ``block_task`` closure,
-# run inside worker processes by :class:`repro.runtime.ProcessRuntime`.
-# Each worker owns a private sparse solver (fresh untracked tracker) and
-# unpickles the coordinator's analysis of ``A_vv`` once, with the rest of
-# the payload; a non-final block computes only its Schur block, which
-# travels back dense (via a shared-memory slab) or as a pre-compressed
-# portable plan.  The *last* block runs inline on the coordinator so its
-# factors stay available for the right-hand-side solves.
+# The picklable twin of the ``block_task`` closure runs in worker processes,
+# each with a private sparse solver (untracked) and the coordinator's
+# analysis of ``A_vv``, shipped once; the *last* block runs inline on the
+# coordinator so its factors stay there for the right-hand-side solves.
 
 
 def _facto_worker_ctx(payload):
@@ -144,31 +147,14 @@ def _folds(w, x_block, i: int, j: int):
 
 
 def _facto_block_kernel(w, timer, i: int, j: int):
-    """The Schur block of one non-final ``W`` on a worker process: the
-    dense ``X_ij`` or its pre-compressed plans — never a tuple, which is
-    how the consumer tells it from the thread backend's ``(mf_ij, body)``.
-    """
+    """The Schur block of one non-final ``W`` on a worker process,
+    prepared by :func:`~repro.core.schur_tools.prepare_on_worker`."""
     x_block, x_alloc = _factorize_w_block(
         w, w["sparse"].schur_complement, timer, i, j)
     try:
-        skel = w.get("skeleton")  # shipped only for a compressed S
-        if skel is not None:
-            body = []
-            for x, rows, cols in _folds(w, x_block, i, j):
-                before = skel.n_panel_compressions
-                with timer.phase("schur_precompress"):
-                    plan = skel.precompress_axpy(1.0, x, rows, cols)
-                body.append(HMatrix.export_plan(
-                    plan, skel.n_panel_compressions - before
-                ))
-        else:
-            blocks = w["blocks"]
-            body = np.ascontiguousarray(
-                x_block[:len(blocks[i]), :len(blocks[j])])
+        return prepare_on_worker(w, timer, ALPHA, _folds(w, x_block, i, j))
     finally:
-        del x_block
         x_alloc.free()
-    return body
 
 
 def assemble_multi_factorization(ctx: RunContext):
@@ -180,7 +166,6 @@ def assemble_multi_factorization(ctx: RunContext):
     the run keeps.
     """
     problem, config = ctx.problem, ctx.config
-    compressed = config.dense_backend == "hmat"
     # the interior block of every W is A_vv: the ordering + symbolic
     # analysis runs once, here, and each block only grafts its Schur
     # border onto it (the split analyse/factorize API of real solvers);
@@ -194,10 +179,8 @@ def assemble_multi_factorization(ctx: RunContext):
         container = ctx.own(make_schur_container(problem, config, ctx.tracker))
 
     blocks = _surface_blocks(problem.n_bem, config.n_b)
-    n_blocks = len(blocks)
     itemsize = np.dtype(problem.dtype).itemsize
     mf = None
-    backend = ctx.runtime_backend
     # what a block task reads, for the thread closure and (pickled once per
     # worker) the process kernel alike
     w = {
@@ -209,38 +192,27 @@ def assemble_multi_factorization(ctx: RunContext):
         "blocks": blocks,
         "config": config,
     }
-    if backend == "process" and compressed:
-        w["skeleton"] = container.structure_skeleton()
 
     def block_task(seq: int, i: int, j: int, is_last: bool) -> PanelTask:
         """One ``W = [[A_vv, A_sv_jᵀ], [A_sv_i, 0]]`` factorization+Schur."""
         k = max(len(blocks[i]), len(blocks[j]))
 
         def fn(timer, alloc):
-            mf_ij = None
+            nonlocal mf
             if is_last:
-                mf_ij = ctx.own(_factorize_w_block(
+                # the last block's factorization still holds A_vv's
+                # factors, which the coupled right-hand-side solves reuse
+                mf = ctx.own(_factorize_w_block(
                     w, sparse.factorize_schur, timer, i, j))
-                x_block, x_alloc = mf_ij.take_schur()
+                x_block, x_alloc = mf.take_schur()
             else:
                 x_block, x_alloc = _factorize_w_block(
                     w, sparse.schur_complement, timer, i, j)
-            ctx.own(x_alloc)
-            if not compressed:
-                return mf_ij, (x_block, x_alloc)
-            # pre-compress the dense X_ij on this worker (the SVDs of the
-            # quadrant pieces — the expensive part of the fold); the dense
-            # block dies here, only the compressed plans travel to the
-            # serialized commit
-            with timer.phase("schur_precompress"):
-                plans = [
-                    container.precompress_add(x, rows, cols)
-                    for x, rows, cols in _folds(w, x_block, i, j)
-                ]
-            del x_block
-            ctx.free(x_alloc)
-            alloc.resize(sum(plan.nbytes for plan in plans))
-            return mf_ij, plans
+            # the task's allocation takes over X_ij's charge
+            x_alloc.free()
+            alloc.resize(x_block.nbytes)
+            return prepare_updates(container, ALPHA,
+                                   _folds(w, x_block, i, j), timer, alloc)
 
         # the factor storage is only known after the numeric factorization;
         # reserving the dense Schur block twice over is a scheduling
@@ -252,75 +224,29 @@ def assemble_multi_factorization(ctx: RunContext):
             headroom_bytes=2 * k * k * itemsize,
             category="schur_block",
             label=f"W block ({i},{j})",
-            payload=(i, j, is_last),
+            payload=(i, j),
             kernel=_facto_block_kernel,
             kernel_args=(i, j),
-            result_nbytes=0 if compressed else k * k * itemsize,
+            result_nbytes=k * k * itemsize,
             # the last block's factors must live in the coordinator for
             # the right-hand-side solves; the process backend runs it
             # there once the pool has drained
             inline=is_last,
         )
 
-    def fold(i, j, body):
-        """Ordered commit of one block: pre-compressed plans (compressed
-        ``S``), or dense ``X_ij`` and its mirror image on a symmetric
-        system (dense ``S``)."""
-        with ctx.timer.phase(
-            "schur_compression" if compressed else "schur_update"
-        ):
-            if isinstance(body, np.ndarray):
-                for x, rows, cols in _folds(w, body, i, j):
-                    container.add_block(x, rows, cols)
-            else:
-                for plan in body:
-                    container.commit(plan)
-
-    def consume(task, result):
-        nonlocal mf
-        i, j, is_last = task.payload
-        ctx.n_sparse_factorizations += 1
-        if not isinstance(result, tuple):
-            # process-backend worker result: only the Schur body (dense or
-            # portable plans) came back
-            fold(i, j, result)
-            return
-        mf_ij, body = result
-        if compressed:
-            # pre-compressed on the worker: only the cheap ordered commit
-            # (accumulator appends) runs on the turnstile
-            fold(i, j, body)
-        else:
-            x_block, x_alloc = body
-            fold(i, j, x_block)
-            ctx.free(x_alloc)
-        if is_last:
-            # the last block's factorization still holds A_vv's factors,
-            # which the coupled right-hand-side solves reuse
-            mf = mf_ij
-
     # a symmetric system needs one triangle of blocks (X_ji = X_ijᵀ);
     # either way the last block is the diagonal (n_b−1, n_b−1)
     pairs = [
-        (i, j) for i in range(n_blocks)
-        for j in range(i + 1 if problem.symmetric else n_blocks)
+        (i, j) for i in range(len(blocks))
+        for j in range(i + 1 if problem.symmetric else len(blocks))
     ]
-    with ctx.runtime(
-        "multi-facto", worker_payload=w if backend == "process" else None,
-        worker_builder=_facto_worker_ctx,
-    ) as runtime:
-        runtime.run(
-            [
-                block_task(seq, i, j, seq == len(pairs) - 1)
-                for seq, (i, j) in enumerate(pairs)
-            ],
-            consume,
-        )
-        if compressed:
-            # fold pending accumulator batches into S (one recompression
-            # per off-diagonal block)
-            with ctx.timer.phase("schur_compression"):
-                container.flush()
-        with ctx.timer.phase("dense_factorization"):
-            container.factorize(ctx.tracker)
+    assemble_schur(
+        ctx, container, "multi-facto",
+        [block_task(seq, i, j, seq == len(pairs) - 1)
+         for seq, (i, j) in enumerate(pairs)],
+        alpha=ALPHA,
+        pieces=lambda task, x: _folds(w, x, *task.payload),
+        worker_payload=w, worker_builder=_facto_worker_ctx,
+    )
+    ctx.n_sparse_factorizations += len(pairs)
     return mf, container, mf.factor_bytes

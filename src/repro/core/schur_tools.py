@@ -1,13 +1,20 @@
 """Shared machinery of the coupling algorithms.
 
-Two pieces live here:
+Three pieces live here:
 
-* the **Schur containers** — an uncompressed dense container (SPIDO role)
-  and a hierarchical compressed container (HMAT role) presenting the same
-  interface: start from :math:`A_{ss}`, accept blockwise updates
-  (``S_i = A_{ss_i} − Z_i``, ``S_{ij} = A_{ss_{ij}} + X_{ij}``), factorize
-  and solve.  The compressed container implements the paper's *compressed
-  AXPY* with recompression.
+* the **Schur containers** — an uncompressed dense container (SPIDO
+  role), its out-of-core twin and a hierarchical compressed container
+  (HMAT role) presenting the same interface: start from :math:`A_{ss}`,
+  take blockwise updates ``S[rows, cols] += alpha * x``
+  (``S_i = A_{ss_i} − Z_i``, ``S_{ij} = A_{ss_{ij}} + X_{ij}``) through
+  one protocol — ``prepare`` on the worker that computed the block,
+  ``commit`` serialized in task order, ``flush`` — factorize and solve.
+  The compressed container's ``prepare`` / ``commit`` / ``flush`` are the
+  paper's *compressed AXPY* with deferred recompression; on an entrywise
+  ``S``, ``prepare`` hands the block on and ``flush`` does nothing.
+* the **block pipeline** (:func:`assemble_schur`) both multi-solve and
+  multi-factorization run: their block tasks on the parallel runtime,
+  the ordered commits, the flushes, the factorization of ``S``.
 * the **run context** — couples a memory tracker and a phase timer,
   owns every long-lived object the run allocates (freed in one place when
   the run fails or its factorization is freed), scopes the run's parallel
@@ -22,7 +29,8 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from dataclasses import replace
+from typing import Any, Dict, Iterator, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,8 +42,13 @@ from repro.dense.triangular import DEFAULT_BLOCK
 from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.factorization import HLUFactorization
-from repro.hmatrix.hmatrix import PortableAxpyPlan, build_hodlr
-from repro.memory.tracker import MemoryTracker
+from repro.hmatrix.hmatrix import (
+    AxpyPlan,
+    HMatrix,
+    PortableAxpyPlan,
+    build_hodlr,
+)
+from repro.memory.tracker import Allocation, MemoryTracker
 from repro.runtime import make_runtime
 from repro.sparse.solver import SparseAnalysis, SparseSolver
 from repro.utils.timer import PhaseTimer
@@ -82,7 +95,7 @@ class RunContext:
         #: runtime (:mod:`repro.runtime`): per-worker phase breakdown.
         self.runtime_report = None
         # worker threads register what they create (the kept W-block
-        # factorization, dense Schur blocks), so the owned set takes a lock
+        # factorization), so the owned set takes a lock
         self._own_lock = threading.Lock()
         self._owned: Dict[int, Any] = {}  # guarded-by: _own_lock
 
@@ -179,7 +192,42 @@ def _block_index(rows, cols):
     return np.ix_(rows, cols)
 
 
-class DenseSchurContainer:
+class BlockUpdate(NamedTuple):
+    """``S[rows, cols] += alpha * x`` on an entrywise ``S``: the block
+    itself, owning no bytes (its task keeps ``x`` charged)."""
+
+    alpha: float
+    x: np.ndarray
+    rows: Any
+    cols: Any
+    nbytes = 0
+
+
+class _EntrywiseUpdates:
+    """The update protocol of an ``S`` stored entry by entry (in RAM or on
+    disk): :meth:`prepare` hands the block on, :meth:`commit` lands it."""
+
+    #: the timer phase the ordered commits run under
+    commit_phase = "schur_update"
+
+    def gather_bytes(self, nbytes: int) -> int:
+        """Bytes :meth:`prepare` gathers from a block of ``nbytes``: none."""
+        return 0
+
+    def prepare(self, alpha, x: np.ndarray, rows, cols,
+                timer: PhaseTimer) -> BlockUpdate:
+        """``S[rows, cols] += alpha * x``, ready for :meth:`commit`."""
+        return BlockUpdate(alpha, x, rows, cols)
+
+    def flush(self) -> None:
+        """Nothing is pending on an entrywise ``S``."""
+
+    def flush_window(self, n_s_block: int) -> int:
+        """Columns of ``S`` between two flushes: all of them."""
+        return self.problem.n_bem
+
+
+class DenseSchurContainer(_EntrywiseUpdates):
     """Uncompressed Schur complement in a dense buffer (SPIDO role)."""
 
     def __init__(self, problem: CoupledProblem, config: SolverConfig,
@@ -196,22 +244,22 @@ class DenseSchurContainer:
         self.s = np.asarray(problem.a_ss_op.to_dense(), dtype=problem.dtype)
         self._fact = None
 
-    @property
-    def nbytes(self) -> int:
-        return self._alloc.nbytes if self._alloc.live else 0
-
     def panel(self, lo: int, hi: int):
         """``(rows, cols)`` of ``S`` the multi-solve panel ``lo:hi``
         updates: those columns and every row, as slices."""
         return slice(None), slice(lo, hi)
 
-    def subtract_block(self, z: np.ndarray, rows, cols) -> None:
-        """``S[rows, cols] -= z`` (plain dense AXPY)."""
-        self.s[_block_index(rows, cols)] -= z
-
-    def add_block(self, x: np.ndarray, rows, cols) -> None:
-        """``S[rows, cols] += x``."""
-        self.s[_block_index(rows, cols)] += x
+    def commit(self, update: BlockUpdate) -> None:
+        """Plain dense AXPY, in place through the view when ``rows`` and
+        ``cols`` are slices."""
+        alpha, x, rows, cols = update
+        index = _block_index(rows, cols)
+        if alpha == 1:
+            self.s[index] += x
+        elif alpha == -1:
+            self.s[index] -= x
+        else:
+            self.s[index] += alpha * x
 
     def factorize(self, tracker: MemoryTracker) -> None:
         """Factor ``S`` in its own buffer: the ``schur_store`` charge is
@@ -239,21 +287,18 @@ class DenseSchurContainer:
 class HodlrSchurContainer:
     """Compressed Schur complement in a HODLR structure (HMAT role).
 
-    Blockwise updates run the split compressed AXPY: panels are
-    pre-compressed concurrently on runtime workers via
-    :meth:`precompress_subtract` / :meth:`precompress_add` (whose task
-    budgets reserve the cluster-order gather) and only the cheap
-    :meth:`commit` is serialized.  Commits append to per-block
+    Updates run the split compressed AXPY: :meth:`prepare` pre-compresses
+    a block on a runtime worker and only the cheap :meth:`commit` is
+    serialized, appending to per-block
     :class:`~repro.hmatrix.rk.RkAccumulator` batches; :meth:`flush` folds
     them in (one recompression per block) — the owner says when, and
-    :meth:`factorize` flushes whatever is still pending.
-
-    Tracked sizes are maintained *incrementally* from the byte deltas the
-    commit/flush path returns — every update reaches ``S`` through
-    :meth:`commit`, so the tree is never re-walked.
-    Accumulator bytes are charged to their own ``axpy_accumulator``
-    category so budget-aware admission sees them.
+    :meth:`factorize` flushes whatever is still pending.  Tracked sizes
+    follow the byte deltas commit and flush return, the pending ones
+    under their own ``axpy_accumulator`` category.
     """
+
+    #: the timer phase the ordered commits and the flushes run under
+    commit_phase = "schur_compression"
 
     def __init__(self, problem: CoupledProblem, config: SolverConfig,
                  tracker: MemoryTracker):
@@ -278,10 +323,6 @@ class HodlrSchurContainer:
         self._fact: Optional[HLUFactorization] = None
         self._fact_alloc = None
 
-    @property
-    def nbytes(self) -> int:
-        return self._alloc.nbytes if self._alloc.live else 0
-
     def panel(self, lo: int, hi: int):
         """``(rows, cols)`` of ``S`` the multi-solve panel ``lo:hi``
         updates, as original indices: the columns at cluster positions
@@ -303,29 +344,25 @@ class HodlrSchurContainer:
         if pending_delta:
             self._acc_alloc.resize(self._acc_alloc.nbytes + pending_delta)
 
-    def precompress_subtract(self, z: np.ndarray, rows: np.ndarray,
-                             cols: np.ndarray):
-        """Pre-compress ``S[rows, cols] -= z`` (thread-safe, no mutation)."""
-        return self.s.precompress_axpy(-1.0, z, rows, cols)
+    def gather_bytes(self, nbytes: int) -> int:
+        """Bytes :meth:`prepare` gathers from a block of ``nbytes``: the
+        whole block, in cluster order."""
+        return nbytes
 
-    def precompress_add(self, x: np.ndarray, rows: np.ndarray,
-                        cols: np.ndarray):
-        """Pre-compress ``S[rows, cols] += x`` (thread-safe, no mutation)."""
-        return self.s.precompress_axpy(1.0, x, rows, cols)
-
-    def structure_skeleton(self):
-        """Values-free copy of ``S``'s structure for worker processes
-        (see :meth:`repro.hmatrix.hmatrix.HMatrix.structure_skeleton`)."""
-        return self.s.structure_skeleton()
+    def prepare(self, alpha, x: np.ndarray, rows, cols,
+                timer: PhaseTimer) -> AxpyPlan:
+        """Pre-compress ``S[rows, cols] += alpha * x`` (thread-safe, no
+        mutation; ``rows`` / ``cols`` slices or index sets): the plan owns
+        copies of all it needs, so ``x`` may die as soon as it exists."""
+        ids = np.arange(self.problem.n_bem)
+        with timer.phase("schur_precompress"):
+            return self.s.precompress_axpy(alpha, x, ids[rows], ids[cols])
 
     def commit(self, plan) -> None:
-        """Apply a pre-compressed plan (must run serialized, in order).
-
-        Accepts either an :class:`~repro.hmatrix.hmatrix.AxpyPlan` built
-        against this container's tree or the
-        :class:`~repro.hmatrix.hmatrix.PortableAxpyPlan` a worker process
-        pre-compressed against the structure skeleton.
-        """
+        """Apply a pre-compressed plan (serialized, in task order): an
+        :class:`~repro.hmatrix.hmatrix.AxpyPlan` of :meth:`prepare`, or the
+        :class:`~repro.hmatrix.hmatrix.PortableAxpyPlan` of a worker
+        process (ROADMAP item 5(b) deletes that branch)."""
         if isinstance(plan, PortableAxpyPlan):
             plan = self.s.import_plan(plan)
         self._apply_deltas(*self.s.commit_axpy(plan))
@@ -333,6 +370,10 @@ class HodlrSchurContainer:
     def flush(self) -> None:
         """Fold every pending accumulator into the structure (idempotent)."""
         self._apply_deltas(*self.s.flush_accumulators())
+
+    def flush_window(self, n_s_block: int) -> int:
+        """Columns of ``S`` between two flushes: the paper's ``n_S``."""
+        return n_s_block
 
     def factorize(self, tracker: MemoryTracker) -> None:
         # defensive: factoring with unflushed accumulators would silently
@@ -368,7 +409,7 @@ class HodlrSchurContainer:
         self._alloc.free()
 
 
-class OocSchurContainer:
+class OocSchurContainer(_EntrywiseUpdates):
     """Out-of-core uncompressed Schur complement (paper §VII future work).
 
     The dense ``S`` lives on disk (see :mod:`repro.dense.ooc`); only one or
@@ -406,25 +447,21 @@ class OocSchurContainer:
             self.store.close()
             raise
 
-    @property
-    def disk_bytes(self) -> int:
-        return self.store.disk_bytes
-
     def panel(self, lo: int, hi: int):
         """``(rows, cols)`` of ``S`` the multi-solve panel ``lo:hi``
         updates: those columns and every row."""
         return np.arange(self.problem.n_bem), np.arange(lo, hi)
 
-    def _apply(self, sign, block, rows, cols) -> None:
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
+    def commit(self, update: BlockUpdate) -> None:
+        """Read, update and write back every on-disk panel the block's
+        columns touch."""
+        alpha, block, rows, cols = update
         n = self.problem.n_bem
+        ids = np.arange(n)
+        rows, cols = ids[rows], ids[cols]
         itemsize = np.dtype(self.problem.dtype).itemsize
-        order = np.argsort(cols, kind="stable")
-        cols_sorted = cols[order]
-        block_sorted = block[:, order]
         for lo, hi in self.store.panel_bounds():
-            sel = (cols_sorted >= lo) & (cols_sorted < hi)
+            sel = (cols >= lo) & (cols < hi)
             if not sel.any():
                 continue
             with self.tracker.borrow(
@@ -432,16 +469,8 @@ class OocSchurContainer:
                 label="OOC update panel",
             ):
                 panel = self.store.read_panel(lo, hi)
-                panel[np.ix_(rows, cols_sorted[sel] - lo)] += (
-                    sign * block_sorted[:, sel]
-                )
+                panel[np.ix_(rows, cols[sel] - lo)] += alpha * block[:, sel]
                 self.store.write_panel(lo, hi, panel)
-
-    def subtract_block(self, z, rows, cols) -> None:
-        self._apply(-1.0, z, rows, cols)
-
-    def add_block(self, x, rows, cols) -> None:
-        self._apply(1.0, x, rows, cols)
 
     def factorize(self, tracker: MemoryTracker) -> None:
         self.store.factorize_lu_inplace()
@@ -505,6 +534,81 @@ def schur_panel(mf, a_sv_t: sp.csc_matrix, a_rows: sp.csr_matrix,
         y = mf.solve(a_sv_t[:, cols], wanted=wanted)
     with timer.phase("spmm"):
         return a_rows @ y
+
+
+def prepare_updates(container, alpha, pieces, timer: PhaseTimer,
+                    alloc: Allocation) -> list:
+    """The worker side of one block task: ``container.prepare`` every
+    ``(x, rows, cols)`` piece of the dense block ``alloc`` holds.  Updates
+    that own bytes (a compressed ``S`` copies what it needs) let the block
+    die here, and ``alloc`` shrinks to them; updates that own none are the
+    block itself, which stays charged until the commit."""
+    updates = [container.prepare(alpha, x, rows, cols, timer)
+               for x, rows, cols in pieces]
+    owned = sum(update.nbytes for update in updates)
+    if owned:
+        alloc.resize(owned)
+    return updates
+
+
+def assemble_schur(ctx: RunContext, container, name: str, tasks,
+                   flush_after=frozenset(), *, alpha, pieces,
+                   worker_payload, worker_builder=None) -> None:
+    """The block pipeline of multi-solve and multi-factorization: run
+    ``tasks`` — each returns the :func:`prepare_updates` of its block — on
+    the run's parallel runtime, commit their updates in task order (so
+    ``S`` is bit-identical for any worker count), flush ``S`` after the
+    tasks whose index is in ``flush_after`` and once at the end, then
+    factorize ``S``.  The other arguments serve the process adapter.
+    """
+    # -- process backend adapter (ROADMAP item 5(b) deletes it) -------------
+    # Workers prepare against a values-free skeleton of a compressed S
+    # (prepare_on_worker) and send plans back, which need no result slab;
+    # on an entrywise S their dense block rides a shared-memory slab back,
+    # and consume turns it into updates.
+    if (ctx.runtime_backend == "process"
+            and isinstance(container, HodlrSchurContainer)):
+        worker_payload = {**worker_payload,
+                          "skeleton": container.s.structure_skeleton()}
+        tasks = [replace(task, result_nbytes=0) for task in tasks]
+
+    def consume(task, updates):
+        if isinstance(updates, np.ndarray):  # the process adapter
+            updates = [container.prepare(alpha, x, rows, cols, ctx.timer)
+                       for x, rows, cols in pieces(task, updates)]
+        with ctx.timer.phase(container.commit_phase):
+            for update in updates:
+                container.commit(update)
+            if task.index in flush_after:
+                container.flush()
+
+    with ctx.runtime(name, worker_payload=worker_payload,
+                     worker_builder=worker_builder) as runtime:
+        runtime.run(tasks, consume)
+        # closes the last window: S carries no pending update into factorize
+        with ctx.timer.phase(container.commit_phase):
+            container.flush()
+        with ctx.timer.phase("dense_factorization"):
+            container.factorize(ctx.tracker)
+
+
+def prepare_on_worker(w, timer: PhaseTimer, alpha, pieces):
+    """:func:`prepare_updates` in a worker process, which has no container
+    (process backend; ROADMAP item 5(b) deletes it): each piece
+    pre-compressed against the skeleton of a compressed ``S`` shipped in
+    ``w``, or — on an entrywise ``S`` — the first piece's dense block,
+    of which every piece is a view."""
+    skeleton = w.get("skeleton")
+    if skeleton is None:
+        return pieces[0][0]
+    plans = []
+    for x, rows, cols in pieces:
+        before = skeleton.n_panel_compressions
+        with timer.phase("schur_precompress"):
+            plan = skeleton.precompress_axpy(alpha, x, rows, cols)
+        plans.append(HMatrix.export_plan(
+            plan, skeleton.n_panel_compressions - before))
+    return plans
 
 
 def _coupled_solve(ctx: RunContext, mf, container, b_v, b_s):

@@ -213,14 +213,6 @@ class PortableAxpyPlan:
         self.folds = folds
         self.panel_compressions = int(panel_compressions)
 
-    @property
-    def nbytes(self) -> int:
-        return (
-            sum(piece.nbytes for *_ignored, piece in self.leaves)
-            + sum(u.nbytes + v.nbytes
-                  for _s, _e, _side, u, v, _r, _c in self.folds)
-        )
-
 
 class HMatrix:
     """Square hierarchical low-rank matrix over a cluster tree.

@@ -23,7 +23,6 @@ from repro.runtime.process_backend import (
     ProcessRuntime,
     make_runtime,
     resolve_runtime_backend,
-    worker_cache,
 )
 from repro.runtime.scheduler import (
     PanelTask,
@@ -40,5 +39,4 @@ __all__ = [
     "make_runtime",
     "resolve_n_workers",
     "resolve_runtime_backend",
-    "worker_cache",
 ]

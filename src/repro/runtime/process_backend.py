@@ -126,16 +126,6 @@ def _worker_init(payload_bytes: bytes, builder: Optional[Callable[[Any], Any]],
     _worker_state["slabs"] = {}
 
 
-def worker_cache(key: str, factory: Callable[[], Any]) -> Any:
-    """Per-process cached object for kernels, created on first use."""
-    cache = _worker_state.setdefault("cache", {})
-    obj = cache.get(key)
-    if obj is None:
-        obj = factory()
-        cache[key] = obj
-    return obj
-
-
 def _attach_slab(name: str) -> shared_memory.SharedMemory:
     slabs = _worker_state["slabs"]
     slab = slabs.get(name)
@@ -593,5 +583,4 @@ __all__ = [
     "START_METHOD_ENV",
     "make_runtime",
     "resolve_runtime_backend",
-    "worker_cache",
 ]

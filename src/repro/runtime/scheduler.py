@@ -148,9 +148,10 @@ class ParallelRuntime:
     name:
         Thread-name prefix, cosmetic.
 
-    The runtime is reusable across several :meth:`run` calls (the
-    compressed multi-solve runs one per outer Schur block) and must be
-    closed — or used as a context manager — so the pool is torn down.
+    The runtime is reusable across several :meth:`run` calls (the Schur
+    assembly of a coupled run makes one, through
+    :func:`repro.core.schur_tools.assemble_schur`) and must be closed —
+    or used as a context manager — so the pool is torn down.
     """
 
     def __init__(self, tracker: MemoryTracker, n_workers: int = 1,

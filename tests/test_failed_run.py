@@ -15,9 +15,9 @@ under four threads.  The aircraft under four threads is left to the full
 sweep: a multi-factorization run there takes seconds on two cores.
 
 A second group raises inside the ordered commit of a four-thread
-assembly — the Schur container's ``commit`` / ``add_block`` /
-``subtract_block`` fail on their k-th call — and checks that the
-tracker, the front arenas and the runtime's threads are all gone.
+assembly — the Schur container's ``commit`` fails on its k-th call —
+and checks that the tracker, the front arenas and the runtime's threads
+are all gone.
 """
 
 from __future__ import annotations
@@ -157,17 +157,13 @@ def test_thread_task_raising_mid_commit(pipe_small, monkeypatch, algorithm,
     calls = []
     for cls in (schur_tools.DenseSchurContainer,
                 schur_tools.HodlrSchurContainer):
-        for name in ("commit", "add_block", "subtract_block"):
-            if not hasattr(cls, name):
-                continue
+        def failing(self, *args, _orig=cls.commit):
+            calls.append(None)
+            if len(calls) == k:
+                raise _CommitFault(f"fold {k}")
+            return _orig(self, *args)
 
-            def failing(self, *args, _orig=getattr(cls, name)):
-                calls.append(None)
-                if len(calls) == k:
-                    raise _CommitFault(f"fold {k}")
-                return _orig(self, *args)
-
-            monkeypatch.setattr(cls, name, failing)
+        monkeypatch.setattr(cls, "commit", failing)
     threads_before = set(threading.enumerate())
     with pytest.raises(_CommitFault):
         solve_coupled(pipe_small, algorithm, _config(backend, 4))

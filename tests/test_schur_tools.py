@@ -11,11 +11,17 @@ from repro.core.schur_tools import (
     make_schur_container,
 )
 from repro.memory import MemoryTracker
+from repro.utils.timer import PhaseTimer
 
 
 @pytest.fixture()
 def tracker():
     return MemoryTracker()
+
+
+def fold(container, alpha, x, rows, cols):
+    """``S[rows, cols] += alpha * x`` through the update protocol."""
+    container.commit(container.prepare(alpha, x, rows, cols, PhaseTimer()))
 
 
 class TestDenseContainer:
@@ -31,10 +37,11 @@ class TestDenseContainer:
         rows = np.arange(5, 25)
         cols = np.arange(30, 50)
         z = rng.standard_normal((20, 20))
-        c.subtract_block(z, rows, cols)
+        fold(c, -1.0, z, rows, cols)
         ref[np.ix_(rows, cols)] -= z
-        c.add_block(2 * z, rows, cols)
+        fold(c, 1.0, 2 * z, rows, cols)
         ref[np.ix_(rows, cols)] += 2 * z
+        c.flush()
         np.testing.assert_allclose(c.s, ref)
         c.free()
 
@@ -49,9 +56,9 @@ class TestDenseContainer:
         ref = c.s.copy()
         buffer = c.s
         z = rng.standard_normal((n, 64))
-        c.subtract_block(z, rows, cols)
+        fold(c, -1.0, z, rows, cols)
         ref[np.ix_(np.arange(n), np.arange(30, 94))] -= z
-        c.add_block(0.5 * z, rows, cols)
+        fold(c, 0.5, z, rows, cols)
         ref[np.ix_(np.arange(n), np.arange(30, 94))] += 0.5 * z
         assert c.s is buffer and np.array_equal(c.s, ref)
         c.free()
@@ -88,8 +95,8 @@ class TestHodlrContainer:
                                 tracker)
         before = tracker.category_in_use("schur_store")
         n = pipe_small.n_bem
-        c.commit(c.precompress_subtract(rng.standard_normal((n, 40)),
-                                        np.arange(n), np.arange(40)))
+        fold(c, -1.0, rng.standard_normal((n, 40)), np.arange(n),
+             np.arange(40))
         # growth lands in the pending accumulators until flush; store +
         # pending always covers the tree exactly
         store = tracker.category_in_use("schur_store")
@@ -112,9 +119,8 @@ class TestHodlrContainer:
             pipe_small, SolverConfig(dense_backend="hmat"), tracker)
         n = pipe_small.n_bem
         for lo in (0, 40, 80):
-            c.commit(c.precompress_subtract(rng.standard_normal((n, 40)),
-                                            np.arange(n),
-                                            np.arange(lo, lo + 40)))
+            fold(c, -1.0, rng.standard_normal((n, 40)), np.arange(n),
+                 np.arange(lo, lo + 40))
             c.flush()
             assert tracker.category_in_use("axpy_accumulator") == 0
             assert c.s.pending_accumulator_nbytes() == 0
@@ -158,8 +164,7 @@ class TestPanelSpec:
             rows, cols = c.panel(lo, min(n, lo + n_c))
             assert np.array_equal(cols, c.tree.perm[lo:lo + n_c])
             n_rows.append(len(rows))
-            c.commit(c.precompress_subtract(
-                np.ones((len(rows), len(cols))), rows, cols))
+            fold(c, -1.0, np.ones((len(rows), len(cols))), rows, cols)
             if flush_each:
                 c.flush()
         c.flush()
@@ -183,13 +188,66 @@ class TestPanelSpec:
         for lo in range(0, n, 100):
             rows, cols = c.panel(lo, min(n, lo + 100))
             width = min(n, lo + 100) - lo
-            c.subtract_block(np.ones((n, width)), rows, cols)
+            fold(c, -1.0, np.ones((n, width)), rows, cols)
+        c.flush()
         if backend == "spido":
             end = c.s
         else:
             end = np.hstack([c.store.read_panel(lo, hi)
                              for lo, hi in c.store.panel_bounds()])
         np.testing.assert_allclose(end, start - 1.0, rtol=0, atol=1e-12)
+        c.free()
+        tracker.assert_all_freed()
+
+
+class TestUpdateProtocol:
+    """``prepare`` / ``commit`` / ``flush`` mean the same on every
+    container: a random sequence of ± updates, on slices and on index
+    sets, gives the ``S`` a dense reference gets — exactly on an
+    entrywise ``S``, to ε on a compressed one."""
+
+    @pytest.mark.parametrize("backend", ["spido", "spido_ooc", "hmat"])
+    def test_random_updates_match_a_dense_reference(self, pipe_small,
+                                                    tracker, rng, backend):
+        config = SolverConfig(dense_backend=backend, n_c=64)
+        c = make_schur_container(pipe_small, config, tracker)
+        n = pipe_small.n_bem
+        ref = pipe_small.a_ss_op.to_dense()
+        scale = 0.1 * np.abs(ref).max()
+        for step in range(12):
+            width = int(rng.integers(1, 40))
+            if step % 2:
+                lo = int(rng.integers(0, n - width))
+                rows, cols = slice(None), slice(lo, lo + width)
+            else:
+                rows = rng.choice(n, size=int(rng.integers(1, n)),
+                                  replace=False)
+                cols = rng.choice(n, size=width, replace=False)
+            # a smooth block (rank one) of either sign, as Z_i / X_ij are,
+            # and its mirror: the pipe's S is symmetric, and lower-stored
+            # when compressed
+            x = scale * np.outer(rng.standard_normal(len(np.arange(n)[rows])),
+                                 rng.standard_normal(width))
+            alpha = float(rng.choice([-1.0, 1.0]))
+            for piece in ((x, rows, cols), (x.T, cols, rows)):
+                c.commit(c.prepare(alpha, *piece, PhaseTimer()))
+                ids = np.arange(n)
+                ref[np.ix_(ids[piece[1]], ids[piece[2]])] += alpha * piece[0]
+            if step == 5:
+                c.flush()
+        c.flush()
+        if backend == "spido":
+            s = c.s
+        elif backend == "spido_ooc":
+            s = np.hstack([c.store.read_panel(lo, hi)
+                           for lo, hi in c.store.panel_bounds()])
+        else:
+            s = c.s.to_dense()
+        if backend == "hmat":
+            err = np.linalg.norm(s - ref, 2) / np.linalg.norm(ref, 2)
+            assert err <= config.epsilon
+        else:
+            np.testing.assert_allclose(s, ref, rtol=0, atol=0)
         c.free()
         tracker.assert_all_freed()
 
