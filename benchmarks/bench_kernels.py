@@ -11,9 +11,8 @@ phase**, the layers under ``sparse.solve_s`` / ``hmatrix.solve_s`` and
 
     python benchmarks/bench_kernels.py [--json BENCH_kernels.json]
 
-Rows: ``mf.solve`` at 1 / 2 / 64 / 256 columns (2: the serving batcher's
-width) for LDLᵀ-real (pipe) and LU-complex (aircraft) factors, and the
-H-LDLᵀ solve at 1 / 64 columns.
+Rows: ``mf.solve`` at 1 / 2 / 64 / 256 columns for LDLᵀ-real (pipe) and
+LU-complex (aircraft) factors, and the H-LDLᵀ solve at 1 / 64 columns.
 Each is min-of-k milliseconds with the q1–q3 spread, the GB/s of factor
 bytes it streamed (a solve reads every factor twice, forward and backward)
 and the floor ``2 × factor_bytes / bandwidth`` against a bandwidth measured
@@ -67,6 +66,15 @@ real LDLᵀ at n = 1,950, :func:`~repro.dense.blocked_ldlt` copying against
 ``overwrite=True`` — min-of-k seconds with spread and GFlop/s
 (``(2/3)n³`` for LU, ``n³/3`` for LDLᵀ, ×4 complex); ``S`` is refilled,
 untimed, before every call.
+
+Solve-width rows, the layer under ``serving.server_solve_p50_ms``: one
+``CoupledFactorization.solve`` on pipe 8k (hmat, ε 1e-3, one worker) at
+1, 2, 3, 4, 8, 16, 32 and 64 columns (1: a vector, as a served request
+sends it), then two single-column solves back to back and two on two
+threads at once — min-of-k milliseconds with spread and per column.  The
+crossover width k* is the narrowest panel that beats as many back-to-back
+single solves; a server only gains from gluing requests into panels when
+its clients queue k* of them.
 """
 
 import argparse
@@ -596,6 +604,64 @@ def triangular_rows(k=200, seed=0):
     return {"triangular_rows": rows}
 
 
+# -- solve-width rows ---------------------------------------------------------
+
+def solve_width_rows(n_pipe, k=7, seed=0,
+                     widths=(1, 2, 3, 4, 8, 16, 32, 64)):
+    """Per-column cost of a coupled solve by width; see the module
+    docstring."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.core import CoupledFactorization
+    from repro.fembem import generate_pipe_case
+
+    pipe = generate_pipe_case(n_pipe, seed=seed)
+    fact = CoupledFactorization(
+        pipe, "multi_solve",
+        SolverConfig(dense_backend="hmat", epsilon=1e-3, n_workers=1))
+    rng = np.random.default_rng(seed)
+
+    def load(m):
+        shape = (lambda n: (n,)) if m == 1 else (lambda n: (n, m))
+        return (rng.standard_normal(shape(pipe.n_fem)),
+                rng.standard_normal(shape(pipe.n_bem)))
+
+    rows = []
+
+    def add(name, m, fn):
+        best, q1, q3 = _min_of_k(fn, k)
+        rows.append({"row": name, "columns": m, "k": k, "min_ms": best,
+                     "q1_ms": q1, "q3_ms": q3, "ms_per_col": best / m})
+
+    for m in widths:
+        b = load(m)
+        add(f"panel of {m}", m, lambda: fact.solve(*b))  # noqa: B023
+    pair = [load(1), load(1)]
+    add("2 singles back to back", 2,
+        lambda: [fact.solve(*b) for b in pair])
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        add("2 singles on 2 threads", 2,
+            lambda: list(pool.map(lambda b: fact.solve(*b), pair)))
+    fact.free()
+    single = rows[-2]["ms_per_col"]
+    wins = [r["columns"] for r in rows[:len(widths)]
+            if r["columns"] > 1 and r["min_ms"] < r["columns"] * single]
+    return {"n": pipe.n_total, "solve_width_rows": rows,
+            "crossover_width": min(wins) if wins else None}
+
+
+def render_solve_width_rows(result):
+    lines = [f"coupled solve by width, pipe n={result['n']} hmat; "
+             f"crossover width k* = {result['crossover_width']}",
+             f"{'row':<26}{'cols':>6}{'min ms':>9}{'q1-q3 ms':>16}"
+             f"{'ms/col':>9}"]
+    for r in result["solve_width_rows"]:
+        lines.append(
+            f"{r['row']:<26}{r['columns']:>6}{r['min_ms']:>9.2f}"
+            f"{r['q1_ms']:>8.2f}-{r['q3_ms']:<7.2f}{r['ms_per_col']:>9.2f}")
+    return "\n".join(lines)
+
+
 def render_analysis_rows(result):
     lines = [f"{'row':<32}{'n':>7}{'fronts':>7}{'min ms':>9}{'q1-q3 ms':>16}"]
     for r in result["analysis_rows"]:
@@ -654,6 +720,15 @@ def test_analysis_rows():
     assert len(result["triangular_rows"]) == 4
 
 
+def test_solve_width_rows():
+    from bench_utils import scaled, write_result
+
+    result = solve_width_rows(scaled(8_000), k=3)
+    write_result("kernels_solve_width", render_solve_width_rows(result))
+    assert len(result["solve_width_rows"]) == 10
+    assert all(r["min_ms"] > 0 for r in result["solve_width_rows"])
+
+
 def test_dense_factorization_rows():
     from bench_utils import write_result
 
@@ -696,6 +771,9 @@ def main(argv=None):
     dense = dense_rows(k=max(2, args.repeat - 4), seed=args.seed)
     print(render_dense_rows(dense))
     result.update(dense)
+    width = solve_width_rows(scaled(8_000), k=args.repeat, seed=args.seed)
+    print(render_solve_width_rows(width))
+    result.update(width)
     if args.json:
         payload = {"provenance": header(args.seed), **result}
         pathlib.Path(args.json).write_text(

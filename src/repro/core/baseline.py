@@ -54,7 +54,7 @@ def assemble_baseline(ctx: RunContext):
     ))
     with ctx.timer.phase("sparse_solve"):
         y = mf.solve(rhs)
-    ctx.n_sparse_solves += 1
+    ctx.count_sparse_solves(1)
 
     with ctx.tracker.borrow(
         problem.n_bem * problem.n_bem * itemsize,

@@ -155,5 +155,5 @@ def assemble_multi_solve(ctx: RunContext):
         worker_payload={"mf": mf, "a_sv_t": a_sv_t, "panels": panels,
                         "couplings": couplings},
     )
-    ctx.n_sparse_solves += len(panels)
+    ctx.count_sparse_solves(len(panels))
     return mf, container, sparse_factor_bytes

@@ -85,7 +85,7 @@ class RunContext:
         self.tracker = config.make_tracker(name=algorithm)
         self.timer = PhaseTimer()
         self.n_sparse_factorizations = 0
-        self.n_sparse_solves = 0
+        self.n_sparse_solves = 0  # guarded-by: _own_lock
         #: Calls to :meth:`analyse`; every other sparse factorization of
         #: the run reused an analysis.
         self.n_symbolic_analyses = 0
@@ -95,7 +95,8 @@ class RunContext:
         #: runtime (:mod:`repro.runtime`): per-worker phase breakdown.
         self.runtime_report = None
         # worker threads register what they create (the kept W-block
-        # factorization), so the owned set takes a lock
+        # factorization) and concurrent solves count their sparse solves,
+        # so the owned set and that count take a lock
         self._own_lock = threading.Lock()
         self._owned: Dict[int, Any] = {}  # guarded-by: _own_lock
 
@@ -110,6 +111,11 @@ class RunContext:
         with self._own_lock:
             self._owned.pop(id(obj), None)
         obj.free()
+
+    def count_sparse_solves(self, n: int) -> None:
+        """Add ``n`` sparse solves to the run's count (thread-safe)."""
+        with self._own_lock:
+            self.n_sparse_solves += n
 
     def close(self) -> None:
         """Free everything still owned, newest first (idempotent)."""
@@ -144,6 +150,8 @@ class RunContext:
         p = self.problem
         phases = self.timer.phases
         report = self.runtime_report
+        with self._own_lock:
+            n_sparse_solves = self.n_sparse_solves
         return SolveStats(
             algorithm=self.algorithm,
             coupling=self.config.coupling_name,
@@ -158,7 +166,7 @@ class RunContext:
             schur_dense_bytes=p.n_bem * p.n_bem * np.dtype(p.dtype).itemsize,
             sparse_factor_bytes=sparse_factor_bytes,
             n_sparse_factorizations=self.n_sparse_factorizations,
-            n_sparse_solves=self.n_sparse_solves,
+            n_sparse_solves=n_sparse_solves,
             n_symbolic_analyses=self.n_symbolic_analyses,
             n_symbolic_reuses=(
                 self.n_sparse_factorizations - self.n_symbolic_analyses
@@ -616,13 +624,13 @@ def _coupled_solve(ctx: RunContext, mf, container, b_v, b_s):
     p = ctx.problem
     with ctx.timer.phase("sparse_solve_rhs"):
         y = mf.solve(b_v)
-        ctx.n_sparse_solves += 1
+        ctx.count_sparse_solves(1)
     b_red = b_s - p.a_sv @ y
     with ctx.timer.phase("dense_solve"):
         x_s = container.solve(b_red)
     with ctx.timer.phase("sparse_solve_rhs"):
         x_v = mf.solve(b_v - p.a_sv.T @ x_s)
-        ctx.n_sparse_solves += 1
+        ctx.count_sparse_solves(1)
     return x_v, x_s
 
 

@@ -127,12 +127,6 @@ class CoupledProblem:
     def dims(self) -> ProblemDims:
         return ProblemDims(self.n_total, self.n_fem, self.n_bem)
 
-    # -- dense access ----------------------------------------------------------
-    def a_ss_dense(self) -> np.ndarray:
-        """Materialise the dense surface block (caller owns the memory)."""
-        # schur-ok: explicit accessor for the uncompressed reference paths
-        return self.a_ss_op.to_dense()
-
     # -- quality metrics --------------------------------------------------------
     def relative_error(self, x_v: np.ndarray, x_s: np.ndarray) -> float:
         """``‖x − x_exact‖₂ / ‖x_exact‖₂`` on the concatenated solution."""

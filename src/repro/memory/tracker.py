@@ -221,7 +221,6 @@ class MemoryTracker:
         label: str = "",
         headroom: int = 0,
         block: bool = True,
-        timeout: Optional[float] = None,
     ) -> Allocation:
         """Admission-controlled allocation for parallel workers.
 
@@ -242,13 +241,6 @@ class MemoryTracker:
         headroom = int(headroom)
         if headroom < 0:
             raise ValueError("headroom must be non-negative")
-        # deadline semantics: ``timeout`` bounds the *total* blocked time.
-        # Each wait iteration sleeps only for the remaining share — a
-        # notify that does not free enough budget must not restart the
-        # clock, or a caller could block unboundedly past its timeout.
-        deadline = (
-            None if timeout is None else time.perf_counter() + float(timeout)
-        )
         with self._cond:
             while (
                 self.limit_bytes is not None
@@ -262,16 +254,8 @@ class MemoryTracker:
                     raise MemoryLimitExceeded(
                         nbytes, self._in_use, self.limit_bytes, label
                     )
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0.0:
-                        raise MemoryLimitExceeded(
-                            nbytes, self._in_use, self.limit_bytes,
-                            f"{label} (admission timed out after {timeout}s)",
-                        )
                 t0 = time.perf_counter()
-                self._cond.wait(remaining)
+                self._cond.wait()
                 self._wait_seconds += time.perf_counter() - t0
             self._charge(nbytes, category, label)
             self._n_allocations += 1

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser(
         "serve",
-        help="persistent solver server (factor cache + RHS batching)",
+        help="persistent solver server (factor cache, solves on arrival)",
     )
     ps.add_argument("--socket", default=None,
                     help="unix socket path (default: per-PID under $TMPDIR)")

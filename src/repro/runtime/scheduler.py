@@ -201,7 +201,7 @@ class ParallelRuntime:
                     self._next_admit = seq + 1
                     self._admit_cond.notify_all()
                 # record the blocked time even when acquire raises (task too
-                # large, admission timeout): the wait must not silently
+                # large for the limit): the wait must not silently
                 # vanish from the worker's phase report
                 timer.add("scheduler_wait", time.perf_counter() - t0)
             return alloc

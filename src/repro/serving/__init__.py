@@ -1,4 +1,4 @@
-"""Factorization-as-a-service: solver server, factor cache, RHS batching.
+"""Factorization-as-a-service: solver server, factor cache, solve dispatch.
 
 The serving layer turns the library's factorize-once/solve-many core
 into a persistent single-node service (see ``docs/serving.md``):
@@ -8,8 +8,8 @@ into a persistent single-node service (see ``docs/serving.md``):
 * :class:`ServingClient` — pipelined async client;
 * :class:`FactorCache` — budgeted LRU cache of live numeric
   factorizations keyed by :func:`system_fingerprint`;
-* :class:`RhsBatcher` — linger-window coalescing of single-column
-  solve requests into blocked panels.
+* :class:`RhsBatcher` — dispatches each solve request to the executor
+  on arrival, unmodified.
 """
 
 from repro.serving.batcher import RhsBatcher

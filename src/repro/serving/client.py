@@ -3,8 +3,8 @@
 One :class:`ServingClient` owns one connection.  Requests are pipelined:
 every call gets a fresh ``request_id``, a background reader task matches
 responses back to their futures, so many coroutines can share a client
-and issue overlapping ``solve`` calls — which is exactly what feeds the
-server-side RHS batcher.
+and issue overlapping ``solve`` calls, which the server runs
+concurrently on its executor.
 
 Clients built by :meth:`ServingClient.connect` remember the socket path
 and transparently **reconnect with bounded exponential backoff** when the
@@ -211,7 +211,7 @@ class ServingClient:
         return await self.solve(result.key, problem.b_v, problem.b_s)
 
     async def stats(self) -> Dict[str, Any]:
-        """The server's stats snapshot (requests, cache, batching)."""
+        """The server's stats snapshot (requests, cache, solve latency)."""
         response = await self._request("stats")
         return response["stats"]
 

@@ -18,10 +18,10 @@ client-side.
 Ops
 ---
 ``factorize``  problem + algorithm → cache key (building on miss)
-``solve``      key + (b_v, b_s) → (x_v, x_s), batched server-side
+``solve``      key + (b_v, b_s) → (x_v, x_s), dispatched on arrival
 ``stats``      → ServerStats snapshot merged with cache stats
 ``ping``       liveness probe
-``shutdown``   drain batches, clear the cache, stop the server
+``shutdown``   drain solves, clear the cache, stop the server
 """
 
 from __future__ import annotations

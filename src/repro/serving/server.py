@@ -11,11 +11,11 @@ single-process asyncio server on a unix-domain socket that
   :func:`~repro.serving.factor_cache.system_fingerprint` — repeat
   ``factorize`` requests for the same system hit the cache instead of
   re-running the multifrontal + Schur pipeline;
-* coalesces concurrent ``solve`` requests into blocked RHS panels
-  through an :class:`~repro.serving.batcher.RhsBatcher`, recovering the
-  GEMM-rich panel solves of PR 2 from single-column traffic;
-* keeps the event loop non-blocking: factorizations and panel solves
-  run on a small :class:`~concurrent.futures.ThreadPoolExecutor`
+* dispatches every ``solve`` request on arrival, unmodified, through an
+  :class:`~repro.serving.batcher.RhsBatcher`, so each served solution
+  is byte-identical to a direct solve of the same arrays;
+* keeps the event loop non-blocking: factorizations and solves run on
+  a small :class:`~concurrent.futures.ThreadPoolExecutor`
   (BLAS releases the GIL, so executor threads scale the way the
   in-process runtime does).
 
@@ -53,7 +53,7 @@ from repro.serving.stats import ServerStats
 CACHE_ENTRIES = 4
 
 #: Threads of the solve / factorize executor: 2 keeps one factorization
-#: build from stalling batched solves of cached entries.
+#: build from stalling the solves of cached entries.
 EXECUTOR_THREADS = 2
 
 
@@ -103,8 +103,8 @@ class SolverServer:
         """Bind the socket and start accepting connections."""
         self._loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
-        self._batcher = RhsBatcher(self._loop, self._solve_in_executor,
-                                   on_batch=self.stats.record_batch)
+        self._batcher = RhsBatcher(self._loop, self._executor,
+                                   on_solve=self.stats.record_solve)
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)  # stale socket from a dead server
         self._server = await asyncio.start_unix_server(
@@ -120,7 +120,7 @@ class SolverServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Drain batches, drop the cache, verify the byte balance is zero."""
+        """Drain solves, drop the cache, verify the byte balance is zero."""
         if self._stopped:
             return
         self._stopped = True
@@ -137,10 +137,6 @@ class SolverServer:
         # connection handler exits, which the handlers only do on EOF.
         for writer in list(self._connections):
             writer.close()
-        # a handler exits only once its requests are answered: dispatch
-        # lingering batches now rather than after their linger window
-        if self._batcher is not None:
-            self._batcher.flush()
         if self._server is not None:
             await self._server.wait_closed()
         if self._batcher is not None:
@@ -248,15 +244,14 @@ class SolverServer:
                 f"on this server, or evicted — factorize again)"
             )
         assert self._batcher is not None
-        future = self._batcher.submit(key, fact, message["b_v"],
-                                      message["b_s"])
-        x_v, x_s = await future
+        x_v, x_s = await self._batcher.submit(fact, message["b_v"],
+                                              message["b_s"])
         return {"x_v": x_v, "x_s": x_s}
 
     async def _op_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
         assert self._batcher is not None
         snapshot = self.stats.snapshot(self.cache.stats())
-        snapshot["pending_solves"] = self._batcher.n_pending
+        snapshot["pending_solves"] = self._batcher.n_inflight
         return {"stats": snapshot}
 
     async def _op_ping(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -265,19 +260,6 @@ class SolverServer:
     async def _op_shutdown(self, message: Dict[str, Any]) -> Dict[str, Any]:
         self.request_shutdown()
         return {"stopping": True}
-
-    # -- blocked work ----------------------------------------------------------
-    async def _solve_in_executor(self, fact: CoupledFactorization,
-                                 b_v, b_s):
-        """Run one (possibly batched) panel solve off the event loop."""
-        assert self._loop is not None
-
-        def blocked_solve():
-            return fact.solve(b_v, b_s)
-
-        return await self._loop.run_in_executor(
-            self._executor, blocked_solve,
-        )
 
 
 async def run_server(config: SolverConfig = SolverConfig(),

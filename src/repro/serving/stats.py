@@ -1,7 +1,7 @@
-"""Server-side observability: request counters, batching and latency.
+"""Server-side observability: request counters and latency.
 
 :class:`ServerStats` is the single mutable stats surface of the solver
-server.  The batching/latency aggregates are **event-loop confined** —
+server.  The solve/latency aggregates are **event-loop confined** —
 only the asyncio loop thread mutates them (executor results come back
 through loop callbacks), so they need no lock; the factor-cache counters
 live inside :class:`repro.serving.factor_cache.FactorCache` (which *is*
@@ -67,16 +67,8 @@ class ServerStats:
         self.n_connections = 0
         self.n_requests: Dict[str, int] = {}
         self.n_errors = 0
-        #: every solve request reaches the executor through one batch
-        #: (a lone request is a batch of one), so this one counter is
-        #: both the snapshot's ``requests`` and its ``batched_requests``
         self.n_solve_requests = 0
         self.n_solve_columns = 0
-        self.n_batches = 0
-        #: batch size histograms: requests coalesced per dispatch and
-        #: total RHS columns per dispatch
-        self.batch_request_hist: Dict[int, int] = {}
-        self.batch_column_hist: Dict[int, int] = {}
         self.queue_wait = _LatencyAggregate()
         self.solve_latency = _LatencyAggregate()
         self.factorize_latency = _LatencyAggregate()
@@ -88,19 +80,11 @@ class ServerStats:
     def record_error(self) -> None:
         self.n_errors += 1
 
-    def record_batch(self, n_requests: int, n_columns: int,
-                     queue_waits: List[float], solve_seconds: float) -> None:
-        self.n_batches += 1
-        self.n_solve_requests += n_requests
+    def record_solve(self, n_columns: int, queue_wait: float,
+                     solve_seconds: float) -> None:
+        self.n_solve_requests += 1
         self.n_solve_columns += n_columns
-        self.batch_request_hist[n_requests] = (
-            self.batch_request_hist.get(n_requests, 0) + 1
-        )
-        self.batch_column_hist[n_columns] = (
-            self.batch_column_hist.get(n_columns, 0) + 1
-        )
-        for wait in queue_waits:
-            self.queue_wait.add(wait)
+        self.queue_wait.add(queue_wait)
         self.solve_latency.add(solve_seconds)
 
     def record_factorize(self, seconds: float) -> None:
@@ -117,20 +101,10 @@ class ServerStats:
             "solve": {
                 "requests": self.n_solve_requests,
                 "columns": self.n_solve_columns,
-                "batches": self.n_batches,
+                # every request is dispatched alone, so it is one batch;
+                # the benchmark harness still reads these two keys
+                "batches": self.n_solve_requests,
                 "batched_requests": self.n_solve_requests,
-                "mean_batch_requests": (
-                    self.n_solve_requests / self.n_batches
-                    if self.n_batches else None
-                ),
-                "batch_request_hist": {
-                    str(k): v
-                    for k, v in sorted(self.batch_request_hist.items())
-                },
-                "batch_column_hist": {
-                    str(k): v
-                    for k, v in sorted(self.batch_column_hist.items())
-                },
                 "queue_wait": self.queue_wait.to_dict(),
                 "latency": self.solve_latency.to_dict(),
             },

@@ -1,6 +1,7 @@
 """Tests for the reusable CoupledFactorization (factor once, solve many)."""
 
 import dataclasses
+import sys
 import threading
 
 import numpy as np
@@ -252,6 +253,40 @@ class TestConcurrency:
         for x_v, x_s in results:
             np.testing.assert_array_equal(x_v, reference[0])
             np.testing.assert_array_equal(x_s, reference[1])
+        f.free()
+
+    def test_concurrent_solves_count_every_sparse_solve(self, pipe_small):
+        """Each coupled solve makes two sparse solves, and threads solving
+        one factorization at once lose none of them from the count."""
+        f = CoupledFactorization(pipe_small, "multi_solve",
+                                 SolverConfig(n_c=64))
+        assembly = f.stats.n_sparse_solves
+        n_threads, per_thread = 8, 4
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def worker():
+            try:
+                barrier.wait()
+                for _ in range(per_thread):
+                    f.solve(pipe_small.b_v, pipe_small.b_s)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the += too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert f.stats.n_sparse_solves == (
+            assembly + 2 * n_threads * per_thread)
         f.free()
 
     def test_free_defers_until_solves_drain(self, pipe_small):

@@ -267,14 +267,6 @@ class TestAcquire:
         first.free()
         t.assert_all_freed()
 
-    def test_acquire_timeout_raises(self):
-        t = MemoryTracker(limit_bytes=100)
-        first = t.acquire(80)
-        with pytest.raises(MemoryLimitExceeded, match="timed out"):
-            t.acquire(80, timeout=0.01)
-        first.free()
-        t.assert_all_freed()
-
     def test_headroom_gates_admission_without_being_charged(self):
         t = MemoryTracker(limit_bytes=100)
         a = t.acquire(30, headroom=50)
@@ -327,42 +319,6 @@ class TestAcquire:
             assert t.in_use == 1_000
             assert t.category_in_use("panel") == 0
         base.free()
-        t.assert_all_freed()
-
-    def test_timeout_is_a_deadline_not_per_wait(self):
-        """``acquire(timeout=T)`` must give up after ~T seconds *total*.
-
-        Regression: the wait loop used to re-arm the full timeout on every
-        wakeup, so a tracker with frequent small frees (each notifying the
-        condition) could block an admission far beyond its timeout — here a
-        churn thread notifies every few milliseconds and would postpone the
-        timeout indefinitely under the old behaviour.
-        """
-        import threading
-        import time
-
-        t = MemoryTracker(limit_bytes=100)
-        first = t.acquire(90)
-        stop = threading.Event()
-
-        def churn():
-            # frees budget (and notifies waiters) but never enough
-            while not stop.is_set():
-                t.allocate(5).free()
-                time.sleep(0.005)
-
-        th = threading.Thread(target=churn)
-        th.start()
-        try:
-            t0 = time.perf_counter()
-            with pytest.raises(MemoryLimitExceeded, match="timed out"):
-                t.acquire(80, timeout=0.2)
-            elapsed = time.perf_counter() - t0
-        finally:
-            stop.set()
-            th.join()
-        assert elapsed < 2.0  # ~0.2 s intended; generous CI margin
-        first.free()
         t.assert_all_freed()
 
     def test_concurrent_acquire_free_stays_consistent(self):

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -53,6 +54,33 @@ def run_with_server(config, body):
             await server.stop()  # asserts tracker balance is zero
 
     return asyncio.run(main())
+
+
+def serve_concurrently(problem, loads):
+    """Solve ``loads`` (``(b_v, b_s)`` pairs) all at once from two clients
+    and assert each answer ``array_equal`` (shape included) to a direct
+    ``fact.solve`` of the same arrays on the factorization the server
+    cached; returns the server's ``solve`` stats."""
+
+    async def body(server, client):
+        other = await ServingClient.connect(server.socket_path)
+        try:
+            key = (await client.factorize(problem)).key
+            clients = [client, other]
+            outs = await asyncio.gather(*[
+                clients[i % 2].solve(key, b_v, b_s)
+                for i, (b_v, b_s) in enumerate(loads)
+            ])
+        finally:
+            await other.close()
+        fact = server.cache.lookup(key)
+        for (b_v, b_s), (x_v, x_s) in zip(loads, outs):
+            d_v, d_s = fact.solve(b_v, b_s)
+            np.testing.assert_array_equal(x_v, d_v, strict=True)
+            np.testing.assert_array_equal(x_s, d_s, strict=True)
+        return (await client.stats())["solve"]
+
+    return run_with_server(SolverConfig(**CONFIG_KW), body)
 
 
 class TestProtocolBasics:
@@ -119,7 +147,7 @@ class TestProtocolBasics:
 class TestFactorizeAndSolve:
     def test_lone_request_is_byte_identical_even_with_batching(
             self, pipe_small):
-        """A panel of one passes arrays through unmodified."""
+        """A request's arrays reach ``fact.solve`` unmodified."""
         config = SolverConfig(**CONFIG_KW)
         reference = solve_coupled(pipe_small, "multi_solve", config)
 
@@ -130,15 +158,16 @@ class TestFactorizeAndSolve:
             np.testing.assert_array_equal(x_v, reference.x_v)
             np.testing.assert_array_equal(x_s, reference.x_s)
             stats = await client.stats()
-            assert stats["solve"]["batch_request_hist"] == {"1": 1}
+            assert stats["solve"]["requests"] == 1
+            assert stats["solve"]["batches"] == 1  # one request, one batch
 
         run_with_server(config, body)
 
     def test_batch_of_one_through_the_batcher_is_byte_identical(
             self, pipe_small):
-        """The byte-exactness boundary sits at the batcher, not the sweep:
-        a panel of one hands the caller's arrays to ``fact.solve`` as they
-        are, so the in-place kernel sees the very same one-column block."""
+        """The dispatcher hands the caller's arrays to ``fact.solve`` as
+        they are, so the in-place kernel sees the very same one-column
+        block a direct call would."""
         from repro.core import CoupledFactorization
         from repro.serving.batcher import RhsBatcher
 
@@ -147,11 +176,8 @@ class TestFactorizeAndSolve:
         direct = fact.solve(pipe_small.b_v, pipe_small.b_s)
 
         async def main():
-            async def run_solve(f, b_v, b_s):
-                return f.solve(b_v, b_s)
-
-            batcher = RhsBatcher(asyncio.get_running_loop(), run_solve)
-            return await batcher.submit("k", fact, pipe_small.b_v,
+            batcher = RhsBatcher(asyncio.get_running_loop())
+            return await batcher.submit(fact, pipe_small.b_v,
                                         pipe_small.b_s)
 
         x_v, x_s = asyncio.run(main())
@@ -172,62 +198,29 @@ class TestFactorizeAndSolve:
 
         run_with_server(SolverConfig(**CONFIG_KW), body)
 
-    def test_concurrent_solves_coalesce_and_agree(self, pipe_small,
-                                                  monkeypatch):
-        """Overlapping requests batch into one panel; results match the
-        direct solve to solver tolerance and scatter deterministically."""
-        monkeypatch.setattr("repro.serving.batcher.LINGER_SECONDS", 0.05)
-        config = SolverConfig(**CONFIG_KW)
+    def test_concurrent_solves_are_byte_identical(self, pipe_small):
+        """Overlapping vector requests from two clients: each answer is
+        ``array_equal`` to a direct solve, and each request is its own
+        batch."""
         scales = [1.0, -2.0, 0.5, 3.0, -1.5, 0.25]
+        stats = serve_concurrently(pipe_small, [
+            (s * pipe_small.b_v, s * pipe_small.b_s) for s in scales])
+        assert stats["requests"] == len(scales)
+        assert stats["batches"] == len(scales)
+        assert stats["queue_wait"]["count"] == len(scales)
 
-        async def body(server, client):
-            result = await client.factorize(pipe_small)
-            outs = await asyncio.gather(*[
-                client.solve(result.key, s * pipe_small.b_v,
-                             s * pipe_small.b_s)
-                for s in scales
-            ])
-            reference = solve_coupled(pipe_small, "multi_solve", config)
-            for s, (x_v, x_s) in zip(scales, outs):
-                np.testing.assert_allclose(x_v, s * reference.x_v,
-                                           rtol=1e-8, atol=1e-10)
-                np.testing.assert_allclose(x_s, s * reference.x_s,
-                                           rtol=1e-8, atol=1e-10)
-            stats = await client.stats()
-            assert stats["solve"]["requests"] == len(scales)
-            # the long linger coalesced everything into few panels
-            assert stats["solve"]["batches"] < len(scales)
-            assert max(int(k) for k in
-                       stats["solve"]["batch_request_hist"]) > 1
-            assert stats["solve"]["queue_wait"]["count"] == len(scales)
-
-        run_with_server(config, body)
-
-    def test_matrix_load_cases_scatter_correctly(self, pipe_small,
-                                                 monkeypatch):
-        """Mixed vector and multi-column requests in one batch."""
-        monkeypatch.setattr("repro.serving.batcher.LINGER_SECONDS", 0.05)
-        config = SolverConfig(**CONFIG_KW)
-
-        async def body(server, client):
-            result = await client.factorize(pipe_small)
-            panel_v = np.stack([pipe_small.b_v, 2 * pipe_small.b_v], axis=1)
-            panel_s = np.stack([pipe_small.b_s, 2 * pipe_small.b_s], axis=1)
-            (mv, ms), (vv, vs) = await asyncio.gather(
-                client.solve(result.key, panel_v, panel_s),
-                client.solve(result.key, -1.0 * pipe_small.b_v,
-                             -1.0 * pipe_small.b_s),
-            )
-            assert mv.shape == (pipe_small.n_fem, 2)
-            assert vv.shape == (pipe_small.n_fem,)
-            np.testing.assert_allclose(mv[:, 1], 2 * mv[:, 0],
-                                       rtol=1e-8, atol=1e-10)
-            np.testing.assert_allclose(vv, -1.0 * mv[:, 0],
-                                       rtol=1e-8, atol=1e-10)
-            np.testing.assert_allclose(vs, -1.0 * ms[:, 0],
-                                       rtol=1e-8, atol=1e-10)
-
-        run_with_server(config, body)
+    def test_matrix_and_vector_solves_are_byte_identical(self, pipe_small):
+        """Multi-column and vector requests in flight together, from two
+        clients: each comes back in its own shape, ``array_equal`` to a
+        direct solve."""
+        panel_v = np.stack([pipe_small.b_v, 2 * pipe_small.b_v], axis=1)
+        panel_s = np.stack([pipe_small.b_s, 2 * pipe_small.b_s], axis=1)
+        stats = serve_concurrently(pipe_small, [
+            (panel_v, panel_s),
+            (-1.0 * pipe_small.b_v, -1.0 * pipe_small.b_s),
+            (3.0 * panel_v, 3.0 * panel_s),
+            (pipe_small.b_v, pipe_small.b_s)])
+        assert stats["columns"] == 6
 
 
 class TestCacheLifecycleOverProtocol:
@@ -352,14 +345,22 @@ class TestReconnect:
 
         asyncio.run(main())
 
-    def test_stop_with_a_coalesced_batch_in_flight(self, pipe_small,
-                                                   monkeypatch):
-        """Stop the server while a batch of solves from two clients
-        lingers: every call ends within a bound, with its answer or a typed
-        error (never a hang), and the stopped server's cache reads zero."""
-        monkeypatch.setattr("repro.serving.batcher.LINGER_SECONDS", 60.0)
-        bound = 30.0  # half the linger: a stop that waits it out fails
+    def test_stop_with_solves_blocked_in_the_executor(self, pipe_small,
+                                                      monkeypatch):
+        """Stop the server while solves from two clients are held in the
+        executor: stop waits for them, every call ends within a bound with
+        its answer or a typed error (never a hang), and the stopped
+        server's cache reads zero."""
+        from repro.core import CoupledFactorization
+
+        bound = 30.0
         scales = [1.0, -2.0, 0.5, 3.0]
+        release = threading.Event()
+        solve = CoupledFactorization.solve
+
+        def held_solve(self, b_v, b_s, refinement_steps=0):
+            release.wait(bound)
+            return solve(self, b_v, b_s, refinement_steps)
 
         async def main():
             server = SolverServer(SolverConfig(**CONFIG_KW),
@@ -369,8 +370,11 @@ class TestReconnect:
                        for _ in range(2)]
             try:
                 key = (await clients[0].factorize(pipe_small)).key
-                reference = server.cache.lookup(key).solve(
-                    pipe_small.b_v, pipe_small.b_s)
+                fact = server.cache.lookup(key)
+                direct = [fact.solve(s * pipe_small.b_v, s * pipe_small.b_s)
+                          for s in scales]
+                monkeypatch.setattr(CoupledFactorization, "solve",
+                                    held_solve)
                 calls = [
                     asyncio.ensure_future(clients[i % 2].solve(
                         key, s * pipe_small.b_v, s * pipe_small.b_s))
@@ -379,22 +383,26 @@ class TestReconnect:
                 while (await clients[0].stats())["pending_solves"] < len(
                         scales):
                     await asyncio.sleep(0.01)
-                await asyncio.wait_for(server.stop(), timeout=bound)
+                stopping = asyncio.ensure_future(server.stop())
+                await asyncio.sleep(0.1)
+                assert not stopping.done()  # it waits for the held solves
+                release.set()
+                await asyncio.wait_for(stopping, timeout=bound)
                 outcomes = await asyncio.wait_for(
                     asyncio.gather(*calls, return_exceptions=True),
                     timeout=bound,
                 )
-                for s, outcome in zip(scales, outcomes):
+                for (d_v, d_s), outcome in zip(direct, outcomes):
                     if isinstance(outcome, BaseException):
                         assert isinstance(
                             outcome, (ConnectionLostError, ServingError)
                         ), repr(outcome)
                     else:
-                        np.testing.assert_allclose(
-                            outcome[0], s * reference[0],
-                            rtol=1e-8, atol=1e-10)
+                        np.testing.assert_array_equal(outcome[0], d_v)
+                        np.testing.assert_array_equal(outcome[1], d_s)
                 assert server.cache.tracker.in_use == 0
             finally:
+                release.set()
                 for client in clients:
                     await client.close()
                 await server.stop()

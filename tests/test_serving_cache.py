@@ -178,26 +178,28 @@ class TestLruEviction:
         cache.tracker.assert_all_freed()
 
     def test_budget_evicts_until_admission(self, pipe_small):
-        probe = build_fact(pipe_small)
-        entry_bytes = probe.peak_bytes
-        probe.free()
-        # room for exactly two entries (each entry is charged its own
-        # peak, which under several workers depends on the schedule: the
-        # probe sizes the budget, the entries say what is in use)
+        # each entry is charged its own peak, which under several workers
+        # depends on the schedule, so the three entries are built first
+        # and the budget is sized from their own peaks: a and b fit, c
+        # fits once a is gone
+        fa, fb, fc = (build_fact(pipe_small) for _ in range(3))
+        pa, pb, pc = fa.peak_bytes, fb.peak_bytes, fc.peak_bytes
         cache = FactorCache(max_entries=8,
-                            budget_bytes=int(2.5 * entry_bytes))
+                            budget_bytes=max(pa + pb, pb + pc))
         try:
-            a = cache.get_or_build("a", lambda: build_fact(pipe_small))
-            b = cache.get_or_build("b", lambda: build_fact(pipe_small))
+            a = cache.get_or_build("a", lambda: fa)
+            b = cache.get_or_build("b", lambda: fb)
             assert cache.tracker.category_in_use(FACTOR_CACHE_CATEGORY) == (
                 a.entry.peak_bytes + b.entry.peak_bytes)
-            c = cache.get_or_build("c", lambda: build_fact(pipe_small))
+            c = cache.get_or_build("c", lambda: fc)
             assert c.evictions == 1
             assert cache.keys() == ["b", "c"]
             assert cache.tracker.category_in_use(FACTOR_CACHE_CATEGORY) == (
                 b.entry.peak_bytes + c.entry.peak_bytes)
         finally:
             cache.clear()
+            for fact in (fa, fb, fc):
+                fact.free()  # idempotent: frees only what never admitted
         cache.tracker.assert_all_freed()
 
     def test_oversized_entry_raises_after_evicting_everything(

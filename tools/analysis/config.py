@@ -20,7 +20,7 @@ LOCK_HIERARCHY = (
     "_cond",         # repro.memory.tracker.MemoryTracker (bookkeeping)
     "_lock",         # repro.utils.timer.PhaseTimer (phase accumulator)
     "_axpy_lock",    # repro.hmatrix.hmatrix.HMatrix AXPY counters (leaf)
-    "_own_lock",     # repro.core.schur_tools.RunContext owned set (leaf)
+    "_own_lock",     # repro.core.schur_tools.RunContext owned set, solve count (leaf)
 )
 # The process execution backend (repro.runtime.process_backend) adds no
 # entry here on purpose: its coordinator is single-threaded and its
